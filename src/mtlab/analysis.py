@@ -9,43 +9,21 @@ from . import linalg, mazurtate, modsym, padic
 from .errors import (
     EmbeddingAmbiguity,
     NotInSpan,
-    NotOrdinary,
     OutOfBudget,
     PrecisionExhausted,
 )
 from .mazurtate import invariants, nu_corestrict, q_n, theta_element
 
 
-def _index_gamma0(N):
-    """[SL_2(Z) : Gamma_0(N)] = N * prod (1 + 1/q) over primes q | N."""
-    val = N
-    n = N
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            val = val // q * (q + 1)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        val = val // n * (n + 1)
-    return val
-
-
 def sturm_bound(N, k):
-    """k * [SL_2(Z) : Gamma_0(N)] / 12, rounded up."""
-    num = k * _index_gamma0(N)
-    return -(-num // 12)
+    """k * [SL_2(Z) : Gamma_0(N)] / 12, rounded up.
 
-
-def _primes_up_to(bound):
-    out = []
-    n = 2
-    while n <= bound:
-        if all(n % q for q in out):
-            out.append(n)
-        n += 1
-    return out
+    The index is N * prod (1 + 1/q) over the primes q | N.
+    """
+    index = N
+    for q in padic.prime_divisors(N):
+        index = index // q * (q + 1)
+    return -(-k * index // 12)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +94,9 @@ def mu_min(normalized):
 class CongruenceMatch:
     """A weight-2 class residually matching a higher-weight eigenform."""
 
-    def __init__(self, source_id, target_id, sturm, checked_primes,
+    def __init__(self, target_id, sturm, checked_primes,
                  residual_field_degree, embedding_choice, target_class,
                  target_embedding):
-        self.source_id = source_id
         self.target_id = target_id
         self.sturm_bound = sturm
         self.checked_primes = list(checked_primes)
@@ -129,9 +106,9 @@ class CongruenceMatch:
         self.target_embedding = target_embedding
 
     def __repr__(self):
-        return ("CongruenceMatch(%s ~ %s mod p, %d primes to %d)"
-                % (self.source_id, self.target_id,
-                   len(self.checked_primes), self.sturm_bound))
+        return ("CongruenceMatch(%s, %d primes to %d)"
+                % (self.target_id, len(self.checked_primes),
+                   self.sturm_bound))
 
 
 def form_id(space, index):
@@ -164,29 +141,25 @@ def _apply_hom(x, image, target_field):
     return acc
 
 
-def find_congruent_weight2(eigensymbol, embedding, level=None):
-    """Weight-2 classes at the level whose residual eigensystem matches.
+def find_congruent_weight2(eigensymbol, embedding, classes):
+    """The weight-2 classes whose residual eigensystem matches.
 
-    Matching compares reductions of a_ell for every prime ell != p up to
-    the Sturm bound; classes over larger coefficient fields are compared
-    through minimal polynomials first, then through an explicit embedding
-    of residue fields that must align every checked prime at once.
+    classes are the sign +1 cuspidal eigensymbols of weight 2 at the level
+    of the eigensymbol, in report order. Matching compares reductions of
+    a_ell for every prime ell != p up to the Sturm bound; classes over
+    larger coefficient fields are compared through minimal polynomials
+    first, then through an explicit embedding of residue fields that must
+    align every checked prime at once.
     """
     space = eigensymbol.space
     p = embedding.p
-    N = space.M if level is None else level
-    bound = sturm_bound(N, space.k)
-    ells = [ell for ell in _primes_up_to(bound) if ell != p]
+    bound = sturm_bound(space.M, space.k)
+    ells = [ell for ell in padic.primes_up_to(bound) if ell != p]
     F = embedding.residue_field
     source_red = {ell: embedding.reduce(eigensymbol.a(ell)) for ell in ells}
-    w2 = modsym.ManinSymbolSpace(N, 2)
-    classes = sorted(modsym.cuspidal_eigensymbols(w2, 1),
-                     key=lambda c: c.sort_key())
-    src_id = form_id(space, getattr(eigensymbol, "index", 0))
     matches = []
     for idx, cls in enumerate(classes):
-        for emb_idx, gemb in enumerate(
-                padic.primes_above(cls.field, p, embedding.M)):
+        for gemb in padic.primes_above(cls.field, p, embedding.M):
             Fg = gemb.residue_field
             if F.degree % Fg.degree != 0:
                 continue
@@ -201,9 +174,10 @@ def find_congruent_weight2(eigensymbol, embedding, level=None):
             if not consistent:
                 raise EmbeddingAmbiguity(
                     "minimal polynomials match for %s but no residue-field "
-                    "embedding aligns all checked primes" % form_id(w2, idx))
+                    "embedding aligns all checked primes"
+                    % form_id(cls.space, idx))
             matches.append(CongruenceMatch(
-                src_id, form_id(w2, idx), bound, ells, F.degree,
+                form_id(cls.space, idx), bound, ells, F.degree,
                 homs.index(consistent[0]), cls, gemb))
             break
     return matches
@@ -223,7 +197,7 @@ def verify_congruence(f_norm, g_norm, n_max, mode="medweight", twists=None):
     if g_norm.embedding.p != p:
         raise ValueError("symbols live over different primes")
     if twists is None:
-        twists = [i for i in range(p - 1) if (-1) ** i == f_norm.sign]
+        twists = mazurtate.twists(p, f_norm.sign)
     if mode == "lowslope":
         mu, witness = _mu_min_witness(f_norm)
         scale = witness.inverse()
@@ -399,7 +373,7 @@ def invariant_table(f_norm, n_max, twists=None):
     emb = f_norm.embedding
     p = emb.p
     if twists is None:
-        twists = [i for i in range(p - 1) if (-1) ** i == f_norm.sign]
+        twists = mazurtate.twists(p, f_norm.sign)
     rows = []
     for n in range(n_max + 1):
         for i in twists:

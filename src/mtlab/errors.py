@@ -41,10 +41,6 @@ class NotOrdinary(MTLabError):
     """p-stabilization requires a unit Hecke eigenvalue at p."""
 
 
-class NoMatch(MTLabError):
-    """No residual eigensystem match was found."""
-
-
 class EmbeddingAmbiguity(MTLabError):
     """Several inequivalent residue-field embeddings align the checked data."""
 
@@ -55,7 +51,3 @@ class NotInSpan(MTLabError):
     def __init__(self, message, span_dimension=None):
         super().__init__(message)
         self.span_dimension = span_dimension
-
-
-class CacheCorrupt(MTLabError):
-    """A cache entry failed its checksum; callers recompute transparently."""

@@ -7,7 +7,7 @@ at certified precision (or residue-field elements for mod-p identities).
 
 from fractions import Fraction
 
-from . import modsym, padic, polyact
+from . import modsym, padic
 from .errors import NotOrdinary, OutOfBudget, PrecisionExhausted
 
 
@@ -171,6 +171,14 @@ def _dlog_table(p, n1):
         table[x] = j
         x = (x * (1 + p)) % pn1
     return table
+
+
+def twists(p, sign):
+    """The i in 0 .. p-2 with (-1)^i = sign.
+
+    The other omega^i-projections of a symbol of this sign vanish.
+    """
+    return [i for i in range(p - 1) if (-1) ** i == sign]
 
 
 def omega_decompose(theta, i):

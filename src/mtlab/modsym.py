@@ -18,6 +18,7 @@ values at recorded (coset, monomial) positions.
 """
 
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd
 
 from . import linalg, p1, polyact, polyq
@@ -473,11 +474,10 @@ class ManinSymbolSpace:
         return [[sub_cols[j][i] for j in range(len(basis))]
                 for i in range(len(basis))]
 
-    def smallest_good_prime(self):
-        ell = 2
-        while self.M % ell == 0:
-            ell = _next_prime(ell)
-        return ell
+    def good_primes(self):
+        """The primes not dividing the level, increasing."""
+        return (q for q in count(2)
+                if self.M % q and padic.prime_divisors(q) == [q])
 
     def cuspidal_subspace(self, sign):
         """Basis of the cuspidal part of the sign eigenspace.
@@ -492,7 +492,7 @@ class ManinSymbolSpace:
         basis = self.sign_subspace(sign)
         if not basis:
             return []
-        ell = self.smallest_good_prime()
+        ell = next(self.good_primes())
         tsub = self._restrict_operator("T%d" % ell, basis)
         cp = linalg.charpoly_rational(tsub)
         eis = Fraction(1 + ell ** (self.k - 1))
@@ -512,14 +512,6 @@ class ManinSymbolSpace:
                         Fraction(0)) for i in range(self.dim)]
             out.append(full)
         return out
-
-
-def _next_prime(n):
-    n += 1
-    while True:
-        if n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1)):
-            return n
-        n += 1
 
 
 def _poly_of_matrix(coeffs, mat):
@@ -550,7 +542,6 @@ class Eigensymbol:
         self.sign = sign
         self.field = field
         self.coords = coords
-        self.is_cuspidal = True
         self._splitting = splitting
         self._eigenvalues = {}
         self._values = {}
@@ -558,10 +549,6 @@ class Eigensymbol:
     @property
     def minpoly(self):
         return self._splitting["factor"]
-
-    @property
-    def splitting_op(self):
-        return self._splitting["op_name"]
 
     def value(self, A):
         cached = self._values.get(A)
@@ -585,7 +572,7 @@ class Eigensymbol:
         space = self.space
         op = ("U%d" if space.M % ell == 0 else "T%d") % ell
         w = space.apply_operator_to_coords(op, sp["v_full"])
-        sub = _subspace_coords(sp["basis_rows"], sp["basis_pivots"], w)
+        sub = _subspace_coords(sp["basis_rows"], w)
         r = linalg.mat_vec(sp["krylov_inv"], sub)
         z = sp["z"]
         acc = self.field.zero()
@@ -598,7 +585,7 @@ class Eigensymbol:
         return (self.field.degree, tuple(self.minpoly))
 
 
-def _subspace_coords(basis_rows, basis_pivots, vec):
+def _subspace_coords(basis_rows, vec):
     """Coordinates of vec in the subspace with rref'd basis data."""
     sol = linalg.solve(basis_rows, vec, QQ)
     if sol is None:
@@ -613,11 +600,8 @@ def _splitting_candidates(space):
     composite level the U_q for q | M are included from the start; the
     T-only combinations follow as fallbacks.
     """
-    l1 = space.smallest_good_prime()
-    l2 = _next_prime(l1)
-    while space.M % l2 == 0:
-        l2 = _next_prime(l2)
-    uqs = [("U%d" % q, 1) for q in _prime_divisors(space.M)]
+    l1, l2 = islice(space.good_primes(), 2)
+    uqs = [("U%d" % q, 1) for q in padic.prime_divisors(space.M)]
     if uqs:
         yield [("T%d" % l1, 1)] + uqs
         for c in range(1, 5):
@@ -627,21 +611,7 @@ def _splitting_candidates(space):
         yield [("T%d" % l1, 1), ("T%d" % l2, c)]
 
 
-def _prime_divisors(n):
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def cuspidal_eigensymbols(space, sign, ell_max=20):
+def cuspidal_eigensymbols(space, sign):
     """One Eigensymbol per Galois conjugacy class of cuspidal eigenforms.
 
     Finds a splitting operator (an integer combination of Hecke operators)
@@ -676,10 +646,7 @@ def cuspidal_eigensymbols(space, sign, ell_max=20):
         v = _find_cyclic_vector(smat, ds)
         if v is None:
             continue
-        name = "+".join(("%d*%s" % (c, op)) if c != 1 else op
-                        for op, c in combo)
-        return _extract_classes(space, sign, basis, basis_rows, smat, cp,
-                                v, name)
+        return _extract_classes(space, sign, basis, basis_rows, smat, cp, v)
     raise SplittingFailure(
         "no splitting operator with squarefree charpoly found at level %d "
         "weight %d sign %+d" % (space.M, space.k, sign))
@@ -700,7 +667,7 @@ def _find_cyclic_vector(smat, ds):
     return None
 
 
-def _extract_classes(space, sign, basis, basis_rows, smat, cp, v, op_name):
+def _extract_classes(space, sign, basis, basis_rows, smat, cp, v):
     ds = len(basis)
     krylov = [v]
     for _ in range(ds - 1):
@@ -709,7 +676,6 @@ def _extract_classes(space, sign, basis, basis_rows, smat, cp, v, op_name):
     kry_inv = linalg.invert(kry_cols, QQ)
     if kry_inv is None:
         raise SplittingFailure("cyclic vector check failed")
-    basis_pivots = None
     v_full = [sum((v[t] * basis[t][i] for t in range(ds)), Fraction(0))
               for i in range(space.dim)]
     krylov_full = [[sum((kv[t] * basis[t][i] for t in range(ds)), Fraction(0))
@@ -736,12 +702,10 @@ def _extract_classes(space, sign, basis, basis_rows, smat, cp, v, op_name):
             coords = [ci + hm * ri for ci, ri in zip(coords, row)]
         splitting = {
             "factor": ints,
-            "op_name": op_name,
             "z": z,
             "v_full": v_full,
             "krylov_inv": kry_inv,
             "basis_rows": basis_rows,
-            "basis_pivots": basis_pivots,
         }
         out.append(Eigensymbol(space, sign, K, coords, splitting))
     out.sort(key=lambda e: e.sort_key())
@@ -864,89 +828,3 @@ def alpha_map(normalized, target_space):
                 acc = acc + coeff * scalar
         out.append([acc])
     return out
-
-
-def theta_op(source_space, target_space, values, p):
-    """Multiplication by X^p Y - X Y^p from weight g - p - 1 + 2 symbols.
-
-    Takes coset values over a residue field at level M and returns coset
-    values at level M*p with weight raised by p + 1.
-    """
-    if target_space.g != source_space.g + p + 1:
-        raise InvalidOperator("theta raises the degree by p + 1")
-    if target_space.M != source_space.M * p:
-        raise InvalidOperator("theta lands at level M*p")
-    out = []
-    for i in range(len(target_space.plist)):
-        gam = target_space.plist.lift(i)
-        A = source_space.plist.index(gam[1][0], gam[1][1])
-        vec = polyact.act(values[A], polyact.mat_inv_unimodular(gam))
-        prod = _mul_theta(vec, p)
-        out.append(polyact.act(prod, gam))
-    return out
-
-
-def _mul_theta(coeffs, p):
-    """Multiply sum b_j X^j Y^(g-j) by X^p Y - X Y^p."""
-    g = len(coeffs) - 1
-    out = [coeffs[0] * 0] * (g + p + 2)
-    for j, b in enumerate(coeffs):
-        out[j + p] = out[j + p] + b
-        out[j + 1] = out[j + 1] - b
-    return out
-
-
-# ---------------------------------------------------------------------------
-# filtrations
-
-
-def in_filtration(values, r, s=0):
-    """Whether all value coefficients lie in Fil^{r,s}(V_g(O)).
-
-    Fil^r asks ord(b_j) >= r - j for j < r; Fil^{r,s} additionally asks
-    ord(b_j) >= r - j + 1 for r + 1 - s <= j <= r.
-    """
-    for vec in values:
-        for j, x in enumerate(vec):
-            need = 0
-            if j < r:
-                need = r - j
-            if r + 1 - s <= j <= r:
-                need = max(need, r - j + 1)
-            if need <= 0:
-                continue
-            if x.is_zero_to_precision():
-                continue
-            if x.valuation() < need:
-                return False
-    return True
-
-
-def filtration_depth(normalized):
-    """Largest r with values in Fil^r, then largest s <= r with Fil^{r,s}."""
-    values = normalized.all_values()
-    r = 0
-    while in_filtration(values, r + 1):
-        r += 1
-    s = 0
-    while s < r and in_filtration(values, r, s + 1):
-        s += 1
-    return (r, s)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def matrix_to_json(level, weight, op, mat):
-    return {
-        "level": level,
-        "weight": weight,
-        "operator": op,
-        "rows": len(mat),
-        "entries": [[str(x) for x in row] for row in mat],
-    }
-
-
-def matrix_from_json(data):
-    return [[Fraction(s) for s in row] for row in data["entries"]]

@@ -14,7 +14,7 @@ precision so that valuations are only ever reported when certified.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import sympy
 from sympy.polys.galoistools import gf_factor
@@ -795,6 +795,33 @@ class LocalElement:
                 % (list(self.vec), self.emb.p, self.shift, self.prec))
 
 
+def prime_divisors(n):
+    """The distinct primes dividing n, increasing; empty for n < 2."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def primes_up_to(bound):
+    """The primes q <= bound, increasing."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0] = sieve[1] = 0
+    for q in range(2, isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, bound + 1, q)))
+    return [q for q in range(bound + 1) if sieve[q]]
+
+
 def _vp(n, p):
     """p-adic valuation of a nonzero integer."""
     v = 0
@@ -814,7 +841,7 @@ def primes_above(field, p, M):
     the residue extension; only the single-segment case with coprime slope
     data is resolved, anything deeper raises PrecisionTooLow.
     """
-    if p == 2 or not sympy.isprime(p):
+    if p == 2 or prime_divisors(p) != [p]:
         raise ValueError("p must be an odd prime")
     if M < 1:
         raise ValueError("precision must be at least 1")
@@ -1552,150 +1579,3 @@ def teichmuller(p, a, M):
         x = pow(x, p, pM)
     assert pow(x, p - 1, pM) == 1
     return x
-
-
-class ConvertedEmbedding:
-    """A prime of a field reached through a different field generator.
-
-    When the defining generator of a field is a poor local generator at p
-    (its minimal polynomial needs factorization beyond the one-level Newton
-    polygon), an isomorphic copy Q(beta) with a better generator is used.
-    Elements are converted by an exact rational change of basis and then
-    embedded through the inner PAdicEmbedding.
-    """
-
-    def __init__(self, field, inner, conv_rows, index, beta_coeffs):
-        self.field = field
-        self.inner = inner
-        self.p = inner.p
-        self.M = inner.M
-        self.pM = inner.pM
-        self.e = inner.e
-        self.residue_degree = inner.residue_degree
-        self.residue_field = inner.residue_field
-        self.local_factor = inner.local_factor
-        self.degree = inner.degree
-        self.index = index
-        self._conv = conv_rows
-        self._beta_coeffs = beta_coeffs
-
-    def __repr__(self):
-        return ("ConvertedEmbedding(p=%d, e=%d, f=%d, M=%d, index=%d)"
-                % (self.p, self.e, self.residue_degree, self.M, self.index))
-
-    def convert(self, x):
-        if isinstance(x, (int, Fraction)):
-            x = self.field.from_rational(x)
-        if x.field != self.field:
-            raise ValueError("element of a different field")
-        coeffs = [sum((row[j] * x.coeffs[j] for j in range(len(row))),
-                      Fraction(0)) for row in self._conv]
-        return NFElement(self.inner.field, tuple(coeffs))
-
-    def local(self, x):
-        return self.inner.local(self.convert(x))
-
-    def valuation(self, x):
-        return self.inner.valuation(self.convert(x))
-
-    def reduce(self, x):
-        return self.inner.reduce(self.convert(x))
-
-    def with_precision(self, M):
-        return ConvertedEmbedding(self.field, self.inner.with_precision(M),
-                                  self._conv, self.index, self._beta_coeffs)
-
-
-def _generator_candidates(field):
-    z = field.gen()
-    one = field.one()
-    for j in (1, 2, 3):
-        for a in range(0, 8):
-            yield _power(z - one * a, j)
-
-
-def _power(x, n):
-    out = x
-    for _ in range(n - 1):
-        out = out * x
-    return out
-
-
-def local_embeddings(field, p, M):
-    """All primes of the field above p, converting the generator if needed.
-
-    Tries primes_above directly; on PrecisionTooLow, searches a
-    deterministic list of alternative integral generators beta of the same
-    field (shifted powers of the generator, optionally divided by powers of
-    p) until one has a minimal polynomial the one-level machinery resolves.
-    """
-    from . import linalg as _linalg
-
-    try:
-        return primes_above(field, p, M)
-    except PrecisionTooLow:
-        pass
-    if field.degree == 1:
-        raise
-    for base in _generator_candidates(field):
-        for t in range(0, 4):
-            beta = base * Fraction(1, p ** t)
-            data = _try_generator(field, beta, p, M, _linalg)
-            if data is not None:
-                return data
-    raise PrecisionTooLow(
-        "no alternative generator resolves the primes above %d" % p)
-
-
-def _try_generator(field, beta, p, M, _linalg):
-    deg = field.degree
-    mult_cols = []
-    power = field.one()
-    for i in range(deg):
-        col = (beta * power).coeffs
-        mult_cols.append(list(col))
-        power = power * field.gen()
-    mult_rows = [[mult_cols[j][r] for j in range(deg)] for r in range(deg)]
-    start = [Fraction(1)] + [Fraction(0)] * (deg - 1)
-    coeffs, _ = _linalg.minpoly_of_matrix_action(
-        lambda v: _linalg.mat_vec(mult_rows, v), start, _linalg.QQ)
-    if len(coeffs) - 1 != deg:
-        return None
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    try:
-        K2 = make_field([int(c) for c in coeffs])
-    except ReduciblePolynomial:
-        return None
-    try:
-        embs = primes_above(K2, p, M)
-    except PrecisionTooLow:
-        return None
-    # change of basis: coordinates in powers of beta
-    bcols = []
-    power = field.one()
-    for i in range(deg):
-        bcols.append(list(power.coeffs))
-        power = power * beta
-    brows = [[bcols[j][r] for j in range(deg)] for r in range(deg)]
-    binv = _linalg.invert(brows, _linalg.QQ)
-    if binv is None:
-        return None
-    return [ConvertedEmbedding(field, emb, binv, idx, list(beta.coeffs))
-            for idx, emb in enumerate(embs)]
-
-
-def embedding_to_json(emb):
-    """Serialize the embedding choice as a plain dict."""
-    return {
-        "minpoly": list(emb.field.minpoly),
-        "p": emb.p,
-        "embedding_index": emb.index,
-        "precision": emb.M,
-    }
-
-
-def embedding_from_json(data):
-    field = make_field(data["minpoly"])
-    embs = primes_above(field, data["p"], data["precision"])
-    return embs[data["embedding_index"]]

@@ -85,11 +85,6 @@ def mat_mul(m1, m2):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def mat_det(m):
-    (a, b), (c, d) = m
-    return a * d - b * c
-
-
 def mat_inv_unimodular(m):
     """Inverse of a determinant +-1 integer matrix."""
     (a, b), (c, d) = m

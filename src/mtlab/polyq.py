@@ -101,21 +101,6 @@ def evaluate(p, x):
     return acc
 
 
-def content_and_primitive(p):
-    """Clear denominators and divide out the integer content."""
-    from math import gcd, lcm
-    if not p:
-        return Fraction(0), []
-    dens = lcm(*[Fraction(c).denominator for c in p]) if len(p) > 1 else Fraction(p[0]).denominator
-    ints = [int(Fraction(c) * dens) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return Fraction(0), []
-    return Fraction(g, dens), [c // g for c in ints]
-
-
 def resultant_int(p, q):
     """Resultant of two integer polynomials via the Sylvester determinant.
 

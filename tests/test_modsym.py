@@ -397,10 +397,3 @@ def test_degeneracy_image_satisfies_relations():
     back = dst.all_values(got)
     for A in range(len(dst.plist)):
         assert back[A] == values[A]
-
-
-def test_matrix_json_roundtrip():
-    space = ManinSymbolSpace(11, 2)
-    t2 = space.hecke_matrix("T2")
-    data = modsym.matrix_to_json(11, 2, "T2", t2)
-    assert modsym.matrix_from_json(data) == t2

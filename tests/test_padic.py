@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from mtlab import padic
@@ -185,13 +186,17 @@ def test_local_element_division_tracks_precision():
     assert inv.prec <= 6 - 4
 
 
-def test_embedding_json_roundtrip():
-    K = padic.make_field([-2, 0, 1])
-    emb = padic.primes_above(K, 3, 5)[0]
-    data = padic.embedding_to_json(emb)
-    emb2 = padic.embedding_from_json(data)
-    assert emb2.local_factor == emb.local_factor
-    assert emb2.e == emb.e and emb2.residue_degree == emb.residue_degree
+@given(n=st.integers(min_value=-5, max_value=10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_prime_divisors_match_sympy(n):
+    expected = sympy.primefactors(n) if n >= 1 else []
+    assert padic.prime_divisors(n) == expected
+
+
+@given(bound=st.integers(min_value=-5, max_value=3000))
+@settings(max_examples=100, deadline=None)
+def test_primes_up_to_match_sympy(bound):
+    assert padic.primes_up_to(bound) == list(sympy.primerange(2, bound + 1))
 
 
 def test_with_precision_relift():
