@@ -5,7 +5,7 @@ classification of lambda-growth patterns.
 
 from fractions import Fraction
 
-from . import linalg, mazurtate, modsym, padic
+from . import linalg, mazurtate, modsym, padic, polyact
 from .errors import (
     EmbeddingAmbiguity,
     NotInSpan,
@@ -50,10 +50,8 @@ def _mu_min_witness(normalized):
     the evaluation by multiples of p^m.  Iterative deepening stops once
     the running minimum is below the depth.
     """
-    space = normalized.space
     emb = normalized.embedding
     p = emb.p
-    g = space.g
     values = normalized.all_values()
     best = None
     witness = None
@@ -61,15 +59,9 @@ def _mu_min_witness(normalized):
         if best is not None and best < m:
             return best, witness
         for c, d in _p1_pairs(p, m):
-            scalars = [pow(c, j) * pow(d, g - j) for j in range(g + 1)]
             for vec in values:
-                acc = None
-                for x, s in zip(vec, scalars):
-                    if s == 0:
-                        continue
-                    term = x * s
-                    acc = term if acc is None else acc + term
-                if acc is None or acc.is_zero_to_precision():
+                acc = polyact.evaluate(vec, c, d)
+                if acc.is_zero_to_precision():
                     continue
                 try:
                     v = acc.valuation()
@@ -183,7 +175,7 @@ def find_congruent_weight2(eigensymbol, embedding, classes):
     return matches
 
 
-def verify_congruence(f_norm, g_norm, n_max, mode="medweight", twists=None):
+def verify_congruence(f_norm, g_norm, n_max, mode="medweight"):
     """Check reduce(theta_{n,i}(f) / c) = u * nu(reduce(theta_{n-1,i}(g))).
 
     The scaling element c has valuation mu_min(f) in lowslope mode and is
@@ -196,8 +188,6 @@ def verify_congruence(f_norm, g_norm, n_max, mode="medweight", twists=None):
     p = emb.p
     if g_norm.embedding.p != p:
         raise ValueError("symbols live over different primes")
-    if twists is None:
-        twists = mazurtate.twists(p, f_norm.sign)
     if mode == "lowslope":
         mu, witness = _mu_min_witness(f_norm)
         scale = witness.inverse()
@@ -213,7 +203,7 @@ def verify_congruence(f_norm, g_norm, n_max, mode="medweight", twists=None):
     unit = None
     rows = []
     for n in range(1, n_max + 1):
-        for i in twists:
+        for i in mazurtate.twists(p, f_norm.sign):
             lhs = [(scale * c).reduce()
                    for c in theta_element(f_norm, n, i).coeffs]
             rhs_elt = nu_corestrict(theta_element(g_norm, n - 1, i))
@@ -248,8 +238,8 @@ class OldspaceDecomposition(list):
     span_dimension = None
 
 
-def oldspace_decompose(f_norm, g_norm, r):
-    """Coordinates of the reduced alpha-image of f at level N p^r.
+def oldspace_decompose(f_norm, g_norm, r, target):
+    """Coordinates of the reduced alpha-image of f in target, level N p^r.
 
     The alpha map evaluates the generator polynomials at the bottom rows
     of coset lifts and divides by an element of valuation mu_min(f); the
@@ -260,10 +250,8 @@ def oldspace_decompose(f_norm, g_norm, r):
     emb = f_norm.embedding
     p = emb.p
     N = space.M
-    g = space.g
     if g_norm.space.k != 2 or g_norm.space.M != N:
         raise ValueError("the partner must be a weight-2 symbol at level N")
-    target = modsym.ManinSymbolSpace(N * p ** r, 2)
     F = emb.residue_field
     Fg = g_norm.embedding.residue_field
     homs = _residue_homs(Fg, F)
@@ -282,16 +270,9 @@ def oldspace_decompose(f_norm, g_norm, r):
     fvals = f_norm.all_values()
     tvec = []
     for A in range(size):
-        (_, _), (c, d) = target.plist.lift(A)
-        vec = fvals[space.plist.index(c, d)]
-        acc = None
-        for j, x in enumerate(vec):
-            s = pow(c, j) * pow(d, g - j)
-            if s == 0:
-                continue
-            term = x * s
-            acc = term if acc is None else acc + term
-        tvec.append(F.zero() if acc is None else (acc * scale).reduce())
+        _, (c, d) = target.plist.lift(A)
+        acc = polyact.evaluate(fvals[space.plist.index(c, d)], c, d)
+        tvec.append((acc * scale).reduce())
     span = linalg.rank(basis, F)
     cols = [[basis[t][A] for t in range(r)] for A in range(size)]
     sol = linalg.solve(cols, tvec, F)
@@ -311,12 +292,10 @@ def oldspace_decompose(f_norm, g_norm, r):
 class InvariantReport:
     """Rows (n, i, mu, lambda, certified) with a fitted growth pattern."""
 
-    def __init__(self, p, rows, pattern, constants, n0=2):
-        self.p = p
+    def __init__(self, rows, pattern, constants):
         self.rows = rows
         self.pattern = pattern
         self.constants = constants
-        self.n0 = n0
 
     def __repr__(self):
         return ("InvariantReport(%d rows, pattern=%s)"
@@ -342,9 +321,9 @@ _TEMPLATES = ("maximal", "constant-lambda", "shifted", "supersingular",
               "shifted-supersingular")
 
 
-def _fit_pattern(p, pairs, n0=2):
-    """First template matching every (n, lambda) with n >= n0."""
-    fit_rows = [(n, lam) for n, lam in pairs if n >= n0]
+def _fit_pattern(p, pairs):
+    """First template matching every (n, lambda) with n >= 2."""
+    fit_rows = [(n, lam) for n, lam in pairs if n >= 2]
     if not fit_rows:
         return "none", {}
     for name in _TEMPLATES:
@@ -368,12 +347,10 @@ def _fit_pattern(p, pairs, n0=2):
     return "none", {}
 
 
-def invariant_table(f_norm, n_max, twists=None):
+def invariant_table(f_norm, n_max):
     """Invariants of theta_{n,i}(f) for n <= n_max with pattern fitting."""
-    emb = f_norm.embedding
-    p = emb.p
-    if twists is None:
-        twists = mazurtate.twists(p, f_norm.sign)
+    p = f_norm.embedding.p
+    twists = mazurtate.twists(p, f_norm.sign)
     rows = []
     for n in range(n_max + 1):
         for i in twists:
@@ -393,59 +370,64 @@ def invariant_table(f_norm, n_max, twists=None):
         elif pattern != name:
             pattern = "none"
         constants[i] = consts
-    return InvariantReport(p, rows, pattern or "none", constants)
+    return InvariantReport(rows, pattern or "none", constants)
 
 
-def verify_weight2_patterns(g_norm, n_max, i=0):
+def verify_weight2_patterns(g_norm, n_max, target):
     """Pattern checks for a weight-2 symbol, routed on ord_p(a_p).
 
+    Returns {i: report} for every twist i of the symbol's sign.
     Supersingular route: reports lambda(theta_{n,i}) - q_n per level and
-    whether it is constant from n = 2 on, plus the parity-split mu values.
+    whether it is constant from n = 2 on.
     Ordinary route: reports "maximal" when lambda = p^n - 1 throughout
     (the reducible anomaly), otherwise compares theta invariants with the
-    stabilized psi invariants and reports where they stabilize.
+    invariants of the stabilization in target (weight 2, level Np), built
+    once for all twists, and reports where they stabilize.
     """
     emb = g_norm.embedding
     p = emb.p
     ap = g_norm.eigensymbol.a(p)
     ordinary = not ap.is_zero() and emb.valuation(ap) == 0
-    rows = []
-    for n in range(n_max + 1):
-        inv = invariants(theta_element(g_norm, n, i))
-        rows.append((n, i, inv.mu, inv.lam, inv.certified))
-    if not ordinary:
-        diffs = [(n, lam - q_n(n, p)) for n, _, _, lam, _ in rows if n >= 2]
-        mu_even = sorted(set(mu for n, _, mu, _, _ in rows
-                             if n >= 2 and n % 2 == 0))
-        mu_odd = sorted(set(mu for n, _, mu, _, _ in rows
-                            if n >= 2 and n % 2 == 1))
-        return {
-            "branch": "supersingular",
+    stab = None
+    reports = {}
+    for i in mazurtate.twists(p, g_norm.sign):
+        rows = []
+        for n in range(n_max + 1):
+            inv = invariants(theta_element(g_norm, n, i))
+            rows.append((n, i, inv.mu, inv.lam, inv.certified))
+        if not ordinary:
+            diffs = [(n, lam - q_n(n, p)) for n, _, _, lam, _ in rows
+                     if n >= 2]
+            reports[i] = {
+                "branch": "supersingular",
+                "rows": rows,
+                "lambda_minus_qn": diffs,
+                "constant": len(set(d for _, d in diffs)) <= 1,
+            }
+            continue
+        if all(lam == p ** n - 1 for n, _, _, lam, _ in rows if n >= 1):
+            reports[i] = {"branch": "ordinary", "pattern": "maximal",
+                          "rows": rows}
+            continue
+        if stab is None:
+            stab = mazurtate.p_stabilize(g_norm, target)
+        psi_rows = []
+        for n in range(n_max + 1):
+            _, inv = mazurtate.lp_approx(stab, i, n)
+            psi_rows.append((n, i, inv.mu, inv.lam, inv.certified))
+        stabilized_at = None
+        for n in range(1, n_max + 1):
+            if psi_rows[n][2:4] == psi_rows[n - 1][2:4]:
+                stabilized_at = n - 1
+                break
+        reports[i] = {
+            "branch": "ordinary",
+            "pattern": "stable",
             "rows": rows,
-            "lambda_minus_qn": diffs,
-            "constant": len(set(d for _, d in diffs)) <= 1,
-            "mu_even": mu_even,
-            "mu_odd": mu_odd,
+            "psi_rows": psi_rows,
+            "stabilized_at": stabilized_at,
+            "mu_vanishes": all(mu == 0 for n, _, mu, _, _ in rows if n >= 1),
+            "theta_matches_psi": [
+                (n, rows[n][3] == psi_rows[n][3]) for n in range(n_max + 1)],
         }
-    if all(lam == p ** n - 1 for n, _, _, lam, _ in rows if n >= 1):
-        return {"branch": "ordinary", "pattern": "maximal", "rows": rows}
-    stab = mazurtate.p_stabilize(g_norm)
-    psi_rows = []
-    for n in range(n_max + 1):
-        _, inv = mazurtate.lp_approx(stab, i, n)
-        psi_rows.append((n, i, inv.mu, inv.lam, inv.certified))
-    stabilized_at = None
-    for n in range(1, n_max + 1):
-        if psi_rows[n][2:4] == psi_rows[n - 1][2:4]:
-            stabilized_at = n - 1
-            break
-    return {
-        "branch": "ordinary",
-        "pattern": "stable",
-        "rows": rows,
-        "psi_rows": psi_rows,
-        "stabilized_at": stabilized_at,
-        "mu_vanishes": all(mu == 0 for n, _, mu, _, _ in rows if n >= 1),
-        "theta_matches_psi": [
-            (n, rows[n][3] == psi_rows[n][3]) for n in range(n_max + 1)],
-    }
+    return reports

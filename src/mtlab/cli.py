@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import analysis, mazurtate, modsym, padic
 from .errors import (
     MTLabError,
+    NotInSpan,
     NotOrdinary,
     OutOfBudget,
     PrecisionExhausted,
@@ -251,7 +252,8 @@ def cmd_invariants(config):
 def cmd_stabilize(config):
     def step(norm):
         try:
-            stab = mazurtate.p_stabilize(norm)
+            stab = mazurtate.p_stabilize(
+                norm, config.space(level=config.N * config.p))
         except NotOrdinary as exc:
             return {"ordinary": False, "reason": str(exc)}
         psi_rows = []
@@ -440,41 +442,54 @@ def _verify_congruence(config):
 
 
 def _verify_wt2_patterns(config):
+    target = config.space(level=config.N * config.p, weight=2)
+
     def step(norm):
-        rep = analysis.verify_weight2_patterns(norm, config.n_max)
-        entry = {"branch": rep["branch"]}
-        entry["rows"] = [
-            {"n": n, "i": i, "mu": _fmt(mu), "lambda": _fmt(lam),
-             "certified": cert} for n, i, mu, lam, cert in rep["rows"]]
-        if rep["branch"] == "supersingular":
-            entry["lambda_minus_qn"] = [
-                {"n": n, "value": _fmt(v)}
-                for n, v in rep["lambda_minus_qn"]]
-            entry["constant"] = rep["constant"]
-            entry["ok"] = rep["constant"]
-        else:
-            entry["pattern"] = rep["pattern"]
-            if rep["pattern"] == "stable":
-                entry["stabilized_at"] = rep["stabilized_at"]
-                entry["mu_vanishes"] = rep["mu_vanishes"]
-                entry["theta_matches_psi"] = [
-                    {"n": n, "ok": ok}
-                    for n, ok in rep["theta_matches_psi"]]
-                entry["ok"] = rep["stabilized_at"] is not None
+        entries = []
+        for i, rep in analysis.verify_weight2_patterns(
+                norm, config.n_max, target).items():
+            entry = {"i": i, "branch": rep["branch"]}
+            entry["rows"] = [
+                {"n": n, "i": i, "mu": _fmt(mu), "lambda": _fmt(lam),
+                 "certified": cert} for n, _, mu, lam, cert in rep["rows"]]
+            if rep["branch"] == "supersingular":
+                entry["lambda_minus_qn"] = [
+                    {"n": n, "value": _fmt(v)}
+                    for n, v in rep["lambda_minus_qn"]]
+                entry["constant"] = rep["constant"]
+                entry["ok"] = rep["constant"]
             else:
-                entry["ok"] = True
-        return [entry]
+                entry["pattern"] = rep["pattern"]
+                if rep["pattern"] == "stable":
+                    entry["stabilized_at"] = rep["stabilized_at"]
+                    entry["mu_vanishes"] = rep["mu_vanishes"]
+                    entry["theta_matches_psi"] = [
+                        {"n": n, "ok": ok}
+                        for n, ok in rep["theta_matches_psi"]]
+                    entry["ok"] = rep["stabilized_at"] is not None
+                else:
+                    entry["ok"] = True
+            entries.append(entry)
+        return entries
 
     return _prime_checks(config, config.space(weight=2), step)
 
 
 def _verify_oldspace(config):
     w2_classes = modsym.cuspidal_eigensymbols(config.space(weight=2), 1)
+    target = config.space(level=config.N * config.p ** config.r, weight=2)
 
     def step(norm):
         rows = []
         for m, gnorm in _weight2_matches(norm, w2_classes):
-            dec = analysis.oldspace_decompose(norm, gnorm, config.r)
+            try:
+                dec = analysis.oldspace_decompose(norm, gnorm, config.r,
+                                                  target)
+            except NotInSpan as exc:
+                rows.append({"target": m.target_id, "ok": False,
+                             "span_dimension": exc.span_dimension,
+                             "note": "not in the degeneracy span"})
+                continue
             rows.append({
                 "target": m.target_id,
                 "span_dimension": dec.span_dimension,

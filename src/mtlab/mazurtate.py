@@ -49,10 +49,6 @@ class FullGroupRingElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, x):
-        return FullGroupRingElement(
-            self.p, self.n, {a: x * c for a, c in self.coeffs.items()})
-
     def coefficient_list(self):
         return [self.coeffs[a] for a in _units(self.p, self.n)]
 
@@ -138,28 +134,30 @@ class InvariantPair:
 # ---------------------------------------------------------------------------
 # Mazur-Tate elements
 
+EVALUATION_BUDGET = 200000
 
-def mazur_tate_values(space, get_value, p, n, budget=200000):
+
+def mazur_tate_values(space, get_value, p, n):
     """The level-n element of the symbol with the given coset values.
 
-    The a-th coefficient is the value of the symbol on {oo} - {a/p^n}
-    evaluated at (X, Y) = (0, 1), i.e. the Y^(k-2)-coefficient.
+    The a-th coefficient is the path value of the symbol on {oo} - {a/p^n},
+    the Y^(k-2)-coefficient of its value (`ManinSymbolSpace.path_value`).
     """
     units = _units(p, n)
-    if len(units) * max(n, 1) > budget:
+    if len(units) * max(n, 1) > EVALUATION_BUDGET:
         raise OutOfBudget("%d evaluations exceed the budget" % len(units))
-    coeffs = {}
-    for a in units:
-        divisor = modsym.RationalDivisor(((1, (1, 0)), (-1, (a, p ** n))))
-        vec = space.evaluate_divisor(get_value, divisor)
-        coeffs[a] = vec[0]
-    return FullGroupRingElement(p, n, coeffs)
+    pn = p ** n
+    return FullGroupRingElement(
+        p, n, {a: space.path_value(get_value, a, pn) for a in units})
 
 
-def mazur_tate(sym, n, budget=200000):
-    """The level-n Mazur-Tate element of a normalized or stabilized symbol."""
-    return mazur_tate_values(sym.space, sym.value, sym.embedding.p, n,
-                             budget=budget)
+def mazur_tate(sym, n):
+    """The level-n element of a normalized or stabilized symbol, built once
+    per level and kept on the symbol for all twists."""
+    if n not in sym._elements:
+        sym._elements[n] = mazur_tate_values(sym.space, sym.value,
+                                             sym.embedding.p, n)
+    return sym._elements[n]
 
 
 def _dlog_table(p, n1):
@@ -206,9 +204,9 @@ def omega_decompose(theta, i):
     return CyclicGroupRingElement(p, n, out)
 
 
-def theta_element(sym, n, i, budget=200000):
+def theta_element(sym, n, i):
     """theta_{n,i} of a symbol, defined from the level-(n+1) element."""
-    return omega_decompose(mazur_tate(sym, n + 1, budget=budget), i)
+    return omega_decompose(mazur_tate(sym, n + 1), i)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +345,7 @@ class StabilizedSymbol:
         self.alpha = alpha
         self._values = values
         self.source = source
+        self._elements = {}
 
     @property
     def sign(self):
@@ -357,9 +356,6 @@ class StabilizedSymbol:
 
     def all_values(self):
         return [self._values[A] for A in range(len(self.space.plist))]
-
-    def evaluate(self, divisor):
-        return self.space.evaluate_divisor(self.value, divisor)
 
 
 def unit_root(embedding, ap, k):
@@ -383,8 +379,8 @@ def unit_root(embedding, ap, k):
     return x
 
 
-def p_stabilize(normalized):
-    """The level-Np stabilization phi - (1/alpha) phi|(p,0;0,1)."""
+def p_stabilize(normalized, target):
+    """The stabilization phi - (1/alpha) phi|(p,0;0,1) in target, level Mp."""
     space = normalized.space
     emb = normalized.embedding
     p = emb.p
@@ -392,7 +388,6 @@ def p_stabilize(normalized):
         raise NotOrdinary("the level is already divisible by p")
     ap = normalized.eigensymbol.a(p)
     alpha = unit_root(emb, ap, space.k)
-    target = modsym.ManinSymbolSpace(space.M * p, space.k)
     vals = normalized.all_values()
     v1 = modsym.degeneracy_values(space, target, 1, vals)
     vp = modsym.degeneracy_values(space, target, p, vals)
@@ -402,9 +397,9 @@ def p_stabilize(normalized):
     return StabilizedSymbol(target, emb, alpha, values, normalized)
 
 
-def lp_approx(stab, i, n, budget=200000):
+def lp_approx(stab, i, n):
     """The approximant psi_{n,i} = alpha^(-n) theta_{n,i} with invariants."""
-    theta = theta_element(stab, n, i, budget=budget)
+    theta = theta_element(stab, n, i)
     ainv = stab.alpha.inverse()
     scale = stab.embedding.local(1)
     for _ in range(n):

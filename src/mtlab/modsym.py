@@ -9,12 +9,14 @@ A symbol phi assigns to each coset A in P^1(Z/M) a vector Phi(A) in V_g
 where Phi(A) = phi({gamma oo} - {gamma 0})|gamma for any lift gamma of A.
 For any determinant-1 integer matrix gamma this gives
 phi({gamma oo} - {gamma 0}) = Phi(class gamma)|gamma^(-1), which together
-with continued-fraction decomposition of paths drives divisor evaluation,
-Hecke operators, degeneracy maps, and the weight-lowering alpha map.
+with continued-fraction decomposition of paths drives Hecke operators and
+degeneracy maps.  Its Y^g coefficient, Phi(class gamma) evaluated at the
+bottom row of gamma, gives the path values that build Mazur-Tate elements;
+divisor evaluation (`evaluate_divisor`) is their vector-valued reference.
 
-The presentation is solved over an exact field (rationals by default, or a
-finite field), yielding a free basis whose coordinates are literal symbol
-values at recorded (coset, monomial) positions.
+The presentation is solved over the rationals, yielding a free basis whose
+coordinates are literal symbol values at recorded (coset, monomial)
+positions.
 """
 
 from fractions import Fraction
@@ -157,21 +159,24 @@ def _convergent_matrices(a, b):
 # ---------------------------------------------------------------------------
 # the presentation
 
+GENERATOR_CAP = 100000
+
 
 class ManinSymbolSpace:
-    """Solved Manin presentation at level M and even weight k over a field."""
+    """Solved Manin presentation at level M and even weight k over Q."""
 
-    def __init__(self, level, weight, field=QQ, size_cap=100000):
+    def __init__(self, level, weight):
         if weight < 2 or weight % 2 != 0:
             raise ValueError("weight must be an even integer >= 2")
         self.M = level
         self.k = weight
         self.g = weight - 2
-        self.field = field
+        self.field = QQ
         self.plist = p1.P1List(level)
-        if len(self.plist) * (self.g + 1) > size_cap:
+        size = len(self.plist) * (self.g + 1)
+        if size > GENERATOR_CAP:
             raise OutOfBudget("presentation has %d generators, cap is %d"
-                              % (len(self.plist) * (self.g + 1), size_cap))
+                              % (size, GENERATOR_CAP))
         self._lifts = [self.plist.lift(i) for i in range(len(self.plist))]
         self._plan_cache = {}
         self._matrix_cache = {}
@@ -301,7 +306,16 @@ class ManinSymbolSpace:
         """Coordinates of a symbol given its coset values."""
         return [values[c][j] for c, j in self.positions]
 
-    # -- divisor evaluation --------------------------------------------------
+    # -- path values and divisor evaluation -----------------------------------
+
+    def path_value(self, get_value, a, b):
+        """The Y^g coefficient of phi({oo} - {a/b}), b != 0: row 0 of each
+        Phi(B)|g^(-1) is Phi(B) evaluated at the bottom row (c, d) of g."""
+        acc = None
+        for _, (c, d) in _convergent_matrices(a, b):
+            term = polyact.evaluate(get_value(self.plist.index(c, d)), c, d)
+            acc = term if acc is None else acc + term
+        return acc
 
     def _path_terms(self, a, b):
         """List of (coset, inverse matrix) with E(a/b) = sum Phi(B)|ginv,
@@ -487,8 +501,6 @@ class ManinSymbolSpace:
         (x - (1 + ell^(k-1))) removed: boundary eigensystems have
         a_ell = 1 + ell^(k-1), which no cuspidal system can attain.
         """
-        if self.field is not QQ:
-            raise InvalidOperator("cuspidal subspace needs the rational field")
         basis = self.sign_subspace(sign)
         if not basis:
             return []
@@ -559,9 +571,6 @@ class Eigensymbol:
 
     def all_values(self):
         return [self.value(A) for A in range(len(self.space.plist))]
-
-    def evaluate(self, divisor):
-        return self.space.evaluate_divisor(self.value, divisor)
 
     def a(self, ell):
         """Hecke eigenvalue a_ell (or the U_q eigenvalue for q | level)."""
@@ -750,6 +759,7 @@ class NormalizedSymbol:
         self.coords = [emb.local(c * scale) for c in eigensymbol.coords]
         self.content_certificate = (A, j)
         self._values = {}
+        self._elements = {}
 
     @property
     def sign(self):
@@ -764,9 +774,6 @@ class NormalizedSymbol:
 
     def all_values(self):
         return [self.value(A) for A in range(len(self.space.plist))]
-
-    def evaluate(self, divisor):
-        return self.space.evaluate_divisor(self.value, divisor)
 
     def reduce(self):
         """Coset values over the residue field."""
@@ -800,9 +807,9 @@ def degeneracy_values(source_space, target_space, r, values):
 def alpha_map(normalized, target_space):
     """The weight-lowering map to weight-2 symbols over the residue field.
 
-    The target space must be a weight-2 space over the residue field at
-    level Mp.  The value at a target coset with determinant-1 lift
-    (a,b;c,d) is the reduction of Phi(class mod M)(c, d).
+    The target space must be the weight-2 space at level Mp.  The value
+    at a target coset with determinant-1 lift (a,b;c,d) is the reduction
+    of Phi(class mod M) evaluated at (c, d).
     """
     space = normalized.space
     emb = normalized.embedding
@@ -814,17 +821,9 @@ def alpha_map(normalized, target_space):
             % (space.k, p))
     if target_space.M != space.M * p or target_space.k != 2:
         raise InvalidOperator("target must be weight 2 at level M*p")
-    F = emb.residue_field
     reduced = normalized.reduce()
     out = []
     for i in range(len(target_space.plist)):
-        (_, _), (c, d) = target_space.plist.lift(i)
-        A = space.plist.index(c, d)
-        vec = reduced[A]
-        acc = F.zero()
-        for j, coeff in enumerate(vec):
-            scalar = pow(c, j, p) * pow(d, g - j, p) % p
-            if scalar:
-                acc = acc + coeff * scalar
-        out.append([acc])
+        _, (c, d) = target_space.plist.lift(i)
+        out.append([polyact.evaluate(reduced[space.plist.index(c, d)], c, d)])
     return out

@@ -57,13 +57,15 @@ def act(coeffs, gamma):
 
 
 def evaluate(coeffs, c, d):
-    """Evaluate sum b_j X^j Y^(g-j) at (X, Y) = (c, d)."""
+    """Evaluate sum b_j X^j Y^(g-j) at (c, d), skipping zero weights."""
     g = len(coeffs) - 1
     acc = None
     for j, b in enumerate(coeffs):
-        term = b * (c ** j * d ** (g - j))
-        acc = term if acc is None else acc + term
-    return acc
+        w = c ** j * d ** (g - j)
+        if w:
+            term = b * w
+            acc = term if acc is None else acc + term
+    return coeffs[0] * 0 if acc is None else acc
 
 
 def add(p, q):

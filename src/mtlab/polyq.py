@@ -14,10 +14,6 @@ def trim(p):
     return p
 
 
-def degree(p):
-    return len(p) - 1
-
-
 def add(p, q):
     n = max(len(p), len(q))
     return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
@@ -92,13 +88,6 @@ def xgcd(p, q):
         u0 = [c / lead for c in u0]
         v0 = [c / lead for c in v0]
     return r0, u0, v0
-
-
-def evaluate(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def resultant_int(p, q):

@@ -23,12 +23,18 @@ GOLDEN = Path(__file__).parent / "golden"
 SMALL = ["--level", "11", "--weight", "4", "--p", "3", "--nmax", "2",
          "--sign", "both"]
 
+# p = 5: two twists per sign share each level's Mazur-Tate element
+TWO_TWISTS = ["--level", "11", "--weight", "2", "--p", "5", "--nmax", "2",
+              "--sign", "both"]
+
 # case name -> (argv, exit code)
 CASES = {
     "invariants": (["invariants"] + SMALL, cli.EXIT_OK),
     "mu-min": (["mu-min"] + SMALL, cli.EXIT_OK),
     "eigenforms": (["eigenforms"] + SMALL, cli.EXIT_OK),
     "stabilize": (["stabilize"] + SMALL, cli.EXIT_OK),
+    "invariants-11-2-5": (["invariants"] + TWO_TWISTS, cli.EXIT_OK),
+    "stabilize-11-2-5": (["stabilize"] + TWO_TWISTS, cli.EXIT_OK),
     "verify-three-term": (["verify", "--mode", "three-term"] + SMALL,
                           cli.EXIT_OK),
     "verify-degen": (["verify", "--mode", "degen"] + SMALL, cli.EXIT_OK),
@@ -39,12 +45,12 @@ CASES = {
     # ordinary source form: the congruence identity does not hold here
     "verify-congruence": (["verify", "--mode", "congruence"] + SMALL,
                           cli.EXIT_IDENTITY),
-    # PrecisionExhausted: the twist i = 0 of a sign -1 symbol is zero
+    # one entry per twist: i = 0 for sign +1, i = 1 for sign -1
     "verify-wt2-patterns": (["verify", "--mode", "wt2-patterns"] + SMALL,
-                            cli.EXIT_CONSTRUCTION),
-    # NotInSpan: the reduced alpha-image leaves the degeneracy span
+                            cli.EXIT_OK),
+    # the reduced alpha-image leaves the degeneracy span: a failed row
     "verify-oldspace": (["verify", "--mode", "oldspace"] + SMALL,
-                        cli.EXIT_CONSTRUCTION),
+                        cli.EXIT_IDENTITY),
     # class c1 has theta_{0,0} = 0 exactly, so its rows stay uncertified
     "invariants-37-2-3": (["invariants", "--level", "37", "--weight", "2",
                            "--p", "3", "--nmax", "1"], cli.EXIT_UNCERTIFIED),

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mtlab import mazurtate, modsym, padic
+from mtlab import analysis, mazurtate, modsym, padic
 from mtlab.errors import NotOrdinary, PrecisionExhausted
 from mtlab.mazurtate import (
     CyclicGroupRingElement,
@@ -277,6 +279,13 @@ def test_invariants_stable_under_unit_scalar_and_twist():
         assert invariants(th.twist_generator(u)) == inv
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 3000),
+       st.sampled_from([3, 5, 7, 11]))
+def test_binom_mod_p_is_lucas(j, t, p):
+    assert mazurtate._binom_mod_p(j, t, p) == comb(j, t) % p
+
+
 # -- Mazur-Tate elements of the X_0(11) symbol ---------------------------------
 
 @pytest.fixture(scope="module")
@@ -372,11 +381,34 @@ def test_lemma_degen(norm11_5):
     assert (lhs - rhs).is_zero_to_precision(1)
 
 
+def _count_elements(monkeypatch):
+    """The level of every Mazur-Tate element built from now on."""
+    levels = []
+    build = mazur_tate_values
+
+    def counted(space, get_value, p, n):
+        levels.append(n)
+        return build(space, get_value, p, n)
+
+    monkeypatch.setattr(mazurtate, "mazur_tate_values", counted)
+    return levels
+
+
+def test_twists_share_each_level(f11, monkeypatch):
+    # p = 5, sign +1: twists i = 0 and 2 of theta_{n,i} for n = 0, 1, 2
+    norm = modsym.normalize(f11, padic.primes_above(f11.field, 5, 8)[0])
+    levels = _count_elements(monkeypatch)
+    rep = analysis.invariant_table(norm, 2)
+    assert [(n, i) for n, i, *_ in rep.rows] == [
+        (0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2)]
+    assert levels == [1, 2, 3]
+
+
 # -- p-stabilization and L_p approximants ---------------------------------------
 
 @pytest.fixture(scope="module")
 def stab11_5(norm11_5):
-    return p_stabilize(norm11_5)
+    return p_stabilize(norm11_5, modsym.ManinSymbolSpace(55, 2))
 
 
 def test_unit_root_reduction(stab11_5, norm11_5):
@@ -421,6 +453,23 @@ def test_lp_approx_norm_coherent(stab11_5):
     assert (pi_project(psi2) - psi1).is_zero_to_precision(1)
 
 
+def test_weight2_patterns_stabilize_once_for_all_twists(monkeypatch):
+    f = modsym.cuspidal_eigensymbols(modsym.ManinSymbolSpace(11, 2), -1)[0]
+    norm = modsym.normalize(f, padic.primes_above(f.field, 5, 8)[0])
+    stabilized = []
+
+    def counted(normalized, target):
+        stabilized.append(normalized)
+        return p_stabilize(normalized, target)
+
+    monkeypatch.setattr(mazurtate, "p_stabilize", counted)
+    reports = analysis.verify_weight2_patterns(
+        norm, 2, modsym.ManinSymbolSpace(55, 2))
+    assert [(i, r["pattern"]) for i, r in reports.items()] == [
+        (1, "stable"), (3, "stable")]
+    assert stabilized == [norm]
+
+
 def test_stabilized_mu_is_positive(stab11_5):
     # a_5 = 1 mod 5 makes the stabilized symbol divisible by 5
     for n in (0, 1):
@@ -435,14 +484,14 @@ def test_not_ordinary_at_supersingular_prime():
     emb = padic.primes_above(f.field, 3, 8)[0]
     norm = modsym.normalize(f, emb)
     with pytest.raises(NotOrdinary):
-        p_stabilize(norm)
+        p_stabilize(norm, modsym.ManinSymbolSpace(51, 2))
 
 
 def test_not_ordinary_at_bad_prime(f11):
     emb = padic.primes_above(f11.field, 11, 6)[0]
     norm = modsym.normalize(f11, emb)
     with pytest.raises(NotOrdinary):
-        p_stabilize(norm)
+        p_stabilize(norm, modsym.ManinSymbolSpace(121, 2))
 
 
 # -- Lemma alphastick -----------------------------------------------------------

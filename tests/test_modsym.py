@@ -249,6 +249,21 @@ def test_evaluate_gamma_invariance():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("N,k", [(11, 2), (13, 4), (11, 6)])
+def test_path_value_is_row_zero_of_divisor_value(N, k):
+    rng = random.Random(N + k)
+    space = ManinSymbolSpace(N, k)
+    values = space.all_values(random_coords(space, rng))
+    cusps = [(0, 1), (1, 1), (2, 5), (-3, 25), (7, 27), (-13, 125),
+             (124, 125), (-80, 81), (5, 3)]
+    cusps += [(rng.randrange(-50, 51), rng.randrange(1, 60))
+              for _ in range(20)]
+    for a, b in cusps:
+        div = RationalDivisor([(1, (1, 0)), (-1, (a, b))])
+        assert space.path_value(values.__getitem__, a, b) == \
+            space.evaluate_divisor(values.__getitem__, div)[0]
+
+
 def _xgcd(a, b):
     old_r, r = a, b
     old_s, s = 1, 0
