@@ -186,6 +186,7 @@ def verify_congruence(f_norm, g_norm, n_max, mode="medweight"):
         raise ValueError("mode must be medweight or lowslope")
     emb = f_norm.embedding
     p = emb.p
+    mazurtate.check_budget(p, n_max + 1)
     if g_norm.embedding.p != p:
         raise ValueError("symbols live over different primes")
     if mode == "lowslope":
@@ -350,6 +351,7 @@ def _fit_pattern(p, pairs):
 def invariant_table(f_norm, n_max):
     """Invariants of theta_{n,i}(f) for n <= n_max with pattern fitting."""
     p = f_norm.embedding.p
+    mazurtate.check_budget(p, n_max + 1)
     twists = mazurtate.twists(p, f_norm.sign)
     rows = []
     for n in range(n_max + 1):
@@ -386,6 +388,7 @@ def verify_weight2_patterns(g_norm, n_max, target):
     """
     emb = g_norm.embedding
     p = emb.p
+    mazurtate.check_budget(p, n_max + 1)
     ap = g_norm.eigensymbol.a(p)
     ordinary = not ap.is_zero() and emb.valuation(ap) == 0
     stab = None

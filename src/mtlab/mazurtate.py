@@ -60,6 +60,8 @@ class FullGroupRingElement:
 class CyclicGroupRingElement:
     """Element sum_j d_j gamma_n^j of R[G_n], G_n cyclic of order p^n."""
 
+    _mu = None  # set by mu_invariant, reused by lambda_invariant
+
     def __init__(self, p, n, coeffs):
         if n < 0:
             raise ValueError("level must be nonnegative")
@@ -137,15 +139,27 @@ class InvariantPair:
 EVALUATION_BUDGET = 200000
 
 
+def check_budget(p, n):
+    """Raise OutOfBudget when the level-n element is over the budget.
+
+    Its cost is the number of units mod p^n times n, the bound on the
+    continued-fraction steps of each path.
+    """
+    cost = (p - 1) * p ** (n - 1) * n if n >= 1 else 0
+    if cost > EVALUATION_BUDGET:
+        raise OutOfBudget(
+            "level %d needs %d units x %d steps = %d evaluations, over the "
+            "budget of %d" % (n, cost // n, n, cost, EVALUATION_BUDGET))
+
+
 def mazur_tate_values(space, get_value, p, n):
     """The level-n element of the symbol with the given coset values.
 
     The a-th coefficient is the path value of the symbol on {oo} - {a/p^n},
     the Y^(k-2)-coefficient of its value (`ManinSymbolSpace.path_value`).
     """
+    check_budget(p, n)
     units = _units(p, n)
-    if len(units) * max(n, 1) > EVALUATION_BUDGET:
-        raise OutOfBudget("%d evaluations exceed the budget" % len(units))
     pn = p ** n
     return FullGroupRingElement(
         p, n, {a: space.path_value(get_value, a, pn) for a in units})
@@ -243,7 +257,11 @@ def nu_corestrict(theta):
 
 
 def mu_invariant(theta):
-    """min ord_p of the coefficients, certified below the precision."""
+    """min ord_p of the coefficients, certified below the precision.
+
+    The result is kept on the element, so that `lambda_invariant` of the
+    same element does not compute it again.
+    """
     best = None
     for c in theta.coefficient_list():
         if c.is_zero_to_precision():
@@ -254,6 +272,7 @@ def mu_invariant(theta):
     if best is None:
         raise PrecisionExhausted(
             "all coefficients vanish to the working precision")
+    theta._mu = best
     return best
 
 
@@ -261,13 +280,16 @@ def lambda_invariant(theta):
     """Order in the augmentation filtration of the unit-scaled reduction.
 
     The element is scaled by the inverse of a coefficient of minimal
-    valuation, reduced to the residue field, and expanded in
-    F[T]/(T^(p^n)) with gamma_n = 1 + T; lambda is the lowest nonzero
-    degree.
+    valuation and reduced to the residue field F, giving r_j in
+    F[G_n] = F[T]/(T^(p^n)) with gamma_n = 1 + T.  Its T-coefficients are
+    s_t = sum_j C(j, t) r_j, and lambda is the lowest t with s_t != 0.  The
+    map r -> s is F_p-linear and, by Lucas' theorem, the n-fold tensor
+    power of the p x p Pascal matrix mod p, one factor per base-p digit of
+    j; `_pascal_transform` applies it digit by digit in O(n p^(n+1)).
     """
     if not isinstance(theta, CyclicGroupRingElement):
         raise TypeError("lambda is defined on cyclic group rings")
-    mu = mu_invariant(theta)
+    mu = theta._mu if theta._mu is not None else mu_invariant(theta)
     cstar = None
     for c in theta.coeffs:
         if c.is_zero_to_precision():
@@ -276,22 +298,39 @@ def lambda_invariant(theta):
             cstar = c
             break
     scaled = theta.scale(cstar.inverse())
-    red = [c.reduce() for c in scaled.coeffs]
+    red = [c.reduce().coeffs for c in scaled.coeffs]
     p = theta.p
-    pn = p ** theta.n
-    for t in range(pn):
-        acc = None
-        for j in range(t, pn):
-            if red[j].is_zero():
-                continue
-            b = _binom_mod_p(j, t, p)
-            if b == 0:
-                continue
-            term = red[j] * b
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
+    # F is a vector space over F_p: transform each coordinate on its own
+    columns = [_pascal_transform([r[k] for r in red], p, theta.n)
+               for k in range(len(red[0]))]
+    for t, s in enumerate(zip(*columns)):
+        if any(s):
             return t
     raise AssertionError("scaled reduction of a unit element is zero")
+
+
+def _pascal_transform(vals, p, n):
+    """(sum_j C(j, t) vals[j] mod p) for t < p^n, one base-p digit at a time.
+
+    C(j, t) = prod_k C(j_k, t_k) mod p over the base-p digits (Lucas), so
+    the transform along digit k mixes only the p entries that differ in
+    that digit, with the p x p Pascal matrix.
+    """
+    pascal = [[_binom_mod_p(j, t, p) for j in range(p)] for t in range(p)]
+    size = len(vals)
+    stride = 1
+    for _ in range(n):
+        out = [0] * size
+        block = p * stride
+        for base in range(0, size, block):
+            for lo in range(base, base + stride):
+                col = vals[lo:lo + block:stride]
+                for t in range(p):
+                    out[lo + t * stride] = sum(
+                        b * v for b, v in zip(pascal[t][t:], col[t:])) % p
+        vals = out
+        stride = block
+    return vals
 
 
 def _binom_mod_p(j, t, p):

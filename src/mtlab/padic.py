@@ -617,7 +617,11 @@ class LocalElement:
     """Truncated local-field element vec * p^(-shift), vec in (Z/p^M)[y]/(H).
 
     prec is the certified absolute precision: the representation agrees with
-    the true element up to an error of valuation >= prec.
+    the true element up to an error of valuation >= prec.  A product
+    x * y has precision min(prec(x) + v(y), prec(y) + v(x), M).  An int or
+    Fraction factor r is not embedded: it counts as exact to M - v_p(den r)
+    (the precision `PAdicEmbedding.local` would give it), so x * r has
+    exactly the vector, shift and precision of x * emb.local(r).
     """
 
     __slots__ = ("emb", "vec", "shift", "prec")
@@ -625,7 +629,10 @@ class LocalElement:
     def __init__(self, emb, vec, shift, prec):
         self.emb = emb
         pM = emb.pM
-        vec = list(_pmod([c % pM for c in vec], list(emb.local_factor), pM))
+        vec = [c % pM for c in vec]
+        # sums and products by a scalar never exceed the local degree
+        if len(vec) > emb.degree:
+            vec = list(_pmod(vec, list(emb.local_factor), pM))
         vec += [0] * (emb.degree - len(vec))
         # normalize the shift away when the numerator is divisible by p
         p = emb.p
@@ -706,8 +713,8 @@ class LocalElement:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.emb.local(self.emb.field.from_rational(other))
+        if isinstance(other, (int, Fraction)):
+            return self._mul_rational(Fraction(other))
         other = self._coerce(other)
         emb = self.emb
         vec = _pmul(list(self.vec), list(other.vec), emb.pM)
@@ -722,6 +729,37 @@ class LocalElement:
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+    def _mul_rational(self, r):
+        """self * r without embedding r; equal to self * emb.local(r).
+
+        With r = num / (p^t den'), p not dividing den', the factor is
+        u p^(-t) for u = num / den' mod p^M: the product is vec * u with
+        shift + t and precision min(prec + vb, M - t + va, M), where
+        va = v(self) and vb = v_p(u) - t (M when u = 0 mod p^M).
+        """
+        if r == 1:
+            return self
+        emb = self.emb
+        p, pM = emb.p, emb.pM
+        den = r.denominator
+        t = 0
+        while den % p == 0:
+            den //= p
+            t += 1
+        u = r.numerator * pow(den, -1, pM) % pM
+        vec = [c * u % pM for c in self.vec]
+        if u % p:
+            # vb = -t, and prec <= M - shift <= M + va, so the rule gives
+            # prec - t
+            return LocalElement(emb, vec, self.shift + t, self.prec - t)
+        # p divides u only when t = 0
+        big = Fraction(emb.M)
+        va = self._raw_valuation()
+        va = big if va is None else va - self.shift
+        vb = big if u == 0 else Fraction(_vp(u, p))
+        prec = min(self.prec + vb, big + va, big)
+        return LocalElement(emb, vec, self.shift, prec)
 
     def inverse(self):
         emb = self.emb

@@ -286,6 +286,75 @@ def test_binom_mod_p_is_lucas(j, t, p):
     assert mazurtate._binom_mod_p(j, t, p) == comb(j, t) % p
 
 
+# -- lambda against a naive binomial sum ---------------------------------------
+
+# (field, p): Q at 3, 5, 7, and x^2 - 2, inert at 3 and 5 (residue degree 2)
+LAMBDA_CASES = [(QQ, 3), (QQ, 5), (QQ, 7),
+                (padic.make_field([-2, 0, 1]), 3),
+                (padic.make_field([-2, 0, 1]), 5)]
+
+
+def naive_lambda(theta):
+    """The lowest t with sum_j C(j, t) r_j != 0, r the unit-scaled reduction."""
+    p = theta.p
+    live = [c for c in theta.coeffs if not c.is_zero_to_precision()]
+    mu = min(c.valuation() for c in live)
+    unit = next(c for c in live if c.valuation() == mu).inverse()
+    red = [(c * unit).reduce().coeffs for c in theta.coeffs]
+    for t in range(len(red)):
+        sums = [sum(comb(j, t) * r[k] for j, r in enumerate(red)) % p
+                for k in range(len(red[0]))]
+        if any(sums):
+            return t
+    raise AssertionError("the unit-scaled reduction vanishes")
+
+
+@st.composite
+def planted_lambda(draw):
+    """(theta, lam): theta = p^mu * unit * T^lam * (unit + T * ...) with
+    T = gamma_n - 1, lifted with noise divisible by p."""
+    field, p = draw(st.sampled_from(LAMBDA_CASES))
+    emb = padic.primes_above(field, p, 6)[0]
+    n = draw(st.integers(0, 3))
+    pn = p ** n
+    lam = draw(st.one_of(st.integers(0, pn - 1), st.just(pn - 1)))
+    f = field.degree
+    digit = st.integers(0, p - 1)
+    lead = draw(st.lists(digit, min_size=f, max_size=f))
+    lead[draw(st.integers(0, f - 1))] = draw(st.integers(1, p - 1))
+    rest = draw(st.lists(st.lists(digit, min_size=f, max_size=f),
+                         min_size=pn - lam - 1, max_size=pn - lam - 1))
+    s = [[0] * f] * lam + [lead] + rest
+    # T^k = sum_j C(k, j) (-1)^(k - j) gamma^j
+    r = [[sum(s[k][a] * comb(k, j) * (-1) ** (k - j) for k in range(j, pn))
+          % p for a in range(f)] for j in range(pn)]
+    noise = draw(st.lists(st.integers(-20, 20), min_size=pn * f,
+                          max_size=pn * f))
+    coeffs = [emb.local(field.element(
+        [r[j][a] + p * noise[j * f + a] for a in range(f)]))
+        for j in range(pn)]
+    mu = draw(st.integers(0, 2))
+    unit = draw(st.sampled_from([1, 2, -1, 1 + p])) + p * field.gen()
+    theta = CyclicGroupRingElement(p, n, coeffs).scale(
+        emb.local(unit * p ** mu))
+    return theta, lam
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_lambda())
+def test_lambda_matches_naive_binomial_sums(case):
+    theta, lam = case
+    assert naive_lambda(theta) == lam
+    assert lambda_invariant(theta) == lam
+
+
+def test_lambda_of_norm_element_is_maximal():
+    # sum_j gamma^j = (gamma - 1)^(p^n - 1) mod p
+    for p, n in ((3, 1), (3, 3), (5, 2), (5, 3), (7, 3)):
+        th = cyclic(emb_at(p, M=4), n, [1] * p ** n)
+        assert lambda_invariant(th) == naive_lambda(th) == p ** n - 1
+
+
 # -- Mazur-Tate elements of the X_0(11) symbol ---------------------------------
 
 @pytest.fixture(scope="module")

@@ -334,3 +334,49 @@ def test_biquadratic_compositum_splitting():
     assert sorted((e.e, e.residue_degree) for e in embs3) == [(2, 2)]
     embs5 = padic.primes_above(K, 5, 8)
     assert sorted((e.e, e.residue_degree) for e in embs5) == [(1, 2), (1, 2)]
+
+
+# -- LocalElement times a rational: fast path against the embedded factor ----
+
+RATIONAL_FACTOR_EMBEDDINGS = [
+    padic.primes_above(QQ, 5, 6)[0],
+    padic.primes_above(padic.make_field([-5, 0, 1]), 5, 6)[0],   # ramified
+    padic.primes_above(padic.make_field([-2, 0, 1]), 3, 6)[0],   # inert
+    padic.primes_above(padic.make_field([1, 0, -10, 0, 1]), 3, 8)[0],
+]
+
+
+@st.composite
+def local_elements(draw):
+    emb = draw(st.sampled_from(RATIONAL_FACTOR_EMBEDDINGS))
+    pM = emb.pM
+    vec = draw(st.lists(st.one_of(st.integers(-2 * pM, 2 * pM),
+                                  st.sampled_from([0, emb.p, pM // emb.p])),
+                        min_size=emb.degree, max_size=emb.degree))
+    shift = draw(st.integers(0, 3))
+    e = draw(st.sampled_from([1, 2]))
+    prec = Fraction(draw(st.integers(-2 * e, emb.M * e)), e)
+    return padic.LocalElement(emb, vec, shift, prec)
+
+
+def rational_factors(p, M):
+    pM = p ** M
+    ints = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                     st.sampled_from([0, 1, -1, p, pM, -3 * pM, pM * p]),
+                     st.integers(-5, 5).map(lambda k: k * pM))
+    dens = st.builds(lambda t, d: p ** t * d, st.integers(0, M + 2),
+                     st.integers(1, 50).filter(lambda d: d % p))
+    return st.one_of(ints, st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4),
+                                     dens))
+
+
+@given(data=st.data())
+@settings(max_examples=600, deadline=None)
+def test_rational_factor_matches_embedded_factor(data):
+    x = data.draw(local_elements())
+    emb = x.emb
+    r = data.draw(rational_factors(emb.p, emb.M))
+    slow = x * emb.local(r)
+    for fast in (x * r, r * x):
+        assert (fast.vec, fast.shift, fast.prec) == \
+            (slow.vec, slow.shift, slow.prec)
