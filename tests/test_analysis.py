@@ -60,7 +60,7 @@ def test_budget_is_checked_before_any_element(entry, monkeypatch):
     assert built == []
 
 
-def test_deepest_level_within_budget_passes_the_check():
+def test_check_budget_bounds():
     mazurtate.check_budget(5, 6)  # 12500 units x 6 = 75000
     with pytest.raises(OutOfBudget):
         mazurtate.check_budget(5, 7)
