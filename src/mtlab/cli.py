@@ -250,6 +250,8 @@ def cmd_invariants(config):
 
 
 def cmd_stabilize(config):
+    mazurtate.check_budget(config.p, config.n_max + 1)
+
     def step(norm):
         try:
             stab = mazurtate.p_stabilize(
@@ -312,6 +314,7 @@ def _prime_checks(config, space, step):
 
 def _verify_three_term(config):
     p = config.p
+    mazurtate.check_budget(p, config.n_max + 1)
 
     def step(norm):
         emb = norm.embedding
@@ -334,6 +337,7 @@ def _verify_three_term(config):
 
 def _verify_degen(config):
     p = config.p
+    mazurtate.check_budget(p, config.n_max + 1)
     space = config.space()
     target = config.space(level=config.N * p)
 
@@ -396,6 +400,7 @@ def _verify_alphastick(config):
     if g <= 0 or g % (p - 1):
         raise ConfigError(
             "the alpha map needs k > 2 with (p - 1) dividing k - 2")
+    mazurtate.check_budget(p, config.n_max)
     target = config.space(level=config.N * p, weight=2)
 
     def step(norm):

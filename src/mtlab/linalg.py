@@ -5,13 +5,16 @@ zero() and one(); elements must support +, -, *, / and an is_zero test
 (either an is_zero() method or comparison with 0).  This serves Fraction
 matrices, finite fields and number fields with one code path.
 
-Characteristic polynomials and factorization over Q go through sympy.
-Polynomials are coefficient lists in increasing degree, matching polyq.
+Characteristic polynomials come from Berkowitz's division-free recurrence
+and factors over Q from Zassenhaus's algorithm, on the F_p factoring and
+Hensel lifting in `padic`. Polynomials are coefficient lists in increasing
+degree, matching polyq.
 """
 
 from fractions import Fraction
+from math import lcm
 
-import sympy
+from . import padic, polyq
 
 
 class _RationalField:
@@ -138,28 +141,49 @@ def rank(rows, field):
 
 
 def charpoly_rational(rows):
-    """Characteristic polynomial of a Fraction matrix, lowest degree first."""
-    n = len(rows)
-    m = sympy.Matrix(n, n, lambda i, j: sympy.Rational(rows[i][j]))
-    coeffs = m.charpoly().all_coeffs()
-    return [Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]
+    """Characteristic polynomial of a Fraction matrix, lowest degree first.
+
+    Berkowitz's division-free recurrence on the integer matrix B = dA, d the
+    common denominator of the entries; then charpoly_A(x) = d^-n
+    charpoly_B(dx). Bordering the leading r x r block M with column c, row
+    r and corner a multiplies its charpoly (highest degree first) by the
+    lower triangular Toeplitz matrix with first column
+    1, -a, -rc, -rMc, ..., -rM^(r-1)c.
+    """
+    d = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    b = [[int(x * d) for x in row] for row in rows]
+    poly = [1]
+    for r, row in enumerate(b):
+        toeplitz = [1, -row[r]]
+        vec = [b[i][r] for i in range(r)]
+        for _ in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(row, vec)))
+            vec = [sum(x * y for x, y in zip(b[i], vec)) for i in range(r)]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)]
+    return [Fraction(c, d ** i) for i, c in enumerate(poly)][::-1]
 
 
 def factor_rational_poly(coeffs):
     """Monic irreducible factors over Q with multiplicities.
 
     Input and output polynomials are Fraction lists in increasing degree.
+    Each part of the square-free split is scaled to a monic integer
+    polynomial g(y) = D^n f(y/D) and factored by `padic.factor_monic_int`;
+    a factor h of g gives the factor h(Dx)/D^deg(h) of f.
     """
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c) * x ** i for i, c in enumerate(coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(expr, x))
+    f = polyq.trim([Fraction(c) for c in coeffs])
+    if len(f) < 2:
+        return []
+    f = [c / f[-1] for c in f]
     out = []
-    for poly, mult in factors:
-        cs = [Fraction(int(c.p), int(c.q))
-              for c in reversed(sympy.Poly(poly, x).all_coeffs())]
-        lead = cs[-1]
-        cs = [c / lead for c in cs]
-        out.append((cs, int(mult)))
+    for part, mult in polyq.squarefree_parts(f):
+        n = len(part) - 1
+        d = lcm(*(c.denominator for c in part))
+        g = [int(c * d ** (n - i)) for i, c in enumerate(part)]
+        out.extend(([Fraction(c, d ** (len(h) - 1 - j))
+                     for j, c in enumerate(h)], mult)
+                   for h in padic.factor_monic_int(g))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 

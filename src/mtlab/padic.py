@@ -11,14 +11,16 @@ Local (p-adic) arithmetic happens in LocalElement, a truncated representation
 of an element of the local field as vec * p^(-shift) with vec in
 (Z/p^M)[y]/(local_factor).  Every LocalElement tracks its certified absolute
 precision so that valuations are only ever reported when certified.
+
+Polynomials factor here too, in exact integer arithmetic: over F_p by
+square-free, distinct-degree and equal-degree (Cantor-Zassenhaus) splitting,
+and monic squarefree integer polynomials by Zassenhaus's algorithm on the
+same Hensel lifting that finds the local factors.
 """
 
 from fractions import Fraction
+from itertools import combinations, count
 from math import gcd, isqrt
-
-import sympy
-from sympy.polys.galoistools import gf_factor
-from sympy.polys.domains import ZZ
 
 from . import polyq
 from .errors import (
@@ -174,9 +176,11 @@ def make_field(minpoly):
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise ReduciblePolynomial("minimal polynomial must be monic and nonconstant")
     if len(coeffs) > 2:
-        x = sympy.Symbol('x')
-        poly = sympy.Poly(list(reversed(coeffs)), x)
-        if not poly.is_irreducible:
+        try:
+            irreducible = len(factor_monic_int(coeffs)) == 1
+        except ValueError:  # a repeated factor
+            irreducible = False
+        if not irreducible:
             raise ReduciblePolynomial("polynomial factors over the rationals")
     return NumberField(coeffs)
 
@@ -495,6 +499,153 @@ def _hensel_blocks(f, blocks, p, M):
         rest_poly = _pmul(rest_poly, blk, p)
     g, h = _hensel_pair(f, first, rest_poly, p, M)
     return [g] + _hensel_blocks(h, blocks[1:], p, M)
+
+
+# ---------------------------------------------------------------------------
+# factoring over F_p and over Z
+# ---------------------------------------------------------------------------
+
+def _fp_powmod(a, e, f, p):
+    """a^e modulo the monic f in F_p[y]."""
+    out, a = [1], _pmod(a, f, p)
+    while e:
+        if e & 1:
+            out = _pmod(_pmul(out, a, p), f, p)
+        e >>= 1
+        if e:
+            a = _pmod(_pmul(a, a, p), f, p)
+    return out
+
+
+def _fp_squarefree(f, p):
+    """[(g, m)] with f = prod g^m, the g monic, squarefree and coprime.
+
+    f is monic. The loop splits off the factors whose multiplicity is prime
+    to p; what remains is a p-th power, whose root is taken coefficientwise.
+    """
+    c = _fp_xgcd(f, polyq.derivative(f), p)[0]
+    w = _pdivmod_monic(f, c, p)[0]
+    out = []
+    m = 1
+    while len(w) > 1:
+        y = _fp_xgcd(w, c, p)[0]
+        z = _pdivmod_monic(w, y, p)[0]
+        if len(z) > 1:
+            out.append((z, m))
+        w, c = y, _pdivmod_monic(c, y, p)[0]
+        m += 1
+    if len(c) > 1:
+        out.extend((g, k * p) for g, k in _fp_squarefree(c[::p], p))
+    return out
+
+
+def _fp_ddf(f, p):
+    """[(g, d)]: g the product of the degree-d irreducible factors of f.
+
+    f is monic and squarefree. For any monic f, the result is [(f, deg f)]
+    exactly when f is irreducible: a reducible f has an irreducible factor
+    of degree at most deg f / 2, which the loop finds.
+    """
+    out = []
+    h = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _fp_powmod(h, p, f, p)
+        g = _fp_xgcd(f, _psub(h, [0, 1], p), p)[0]
+        if len(g) > 1:
+            out.append((g, d))
+            f = _pdivmod_monic(f, g, p)[0]
+            h = _pmod(h, f, p)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _fp_edf(f, d, p):
+    """The irreducible factors of f, a product of distinct ones of degree d.
+
+    Cantor-Zassenhaus with the trial polynomials a whose base-p digits are
+    p, p + 1, p + 2, ... in turn: each splits f through gcd(f, a) or
+    gcd(f, a^((p^d - 1)/2) - 1) with probability about 1/2, and by the
+    Chinese remainder theorem some a below p^(deg f) splits it.
+    """
+    if len(f) - 1 == d:
+        return [f]
+    half = (p ** d - 1) // 2
+    for code in count(p):
+        a = []
+        while code:
+            code, digit = divmod(code, p)
+            a.append(digit)
+        for g in (_fp_xgcd(f, a, p)[0],
+                  _fp_xgcd(f, _psub(_fp_powmod(a, half, f, p), [1], p), p)[0]):
+            if 1 < len(g) < len(f):
+                return _fp_edf(g, d, p) + \
+                    _fp_edf(_pdivmod_monic(f, g, p)[0], d, p)
+
+
+def fp_factor(f, p):
+    """Monic irreducible factors of f over F_p, p odd, with multiplicities.
+
+    Square-free, then distinct-degree, then equal-degree factorization.
+    Factors come by degree, then by coefficients from the leading one down.
+    """
+    f = _ptrim([c % p for c in f])
+    f = _pscale(f, _fp_inv(f[-1], p), p)
+    out = []
+    for part, mult in _fp_squarefree(f, p):
+        for g, d in _fp_ddf(part, p):
+            out.extend((h, mult) for h in _fp_edf(g, d, p))
+    return sorted(out, key=lambda fm: (len(fm[0]), fm[0][::-1]))
+
+
+def _zassenhaus_prime(g):
+    """The least odd prime l with g squarefree mod l, and g's factors mod l."""
+    dg = polyq.derivative(g)
+    for ell in count(3, 2):
+        if prime_divisors(ell) == [ell] and len(_fp_xgcd(g, dg, ell)[0]) == 1:
+            return ell, [h for h, _ in fp_factor(g, ell)]
+
+
+def factor_monic_int(g):
+    """Irreducible factors over Z of a monic squarefree integer polynomial.
+
+    Zassenhaus: factor g mod the least odd prime l at which it stays
+    squarefree, lift the factors to l^k > 2B (B = 2^deg g * |g|_2 bounds
+    every coefficient of a factor, after Mignotte), and try products of
+    lifted factors, smallest subsets first, by exact division.
+    Factors come in the order they are found; the last is the cofactor.
+    Raises ValueError when g is not squarefree: no prime l would do then.
+    """
+    if polyq.resultant_int(g, polyq.derivative(g)) == 0:
+        raise ValueError("polynomial is not squarefree")
+    ell, mod_factors = _zassenhaus_prime(g)
+    if len(mod_factors) == 1:
+        return [list(g)]
+    bound = 2 ** (len(g) - 1) * (isqrt(sum(c * c for c in g)) + 1)
+    k = 1
+    while ell ** k <= 2 * bound:
+        k += 1
+    q = ell ** k
+    lifted = _hensel_blocks([c % q for c in g], mod_factors, ell, k)
+    factors = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            cand = [1]
+            for i in subset:
+                cand = _pmul(cand, lifted[i], q)
+            cand = [c - q if 2 * c > q else c for c in cand]
+            quo, rem = polyq.divmod_poly(g, cand)
+            if not rem:
+                factors.append(cand)
+                g = [int(c) for c in quo]
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return factors + [g]
 
 
 # ---------------------------------------------------------------------------
@@ -883,13 +1034,8 @@ def primes_above(field, p, M):
         raise ValueError("p must be an odd prime")
     if M < 1:
         raise ValueError("precision must be at least 1")
-    f_high = list(reversed(field.minpoly))
-    _, factors = gf_factor([ZZ(c) for c in f_high], p, ZZ)
     # blocks, each (gbar lowest-first, multiplicity), deterministic order
-    blocks = []
-    for fac, mult in sorted(factors, key=lambda t: (len(t[0]), t[0])):
-        gbar = [int(c) % p for c in reversed(fac)]
-        blocks.append((gbar, mult))
+    blocks = fp_factor(field.minpoly, p)
     block_polys = []
     for gbar, mult in blocks:
         blk = [1]
@@ -1006,10 +1152,7 @@ def _irreducible_modpoly(p, F):
             coeffs.append(c % p)
             c //= p
         poly = coeffs + [1]
-        high = [ZZ(c) for c in reversed(poly)]
-        _, factors = gf_factor(high, p, ZZ)
-        if len(factors) == 1 and factors[0][1] == 1 \
-                and len(factors[0][0]) == F + 1:
+        if _fp_ddf(poly, p) == [(poly, F)]:
             _modpoly_cache[key] = poly
             return poly
     raise AssertionError("no irreducible polynomial found")
@@ -1562,11 +1705,10 @@ def _factor_block_tame(H, gbar, mult, p, M, B):
                 GM = tuple(c % pM for c in G)
                 if GM in found:
                     continue
-                high = [ZZ(c % p) for c in reversed(G)]
-                _, gf = gf_factor(high, p, ZZ)
+                gf = fp_factor(G, p)
                 if len(gf) != 1:
                     continue
-                rbar = [int(c) % p for c in reversed(gf[0][0])]
+                rbar = gf[0][0]
                 if rbar != list(gbar):
                     continue
                 gen = None

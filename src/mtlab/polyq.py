@@ -46,6 +46,10 @@ def mul(p, q):
     return trim(out)
 
 
+def derivative(p):
+    return trim([i * c for i, c in enumerate(p)][1:])
+
+
 def divmod_poly(p, q):
     """Polynomial division with remainder; coefficients become Fractions."""
     q = trim(list(q))
@@ -88,6 +92,28 @@ def xgcd(p, q):
         u0 = [c / lead for c in u0]
         v0 = [c / lead for c in v0]
     return r0, u0, v0
+
+
+def squarefree_parts(f):
+    """[(g, m)] with f = prod g^m, the g monic, squarefree and coprime.
+
+    Yun's algorithm over Q for a monic f of positive degree.
+    """
+    df = derivative(f)
+    a = xgcd(f, df)[0]
+    b = divmod_poly(f, a)[0]
+    c = divmod_poly(df, a)[0]
+    out = []
+    m = 1
+    while len(b) > 1:
+        d = sub(c, derivative(b))
+        a = xgcd(b, d)[0]
+        if len(a) > 1:
+            out.append((a, m))
+        b = divmod_poly(b, a)[0]
+        c = divmod_poly(d, a)[0]
+        m += 1
+    return out
 
 
 def resultant_int(p, q):

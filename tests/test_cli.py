@@ -10,12 +10,13 @@ the named cases again with
 """
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mtlab import analysis, cli, modsym
+from mtlab import analysis, cli, mazurtate, modsym
 from mtlab.errors import OutOfBudget, PrecisionExhausted
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,6 +139,44 @@ def test_uncertified_when_precision_runs_out(command, tmp_path,
     monkeypatch.setattr(modsym, "normalize", _never_normalizes)
     code = cli.main([command] + SMALL + ["--out", str(tmp_path / "r.json")])
     assert code == cli.EXIT_UNCERTIFIED
+
+
+# commands that loop to n_max themselves: the deepest level each one builds
+# is over the budget, level 7 at p = 5 and level 10 at p = 3
+OVER_BUDGET = {
+    "stabilize": (["stabilize", "--level", "11", "--weight", "2", "--p", "5",
+                   "--nmax", "6"], "437500 evaluations"),
+    "three-term": (["verify", "--mode", "three-term", "--level", "11",
+                    "--weight", "2", "--p", "5", "--nmax", "6"],
+                   "437500 evaluations"),
+    "degen": (["verify", "--mode", "degen", "--level", "11", "--weight", "2",
+               "--p", "5", "--nmax", "6"], "437500 evaluations"),
+    "alphastick": (["verify", "--mode", "alphastick", "--level", "11",
+                    "--weight", "4", "--p", "3", "--nmax", "10"],
+                   "393660 evaluations"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_BUDGET))
+def test_budget_is_checked_before_any_space_is_split(name, capsys,
+                                                     monkeypatch):
+    built = []
+    monkeypatch.setattr(modsym, "cuspidal_eigensymbols",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(mazurtate, "mazur_tate_values",
+                        lambda *args: built.append(args))
+    argv, message = OVER_BUDGET[name]
+    assert cli.main(argv) == cli.EXIT_CONSTRUCTION
+    assert message in capsys.readouterr().err
+    assert built == []
+
+
+def test_cli_import_loads_no_sympy():
+    code = "import sys, mtlab.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         cwd=Path(__file__).parent.parent / "src")
+    assert out.stdout.strip() == "False"
 
 
 def _config(argv):

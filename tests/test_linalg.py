@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
-from mtlab import linalg, padic
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from mtlab import linalg, padic, polyq
 from mtlab.linalg import QQ
 
 
@@ -61,6 +64,72 @@ def test_factor_rational_poly():
     factors = linalg.factor_rational_poly(coeffs)
     assert factors == [([Fraction(-1), Fraction(1)], 2),
                        ([Fraction(1), Fraction(0), Fraction(1)], 1)]
+
+
+rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=150, deadline=None)
+def test_charpoly_matches_sympy(rows):
+    n = len(rows)
+    m = sympy.Matrix(n, n, lambda i, j: sympy.Rational(
+        rows[i][j].numerator, rows[i][j].denominator))
+    expected = [Fraction(int(c.p), int(c.q))
+                for c in reversed(m.charpoly().all_coeffs())]
+    assert linalg.charpoly_rational(rows) == expected
+
+
+def sympy_factor_list(coeffs):
+    """factor_rational_poly's result computed by sympy.factor_list."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+               for i, c in enumerate(coeffs))
+    out = []
+    for poly, mult in sympy.factor_list(sympy.Poly(expr, x))[1]:
+        cs = [Fraction(int(c.p), int(c.q))
+              for c in reversed(sympy.Poly(poly, x).all_coeffs())]
+        out.append(([c / cs[-1] for c in cs], int(mult)))
+    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
+
+
+# (factor, multiplicity) pairs of total degree at most 12; the factors have
+# non-unit leading coefficients, so their product is monic only over Q
+planted_products = st.lists(
+    st.tuples(st.integers(1, 4).flatmap(
+        lambda d: st.tuples(st.lists(st.integers(-30, 30), min_size=d,
+                                     max_size=d),
+                            st.integers(1, 3))),
+              st.integers(1, 3)),
+    min_size=1, max_size=4).filter(
+        lambda fs: sum(len(low) * m for (low, _), m in fs) <= 12)
+
+
+@given(planted_products)
+@settings(max_examples=150, deadline=None)
+def test_factor_rational_poly_matches_sympy(planted):
+    f = [Fraction(1)]
+    for (low, lead), mult in planted:
+        for _ in range(mult):
+            f = polyq.mul(f, [Fraction(c) for c in low] + [Fraction(lead)])
+    assert linalg.factor_rational_poly(f) == sympy_factor_list(f)
+
+
+# the charpoly that splits the weight-6 level-23 space: degree 3 times 6
+MT_FIELD_CHARPOLY = [3291146570203968622015200, -18668615509173736152335,
+                     176030544210660831, 176964967481011224,
+                     -251731704783825, -471054433330, 1191231813, -4440,
+                     -1587, 1]
+
+
+def test_factor_mt_field_charpoly():
+    f = [Fraction(c) for c in MT_FIELD_CHARPOLY]
+    factors = linalg.factor_rational_poly(f)
+    assert [(len(g) - 1, m) for g, m in factors] == [(3, 1), (6, 1)]
+    assert factors == sympy_factor_list(f)
+    assert polyq.mul(factors[0][0], factors[1][0]) == f
 
 
 def test_minpoly_of_matrix_action():

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
 
 from mtlab import padic
 from mtlab.errors import (
@@ -197,6 +199,49 @@ def test_prime_divisors_match_sympy(n):
 @settings(max_examples=100, deadline=None)
 def test_primes_up_to_match_sympy(bound):
     assert padic.primes_up_to(bound) == list(sympy.primerange(2, bound + 1))
+
+
+# a unit, then (monic factor, multiplicity) pairs of total degree 1 to 8
+fp_planted = st.sampled_from([3, 5, 7, 11]).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(1, p - 1),
+    st.lists(st.tuples(st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.integers(0, p - 1), min_size=d, max_size=d)),
+        st.integers(1, 4)), min_size=1, max_size=4).filter(
+            lambda fs: sum(len(low) * m for low, m in fs) <= 8)))
+
+
+@given(fp_planted)
+@settings(max_examples=400, deadline=None)
+def test_fp_factor_matches_gf_factor(planted):
+    p, unit, factors = planted
+    f = [unit]
+    for low, mult in factors:
+        for _ in range(mult):
+            f = padic._pmul(f, low + [1], p)
+    _, expected = gf_factor([ZZ(c) for c in reversed(f)], p, ZZ)
+    expected = [([int(c) for c in reversed(g)], m) for g, m in
+                sorted(expected, key=lambda t: (len(t[0]), t[0]))]
+    assert padic.fp_factor(f, p) == expected
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(-9, 9), min_size=1,
+                                   max_size=3),
+                          st.integers(1, 2)),
+                min_size=1, max_size=3).filter(
+    lambda fs: sum(m for _, m in fs) >= 2))
+@settings(max_examples=100, deadline=None)
+def test_make_field_rejects_planted_products(planted):
+    f = [1]
+    for low, mult in planted:
+        for _ in range(mult):
+            f = padic.polyq.mul(f, low + [1])
+    with pytest.raises(ReduciblePolynomial):
+        padic.make_field(f)
+
+
+def test_make_field_accepts_irreducible_mod_no_prime():
+    # x^4 + 1 is irreducible over Q but splits modulo every prime
+    assert padic.make_field([1, 0, 0, 0, 1]).degree == 4
 
 
 def test_with_precision_relift():
