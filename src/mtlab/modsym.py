@@ -16,12 +16,17 @@ divisor evaluation (`evaluate_divisor`) is their vector-valued reference.
 
 The presentation is solved over the rationals, yielding a free basis whose
 coordinates are literal symbol values at recorded (coset, monomial)
-positions.
+positions.  The values of the basis symbols are kept as sparse integer rows,
+each over a divisor d of one denominator D per space, so an entry of a
+coset value costs one integer combination of coordinates and at most one
+scaling by 1/d.  Each Hecke operator, iota and w_N is built once per space
+as a matrix on the free basis, in integers over D, and acts on coordinates
+by a matrix-vector product.
 """
 
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg, p1, polyact, polyq
 from .errors import (
@@ -261,41 +266,56 @@ class ManinSymbolSpace:
         pivot_set = set(pivots)
         free = [c for c in range(nparams) if c not in pivot_set]
         dim = len(free)
-        bmat = [[field.zero()] * dim for _ in range(nparams)]
+        # the free basis in parameter coordinates, as sparse rows
+        brows = [{} for _ in range(nparams)]
         for idx, fc in enumerate(free):
-            bmat[fc][idx] = field.one()
+            brows[fc] = {idx: field.one()}
         for row, pc in zip(red, pivots):
-            for idx, fc in enumerate(free):
-                bmat[pc][idx] = -row[fc]
+            brows[pc] = {idx: -row[fc] for idx, fc in enumerate(free)
+                         if row[fc]}
 
-        # coset value matrices: values of the basis symbols at every coset
+        # coset value matrices: values of the basis symbols at every coset,
+        # each row as sparse integers over its own divisor d of the common
+        # denominator D
         self.dim = dim
         self.positions = [param_pos[fc] for fc in free]
         vb = []
         for A in range(nc):
             base, mat = expr[A]
-            width = len(mat[0])
-            block = bmat[base:base + width]
-            vb.append(linalg.mat_mat(mat, block) if width else
-                      [[field.zero()] * dim for _ in range(gp1)])
-        self.values_basis = vb
+            block = []
+            for mrow in mat:
+                acc = {}
+                for mid, f in enumerate(mrow):
+                    if f:
+                        for idx, x in brows[base + mid].items():
+                            acc[idx] = acc.get(idx, 0) + f * x
+                block.append({idx: x for idx, x in acc.items() if x})
+            vb.append(block)
+        D = lcm(*(x.denominator for block in vb for row in block
+                  for x in row.values()))
+        self.denominator = D
+        self.values_basis = [[_integer_row(row, D) for row in block]
+                             for block in vb]
         self._position_cosets = sorted({c for c, _ in self.positions})
 
     # -- symbols as coordinate vectors --------------------------------------
 
     def coset_value(self, coords, A):
-        """Value vector Phi(A) of the symbol with the given coordinates."""
-        rows = self.values_basis[A]
+        """Value vector Phi(A) of the symbol with the given coordinates.
+
+        Entry r is sum n * coords[j] over the (j, n) of row r = (d, terms)
+        of values_basis[A], divided once by d (not at all when d = 1).
+        """
         out = []
-        for r in range(self.g + 1):
+        for d, terms in self.values_basis[A]:
             acc = None
-            for f, x in zip(rows[r], coords):
-                if linalg.is_zero(f):
-                    continue
-                term = x * f
+            for j, n in terms:
+                term = coords[j] * n
                 acc = term if acc is None else acc + term
             if acc is None:
                 acc = coords[0] * 0
+            elif d != 1:
+                acc = acc * Fraction(1, d)
             out.append(acc)
         return out
 
@@ -424,43 +444,49 @@ class ManinSymbolSpace:
             return (((0, -1), (self.M, 0)),)
         raise InvalidOperator("unknown operator %r" % op)
 
+    def _plan(self, op, cosets):
+        """Plan of a named operator at the given cosets; iota is the one-term
+        plan Phi(A) = Phi(iota A)|iota."""
+        if op != "iota":
+            return self._operator_plan(self, self._deltas_for(op),
+                                       tuple(cosets))
+        iota = polyact.act_matrix(polyact.IOTA, self.g)
+        return {A: [(self.plist.index(-self.plist[A][0], self.plist[A][1]),
+                     iota)] for A in cosets}
+
     def apply_operator_to_values(self, op, values, cosets=None):
         """Values of phi|op at the given cosets (default: basis positions)."""
         if cosets is None:
             cosets = self._position_cosets
-        if op == "iota":
-            return {A: self._iota_value(values, A) for A in cosets}
-        plan = self._operator_plan(self, self._deltas_for(op), tuple(cosets))
-        return self.apply_plan_to_values(plan, values)
+        return self.apply_plan_to_values(self._plan(op, cosets), values)
 
     def apply_operator_to_coords(self, op, coords):
-        values = self.all_values(coords)
-        out = self.apply_operator_to_values(op, values)
-        return [out[c][j] for c, j in self.positions]
-
-    def _iota_perm(self):
-        perm = getattr(self, "_iota_perm_cache", None)
-        if perm is None:
-            perm = [self.plist.index(-self.plist[i][0], self.plist[i][1])
-                    for i in range(len(self.plist))]
-            self._iota_perm_cache = perm
-        return perm
-
-    def _iota_value(self, values, A):
-        return polyact.act(values[self._iota_perm()[A]], polyact.IOTA)
+        return linalg.mat_vec(self.hecke_matrix(op), coords)
 
     def hecke_matrix(self, op):
-        """Matrix of T_ell, U_q, iota or w_N in the free basis."""
+        """Matrix of T_ell, U_q, iota or w_N in the free basis, built once.
+
+        Row i, for the position (A, j) of coordinate i, is row j of
+        Phi_op(A) = sum over the plan's (B, m) of m * values_basis[B]:
+        an integer combination of integer rows, divided once by D.
+        """
         cached = self._matrix_cache.get(op)
         if cached is not None:
             return cached
-        cols = []
-        for i in range(self.dim):
-            coords = [self.field.one() if j == i else self.field.zero()
-                      for j in range(self.dim)]
-            cols.append(self.apply_operator_to_coords(op, coords))
-        mat = [[cols[j][i] for j in range(self.dim)]
-               for i in range(self.dim)]
+        plan = self._plan(op, self._position_cosets)
+        vb = self.values_basis
+        D = self.denominator
+        mat = []
+        for A, j in self.positions:
+            acc = [0] * self.dim
+            for B, m in plan[A]:
+                for c, w in enumerate(m[j]):
+                    if w:
+                        d, terms = vb[B][c]
+                        scale = w * (D // d)
+                        for k, n in terms:
+                            acc[k] += scale * n
+            mat.append([Fraction(x, D) for x in acc])
         self._matrix_cache[op] = mat
         return mat
 
@@ -476,17 +502,19 @@ class ManinSymbolSpace:
         return linalg.kernel_basis(rows, self.dim, self.field)
 
     def _restrict_operator(self, op, basis):
-        """Matrix of an operator on the span of the given coordinate vectors."""
-        cols_full = [self.apply_operator_to_coords(op, v) for v in basis]
-        rows = [list(r) for r in zip(*basis)]
-        sub_cols = []
-        for w in cols_full:
-            sol = linalg.solve(rows, w, self.field)
-            if sol is None:
-                raise InvalidOperator("%s does not preserve the subspace" % op)
-            sub_cols.append(sol)
-        return [[sub_cols[j][i] for j in range(len(basis))]
-                for i in range(len(basis))]
+        """Matrix of an operator on the span of the given coordinate vectors.
+
+        One rref of [basis columns | image columns]: the images lie in the
+        span exactly when the pivots are the basis columns, and column
+        d + j of the reduced rows then holds the coordinates of image j.
+        """
+        d = len(basis)
+        images = [self.apply_operator_to_coords(op, v) for v in basis]
+        red, pivots = linalg.rref([list(r) for r in zip(*basis, *images)],
+                                  self.field)
+        if pivots != list(range(d)):
+            raise InvalidOperator("%s does not preserve the subspace" % op)
+        return [row[d:] for row in red]
 
     def good_primes(self):
         """The primes not dividing the level, increasing."""
@@ -524,6 +552,14 @@ class ManinSymbolSpace:
                         Fraction(0)) for i in range(self.dim)]
             out.append(full)
         return out
+
+
+def _integer_row(row, D):
+    """(d, ((j, n), ...)) with row[j] = n / d for the entries of the sparse
+    row {j: x}, d the least divisor of D that clears their denominators."""
+    ints = [(j, int(x * D)) for j, x in sorted(row.items())]
+    d = D // gcd(D, *(n for _, n in ints))
+    return d, tuple((j, n * d // D) for j, n in ints)
 
 
 def _poly_of_matrix(coeffs, mat):

@@ -694,7 +694,7 @@ class PAdicEmbedding:
             raise PrecisionTooLow(
                 "precision %d cannot represent the residue generator "
                 "(denominator p^%d)" % (self.M, s))
-        w = LocalElement(self, list(coeffs), s, Fraction(self.M))
+        w = LocalElement(self, list(coeffs), s, self.M)
         if w.valuation() != 0:
             raise PrecisionTooLow("residue generator is not a unit")
         uw = w * 0
@@ -709,10 +709,10 @@ class PAdicEmbedding:
         """Powers w^0 .. w^(f-1) of the residue field generator."""
         if self._res_gen_powers is None:
             if self.residue_gen is None:
-                w = LocalElement(self, [0, 1], 0, Fraction(self.M))
+                w = LocalElement(self, [0, 1], 0, self.M)
             else:
                 coeffs, s = self.residue_gen
-                w = LocalElement(self, list(coeffs), s, Fraction(self.M))
+                w = LocalElement(self, list(coeffs), s, self.M)
             pows = [self.local(1)]
             for _ in range(self.residue_degree - 1):
                 pows.append(pows[-1] * w)
@@ -747,7 +747,7 @@ class PAdicEmbedding:
         dinv = pow(den % self.pM, -1, self.pM)
         vec = _pmod([(c * dinv) % self.pM for c in ints],
                     list(self.local_factor), self.pM)
-        return LocalElement(self, vec, t, Fraction(self.M))
+        return LocalElement(self, vec, t, self.M)
 
     def valuation(self, x):
         """Exact valuation of a nonzero field element, ord_p(p) = 1."""
@@ -768,11 +768,13 @@ class LocalElement:
     """Truncated local-field element vec * p^(-shift), vec in (Z/p^M)[y]/(H).
 
     prec is the certified absolute precision: the representation agrees with
-    the true element up to an error of valuation >= prec.  A product
-    x * y has precision min(prec(x) + v(y), prec(y) + v(x), M).  An int or
-    Fraction factor r is not embedded: it counts as exact to M - v_p(den r)
-    (the precision `PAdicEmbedding.local` would give it), so x * r has
-    exactly the vector, shift and precision of x * emb.local(r).
+    the true element up to an error of valuation >= prec.  It is an exact
+    int, and a Fraction only where a valuation read by the norm formula (an
+    embedding that is not monogenic) enters it.  A product x * y has
+    precision min(prec(x) + v(y), prec(y) + v(x), M).  An int or Fraction
+    factor r is not embedded: it counts as exact to M - v_p(den r) (the
+    precision `PAdicEmbedding.local` would give it), so x * r has exactly
+    the vector, shift and precision of x * emb.local(r).
     """
 
     __slots__ = ("emb", "vec", "shift", "prec")
@@ -792,7 +794,8 @@ class LocalElement:
             shift -= 1
         self.vec = tuple(vec)
         self.shift = shift
-        self.prec = min(Fraction(prec), Fraction(emb.M - shift))
+        cap = emb.M - shift
+        self.prec = prec if prec < cap else cap
 
     def _raw_valuation(self):
         """Valuation of the numerator vector, or None if it is 0 mod p^M."""
@@ -802,7 +805,7 @@ class LocalElement:
         p = emb.p
         m = min(_vp(c, p) for c in self.vec if c != 0)
         if emb.monogenic:
-            return Fraction(m)
+            return m
         # norm formula v(x) = v_p(Res(H, x)) / deg(H); the content p^m is
         # divided out first so that v_p of the remaining resultant stays
         # below the certified precision p^(M - m)
@@ -811,7 +814,7 @@ class LocalElement:
         res = res % p ** (emb.M - m)
         if res == 0:
             return None
-        return Fraction(m) + Fraction(_vp(res, p), emb.degree)
+        return m + Fraction(_vp(res, p), emb.degree)
 
     def valuation(self):
         raw = self._raw_valuation()
@@ -865,17 +868,17 @@ class LocalElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._mul_rational(Fraction(other))
+            return self._mul_rational(other)
         other = self._coerce(other)
         emb = self.emb
         vec = _pmul(list(self.vec), list(other.vec), emb.pM)
         vec = _pmod(vec, list(emb.local_factor), emb.pM)
         va = self._raw_valuation()
         vb = other._raw_valuation()
-        big = Fraction(emb.M)
+        big = emb.M
         va = big if va is None else va - self.shift
         vb = big if vb is None else vb - other.shift
-        prec = min(self.prec + vb, other.prec + va, Fraction(emb.M))
+        prec = min(self.prec + vb, other.prec + va, big)
         return LocalElement(emb, vec, self.shift + other.shift, prec)
 
     def __rmul__(self, other):
@@ -905,10 +908,10 @@ class LocalElement:
             # prec - t
             return LocalElement(emb, vec, self.shift + t, self.prec - t)
         # p divides u only when t = 0
-        big = Fraction(emb.M)
+        big = emb.M
         va = self._raw_valuation()
         va = big if va is None else va - self.shift
-        vb = big if u == 0 else Fraction(_vp(u, p))
+        vb = big if u == 0 else _vp(u, p)
         prec = min(self.prec + vb, big + va, big)
         return LocalElement(emb, vec, self.shift, prec)
 

@@ -58,6 +58,10 @@ CASES = {
     # class c1's field cannot be certified at precision 2
     "invariants-11-8-3": (["invariants", "--level", "11", "--weight", "8",
                            "--p", "3", "--nmax", "1"], cli.EXIT_OK),
+    # the only case that splits the level-69 weight-6 presentation
+    "stabilize-23-6-3": (["stabilize", "--level", "23", "--weight", "6",
+                          "--p", "3", "--nmax", "2", "--sign", "1"],
+                         cli.EXIT_OK),
 }
 
 

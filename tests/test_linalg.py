@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -155,3 +156,80 @@ def test_random_kernel_dimension_consistency():
         assert r + len(basis) == ncols
         for vec in basis:
             assert all(x == 0 for x in linalg.mat_vec(rows, vec))
+
+
+def dense_rref(rows, field):
+    """Reference: the dense Gauss-Jordan loop with the same pivot rule."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if not linalg.is_zero(mat[i][c]):
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = field.one() / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not linalg.is_zero(mat[i][c]):
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+F7 = padic.FF(7, [0, 1])
+QSQRT2 = padic.make_field([-2, 0, 1])
+
+# each field with a map from a tuple of two small ints to one of its elements
+FIELDS = {
+    "QQ": (QQ, lambda ab: Fraction(ab[0], abs(ab[1]) + 1)),
+    "F7": (F7, lambda ab: F7.element(ab[0])),
+    "Q(sqrt2)": (QSQRT2, lambda ab: QSQRT2.element(list(ab))),
+}
+
+# half of the entries are zero; rows are drawn from a pool of at most three,
+# so that duplicate rows are common
+entries = st.one_of(st.just((0, 0)),
+                    st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+shapes = st.tuples(st.integers(0, 7), st.integers(0, 7))
+
+
+@st.composite
+def matrices(draw):
+    nrows, ncols = draw(shapes)
+    pool = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=3))
+    return [draw(st.sampled_from(pool)) for _ in range(nrows)]
+
+
+@given(st.sampled_from(sorted(FIELDS)), matrices())
+@settings(max_examples=400, deadline=None)
+def test_sparse_rref_matches_dense_reference(name, raw):
+    field, convert = FIELDS[name]
+    rows = [[convert(ab) for ab in row] for row in raw]
+    assert linalg.rref(rows, field) == dense_rref(rows, field)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 4), (4, 4), (6, 2),
+                                   (2, 6)])
+def test_sparse_rref_edge_shapes(name, shape):
+    field, convert = FIELDS[name]
+    nrows, ncols = shape
+    zero = [[convert((0, 0))] * ncols for _ in range(nrows)]
+    assert linalg.rref(zero, field) == dense_rref(zero, field) == ([], [])
+    ones = [[convert((1, 1))] * ncols for _ in range(nrows)]
+    red, pivots = linalg.rref(ones, field)
+    assert (red, pivots) == dense_rref(ones, field)
+    assert pivots == ([0] if nrows and ncols else [])

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from mtlab import linalg, modsym, polyact
+from mtlab import linalg, modsym, padic, polyact
 from mtlab.errors import InvalidOperator
 from mtlab.linalg import QQ
 from mtlab.modsym import ManinSymbolSpace, RationalDivisor
@@ -412,3 +412,111 @@ def test_degeneracy_image_satisfies_relations():
     back = dst.all_values(got)
     for A in range(len(dst.plist)):
         assert back[A] == values[A]
+
+
+OPERATOR_SPACES = [(11, 2), (11, 4), (13, 4), (23, 6), (33, 2)]
+
+
+def operators(space):
+    """T2 and T3 (U2, U3 when they divide the level), U_q for q | level,
+    iota and w_N."""
+    ops = ["%s%d" % ("U" if space.M % ell == 0 else "T", ell)
+           for ell in (2, 3)]
+    ops += ["U%d" % q for q in prime_divisors(space.M)]
+    return list(dict.fromkeys(ops)) + ["iota", "wN"]
+
+
+@pytest.mark.parametrize("N,k", OPERATOR_SPACES)
+def test_hecke_matrix_matches_per_vector_reference(N, k):
+    space = ManinSymbolSpace(N, k)
+    for op in operators(space):
+        mat = space.hecke_matrix(op)
+        for i in range(space.dim):
+            unit = [Fraction(int(j == i)) for j in range(space.dim)]
+            out = space.apply_operator_to_values(op, space.all_values(unit))
+            column = [out[c][j] for c, j in space.positions]
+            assert [row[i] for row in mat] == column, (op, i)
+
+
+def test_iota_is_the_coset_permutation_and_action():
+    rng = random.Random(14)
+    for N, k in ((11, 4), (13, 4)):
+        space = ManinSymbolSpace(N, k)
+        values = space.all_values(random_coords(space, rng))
+        cosets = range(len(space.plist))
+        out = space.apply_operator_to_values("iota", values, cosets)
+        for A in cosets:
+            u, v = space.plist[A]
+            assert out[A] == polyact.act(values[space.plist.index(-u, v)],
+                                         polyact.IOTA)
+
+
+def test_restrict_operator_on_invariant_subspace():
+    space = ManinSymbolSpace(11, 4)
+    basis = space.sign_subspace(1)
+    sub = space._restrict_operator("T2", basis)
+    for j, v in enumerate(basis):
+        image = space.apply_operator_to_coords("T2", v)
+        assert image == [sum(sub[i][j] * basis[i][r]
+                             for i in range(len(basis)))
+                         for r in range(space.dim)]
+
+
+def test_restrict_operator_rejects_planted_subspace():
+    space = ManinSymbolSpace(11, 4)
+    # the plus space with a minus-space vector added to its last vector:
+    # iota sends that vector to one outside the span
+    plus, minus = space.sign_subspace(1), space.sign_subspace(-1)
+    basis = plus[:-1] + [[a + b for a, b in zip(plus[-1], minus[0])]]
+    images = [space.apply_operator_to_coords("iota", v) for v in basis]
+    assert linalg.rank(basis + images, QQ) > len(basis)
+    with pytest.raises(InvalidOperator):
+        space._restrict_operator("iota", basis)
+
+
+def fold_coset_value(space, coords, A):
+    """Reference coset value: each coordinate times its own Fraction
+    coefficient n / d, summed left to right."""
+    out = []
+    for d, terms in space.values_basis[A]:
+        acc = None
+        for j, n in terms:
+            term = coords[j] * Fraction(n, d)
+            acc = term if acc is None else acc + term
+        out.append(coords[0] * 0 if acc is None else acc)
+    return out
+
+
+# D = 2800 at 23/6 and 202020 = 2^2 3 5 7 13 37 at 11/8
+@pytest.mark.parametrize("N,k,p,p_divides", [(23, 6, 3, False),
+                                             (11, 8, 3, True)])
+def test_integer_coset_values_match_fraction_fold(N, k, p, p_divides):
+    space = ManinSymbolSpace(N, k)
+    assert (space.denominator % p == 0) == p_divides
+    checked = 0
+    for sign in (1, -1):
+        for f in modsym.cuspidal_eigensymbols(space, sign):
+            for emb in padic.primes_above(f.field, p, 8):
+                embedded = [emb.local(c) for c in f.coords]
+                for coords in (embedded, modsym.normalize(f, emb).coords):
+                    for A in range(len(space.plist)):
+                        got = space.coset_value(coords, A)
+                        want = fold_coset_value(space, coords, A)
+                        for (d, _), x, y in zip(space.values_basis[A],
+                                                got, want):
+                            checked += 1
+                            if not p_divides:
+                                assert (x.vec, x.shift, x.prec) == \
+                                    (y.vec, y.shift, y.prec)
+                                continue
+                            # one division by d after the sum: the digits
+                            # past the precision may differ, and when p | d
+                            # the precision may fall short of the fold's
+                            assert x.prec <= y.prec
+                            assert d % p == 0 or x.prec == y.prec
+                            assert (x - y).is_zero_to_precision()
+                            zero = x.is_zero_to_precision()
+                            assert zero == y.is_zero_to_precision()
+                            if not zero:
+                                assert x.valuation() == y.valuation()
+    assert checked > 1000
