@@ -3,6 +3,13 @@
 The full group ring sits over (Z/p^n)^*; the cyclic quotient G_n of order
 p^n is generated by the image of 1 + p.  Coefficients are local elements
 at certified precision (or residue-field elements for mod-p identities).
+
+The level-n element of an eigenclass is built once per (p, n), exactly:
+integer-vector coefficients over the class's denominator, summed with the
+space's path weights.  Every prime above p, precision and twist shares it,
+and a normalized symbol embeds each coefficient once, so p-adic digits
+enter only when valuations are read.  Stabilized symbols, whose values
+involve the unit root, sum local values with the same weights.
 """
 
 from fractions import Fraction
@@ -156,21 +163,64 @@ def mazur_tate_values(space, get_value, p, n):
     """The level-n element of the symbol with the given coset values.
 
     The a-th coefficient is the path value of the symbol on {oo} - {a/p^n},
-    the Y^(k-2)-coefficient of its value (`ManinSymbolSpace.path_value`).
+    sum w * Phi(B)[r] over the weights of a in
+    `ManinSymbolSpace.path_weights`.  Values are ring elements (local,
+    residue-field or exact field elements) or, for an eigenclass's exact
+    data, tuples of integers, which are summed coordinatewise.
     """
     check_budget(p, n)
-    units = _units(p, n)
-    pn = p ** n
-    return FullGroupRingElement(
-        p, n, {a: space.path_value(get_value, a, pn) for a in units})
+    weights = space.path_weights(p, n)
+    sample = get_value(0)[0]
+    if isinstance(sample, tuple):
+        summed, zero = _vector_sum, (0,) * len(sample)
+    else:
+        summed, zero = _weighted_sum, sample * 0
+    return FullGroupRingElement(p, n, {a: summed(row, get_value, zero)
+                                       for a, row in weights.items()})
+
+
+def _weighted_sum(row, get_value, zero):
+    acc = None
+    for (B, r), w in row.items():
+        term = get_value(B)[r] * w
+        acc = term if acc is None else acc + term
+    return zero if acc is None else acc
+
+
+def _vector_sum(row, get_value, zero):
+    acc = zero
+    for (B, r), w in row.items():
+        acc = [s + w * c for s, c in zip(acc, get_value(B)[r])]
+    return tuple(acc)
+
+
+def exact_element(cls, p, n):
+    """The level-n element of an eigenclass, coefficients as integer
+    vectors over cls.denominator; built once per (p, n) and kept on the
+    class for every prime above p, precision and twist."""
+    key = (p, n)
+    if key not in cls.elements:
+        cls.elements[key] = mazur_tate_values(cls.space, cls.exact_value,
+                                              p, n)
+    return cls.elements[key]
 
 
 def mazur_tate(sym, n):
     """The level-n element of a normalized or stabilized symbol, built once
-    per level and kept on the symbol for all twists."""
+    per level and kept on the symbol for all twists.
+
+    A normalized symbol embeds each coefficient of its eigenclass's exact
+    element once (`NormalizedSymbol.embed`); a stabilized symbol sums its
+    local values.
+    """
     if n not in sym._elements:
-        sym._elements[n] = mazur_tate_values(sym.space, sym.value,
-                                             sym.embedding.p, n)
+        p = sym.embedding.p
+        if isinstance(sym, modsym.NormalizedSymbol):
+            exact = exact_element(sym.eigensymbol, p, n)
+            sym._elements[n] = FullGroupRingElement(
+                p, n, {a: sym.embed(x) for a, x in exact.coeffs.items()})
+        else:
+            sym._elements[n] = mazur_tate_values(sym.space, sym.value, p, n)
     return sym._elements[n]
 
 

@@ -11,8 +11,9 @@ For any determinant-1 integer matrix gamma this gives
 phi({gamma oo} - {gamma 0}) = Phi(class gamma)|gamma^(-1), which together
 with continued-fraction decomposition of paths drives Hecke operators and
 degeneracy maps.  Its Y^g coefficient, Phi(class gamma) evaluated at the
-bottom row of gamma, gives the path values that build Mazur-Tate elements;
-divisor evaluation (`evaluate_divisor`) is their vector-valued reference.
+bottom row of gamma, gives the path values that build Mazur-Tate elements:
+`path_weights` records them once per space and level as integer weights on
+the (coset, monomial) entries of Phi.
 
 The presentation is solved over the rationals, yielding a free basis whose
 coordinates are literal symbol values at recorded (coset, monomial)
@@ -22,6 +23,12 @@ coset value costs one integer combination of coordinates and at most one
 scaling by 1/d.  Each Hecke operator, iota and w_N is built once per space
 as a matrix on the free basis, in integers over D, and acts on coordinates
 by a matrix-vector product.
+
+An eigenclass keeps its coset values exactly, as integer vectors in the
+power basis of its Hecke field over one denominator.  Normalizing it at a
+prime above p finds the witness of least valuation among these exact
+values, and each normalized value is the embedding of one exact element,
+made once, so its certified digits are those of the exact value.
 """
 
 from fractions import Fraction
@@ -41,86 +48,7 @@ from . import padic
 
 
 # ---------------------------------------------------------------------------
-# divisors on the rational projective line
-
-
-class RationalDivisor:
-    """Formal integer combination of cusps; (1, 0) denotes oo."""
-
-    def __init__(self, terms):
-        merged = {}
-        for coeff, cusp in terms:
-            cusp = _normalize_cusp(cusp)
-            merged[cusp] = merged.get(cusp, 0) + coeff
-        self.terms = tuple(sorted((c, pt) for pt, c in merged.items()
-                                  if c != 0))
-
-    def degree(self):
-        return sum(c for c, _ in self.terms)
-
-    def __add__(self, other):
-        return RationalDivisor(list(self.terms) + list(other.terms))
-
-    def __neg__(self):
-        return RationalDivisor([(-c, pt) for c, pt in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalDivisor) and self.terms == other.terms
-
-    def __repr__(self):
-        return "RationalDivisor(%s)" % (list(self.terms),)
-
-    @staticmethod
-    def path(src, dst):
-        """The divisor {dst} - {src}."""
-        return RationalDivisor([(1, dst), (-1, src)])
-
-    @staticmethod
-    def from_string(text):
-        """Parse strings like "oo - 3/25" or "1/2 - 0 + 2*oo"."""
-        terms = []
-        token = ""
-        pending_sign = 1
-        for chunk in text.replace("-", " - ").replace("+", " + ").split():
-            if chunk == "-":
-                pending_sign = -1
-            elif chunk == "+":
-                pending_sign = 1
-            else:
-                coeff = pending_sign
-                if "*" in chunk:
-                    mult, chunk = chunk.split("*", 1)
-                    coeff *= int(mult)
-                terms.append((coeff, _parse_cusp(chunk)))
-                pending_sign = 1
-        div = RationalDivisor(terms)
-        return div
-
-
-def _parse_cusp(text):
-    if text in ("oo", "inf", "infinity"):
-        return (1, 0)
-    if "/" in text:
-        a, b = text.split("/")
-        return (int(a), int(b))
-    return (int(text), 1)
-
-
-def _normalize_cusp(cusp):
-    if isinstance(cusp, Fraction):
-        return (cusp.numerator, cusp.denominator)
-    a, b = cusp
-    if b == 0:
-        return (1, 0)
-    if b < 0:
-        a, b = -a, -b
-    g = gcd(abs(a), b)
-    if g > 1:
-        a, b = a // g, b // g
-    return (a, b)
+# paths on the rational projective line
 
 
 def _convergent_matrices(a, b):
@@ -133,28 +61,17 @@ def _convergent_matrices(a, b):
         return []
     if b < 0:
         a, b = -a, -b
-    g = gcd(abs(a), b)
-    if g > 1:
-        a, b = a // g, b // g
-    # continued fraction digits by floor division
-    digits = []
+    # convergents (P/Q, p_/q_) from the floor-division digits, which are
+    # those of a/b in lowest terms; each pair spans a unimodular matrix up
+    # to the sign of its determinant
     x, y = a, b
-    while y:
-        q = x // y
-        digits.append(q)
-        x, y = y, x - q * y
-    convs = [(1, 0)]
-    pp, qq = 1, 0
-    cp, cq = digits[0], 1
-    convs.append((cp, cq))
-    for d in digits[1:]:
-        pp, qq, cp, cq = cp, cq, d * cp + pp, d * cq + qq
-        convs.append((cp, cq))
+    P, Q, p_, q_ = 0, 1, 1, 0
     mats = []
-    for m in range(1, len(convs)):
-        (P, Q), (p_, q_) = convs[m - 1], convs[m]
-        det = P * q_ - p_ * Q
-        if det == 1:
+    while y:
+        digit = x // y
+        x, y = y, x - digit * y
+        P, Q, p_, q_ = p_, q_, digit * p_ + P, digit * q_ + Q
+        if P * q_ - p_ * Q == 1:
             mats.append(((P, p_), (Q, q_)))
         else:
             mats.append(((-P, p_), (-Q, q_)))
@@ -185,6 +102,7 @@ class ManinSymbolSpace:
         self._lifts = [self.plist.lift(i) for i in range(len(self.plist))]
         self._plan_cache = {}
         self._matrix_cache = {}
+        self._weights_cache = {}
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -326,16 +244,41 @@ class ManinSymbolSpace:
         """Coordinates of a symbol given its coset values."""
         return [values[c][j] for c, j in self.positions]
 
-    # -- path values and divisor evaluation -----------------------------------
+    # -- path values -----------------------------------------------------------
 
-    def path_value(self, get_value, a, b):
-        """The Y^g coefficient of phi({oo} - {a/b}), b != 0: row 0 of each
-        Phi(B)|g^(-1) is Phi(B) evaluated at the bottom row (c, d) of g."""
-        acc = None
-        for _, (c, d) in _convergent_matrices(a, b):
-            term = polyact.evaluate(get_value(self.plist.index(c, d)), c, d)
-            acc = term if acc is None else acc + term
-        return acc
+    def path_weights(self, p, n):
+        """Weights of the level-n path values at p, built once per space.
+
+        Returns {a: {(B, r): w}} over the units a mod p^n, in increasing
+        order, such that the Y^g coefficient of phi({oo} - {a/p^n}) is
+        sum w * Phi(B)[r] for every symbol phi.  Row 0 of Phi(B)|g^(-1) is
+        Phi(B) evaluated at the bottom row (c, d) of g, so each
+        continued-fraction matrix g of the path (class B) adds
+        c^r d^(g-r) to the weight of (B, r).
+        """
+        key = (p, n)
+        table = self._weights_cache.get(key)
+        if table is not None:
+            return table
+        pn = p ** n
+        g, M = self.g, self.M
+        cosets = {}   # (c mod M, d mod M) -> coset index
+        table = {}
+        for a in range(1, pn):
+            if a % p == 0:
+                continue
+            row = {}
+            for _, (c, d) in _convergent_matrices(a, pn):
+                B = cosets.get((c % M, d % M))
+                if B is None:
+                    B = cosets[c % M, d % M] = self.plist.index(c, d)
+                for r in range(g + 1):
+                    w = c ** r * d ** (g - r)
+                    if w:
+                        row[B, r] = row.get((B, r), 0) + w
+            table[a] = {k: w for k, w in row.items() if w}
+        self._weights_cache[key] = table
+        return table
 
     def _path_terms(self, a, b):
         """List of (coset, inverse matrix) with E(a/b) = sum Phi(B)|ginv,
@@ -346,21 +289,6 @@ class ManinSymbolSpace:
             B = self.plist.index(gmat[1][0], gmat[1][1])
             terms.append((B, polyact.mat_inv_unimodular(gmat)))
         return terms
-
-    def evaluate_divisor(self, get_value, divisor):
-        """phi(D) for the symbol whose coset values come from get_value."""
-        if divisor.degree() != 0:
-            raise ValueError("divisor must have degree zero")
-        acc = None
-        for coeff, (a, b) in divisor.terms:
-            for B, ginv in self._path_terms(a, b):
-                term = polyact.act(get_value(B), ginv)
-                term = polyact.scale(term, -coeff)
-                acc = term if acc is None else polyact.add(acc, term)
-        if acc is None:
-            some = get_value(0)
-            acc = polyact.zero_like(some)
-        return acc
 
     # -- operators -----------------------------------------------------------
 
@@ -563,13 +491,24 @@ def _integer_row(row, D):
 
 
 def _poly_of_matrix(coeffs, mat):
+    """A nonzero integer multiple of f(mat), by Horner's rule in integers.
+
+    With mat = B / d and f = c / L for integral B and c, the result is
+    L d^deg(f) f(mat) = sum c_i d^(deg(f) - i) B^i, which has the kernel
+    (and the reduced row echelon form) of f(mat).
+    """
+    d = lcm(*(x.denominator for row in mat for x in row))
+    b_cols = list(zip(*([int(x * d) for x in row] for row in mat)))
+    L = lcm(*(c.denominator for c in coeffs))
+    deg = len(coeffs) - 1
+    ints = [int(c * L) * d ** (deg - i) for i, c in enumerate(coeffs)]
     n = len(mat)
-    out = [[Fraction(coeffs[-1]) if r == c else Fraction(0)
-            for c in range(n)] for r in range(n)]
-    for c in reversed(coeffs[:-1]):
-        out = linalg.mat_mat(out, mat)
+    out = [[ints[-1] if r == c else 0 for c in range(n)] for r in range(n)]
+    for ci in reversed(ints[:-1]):
+        out = [[sum(x * y for x, y in zip(row, col)) for col in b_cols]
+               for row in out]
         for r in range(n):
-            out[r][r] += Fraction(c)
+            out[r][r] += ci
     return out
 
 
@@ -583,6 +522,13 @@ class Eigensymbol:
     coords are NFElements of the field generated by the splitting element;
     eigenvalues a_ell are computed on demand by solving in the Krylov basis
     of the splitting operator on the cuspidal subspace.
+
+    The class's exact data are integers over one denominator: coordinate j
+    has power-basis coefficients numerators[j] / E, E the least common
+    denominator of the coordinates, and `exact_value(A)` gives Phi(A) as
+    integer vectors over `denominator` = E * D, D the space's denominator.
+    The exact Mazur-Tate elements built from them are kept in `elements`,
+    keyed by (p, n), for every prime above p, precision and twist.
     """
 
     def __init__(self, space, sign, field, coords, splitting):
@@ -592,21 +538,34 @@ class Eigensymbol:
         self.coords = coords
         self._splitting = splitting
         self._eigenvalues = {}
-        self._values = {}
+        E = lcm(*(c.denominator for x in coords for c in x.coeffs))
+        self.numerators = [tuple(int(c * E) for c in x.coeffs)
+                           for x in coords]
+        self.denominator = E * space.denominator
+        self._exact_values = {}
+        self.elements = {}
 
     @property
     def minpoly(self):
         return self._splitting["factor"]
 
-    def value(self, A):
-        cached = self._values.get(A)
+    def exact_value(self, A):
+        """Phi(A) as integer vectors over `denominator`, built once: row
+        (d, terms) of values_basis[A] gives sum n * (D / d) * numerators[j]
+        over its (j, n)."""
+        cached = self._exact_values.get(A)
         if cached is None:
-            cached = self.space.coset_value(self.coords, A)
-            self._values[A] = cached
+            D = self.space.denominator
+            nums = self.numerators
+            cached = []
+            for d, terms in self.space.values_basis[A]:
+                acc = [0] * self.field.degree
+                for j, n in terms:
+                    m = n * (D // d)
+                    acc = [s + m * c for s, c in zip(acc, nums[j])]
+                cached.append(tuple(acc))
+            self._exact_values[A] = cached
         return cached
-
-    def all_values(self):
-        return [self.value(A) for A in range(len(self.space.plist))]
 
     def a(self, ell):
         """Hecke eigenvalue a_ell (or the U_q eigenvalue for q | level)."""
@@ -764,35 +723,38 @@ def _extract_classes(space, sign, basis, basis_rows, smat, cp, v):
 class NormalizedSymbol:
     """Eigensymbol scaled so the minimum value-coefficient valuation is 0.
 
-    Values are LocalElements of the given embedding.  The scaling divides
-    by an exact field element attaining the minimum, recorded in
-    content_certificate as a (coset, monomial) pair of certified valuation 0.
+    The scale is 1/w for the exact value w of the eigenclass that attains
+    the minimum valuation at the embedding; content_certificate records
+    its (coset, monomial) pair.  The witness is found by embedding each
+    exact coset value once.  The scale is kept as an integer
+    multiplication matrix over a denominator, and every value and
+    Mazur-Tate coefficient is `embed` of an exact integer vector: one
+    embedding of scale * exact, at precision M - v_p(its denominator).
     """
 
     def __init__(self, eigensymbol, embedding):
         self.eigensymbol = eigensymbol
         self.embedding = embedding
         self.space = eigensymbol.space
-        space = self.space
-        emb = embedding
-        local_coords = [emb.local(c) for c in eigensymbol.coords]
+        den = eigensymbol.denominator
         best = None
-        for A in range(len(space.plist)):
-            vec = space.coset_value(local_coords, A)
-            for j, x in enumerate(vec):
-                if x.is_zero_to_precision():
+        for A in range(len(self.space.plist)):
+            for j, x in enumerate(eigensymbol.exact_value(A)):
+                y = embedding.local_ints(x, den)
+                if y.is_zero_to_precision():
                     continue
-                val = x.valuation()
+                val = y.valuation()
                 if best is None or val < best[0]:
                     best = (val, A, j)
         if best is None:
             raise PrecisionExhausted(
                 "every value vanishes to the working precision; "
-                "the symbol cannot be normalized at M = %d" % emb.M)
+                "the symbol cannot be normalized at M = %d" % embedding.M)
         _, A, j = best
-        witness = space.coset_value(eigensymbol.coords, A)[j]
-        scale = witness.inverse()
-        self.coords = [emb.local(c * scale) for c in eigensymbol.coords]
+        witness = eigensymbol.field.element(
+            [Fraction(c, den) for c in eigensymbol.exact_value(A)[j]])
+        self._scale, scale_den = _multiplication_matrix(witness.inverse())
+        self._denominator = scale_den * den
         self.content_certificate = (A, j)
         self._values = {}
         self._elements = {}
@@ -801,10 +763,17 @@ class NormalizedSymbol:
     def sign(self):
         return self.eigensymbol.sign
 
+    def embed(self, x):
+        """The LocalElement of scale * x, for an integer vector x over the
+        eigenclass's denominator."""
+        return self.embedding.local_ints(
+            [sum(m * c for m, c in zip(row, x)) for row in self._scale],
+            self._denominator)
+
     def value(self, A):
         cached = self._values.get(A)
         if cached is None:
-            cached = self.space.coset_value(self.coords, A)
+            cached = [self.embed(x) for x in self.eigensymbol.exact_value(A)]
             self._values[A] = cached
         return cached
 
@@ -815,6 +784,25 @@ class NormalizedSymbol:
         """Coset values over the residue field."""
         return [[x.reduce() for x in self.value(A)]
                 for A in range(len(self.space.plist))]
+
+
+def _multiplication_matrix(s):
+    """(m, den) with m an integer matrix: the power-basis coefficients of
+    s * x are (m x) / den for those of x.
+
+    Column i holds s * y^i; multiplying by y shifts the coefficients up and
+    reduces by the monic integral minimal polynomial, so every column stays
+    integral over the denominator of s.
+    """
+    den = lcm(*(c.denominator for c in s.coeffs))
+    col = [int(c * den) for c in s.coeffs]
+    cols = [col]
+    low = s.field.minpoly[:-1]
+    for _ in range(1, len(col)):
+        top = col[-1]
+        col = [c - top * m for c, m in zip([0] + col[:-1], low)]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)], den
 
 
 def normalize(eigensymbol, embedding):

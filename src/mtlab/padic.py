@@ -20,7 +20,7 @@ same Hensel lifting that finds the local factors.
 
 from fractions import Fraction
 from itertools import combinations, count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import polyq
 from .errors import (
@@ -736,18 +736,31 @@ class PAdicEmbedding:
             x = self.field.from_rational(x)
         if x.field != self.field:
             raise ValueError("element of a different field")
-        den = 1
-        for c in x.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in x.coeffs]
+        den = lcm(*(c.denominator for c in x.coeffs))
+        return self.local_ints([int(c * den) for c in x.coeffs], den)
+
+    def local_ints(self, nums, den):
+        """Embed the field element with power-basis coefficients nums / den.
+
+        nums are integers and den > 0.  The content gcd(den, nums) is divided
+        out first, so the result has the vector, shift and precision of
+        `local` of the same element: with den = p^t u, p not dividing u, the
+        vector is nums * u^-1 mod (p^M, local factor), the shift t and the
+        precision M - t.
+        """
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [c // g for c in nums]
+            den //= g
+        p, pM = self.p, self.pM
         t = 0
-        while den % self.p == 0:
-            den //= self.p
+        while den % p == 0:
+            den //= p
             t += 1
-        dinv = pow(den % self.pM, -1, self.pM)
-        vec = _pmod([(c * dinv) % self.pM for c in ints],
-                    list(self.local_factor), self.pM)
-        return LocalElement(self, vec, t, self.M)
+        if den > 1:
+            dinv = pow(den, -1, pM)
+            nums = [c * dinv for c in nums]
+        return LocalElement(self, nums, t, self.M)
 
     def valuation(self, x):
         """Exact valuation of a nonzero field element, ord_p(p) = 1."""
@@ -770,11 +783,16 @@ class LocalElement:
     prec is the certified absolute precision: the representation agrees with
     the true element up to an error of valuation >= prec.  It is an exact
     int, and a Fraction only where a valuation read by the norm formula (an
-    embedding that is not monogenic) enters it.  A product x * y has
-    precision min(prec(x) + v(y), prec(y) + v(x), M).  An int or Fraction
-    factor r is not embedded: it counts as exact to M - v_p(den r) (the
-    precision `PAdicEmbedding.local` would give it), so x * r has exactly
-    the vector, shift and precision of x * emb.local(r).
+    embedding that is not monogenic) enters it.  It never exceeds M - shift
+    for the shift the element is built with: vec is known mod p^M, and
+    dividing a vector divisible by p down to a smaller shift adds no digits.
+    An embedded exact element thus has precision M - v_p(den), and exact
+    values are embedded once each (`PAdicEmbedding.local_ints`), so that
+    their digits do not pass through sums of truncated terms.  A product
+    x * y has precision min(prec(x) + v(y), prec(y) + v(x), M).  An int or
+    Fraction factor r is not embedded: it counts as exact to M - v_p(den r)
+    (the precision `PAdicEmbedding.local` would give it), so x * r has
+    exactly the vector, shift and precision of x * emb.local(r).
     """
 
     __slots__ = ("emb", "vec", "shift", "prec")
@@ -783,10 +801,15 @@ class LocalElement:
         self.emb = emb
         pM = emb.pM
         vec = [c % pM for c in vec]
-        # sums and products by a scalar never exceed the local degree
+        # an embedded field element has the field degree in coefficients
         if len(vec) > emb.degree:
             vec = list(_pmod(vec, list(emb.local_factor), pM))
         vec += [0] * (emb.degree - len(vec))
+        # vec is known mod p^M, so the element is known to M - shift; the
+        # cap is taken before the shift is normalized, because vec / p is
+        # known only mod p^(M - 1)
+        cap = emb.M - shift
+        self.prec = prec if prec < cap else cap
         # normalize the shift away when the numerator is divisible by p
         p = emb.p
         while shift > 0 and any(vec) and all(c % p == 0 for c in vec):
@@ -794,8 +817,6 @@ class LocalElement:
             shift -= 1
         self.vec = tuple(vec)
         self.shift = shift
-        cap = emb.M - shift
-        self.prec = prec if prec < cap else cap
 
     def _raw_valuation(self):
         """Valuation of the numerator vector, or None if it is 0 mod p^M."""

@@ -68,18 +68,6 @@ def evaluate(coeffs, c, d):
     return coeffs[0] * 0 if acc is None else acc
 
 
-def add(p, q):
-    return [a + b for a, b in zip(p, q)]
-
-
-def scale(p, c):
-    return [a * c for a in p]
-
-
-def zero_like(p):
-    return [a * 0 for a in p]
-
-
 def mat_mul(m1, m2):
     """Product of two 2x2 integer matrices."""
     (a, b), (c, d) = m1

@@ -1,6 +1,7 @@
 """Tests for group rings, Mazur-Tate elements, invariants, stabilization."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -463,14 +464,61 @@ def _count_elements(monkeypatch):
     return levels
 
 
-def test_twists_share_each_level(f11, monkeypatch):
-    # p = 5, sign +1: twists i = 0 and 2 of theta_{n,i} for n = 0, 1, 2
-    norm = modsym.normalize(f11, padic.primes_above(f11.field, 5, 8)[0])
+def test_twists_share_each_level(monkeypatch):
+    # p = 5, sign +1: twists i = 0 and 2 of theta_{n,i} for n = 0, 1, 2; a
+    # fresh class, since the f11 fixture keeps the elements other tests
+    # built from it
+    f = modsym.cuspidal_eigensymbols(modsym.ManinSymbolSpace(11, 2), 1)[0]
+    norm = modsym.normalize(f, padic.primes_above(f.field, 5, 8)[0])
     levels = _count_elements(monkeypatch)
     rep = analysis.invariant_table(norm, 2)
     assert [(n, i) for n, i, *_ in rep.rows] == [
         (0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2)]
     assert levels == [1, 2, 3]
+
+
+def test_weight_table_built_once_per_level(monkeypatch):
+    # 23/6, sign +1, p = 3: two classes with five primes above 3 between
+    # them, each at two precisions; the walk of each unit's path runs once
+    space = modsym.ManinSymbolSpace(23, 6)
+    classes = modsym.cuspidal_eigensymbols(space, 1)
+    walks = []
+    walk = modsym._convergent_matrices
+
+    def counted(a, b):
+        walks.append(b)
+        return walk(a, b)
+
+    monkeypatch.setattr(modsym, "_convergent_matrices", counted)
+    levels = _count_elements(monkeypatch)
+    symbols = [modsym.normalize(cls, emb) for cls in classes for M in (8, 16)
+               for emb in padic.primes_above(cls.field, 3, M)]
+    assert len(symbols) == 10
+    embedded = []
+    embed = modsym.NormalizedSymbol.embed
+
+    def counted_embed(norm, x):
+        embedded.append(x)
+        return embed(norm, x)
+
+    monkeypatch.setattr(modsym.NormalizedSymbol, "embed", counted_embed)
+    for norm in symbols:
+        analysis.invariant_table(norm, 2)
+    assert sorted(Counter(walks).items()) == [(3, 2), (9, 6), (27, 18)]
+    # one exact element per class and level, and one embedding per
+    # coefficient of each symbol's elements at levels 1, 2, 3
+    assert sorted(levels) == [1, 1, 2, 2, 3, 3]
+    assert len(embedded) == 10 * (2 + 6 + 18)
+
+
+def test_exact_elements_are_kept_per_prime(f11):
+    # the class keeps one exact element per (p, n): levels at p = 5 (from
+    # the norm11_5 fixture or built here) are not reused at p = 3
+    for p in (5, 3):
+        norm = modsym.normalize(f11, padic.primes_above(f11.field, p, 8)[0])
+        theta = mazur_tate(norm, 1)
+        assert list(theta.coeffs) == list(range(1, p))
+        assert mazurtate.exact_element(f11, p, 1).p == p
 
 
 # -- p-stabilization and L_p approximants ---------------------------------------

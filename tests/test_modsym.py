@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 
-from mtlab import linalg, modsym, padic, polyact
-from mtlab.errors import InvalidOperator
+from mtlab import linalg, mazurtate, modsym, padic, polyact
+from mtlab.errors import InvalidOperator, PrecisionExhausted
 from mtlab.linalg import QQ
-from mtlab.modsym import ManinSymbolSpace, RationalDivisor
+from mtlab.modsym import ManinSymbolSpace
 
 
 # -- oracles ----------------------------------------------------------------
@@ -122,6 +123,93 @@ def curve_ap(coeffs, ell, bad=False):
     return ell + 1 - count
 
 
+# -- references: divisors, their values and path values ----------------------
+
+class RationalDivisor:
+    """Formal integer combination of cusps; (1, 0) denotes oo."""
+
+    def __init__(self, terms):
+        merged = {}
+        for coeff, cusp in terms:
+            cusp = _normalize_cusp(cusp)
+            merged[cusp] = merged.get(cusp, 0) + coeff
+        self.terms = tuple(sorted((c, pt) for pt, c in merged.items()
+                                  if c != 0))
+
+    def degree(self):
+        return sum(c for c, _ in self.terms)
+
+    @staticmethod
+    def path(src, dst):
+        """The divisor {dst} - {src}."""
+        return RationalDivisor([(1, dst), (-1, src)])
+
+    @staticmethod
+    def from_string(text):
+        """Parse strings like "oo - 3/25" or "1/2 - 0 + 2*oo"."""
+        terms = []
+        pending_sign = 1
+        for chunk in text.replace("-", " - ").replace("+", " + ").split():
+            if chunk == "-":
+                pending_sign = -1
+            elif chunk == "+":
+                pending_sign = 1
+            else:
+                coeff = pending_sign
+                if "*" in chunk:
+                    mult, chunk = chunk.split("*", 1)
+                    coeff *= int(mult)
+                terms.append((coeff, _parse_cusp(chunk)))
+                pending_sign = 1
+        return RationalDivisor(terms)
+
+
+def _parse_cusp(text):
+    if text in ("oo", "inf", "infinity"):
+        return (1, 0)
+    if "/" in text:
+        a, b = text.split("/")
+        return (int(a), int(b))
+    return (int(text), 1)
+
+
+def _normalize_cusp(cusp):
+    a, b = cusp
+    if b == 0:
+        return (1, 0)
+    if b < 0:
+        a, b = -a, -b
+    g = gcd(abs(a), b)
+    return (a // g, b // g)
+
+
+def add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def evaluate_divisor(space, get_value, divisor):
+    """phi(D) for the symbol whose coset values come from get_value: each
+    path {oo} - {a/b} is sum Phi(B)|g^(-1) over its continued-fraction
+    matrices g."""
+    assert divisor.degree() == 0
+    acc = [get_value(0)[0] * 0] * (space.g + 1)
+    for coeff, (a, b) in divisor.terms:
+        for B, ginv in space._path_terms(a, b):
+            acc = add(acc, [x * -coeff
+                            for x in polyact.act(get_value(B), ginv)])
+    return acc
+
+
+def path_value(space, get_value, a, b):
+    """The Y^g coefficient of phi({oo} - {a/b}), b != 0: row 0 of each
+    Phi(B)|g^(-1) is Phi(B) evaluated at the bottom row (c, d) of g."""
+    acc = None
+    for _, (c, d) in modsym._convergent_matrices(a, b):
+        term = polyact.evaluate(get_value(space.plist.index(c, d)), c, d)
+        acc = term if acc is None else acc + term
+    return acc
+
+
 E11 = (0, -1, 1, -10, -20)
 E17 = (1, -1, 1, -1, -14)
 E21 = (1, 0, 0, -4, -1)
@@ -161,16 +249,12 @@ def test_manin_relations_hold():
         values = space.all_values(coords)
         for i in range(len(space.plist)):
             si = space.plist.apply_right(i, polyact.SIGMA)
-            lhs = polyact.add(values[si], polyact.act(values[i],
-                                                      polyact.SIGMA))
+            lhs = add(values[si], polyact.act(values[i], polyact.SIGMA))
             assert all(x == 0 for x in lhs)
             ti = space.plist.apply_right(i, polyact.TAU)
             tti = space.plist.apply_right(ti, polyact.TAU)
-            lhs = polyact.add(values[i],
-                              polyact.add(polyact.act(values[ti],
-                                                      polyact.TAU2),
-                                          polyact.act(values[tti],
-                                                      polyact.TAU)))
+            lhs = add(values[i], add(polyact.act(values[ti], polyact.TAU2),
+                                     polyact.act(values[tti], polyact.TAU)))
             assert all(x == 0 for x in lhs)
 
 
@@ -199,7 +283,7 @@ def test_evaluate_identity_path():
     values = space.all_values(coords)
     # {oo} - {0} is the path of the identity coset
     div = RationalDivisor.from_string("oo - 0")
-    got = space.evaluate_divisor(lambda A: values[A], div)
+    got = evaluate_divisor(space, lambda A: values[A], div)
     assert got == values[space.plist.index(0, 1)]
 
 
@@ -210,13 +294,13 @@ def test_evaluate_additive_and_antisymmetric():
     values = space.all_values(coords)
 
     def ev(text):
-        return space.evaluate_divisor(lambda A: values[A],
-                                      RationalDivisor.from_string(text))
+        return evaluate_divisor(space, lambda A: values[A],
+                                RationalDivisor.from_string(text))
 
     lhs = ev("oo - 1/3")
-    rhs = polyact.scale(ev("1/3 - oo"), -1)
+    rhs = [-x for x in ev("1/3 - oo")]
     assert lhs == rhs
-    assert ev("oo - 2/7") == polyact.add(ev("oo - 1/3"), ev("1/3 - 2/7"))
+    assert ev("oo - 2/7") == add(ev("oo - 1/3"), ev("1/3 - 2/7"))
 
 
 def test_evaluate_gamma_invariance():
@@ -244,8 +328,8 @@ def test_evaluate_gamma_invariance():
             gdiv = RationalDivisor.path(_apply_moebius(gamma, x),
                                         _apply_moebius(gamma, y))
             lhs = polyact.act(
-                space.evaluate_divisor(lambda A: values[A], gdiv), gamma)
-            rhs = space.evaluate_divisor(lambda A: values[A], div)
+                evaluate_divisor(space, lambda A: values[A], gdiv), gamma)
+            rhs = evaluate_divisor(space, lambda A: values[A], div)
             assert lhs == rhs
 
 
@@ -260,8 +344,8 @@ def test_path_value_is_row_zero_of_divisor_value(N, k):
               for _ in range(20)]
     for a, b in cusps:
         div = RationalDivisor([(1, (1, 0)), (-1, (a, b))])
-        assert space.path_value(values.__getitem__, a, b) == \
-            space.evaluate_divisor(values.__getitem__, div)[0]
+        assert path_value(space, values.__getitem__, a, b) == \
+            evaluate_divisor(space, values.__getitem__, div)[0]
 
 
 def _xgcd(a, b):
@@ -498,7 +582,11 @@ def test_integer_coset_values_match_fraction_fold(N, k, p, p_divides):
         for f in modsym.cuspidal_eigensymbols(space, sign):
             for emb in padic.primes_above(f.field, p, 8):
                 embedded = [emb.local(c) for c in f.coords]
-                for coords in (embedded, modsym.normalize(f, emb).coords):
+                # the coordinates scaled by the normalizing witness
+                A, j = modsym.normalize(f, emb).content_certificate
+                scale = space.coset_value(f.coords, A)[j].inverse()
+                normalized = [emb.local(c * scale) for c in f.coords]
+                for coords in (embedded, normalized):
                     for A in range(len(space.plist)):
                         got = space.coset_value(coords, A)
                         want = fold_coset_value(space, coords, A)
@@ -520,3 +608,133 @@ def test_integer_coset_values_match_fraction_fold(N, k, p, p_divides):
                             if not zero:
                                 assert x.valuation() == y.valuation()
     assert checked > 1000
+
+
+# -- exact values embedded once ------------------------------------------------
+
+@lru_cache(maxsize=None)
+def eigenclasses(N, k):
+    """The cuspidal eigenclasses of both signs at (N, k), built once."""
+    space = ManinSymbolSpace(N, k)
+    return [f for sign in (1, -1)
+            for f in modsym.cuspidal_eigensymbols(space, sign)]
+
+
+def field_values(f):
+    """The coset values of an eigenclass as NFElements."""
+    return [f.space.coset_value(f.coords, A)
+            for A in range(len(f.space.plist))]
+
+
+def reference_witness(f, emb):
+    """(coset, monomial) of the first value of least valuation among the
+    coset values of the embedded coordinates, summed in LocalElement
+    arithmetic."""
+    space = f.space
+    local_coords = [emb.local(c) for c in f.coords]
+    best = None
+    for A in range(len(space.plist)):
+        for j, x in enumerate(space.coset_value(local_coords, A)):
+            if x.is_zero_to_precision():
+                continue
+            val = x.valuation()
+            if best is None or val < best[0]:
+                best = (val, A, j)
+    if best is None:
+        raise PrecisionExhausted("every value vanishes")
+    return best[1:]
+
+
+def test_exact_values_are_the_field_values():
+    for N, k in ((11, 2), (23, 6), (11, 8)):
+        for f in eigenclasses(N, k):
+            for A, vec in enumerate(field_values(f)):
+                assert [f.field.element([Fraction(c, f.denominator)
+                                         for c in x])
+                        for x in f.exact_value(A)] == vec
+
+
+@pytest.mark.parametrize("N,k,p,M", [(11, 2, 5, 8), (23, 6, 3, 8),
+                                     (23, 6, 3, 4), (11, 8, 3, 8),
+                                     (11, 8, 3, 3), (13, 4, 3, 8),
+                                     (37, 2, 3, 8), (29, 4, 5, 6)])
+def test_witness_matches_reference_scan(N, k, p, M):
+    for f in eigenclasses(N, k):
+        for emb in padic.primes_above(f.field, p, M):
+            try:
+                want = reference_witness(f, emb)
+            except PrecisionExhausted:
+                with pytest.raises(PrecisionExhausted):
+                    modsym.normalize(f, emb)
+                continue
+            assert modsym.normalize(f, emb).content_certificate == want
+
+
+PATH_CASES = [(11, 2, 5), (23, 6, 3), (11, 8, 3)]
+
+
+@pytest.mark.parametrize("N,k,p", PATH_CASES)
+def test_path_weights_match_path_value(N, k, p):
+    for f in eigenclasses(N, k):
+        space = f.space
+        exact = field_values(f)
+        norm = modsym.normalize(f, padic.primes_above(f.field, p, 8)[0])
+        for n in (1, 2, 3):
+            pn = p ** n
+            weights = space.path_weights(p, n)
+            assert list(weights) == [a for a in range(1, pn) if a % p]
+            ints = mazurtate.mazur_tate_values(space, f.exact_value, p, n)
+            fields = mazurtate.mazur_tate_values(space, exact.__getitem__,
+                                                 p, n)
+            local = mazurtate.mazur_tate_values(space, norm.value, p, n)
+            for a in weights:
+                want = path_value(space, exact.__getitem__, a, pn)
+                assert fields.coeffs[a] == want
+                assert f.field.element(
+                    [Fraction(c, f.denominator)
+                     for c in ints.coeffs[a]]) == want
+                ref = path_value(space, norm.value, a, pn)
+                assert (local.coeffs[a] - ref).is_zero_to_precision()
+
+
+def same_local(x, y):
+    return (x.vec, x.shift, x.prec) == (y.vec, y.shift, y.prec)
+
+
+@pytest.mark.parametrize("N,k,p", PATH_CASES)
+def test_values_and_theta_embed_the_exact_elements(N, k, p):
+    for f in eigenclasses(N, k):
+        space = f.space
+        exact = field_values(f)
+        for emb in padic.primes_above(f.field, p, 8):
+            norm = modsym.normalize(f, emb)
+            A, j = norm.content_certificate
+            scale = exact[A][j].inverse()
+            for B in range(len(space.plist)):
+                for x, y in zip(norm.value(B), exact[B]):
+                    assert same_local(x, emb.local(scale * y))
+            for n in (1, 2):
+                theta = mazurtate.mazur_tate(norm, n)
+                for a, c in theta.coeffs.items():
+                    want = path_value(space, exact.__getitem__, a, p ** n)
+                    assert same_local(c, emb.local(scale * want))
+
+
+# at M = 8 the parent claimed digits here that the M = 16 values refute
+@pytest.mark.parametrize("N,k,p", [(23, 6, 3), (11, 8, 3)])
+def test_normalized_values_agree_at_double_precision(N, k, p):
+    checked = 0
+    for f in eigenclasses(N, k):
+        embs = zip(padic.primes_above(f.field, p, 8),
+                   padic.primes_above(f.field, p, 16))
+        for emb, emb2 in embs:
+            norm, norm2 = modsym.normalize(f, emb), modsym.normalize(f, emb2)
+            assert norm.content_certificate == norm2.content_certificate
+            for A in range(len(f.space.plist)):
+                for x, y in zip(norm.value(A), norm2.value(A)):
+                    lifted = padic.LocalElement(emb2, x.vec, x.shift,
+                                                x.prec)
+                    assert x.prec <= y.prec
+                    assert (y - lifted).is_zero_to_precision()
+                    checked += 1
+    assert checked > 300

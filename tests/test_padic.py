@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -425,3 +426,39 @@ def test_rational_factor_matches_embedded_factor(data):
     for fast in (x * r, r * x):
         assert (fast.vec, fast.shift, fast.prec) == \
             (slow.vec, slow.shift, slow.prec)
+
+
+# -- embedded elements: the certified digits survive a higher precision -------
+
+# p split in Q(i) at 5 and Q(sqrt 2) at 7, ramified in Q(sqrt 3) at 3,
+# inert in Q(sqrt 2) at 3, two primes of degree 2 in Q(sqrt 2, sqrt 3) at 5
+LIFT_CASES = [(QQ, 3), (padic.make_field([1, 0, 1]), 5),
+              (padic.make_field([-2, 0, 1]), 7),
+              (padic.make_field([-3, 0, 1]), 3),
+              (padic.make_field([-2, 0, 1]), 3),
+              (padic.make_field([1, 0, -10, 0, 1]), 5)]
+
+@lru_cache(maxsize=None)
+def embeddings(field, p, M):
+    return padic.primes_above(field, p, M)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_local_agrees_with_double_precision(data):
+    field, p = data.draw(st.sampled_from(LIFT_CASES))
+    M = data.draw(st.sampled_from([3, 4, 6]))
+    nums = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                              min_size=field.degree, max_size=field.degree))
+    den = p ** data.draw(st.integers(1, M - 1)) * \
+        data.draw(st.integers(1, 50).filter(lambda d: d % p))
+    x = field.element([Fraction(c, den) for c in nums])
+    for emb, emb2 in zip(embeddings(field, p, M),
+                         embeddings(field, p, 2 * M)):
+        got, want = emb.local(x), emb2.local(x)
+        lifted = padic.LocalElement(emb2, got.vec, got.shift, got.prec)
+        assert got.prec <= want.prec
+        assert (want - lifted).is_zero_to_precision()
+        ints = emb.local_ints(nums, den)
+        assert (ints.vec, ints.shift, ints.prec) == \
+            (got.vec, got.shift, got.prec)
