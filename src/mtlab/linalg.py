@@ -1,12 +1,16 @@
-"""Exact linear algebra over generic fields, plus rational charpoly tools.
+"""Exact linear algebra over Q and other fields, plus rational charpoly tools.
 
-Gaussian elimination routines are parameterized by a field adapter exposing
-zero() and one(); elements must support +, -, *, / and an is_zero test
-(either an is_zero() method or comparison with 0).  This serves Fraction
-matrices, finite fields and number fields with one code path.  `rref`
-eliminates on sparse rows, so its cost follows the nonzero entries: the
-Manin relation matrices are mostly zeros (2.9% nonzero at level 69,
-weight 6).
+Gaussian elimination routines take a field adapter exposing zero() and
+one(); elements must support +, -, *, / and an is_zero test (either an
+is_zero() method or comparison with 0).  Over Q (the adapter `QQ`, entries
+int or Fraction) elimination is fraction-free: each row is cleared of
+denominators once and kept as a primitive integer row, rows are combined by
+cross-multiplication, and an entry is divided by its pivot only when the
+result is written, as a Fraction.  Other fields (the residue fields of
+`analysis.oldspace_decompose`, number fields) run the same loop with field
+arithmetic.  Both eliminate on sparse rows, so the cost follows the nonzero
+entries: the Manin relation matrices are mostly zeros (2.9% nonzero at
+level 69, weight 6).
 
 Characteristic polynomials come from Berkowitz's division-free recurrence
 and factors over Q from Zassenhaus's algorithm, on the F_p factoring and
@@ -15,13 +19,13 @@ degree, matching polyq.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import padic, polyq
 
 
 class _RationalField:
-    """Field adapter for Fraction matrices."""
+    """Field adapter for matrices over Q, with int and Fraction entries."""
 
     @staticmethod
     def zero():
@@ -47,16 +51,22 @@ def rref(rows, field):
 
     Rows are eliminated as sparse {column: entry} maps holding only nonzero
     entries.  For each column c in turn, the first row at or below the next
-    pivot row r with a nonzero in column c is swapped up to r, scaled to a
-    leading one and subtracted from the rows below it; then each pivot row,
-    from the last up, is subtracted from the rows above it.  The result is
-    returned as dense rows.
+    pivot row r with a nonzero in column c is swapped up to r and cleared
+    from the rows below it; then each pivot row, from the last up, is
+    cleared from the rows above it.  The result is returned as dense rows,
+    each divided by its pivot entry.  Over QQ the rows are primitive integer
+    rows throughout and the entries of the result are Fractions.
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    mat = [{c: x for c, x in enumerate(row) if not is_zero(x)}
-           for row in rows]
+    if field is QQ:
+        mat = [_primitive_row(row) for row in rows]
+        eliminate = _cross_eliminate
+    else:
+        mat = [{c: x for c, x in enumerate(row) if not is_zero(x)}
+               for row in rows]
+        eliminate = _eliminate
     pivots = []
     r = 0
     for c in range(ncols):
@@ -64,27 +74,61 @@ def rref(rows, field):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.one() / mat[r][c]
-        mat[r] = {k: x * inv for k, x in mat[r].items()}
-        for row in mat[r + 1:]:
-            _eliminate(row, mat[r], c)
+        for i in range(r + 1, len(mat)):
+            if c in mat[i]:
+                mat[i] = eliminate(mat[i], mat[r], c)
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
     for k in range(r - 1, 0, -1):
-        for row in mat[:k]:
-            _eliminate(row, mat[k], pivots[k])
+        c = pivots[k]
+        for i in range(k):
+            if c in mat[i]:
+                mat[i] = eliminate(mat[i], mat[k], c)
     zero = field.zero()
-    dense = [[row.get(c, zero) for c in range(ncols)] for row in mat[:r]]
+    dense = []
+    for row, c in zip(mat, pivots):
+        inv = field.one() / row[c]
+        dense.append([row[k] * inv if k in row else zero
+                      for k in range(ncols)])
     return dense, pivots
 
 
+def _primitive_row(row):
+    """A row of ints and Fractions as a primitive integer row."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive({c: x.numerator * (den // x.denominator)
+                       for c, x in enumerate(row) if x})
+
+
+def _primitive(row):
+    """The integer row {column: entry} divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {k: x // g for k, x in row.items()}
+    return row
+
+
+def _cross_eliminate(row, prow, c):
+    """The primitive integer row a * row - b * prow, for a : b the ratio
+    prow[c] : row[c] in lowest terms, which has no entry in column c."""
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    out = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
+    for k, y in prow.items():
+        x = out.get(k, 0) - b * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return _primitive(out)
+
+
 def _eliminate(row, prow, c):
-    """Subtract row[c] times the pivot row prow (prow[c] = 1) from row."""
-    f = row.get(c)
-    if f is None:
-        return
+    """Subtract row[c] / prow[c] times the pivot row prow from row, in the
+    arithmetic of the row entries' field."""
+    f = row[c] / prow[c]
     for k, x in prow.items():
         y = row.get(k)
         if y is None:
@@ -95,6 +139,7 @@ def _eliminate(row, prow, c):
             del row[k]
         else:
             row[k] = y
+    return row
 
 
 def kernel_basis(rows, ncols, field):
@@ -173,17 +218,19 @@ def rank(rows, field):
 
 
 def charpoly_rational(rows):
-    """Characteristic polynomial of a Fraction matrix, lowest degree first.
+    """Characteristic polynomial of a matrix of ints and Fractions, lowest
+    degree first, as Fractions.
 
     Berkowitz's division-free recurrence on the integer matrix B = dA, d the
     common denominator of the entries; then charpoly_A(x) = d^-n
-    charpoly_B(dx). Bordering the leading r x r block M with column c, row
+    charpoly_B(dx), which for an integer matrix (d = 1) is the integer
+    charpoly of B itself. Bordering the leading r x r block M with column c, row
     r and corner a multiplies its charpoly (highest degree first) by the
     lower triangular Toeplitz matrix with first column
     1, -a, -rc, -rMc, ..., -rM^(r-1)c.
     """
-    d = lcm(*(Fraction(x).denominator for row in rows for x in row))
-    b = [[int(x * d) for x in row] for row in rows]
+    d = lcm(*(x.denominator for row in rows for x in row))
+    b = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
     poly = [1]
     for r, row in enumerate(b):
         toeplitz = [1, -row[r]]
@@ -219,21 +266,3 @@ def factor_rational_poly(coeffs):
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 
-
-def minpoly_of_matrix_action(apply_op, start, field):
-    """Minimal polynomial of an operator on the cyclic space generated by start.
-
-    apply_op maps a vector to a vector.  Returns (coeffs, krylov) where
-    coeffs is monic in increasing degree and krylov lists the vectors
-    start, A start, ..., A^(d-1) start.
-    """
-    krylov = [list(start)]
-    while True:
-        nxt = apply_op(krylov[-1])
-        # try to express nxt in the span of krylov
-        rows = list(zip(*krylov))
-        sol = solve([list(r) for r in rows], nxt, field)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [field.one()]
-            return coeffs, krylov
-        krylov.append(nxt)

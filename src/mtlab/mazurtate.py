@@ -247,6 +247,8 @@ def omega_decompose(theta, i):
     """The omega^i-projection O[(Z/p^(n+1))^*] -> O[G_n].
 
     sigma_a maps to omega(a)^i gamma_n^dlog<a> where a = omega(a)<a>.
+    The Teichmuller lift omega(a) mod p^M, its inverse and its i-th power
+    depend only on (a mod p, M), so each is computed once per call.
     """
     p = theta.p
     n1 = theta.n
@@ -255,15 +257,19 @@ def omega_decompose(theta, i):
     if not (0 <= i <= p - 2):
         raise ValueError("i must lie in 0 .. p-2")
     dlog = _dlog_table(p, n1)
+    lifts = {}
     out = [None] * (p ** n)
     for a, c in theta.coeffs.items():
         prec = getattr(c, "prec", None)
         M = c.emb.M if prec is not None else n1
-        w = padic.teichmuller(p, a, M)
-        pM = p ** M
-        winv = pow(w, -1, pM)
+        lift = lifts.get((a % p, M))
+        if lift is None:
+            pM = p ** M
+            w = padic.teichmuller(p, a, M)
+            lift = lifts[a % p, M] = (pow(w, -1, pM), pow(w, i, pM))
+        winv, wi = lift
         j = dlog[(a * winv) % pn1]
-        term = c * pow(w, i, pM)
+        term = c * wi
         out[j] = term if out[j] is None else out[j] + term
     return CyclicGroupRingElement(p, n, out)
 

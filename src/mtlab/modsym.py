@@ -21,8 +21,14 @@ positions.  The values of the basis symbols are kept as sparse integer rows,
 each over a divisor d of one denominator D per space, so an entry of a
 coset value costs one integer combination of coordinates and at most one
 scaling by 1/d.  Each Hecke operator, iota and w_N is built once per space
-as a matrix on the free basis, in integers over D, and acts on coordinates
-by a matrix-vector product.
+as an integer matrix H on the free basis, the operator being H / D, and
+acts on coordinates by a matrix-vector product.
+
+The splitting into Hecke eigenclasses stays in integers: subspace bases,
+restricted operators and Krylov vectors are integer rows over one
+denominator, characteristic polynomials are integral, and the
+eliminations (`linalg.rref`, fraction-free over Q) are the only place
+Fractions appear, one conversion per elimination.
 
 An eigenclass keeps its coset values exactly, as integer vectors in the
 power basis of its Hecke field over one denominator.  Normalizing it at a
@@ -32,10 +38,11 @@ made once, so its certified digits are those of the exact value.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import count, islice
 from math import gcd, lcm
 
-from . import linalg, p1, polyact, polyq
+from . import linalg, p1, polyact
 from .errors import (
     InvalidOperator,
     OutOfBudget,
@@ -93,7 +100,6 @@ class ManinSymbolSpace:
         self.M = level
         self.k = weight
         self.g = weight - 2
-        self.field = QQ
         self.plist = p1.P1List(level)
         size = len(self.plist) * (self.g + 1)
         if size > GENERATOR_CAP:
@@ -107,11 +113,7 @@ class ManinSymbolSpace:
 
     # -- construction ------------------------------------------------------
 
-    def _int(self, n):
-        return self.field.one() * n
-
     def _build(self):
-        field = self.field
         g = self.g
         gp1 = g + 1
         nc = len(self.plist)
@@ -121,31 +123,31 @@ class ManinSymbolSpace:
         sperm = [self.plist.apply_right(i, polyact.SIGMA) for i in range(nc)]
         tperm = [self.plist.apply_right(i, polyact.TAU) for i in range(nc)]
 
+        ident = [[int(r == c) for c in range(gp1)] for r in range(gp1)]
+
         # sigma structure: express every Phi(A) through a parameter block
         param_pos = []        # param index -> (coset, monomial) position
-        expr = [None] * nc    # coset -> (base, block matrix over field)
+        expr = [None] * nc    # coset -> (base, rational block matrix)
         for i in range(nc):
             j = sperm[i]
             if j < i:
                 continue
             base = len(param_pos)
             if i == j:
-                rows = [[self._int(msig[r][c] + (1 if r == c else 0))
+                rows = [[msig[r][c] + (1 if r == c else 0)
                          for c in range(gp1)] for r in range(gp1)]
-                red, pivots = linalg.rref(rows, field)
+                red, pivots = linalg.rref(rows, QQ)
                 free = [c for c in range(gp1) if c not in pivots]
-                kmat = [[field.zero()] * len(free) for _ in range(gp1)]
+                kmat = [[0] * len(free) for _ in range(gp1)]
                 for t, fc in enumerate(free):
-                    kmat[fc][t] = field.one()
+                    kmat[fc][t] = 1
                     for row, pc in zip(red, pivots):
                         kmat[pc][t] = -row[fc]
                 expr[i] = (base, kmat)
                 param_pos.extend((i, fc) for fc in free)
             else:
-                ident = [[field.one() if r == c else field.zero()
-                          for c in range(gp1)] for r in range(gp1)]
                 expr[i] = (base, ident)
-                partner = [[self._int(-msig[r][c]) for c in range(gp1)]
+                partner = [[-msig[r][c] for c in range(gp1)]
                            for r in range(gp1)]
                 expr[j] = (base, partner)
                 param_pos.extend((i, c) for c in range(gp1))
@@ -164,30 +166,28 @@ class ManinSymbolSpace:
                     mrow = mat[mid]
                     for c in range(width):
                         x = mrow[c]
-                        if not linalg.is_zero(x):
-                            row[base + c] = row[base + c] + x * f
+                        if x:
+                            row[base + c] += x * f
 
-        ident_int = [[1 if r == c else 0 for c in range(gp1)]
-                     for r in range(gp1)]
         relations = []
         for A in range(nc):
             orbit = (A, tperm[A], tperm[tperm[A]])
             if min(orbit) != A:
                 continue
-            rows_block = [[field.zero()] * nparams for _ in range(gp1)]
-            add_block(rows_block, orbit[0], ident_int)
+            rows_block = [[0] * nparams for _ in range(gp1)]
+            add_block(rows_block, orbit[0], ident)
             add_block(rows_block, orbit[1], mtau2)
             add_block(rows_block, orbit[2], mtau)
             relations.extend(rows_block)
 
-        red, pivots = linalg.rref(relations, field)
+        red, pivots = linalg.rref(relations, QQ)
         pivot_set = set(pivots)
         free = [c for c in range(nparams) if c not in pivot_set]
         dim = len(free)
         # the free basis in parameter coordinates, as sparse rows
         brows = [{} for _ in range(nparams)]
         for idx, fc in enumerate(free):
-            brows[fc] = {idx: field.one()}
+            brows[fc] = {idx: 1}
         for row, pc in zip(red, pivots):
             brows[pc] = {idx: -row[fc] for idx, fc in enumerate(free)
                          if row[fc]}
@@ -389,14 +389,18 @@ class ManinSymbolSpace:
         return self.apply_plan_to_values(self._plan(op, cosets), values)
 
     def apply_operator_to_coords(self, op, coords):
-        return linalg.mat_vec(self.hecke_matrix(op), coords)
+        """Coordinates of phi|op, H coords / D for H = hecke_matrix(op)."""
+        scale = Fraction(1, self.denominator)
+        H = self.hecke_matrix(op)
+        return [x * scale for x in linalg.mat_vec(H, coords)]
 
     def hecke_matrix(self, op):
-        """Matrix of T_ell, U_q, iota or w_N in the free basis, built once.
+        """Integer matrix H of T_ell, U_q, iota or w_N in the free basis,
+        built once: the operator's matrix is H / D, D = `denominator`.
 
-        Row i, for the position (A, j) of coordinate i, is row j of
+        Row i, for the position (A, j) of coordinate i, is D times row j of
         Phi_op(A) = sum over the plan's (B, m) of m * values_basis[B]:
-        an integer combination of integer rows, divided once by D.
+        an integer combination of integer rows.
         """
         cached = self._matrix_cache.get(op)
         if cached is not None:
@@ -414,35 +418,42 @@ class ManinSymbolSpace:
                         scale = w * (D // d)
                         for k, n in terms:
                             acc[k] += scale * n
-            mat.append([Fraction(x, D) for x in acc])
+            mat.append(acc)
         self._matrix_cache[op] = mat
         return mat
 
     # -- subspaces -----------------------------------------------------------
+    #
+    # A basis is a pair (rows, den): its vectors are the integer coordinate
+    # rows divided by den.
 
     def sign_subspace(self, sign):
-        """Basis (list of coordinate vectors) of the sign eigenspace of iota."""
+        """Basis (rows, den) of the sign eigenspace of iota: the kernel of
+        H - sign * D * I for the integer matrix H = D * iota."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        J = self.hecke_matrix("iota")
-        rows = [[J[r][c] - (self._int(sign) if r == c else self.field.zero())
-                 for c in range(self.dim)] for r in range(self.dim)]
-        return linalg.kernel_basis(rows, self.dim, self.field)
+        diag = sign * self.denominator
+        rows = [[x - diag if r == c else x for c, x in enumerate(row)]
+                for r, row in enumerate(self.hecke_matrix("iota"))]
+        return _integer_rows(linalg.kernel_basis(rows, self.dim, QQ))
 
     def _restrict_operator(self, op, basis):
-        """Matrix of an operator on the span of the given coordinate vectors.
+        """Matrix (B, d) of an operator on the span of a basis (rows, den):
+        image j is sum_i (B[i][j] / d) * vector i.
 
-        One rref of [basis columns | image columns]: the images lie in the
-        span exactly when the pivots are the basis columns, and column
-        d + j of the reduced rows then holds the coordinates of image j.
+        One rref of [rows | H rows] as columns, H = D * op: the images lie
+        in the span exactly when the pivots are the basis columns, and
+        column len(rows) + j of the reduced rows then holds D times the
+        coordinates of image j.
         """
-        d = len(basis)
-        images = [self.apply_operator_to_coords(op, v) for v in basis]
-        red, pivots = linalg.rref([list(r) for r in zip(*basis, *images)],
-                                  self.field)
-        if pivots != list(range(d)):
+        rows, _ = basis
+        nb = len(rows)
+        H = self.hecke_matrix(op)
+        images = [linalg.mat_vec(H, v) for v in rows]
+        red, pivots = linalg.rref([list(r) for r in zip(*rows, *images)], QQ)
+        if pivots != list(range(nb)):
             raise InvalidOperator("%s does not preserve the subspace" % op)
-        return [row[d:] for row in red]
+        return _integer_rows([row[nb:] for row in red], self.denominator)
 
     def good_primes(self):
         """The primes not dividing the level, increasing."""
@@ -450,36 +461,32 @@ class ManinSymbolSpace:
                 if self.M % q and padic.prime_divisors(q) == [q])
 
     def cuspidal_subspace(self, sign):
-        """Basis of the cuspidal part of the sign eigenspace.
+        """Basis (rows, den) of the cuspidal part of the sign eigenspace.
 
         Computed as the kernel of f(T_ell) where f is the characteristic
         polynomial of T_ell on the sign eigenspace with every factor
         (x - (1 + ell^(k-1))) removed: boundary eigensystems have
-        a_ell = 1 + ell^(k-1), which no cuspidal system can attain.
+        a_ell = 1 + ell^(k-1), which no cuspidal system can attain.  With
+        T_ell = B / d on the eigenspace, f is taken in integers as the
+        charpoly of B without the factors (x - d(1 + ell^(k-1))), and f(B)
+        has the kernel of f(T_ell).
         """
         basis = self.sign_subspace(sign)
-        if not basis:
-            return []
+        rows, den = basis
+        if not rows:
+            return basis
         ell = next(self.good_primes())
-        tsub = self._restrict_operator("T%d" % ell, basis)
-        cp = linalg.charpoly_rational(tsub)
-        eis = Fraction(1 + ell ** (self.k - 1))
-        fc = cp
-        while True:
-            quo, rem = polyq.divmod_poly(fc, [-eis, Fraction(1)])
-            if rem and any(c != 0 for c in rem):
+        B, d = self._restrict_operator("T%d" % ell, basis)
+        f = [c.numerator for c in linalg.charpoly_rational(B)]
+        eis = d * (1 + ell ** (self.k - 1))
+        while len(f) > 1:
+            quo, rem = _divide_by_root(f, eis)
+            if rem:
                 break
-            if not quo:
-                break
-            fc = quo
-        mat = _poly_of_matrix(fc, tsub)
-        ker = linalg.kernel_basis(mat, len(basis), self.field)
-        out = []
-        for y in ker:
-            full = [sum((y[t] * basis[t][i] for t in range(len(basis))),
-                        Fraction(0)) for i in range(self.dim)]
-            out.append(full)
-        return out
+            f = quo
+        ker, kden = _integer_rows(
+            linalg.kernel_basis(_poly_of_matrix(f, B), len(rows), QQ))
+        return _lowest([_combine(y, rows) for y in ker], kden * den)
 
 
 def _integer_row(row, D):
@@ -490,22 +497,52 @@ def _integer_row(row, D):
     return d, tuple((j, n * d // D) for j, n in ints)
 
 
-def _poly_of_matrix(coeffs, mat):
-    """A nonzero integer multiple of f(mat), by Horner's rule in integers.
+def _integer_rows(vectors, scale=1):
+    """(rows, den) in lowest terms with integer rows / den equal to the
+    rational vectors divided by scale."""
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    rows = [[x.numerator * (den // x.denominator) for x in v]
+            for v in vectors]
+    return _lowest(rows, den * scale)
 
-    With mat = B / d and f = c / L for integral B and c, the result is
-    L d^deg(f) f(mat) = sum c_i d^(deg(f) - i) B^i, which has the kernel
-    (and the reduced row echelon form) of f(mat).
-    """
-    d = lcm(*(x.denominator for row in mat for x in row))
-    b_cols = list(zip(*([int(x * d) for x in row] for row in mat)))
-    L = lcm(*(c.denominator for c in coeffs))
-    deg = len(coeffs) - 1
-    ints = [int(c * L) * d ** (deg - i) for i, c in enumerate(coeffs)]
+
+def _lowest(rows, den):
+    """(rows, den) divided by the gcd of den and every entry."""
+    g = gcd(den, *(x for row in rows for x in row))
+    if g == 1:
+        return rows, den
+    return [[x // g for x in row] for row in rows], den // g
+
+
+def _combine(coeffs, rows):
+    """sum coeffs[t] * rows[t] for integer coefficients and rows."""
+    out = [0] * len(rows[0])
+    for y, row in zip(coeffs, rows):
+        if y:
+            out = [a + y * x for a, x in zip(out, row)]
+    return out
+
+
+def _divide_by_root(f, r):
+    """(quotient, remainder) of the integer polynomial f (lowest degree
+    first) divided by x - r, by synthetic division."""
+    acc = 0
+    out = []
+    for c in reversed(f):
+        acc = acc * r + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def _poly_of_matrix(coeffs, mat):
+    """f(mat) for an integer polynomial f (lowest degree first) and an
+    integer matrix, by Horner's rule."""
+    cols = list(zip(*mat))
     n = len(mat)
-    out = [[ints[-1] if r == c else 0 for c in range(n)] for r in range(n)]
-    for ci in reversed(ints[:-1]):
-        out = [[sum(x * y for x, y in zip(row, col)) for col in b_cols]
+    out = [[coeffs[-1] if r == c else 0 for c in range(n)] for r in range(n)]
+    for ci in reversed(coeffs[:-1]):
+        out = [[sum(x * y for x, y in zip(row, col)) for col in cols]
                for row in out]
         for r in range(n):
             out[r][r] += ci
@@ -519,35 +556,37 @@ def _poly_of_matrix(coeffs, mat):
 class Eigensymbol:
     """A cuspidal Hecke eigenclass with coordinates over its eigenvalue field.
 
-    coords are NFElements of the field generated by the splitting element;
-    eigenvalues a_ell are computed on demand by solving in the Krylov basis
-    of the splitting operator on the cuspidal subspace.
-
     The class's exact data are integers over one denominator: coordinate j
-    has power-basis coefficients numerators[j] / E, E the least common
-    denominator of the coordinates, and `exact_value(A)` gives Phi(A) as
-    integer vectors over `denominator` = E * D, D the space's denominator.
-    The exact Mazur-Tate elements built from them are kept in `elements`,
-    keyed by (p, n), for every prime above p, precision and twist.
+    has power-basis coefficients numerators[j] / E in the field generated by
+    the splitting element, E the least common denominator of the
+    coordinates, and `exact_value(A)` gives Phi(A) as integer vectors over
+    `denominator` = E * D, D the space's denominator.  `coords` are the
+    coordinates as NFElements.  Eigenvalues a_ell are computed on demand by
+    solving in the Krylov basis of the splitting operator.  The exact
+    Mazur-Tate elements built from the class are kept in `elements`, keyed
+    by (p, n), for every prime above p, precision and twist.
     """
 
-    def __init__(self, space, sign, field, coords, splitting):
+    def __init__(self, space, sign, field, numerators, E, splitting):
         self.space = space
         self.sign = sign
         self.field = field
-        self.coords = coords
+        self.numerators = numerators
+        self.denominator = E * space.denominator
         self._splitting = splitting
         self._eigenvalues = {}
-        E = lcm(*(c.denominator for x in coords for c in x.coeffs))
-        self.numerators = [tuple(int(c * E) for c in x.coeffs)
-                           for x in coords]
-        self.denominator = E * space.denominator
         self._exact_values = {}
         self.elements = {}
 
     @property
     def minpoly(self):
         return self._splitting["factor"]
+
+    @cached_property
+    def coords(self):
+        E = self.denominator // self.space.denominator
+        return [self.field.element([Fraction(c, E) for c in nums])
+                for nums in self.numerators]
 
     def exact_value(self, A):
         """Phi(A) as integer vectors over `denominator`, built once: row
@@ -568,20 +607,27 @@ class Eigensymbol:
         return cached
 
     def a(self, ell):
-        """Hecke eigenvalue a_ell (or the U_q eigenvalue for q | level)."""
+        """Hecke eigenvalue a_ell (or the U_q eigenvalue for q | level).
+
+        The Krylov vectors S^j v of the splitting operator S are N_j / f_j
+        for integer N_j.  Solving H N_0 = sum u_j N_j, H = D * T_ell, gives
+        T_ell v = sum u_j f_j / (D f_0) S^j v, so T_ell = sum of these
+        multiples of S^j on the cuspidal subspace (v is cyclic), and a_ell
+        is the same sum at the eigenvalue z of S.
+        """
         cached = self._eigenvalues.get(ell)
         if cached is not None:
             return cached
         sp = self._splitting
         space = self.space
         op = ("U%d" if space.M % ell == 0 else "T%d") % ell
-        w = space.apply_operator_to_coords(op, sp["v_full"])
-        sub = _subspace_coords(sp["basis_rows"], w)
-        r = linalg.mat_vec(sp["krylov_inv"], sub)
-        z = sp["z"]
+        (N0, f0), z = sp["krylov"][0], self.field.gen()
+        u = _subspace_coords(sp["krylov_rows"],
+                             linalg.mat_vec(space.hecke_matrix(op), N0))
         acc = self.field.zero()
-        for c in reversed(r):
-            acc = acc * z + self.field.from_rational(c)
+        for c, (_, f) in zip(reversed(u), reversed(sp["krylov"])):
+            acc = acc * z + self.field.from_rational(
+                c * Fraction(f, space.denominator * f0))
         self._eigenvalues[ell] = acc
         return acc
 
@@ -618,16 +664,18 @@ def _splitting_candidates(space):
 def cuspidal_eigensymbols(space, sign):
     """One Eigensymbol per Galois conjugacy class of cuspidal eigenforms.
 
-    Finds a splitting operator (an integer combination of Hecke operators)
-    with squarefree characteristic polynomial on the cuspidal subspace, a
-    cyclic vector v, and reads each eigenclass off by synthetic division of
-    the characteristic polynomial in the Krylov basis of v.
+    Finds a splitting operator S = B / d (an integer combination of Hecke
+    operators, restricted to the cuspidal subspace) with squarefree
+    characteristic polynomial, and a cyclic vector v, and reads each
+    eigenclass off by synthetic division of the characteristic polynomial
+    in the Krylov basis of v, all in integers.  The charpoly of S is
+    integral, a Hecke operator preserving the integral symbols, and is
+    read off the integer charpoly g of B as g_i / d^(n-i).
     """
     basis = space.cuspidal_subspace(sign)
-    if not basis:
+    if not basis[0]:
         return []
-    ds = len(basis)
-    basis_rows = [list(r) for r in zip(*basis)]
+    ds = len(basis[0])
     restricted = {}
 
     def restrict(op):
@@ -639,79 +687,85 @@ def cuspidal_eigensymbols(space, sign):
 
     for combo in _splitting_candidates(space):
         mats = [restrict(op) for op, _ in combo]
-        smat = [[sum(Fraction(c) * m[r][col] for (_, c), m in
-                     zip(combo, mats)) for col in range(ds)]
-                for r in range(ds)]
-        cp = linalg.charpoly_rational(smat)
-        dcp = [i * cp[i] for i in range(1, len(cp))]
-        gcdpoly, _, _ = polyq.xgcd(cp, dcp)
-        if len(gcdpoly) != 1:
+        d = lcm(*(dm for _, dm in mats))
+        smat = [[sum(c * (d // dm) * m[r][col]
+                     for (_, c), (m, dm) in zip(combo, mats))
+                 for col in range(ds)] for r in range(ds)]
+        charpoly = []
+        for i, c in enumerate(linalg.charpoly_rational(smat)):
+            q, r = divmod(c.numerator, d ** (ds - i))
+            assert r == 0
+            charpoly.append(q)
+        try:
+            factors = padic.factor_monic_int(charpoly)
+        except ValueError:  # not squarefree
             continue
-        v = _find_cyclic_vector(smat, ds)
-        if v is None:
+        krylov = _cyclic_krylov_basis(smat, d)
+        if krylov is None:
             continue
-        return _extract_classes(space, sign, basis, basis_rows, smat, cp, v)
+        return _extract_classes(space, sign, basis, charpoly, factors,
+                                krylov)
     raise SplittingFailure(
         "no splitting operator with squarefree charpoly found at level %d "
         "weight %d sign %+d" % (space.M, space.k, sign))
 
 
-def _find_cyclic_vector(smat, ds):
-    candidates = []
-    for i in range(ds):
-        vec = [Fraction(1 if j == i else 0) for j in range(ds)]
-        candidates.append(vec)
-    for w in (2, 3):
-        candidates.append([Fraction(pow(w, j, 97)) for j in range(ds)])
+def _cyclic_krylov_basis(smat, d):
+    """The Krylov basis v, Sv, ..., S^(n-1) v of S = smat / d for the first
+    candidate v that is cyclic for S, or None; each vector S^m v is a pair
+    (integer row, denominator) in lowest terms."""
+    ds = len(smat)
+    candidates = [[int(j == i) for j in range(ds)] for i in range(ds)]
+    candidates += [[pow(w, j, 97) for j in range(ds)] for w in (2, 3)]
     for v in candidates:
-        coeffs, krylov = linalg.minpoly_of_matrix_action(
-            lambda x: linalg.mat_vec(smat, x), v, QQ)
-        if len(coeffs) - 1 == ds:
-            return v
+        krylov = [(v, 1)]
+        for _ in range(ds - 1):
+            u, e = krylov[-1]
+            (u,), e = _lowest([linalg.mat_vec(smat, u)], d * e)
+            krylov.append((u, e))
+        if linalg.rank([u for u, _ in krylov], QQ) == ds:
+            return krylov
     return None
 
 
-def _extract_classes(space, sign, basis, basis_rows, smat, cp, v):
-    ds = len(basis)
-    krylov = [v]
-    for _ in range(ds - 1):
-        krylov.append(linalg.mat_vec(smat, krylov[-1]))
-    kry_cols = [[krylov[j][i] for j in range(ds)] for i in range(ds)]
-    kry_inv = linalg.invert(kry_cols, QQ)
-    if kry_inv is None:
-        raise SplittingFailure("cyclic vector check failed")
-    v_full = [sum((v[t] * basis[t][i] for t in range(ds)), Fraction(0))
-              for i in range(space.dim)]
-    krylov_full = [[sum((kv[t] * basis[t][i] for t in range(ds)), Fraction(0))
-                    for i in range(space.dim)] for kv in krylov]
+def _extract_classes(space, sign, basis, charpoly, factors, krylov):
+    """One Eigensymbol per irreducible factor of the charpoly of S.
+
+    For a root z of the factor, synthetic division of the charpoly by
+    (x - z) gives integer vectors h_m in the power basis of z, and the
+    z-eigenvector is sum h_m S^m v.  In full coordinates S^m v = N_m / f_m,
+    so its coordinates are integer vectors over F = lcm(f_m).
+    """
+    rows, c = basis
+    full = []
+    for u, e in krylov:
+        (N,), f = _lowest([_combine(u, rows)], e * c)
+        full.append((N, f))
+    F = lcm(*(f for _, f in full))
+    splitting = {"krylov": full,
+                 "krylov_rows": [list(r) for r in zip(*(N for N, _ in full))]}
     out = []
-    for fac, mult in linalg.factor_rational_poly(cp):
-        assert mult == 1
-        ints = []
-        for c in fac:
-            assert c.denominator == 1
-            ints.append(int(c))
-        K = padic.make_field(ints)
-        z = K.gen() if K.degree > 1 else K.from_rational(-ints[0])
-        # synthetic division: cp(x)/(x - z), coefficients in K
-        h = [K.zero()] * (len(cp) - 1)
-        h[-1] = K.from_rational(cp[-1])
-        for m in range(len(cp) - 2, 0, -1):
-            h[m - 1] = K.from_rational(cp[m]) + z * h[m]
-        coords = [K.zero()] * space.dim
-        for m, hm in enumerate(h):
-            if hm.is_zero():
-                continue
-            row = krylov_full[m]
-            coords = [ci + hm * ri for ci, ri in zip(coords, row)]
-        splitting = {
-            "factor": ints,
-            "z": z,
-            "v_full": v_full,
-            "krylov_inv": kry_inv,
-            "basis_rows": basis_rows,
-        }
-        out.append(Eigensymbol(space, sign, K, coords, splitting))
+    for fac in factors:
+        deg = len(fac) - 1
+        low = fac[:-1]
+        # h_(m-1) = charpoly_m + z h_m, from h_(n-1) = 1
+        hm = [1] + [0] * (deg - 1)
+        coeffs = [hm]
+        for m in range(len(full) - 1, 0, -1):
+            top = hm[-1]
+            hm = [x - top * y for x, y in zip([0] + hm[:-1], low)]
+            hm[0] += charpoly[m]
+            coeffs.append(hm)
+        acc = [[0] * deg for _ in range(space.dim)]
+        for hm, (N, f) in zip(reversed(coeffs), full):
+            scale = F // f
+            for i, x in enumerate(N):
+                if x:
+                    acc[i] = [a + scale * x * y for a, y in zip(acc[i], hm)]
+        numerators, E = _lowest(acc, F)
+        out.append(Eigensymbol(space, sign, padic.NumberField(fac),
+                               [tuple(x) for x in numerators], E,
+                               dict(splitting, factor=fac)))
     out.sort(key=lambda e: e.sort_key())
     return out
 

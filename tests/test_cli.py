@@ -62,6 +62,12 @@ CASES = {
     "stabilize-23-6-3": (["stabilize", "--level", "23", "--weight", "6",
                           "--p", "3", "--nmax", "2", "--sign", "1"],
                          cli.EXIT_OK),
+    # the benchmark's space: Hecke fields of degree 3 and 6 for each sign
+    "eigenforms-23-6-3": (["eigenforms", "--level", "23", "--weight", "6",
+                           "--p", "3", "--sign", "both"], cli.EXIT_OK),
+    # a composite level, split with the U_q candidates
+    "eigenforms-22-4-3": (["eigenforms", "--level", "22", "--weight", "4",
+                           "--p", "3", "--sign", "both"], cli.EXIT_OK),
 }
 
 

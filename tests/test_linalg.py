@@ -133,17 +133,6 @@ def test_factor_mt_field_charpoly():
     assert polyq.mul(factors[0][0], factors[1][0]) == f
 
 
-def test_minpoly_of_matrix_action():
-    rows = [[Fraction(0), Fraction(0), Fraction(5)],
-            [Fraction(1), Fraction(0), Fraction(2)],
-            [Fraction(0), Fraction(1), Fraction(0)]]
-    start = [Fraction(1), Fraction(0), Fraction(0)]
-    coeffs, krylov = linalg.minpoly_of_matrix_action(
-        lambda v: linalg.mat_vec(rows, v), start, QQ)
-    assert coeffs == [Fraction(-5), Fraction(-2), Fraction(0), Fraction(1)]
-    assert len(krylov) == 3
-
-
 def test_random_kernel_dimension_consistency():
     rng = random.Random(99)
     for _ in range(20):
@@ -233,3 +222,85 @@ def test_sparse_rref_edge_shapes(name, shape):
     red, pivots = linalg.rref(ones, field)
     assert (red, pivots) == dense_rref(ones, field)
     assert pivots == ([0] if nrows and ncols else [])
+
+
+# ints and Fractions with denominators up to 10^6, a third of them zero
+q_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+              st.integers(1, 10 ** 6)))
+multipliers = st.sampled_from([0, 1, -1, 3, Fraction(-2, 7)])
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Up to 12 x 12; a row is fresh or a combination of earlier rows, so
+    that rows cancel to zero during elimination."""
+    nrows = draw(st.integers(0, 12))
+    ncols = nrows if square else draw(st.integers(0, 12))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(multipliers, min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)),
+                             0) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(q_entries, min_size=ncols,
+                                      max_size=ncols)))
+    return rows
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rational_rref_matches_dense_reference(rows):
+    red, pivots = linalg.rref(rows, QQ)
+    assert (red, pivots) == dense_rref(rows, QQ)
+    assert all_fractions(red)
+    ncols = len(rows[0]) if rows else 0
+    kernel = linalg.kernel_basis(rows, ncols, QQ)
+    assert len(kernel) == ncols - len(pivots)
+    assert all_fractions(kernel)
+    for vec in kernel:
+        assert all(x == 0 for x in linalg.mat_vec(rows, vec))
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_rational_solve_matches_dense_reference(rows):
+    if not rows or not rows[0]:
+        return
+    # the last column is the right-hand side
+    a = [row[:-1] for row in rows]
+    b = [row[-1] for row in rows]
+    x = linalg.solve(a, b, QQ)
+    red, pivots = dense_rref(rows, QQ)
+    if len(rows[0]) - 1 in pivots:
+        assert x is None
+        return
+    assert all_fractions([x])
+    assert [sum((u * v for u, v in zip(row, x)), Fraction(0))
+            for row in a] == b
+    # the solution with every free coordinate zero
+    expected = [Fraction(0)] * (len(rows[0]) - 1)
+    for row, c in zip(red, pivots):
+        expected[c] = row[-1]
+    assert x == expected
+
+
+@given(rational_matrices(square=True))
+@settings(max_examples=100, deadline=None)
+def test_rational_invert_matches_dense_reference(rows):
+    inv = linalg.invert(rows, QQ)
+    n = len(rows)
+    if len(dense_rref(rows, QQ)[1]) < n:
+        assert inv is None
+        return
+    assert all_fractions(inv)
+    assert linalg.mat_mat(rows, inv) == [[int(i == j) for j in range(n)]
+                                         for i in range(n)]

@@ -414,6 +414,26 @@ def test_omega_rejects_bad_twist(norm11_5):
         omega_decompose(th, 4)
 
 
+def test_teichmuller_lifts_once_per_residue(norm11_5, monkeypatch):
+    # the lifts depend only on (a mod p, M): at most p - 1 per projection
+    calls = []
+    teichmuller = padic.teichmuller
+
+    def counted(p, a, M):
+        calls.append((a % p, M))
+        return teichmuller(p, a, M)
+
+    monkeypatch.setattr(padic, "teichmuller", counted)
+    for n in range(1, 4):
+        th = mazur_tate(norm11_5, n)
+        for i in range(4):
+            calls.clear()
+            proj = omega_decompose(th, i)
+            assert len(calls) <= 4
+            assert len(set(calls)) == len(calls)
+            assert len(proj.coefficient_list()) == 5 ** (n - 1)
+
+
 def test_theta_zero_is_a_unit(norm11_5):
     inv = invariants(theta_element(norm11_5, 0, 0))
     assert inv.mu == 0 and inv.lam == 0

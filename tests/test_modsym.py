@@ -228,7 +228,8 @@ def test_dimension_matches_formula(N, k):
     eis = num_cusps(N) - 1 if k == 2 else num_cusps(N)
     assert space.dim == 2 * s + eis
     for sign in (1, -1):
-        assert len(space.cuspidal_subspace(sign)) == s
+        rows, _ = space.cuspidal_subspace(sign)
+        assert len(rows) == s
 
 
 def test_coset_count():
@@ -380,11 +381,13 @@ def _apply_moebius(gamma, x):
 def test_iota_is_involution():
     for N, k in ((11, 2), (13, 4)):
         space = ManinSymbolSpace(N, k)
+        # iota = J / D for the integer matrix J
         J = space.hecke_matrix("iota")
         J2 = linalg.mat_mat(J, J)
+        D = space.denominator
         for r in range(space.dim):
             for c in range(space.dim):
-                assert J2[r][c] == (1 if r == c else 0)
+                assert J2[r][c] == (D * D if r == c else 0)
 
 
 def test_hecke_commutativity():
@@ -439,6 +442,45 @@ def test_eigensymbol_is_actual_eigenvector():
             iv = space.apply_operator_to_values("iota", values)
             for idx, (c, j) in enumerate(space.positions):
                 assert iv[c][j] == coords[idx] * f.sign
+
+
+def test_cyclic_krylov_basis():
+    # the companion matrix of x^3 - 2x - 5: e_0 is cyclic
+    companion = [[0, 0, 5], [1, 0, 2], [0, 1, 0]]
+    assert modsym._cyclic_krylov_basis(companion, 1) == [
+        ([1, 0, 0], 1), ([0, 1, 0], 1), ([0, 0, 1], 1)]
+    # no unit vector is cyclic for a diagonal matrix; (2^j) is, and each
+    # S^m v is kept in lowest terms
+    assert modsym._cyclic_krylov_basis(
+        [[1, 0, 0], [0, 2, 0], [0, 0, 3]], 2) == [
+        ([1, 2, 4], 1), ([1, 4, 12], 2), ([1, 8, 36], 4)]
+    assert modsym._cyclic_krylov_basis(
+        [[2, 0, 0], [0, 4, 0], [0, 0, 6]], 2) == [
+        ([1, 2, 4], 1), ([1, 4, 12], 1), ([1, 8, 36], 1)]
+    # nothing is cyclic for a scalar matrix
+    assert modsym._cyclic_krylov_basis([[2, 0], [0, 2]], 1) is None
+
+
+def test_splitting_over_q_is_fraction_free(monkeypatch):
+    # every elimination of the presentation and the splitting at 23/6 runs
+    # the integer loop, none the field loop
+    calls = {"field": 0, "integer": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_eliminate",
+                        counted("field", linalg._eliminate))
+    monkeypatch.setattr(linalg, "_cross_eliminate",
+                        counted("integer", linalg._cross_eliminate))
+    space = ManinSymbolSpace(23, 6)
+    classes = modsym.cuspidal_eigensymbols(space, 1)
+    assert [f.field.degree for f in classes] == [3, 6]
+    assert calls["field"] == 0
+    assert calls["integer"] > 0
 
 
 def test_eigensymbol_minus_space_matches_plus_eigenvalues():
@@ -519,7 +561,8 @@ def test_hecke_matrix_matches_per_vector_reference(N, k):
             unit = [Fraction(int(j == i)) for j in range(space.dim)]
             out = space.apply_operator_to_values(op, space.all_values(unit))
             column = [out[c][j] for c, j in space.positions]
-            assert [row[i] for row in mat] == column, (op, i)
+            assert [Fraction(row[i], space.denominator)
+                    for row in mat] == column, (op, i)
 
 
 def test_iota_is_the_coset_permutation_and_action():
@@ -535,13 +578,20 @@ def test_iota_is_the_coset_permutation_and_action():
                                          polyact.IOTA)
 
 
+def fraction_vectors(basis):
+    """The vectors of a basis (integer rows, denominator) as Fractions."""
+    rows, den = basis
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
 def test_restrict_operator_on_invariant_subspace():
     space = ManinSymbolSpace(11, 4)
-    basis = space.sign_subspace(1)
-    sub = space._restrict_operator("T2", basis)
+    plus = space.sign_subspace(1)
+    basis = fraction_vectors(plus)
+    sub, d = space._restrict_operator("T2", plus)
     for j, v in enumerate(basis):
         image = space.apply_operator_to_coords("T2", v)
-        assert image == [sum(sub[i][j] * basis[i][r]
+        assert image == [sum(Fraction(sub[i][j], d) * basis[i][r]
                              for i in range(len(basis)))
                          for r in range(space.dim)]
 
@@ -550,12 +600,13 @@ def test_restrict_operator_rejects_planted_subspace():
     space = ManinSymbolSpace(11, 4)
     # the plus space with a minus-space vector added to its last vector:
     # iota sends that vector to one outside the span
-    plus, minus = space.sign_subspace(1), space.sign_subspace(-1)
+    plus = fraction_vectors(space.sign_subspace(1))
+    minus = fraction_vectors(space.sign_subspace(-1))
     basis = plus[:-1] + [[a + b for a, b in zip(plus[-1], minus[0])]]
     images = [space.apply_operator_to_coords("iota", v) for v in basis]
     assert linalg.rank(basis + images, QQ) > len(basis)
     with pytest.raises(InvalidOperator):
-        space._restrict_operator("iota", basis)
+        space._restrict_operator("iota", modsym._integer_rows(basis))
 
 
 def fold_coset_value(space, coords, A):
