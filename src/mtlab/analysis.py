@@ -5,7 +5,7 @@ classification of lambda-growth patterns.
 
 from fractions import Fraction
 
-from . import linalg, mazurtate, modsym, padic, polyact
+from . import linalg, mazurtate, modsym, padic
 from .errors import (
     EmbeddingAmbiguity,
     NotInSpan,
@@ -48,19 +48,21 @@ def _mu_min_witness(normalized):
     generator values at representatives of P^1(Z/p^m).  A pair class whose
     evaluation has valuation < m is certified: lifting the pair changes
     the evaluation by multiples of p^m.  Iterative deepening stops once
-    the running minimum is below the depth.
+    the running minimum is below the depth.  Each evaluation is summed
+    from the exact coset values and embedded once
+    (`NormalizedSymbol.evaluate`).
     """
     emb = normalized.embedding
     p = emb.p
-    values = normalized.all_values()
+    cosets = range(len(normalized.space.plist))
     best = None
     witness = None
     for m in range(1, emb.M + 1):
         if best is not None and best < m:
             return best, witness
         for c, d in _p1_pairs(p, m):
-            for vec in values:
-                acc = polyact.evaluate(vec, c, d)
+            for A in cosets:
+                acc = normalized.evaluate(A, c, d)
                 if acc.is_zero_to_precision():
                     continue
                 try:
@@ -268,11 +270,10 @@ def oldspace_decompose(f_norm, g_norm, r, target):
                       for A in range(size)])
     _, witness = _mu_min_witness(f_norm)
     scale = witness.inverse()
-    fvals = f_norm.all_values()
     tvec = []
     for A in range(size):
         _, (c, d) = target.plist.lift(A)
-        acc = polyact.evaluate(fvals[space.plist.index(c, d)], c, d)
+        acc = f_norm.evaluate(space.plist.index(c, d), c, d)
         tvec.append((acc * scale).reduce())
     span = linalg.rank(basis, F)
     cols = [[basis[t][A] for t in range(r)] for A in range(size)]

@@ -12,16 +12,12 @@ arithmetic.  Both eliminate on sparse rows, so the cost follows the nonzero
 entries: the Manin relation matrices are mostly zeros (2.9% nonzero at
 level 69, weight 6).
 
-Characteristic polynomials come from Berkowitz's division-free recurrence
-and factors over Q from Zassenhaus's algorithm, on the F_p factoring and
-Hensel lifting in `padic`. Polynomials are coefficient lists in increasing
-degree, matching polyq.
+Characteristic polynomials come from Berkowitz's division-free recurrence,
+as coefficient lists in increasing degree.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-from . import padic, polyq
 
 
 class _RationalField:
@@ -241,28 +237,3 @@ def charpoly_rational(rows):
         poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
                 for i in range(r + 2)]
     return [Fraction(c, d ** i) for i, c in enumerate(poly)][::-1]
-
-
-def factor_rational_poly(coeffs):
-    """Monic irreducible factors over Q with multiplicities.
-
-    Input and output polynomials are Fraction lists in increasing degree.
-    Each part of the square-free split is scaled to a monic integer
-    polynomial g(y) = D^n f(y/D) and factored by `padic.factor_monic_int`;
-    a factor h of g gives the factor h(Dx)/D^deg(h) of f.
-    """
-    f = polyq.trim([Fraction(c) for c in coeffs])
-    if len(f) < 2:
-        return []
-    f = [c / f[-1] for c in f]
-    out = []
-    for part, mult in polyq.squarefree_parts(f):
-        n = len(part) - 1
-        d = lcm(*(c.denominator for c in part))
-        g = [int(c * d ** (n - i)) for i, c in enumerate(part)]
-        out.extend(([Fraction(c, d ** (len(h) - 1 - j))
-                     for j, c in enumerate(h)], mult)
-                   for h in padic.factor_monic_int(g))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
-

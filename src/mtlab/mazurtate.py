@@ -6,10 +6,18 @@ at certified precision (or residue-field elements for mod-p identities).
 
 The level-n element of an eigenclass is built once per (p, n), exactly:
 integer-vector coefficients over the class's denominator, summed with the
-space's path weights.  Every prime above p, precision and twist shares it,
-and a normalized symbol embeds each coefficient once, so p-adic digits
+space's path weights.  Every prime above p, precision and twist shares it.
+theta_{n,i} of a normalized symbol is projected before it is embedded: its
+coefficient j is the integer vector sum w(a)^i x_a over the units a that
+map to j, with the Teichmuller lifts w(a) taken mod p^(M+v), v the
+valuation of the symbol's denominator, and it is embedded once.  The
+truncation of the lifts then costs nothing below p^M, so p-adic digits
 enter only when valuations are read.  Stabilized symbols, whose values
-involve the unit root, sum local values with the same weights.
+involve the unit root, sum and project local values with the same weights.
+
+lambda is read off residues and does not change when every coefficient is
+multiplied by one unit, so an element whose mu is an integer is reduced
+after a shift by p^mu, with no product.
 """
 
 from fractions import Fraction
@@ -105,16 +113,6 @@ class CyclicGroupRingElement:
     def coefficient_list(self):
         return list(self.coeffs)
 
-    def twist_generator(self, u):
-        """The image under the group automorphism gamma_n -> gamma_n^u."""
-        pn = self.p ** self.n
-        if u % self.p == 0:
-            raise ValueError("u must be prime to p")
-        out = [None] * pn
-        for j, c in enumerate(self.coeffs):
-            out[(j * u) % pn] = c
-        return CyclicGroupRingElement(self.p, self.n, out)
-
     def is_zero_to_precision(self, floor=0):
         return all(c.is_zero_to_precision(floor) for c in self.coeffs)
 
@@ -207,7 +205,7 @@ def exact_element(cls, p, n):
 
 def mazur_tate(sym, n):
     """The level-n element of a normalized or stabilized symbol, built once
-    per level and kept on the symbol for all twists.
+    per level and kept on the symbol.
 
     A normalized symbol embeds each coefficient of its eigenclass's exact
     element once (`NormalizedSymbol.embed`); a stabilized symbol sums its
@@ -243,12 +241,18 @@ def twists(p, sign):
     return [i for i in range(p - 1) if (-1) ** i == sign]
 
 
-def omega_decompose(theta, i):
+def omega_decompose(theta, i, digits=None):
     """The omega^i-projection O[(Z/p^(n+1))^*] -> O[G_n].
 
     sigma_a maps to omega(a)^i gamma_n^dlog<a> where a = omega(a)<a>.
-    The Teichmuller lift omega(a) mod p^M, its inverse and its i-th power
-    depend only on (a mod p, M), so each is computed once per call.
+    Coefficients are summed as `mazur_tate_values` sums them: local
+    elements, whose Teichmuller factors are taken mod p^M of their
+    embedding, or integer vectors (an eigenclass's exact element), whose
+    factors and sums are taken mod p^digits.  omega(a) mod p^digits
+    differs from omega(a) by a multiple of p^digits, so a sum of integer
+    vectors over a denominator of valuation v is certified to
+    p^(digits - v).  The Teichmuller lift, its inverse and its i-th power
+    depend only on a mod p, so each is computed once per call.
     """
     p = theta.p
     n1 = theta.n
@@ -256,26 +260,50 @@ def omega_decompose(theta, i):
     pn1 = p ** n1
     if not (0 <= i <= p - 2):
         raise ValueError("i must lie in 0 .. p-2")
+    exact = isinstance(theta.coeffs[1], tuple)
+    if not exact:
+        digits = theta.coeffs[1].emb.M
+    pd = p ** digits
     dlog = _dlog_table(p, n1)
     lifts = {}
     out = [None] * (p ** n)
     for a, c in theta.coeffs.items():
-        prec = getattr(c, "prec", None)
-        M = c.emb.M if prec is not None else n1
-        lift = lifts.get((a % p, M))
+        lift = lifts.get(a % p)
         if lift is None:
-            pM = p ** M
-            w = padic.teichmuller(p, a, M)
-            lift = lifts[a % p, M] = (pow(w, -1, pM), pow(w, i, pM))
+            w = padic.teichmuller(p, a, max(digits, n1))
+            lift = lifts[a % p] = (pow(w, -1, pn1), pow(w, i, pd))
         winv, wi = lift
         j = dlog[(a * winv) % pn1]
-        term = c * wi
-        out[j] = term if out[j] is None else out[j] + term
+        acc = out[j]
+        if exact:
+            out[j] = [wi * x for x in c] if acc is None else \
+                [s + wi * x for s, x in zip(acc, c)]
+        else:
+            term = c * wi
+            out[j] = term if acc is None else acc + term
+    if exact:
+        out = [tuple(s % pd for s in acc) for acc in out]
     return CyclicGroupRingElement(p, n, out)
 
 
 def theta_element(sym, n, i):
-    """theta_{n,i} of a symbol, defined from the level-(n+1) element."""
+    """theta_{n,i} of a symbol, defined from the level-(n+1) element.
+
+    For a normalized symbol the projection is taken on the eigenclass's
+    exact element, with `digits` = M + v Teichmuller digits, v the
+    valuation of the symbol's denominator, and each coefficient S_j is
+    embedded once.  S_j is the true integer sum up to a multiple of
+    p^(M+v), an error of valuation >= M after the division by the
+    denominator, so the embedding's precision M - t(S_j) <= M is certified.
+    The content of S_j is at least the least content of its terms, so that
+    precision is no lower than the least one of the embedded terms.
+    """
+    if isinstance(sym, modsym.NormalizedSymbol):
+        p = sym.embedding.p
+        exact = omega_decompose(exact_element(sym.eigensymbol, p, n + 1), i,
+                                sym.digits)
+        return CyclicGroupRingElement(p, n, [sym.embed(x)
+                                             for x in exact.coeffs])
     return omega_decompose(mazur_tate(sym, n + 1), i)
 
 
@@ -335,26 +363,29 @@ def mu_invariant(theta):
 def lambda_invariant(theta):
     """Order in the augmentation filtration of the unit-scaled reduction.
 
-    The element is scaled by the inverse of a coefficient of minimal
-    valuation and reduced to the residue field F, giving r_j in
-    F[G_n] = F[T]/(T^(p^n)) with gamma_n = 1 + T.  Its T-coefficients are
-    s_t = sum_j C(j, t) r_j, and lambda is the lowest t with s_t != 0.  The
-    map r -> s is F_p-linear and, by Lucas' theorem, the n-fold tensor
-    power of the p x p Pascal matrix mod p, one factor per base-p digit of
-    j; `_pascal_transform` applies it digit by digit in O(n p^(n+1)).
+    The element is scaled to a unit and reduced to the residue field F,
+    giving r_j in F[G_n] = F[T]/(T^(p^n)) with gamma_n = 1 + T.  Its
+    T-coefficients are s_t = sum_j C(j, t) r_j, and lambda is the lowest t
+    with s_t != 0.  The map r -> s is F-linear, so multiplying every r_j by
+    one nonzero constant leaves lambda unchanged: when mu is an integer the
+    scale is p^(-mu), a shift of each coefficient with no product, and the
+    r_j differ from those of c_j / c* (c* a coefficient of valuation mu) by
+    the residue of p^(-mu) c*.  Only a fractional mu needs the inverse of
+    c*.  The map is, by Lucas' theorem, the n-fold tensor power of the
+    p x p Pascal matrix mod p, one factor per base-p digit of j;
+    `_pascal_transform` applies it digit by digit in O(n p^(n+1)).
     """
     if not isinstance(theta, CyclicGroupRingElement):
         raise TypeError("lambda is defined on cyclic group rings")
     mu = theta._mu if theta._mu is not None else mu_invariant(theta)
-    cstar = None
-    for c in theta.coeffs:
-        if c.is_zero_to_precision():
-            continue
-        if c.valuation() == mu:
-            cstar = c
-            break
-    scaled = theta.scale(cstar.inverse())
-    red = [c.reduce().coeffs for c in scaled.coeffs]
+    if mu.denominator == 1:
+        red = [c.divided_by_p_power(int(mu)).reduce().coeffs
+               for c in theta.coeffs]
+    else:
+        cstar = next(c for c in theta.coeffs
+                     if not c.is_zero_to_precision() and c.valuation() == mu)
+        red = [c.reduce().coeffs
+               for c in theta.scale(cstar.inverse()).coeffs]
     p = theta.p
     # F is a vector space over F_p: transform each coordinate on its own
     columns = [_pascal_transform([r[k] for r in red], p, theta.n)
@@ -501,32 +532,3 @@ def lp_approx(stab, i, n):
         scale = scale * ainv
     psi = theta.scale(scale)
     return psi, invariants(psi)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _coefficient_string(c):
-    if isinstance(c, padic.LocalElement):
-        digits = []
-        for v in c.vec:
-            ds = []
-            p = c.emb.p
-            x = v
-            for _ in range(c.emb.M):
-                ds.append(str(x % p))
-                x //= p
-            digits.append(".".join(ds))
-        return "p^-%d*(%s)" % (c.shift, ";".join(digits))
-    return str(c)
-
-
-def element_to_json(theta):
-    group = "full" if isinstance(theta, FullGroupRingElement) else "cyclic"
-    return {
-        "p": theta.p,
-        "n": theta.n,
-        "group": group,
-        "coeffs": [_coefficient_string(c) for c in theta.coefficient_list()],
-    }

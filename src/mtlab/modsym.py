@@ -216,34 +216,6 @@ class ManinSymbolSpace:
                              for block in vb]
         self._position_cosets = sorted({c for c, _ in self.positions})
 
-    # -- symbols as coordinate vectors --------------------------------------
-
-    def coset_value(self, coords, A):
-        """Value vector Phi(A) of the symbol with the given coordinates.
-
-        Entry r is sum n * coords[j] over the (j, n) of row r = (d, terms)
-        of values_basis[A], divided once by d (not at all when d = 1).
-        """
-        out = []
-        for d, terms in self.values_basis[A]:
-            acc = None
-            for j, n in terms:
-                term = coords[j] * n
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = coords[0] * 0
-            elif d != 1:
-                acc = acc * Fraction(1, d)
-            out.append(acc)
-        return out
-
-    def all_values(self, coords):
-        return [self.coset_value(coords, A) for A in range(len(self.plist))]
-
-    def coords_from_values(self, values):
-        """Coordinates of a symbol given its coset values."""
-        return [values[c][j] for c, j in self.positions]
-
     # -- path values -----------------------------------------------------------
 
     def path_weights(self, p, n):
@@ -613,7 +585,9 @@ class Eigensymbol:
         for integer N_j.  Solving H N_0 = sum u_j N_j, H = D * T_ell, gives
         T_ell v = sum u_j f_j / (D f_0) S^j v, so T_ell = sum of these
         multiples of S^j on the cuspidal subspace (v is cyclic), and a_ell
-        is the same sum at the eigenvalue z of S.
+        is the same sum at the eigenvalue z of S.  u depends only on the
+        splitting, so it is solved once per operator and shared by every
+        class of the splitting.
         """
         cached = self._eigenvalues.get(ell)
         if cached is not None:
@@ -622,8 +596,10 @@ class Eigensymbol:
         space = self.space
         op = ("U%d" if space.M % ell == 0 else "T%d") % ell
         (N0, f0), z = sp["krylov"][0], self.field.gen()
-        u = _subspace_coords(sp["krylov_rows"],
-                             linalg.mat_vec(space.hecke_matrix(op), N0))
+        u = sp["coords"].get(op)
+        if u is None:
+            u = sp["coords"][op] = _subspace_coords(
+                sp["krylov_rows"], linalg.mat_vec(space.hecke_matrix(op), N0))
         acc = self.field.zero()
         for c, (_, f) in zip(reversed(u), reversed(sp["krylov"])):
             acc = acc * z + self.field.from_rational(
@@ -743,7 +719,8 @@ def _extract_classes(space, sign, basis, charpoly, factors, krylov):
         full.append((N, f))
     F = lcm(*(f for _, f in full))
     splitting = {"krylov": full,
-                 "krylov_rows": [list(r) for r in zip(*(N for N, _ in full))]}
+                 "krylov_rows": [list(r) for r in zip(*(N for N, _ in full))],
+                 "coords": {}}
     out = []
     for fac in factors:
         deg = len(fac) - 1
@@ -784,6 +761,8 @@ class NormalizedSymbol:
     multiplication matrix over a denominator, and every value and
     Mazur-Tate coefficient is `embed` of an exact integer vector: one
     embedding of scale * exact, at precision M - v_p(its denominator).
+    A vector known only mod p^digits, digits = M + v_p(the denominator),
+    embeds to the same certified precision.
     """
 
     def __init__(self, eigensymbol, embedding):
@@ -809,6 +788,9 @@ class NormalizedSymbol:
             [Fraction(c, den) for c in eigensymbol.exact_value(A)[j]])
         self._scale, scale_den = _multiplication_matrix(witness.inverse())
         self._denominator = scale_den * den
+        # an integer vector known mod p^digits embeds to a certified
+        # precision, since dividing by the denominator costs v_p of it
+        self.digits = embedding.M + padic._vp(self._denominator, embedding.p)
         self.content_certificate = (A, j)
         self._values = {}
         self._elements = {}
@@ -823,6 +805,17 @@ class NormalizedSymbol:
         return self.embedding.local_ints(
             [sum(m * c for m, c in zip(row, x)) for row in self._scale],
             self._denominator)
+
+    def evaluate(self, A, c, d):
+        """The LocalElement of Phi(A) evaluated at (c, d): the exact sum of
+        c^r d^(g-r) Phi(A)[r], embedded once."""
+        g = self.space.g
+        acc = [0] * self.eigensymbol.field.degree
+        for r, x in enumerate(self.eigensymbol.exact_value(A)):
+            w = c ** r * d ** (g - r)
+            if w:
+                acc = [s + w * y for s, y in zip(acc, x)]
+        return self.embed(acc)
 
     def value(self, A):
         cached = self._values.get(A)

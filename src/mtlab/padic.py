@@ -936,6 +936,11 @@ class LocalElement:
         prec = min(self.prec + vb, big + va, big)
         return LocalElement(emb, vec, self.shift, prec)
 
+    def divided_by_p_power(self, t):
+        """self / p^t: the same digits with t added to the shift, certified
+        to t fewer digits; no product is formed."""
+        return LocalElement(self.emb, self.vec, self.shift + t, self.prec - t)
+
     def inverse(self):
         emb = self.emb
         v = self.valuation()

@@ -28,12 +28,6 @@ def sub(p, q):
     return add(p, neg(q))
 
 
-def scale(p, c):
-    if c == 0:
-        return []
-    return [c * a for a in p]
-
-
 def mul(p, q):
     if not p or not q:
         return []
@@ -92,28 +86,6 @@ def xgcd(p, q):
         u0 = [c / lead for c in u0]
         v0 = [c / lead for c in v0]
     return r0, u0, v0
-
-
-def squarefree_parts(f):
-    """[(g, m)] with f = prod g^m, the g monic, squarefree and coprime.
-
-    Yun's algorithm over Q for a monic f of positive degree.
-    """
-    df = derivative(f)
-    a = xgcd(f, df)[0]
-    b = divmod_poly(f, a)[0]
-    c = divmod_poly(df, a)[0]
-    out = []
-    m = 1
-    while len(b) > 1:
-        d = sub(c, derivative(b))
-        a = xgcd(b, d)[0]
-        if len(a) > 1:
-            out.append((a, m))
-        b = divmod_poly(b, a)[0]
-        c = divmod_poly(d, a)[0]
-        m += 1
-    return out
 
 
 def resultant_int(p, q):

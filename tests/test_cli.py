@@ -68,6 +68,14 @@ CASES = {
     # a composite level, split with the U_q candidates
     "eigenforms-22-4-3": (["eigenforms", "--level", "22", "--weight", "4",
                            "--p", "3", "--sign", "both"], cli.EXIT_OK),
+    # p > 3, so omega is not rational; weight > 2 and a symbol denominator
+    # divisible by p, so the Teichmuller lifts need more than M digits
+    "invariants-11-6-7": (["invariants", "--level", "11", "--weight", "6",
+                           "--p", "7", "--nmax", "2", "--sign", "both"],
+                          cli.EXIT_OK),
+    "invariants-23-4-5": (["invariants", "--level", "23", "--weight", "4",
+                           "--p", "5", "--nmax", "2", "--sign", "both"],
+                          cli.EXIT_OK),
 }
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -59,10 +60,58 @@ def test_charpoly_companion():
     assert cp == [Fraction(-5), Fraction(-2), Fraction(0), Fraction(1)]
 
 
+def squarefree_parts(f):
+    """[(g, m)] with f = prod g^m, the g monic, squarefree and coprime.
+
+    Yun's algorithm over Q for a monic f of positive degree.
+    """
+    df = polyq.derivative(f)
+    a = polyq.xgcd(f, df)[0]
+    b = polyq.divmod_poly(f, a)[0]
+    c = polyq.divmod_poly(df, a)[0]
+    out = []
+    m = 1
+    while len(b) > 1:
+        d = polyq.sub(c, polyq.derivative(b))
+        a = polyq.xgcd(b, d)[0]
+        if len(a) > 1:
+            out.append((a, m))
+        b = polyq.divmod_poly(b, a)[0]
+        c = polyq.divmod_poly(d, a)[0]
+        m += 1
+    return out
+
+
+def factor_rational_poly(coeffs):
+    """Monic irreducible factors over Q with multiplicities.
+
+    Input and output polynomials are Fraction lists in increasing degree.
+    Each part of the square-free split is scaled to a monic integer
+    polynomial g(y) = D^n f(y/D) and factored by `padic.factor_monic_int`;
+    a factor h of g gives the factor h(Dx)/D^deg(h) of f.  The splitting
+    factors its integral charpoly with `padic.factor_monic_int` directly;
+    this composition checks that factoring on arbitrary rational input.
+    """
+    f = polyq.trim([Fraction(c) for c in coeffs])
+    if len(f) < 2:
+        return []
+    f = [c / f[-1] for c in f]
+    out = []
+    for part, mult in squarefree_parts(f):
+        n = len(part) - 1
+        d = lcm(*(c.denominator for c in part))
+        g = [int(c * d ** (n - i)) for i, c in enumerate(part)]
+        out.extend(([Fraction(c, d ** (len(h) - 1 - j))
+                     for j, c in enumerate(h)], mult)
+                   for h in padic.factor_monic_int(g))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
+
+
 def test_factor_rational_poly():
     # (x - 1)^2 (x^2 + 1)
     coeffs = [Fraction(c) for c in [1, -2, 2, -2, 1]]
-    factors = linalg.factor_rational_poly(coeffs)
+    factors = factor_rational_poly(coeffs)
     assert factors == [([Fraction(-1), Fraction(1)], 2),
                        ([Fraction(1), Fraction(0), Fraction(1)], 1)]
 
@@ -115,7 +164,7 @@ def test_factor_rational_poly_matches_sympy(planted):
     for (low, lead), mult in planted:
         for _ in range(mult):
             f = polyq.mul(f, [Fraction(c) for c in low] + [Fraction(lead)])
-    assert linalg.factor_rational_poly(f) == sympy_factor_list(f)
+    assert factor_rational_poly(f) == sympy_factor_list(f)
 
 
 # the charpoly that splits the weight-6 level-23 space: degree 3 times 6
@@ -127,7 +176,7 @@ MT_FIELD_CHARPOLY = [3291146570203968622015200, -18668615509173736152335,
 
 def test_factor_mt_field_charpoly():
     f = [Fraction(c) for c in MT_FIELD_CHARPOLY]
-    factors = linalg.factor_rational_poly(f)
+    factors = factor_rational_poly(f)
     assert [(len(g) - 1, m) for g, m in factors] == [(3, 1), (6, 1)]
     assert factors == sympy_factor_list(f)
     assert polyq.mul(factors[0][0], factors[1][0]) == f

@@ -13,7 +13,6 @@ from mtlab.errors import NotOrdinary, PrecisionExhausted
 from mtlab.mazurtate import (
     CyclicGroupRingElement,
     FullGroupRingElement,
-    element_to_json,
     invariants,
     lambda_invariant,
     lp_approx,
@@ -27,6 +26,7 @@ from mtlab.mazurtate import (
     q_n,
     theta_element,
 )
+from test_modsym import all_values
 
 QQ = padic.make_field([0, 1])
 
@@ -107,14 +107,25 @@ def test_add_sub_scale():
     assert (sc - a - a).is_zero_to_precision()
 
 
+def twist_generator(theta, u):
+    """The image under the group automorphism gamma_n -> gamma_n^u."""
+    pn = theta.p ** theta.n
+    if u % theta.p == 0:
+        raise ValueError("u must be prime to p")
+    out = [None] * pn
+    for j, c in enumerate(theta.coeffs):
+        out[(j * u) % pn] = c
+    return CyclicGroupRingElement(theta.p, theta.n, out)
+
+
 def test_twist_generator_is_permutation():
     emb = emb_at(3)
     a = cyclic(emb, 2, list(range(1, 10)))
-    t = a.twist_generator(2)
+    t = twist_generator(a, 2)
     # gamma^1 goes to gamma^2
     assert (t.coeffs[2] - a.coeffs[1]).is_zero_to_precision()
     with pytest.raises(ValueError):
-        a.twist_generator(3)
+        twist_generator(a, 3)
 
 
 # -- pi and nu ----------------------------------------------------------------
@@ -277,7 +288,7 @@ def test_invariants_stable_under_unit_scalar_and_twist():
         inv = invariants(th)
         u = rng.choice([1, 2, 4, 5, 7, 8])
         assert invariants(th.scale(emb.local(u))) == inv
-        assert invariants(th.twist_generator(u)) == inv
+        assert invariants(twist_generator(th, u)) == inv
 
 
 @settings(max_examples=300, deadline=None)
@@ -349,6 +360,46 @@ def test_lambda_matches_naive_binomial_sums(case):
     assert lambda_invariant(theta) == lam
 
 
+
+def planted_units(emb):
+    """Units of the embedding's field: small elements of valuation 0."""
+    f = emb.field.degree
+    return st.lists(st.integers(-20, 20), min_size=f, max_size=f).map(
+        emb.field.element).filter(
+        lambda u: not u.is_zero() and emb.valuation(u) == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_lambda(), st.data())
+def test_lambda_is_invariant_under_a_unit_scaling(case, data):
+    theta, lam = case
+    emb = theta.coeffs[0].emb
+    scaled = theta.scale(emb.local(data.draw(planted_units(emb))))
+    assert mu_invariant(scaled) == mu_invariant(theta)
+    assert lambda_invariant(scaled) == lambda_invariant(theta) == lam
+
+
+# x^2 - 3 is ramified at 3: sqrt(3) has valuation 1/2
+SQRT3 = padic.make_field([-3, 0, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_lambda_with_a_fractional_mu(n, data):
+    emb = padic.primes_above(SQRT3, 3, 8)[0]
+    pn = 3 ** n
+    ints = data.draw(st.lists(st.integers(-9, 9), min_size=pn,
+                              max_size=pn).filter(
+        lambda xs: any(x % 3 for x in xs)))
+    root = emb.local(SQRT3.gen())
+    theta = cyclic(emb, n, ints).scale(root)
+    assert mu_invariant(theta) == Fraction(1, 2)
+    unit = data.draw(planted_units(emb))
+    lam = naive_lambda(theta)
+    assert lambda_invariant(theta) == lam
+    assert lambda_invariant(theta.scale(emb.local(unit))) == lam
+
+
 def test_lambda_of_norm_element_is_maximal():
     # sum_j gamma^j = (gamma - 1)^(p^n - 1) mod p
     for p, n in ((3, 1), (3, 3), (5, 2), (5, 3), (7, 3)):
@@ -384,8 +435,10 @@ def test_mazur_tate_additive(norm11_5):
     rng = random.Random(31)
     coords1 = [Fraction(rng.randrange(-9, 10)) for _ in range(space.dim)]
     coords2 = [Fraction(rng.randrange(-9, 10)) for _ in range(space.dim)]
-    vals1 = [[emb.local(x) for x in vec] for vec in space.all_values(coords1)]
-    vals2 = [[emb.local(x) for x in vec] for vec in space.all_values(coords2)]
+    vals1 = [[emb.local(x) for x in vec]
+             for vec in all_values(space, coords1)]
+    vals2 = [[emb.local(x) for x in vec]
+             for vec in all_values(space, coords2)]
     both = [[a + b for a, b in zip(u, v)] for u, v in zip(vals1, vals2)]
     lhs = mazur_tate_values(space, lambda A: both[A], 5, 1)
     rhs = (mazur_tate_values(space, lambda A: vals1[A], 5, 1)
@@ -526,9 +579,10 @@ def test_weight_table_built_once_per_level(monkeypatch):
         analysis.invariant_table(norm, 2)
     assert sorted(Counter(walks).items()) == [(3, 2), (9, 6), (27, 18)]
     # one exact element per class and level, and one embedding per
-    # coefficient of each symbol's elements at levels 1, 2, 3
+    # coefficient of each symbol's theta_{n,0}, n = 0, 1, 2, projected
+    # before it is embedded
     assert sorted(levels) == [1, 1, 2, 2, 3, 3]
-    assert len(embedded) == 10 * (2 + 6 + 18)
+    assert len(embedded) == 10 * (1 + 3 + 9)
 
 
 def test_exact_elements_are_kept_per_prime(f11):
@@ -539,6 +593,66 @@ def test_exact_elements_are_kept_per_prime(f11):
         theta = mazur_tate(norm, 1)
         assert list(theta.coeffs) == list(range(1, p))
         assert mazurtate.exact_element(f11, p, 1).p == p
+
+
+
+# -- theta_{n,i} from exact integer sums --------------------------------------
+
+# (level, weight, p), both signs and every prime above p: 11/4/3 is
+# ramified (e = 2); p = 7 and p = 5 have irrational omega; all of them
+# have symbols whose denominator is divisible by p
+EXACT_THETA_CASES = [(11, 2, 5), (23, 6, 3), (11, 4, 3), (11, 6, 7),
+                     (23, 4, 5)]
+
+
+def normalized_symbols(N, k, p, M=8):
+    space = modsym.ManinSymbolSpace(N, k)
+    return [modsym.normalize(cls, emb) for sign in (1, -1)
+            for cls in modsym.cuspidal_eigensymbols(space, sign)
+            for emb in padic.primes_above(cls.field, p, M)]
+
+
+def reference_theta(norm, n, i):
+    """theta_{n,i} as the projection of the embedded level-(n+1) element:
+    one embedding per unit, Teichmuller factors mod p^M, and the sums in
+    LocalElement arithmetic."""
+    return omega_decompose(mazur_tate(norm, n + 1), i)
+
+
+def each_theta(norm, nmax=2):
+    for n in range(nmax + 1):
+        for i in mazurtate.twists(norm.embedding.p, norm.sign):
+            yield n, i, theta_element(norm, n, i)
+
+
+@pytest.mark.parametrize("N,k,p", EXACT_THETA_CASES)
+def test_exact_theta_matches_the_embedded_projection(N, k, p):
+    symbols = normalized_symbols(N, k, p)
+    assert any(norm.digits > norm.embedding.M for norm in symbols)
+    for norm in symbols:
+        for n, i, theta in each_theta(norm):
+            ref = reference_theta(norm, n, i)
+            for c, r in zip(theta.coeffs, ref.coeffs):
+                assert c.prec >= r.prec
+                assert (c - r).is_zero_to_precision()
+
+
+@pytest.mark.parametrize("N,k,p", EXACT_THETA_CASES)
+def test_exact_theta_agrees_with_twice_the_precision(N, k, p):
+    # the digits theta_{n,i} certifies at M are those of theta_{n,i} at 2M:
+    # the Teichmuller lifts taken mod p^(M+v) lose nothing below p^M
+    M = 8
+    for norm in normalized_symbols(N, k, p, M):
+        emb = norm.embedding
+        wide = modsym.normalize(norm.eigensymbol, emb.with_precision(2 * M))
+        assert wide.content_certificate == norm.content_certificate
+        assert tuple(c % emb.pM for c in wide.embedding.local_factor) == \
+            emb.local_factor
+        for n, i, theta in each_theta(norm):
+            for c, w in zip(theta.coeffs, theta_element(wide, n, i).coeffs):
+                narrowed = padic.LocalElement(emb, w.vec, w.shift, w.prec)
+                assert narrowed.prec >= c.prec
+                assert (c - narrowed).is_zero_to_precision()
 
 
 # -- p-stabilization and L_p approximants ---------------------------------------
@@ -648,6 +762,31 @@ def test_lemma_alphastick():
 
 
 # -- serialization ----------------------------------------------------------------
+
+def coefficient_string(c):
+    if isinstance(c, padic.LocalElement):
+        digits = []
+        for v in c.vec:
+            ds = []
+            p = c.emb.p
+            x = v
+            for _ in range(c.emb.M):
+                ds.append(str(x % p))
+                x //= p
+            digits.append(".".join(ds))
+        return "p^-%d*(%s)" % (c.shift, ";".join(digits))
+    return str(c)
+
+
+def element_to_json(theta):
+    group = "full" if isinstance(theta, FullGroupRingElement) else "cyclic"
+    return {
+        "p": theta.p,
+        "n": theta.n,
+        "group": group,
+        "coeffs": [coefficient_string(c) for c in theta.coefficient_list()],
+    }
+
 
 def test_element_to_json(norm11_5):
     th = theta_element(norm11_5, 1, 0)

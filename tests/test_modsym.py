@@ -13,6 +13,37 @@ from mtlab.linalg import QQ
 from mtlab.modsym import ManinSymbolSpace
 
 
+# -- coset values of arbitrary coordinates (references) ----------------------
+
+def coset_value(space, coords, A):
+    """Value vector Phi(A) of the symbol with the given coordinates.
+
+    Entry r is sum n * coords[j] over the (j, n) of row r = (d, terms)
+    of values_basis[A], divided once by d (not at all when d = 1).
+    """
+    out = []
+    for d, terms in space.values_basis[A]:
+        acc = None
+        for j, n in terms:
+            term = coords[j] * n
+            acc = term if acc is None else acc + term
+        if acc is None:
+            acc = coords[0] * 0
+        elif d != 1:
+            acc = acc * Fraction(1, d)
+        out.append(acc)
+    return out
+
+
+def all_values(space, coords):
+    return [coset_value(space, coords, A) for A in range(len(space.plist))]
+
+
+def coords_from_values(space, values):
+    """Coordinates of a symbol given its coset values."""
+    return [values[c][j] for c, j in space.positions]
+
+
 # -- oracles ----------------------------------------------------------------
 
 def psi(N):
@@ -247,7 +278,7 @@ def test_manin_relations_hold():
     for N, k in ((11, 2), (15, 2), (11, 4), (13, 6)):
         space = ManinSymbolSpace(N, k)
         coords = random_coords(space, rng)
-        values = space.all_values(coords)
+        values = all_values(space, coords)
         for i in range(len(space.plist)):
             si = space.plist.apply_right(i, polyact.SIGMA)
             lhs = add(values[si], polyact.act(values[i], polyact.SIGMA))
@@ -263,8 +294,8 @@ def test_coords_roundtrip():
     rng = random.Random(8)
     space = ManinSymbolSpace(13, 4)
     coords = random_coords(space, rng)
-    values = space.all_values(coords)
-    assert space.coords_from_values(values) == coords
+    values = all_values(space, coords)
+    assert coords_from_values(space, values) == coords
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -281,7 +312,7 @@ def test_evaluate_identity_path():
     rng = random.Random(9)
     space = ManinSymbolSpace(11, 4)
     coords = random_coords(space, rng)
-    values = space.all_values(coords)
+    values = all_values(space, coords)
     # {oo} - {0} is the path of the identity coset
     div = RationalDivisor.from_string("oo - 0")
     got = evaluate_divisor(space, lambda A: values[A], div)
@@ -292,7 +323,7 @@ def test_evaluate_additive_and_antisymmetric():
     rng = random.Random(10)
     space = ManinSymbolSpace(15, 2)
     coords = random_coords(space, rng)
-    values = space.all_values(coords)
+    values = all_values(space, coords)
 
     def ev(text):
         return evaluate_divisor(space, lambda A: values[A],
@@ -309,7 +340,7 @@ def test_evaluate_gamma_invariance():
     for N, k in ((11, 2), (13, 4)):
         space = ManinSymbolSpace(N, k)
         coords = random_coords(space, rng)
-        values = space.all_values(coords)
+        values = all_values(space, coords)
         for _ in range(20):
             # random element of Gamma_0(N): bottom row (c, d) with N | c
             c = N * rng.randrange(-3, 4)
@@ -338,7 +369,7 @@ def test_evaluate_gamma_invariance():
 def test_path_value_is_row_zero_of_divisor_value(N, k):
     rng = random.Random(N + k)
     space = ManinSymbolSpace(N, k)
-    values = space.all_values(random_coords(space, rng))
+    values = all_values(space, random_coords(space, rng))
     cusps = [(0, 1), (1, 1), (2, 5), (-3, 25), (7, 27), (-13, 125),
              (124, 125), (-80, 81), (5, 3)]
     cusps += [(rng.randrange(-50, 51), rng.randrange(1, 60))
@@ -438,7 +469,7 @@ def test_eigensymbol_is_actual_eigenvector():
             for got, want in zip(out, coords):
                 assert got == a2 * want
             # iota scales by the stated sign
-            values = space.all_values(coords)
+            values = all_values(space, coords)
             iv = space.apply_operator_to_values("iota", values)
             for idx, (c, j) in enumerate(space.positions):
                 assert iv[c][j] == coords[idx] * f.sign
@@ -492,6 +523,29 @@ def test_eigensymbol_minus_space_matches_plus_eigenvalues():
         assert plus[0].a(ell) == minus[0].a(ell)
 
 
+def test_krylov_solve_once_per_splitting_and_operator(monkeypatch):
+    # eigenforms at 23/6/3, both signs: two classes per sign share each
+    # sign's splitting, so the 8 primes up to 20 need 2 x 8 solves, not 32
+    solves = []
+    solve = modsym._subspace_coords
+
+    def counted(rows, vec):
+        solves.append(len(rows))
+        return solve(rows, vec)
+
+    monkeypatch.setattr(modsym, "_subspace_coords", counted)
+    space = ManinSymbolSpace(23, 6)
+    classes = [modsym.cuspidal_eigensymbols(space, sign) for sign in (1, -1)]
+    assert [len(c) for c in classes] == [2, 2]
+    eigenvalues = [[[f.a(ell) for ell in padic.primes_up_to(20)]
+                    for f in c] for c in classes]
+    assert len(solves) == 16
+    # the shared coordinates give each class its own eigenvalues
+    for c, values in zip(classes, eigenvalues):
+        assert [v[0].field for v in values] == [f.field for f in c]
+        assert values[0] != values[1]
+
+
 def test_wn_involution_on_eigensymbol():
     space = ManinSymbolSpace(11, 2)
     f = modsym.cuspidal_eigensymbols(space, 1)[0]
@@ -512,7 +566,7 @@ def test_degeneracy_commutes_with_hecke():
     src = ManinSymbolSpace(11, 2)
     dst = ManinSymbolSpace(33, 2)
     coords = random_coords(src, rng)
-    values = src.all_values(coords)
+    values = all_values(src, coords)
     for r in (1, 3):
         img = modsym.degeneracy_values(src, dst, r, values)
         img_list = [img[A] for A in range(len(dst.plist))]
@@ -532,10 +586,10 @@ def test_degeneracy_image_satisfies_relations():
     src = ManinSymbolSpace(11, 2)
     dst = ManinSymbolSpace(55, 2)
     coords = random_coords(src, rng)
-    img = modsym.degeneracy_values(src, dst, 5, src.all_values(coords))
+    img = modsym.degeneracy_values(src, dst, 5, all_values(src, coords))
     values = [img[A] for A in range(len(dst.plist))]
-    got = dst.coords_from_values(values)
-    back = dst.all_values(got)
+    got = coords_from_values(dst, values)
+    back = all_values(dst, got)
     for A in range(len(dst.plist)):
         assert back[A] == values[A]
 
@@ -559,7 +613,7 @@ def test_hecke_matrix_matches_per_vector_reference(N, k):
         mat = space.hecke_matrix(op)
         for i in range(space.dim):
             unit = [Fraction(int(j == i)) for j in range(space.dim)]
-            out = space.apply_operator_to_values(op, space.all_values(unit))
+            out = space.apply_operator_to_values(op, all_values(space, unit))
             column = [out[c][j] for c, j in space.positions]
             assert [Fraction(row[i], space.denominator)
                     for row in mat] == column, (op, i)
@@ -569,7 +623,7 @@ def test_iota_is_the_coset_permutation_and_action():
     rng = random.Random(14)
     for N, k in ((11, 4), (13, 4)):
         space = ManinSymbolSpace(N, k)
-        values = space.all_values(random_coords(space, rng))
+        values = all_values(space, random_coords(space, rng))
         cosets = range(len(space.plist))
         out = space.apply_operator_to_values("iota", values, cosets)
         for A in cosets:
@@ -635,11 +689,11 @@ def test_integer_coset_values_match_fraction_fold(N, k, p, p_divides):
                 embedded = [emb.local(c) for c in f.coords]
                 # the coordinates scaled by the normalizing witness
                 A, j = modsym.normalize(f, emb).content_certificate
-                scale = space.coset_value(f.coords, A)[j].inverse()
+                scale = coset_value(space, f.coords, A)[j].inverse()
                 normalized = [emb.local(c * scale) for c in f.coords]
                 for coords in (embedded, normalized):
                     for A in range(len(space.plist)):
-                        got = space.coset_value(coords, A)
+                        got = coset_value(space, coords, A)
                         want = fold_coset_value(space, coords, A)
                         for (d, _), x, y in zip(space.values_basis[A],
                                                 got, want):
@@ -673,7 +727,7 @@ def eigenclasses(N, k):
 
 def field_values(f):
     """The coset values of an eigenclass as NFElements."""
-    return [f.space.coset_value(f.coords, A)
+    return [coset_value(f.space, f.coords, A)
             for A in range(len(f.space.plist))]
 
 
@@ -685,7 +739,7 @@ def reference_witness(f, emb):
     local_coords = [emb.local(c) for c in f.coords]
     best = None
     for A in range(len(space.plist)):
-        for j, x in enumerate(space.coset_value(local_coords, A)):
+        for j, x in enumerate(coset_value(space, local_coords, A)):
             if x.is_zero_to_precision():
                 continue
             val = x.valuation()
