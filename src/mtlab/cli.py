@@ -60,6 +60,7 @@ class JobConfig:
         self.r = args.r
         self._validate()
         self._spaces = {}
+        self._primes = {}
 
     def _validate(self):
         if self.N < 1:
@@ -96,6 +97,15 @@ class JobConfig:
         if key not in self._spaces:
             self._spaces[key] = modsym.ManinSymbolSpace(*key)
         return self._spaces[key]
+
+    def primes_above(self, field, M):
+        """The primes above p of the field at precision M, found once per
+        job for each (minimal polynomial, M): eigenclasses of both signs
+        that share a Hecke field share its primes."""
+        key = (field.minpoly, M)
+        if key not in self._primes:
+            self._primes[key] = padic.primes_above(field, self.p, M)
+        return self._primes[key]
 
     def precision_ladder(self):
         """Deterministic working precisions tried when digits run out."""
@@ -150,23 +160,23 @@ def _class_records(config, space):
 def _records(config, space, work):
     """(sign, class id, embedding index, result) per prime above p.
 
-    Primes above p are found once per class and ladder rung, at that rung's
-    precision. Each prime climbs the precision ladder until
-    ``work(normalized) -> (result, certified)`` reports certified, and keeps
-    the last rung's result otherwise; exact symbols re-embed losslessly, so
-    a higher rung describes the same object. result is None when the symbol
-    cannot be normalized at any rung.
+    Primes above p are found once per job for each Hecke field and ladder
+    rung, at that rung's precision (`JobConfig.primes_above`), so classes
+    of both signs with the same field share them. Each prime climbs the
+    precision ladder until ``work(normalized) -> (result, certified)``
+    reports certified, and keeps the last rung's result otherwise; exact
+    symbols re-embed losslessly, so a higher rung describes the same
+    object. result is None when the symbol cannot be normalized at any
+    rung.
     """
     ladder = config.precision_ladder()
     for sign, cid, cls in _class_records(config, space):
-        rungs = {ladder[0]: padic.primes_above(cls.field, config.p, ladder[0])}
-        for j in range(len(rungs[ladder[0]])):
+        for j in range(len(config.primes_above(cls.field, ladder[0]))):
             result = None
             for M in ladder:
-                if M not in rungs:
-                    rungs[M] = padic.primes_above(cls.field, config.p, M)
                 try:
-                    norm = modsym.normalize(cls, rungs[M][j])
+                    norm = modsym.normalize(
+                        cls, config.primes_above(cls.field, M)[j])
                 except PrecisionExhausted:
                     continue
                 result, certified = work(norm)

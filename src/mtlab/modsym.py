@@ -536,7 +536,8 @@ class Eigensymbol:
     coordinates as NFElements.  Eigenvalues a_ell are computed on demand by
     solving in the Krylov basis of the splitting operator.  The exact
     Mazur-Tate elements built from the class are kept in `elements`, keyed
-    by (p, n), for every prime above p, precision and twist.
+    by (p, n), for every prime above p, precision and twist, and the scale
+    of each normalization witness in `witness_scale`.
     """
 
     def __init__(self, space, sign, field, numerators, E, splitting):
@@ -548,6 +549,7 @@ class Eigensymbol:
         self._splitting = splitting
         self._eigenvalues = {}
         self._exact_values = {}
+        self._scales = {}
         self.elements = {}
 
     @property
@@ -576,6 +578,18 @@ class Eigensymbol:
                     acc = [s + m * c for s, c in zip(acc, nums[j])]
                 cached.append(tuple(acc))
             self._exact_values[A] = cached
+        return cached
+
+    def witness_scale(self, A, j):
+        """`_multiplication_matrix` of 1 / Phi(A)[j], built once per witness
+        (A, j) and shared by every prime and precision that picks it."""
+        cached = self._scales.get((A, j))
+        if cached is None:
+            witness = self.field.element(
+                [Fraction(c, self.denominator)
+                 for c in self.exact_value(A)[j]])
+            cached = _multiplication_matrix(witness.inverse())
+            self._scales[A, j] = cached
         return cached
 
     def a(self, ell):
@@ -758,7 +772,9 @@ class NormalizedSymbol:
     the minimum valuation at the embedding; content_certificate records
     its (coset, monomial) pair.  The witness is found by embedding each
     exact coset value once.  The scale is kept as an integer
-    multiplication matrix over a denominator, and every value and
+    multiplication matrix over a denominator, shared per eigenclass by
+    every prime and precision with the same witness
+    (`Eigensymbol.witness_scale`), and every value and
     Mazur-Tate coefficient is `embed` of an exact integer vector: one
     embedding of scale * exact, at precision M - v_p(its denominator).
     A vector known only mod p^digits, digits = M + v_p(the denominator),
@@ -784,9 +800,7 @@ class NormalizedSymbol:
                 "every value vanishes to the working precision; "
                 "the symbol cannot be normalized at M = %d" % embedding.M)
         _, A, j = best
-        witness = eigensymbol.field.element(
-            [Fraction(c, den) for c in eigensymbol.exact_value(A)[j]])
-        self._scale, scale_den = _multiplication_matrix(witness.inverse())
+        self._scale, scale_den = eigensymbol.witness_scale(A, j)
         self._denominator = scale_den * den
         # an integer vector known mod p^digits embeds to a certified
         # precision, since dividing by the denominator costs v_p of it

@@ -21,6 +21,7 @@ same Hensel lifting that finds the local factors.
 from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import polyq
 from .errors import (
@@ -294,8 +295,11 @@ class FF:
     def element(self, coeffs):
         if isinstance(coeffs, int):
             coeffs = [coeffs]
-        vec = _pmod([c % self.p for c in coeffs], list(self.modpoly), self.p)
-        vec = list(vec) + [0] * (self.degree - len(vec))
+        vec = [c % self.p for c in coeffs]
+        # a vector of at most `degree` coefficients is already reduced
+        if len(vec) > self.degree:
+            vec = _pmod(vec, list(self.modpoly), self.p)
+        vec += [0] * (self.degree - len(vec))
         return FFElement(self, tuple(vec))
 
     def zero(self):
@@ -666,6 +670,12 @@ class PAdicEmbedding:
     monogenic records whether the power basis of y is a local integral
     basis (e = 1 and local factor irreducible mod p); only then can
     valuations and residues be read off the coefficients directly.
+
+    The reduction matrix, built once per embedding, has in column k the
+    coefficients of y^k mod (local factor, p^M) for k below the field
+    degree, so that `local_ints` reduces a power-basis vector of the field
+    with one integer matrix-vector product (none when the local degree is
+    the field degree and the matrix is the identity).
     """
 
     def __init__(self, field, p, M, local_factor, e, residue_degree,
@@ -684,9 +694,28 @@ class PAdicEmbedding:
         self.index = index
         self.degree = len(self.local_factor) - 1
         assert self.e * self.residue_degree == self.degree
+        # the identity when the prime is the only one above p
+        self._reduction = (None if self.degree == field.degree
+                           else self._reduction_rows())
         self._res_gen_powers = None
         if residue_gen is not None:
             self._check_residue_gen()
+
+    def _reduction_rows(self):
+        """Rows of the integer matrix whose column k is y^k mod
+        (local factor, p^M), for k below the field degree."""
+        d, pM = self.degree, self.pM
+        cols = []
+        for k in range(self.field.degree):
+            if k < d:
+                col = [int(i == k) for i in range(d)]
+            else:
+                # y * col, with y^d replaced by y^d - local factor
+                top = col[-1]
+                col = [(c - top * h) % pM
+                       for c, h in zip([0] + col[:-1], self.local_factor)]
+            cols.append(col)
+        return [tuple(row) for row in zip(*cols)]
 
     def _check_residue_gen(self):
         coeffs, s = self.residue_gen
@@ -742,11 +771,11 @@ class PAdicEmbedding:
     def local_ints(self, nums, den):
         """Embed the field element with power-basis coefficients nums / den.
 
-        nums are integers and den > 0.  The content gcd(den, nums) is divided
-        out first, so the result has the vector, shift and precision of
-        `local` of the same element: with den = p^t u, p not dividing u, the
-        vector is nums * u^-1 mod (p^M, local factor), the shift t and the
-        precision M - t.
+        nums are integers (the field degree of them) and den > 0.  The
+        content gcd(den, nums) is divided out first, so the result has the
+        vector, shift and precision of `local` of the same element: with
+        den = p^t u, p not dividing u, the vector is the reduction matrix
+        times nums, times u^-1 mod p^M, the shift t and the precision M - t.
         """
         g = gcd(den, *nums)
         if g > 1:
@@ -757,6 +786,8 @@ class PAdicEmbedding:
         while den % p == 0:
             den //= p
             t += 1
+        if self._reduction is not None:
+            nums = [sum(map(mul, row, nums)) for row in self._reduction]
         if den > 1:
             dinv = pow(den, -1, pM)
             nums = [c * dinv for c in nums]
@@ -800,10 +831,9 @@ class LocalElement:
     def __init__(self, emb, vec, shift, prec):
         self.emb = emb
         pM = emb.pM
+        # vec has at most the local degree in coefficients: embedded field
+        # elements are reduced by the embedding's reduction matrix
         vec = [c % pM for c in vec]
-        # an embedded field element has the field degree in coefficients
-        if len(vec) > emb.degree:
-            vec = list(_pmod(vec, list(emb.local_factor), pM))
         vec += [0] * (emb.degree - len(vec))
         # vec is known mod p^M, so the element is known to M - shift; the
         # cap is taken before the shift is normalized, because vec / p is

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from mtlab import analysis, cli, mazurtate, modsym
+from mtlab import analysis, cli, mazurtate, modsym, padic
 from mtlab.errors import OutOfBudget, PrecisionExhausted
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,6 +76,10 @@ CASES = {
     "invariants-23-4-5": (["invariants", "--level", "23", "--weight", "4",
                            "--p", "5", "--nmax", "2", "--sign", "both"],
                           cli.EXIT_OK),
+    # the degree-6 Hecke field needs the tame block factorization at 3,
+    # and both signs split into the same two fields
+    "mu-min-23-6-3": (["mu-min", "--level", "23", "--weight", "6",
+                       "--p", "3", "--sign", "both"], cli.EXIT_OK),
 }
 
 
@@ -232,6 +236,27 @@ def test_mu_min_climbs_the_ladder_on_out_of_budget(tmp_path, monkeypatch):
     assert code == cli.EXIT_OK
     assert [(r["certified"], r["precision_used"]) for r in rows] == \
         [(True, 16)] * 2
+
+
+def test_mu_min_sets_up_each_field_and_witness_once(tmp_path, monkeypatch):
+    """Both signs of 23/6/3 split into the same two Hecke fields, and their
+    ten primes pick six distinct normalization witnesses."""
+    calls = {"primes_above": 0, "inverse": 0}
+    primes_above, inverse = padic.primes_above, padic.NFElement.inverse
+
+    def counted_primes_above(*args):
+        calls["primes_above"] += 1
+        return primes_above(*args)
+
+    def counted_inverse(x):
+        calls["inverse"] += 1
+        return inverse(x)
+
+    monkeypatch.setattr(padic, "primes_above", counted_primes_above)
+    monkeypatch.setattr(padic.NFElement, "inverse", counted_inverse)
+    argv, code = CASES["mu-min-23-6-3"]
+    assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == code
+    assert calls == {"primes_above": 2, "inverse": 6}
 
 
 def record(names):

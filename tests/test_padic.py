@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 import sympy
@@ -262,6 +263,30 @@ def test_finite_field_arithmetic():
     assert (t ** 8) == F9.one()
 
 
+# t^2 + 1 mod 3 and mod 7, t^3 - t + 1 mod 3, t + 2 mod 5
+RESIDUE_FIELDS = [padic.FF(3, [1, 0, 1]), padic.FF(7, [1, 0, 1]),
+                  padic.FF(3, [1, 2, 0, 1]), padic.FF(5, [2, 1])]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_finite_field_element_reduced_or_not(data):
+    F = data.draw(st.sampled_from(RESIDUE_FIELDS))
+    ints = st.integers(-10 ** 4, 10 ** 4)
+    vec = data.draw(st.lists(ints, max_size=F.degree))
+    quo = data.draw(st.lists(ints, min_size=1, max_size=5))
+    # vec + quo * modpoly, longer than the degree, with the same residue
+    big = [0] * (len(quo) + F.degree)
+    for i, q in enumerate(quo):
+        for j, m in enumerate(F.modpoly):
+            big[i + j] += q * m
+    for i, c in enumerate(vec):
+        big[i] += c
+    want = tuple(c % F.p for c in vec) + (0,) * (F.degree - len(vec))
+    assert F.element(vec).coeffs == want
+    assert F.element(big).coeffs == want
+
+
 def test_finite_field_minimal_polynomial():
     F9 = padic.FF(3, [1, 0, 1])
     t = F9.gen()
@@ -462,3 +487,58 @@ def test_local_agrees_with_double_precision(data):
         ints = emb.local_ints(nums, den)
         assert (ints.vec, ints.shift, ints.prec) == \
             (got.vec, got.shift, got.prec)
+
+
+# -- local_ints: one reduction matrix against a polynomial division -----------
+
+HECKE_23_6 = [  # the Hecke fields of level 23 and weight 6
+    padic.make_field([22068998956258400, -250039704736795, 1180343833432,
+                      -2971606335, 4208051, -3178, 1]),
+    padic.make_field([149129853, 843707, 1591, 1]),
+]
+# local degree below the field degree: the three primes above 3 of the
+# sextic field, the two of the cubic, and 5 split in Q(i)
+REDUCTION_EMBEDDINGS = (padic.primes_above(HECKE_23_6[0], 3, 8)
+                        + padic.primes_above(HECKE_23_6[1], 3, 8)
+                        + padic.primes_above(padic.make_field([1, 0, 1]),
+                                             5, 6))
+
+
+def local_ints_by_division(emb, nums, den):
+    """`local_ints` with the vector reduced by dividing by the local
+    factor."""
+    g = gcd(den, *nums)
+    nums = [c // g for c in nums]
+    den //= g
+    p, pM = emb.p, emb.pM
+    t = 0
+    while den % p == 0:
+        den //= p
+        t += 1
+    u = pow(den, -1, pM)
+    vec = padic._pmod([c * u % pM for c in nums], list(emb.local_factor), pM)
+    return padic.LocalElement(emb, vec, t, emb.M)
+
+
+def test_reduction_embeddings_are_proper():
+    assert len(REDUCTION_EMBEDDINGS) == 7
+    assert all(emb.degree < emb.field.degree for emb in REDUCTION_EMBEDDINGS)
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_local_ints_matches_division(data):
+    emb = data.draw(st.sampled_from(REDUCTION_EMBEDDINGS))
+    p, M = emb.p, emb.M
+    ints = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                     st.builds(lambda k, t: k * p ** t,
+                               st.integers(-10 ** 4, 10 ** 4),
+                               st.integers(0, M + 3)))
+    nums = data.draw(st.lists(ints, min_size=emb.field.degree,
+                              max_size=emb.field.degree))
+    den = p ** data.draw(st.integers(0, M + 2)) * \
+        data.draw(st.integers(1, 10 ** 6).filter(lambda d: d % p))
+    got = emb.local_ints(nums, den)
+    want = local_ints_by_division(emb, nums, den)
+    assert (got.vec, got.shift, got.prec) == \
+        (want.vec, want.shift, want.prec)
