@@ -135,15 +135,16 @@ def _apply_hom(x, image, target_field):
     return acc
 
 
-def find_congruent_weight2(eigensymbol, embedding, classes):
+def find_congruent_weight2(eigensymbol, embedding, classes, primes_above):
     """The weight-2 classes whose residual eigensystem matches.
 
     classes are the sign +1 cuspidal eigensymbols of weight 2 at the level
-    of the eigensymbol, in report order. Matching compares reductions of
-    a_ell for every prime ell != p up to the Sturm bound; classes over
-    larger coefficient fields are compared through minimal polynomials
-    first, then through an explicit embedding of residue fields that must
-    align every checked prime at once.
+    of the eigensymbol, in report order, and primes_above(field, M) gives
+    the primes above p of a class's field (the job's memo). Matching
+    compares reductions of a_ell for every prime ell != p up to the Sturm
+    bound; classes over larger coefficient fields are compared through
+    minimal polynomials first, then through an explicit embedding of
+    residue fields that must align every checked prime at once.
     """
     space = eigensymbol.space
     p = embedding.p
@@ -153,7 +154,7 @@ def find_congruent_weight2(eigensymbol, embedding, classes):
     source_red = {ell: embedding.reduce(eigensymbol.a(ell)) for ell in ells}
     matches = []
     for idx, cls in enumerate(classes):
-        for gemb in padic.primes_above(cls.field, p, embedding.M):
+        for gemb in primes_above(cls.field, embedding.M):
             Fg = gemb.residue_field
             if F.degree % Fg.degree != 0:
                 continue

@@ -428,10 +428,11 @@ def _verify_alphastick(config):
     return _prime_checks(config, config.space(), step)
 
 
-def _weight2_matches(norm, w2_classes):
+def _weight2_matches(config, norm, w2_classes):
     """(match, normalized weight-2 partner) for each congruent class."""
     for m in analysis.find_congruent_weight2(
-            norm.eigensymbol, norm.embedding, w2_classes):
+            norm.eigensymbol, norm.embedding, w2_classes,
+            config.primes_above):
         yield m, modsym.normalize(m.target_class, m.target_embedding)
 
 
@@ -440,7 +441,7 @@ def _verify_congruence(config):
 
     def step(norm):
         rows = []
-        for m, gnorm in _weight2_matches(norm, w2_classes):
+        for m, gnorm in _weight2_matches(config, norm, w2_classes):
             res = analysis.verify_congruence(
                 norm, gnorm, config.n_max,
                 mode=config.mode_arg or "lowslope")
@@ -496,7 +497,7 @@ def _verify_oldspace(config):
 
     def step(norm):
         rows = []
-        for m, gnorm in _weight2_matches(norm, w2_classes):
+        for m, gnorm in _weight2_matches(config, norm, w2_classes):
             try:
                 dec = analysis.oldspace_decompose(norm, gnorm, config.r,
                                                   target)

@@ -195,19 +195,6 @@ def mat_vec(rows, vec):
     return out
 
 
-def mat_mat(a, b):
-    bt = list(zip(*b))
-    return [[_dot(r, col) for col in bt] for r in a]
-
-
-def _dot(r, col):
-    acc = None
-    for x, y in zip(r, col):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def rank(rows, field):
     red, pivots = rref(rows, field)
     return len(pivots)

@@ -12,8 +12,9 @@ phi({gamma oo} - {gamma 0}) = Phi(class gamma)|gamma^(-1), which together
 with continued-fraction decomposition of paths drives Hecke operators and
 degeneracy maps.  Its Y^g coefficient, Phi(class gamma) evaluated at the
 bottom row of gamma, gives the path values that build Mazur-Tate elements:
-`path_weights` records them once per space and level as integer weights on
-the (coset, monomial) entries of Phi.
+`mazurtate.mazur_tate_values` walks the continued fraction of each unit
+a/p^n and adds every step's evaluation straight into that unit's
+coefficient, so no table of path weights is kept.
 
 The presentation is solved over the rationals, yielding a free basis whose
 coordinates are literal symbol values at recorded (coset, monomial)
@@ -108,7 +109,6 @@ class ManinSymbolSpace:
         self._lifts = [self.plist.lift(i) for i in range(len(self.plist))]
         self._plan_cache = {}
         self._matrix_cache = {}
-        self._weights_cache = {}
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -216,41 +216,7 @@ class ManinSymbolSpace:
                              for block in vb]
         self._position_cosets = sorted({c for c, _ in self.positions})
 
-    # -- path values -----------------------------------------------------------
-
-    def path_weights(self, p, n):
-        """Weights of the level-n path values at p, built once per space.
-
-        Returns {a: {(B, r): w}} over the units a mod p^n, in increasing
-        order, such that the Y^g coefficient of phi({oo} - {a/p^n}) is
-        sum w * Phi(B)[r] for every symbol phi.  Row 0 of Phi(B)|g^(-1) is
-        Phi(B) evaluated at the bottom row (c, d) of g, so each
-        continued-fraction matrix g of the path (class B) adds
-        c^r d^(g-r) to the weight of (B, r).
-        """
-        key = (p, n)
-        table = self._weights_cache.get(key)
-        if table is not None:
-            return table
-        pn = p ** n
-        g, M = self.g, self.M
-        cosets = {}   # (c mod M, d mod M) -> coset index
-        table = {}
-        for a in range(1, pn):
-            if a % p == 0:
-                continue
-            row = {}
-            for _, (c, d) in _convergent_matrices(a, pn):
-                B = cosets.get((c % M, d % M))
-                if B is None:
-                    B = cosets[c % M, d % M] = self.plist.index(c, d)
-                for r in range(g + 1):
-                    w = c ** r * d ** (g - r)
-                    if w:
-                        row[B, r] = row.get((B, r), 0) + w
-            table[a] = {k: w for k, w in row.items() if w}
-        self._weights_cache[key] = table
-        return table
+    # -- paths ---------------------------------------------------------------
 
     def _path_terms(self, a, b):
         """List of (coset, inverse matrix) with E(a/b) = sum Phi(B)|ginv,
@@ -353,12 +319,6 @@ class ManinSymbolSpace:
         iota = polyact.act_matrix(polyact.IOTA, self.g)
         return {A: [(self.plist.index(-self.plist[A][0], self.plist[A][1]),
                      iota)] for A in cosets}
-
-    def apply_operator_to_values(self, op, values, cosets=None):
-        """Values of phi|op at the given cosets (default: basis positions)."""
-        if cosets is None:
-            cosets = self._position_cosets
-        return self.apply_plan_to_values(self._plan(op, cosets), values)
 
     def apply_operator_to_coords(self, op, coords):
         """Coordinates of phi|op, H coords / D for H = hecke_matrix(op)."""

@@ -171,21 +171,6 @@ class NumberField:
         return self.element([Fraction(r)])
 
 
-def make_field(minpoly):
-    """Build a NumberField, rejecting reducible defining polynomials."""
-    coeffs = polyq.trim([int(c) for c in minpoly])
-    if len(coeffs) < 2 or coeffs[-1] != 1:
-        raise ReduciblePolynomial("minimal polynomial must be monic and nonconstant")
-    if len(coeffs) > 2:
-        try:
-            irreducible = len(factor_monic_int(coeffs)) == 1
-        except ValueError:  # a repeated factor
-            irreducible = False
-        if not irreducible:
-            raise ReduciblePolynomial("polynomial factors over the rationals")
-    return NumberField(coeffs)
-
-
 class NFElement:
     """Element of a NumberField as a Fraction vector in the power basis."""
 
@@ -751,11 +736,6 @@ class PAdicEmbedding:
     def __repr__(self):
         return ("PAdicEmbedding(p=%d, e=%d, f=%d, M=%d, index=%d)"
                 % (self.p, self.e, self.residue_degree, self.M, self.index))
-
-    def with_precision(self, M):
-        """The same prime with the local factor lifted to precision M."""
-        embs = primes_above(self.field, self.p, M)
-        return embs[self.index]
 
     # -- embedding of exact elements -------------------------------------
 

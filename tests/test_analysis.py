@@ -48,22 +48,23 @@ def test_budget_is_checked_before_any_element(entry, monkeypatch):
     monkeypatch.setattr(mazurtate, "mazur_tate_values",
                         lambda *args: built.append(args))
     run = {
-        "invariant_table": lambda: analysis.invariant_table(norm, 6),
+        "invariant_table": lambda: analysis.invariant_table(norm, 7),
         "verify_congruence": lambda: analysis.verify_congruence(
-            norm, norm, 6),
+            norm, norm, 7),
         "verify_weight2_patterns": lambda: analysis.verify_weight2_patterns(
-            norm, 6, modsym.ManinSymbolSpace(55, 2)),
+            norm, 7, modsym.ManinSymbolSpace(55, 2)),
     }[entry]
-    # level 7: 4 * 5^6 = 62500 units, 7 steps each
-    with pytest.raises(OutOfBudget, match="437500 evaluations.*200000"):
+    # level 8: 4 * 5^7 = 312500 units, 8 steps each
+    with pytest.raises(OutOfBudget, match="2500000 evaluations.*500000"):
         run()
     assert built == []
 
 
 def test_check_budget_bounds():
     mazurtate.check_budget(5, 6)  # 12500 units x 6 = 75000
+    mazurtate.check_budget(5, 7)  # 62500 units x 7 = 437500
     with pytest.raises(OutOfBudget):
-        mazurtate.check_budget(5, 7)
+        mazurtate.check_budget(5, 8)
     with pytest.raises(OutOfBudget):
         mazurtate.check_budget(3, 11)  # 118098 units x 11
     mazurtate.check_budget(3, 0)

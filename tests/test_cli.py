@@ -164,18 +164,18 @@ def test_uncertified_when_precision_runs_out(command, tmp_path,
 
 
 # commands that loop to n_max themselves: the deepest level each one builds
-# is over the budget, level 7 at p = 5 and level 10 at p = 3
+# is over the budget, level 8 at p = 5 and level 11 at p = 3
 OVER_BUDGET = {
     "stabilize": (["stabilize", "--level", "11", "--weight", "2", "--p", "5",
-                   "--nmax", "6"], "437500 evaluations"),
+                   "--nmax", "7"], "2500000 evaluations"),
     "three-term": (["verify", "--mode", "three-term", "--level", "11",
-                    "--weight", "2", "--p", "5", "--nmax", "6"],
-                   "437500 evaluations"),
+                    "--weight", "2", "--p", "5", "--nmax", "7"],
+                   "2500000 evaluations"),
     "degen": (["verify", "--mode", "degen", "--level", "11", "--weight", "2",
-               "--p", "5", "--nmax", "6"], "437500 evaluations"),
+               "--p", "5", "--nmax", "7"], "2500000 evaluations"),
     "alphastick": (["verify", "--mode", "alphastick", "--level", "11",
-                    "--weight", "4", "--p", "3", "--nmax", "10"],
-                   "393660 evaluations"),
+                    "--weight", "4", "--p", "3", "--nmax", "11"],
+                   "1299078 evaluations"),
 }
 
 
@@ -257,6 +257,25 @@ def test_mu_min_sets_up_each_field_and_witness_once(tmp_path, monkeypatch):
     argv, code = CASES["mu-min-23-6-3"]
     assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == code
     assert calls == {"primes_above": 2, "inverse": 6}
+
+
+def test_congruence_finds_the_primes_of_each_field_once(tmp_path,
+                                                        monkeypatch):
+    """Both signs of 23/6/3 split into two Hecke fields, and every
+    weight-2 partner at level 23 lies in a third: one factorization each."""
+    calls = []
+    primes_above = padic.primes_above
+
+    def counted(field, p, M):
+        calls.append((field.minpoly, M))
+        return primes_above(field, p, M)
+
+    monkeypatch.setattr(padic, "primes_above", counted)
+    argv = ["verify", "--mode", "congruence", "--level", "23", "--weight",
+            "6", "--p", "3", "--nmax", "1", "--sign", "both"]
+    out = ["--out", str(tmp_path / "r.json")]
+    assert cli.main(argv + out) == cli.EXIT_IDENTITY
+    assert len(calls) == len(set(calls)) == 3
 
 
 def record(names):

@@ -10,6 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from mtlab import linalg, padic, polyq
 from mtlab.linalg import QQ
+from test_padic import make_field
+
+
+def mat_mat(a, b):
+    """The matrix product a b."""
+    return [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)]
+            for r in a]
 
 
 def test_rref_and_rank():
@@ -35,7 +42,7 @@ def test_solve_and_invert():
     x = linalg.solve(rows, [Fraction(3), Fraction(2)], QQ)
     assert x == [Fraction(1), Fraction(1)]
     inv = linalg.invert(rows, QQ)
-    assert linalg.mat_mat(rows, inv) == [[1, 0], [0, 1]]
+    assert mat_mat(rows, inv) == [[1, 0], [0, 1]]
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert linalg.invert(singular, QQ) is None
     assert linalg.solve(singular, [Fraction(1), Fraction(3)], QQ) is None
@@ -227,7 +234,7 @@ def dense_rref(rows, field):
 
 
 F7 = padic.FF(7, [0, 1])
-QSQRT2 = padic.make_field([-2, 0, 1])
+QSQRT2 = make_field([-2, 0, 1])
 
 # each field with a map from a tuple of two small ints to one of its elements
 FIELDS = {
@@ -351,5 +358,5 @@ def test_rational_invert_matches_dense_reference(rows):
         assert inv is None
         return
     assert all_fractions(inv)
-    assert linalg.mat_mat(rows, inv) == [[int(i == j) for j in range(n)]
-                                         for i in range(n)]
+    assert mat_mat(rows, inv) == [[int(i == j) for j in range(n)]
+                                  for i in range(n)]

@@ -26,9 +26,10 @@ from mtlab.mazurtate import (
     q_n,
     theta_element,
 )
-from test_modsym import all_values
+from test_modsym import all_values, apply_operator_to_values
+from test_padic import make_field, with_precision
 
-QQ = padic.make_field([0, 1])
+QQ = make_field([0, 1])
 
 
 def emb_at(p, M=8):
@@ -302,8 +303,8 @@ def test_binom_mod_p_is_lucas(j, t, p):
 
 # (field, p): Q at 3, 5, 7, and x^2 - 2, inert at 3 and 5 (residue degree 2)
 LAMBDA_CASES = [(QQ, 3), (QQ, 5), (QQ, 7),
-                (padic.make_field([-2, 0, 1]), 3),
-                (padic.make_field([-2, 0, 1]), 5)]
+                (make_field([-2, 0, 1]), 3),
+                (make_field([-2, 0, 1]), 5)]
 
 
 def naive_lambda(theta):
@@ -380,7 +381,7 @@ def test_lambda_is_invariant_under_a_unit_scaling(case, data):
 
 
 # x^2 - 3 is ramified at 3: sqrt(3) has valuation 1/2
-SQRT3 = padic.make_field([-3, 0, 1])
+SQRT3 = make_field([-3, 0, 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,9 +551,10 @@ def test_twists_share_each_level(monkeypatch):
     assert levels == [1, 2, 3]
 
 
-def test_weight_table_built_once_per_level(monkeypatch):
+def test_each_walk_runs_once_per_class_and_level(monkeypatch):
     # 23/6, sign +1, p = 3: two classes with five primes above 3 between
     # them, each at two precisions; the walk of each unit's path runs once
+    # per class, when its exact element is built
     space = modsym.ManinSymbolSpace(23, 6)
     classes = modsym.cuspidal_eigensymbols(space, 1)
     walks = []
@@ -577,7 +579,7 @@ def test_weight_table_built_once_per_level(monkeypatch):
     monkeypatch.setattr(modsym.NormalizedSymbol, "embed", counted_embed)
     for norm in symbols:
         analysis.invariant_table(norm, 2)
-    assert sorted(Counter(walks).items()) == [(3, 2), (9, 6), (27, 18)]
+    assert sorted(Counter(walks).items()) == [(3, 4), (9, 12), (27, 36)]
     # one exact element per class and level, and one embedding per
     # coefficient of each symbol's theta_{n,0}, n = 0, 1, 2, projected
     # before it is embedded
@@ -644,7 +646,7 @@ def test_exact_theta_agrees_with_twice_the_precision(N, k, p):
     M = 8
     for norm in normalized_symbols(N, k, p, M):
         emb = norm.embedding
-        wide = modsym.normalize(norm.eigensymbol, emb.with_precision(2 * M))
+        wide = modsym.normalize(norm.eigensymbol, with_precision(emb, 2 * M))
         assert wide.content_certificate == norm.content_certificate
         assert tuple(c % emb.pM for c in wide.embedding.local_factor) == \
             emb.local_factor
@@ -680,8 +682,8 @@ def test_unit_root_satisfies_quadratic(stab11_5, norm11_5):
 def test_stabilized_symbol_is_up_eigen(stab11_5):
     space = stab11_5.space
     vals = stab11_5.all_values()
-    out = space.apply_operator_to_values("U5", vals,
-                                         range(len(space.plist)))
+    out = apply_operator_to_values(space, "U5", vals,
+                                   range(len(space.plist)))
     for A in range(len(space.plist)):
         for got, want in zip(out[A], vals[A]):
             assert (got - stab11_5.alpha * want).is_zero_to_precision(1)

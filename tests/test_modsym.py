@@ -6,11 +6,13 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtlab import linalg, mazurtate, modsym, padic, polyact
 from mtlab.errors import InvalidOperator, PrecisionExhausted
 from mtlab.linalg import QQ
 from mtlab.modsym import ManinSymbolSpace
+from test_linalg import mat_mat
 
 
 # -- coset values of arbitrary coordinates (references) ----------------------
@@ -37,6 +39,13 @@ def coset_value(space, coords, A):
 
 def all_values(space, coords):
     return [coset_value(space, coords, A) for A in range(len(space.plist))]
+
+
+def apply_operator_to_values(space, op, values, cosets=None):
+    """Values of phi|op at the given cosets (default: basis positions)."""
+    if cosets is None:
+        cosets = space._position_cosets
+    return space.apply_plan_to_values(space._plan(op, cosets), values)
 
 
 def coords_from_values(space, values):
@@ -414,7 +423,7 @@ def test_iota_is_involution():
         space = ManinSymbolSpace(N, k)
         # iota = J / D for the integer matrix J
         J = space.hecke_matrix("iota")
-        J2 = linalg.mat_mat(J, J)
+        J2 = mat_mat(J, J)
         D = space.denominator
         for r in range(space.dim):
             for c in range(space.dim):
@@ -426,8 +435,8 @@ def test_hecke_commutativity():
     t2 = space.hecke_matrix("T2")
     t3 = space.hecke_matrix("T3")
     J = space.hecke_matrix("iota")
-    assert linalg.mat_mat(t2, t3) == linalg.mat_mat(t3, t2)
-    assert linalg.mat_mat(t2, J) == linalg.mat_mat(J, t2)
+    assert mat_mat(t2, t3) == mat_mat(t3, t2)
+    assert mat_mat(t2, J) == mat_mat(J, t2)
 
 
 def test_invalid_operators():
@@ -470,7 +479,7 @@ def test_eigensymbol_is_actual_eigenvector():
                 assert got == a2 * want
             # iota scales by the stated sign
             values = all_values(space, coords)
-            iv = space.apply_operator_to_values("iota", values)
+            iv = apply_operator_to_values(space, "iota", values)
             for idx, (c, j) in enumerate(space.positions):
                 assert iv[c][j] == coords[idx] * f.sign
 
@@ -571,10 +580,10 @@ def test_degeneracy_commutes_with_hecke():
         img = modsym.degeneracy_values(src, dst, r, values)
         img_list = [img[A] for A in range(len(dst.plist))]
         # T_2 after degeneracy equals degeneracy after T_2
-        lhs = dst.apply_operator_to_values(
-            "T2", img_list, range(len(dst.plist)))
-        tv = src.apply_operator_to_values(
-            "T2", values, range(len(src.plist)))
+        lhs = apply_operator_to_values(dst, "T2", img_list,
+                                       range(len(dst.plist)))
+        tv = apply_operator_to_values(src, "T2", values,
+                                      range(len(src.plist)))
         tv_list = [tv[A] for A in range(len(src.plist))]
         rhs = modsym.degeneracy_values(src, dst, r, tv_list)
         for A in range(len(dst.plist)):
@@ -613,7 +622,7 @@ def test_hecke_matrix_matches_per_vector_reference(N, k):
         mat = space.hecke_matrix(op)
         for i in range(space.dim):
             unit = [Fraction(int(j == i)) for j in range(space.dim)]
-            out = space.apply_operator_to_values(op, all_values(space, unit))
+            out = apply_operator_to_values(space, op, all_values(space, unit))
             column = [out[c][j] for c, j in space.positions]
             assert [Fraction(row[i], space.denominator)
                     for row in mat] == column, (op, i)
@@ -625,7 +634,7 @@ def test_iota_is_the_coset_permutation_and_action():
         space = ManinSymbolSpace(N, k)
         values = all_values(space, random_coords(space, rng))
         cosets = range(len(space.plist))
-        out = space.apply_operator_to_values("iota", values, cosets)
+        out = apply_operator_to_values(space, "iota", values, cosets)
         for A in cosets:
             u, v = space.plist[A]
             assert out[A] == polyact.act(values[space.plist.index(-u, v)],
@@ -779,20 +788,21 @@ PATH_CASES = [(11, 2, 5), (23, 6, 3), (11, 8, 3)]
 
 
 @pytest.mark.parametrize("N,k,p", PATH_CASES)
-def test_path_weights_match_path_value(N, k, p):
+def test_mazur_tate_values_match_path_value(N, k, p):
     for f in eigenclasses(N, k):
         space = f.space
         exact = field_values(f)
         norm = modsym.normalize(f, padic.primes_above(f.field, p, 8)[0])
         for n in (1, 2, 3):
             pn = p ** n
-            weights = space.path_weights(p, n)
-            assert list(weights) == [a for a in range(1, pn) if a % p]
+            units = [a for a in range(1, pn) if a % p]
             ints = mazurtate.mazur_tate_values(space, f.exact_value, p, n)
             fields = mazurtate.mazur_tate_values(space, exact.__getitem__,
                                                  p, n)
             local = mazurtate.mazur_tate_values(space, norm.value, p, n)
-            for a in weights:
+            for element in (ints, fields, local):
+                assert list(element.coeffs) == units
+            for a in units:
                 want = path_value(space, exact.__getitem__, a, pn)
                 assert fields.coeffs[a] == want
                 assert f.field.element(
@@ -800,6 +810,24 @@ def test_path_weights_match_path_value(N, k, p):
                      for c in ints.coeffs[a]]) == want
                 ref = path_value(space, norm.value, a, pn)
                 assert (local.coeffs[a] - ref).is_zero_to_precision()
+
+
+# the fused walk past the levels of PATH_CASES: (N, k, p, n)
+DEEP_CASES = [(11, 2, 5, 5), (11, 2, 5, 6), (23, 6, 3, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_deep_exact_coefficients_match_path_value(data):
+    N, k, p, n = data.draw(st.sampled_from(DEEP_CASES))
+    f = data.draw(st.sampled_from(eigenclasses(N, k)))
+    # the u-th unit mod p^n in increasing order
+    u = data.draw(st.integers(0, (p - 1) * p ** (n - 1) - 1))
+    a = u // (p - 1) * p + u % (p - 1) + 1
+    coeff = mazurtate.exact_element(f, p, n).coeffs[a]
+    want = path_value(f.space, field_values(f).__getitem__, a, p ** n)
+    assert f.field.element(
+        [Fraction(c, f.denominator) for c in coeff]) == want
 
 
 def same_local(x, y):

