@@ -377,7 +377,7 @@ def invariant_table(f_norm, n_max):
     return InvariantReport(rows, pattern or "none", constants)
 
 
-def verify_weight2_patterns(g_norm, n_max, target):
+def verify_weight2_patterns(g_norm, n_max):
     """Pattern checks for a weight-2 symbol, routed on ord_p(a_p).
 
     Returns {i: report} for every twist i of the symbol's sign.
@@ -385,15 +385,16 @@ def verify_weight2_patterns(g_norm, n_max, target):
     whether it is constant from n = 2 on.
     Ordinary route: reports "maximal" when lambda = p^n - 1 throughout
     (the reducible anomaly), otherwise compares theta invariants with the
-    invariants of the stabilization in target (weight 2, level Np), built
-    once for all twists, and reports where they stabilize.
+    invariants of the p-stabilization, built from the exact thetas with
+    the unit root alpha found once for all twists, and reports where they
+    stabilize.
     """
     emb = g_norm.embedding
     p = emb.p
     mazurtate.check_budget(p, n_max + 1)
     ap = g_norm.eigensymbol.a(p)
     ordinary = not ap.is_zero() and emb.valuation(ap) == 0
-    stab = None
+    alpha = None
     reports = {}
     for i in mazurtate.twists(p, g_norm.sign):
         rows = []
@@ -414,11 +415,11 @@ def verify_weight2_patterns(g_norm, n_max, target):
             reports[i] = {"branch": "ordinary", "pattern": "maximal",
                           "rows": rows}
             continue
-        if stab is None:
-            stab = mazurtate.p_stabilize(g_norm, target)
+        if alpha is None:
+            alpha = mazurtate.p_stabilize(g_norm)
         psi_rows = []
         for n in range(n_max + 1):
-            _, inv = mazurtate.lp_approx(stab, i, n)
+            _, inv = mazurtate.lp_approx(g_norm, alpha, i, n)
             psi_rows.append((n, i, inv.mu, inv.lam, inv.certified))
         stabilized_at = None
         for n in range(1, n_max + 1):

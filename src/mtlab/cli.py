@@ -164,10 +164,11 @@ def _records(config, space, work):
     rung, at that rung's precision (`JobConfig.primes_above`), so classes
     of both signs with the same field share them. Each prime climbs the
     precision ladder until ``work(normalized) -> (result, certified)``
-    reports certified, and keeps the last rung's result otherwise; exact
+    reports certified, and keeps the last result it got otherwise; exact
     symbols re-embed losslessly, so a higher rung describes the same
-    object. result is None when the symbol cannot be normalized at any
-    rung.
+    object. A rung where the symbol cannot be normalized, or where the
+    work runs out of precision, is skipped. result is None when no rung
+    gave one.
     """
     ladder = config.precision_ladder()
     for sign, cid, cls in _class_records(config, space):
@@ -175,11 +176,10 @@ def _records(config, space, work):
             result = None
             for M in ladder:
                 try:
-                    norm = modsym.normalize(
-                        cls, config.primes_above(cls.field, M)[j])
+                    result, certified = work(modsym.normalize(
+                        cls, config.primes_above(cls.field, M)[j]))
                 except PrecisionExhausted:
                     continue
-                result, certified = work(norm)
                 if certified:
                     break
             yield sign, cid, j, result
@@ -264,15 +264,14 @@ def cmd_stabilize(config):
 
     def step(norm):
         try:
-            stab = mazurtate.p_stabilize(
-                norm, config.space(level=config.N * config.p))
+            alpha = mazurtate.p_stabilize(norm)
         except NotOrdinary as exc:
             return {"ordinary": False, "reason": str(exc)}
         psi_rows = []
         for n in range(config.n_max + 1):
             for i in mazurtate.twists(config.p, norm.sign):
                 try:
-                    _, inv = mazurtate.lp_approx(stab, i, n)
+                    _, inv = mazurtate.lp_approx(norm, alpha, i, n)
                     psi_rows.append({"n": n, "i": i, "mu": _fmt(inv.mu),
                                      "lambda": _fmt(inv.lam),
                                      "certified": inv.certified})
@@ -281,8 +280,8 @@ def cmd_stabilize(config):
                                      "lambda": "", "certified": False})
         return {
             "ordinary": True,
-            "alpha_valuation": _fmt(stab.alpha.valuation()),
-            "alpha_residue": _fmt(stab.alpha.reduce()),
+            "alpha_valuation": _fmt(alpha.valuation()),
+            "alpha_residue": _fmt(alpha.reduce()),
             "precision_used": norm.embedding.M,
             "psi_rows": psi_rows,
         }
@@ -350,16 +349,24 @@ def _verify_degen(config):
     mazurtate.check_budget(p, config.n_max + 1)
     space = config.space()
     target = config.space(level=config.N * p)
+    cosets = range(len(space.plist))
 
     def step(norm):
+        cls = norm.eigensymbol
         pg = norm.embedding.local(p ** space.g)
-        vp = modsym.degeneracy_values(space, target, p, norm.all_values())
-        fulls = [mazurtate.mazur_tate_values(target, lambda A: vp[A], p, n + 2)
+        # phi|B_p in integers, one coordinate of the exact values at a time
+        images = [modsym.degeneracy_values(
+            space, target, p, [[x[t] for x in cls.exact_value(A)]
+                               for A in cosets])
+            for t in range(cls.field.degree)]
+        vp = [list(zip(*(img[A] for img in images)))
+              for A in range(len(target.plist))]
+        fulls = [mazurtate.mazur_tate_values(target, vp.__getitem__, p, n + 2)
                  for n in range(config.n_max)]
         rows = []
         for i in mazurtate.twists(p, norm.sign):
             for n in range(config.n_max):
-                lhs = mazurtate.omega_decompose(fulls[n], i)
+                lhs = mazurtate.embedded_projection(norm, fulls[n], i)
                 rhs = mazurtate.nu_corestrict(
                     mazurtate.theta_element(norm, n, i)).scale(pg)
                 ok = (lhs - rhs).is_zero_to_precision(1)
@@ -417,11 +424,10 @@ def _verify_alphastick(config):
         avals = modsym.alpha_map(norm, target)
         rows = []
         for n in range(1, config.n_max + 1):
-            lhs = mazurtate.mazur_tate_values(
-                target, lambda A: avals[A], p, n)
+            lhs = mazurtate.mazur_tate_values(target, avals.__getitem__, p, n)
             rhs = mazurtate.mazur_tate(norm, n)
-            ok = all(c == rhs.coeffs[a].reduce()
-                     for a, c in lhs.coeffs.items())
+            ok = all(norm.embed(x).reduce() == rhs.coeffs[a].reduce()
+                     for a, x in lhs.coeffs.items())
             rows.append({"n": n, "ok": bool(ok)})
         return rows
 
@@ -458,12 +464,10 @@ def _verify_congruence(config):
 
 
 def _verify_wt2_patterns(config):
-    target = config.space(level=config.N * config.p, weight=2)
-
     def step(norm):
         entries = []
         for i, rep in analysis.verify_weight2_patterns(
-                norm, config.n_max, target).items():
+                norm, config.n_max).items():
             entry = {"i": i, "branch": rep["branch"]}
             entry["rows"] = [
                 {"n": n, "i": i, "mu": _fmt(mu), "lambda": _fmt(lam),

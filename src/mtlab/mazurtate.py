@@ -1,21 +1,24 @@
 """Group rings over G_n, Mazur-Tate elements, and finite-level invariants.
 
 The full group ring sits over (Z/p^n)^*; the cyclic quotient G_n of order
-p^n is generated by the image of 1 + p.  Coefficients are local elements
-at certified precision (or residue-field elements for mod-p identities).
+p^n is generated by the image of 1 + p.  Coefficients are integer
+vectors while an element is built, and local elements at certified
+precision once it is embedded.
 
-The level-n element of an eigenclass is built once per (p, n), exactly:
-integer-vector coefficients over the class's denominator, each folded from
-the coset values met along the continued-fraction walk of a/p^n as the walk
-goes, so no table of path weights is kept.  Every prime above p, precision
-and twist shares the element.
+Every Mazur-Tate element is built exactly, as integer vectors: the
+level-n element of an eigenclass is built once per (p, n), each
+coefficient folded from the coset values met along the continued-fraction
+walk of a/p^n as the walk goes, so no table of path weights is kept.
+Every prime above p, precision and twist shares the element.
 theta_{n,i} of a normalized symbol is projected before it is embedded: its
 coefficient j is the integer vector sum w(a)^i x_a over the units a that
 map to j, with the Teichmuller lifts w(a) taken mod p^(M+v), v the
 valuation of the symbol's denominator, and it is embedded once.  The
 truncation of the lifts then costs nothing below p^M, so p-adic digits
-enter only when valuations are read.  Stabilized symbols, whose values
-involve the unit root, sum and project local values along the same walk.
+enter only when valuations are read.  The ordinary p-stabilization is a
+combination of these thetas, theta_n(phi_alpha) = theta_n(phi) -
+alpha^(-1) p^(k-2) nu(theta_(n-1)(phi)), so the unit root alpha is its
+only p-adic number and no level-Np symbol is built.
 
 lambda is read off residues and does not change when every coefficient is
 multiplied by one unit, so an element whose mu is an integer is reduced
@@ -47,25 +50,6 @@ class FullGroupRingElement:
         if len(self.coeffs) != expected:
             raise ValueError("expected %d coefficients, got %d"
                              % (expected, len(self.coeffs)))
-
-    def _check(self, other):
-        if not isinstance(other, FullGroupRingElement):
-            raise TypeError("cannot combine with %r" % (other,))
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValueError("group rings differ")
-
-    def __add__(self, other):
-        self._check(other)
-        return FullGroupRingElement(
-            self.p, self.n,
-            {a: c + other.coeffs[a] for a, c in self.coeffs.items()})
-
-    def __neg__(self):
-        return FullGroupRingElement(
-            self.p, self.n, {a: -c for a, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def coefficient_list(self):
         return [self.coeffs[a] for a in _units(self.p, self.n)]
@@ -171,31 +155,26 @@ def mazur_tate_values(space, get_value, p, n):
     The a-th coefficient is the path value of the symbol on {oo} - {a/p^n}:
     each matrix of the continued-fraction walk of a/p^n, bottom row (c, d)
     and class B, adds Phi(B)(c, d) = sum_r c^r d^(g-r) Phi(B)[r], folded
-    into the coefficient as the walk goes.  Values are ring elements
-    (local, residue-field or exact field elements) or, for an eigenclass's
-    exact data, tuples of integers, which are summed coordinatewise.
+    into the coefficient as the walk goes.  Values are exact: get_value(B)
+    gives the g+1 entries of Phi(B) as integer vectors (an eigenclass's
+    exact data over its denominator, or an integer image of them), and
+    the coefficients are integer vectors over the same denominator.
     """
     check_budget(p, n)
     pn = p ** n
     M, index = space.M, space.plist.index
-    cosets = {}   # (c mod M, d mod M) -> (B, Phi(B)), looked up once
+    cosets = {}   # (c mod M, d mod M) -> Phi(B), looked up once
 
     def walk(a):
         for _, (c, d) in modsym._convergent_matrices(a, pn):
             key = (c % M, d % M)
-            hit = cosets.get(key)
-            if hit is None:
-                B = index(c, d)
-                hit = cosets[key] = (B, get_value(B))
-            yield hit, c, d
+            value = cosets.get(key)
+            if value is None:
+                value = cosets[key] = get_value(index(c, d))
+            yield value, c, d
 
-    sample = get_value(0)[0]
-    if isinstance(sample, tuple):
-        coeffs = _vector_fold(walk, space.g, _units(p, n))
-    else:
-        coeffs = _ring_fold(walk, get_value, space.g, sample * 0,
-                            _units(p, n))
-    return FullGroupRingElement(p, n, coeffs)
+    return FullGroupRingElement(p, n, _vector_fold(walk, space.g,
+                                                   _units(p, n)))
 
 
 def _vector_fold(walk, g, units):
@@ -204,7 +183,7 @@ def _vector_fold(walk, g, units):
     c^r d^(g-r) (one sum at g = 0, where every weight is 1)."""
     for a in units:
         rows, weights = [], []
-        for (_, value), c, d in walk(a):
+        for value, c, d in walk(a):
             rows += value
             if g:
                 weights += [c ** r * d ** (g - r) for r in range(g + 1)]
@@ -212,25 +191,6 @@ def _vector_fold(walk, g, units):
             yield a, tuple(sum(map(mul, weights, col)) for col in zip(*rows))
         else:
             yield a, tuple(map(sum, zip(*rows)))
-
-
-def _ring_fold(walk, get_value, g, zero, units):
-    """Ring-element coefficients: the unit's weights on the (coset,
-    monomial) entries are gathered in walk order, then summed term by term,
-    so each LocalElement sum keeps its grouping and precision."""
-    for a in units:
-        row = {}
-        for (B, _), c, d in walk(a):
-            for r in range(g + 1):
-                w = c ** r * d ** (g - r)
-                if w:
-                    row[B, r] = row.get((B, r), 0) + w
-        acc = None
-        for (B, r), w in row.items():
-            if w:
-                term = get_value(B)[r] * w
-                acc = term if acc is None else acc + term
-        yield a, zero if acc is None else acc
 
 
 def exact_element(cls, p, n):
@@ -244,23 +204,15 @@ def exact_element(cls, p, n):
     return cls.elements[key]
 
 
-def mazur_tate(sym, n):
-    """The level-n element of a normalized or stabilized symbol, built once
-    per level and kept on the symbol.
-
-    A normalized symbol embeds each coefficient of its eigenclass's exact
-    element once (`NormalizedSymbol.embed`); a stabilized symbol sums its
-    local values.
-    """
-    if n not in sym._elements:
-        p = sym.embedding.p
-        if isinstance(sym, modsym.NormalizedSymbol):
-            exact = exact_element(sym.eigensymbol, p, n)
-            sym._elements[n] = FullGroupRingElement(
-                p, n, {a: sym.embed(x) for a, x in exact.coeffs.items()})
-        else:
-            sym._elements[n] = mazur_tate_values(sym.space, sym.value, p, n)
-    return sym._elements[n]
+def mazur_tate(norm, n):
+    """The level-n element of a normalized symbol, built once per level and
+    kept on the symbol: each coefficient of its eigenclass's exact element
+    embedded once (`NormalizedSymbol.embed`)."""
+    if n not in norm._elements:
+        exact = exact_element(norm.eigensymbol, norm.embedding.p, n)
+        norm._elements[n] = FullGroupRingElement(
+            exact.p, n, {a: norm.embed(x) for a, x in exact.coeffs.items()})
+    return norm._elements[n]
 
 
 def _dlog_table(p, n1):
@@ -282,16 +234,14 @@ def twists(p, sign):
     return [i for i in range(p - 1) if (-1) ** i == sign]
 
 
-def omega_decompose(theta, i, digits=None):
-    """The omega^i-projection O[(Z/p^(n+1))^*] -> O[G_n].
+def omega_decompose(theta, i, digits):
+    """The omega^i-projection Z[(Z/p^(n+1))^*] -> (Z/p^digits)[G_n] of an
+    element whose coefficients are integer vectors.
 
-    sigma_a maps to omega(a)^i gamma_n^dlog<a> where a = omega(a)<a>.
-    Coefficients are summed as `mazur_tate_values` sums them: local
-    elements, whose Teichmuller factors are taken mod p^M of their
-    embedding, or integer vectors (an eigenclass's exact element), whose
-    factors and sums are taken mod p^digits.  omega(a) mod p^digits
-    differs from omega(a) by a multiple of p^digits, so a sum of integer
-    vectors over a denominator of valuation v is certified to
+    sigma_a maps to omega(a)^i gamma_n^dlog<a> where a = omega(a)<a>; the
+    Teichmuller factors and the sums are taken mod p^digits.  omega(a)
+    mod p^digits differs from omega(a) by a multiple of p^digits, so a sum
+    of integer vectors over a denominator of valuation v is certified to
     p^(digits - v).  The Teichmuller lift, its inverse and its i-th power
     depend only on a mod p, so each is computed once per call.
     """
@@ -301,9 +251,6 @@ def omega_decompose(theta, i, digits=None):
     pn1 = p ** n1
     if not (0 <= i <= p - 2):
         raise ValueError("i must lie in 0 .. p-2")
-    exact = isinstance(theta.coeffs[1], tuple)
-    if not exact:
-        digits = theta.coeffs[1].emb.M
     pd = p ** digits
     dlog = _dlog_table(p, n1)
     lifts = {}
@@ -316,36 +263,34 @@ def omega_decompose(theta, i, digits=None):
         winv, wi = lift
         j = dlog[(a * winv) % pn1]
         acc = out[j]
-        if exact:
-            out[j] = [wi * x for x in c] if acc is None else \
-                [s + wi * x for s, x in zip(acc, c)]
-        else:
-            term = c * wi
-            out[j] = term if acc is None else acc + term
-    if exact:
-        out = [tuple(s % pd for s in acc) for acc in out]
-    return CyclicGroupRingElement(p, n, out)
+        out[j] = [wi * x for x in c] if acc is None else \
+            [s + wi * x for s, x in zip(acc, c)]
+    return CyclicGroupRingElement(
+        p, n, [tuple(s % pd for s in acc) for acc in out])
 
 
-def theta_element(sym, n, i):
-    """theta_{n,i} of a symbol, defined from the level-(n+1) element.
+def embedded_projection(norm, full, i):
+    """The omega^i-projection of a full element with integer-vector
+    coefficients over the eigenclass's denominator, taken with
+    `norm.digits` Teichmuller digits, each coefficient S_j embedded once.
 
-    For a normalized symbol the projection is taken on the eigenclass's
-    exact element, with `digits` = M + v Teichmuller digits, v the
-    valuation of the symbol's denominator, and each coefficient S_j is
-    embedded once.  S_j is the true integer sum up to a multiple of
-    p^(M+v), an error of valuation >= M after the division by the
-    denominator, so the embedding's precision M - t(S_j) <= M is certified.
-    The content of S_j is at least the least content of its terms, so that
-    precision is no lower than the least one of the embedded terms.
+    S_j is the true integer sum up to a multiple of p^(M+v), v the
+    valuation of the symbol's denominator, an error of valuation >= M after
+    the division by the denominator, so the embedding's precision
+    M - t(S_j) <= M is certified.  The content of S_j is at least the
+    least content of its terms, so that precision is no lower than the
+    least one of the embedded terms.
     """
-    if isinstance(sym, modsym.NormalizedSymbol):
-        p = sym.embedding.p
-        exact = omega_decompose(exact_element(sym.eigensymbol, p, n + 1), i,
-                                sym.digits)
-        return CyclicGroupRingElement(p, n, [sym.embed(x)
-                                             for x in exact.coeffs])
-    return omega_decompose(mazur_tate(sym, n + 1), i)
+    exact = omega_decompose(full, i, norm.digits)
+    return CyclicGroupRingElement(exact.p, exact.n,
+                                  [norm.embed(x) for x in exact.coeffs])
+
+
+def theta_element(norm, n, i):
+    """theta_{n,i} of a normalized symbol: the `embedded_projection` of its
+    eigenclass's exact level-(n+1) element."""
+    return embedded_projection(
+        norm, exact_element(norm.eigensymbol, norm.embedding.p, n + 1), i)
 
 
 # ---------------------------------------------------------------------------
@@ -498,38 +443,10 @@ def q_n(n, p):
 # p-stabilization
 
 
-class StabilizedSymbol:
-    """The ordinary p-stabilization of a normalized eigensymbol.
-
-    Values live at level N*p and are eigen for U_p with eigenvalue alpha,
-    the unit root of x^2 - a_p x + p^(k-1).  The normalization of the
-    input symbol is kept, not recomputed.
-    """
-
-    def __init__(self, space, embedding, alpha, values, source):
-        self.space = space
-        self.embedding = embedding
-        self.alpha = alpha
-        self._values = values
-        self.source = source
-        self._elements = {}
-
-    @property
-    def sign(self):
-        return self.source.sign
-
-    def value(self, A):
-        return self._values[A]
-
-    def all_values(self):
-        return [self._values[A] for A in range(len(self.space.plist))]
-
-
 def unit_root(embedding, ap, k):
     """The unit root of x^2 - a_p x + p^(k-1) by Newton iteration."""
     p = embedding.p
-    if (isinstance(ap, int) and ap == 0) or \
-            (not isinstance(ap, int) and ap.is_zero()):
+    if ap.is_zero():
         raise NotOrdinary("a_%d vanishes" % p)
     if embedding.valuation(ap) != 0:
         raise NotOrdinary("a_%d has positive valuation" % p)
@@ -546,29 +463,47 @@ def unit_root(embedding, ap, k):
     return x
 
 
-def p_stabilize(normalized, target):
-    """The stabilization phi - (1/alpha) phi|(p,0;0,1) in target, level Mp."""
+def p_stabilize(normalized):
+    """The unit root alpha of the ordinary p-stabilization
+    phi_alpha = phi - alpha^(-1) phi|(p,0;0,1), eigen for U_p at level Mp
+    with eigenvalue alpha."""
     space = normalized.space
     emb = normalized.embedding
-    p = emb.p
-    if space.M % p == 0:
+    if space.M % emb.p == 0:
         raise NotOrdinary("the level is already divisible by p")
-    ap = normalized.eigensymbol.a(p)
-    alpha = unit_root(emb, ap, space.k)
-    vals = normalized.all_values()
-    v1 = modsym.degeneracy_values(space, target, 1, vals)
-    vp = modsym.degeneracy_values(space, target, p, vals)
+    return unit_root(emb, normalized.eigensymbol.a(emb.p), space.k)
+
+
+def stabilized_theta(norm, alpha, n, i):
+    """theta_{n,i}(phi_alpha) for phi_alpha = phi - alpha^(-1) phi|(p,0;0,1),
+    from the exact thetas of phi.
+
+    phi|(p,0;0,1) has theta_{n,i} = p^g nu(theta_{n-1,i}(phi)) for n >= 1
+    (Mazur-Tate-Teitelbaum), the identity `verify --mode degen` checks.
+    At n = 0 its level-1 element gives each of the p-1 units the value
+    p^g E0, E0 the Y^g coefficient of phi({oo} - {0}), so its theta_{0,i}
+    is (p-1) p^g E0 for i = 0 and 0 for every other twist.
+    """
+    emb = norm.embedding
+    p = emb.p
+    theta = theta_element(norm, n, i)
+    if n == 0 and i:
+        return theta
+    factor = alpha.inverse() * emb.local(p ** norm.space.g)
+    if n:
+        return theta - nu_corestrict(theta_element(norm, n - 1, i)).scale(
+            factor)
+    e0 = norm.evaluate(norm.space.plist.index(0, 1), 0, 1)
+    return CyclicGroupRingElement(
+        p, 0, [theta.coeffs[0] - factor * (e0 * (p - 1))])
+
+
+def lp_approx(norm, alpha, i, n):
+    """The approximant psi_{n,i} = alpha^(-n) theta_{n,i}(phi_alpha) with
+    its invariants."""
+    theta = stabilized_theta(norm, alpha, n, i)
     ainv = alpha.inverse()
-    values = {A: [a - ainv * b for a, b in zip(v1[A], vp[A])]
-              for A in v1}
-    return StabilizedSymbol(target, emb, alpha, values, normalized)
-
-
-def lp_approx(stab, i, n):
-    """The approximant psi_{n,i} = alpha^(-n) theta_{n,i} with invariants."""
-    theta = theta_element(stab, n, i)
-    ainv = stab.alpha.inverse()
-    scale = stab.embedding.local(1)
+    scale = norm.embedding.local(1)
     for _ in range(n):
         scale = scale * ainv
     psi = theta.scale(scale)

@@ -540,6 +540,17 @@ class Eigensymbol:
             self._exact_values[A] = cached
         return cached
 
+    def evaluate(self, A, c, d):
+        """Phi(A) evaluated at (c, d), the exact integer vector sum of
+        c^r d^(g-r) Phi(A)[r] over `denominator`."""
+        g = self.space.g
+        acc = [0] * self.field.degree
+        for r, x in enumerate(self.exact_value(A)):
+            w = c ** r * d ** (g - r)
+            if w:
+                acc = [s + w * y for s, y in zip(acc, x)]
+        return acc
+
     def witness_scale(self, A, j):
         """`_multiplication_matrix` of 1 / Phi(A)[j], built once per witness
         (A, j) and shared by every prime and precision that picks it."""
@@ -781,15 +792,9 @@ class NormalizedSymbol:
             self._denominator)
 
     def evaluate(self, A, c, d):
-        """The LocalElement of Phi(A) evaluated at (c, d): the exact sum of
-        c^r d^(g-r) Phi(A)[r], embedded once."""
-        g = self.space.g
-        acc = [0] * self.eigensymbol.field.degree
-        for r, x in enumerate(self.eigensymbol.exact_value(A)):
-            w = c ** r * d ** (g - r)
-            if w:
-                acc = [s + w * y for s, y in zip(acc, x)]
-        return self.embed(acc)
+        """The LocalElement of Phi(A) evaluated at (c, d): the exact sum
+        `Eigensymbol.evaluate`, embedded once."""
+        return self.embed(self.eigensymbol.evaluate(A, c, d))
 
     def value(self, A):
         cached = self._values.get(A)
@@ -800,11 +805,6 @@ class NormalizedSymbol:
 
     def all_values(self):
         return [self.value(A) for A in range(len(self.space.plist))]
-
-    def reduce(self):
-        """Coset values over the residue field."""
-        return [[x.reduce() for x in self.value(A)]
-                for A in range(len(self.space.plist))]
 
 
 def _multiplication_matrix(s):
@@ -850,15 +850,17 @@ def degeneracy_values(source_space, target_space, r, values):
 
 
 def alpha_map(normalized, target_space):
-    """The weight-lowering map to weight-2 symbols over the residue field.
+    """The weight-lowering map to weight-2 symbols at level Mp.
 
     The target space must be the weight-2 space at level Mp.  The value
-    at a target coset with determinant-1 lift (a,b;c,d) is the reduction
-    of Phi(class mod M) evaluated at (c, d).
+    at a target coset with determinant-1 lift (a,b;c,d) is Phi(class mod
+    M) evaluated at (c, d), the exact integer vector over the eigenclass's
+    denominator (`Eigensymbol.evaluate`); its reduction at the normalized
+    symbol's prime (`embed`, then `reduce`) is the weight-2 symbol over
+    the residue field.
     """
     space = normalized.space
-    emb = normalized.embedding
-    p = emb.p
+    p = normalized.embedding.p
     g = space.g
     if g <= 0 or g % (p - 1) != 0:
         raise WeightNotCongruent(
@@ -866,9 +868,9 @@ def alpha_map(normalized, target_space):
             % (space.k, p))
     if target_space.M != space.M * p or target_space.k != 2:
         raise InvalidOperator("target must be weight 2 at level M*p")
-    reduced = normalized.reduce()
+    cls = normalized.eigensymbol
     out = []
     for i in range(len(target_space.plist)):
         _, (c, d) = target_space.plist.lift(i)
-        out.append([polyact.evaluate(reduced[space.plist.index(c, d)], c, d)])
+        out.append([cls.evaluate(space.plist.index(c, d), c, d)])
     return out

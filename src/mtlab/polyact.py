@@ -56,18 +56,6 @@ def act(coeffs, gamma):
     return out
 
 
-def evaluate(coeffs, c, d):
-    """Evaluate sum b_j X^j Y^(g-j) at (c, d), skipping zero weights."""
-    g = len(coeffs) - 1
-    acc = None
-    for j, b in enumerate(coeffs):
-        w = c ** j * d ** (g - j)
-        if w:
-            term = b * w
-            acc = term if acc is None else acc + term
-    return coeffs[0] * 0 if acc is None else acc
-
-
 def mat_mul(m1, m2):
     """Product of two 2x2 integer matrices."""
     (a, b), (c, d) = m1

@@ -52,7 +52,7 @@ def test_budget_is_checked_before_any_element(entry, monkeypatch):
         "verify_congruence": lambda: analysis.verify_congruence(
             norm, norm, 7),
         "verify_weight2_patterns": lambda: analysis.verify_weight2_patterns(
-            norm, 7, modsym.ManinSymbolSpace(55, 2)),
+            norm, 7),
     }[entry]
     # level 8: 4 * 5^7 = 312500 units, 8 steps each
     with pytest.raises(OutOfBudget, match="2500000 evaluations.*500000"):

@@ -163,6 +163,78 @@ def test_uncertified_when_precision_runs_out(command, tmp_path,
     assert code == cli.EXIT_UNCERTIFIED
 
 
+def _runs_out_below(monkeypatch, owner, name, M):
+    """Make the method or function owner.name, whose first argument is a
+    normalized symbol, raise PrecisionExhausted below working precision M."""
+    func = getattr(owner, name)
+
+    def planted(norm, *args):
+        if norm.embedding.M < M:
+            raise PrecisionExhausted("planted at M = %d" % norm.embedding.M)
+        return func(norm, *args)
+
+    monkeypatch.setattr(owner, name, planted)
+
+
+# where each command's work step runs out of precision: the whole step for
+# invariants and mu-min, every embedding for the verify modes
+WORK_STEPS = {"invariants": (analysis, "invariant_table"),
+              "mu-min": (analysis, "mu_min")}
+
+
+@pytest.mark.parametrize("command", sorted(WORK_STEPS))
+def test_work_climbs_the_ladder_on_precision_exhausted(command, tmp_path,
+                                                       monkeypatch):
+    # 16 is the second rung of the ladder from the default precision 8
+    _runs_out_below(monkeypatch, *WORK_STEPS[command], 16)
+    out = tmp_path / "report.json"
+    assert cli.main([command] + SMALL + ["--out", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    rows = report["tables" if command == "invariants" else "rows"]
+    assert [r["precision_used"] for r in rows] == [16] * 2
+
+
+@pytest.mark.parametrize("command", sorted(WORK_STEPS))
+def test_uncertified_when_the_work_runs_out_of_precision(command, tmp_path,
+                                                         monkeypatch):
+    _runs_out_below(monkeypatch, *WORK_STEPS[command], 10 ** 9)
+    code = cli.main([command] + SMALL + ["--out", str(tmp_path / "r.json")])
+    assert code == cli.EXIT_UNCERTIFIED
+
+
+@pytest.mark.parametrize("mode", PER_PRIME_MODES)
+def test_verify_row_when_the_work_runs_out_of_precision(mode, tmp_path,
+                                                        monkeypatch):
+    _runs_out_below(monkeypatch, modsym.NormalizedSymbol, "embed", 10 ** 9)
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--mode", mode] + SMALL + ["--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    cid = "N11k2c0" if mode == "wt2-patterns" else "N11k4c0"
+    assert code == cli.EXIT_IDENTITY
+    assert checks == [
+        {"class": cid, "embedding": 0, "n": None, "i": None,
+         "ok": False, "note": "precision exhausted"}] * 2
+
+
+@pytest.mark.parametrize("argv,spaces", [
+    (["stabilize", "--level", "23", "--weight", "6", "--p", "3", "--nmax",
+      "2"], [(23, 6)]),
+    (["verify", "--mode", "wt2-patterns"] + SMALL, [(11, 2)]),
+], ids=["stabilize", "wt2-patterns"])
+def test_stabilization_builds_no_level_np_space(argv, spaces, tmp_path,
+                                                 monkeypatch):
+    built = []
+    init = modsym.ManinSymbolSpace.__init__
+
+    def counted(space, level, weight):
+        built.append((level, weight))
+        init(space, level, weight)
+
+    monkeypatch.setattr(modsym.ManinSymbolSpace, "__init__", counted)
+    assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert built == spaces
+
+
 # commands that loop to n_max themselves: the deepest level each one builds
 # is over the budget, level 8 at p = 5 and level 11 at p = 3
 OVER_BUDGET = {

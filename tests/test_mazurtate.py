@@ -13,6 +13,8 @@ from mtlab.errors import NotOrdinary, PrecisionExhausted
 from mtlab.mazurtate import (
     CyclicGroupRingElement,
     FullGroupRingElement,
+    embedded_projection,
+    exact_element,
     invariants,
     lambda_invariant,
     lp_approx,
@@ -24,9 +26,10 @@ from mtlab.mazurtate import (
     p_stabilize,
     pi_project,
     q_n,
+    stabilized_theta,
     theta_element,
 )
-from test_modsym import all_values, apply_operator_to_values
+from test_modsym import all_values, apply_operator_to_values, path_value
 from test_padic import make_field, with_precision
 
 QQ = make_field([0, 1])
@@ -432,44 +435,53 @@ def test_full_element_coefficient_symmetry(norm11_5):
 
 def test_mazur_tate_additive(norm11_5):
     space = norm11_5.space
-    emb = norm11_5.embedding
+    D = space.denominator
     rng = random.Random(31)
     coords1 = [Fraction(rng.randrange(-9, 10)) for _ in range(space.dim)]
     coords2 = [Fraction(rng.randrange(-9, 10)) for _ in range(space.dim)]
-    vals1 = [[emb.local(x) for x in vec]
+    # integer vectors (of length 1) over the space's denominator
+    vals1 = [[(int(x * D),) for x in vec]
              for vec in all_values(space, coords1)]
-    vals2 = [[emb.local(x) for x in vec]
+    vals2 = [[(int(x * D),) for x in vec]
              for vec in all_values(space, coords2)]
-    both = [[a + b for a, b in zip(u, v)] for u, v in zip(vals1, vals2)]
+    both = [[(a[0] + b[0],) for a, b in zip(u, v)]
+            for u, v in zip(vals1, vals2)]
     lhs = mazur_tate_values(space, lambda A: both[A], 5, 1)
-    rhs = (mazur_tate_values(space, lambda A: vals1[A], 5, 1)
-           + mazur_tate_values(space, lambda A: vals2[A], 5, 1))
-    assert (lhs - rhs).coefficient_list()[0].is_zero_to_precision()
-    for c in (lhs - rhs).coefficient_list():
-        assert c.is_zero_to_precision()
+    rhs1 = mazur_tate_values(space, lambda A: vals1[A], 5, 1)
+    rhs2 = mazur_tate_values(space, lambda A: vals2[A], 5, 1)
+    assert lhs.coefficient_list()[0][0] == \
+        rhs1.coefficient_list()[0][0] + rhs2.coefficient_list()[0][0]
+    for a, (c,) in lhs.coeffs.items():
+        assert c == rhs1.coeffs[a][0] + rhs2.coeffs[a][0]
+
+
+def exact11_5(norm11_5, n):
+    return exact_element(norm11_5.eigensymbol, 5, n)
 
 
 def test_omega_parity_kill(norm11_5):
     # odd twists of a plus symbol vanish identically
-    th = mazur_tate(norm11_5, 2)
+    th = exact11_5(norm11_5, 2)
     for i in (1, 3):
-        proj = omega_decompose(th, i)
+        proj = embedded_projection(norm11_5, th, i)
         assert proj.is_zero_to_precision()
 
 
 def test_omega_output_size(norm11_5):
-    th = mazur_tate(norm11_5, 2)
-    assert len(omega_decompose(th, 0).coefficient_list()) == 5
+    th = exact11_5(norm11_5, 2)
+    proj = omega_decompose(th, 0, norm11_5.digits)
+    assert len(proj.coefficient_list()) == 5
 
 
 def test_omega_rejects_bad_twist(norm11_5):
-    th = mazur_tate(norm11_5, 1)
+    th = exact11_5(norm11_5, 1)
     with pytest.raises(ValueError):
-        omega_decompose(th, 4)
+        omega_decompose(th, 4, norm11_5.digits)
 
 
 def test_teichmuller_lifts_once_per_residue(norm11_5, monkeypatch):
-    # the lifts depend only on (a mod p, M): at most p - 1 per projection
+    # the lifts depend only on (a mod p, digits): at most p - 1 per
+    # projection
     calls = []
     teichmuller = padic.teichmuller
 
@@ -479,10 +491,10 @@ def test_teichmuller_lifts_once_per_residue(norm11_5, monkeypatch):
 
     monkeypatch.setattr(padic, "teichmuller", counted)
     for n in range(1, 4):
-        th = mazur_tate(norm11_5, n)
+        th = exact11_5(norm11_5, n)
         for i in range(4):
             calls.clear()
-            proj = omega_decompose(th, i)
+            proj = omega_decompose(th, i, norm11_5.digits)
             assert len(calls) <= 4
             assert len(set(calls)) == len(calls)
             assert len(proj.coefficient_list()) == 5 ** (n - 1)
@@ -515,12 +527,15 @@ def test_three_term_relation(norm11_5):
 
 def test_lemma_degen(norm11_5):
     # theta_{n,i} of phi|(p,0;0,1) = p^g nu(theta_{n-1,i}(phi)); g = 0 here
-    space = norm11_5.space
+    f = norm11_5.eigensymbol
+    space = f.space
     target = modsym.ManinSymbolSpace(55, 2)
-    vals = norm11_5.all_values()
+    # the field is Q: one integer coordinate per value
+    vals = [[x for x, in f.exact_value(A)] for A in range(len(space.plist))]
     vp = modsym.degeneracy_values(space, target, 5, vals)
-    th_full = mazur_tate_values(target, lambda A: vp[A], 5, 2)
-    lhs = omega_decompose(th_full, 0)
+    th_full = mazur_tate_values(target, lambda A: [(x,) for x in vp[A]],
+                                5, 2)
+    lhs = embedded_projection(norm11_5, th_full, 0)
     rhs = nu_corestrict(theta_element(norm11_5, 0, 0))
     assert (lhs - rhs).is_zero_to_precision(1)
 
@@ -614,11 +629,28 @@ def normalized_symbols(N, k, p, M=8):
             for emb in padic.primes_above(cls.field, p, M)]
 
 
+def local_omega_decompose(theta, i):
+    """The omega^i-projection of a full element with LocalElement
+    coefficients: Teichmuller factors mod p^M of the embedding, and the
+    sums in LocalElement arithmetic."""
+    p, n1 = theta.p, theta.n
+    pn1 = p ** n1
+    M = theta.coeffs[1].emb.M
+    dlog = mazurtate._dlog_table(p, n1)
+    out = [None] * (p ** (n1 - 1))
+    for a, c in theta.coeffs.items():
+        w = padic.teichmuller(p, a, max(M, n1))
+        j = dlog[(a * pow(w, -1, pn1)) % pn1]
+        term = c * pow(w, i, p ** M)
+        out[j] = term if out[j] is None else out[j] + term
+    return CyclicGroupRingElement(p, n1 - 1, out)
+
+
 def reference_theta(norm, n, i):
     """theta_{n,i} as the projection of the embedded level-(n+1) element:
     one embedding per unit, Teichmuller factors mod p^M, and the sums in
     LocalElement arithmetic."""
-    return omega_decompose(mazur_tate(norm, n + 1), i)
+    return local_omega_decompose(mazur_tate(norm, n + 1), i)
 
 
 def each_theta(norm, nmax=2):
@@ -660,49 +692,99 @@ def test_exact_theta_agrees_with_twice_the_precision(N, k, p):
 # -- p-stabilization and L_p approximants ---------------------------------------
 
 @pytest.fixture(scope="module")
-def stab11_5(norm11_5):
-    return p_stabilize(norm11_5, modsym.ManinSymbolSpace(55, 2))
+def alpha11_5(norm11_5):
+    return p_stabilize(norm11_5)
 
 
-def test_unit_root_reduction(stab11_5, norm11_5):
+def stabilized_values(norm, alpha, target):
+    """The coset values of phi_alpha = phi - alpha^(-1) phi|(p,0;0,1) at
+    level Np: the degeneracy images of the embedded values, summed in
+    LocalElement arithmetic."""
+    space, p = norm.space, norm.embedding.p
+    vals = norm.all_values()
+    v1 = modsym.degeneracy_values(space, target, 1, vals)
+    vp = modsym.degeneracy_values(space, target, p, vals)
+    ainv = alpha.inverse()
+    return [[a - ainv * b for a, b in zip(v1[A], vp[A])]
+            for A in range(len(target.plist))]
+
+
+def reference_full_element(values, target, p, n):
+    """The level-n element of the level-Np symbol with the given
+    LocalElement values: the path value of every unit a/p^n."""
+    pn = p ** n
+    return FullGroupRingElement(p, n, {
+        a: path_value(target, values.__getitem__, a, pn)
+        for a in range(1, pn) if a % p})
+
+
+# (level, weight, p): g = 0, 2 and 4, p = 3, 5 and 7, 11/4/3 ramified
+STABILIZED_CASES = [(11, 2, 5), (11, 2, 3), (23, 6, 3), (11, 4, 3),
+                    (11, 6, 7)]
+
+
+@pytest.mark.parametrize("N,k,p", STABILIZED_CASES)
+def test_stabilized_theta_matches_the_level_np_symbol(N, k, p):
+    target = modsym.ManinSymbolSpace(N * p, k)
+    checked = 0
+    for norm in normalized_symbols(N, k, p):
+        try:
+            alpha = p_stabilize(norm)
+        except NotOrdinary:
+            continue
+        values = stabilized_values(norm, alpha, target)
+        for n in range(4):
+            full = reference_full_element(values, target, p, n + 1)
+            for i in mazurtate.twists(p, norm.sign):
+                theta = stabilized_theta(norm, alpha, n, i)
+                ref = local_omega_decompose(full, i)
+                for c, r in zip(theta.coeffs, ref.coeffs):
+                    assert c.prec >= r.prec
+                    assert (c - r).is_zero_to_precision()
+                checked += 1
+    assert checked
+
+
+def test_unit_root_reduction(alpha11_5, norm11_5):
     emb = norm11_5.embedding
     a5 = norm11_5.eigensymbol.a(5)
-    assert stab11_5.alpha.reduce() == emb.reduce(a5)
+    assert alpha11_5.reduce() == emb.reduce(a5)
     # a_5 = 1 for X_0(11), so alpha = 1 mod 5
-    assert stab11_5.alpha.reduce() == emb.residue_field.one()
+    assert alpha11_5.reduce() == emb.residue_field.one()
 
 
-def test_unit_root_satisfies_quadratic(stab11_5, norm11_5):
+def test_unit_root_satisfies_quadratic(alpha11_5, norm11_5):
     emb = norm11_5.embedding
     a5 = emb.local(norm11_5.eigensymbol.a(5))
-    al = stab11_5.alpha
+    al = alpha11_5
     assert (al * al - a5 * al + emb.local(5)).is_zero_to_precision(1)
 
 
-def test_stabilized_symbol_is_up_eigen(stab11_5):
-    space = stab11_5.space
-    vals = stab11_5.all_values()
+def test_stabilized_symbol_is_up_eigen(alpha11_5, norm11_5):
+    # the level-Np reference that the stabilized thetas are compared with
+    space = modsym.ManinSymbolSpace(55, 2)
+    vals = stabilized_values(norm11_5, alpha11_5, space)
     out = apply_operator_to_values(space, "U5", vals,
                                    range(len(space.plist)))
     for A in range(len(space.plist)):
         for got, want in zip(out[A], vals[A]):
-            assert (got - stab11_5.alpha * want).is_zero_to_precision(1)
+            assert (got - alpha11_5 * want).is_zero_to_precision(1)
 
 
-def test_two_term_relation(stab11_5):
+def test_two_term_relation(alpha11_5, norm11_5):
     # pi(theta_{n,i}(f_alpha)) = alpha theta_{n-1,i}(f_alpha)
     for i in (0, 2):
-        prev = theta_element(stab11_5, 0, i)
+        prev = stabilized_theta(norm11_5, alpha11_5, 0, i)
         for n in (1, 2):
-            cur = theta_element(stab11_5, n, i)
-            diff = pi_project(cur) - prev.scale(stab11_5.alpha)
+            cur = stabilized_theta(norm11_5, alpha11_5, n, i)
+            diff = pi_project(cur) - prev.scale(alpha11_5)
             assert diff.is_zero_to_precision(1)
             prev = cur
 
 
-def test_lp_approx_norm_coherent(stab11_5):
-    psi1, _ = lp_approx(stab11_5, 0, 1)
-    psi2, _ = lp_approx(stab11_5, 0, 2)
+def test_lp_approx_norm_coherent(alpha11_5, norm11_5):
+    psi1, _ = lp_approx(norm11_5, alpha11_5, 0, 1)
+    psi2, _ = lp_approx(norm11_5, alpha11_5, 0, 2)
     assert (pi_project(psi2) - psi1).is_zero_to_precision(1)
 
 
@@ -711,22 +793,21 @@ def test_weight2_patterns_stabilize_once_for_all_twists(monkeypatch):
     norm = modsym.normalize(f, padic.primes_above(f.field, 5, 8)[0])
     stabilized = []
 
-    def counted(normalized, target):
+    def counted(normalized):
         stabilized.append(normalized)
-        return p_stabilize(normalized, target)
+        return p_stabilize(normalized)
 
     monkeypatch.setattr(mazurtate, "p_stabilize", counted)
-    reports = analysis.verify_weight2_patterns(
-        norm, 2, modsym.ManinSymbolSpace(55, 2))
+    reports = analysis.verify_weight2_patterns(norm, 2)
     assert [(i, r["pattern"]) for i, r in reports.items()] == [
         (1, "stable"), (3, "stable")]
     assert stabilized == [norm]
 
 
-def test_stabilized_mu_is_positive(stab11_5):
+def test_stabilized_mu_is_positive(alpha11_5, norm11_5):
     # a_5 = 1 mod 5 makes the stabilized symbol divisible by 5
     for n in (0, 1):
-        inv = invariants(theta_element(stab11_5, n, 0))
+        inv = invariants(stabilized_theta(norm11_5, alpha11_5, n, 0))
         assert inv.mu >= 1
 
 
@@ -737,14 +818,14 @@ def test_not_ordinary_at_supersingular_prime():
     emb = padic.primes_above(f.field, 3, 8)[0]
     norm = modsym.normalize(f, emb)
     with pytest.raises(NotOrdinary):
-        p_stabilize(norm, modsym.ManinSymbolSpace(51, 2))
+        p_stabilize(norm)
 
 
 def test_not_ordinary_at_bad_prime(f11):
     emb = padic.primes_above(f11.field, 11, 6)[0]
     norm = modsym.normalize(f11, emb)
     with pytest.raises(NotOrdinary):
-        p_stabilize(norm, modsym.ManinSymbolSpace(121, 2))
+        p_stabilize(norm)
 
 
 # -- Lemma alphastick -----------------------------------------------------------
@@ -760,7 +841,7 @@ def test_lemma_alphastick():
     lhs = mazur_tate_values(target, lambda A: avals[A], 5, 1)
     rhs = mazur_tate(norm, 1)
     for a in lhs.coeffs:
-        assert lhs.coeffs[a] == rhs.coeffs[a].reduce()
+        assert norm.embed(lhs.coeffs[a]).reduce() == rhs.coeffs[a].reduce()
 
 
 # -- serialization ----------------------------------------------------------------
