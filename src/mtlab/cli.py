@@ -350,23 +350,26 @@ def _verify_degen(config):
     space = config.space()
     target = config.space(level=config.N * p)
     cosets = range(len(space.plist))
+    fulls = {}   # eigenclass -> its level-Np elements, for every prime
 
     def step(norm):
         cls = norm.eigensymbol
         pg = norm.embedding.local(p ** space.g)
-        # phi|B_p in integers, one coordinate of the exact values at a time
-        images = [modsym.degeneracy_values(
-            space, target, p, [[x[t] for x in cls.exact_value(A)]
-                               for A in cosets])
-            for t in range(cls.field.degree)]
-        vp = [list(zip(*(img[A] for img in images)))
-              for A in range(len(target.plist))]
-        fulls = [mazurtate.mazur_tate_values(target, vp.__getitem__, p, n + 2)
-                 for n in range(config.n_max)]
+        if cls not in fulls:
+            # phi|B_p in integers, one coordinate of the values at a time
+            images = [modsym.degeneracy_values(
+                space, target, p, [[x[t] for x in cls.exact_value(A)]
+                                   for A in cosets])
+                for t in range(cls.field.degree)]
+            vp = [list(zip(*(img[A] for img in images)))
+                  for A in range(len(target.plist))]
+            fulls[cls] = [mazurtate.mazur_tate_values(
+                target, vp.__getitem__, p, n + 2)
+                for n in range(config.n_max)]
         rows = []
         for i in mazurtate.twists(p, norm.sign):
             for n in range(config.n_max):
-                lhs = mazurtate.embedded_projection(norm, fulls[n], i)
+                lhs = mazurtate.embedded_projection(norm, fulls[cls][n], i)
                 rhs = mazurtate.nu_corestrict(
                     mazurtate.theta_element(norm, n, i)).scale(pg)
                 ok = (lhs - rhs).is_zero_to_precision(1)

@@ -5,12 +5,12 @@ one(); elements must support +, -, *, / and an is_zero test (either an
 is_zero() method or comparison with 0).  Over Q (the adapter `QQ`, entries
 int or Fraction) elimination is fraction-free: each row is cleared of
 denominators once and kept as a primitive integer row, rows are combined by
-cross-multiplication, and an entry is divided by its pivot only when the
-result is written, as a Fraction.  Other fields (the residue fields of
-`analysis.oldspace_decompose`, number fields) run the same loop with field
-arithmetic.  Both eliminate on sparse rows, so the cost follows the nonzero
-entries: the Manin relation matrices are mostly zeros (2.9% nonzero at
-level 69, weight 6).
+cross-multiplication (`sparse_rref`), and `rref` divides each by its pivot
+only when the result is written, as Fractions.  Other fields (the residue
+fields of `analysis.oldspace_decompose`, number fields) run the same loop
+with field arithmetic.  Both eliminate on sparse rows, so the cost follows
+the nonzero entries: the Manin relation matrices are mostly zeros (2.9%
+nonzero at level 69, weight 6).
 
 Characteristic polynomials come from Berkowitz's division-free recurrence,
 as coefficient lists in increasing degree.
@@ -43,15 +43,27 @@ def is_zero(x):
 
 
 def rref(rows, field):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
+    """Reduced row echelon form (new_rows, pivot_columns): the rows of
+    `sparse_rref` as dense rows divided by their pivot entries."""
+    mat, pivots = sparse_rref(rows, field)
+    zero = field.zero()
+    dense = []
+    for row, c in zip(mat, pivots):
+        inv = field.one() / row[c]
+        dense.append([row[k] * inv if k in row else zero
+                      for k in range(len(rows[0]))])
+    return dense, pivots
 
-    Rows are eliminated as sparse {column: entry} maps holding only nonzero
-    entries.  For each column c in turn, the first row at or below the next
-    pivot row r with a nonzero in column c is swapped up to r and cleared
-    from the rows below it; then each pivot row, from the last up, is
-    cleared from the rows above it.  The result is returned as dense rows,
-    each divided by its pivot entry.  Over QQ the rows are primitive integer
-    rows throughout and the entries of the result are Fractions.
+
+def sparse_rref(rows, field):
+    """Reduced row echelon form as sparse rows {column: entry} holding only
+    nonzero entries, one per pivot, with the pivot columns.
+
+    For each column c in turn, the first row at or below the next pivot row
+    r with a nonzero in column c is swapped up to r and cleared from the
+    rows below it; then each pivot row, from the last up, is cleared from
+    the rows above it.  Over QQ the rows are primitive integer rows
+    throughout, and are returned as such.
     """
     if not rows:
         return [], []
@@ -82,13 +94,7 @@ def rref(rows, field):
         for i in range(k):
             if c in mat[i]:
                 mat[i] = eliminate(mat[i], mat[k], c)
-    zero = field.zero()
-    dense = []
-    for row, c in zip(mat, pivots):
-        inv = field.one() / row[c]
-        dense.append([row[k] * inv if k in row else zero
-                      for k in range(ncols)])
-    return dense, pivots
+    return mat[:r], pivots
 
 
 def _primitive_row(row):

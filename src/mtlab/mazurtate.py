@@ -287,10 +287,12 @@ def embedded_projection(norm, full, i):
 
 
 def theta_element(norm, n, i):
-    """theta_{n,i} of a normalized symbol: the `embedded_projection` of its
-    eigenclass's exact level-(n+1) element."""
-    return embedded_projection(
-        norm, exact_element(norm.eigensymbol, norm.embedding.p, n + 1), i)
+    """theta_{n,i} of a normalized symbol, built once and kept on it: the
+    `embedded_projection` of its eigenclass's exact level-(n+1) element."""
+    if (n, i) not in norm._thetas:
+        norm._thetas[n, i] = embedded_projection(
+            norm, exact_element(norm.eigensymbol, norm.embedding.p, n + 1), i)
+    return norm._thetas[n, i]
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,23 @@ A symbol phi assigns to each coset A in P^1(Z/M) a vector Phi(A) in V_g
 
 where Phi(A) = phi({gamma oo} - {gamma 0})|gamma for any lift gamma of A.
 For any determinant-1 integer matrix gamma this gives
-phi({gamma oo} - {gamma 0}) = Phi(class gamma)|gamma^(-1), which together
-with continued-fraction decomposition of paths drives Hecke operators and
-degeneracy maps.  Its Y^g coefficient, Phi(class gamma) evaluated at the
-bottom row of gamma, gives the path values that build Mazur-Tate elements:
-`mazurtate.mazur_tate_values` walks the continued fraction of each unit
-a/p^n and adds every step's evaluation straight into that unit's
-coefficient, so no table of path weights is kept.
+phi({gamma oo} - {gamma 0}) = Phi(class gamma)|gamma^(-1), which with the
+continued-fraction decomposition of paths drives w_N and the degeneracy
+maps (T_ell and U_q use Merel's Heilbronn matrices instead).  Its Y^g
+coefficient, Phi(class gamma) at the bottom row of gamma, gives the path
+values of Mazur-Tate elements: `mazurtate.mazur_tate_values` walks the
+continued fraction of each unit a/p^n and adds every step's evaluation
+straight into that unit's coefficient, so no table of path weights is kept.
 
-The presentation is solved over the rationals, yielding a free basis whose
-coordinates are literal symbol values at recorded (coset, monomial)
-positions.  The values of the basis symbols are kept as sparse integer rows,
-each over a divisor d of one denominator D per space, so an entry of a
-coset value costs one integer combination of coordinates and at most one
-scaling by 1/d.  Each Hecke operator, iota and w_N is built once per space
-as an integer matrix H on the free basis, the operator being H / D, and
-acts on coordinates by a matrix-vector product.
+The presentation is solved by one fraction-free elimination, yielding a
+free basis whose coordinates are literal symbol values at recorded (coset,
+monomial) positions.  The values of the basis symbols are read off its
+integer rows as sparse integer rows, each over a divisor d of one
+denominator D per space, so an entry of a coset value costs one integer
+combination of coordinates and at most one scaling by 1/d.  Each Hecke
+operator, iota and w_N is built once per space as an integer matrix H on
+the free basis, the operator being H / D, and acts on coordinates by a
+matrix-vector product.
 
 The splitting into Hecke eigenclasses stays in integers: subspace bases,
 restricted operators and Krylov vectors are integer rows over one
@@ -106,7 +107,6 @@ class ManinSymbolSpace:
         if size > GENERATOR_CAP:
             raise OutOfBudget("presentation has %d generators, cap is %d"
                               % (size, GENERATOR_CAP))
-        self._lifts = [self.plist.lift(i) for i in range(len(self.plist))]
         self._plan_cache = {}
         self._matrix_cache = {}
         self._build()
@@ -134,15 +134,16 @@ class ManinSymbolSpace:
                 continue
             base = len(param_pos)
             if i == j:
-                rows = [[msig[r][c] + (1 if r == c else 0)
-                         for c in range(gp1)] for r in range(gp1)]
-                red, pivots = linalg.rref(rows, QQ)
-                free = [c for c in range(gp1) if c not in pivots]
+                # Phi(A) = -Phi(A)|sigma, and sigma sends monomial c to
+                # +-monomial g - c: the monomials past the middle are free,
+                # and the middle one too when sigma negates it
+                free = [c for c in range(gp1)
+                        if 2 * c > g or 2 * c == g and msig[c][c] == -1]
                 kmat = [[0] * len(free) for _ in range(gp1)]
                 for t, fc in enumerate(free):
                     kmat[fc][t] = 1
-                    for row, pc in zip(red, pivots):
-                        kmat[pc][t] = -row[fc]
+                    if 2 * fc > g:
+                        kmat[g - fc][t] = -msig[g - fc][fc]
                 expr[i] = (base, kmat)
                 param_pos.extend((i, fc) for fc in free)
             else:
@@ -156,18 +157,12 @@ class ManinSymbolSpace:
         # tau relations, one vector relation per orbit
         def add_block(rows_block, coset, cmat):
             base, mat = expr[coset]
-            width = len(mat[0])
-            for r in range(gp1):
-                row = rows_block[r]
-                for mid in range(gp1):
-                    f = cmat[r][mid]
-                    if f == 0:
-                        continue
-                    mrow = mat[mid]
-                    for c in range(width):
-                        x = mrow[c]
-                        if x:
-                            row[base + c] += x * f
+            for row, crow in zip(rows_block, cmat):
+                for f, mrow in zip(crow, mat):
+                    if f:
+                        for c, x in enumerate(mrow):
+                            if x:
+                                row[base + c] += x * f
 
         relations = []
         for A in range(nc):
@@ -180,58 +175,46 @@ class ManinSymbolSpace:
             add_block(rows_block, orbit[2], mtau)
             relations.extend(rows_block)
 
-        red, pivots = linalg.rref(relations, QQ)
+        red, pivots = linalg.sparse_rref(relations, QQ)
         pivot_set = set(pivots)
         free = [c for c in range(nparams) if c not in pivot_set]
-        dim = len(free)
-        # the free basis in parameter coordinates, as sparse rows
-        brows = [{} for _ in range(nparams)]
-        for idx, fc in enumerate(free):
-            brows[fc] = {idx: 1}
+        column = {fc: idx for idx, fc in enumerate(free)}
+        # the free basis in parameter coordinates, as sparse integer rows
+        # over a signed denominator: pivot pc is -row[fc] / row[pc] at fc
+        brows = {fc: ({idx: 1}, 1) for fc, idx in column.items()}
         for row, pc in zip(red, pivots):
-            brows[pc] = {idx: -row[fc] for idx, fc in enumerate(free)
-                         if row[fc]}
+            brows[pc] = ({column[c]: -x for c, x in row.items() if c != pc},
+                         row[pc])
 
         # coset value matrices: values of the basis symbols at every coset,
-        # each row as sparse integers over its own divisor d of the common
-        # denominator D
-        self.dim = dim
+        # each row (d, ((j, n), ...)) with entry j = n / d in lowest terms
+        self.dim = len(free)
         self.positions = [param_pos[fc] for fc in free]
-        vb = []
-        for A in range(nc):
-            base, mat = expr[A]
+        self.values_basis = []
+        for base, mat in expr:
             block = []
             for mrow in mat:
+                terms = [(f, brows[base + mid]) for mid, f in enumerate(mrow)
+                         if f]
+                den = lcm(*(d for _, (_, d) in terms))
                 acc = {}
-                for mid, f in enumerate(mrow):
-                    if f:
-                        for idx, x in brows[base + mid].items():
-                            acc[idx] = acc.get(idx, 0) + f * x
-                block.append({idx: x for idx, x in acc.items() if x})
-            vb.append(block)
-        D = lcm(*(x.denominator for block in vb for row in block
-                  for x in row.values()))
-        self.denominator = D
-        self.values_basis = [[_integer_row(row, D) for row in block]
-                             for block in vb]
+                for f, (brow, d) in terms:
+                    for idx, x in brow.items():
+                        acc[idx] = acc.get(idx, 0) + f * (den // d) * x
+                row = sorted((j, x) for j, x in acc.items() if x)
+                h = gcd(den, *(x for _, x in row))
+                block.append((den // h, tuple((j, x // h) for j, x in row)))
+            self.values_basis.append(block)
+        self.denominator = lcm(*(d for block in self.values_basis
+                                 for d, _ in block))
         self._position_cosets = sorted({c for c, _ in self.positions})
-
-    # -- paths ---------------------------------------------------------------
-
-    def _path_terms(self, a, b):
-        """List of (coset, inverse matrix) with E(a/b) = sum Phi(B)|ginv,
-
-        where E(x) = phi({oo} - {x})."""
-        terms = []
-        for gmat in _convergent_matrices(a, b):
-            B = self.plist.index(gmat[1][0], gmat[1][1])
-            terms.append((B, polyact.mat_inv_unimodular(gmat)))
-        return terms
 
     # -- operators -----------------------------------------------------------
 
     def _operator_plan(self, source, deltas, cosets):
-        """Plan for Phi_op(A) = sum_delta phi_src(delta D_A)|delta gamma_A.
+        """Plan for Phi_op(A) = sum_delta phi_src(delta D_A)|delta gamma_A,
+        for w_N and the degeneracy maps, by the continued-fraction matrices
+        g of each cusp of delta gamma_A: phi({oo} - {x}) = sum Phi(B)|g^-1.
 
         Returns {A: [(source coset B, integer action matrix)]} so that
         Phi_op(A) = sum over terms of act(values_src[B], matrix)."""
@@ -242,83 +225,77 @@ class ManinSymbolSpace:
         g = self.g
         plan = {}
         for A in cosets:
-            gam = self._lifts[A]
+            gam = self.plist.lift(A)
             acc = {}
             for delta in deltas:
                 m = polyact.mat_mul(delta, gam)
                 cusp_pairs = ((1, (m[0][1], m[1][1])),
                               (-1, (m[0][0], m[1][0])))
                 for sign, (aa, bb) in cusp_pairs:
-                    for B, ginv in source._path_terms(aa, bb):
+                    for gmat in _convergent_matrices(aa, bb):
+                        B = source.plist.index(gmat[1][0], gmat[1][1])
+                        ginv = polyact.mat_inv_unimodular(gmat)
                         am = polyact.act_matrix(polyact.mat_mul(ginv, m), g)
-                        cur = acc.get(B)
-                        if cur is None:
-                            cur = [[0] * (g + 1) for _ in range(g + 1)]
-                            acc[B] = cur
-                        for r in range(g + 1):
-                            arow = am[r]
-                            crow = cur[r]
-                            for c in range(g + 1):
-                                crow[c] += sign * arow[c]
-            plan[A] = [(B, mat) for B, mat in sorted(acc.items())]
+                        acc.setdefault(B, []).append(
+                            [[sign * x for x in row] for row in am])
+            plan[A] = _summed(acc)
         self._plan_cache[key] = plan
         return plan
 
+    def _coset_plan(self, matrices, cosets):
+        """Plan of Phi(A) -> sum over h = (a b; c d) of Phi(A h)|adj(h),
+        A h = (ua + vc : ub + vd) for A = (u : v), skipping each A h not in
+        P^1(Z/M): T_n, or U_n for n | M, over Merel's set X_n (Merel, LNM
+        1585, 1994), and iota over iota alone."""
+        terms = [(a, b, c, d, polyact.act_matrix(((d, -b), (-c, a)), self.g))
+                 for (a, b), (c, d) in matrices]
+        plan = {}
+        for A in cosets:
+            u, v = self.plist[A]
+            acc = {}
+            for a, b, c, d, m in terms:
+                B = self.plist.lookup(u * a + v * c, u * b + v * d)
+                if B is not None:
+                    acc.setdefault(B, []).append(m)
+            plan[A] = _summed(acc)
+        return plan
+
     def apply_plan_to_values(self, plan, values):
-        """Values of the transformed symbol at the plan's cosets."""
+        """Values of the transformed symbol at the plan's cosets: entry r
+        at A adds up, term by term, the sum of values[B][c] * m[r][c] over
+        the nonzero m[r][c] of each term (B, m); 0 when there are none."""
+        zero = values[0][0] * 0
         out = {}
         for A, terms in plan.items():
-            acc = None
+            acc = [None] * (self.g + 1)
             for B, mat in terms:
-                vec = values[B]
-                contrib = []
-                for r in range(self.g + 1):
-                    cacc = None
-                    for c in range(self.g + 1):
-                        mc = mat[r][c]
-                        if mc == 0:
-                            continue
-                        t = vec[c] * mc
-                        cacc = t if cacc is None else cacc + t
-                    contrib.append(cacc)
-                if acc is None:
-                    acc = contrib
-                else:
-                    acc = [a if b is None else (b if a is None else a + b)
-                           for a, b in zip(acc, contrib)]
-            zero = values[0][0] * 0
-            out[A] = [zero if x is None else x for x in (acc or
-                                                         [None] * (self.g + 1))]
+                for r, mrow in enumerate(mat):
+                    t = None
+                    for x, mc in zip(values[B], mrow):
+                        if mc:
+                            t = x * mc if t is None else t + x * mc
+                    if t is not None:
+                        acc[r] = t if acc[r] is None else acc[r] + t
+            out[A] = [zero if x is None else x for x in acc]
         return out
 
-    def _deltas_for(self, op):
-        """Coset representatives for a named operator at this level."""
-        if op.startswith("T"):
-            ell = int(op[1:])
-            if self.M % ell == 0:
-                raise InvalidOperator("T%d needs %d coprime to the level %d"
-                                      % (ell, ell, self.M))
-            return tuple([((1, r), (0, ell)) for r in range(ell)]
-                         + [((ell, 0), (0, 1))])
-        if op.startswith("U"):
-            q = int(op[1:])
-            if self.M % q != 0:
-                raise InvalidOperator("U%d needs %d dividing the level %d"
-                                      % (q, q, self.M))
-            return tuple(((1, r), (0, q)) for r in range(q))
-        if op == "wN":
-            return (((0, -1), (self.M, 0)),)
-        raise InvalidOperator("unknown operator %r" % op)
-
     def _plan(self, op, cosets):
-        """Plan of a named operator at the given cosets; iota is the one-term
-        plan Phi(A) = Phi(iota A)|iota."""
-        if op != "iota":
-            return self._operator_plan(self, self._deltas_for(op),
-                                       tuple(cosets))
-        iota = polyact.act_matrix(polyact.IOTA, self.g)
-        return {A: [(self.plist.index(-self.plist[A][0], self.plist[A][1]),
-                     iota)] for A in cosets}
+        """Plan of a named operator at the given cosets: the coset plan of
+        T_ell (ell prime to the level), U_q (q dividing it) and iota, and
+        the path plan of w_N."""
+        if op[:1] in ("T", "U"):
+            n = int(op[1:])
+            if (op[0] == "U") != (self.M % n == 0):
+                raise InvalidOperator("%s at level %d: T_ell needs ell prime "
+                                      "to the level, U_q needs q | level"
+                                      % (op, self.M))
+            return self._coset_plan(heilbronn_merel(n), cosets)
+        if op == "iota":
+            return self._coset_plan([polyact.IOTA], cosets)
+        if op != "wN":
+            raise InvalidOperator("unknown operator %r" % op)
+        return self._operator_plan(self, (((0, -1), (self.M, 0)),),
+                                   tuple(cosets))
 
     def apply_operator_to_coords(self, op, coords):
         """Coordinates of phi|op, H coords / D for H = hecke_matrix(op)."""
@@ -421,12 +398,27 @@ class ManinSymbolSpace:
         return _lowest([_combine(y, rows) for y in ker], kden * den)
 
 
-def _integer_row(row, D):
-    """(d, ((j, n), ...)) with row[j] = n / d for the entries of the sparse
-    row {j: x}, d the least divisor of D that clears their denominators."""
-    ints = [(j, int(x * D)) for j, x in sorted(row.items())]
-    d = D // gcd(D, *(n for _, n in ints))
-    return d, tuple((j, n * d // D) for j, n in ints)
+def heilbronn_merel(n):
+    """Merel's set X_n of integer matrices (a b; c d) with a > b >= 0,
+    d > c >= 0 and ad - bc = n.  As ad - bc >= a(d - c), a <= n, and
+    d > c means c(a - b) < n; for each (a, b) the c with bc = -n mod a form
+    one class mod a / gcd(a, b), or none, and d = (n + bc) / a."""
+    out = []
+    for a in range(1, n + 1):
+        for b in range(a):
+            h = gcd(a, b)
+            if n % h == 0:
+                step = a // h
+                c0 = -(n // h) * pow(b // h, -1, step) % step
+                out += [((a, b), (c, (n + b * c) // a))
+                        for c in range(c0, -(-n // (a - b)), step)]
+    return out
+
+
+def _summed(acc):
+    """[(B, the sum of acc[B])] for lists of integer matrices, sorted."""
+    return [(B, [[sum(col) for col in zip(*rows)] for rows in zip(*ms)])
+            for B, ms in sorted(acc.items())]
 
 
 def _integer_rows(vectors, scale=1):
@@ -607,9 +599,9 @@ def _subspace_coords(basis_rows, vec):
 def _splitting_candidates(space):
     """Deterministic sequence of Hecke combinations to try as splitters.
 
-    Oldforms coming from lower level share all T eigenvalues, so at
-    composite level the U_q for q | M are included from the start; the
-    T-only combinations follow as fallbacks.
+    Oldforms coming from lower level share all T eigenvalues, so the U_q
+    for every prime q | M are included from the start, at prime level M
+    too (U_M); the T-only combinations follow as fallbacks.
     """
     l1, l2 = islice(space.good_primes(), 2)
     uqs = [("U%d" % q, 1) for q in padic.prime_divisors(space.M)]
@@ -779,6 +771,7 @@ class NormalizedSymbol:
         self.content_certificate = (A, j)
         self._values = {}
         self._elements = {}
+        self._thetas = {}
 
     @property
     def sign(self):

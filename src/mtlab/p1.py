@@ -34,8 +34,8 @@ def normalize(M, u, v):
     v %= M
     if u == 0:
         return (0, 1) if gcd(v, M) == 1 else (0, 0)
-    g, s, _ = _xgcd(u, M)
-    s %= M
+    g = gcd(u, M)
+    s = pow(u // g, -1, M // g)
     if gcd(g, v) > 1:
         return (0, 0)
     # s inverts u only mod M/g; shift by multiples of M/g until it is a
@@ -103,23 +103,19 @@ class P1List:
     def __len__(self):
         return len(self.reps)
 
-    def __iter__(self):
-        return iter(self.reps)
-
     def __getitem__(self, i):
         return self.reps[i]
 
+    def lookup(self, u, v):
+        """Index of the class of (u, v), or None when gcd(u, v, M) > 1."""
+        return self._index.get(normalize(self.M, u, v))
+
     def index(self, u, v):
-        if self.M == 1:
-            return 0
-        r = normalize(self.M, u, v)
-        if r == (0, 0):
+        i = self.lookup(u, v)
+        if i is None:
             raise ValueError("(%d, %d) is not primitive mod %d"
                              % (u, v, self.M))
-        return self._index[r]
-
-    def normalize(self, u, v):
-        return normalize(self.M, u, v)
+        return i
 
     def apply_right(self, i, gamma):
         """Index of A * gamma for A the i-th class and gamma an integer matrix."""

@@ -235,6 +235,43 @@ def test_stabilization_builds_no_level_np_space(argv, spaces, tmp_path,
     assert built == spaces
 
 
+JOB_23_6_3 = ["--level", "23", "--weight", "6", "--p", "3", "--sign", "both"]
+
+
+def test_stabilize_projects_each_theta_once(tmp_path, monkeypatch):
+    # 10 primes above 3 for the four classes, twist 0 at sign +1 and 1 at
+    # sign -1: theta_{n,i}, n = 0..2, and the stabilized theta_{3,i} need
+    # 24 distinct projections; psi_n used to project theta_{n-1,i} again
+    calls = []
+    project = mazurtate.embedded_projection
+
+    def counted(norm, full, i):
+        calls.append((norm, full.n, i))
+        return project(norm, full, i)
+
+    monkeypatch.setattr(mazurtate, "embedded_projection", counted)
+    argv = ["stabilize", "--nmax", "3"] + JOB_23_6_3
+    assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert len(calls) == len(set(calls)) == 24
+
+
+def test_degen_builds_level_np_elements_once_per_class(tmp_path,
+                                                      monkeypatch):
+    # four classes and three levels: 12 level-69 elements shared by the
+    # 10 primes above 3, next to the 12 exact elements of the classes
+    levels = []
+    values = mazurtate.mazur_tate_values
+
+    def counted(space, get_value, p, n):
+        levels.append(space.M)
+        return values(space, get_value, p, n)
+
+    monkeypatch.setattr(mazurtate, "mazur_tate_values", counted)
+    argv = ["verify", "--mode", "degen", "--nmax", "3"] + JOB_23_6_3
+    assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert sorted(levels) == [23] * 12 + [69] * 12
+
+
 # commands that loop to n_max themselves: the deepest level each one builds
 # is over the budget, level 8 at p = 5 and level 11 at p = 3
 OVER_BUDGET = {

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -319,6 +319,14 @@ def test_rational_rref_matches_dense_reference(rows):
     assert (red, pivots) == dense_rref(rows, QQ)
     assert all_fractions(red)
     ncols = len(rows[0]) if rows else 0
+    # the integer rows under the same elimination: primitive, and each
+    # divided by its pivot entry is the reduced row
+    sparse, sparse_pivots = linalg.sparse_rref(rows, QQ)
+    assert sparse_pivots == pivots
+    for row, c, want in zip(sparse, pivots, red):
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1
+        assert [Fraction(row.get(k, 0), row[c]) for k in range(ncols)] == want
     kernel = linalg.kernel_basis(rows, ncols, QQ)
     assert len(kernel) == ncols - len(pivots)
     assert all_fractions(kernel)

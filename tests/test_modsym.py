@@ -228,6 +228,16 @@ def add(u, v):
     return [a + b for a, b in zip(u, v)]
 
 
+def path_terms(space, a, b):
+    """(coset B, g^(-1)) with phi({oo} - {a/b}) = sum Phi(B)|g^(-1) over
+    the continued-fraction matrices g of a/b, B the class of g."""
+    terms = []
+    for gmat in modsym._convergent_matrices(a, b):
+        B = space.plist.index(gmat[1][0], gmat[1][1])
+        terms.append((B, polyact.mat_inv_unimodular(gmat)))
+    return terms
+
+
 def evaluate_divisor(space, get_value, divisor):
     """phi(D) for the symbol whose coset values come from get_value: each
     path {oo} - {a/b} is sum Phi(B)|g^(-1) over its continued-fraction
@@ -235,7 +245,7 @@ def evaluate_divisor(space, get_value, divisor):
     assert divisor.degree() == 0
     acc = [get_value(0)[0] * 0] * (space.g + 1)
     for coeff, (a, b) in divisor.terms:
-        for B, ginv in space._path_terms(a, b):
+        for B, ginv in path_terms(space, a, b):
             acc = add(acc, [x * -coeff
                             for x in polyact.act(get_value(B), ginv)])
     return acc
@@ -524,6 +534,20 @@ def test_splitting_over_q_is_fraction_free(monkeypatch):
     assert calls["integer"] > 0
 
 
+def test_presentation_is_built_without_fractions(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for N, k in ((23, 6), (13, 4), (25, 2)):
+        ManinSymbolSpace(N, k)
+    assert made == []
+
+
 def test_eigensymbol_minus_space_matches_plus_eigenvalues():
     space = ManinSymbolSpace(11, 2)
     plus = modsym.cuspidal_eigensymbols(space, 1)
@@ -627,6 +651,71 @@ def test_hecke_matrix_matches_per_vector_reference(N, k):
             column = [out[c][j] for c, j in space.positions]
             assert [Fraction(row[i], space.denominator)
                     for row in mat] == column, (op, i)
+
+
+def reference_deltas(op):
+    """Coset representatives of T_ell, (1 r; 0 ell) and (ell 0; 0 1), or of
+    U_q, (1 r; 0 q)."""
+    n = int(op[1:])
+    deltas = [((1, r), (0, n)) for r in range(n)]
+    return tuple(deltas + [((n, 0), (0, 1))] if op[0] == "T" else deltas)
+
+
+def reference_hecke_matrix(space, op):
+    """D times the matrix of T_ell or U_q from the path plan of its coset
+    representatives, each cusp split into continued-fraction terms, summed
+    in Fractions."""
+    plan = space._operator_plan(space, reference_deltas(op),
+                                tuple(space._position_cosets))
+    rows = []
+    for A, j in space.positions:
+        acc = [Fraction(0)] * space.dim
+        for B, m in plan[A]:
+            for c, w in enumerate(m[j]):
+                d, terms = space.values_basis[B][c]
+                for k, n in terms:
+                    acc[k] += Fraction(w * n, d)
+        rows.append([x * space.denominator for x in acc])
+    return rows
+
+
+# T_ell and U_q, with q | N, q^2 | N and U_N at prime N
+HECKE_GRID = {(11, 2): ["T2"], (11, 4): ["T3"], (23, 6): ["T2", "T3", "U23"],
+              (13, 4): ["T2"], (33, 2): ["U3"], (33, 4): ["U3", "T2"],
+              (11, 8): ["T5"], (22, 2): ["U2"], (22, 4): ["U11"],
+              (69, 6): ["U3", "T2"], (45, 2): ["U3"], (45, 4): ["U5"],
+              (50, 2): ["U5"], (27, 4): ["U3"], (389, 2): ["T2", "T3"]}
+
+
+@pytest.mark.parametrize("N,k", sorted(HECKE_GRID))
+def test_hecke_matrix_matches_path_plan_reference(N, k):
+    space = ManinSymbolSpace(N, k)
+    for op in HECKE_GRID[N, k]:
+        assert space.hecke_matrix(op) == reference_hecke_matrix(space, op), op
+
+
+def test_heilbronn_merel_sets():
+    sizes = {2: 4, 3: 7, 23: 143, 389: 6317}
+    for n, size in sizes.items():
+        xn = modsym.heilbronn_merel(n)
+        assert len(xn) == len(set(xn)) == size
+        for (a, b), (c, d) in xn:
+            assert a * d - b * c == n
+            assert a > b >= 0 and d > c >= 0
+    # every such matrix has a <= n and d <= n
+    for n in range(1, 25):
+        assert sorted(modsym.heilbronn_merel(n)) == sorted(
+            ((a, b), (c, d)) for a in range(1, n + 1) for b in range(a)
+            for d in range(1, n + 1) for c in range(d) if a * d - b * c == n)
+
+
+def test_hecke_matrix_builds_one_action_matrix_per_heilbronn_matrix(
+        monkeypatch):
+    space = ManinSymbolSpace(23, 6)
+    cache = {}
+    monkeypatch.setattr(polyact, "_matrix_cache", cache)
+    space.hecke_matrix("U23")
+    assert 0 < len(cache) <= len(modsym.heilbronn_merel(23))
 
 
 def test_iota_is_the_coset_permutation_and_action():

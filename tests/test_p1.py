@@ -45,6 +45,16 @@ def test_normalize_is_idempotent_and_unit_invariant():
             assert p1.normalize(N, u * t, v * t) == r
 
 
+@pytest.mark.parametrize("N", [1, 2, 12, 17, 21, 25, 27, 30, 49, 60])
+def test_normalize_is_the_least_unit_multiple(N):
+    units = [t for t in range(N) if gcd(t, N) == 1] or [0]
+    for u in range(-1, N + 1):
+        for v in range(-1, N + 1):
+            want = (0, 0) if gcd(gcd(u, v), N) > 1 or N == 1 else \
+                min(((t * u) % N, (t * v) % N) for t in units)
+            assert p1.normalize(N, u, v) == want
+
+
 def test_lift_to_sl2z():
     rng = random.Random(12)
     for N in (11, 17, 21, 297):
@@ -54,7 +64,7 @@ def test_lift_to_sl2z():
             (a, b), (c, d) = m
             assert a * d - b * c == 1
             u, v = plist[i]
-            assert plist.normalize(c, d) == (u, v)
+            assert p1.normalize(N, c, d) == (u, v)
 
 
 def test_apply_right_matches_matrix_product():
@@ -79,6 +89,10 @@ def test_index_rejects_imprimitive_pairs():
         plist.index(2, 4)
     with pytest.raises(ValueError):
         plist.index(0, 0)
+    # lookup answers None instead, and the index otherwise
+    assert plist.lookup(2, 4) is None and plist.lookup(0, 0) is None
+    assert [plist.lookup(u, v) for u, v in plist.reps] == \
+        list(range(len(plist)))
 
 
 def test_level_one_is_a_point():
