@@ -178,7 +178,7 @@ def find_congruent_weight2(eigensymbol, embedding, classes, primes_above):
     return matches
 
 
-def verify_congruence(f_norm, g_norm, n_max, mode="medweight"):
+def verify_congruence(f_norm, g_norm, n_max, mode):
     """Check reduce(theta_{n,i}(f) / c) = u * nu(reduce(theta_{n-1,i}(g))).
 
     The scaling element c has valuation mu_min(f) in lowslope mode and is

@@ -59,6 +59,8 @@ class JobConfig:
         self.mode = args.mode
         self.r = args.r
         self._validate()
+        if args.command == "verify":
+            self._parse_mode()
         self._spaces = {}
         self._primes = {}
 
@@ -76,6 +78,20 @@ class JobConfig:
                 raise ConfigError("p must be an odd prime")
             if self.N % self.p == 0:
                 raise ConfigError("p must not divide the level")
+
+    def _parse_mode(self):
+        """Split --mode into the verify mode and its option: only
+        congruence takes one, medweight or lowslope (the default)."""
+        name, colon, option = (self.mode or "").partition(":")
+        if name not in _VERIFY_MODES:
+            raise ConfigError("verify needs --mode, one of: %s"
+                              % ", ".join(sorted(_VERIFY_MODES)))
+        options = ("medweight", "lowslope") if name == "congruence" else ()
+        if colon and option not in options:
+            raise ConfigError("--mode %s does not take the option %r"
+                              % (name, option))
+        self.verify_mode = name
+        self.congruence_mode = option or "lowslope"
 
     def as_dict(self):
         return {
@@ -451,9 +467,8 @@ def _verify_congruence(config):
     def step(norm):
         rows = []
         for m, gnorm in _weight2_matches(config, norm, w2_classes):
-            res = analysis.verify_congruence(
-                norm, gnorm, config.n_max,
-                mode=config.mode_arg or "lowslope")
+            res = analysis.verify_congruence(norm, gnorm, config.n_max,
+                                             config.congruence_mode)
             rows.append({
                 "target": m.target_id,
                 "mode": res["mode"], "mu_min": _fmt(res["mu_min"]),
@@ -539,13 +554,7 @@ _VERIFY_MODES = {
 
 
 def cmd_verify(config):
-    mode = config.mode
-    config.mode_arg = None
-    if mode and ":" in mode:
-        mode, config.mode_arg = mode.split(":", 1)
-    if mode not in _VERIFY_MODES:
-        raise ConfigError("verify needs --mode, one of: %s"
-                          % ", ".join(sorted(_VERIFY_MODES)))
+    mode = config.verify_mode
     checks = _VERIFY_MODES[mode](config)
     rows = [(c.get("class"), c.get("embedding"), c.get("n"),
              c.get("i"), c.get("ok")) for c in checks]

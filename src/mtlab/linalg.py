@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q and other fields, plus rational charpoly tools.
+"""Exact linear algebra over Q and other fields, and rational charpolys.
 
 Gaussian elimination routines take a field adapter exposing zero() and
 one(); elements must support +, -, *, / and an is_zero test (either an
@@ -10,7 +10,9 @@ only when the result is written, as Fractions.  Other fields (the residue
 fields of `analysis.oldspace_decompose`, number fields) run the same loop
 with field arithmetic.  Both eliminate on sparse rows, so the cost follows
 the nonzero entries: the Manin relation matrices are mostly zeros (2.9%
-nonzero at level 69, weight 6).
+nonzero at level 69, weight 6).  `solve` over Q is also how `padic` inverts
+number-field and local elements: one solve against the multiplication
+matrix.
 
 Characteristic polynomials come from Berkowitz's division-free recurrence,
 as coefficient lists in increasing degree.
@@ -172,18 +174,6 @@ def solve(rows, rhs, field):
     for r, pc in zip(red, pivots):
         x[pc] = r[ncols]
     return x
-
-
-def invert(rows, field):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + [field.one() if i == j else field.zero()
-                      for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(aug, field)
-    if pivots != list(range(n)):
-        return None
-    return [r[n:] for r in red]
 
 
 def mat_vec(rows, vec):

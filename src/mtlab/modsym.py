@@ -544,14 +544,15 @@ class Eigensymbol:
         return acc
 
     def witness_scale(self, A, j):
-        """`_multiplication_matrix` of 1 / Phi(A)[j], built once per witness
-        (A, j) and shared by every prime and precision that picks it."""
+        """The multiplication matrix (m, den) of 1 / Phi(A)[j]
+        (`NFElement.multiplication_matrix`), built once per witness (A, j)
+        and shared by every prime and precision that picks it."""
         cached = self._scales.get((A, j))
         if cached is None:
             witness = self.field.element(
                 [Fraction(c, self.denominator)
                  for c in self.exact_value(A)[j]])
-            cached = _multiplication_matrix(witness.inverse())
+            cached = witness.inverse().multiplication_matrix()
             self._scales[A, j] = cached
         return cached
 
@@ -798,25 +799,6 @@ class NormalizedSymbol:
 
     def all_values(self):
         return [self.value(A) for A in range(len(self.space.plist))]
-
-
-def _multiplication_matrix(s):
-    """(m, den) with m an integer matrix: the power-basis coefficients of
-    s * x are (m x) / den for those of x.
-
-    Column i holds s * y^i; multiplying by y shifts the coefficients up and
-    reduces by the monic integral minimal polynomial, so every column stays
-    integral over the denominator of s.
-    """
-    den = lcm(*(c.denominator for c in s.coeffs))
-    col = [int(c * den) for c in s.coeffs]
-    cols = [col]
-    low = s.field.minpoly[:-1]
-    for _ in range(1, len(col)):
-        top = col[-1]
-        col = [c - top * m for c, m in zip([0] + col[:-1], low)]
-        cols.append(col)
-    return [list(row) for row in zip(*cols)], den
 
 
 def normalize(eigensymbol, embedding):

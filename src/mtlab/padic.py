@@ -1,10 +1,14 @@
 """Number fields, primes above p, valuations, residue fields, Teichmuller lifts.
 
 A number field is Q[y]/(minpoly) with an exact Fraction-vector representation
-for its elements.  A PAdicEmbedding fixes one irreducible p-adic factor of the
-minimal polynomial, Hensel-lifted to precision p^M, together with its
-ramification index e and residue degree f.  Valuations are exact rationals
-with denominator dividing e; reductions land in an explicit finite field
+for its elements.  Products are reduced, and inverses solved, through the
+multiplication matrix of an element (`_power_columns`): column i holds
+y^i times the element, so an inverse is one fraction-free linear solve
+(`linalg.solve` over Q) and no polynomial is divided over Q.  A
+PAdicEmbedding fixes one irreducible p-adic factor of the minimal
+polynomial, Hensel-lifted to precision p^M, together with its ramification
+index e and residue degree f.  Valuations are exact rationals with
+denominator dividing e; reductions land in an explicit finite field
 F_p[t]/(u(t)).
 
 Local (p-adic) arithmetic happens in LocalElement, a truncated representation
@@ -12,114 +16,29 @@ of an element of the local field as vec * p^(-shift) with vec in
 (Z/p^M)[y]/(local_factor).  Every LocalElement tracks its certified absolute
 precision so that valuations are only ever reported when certified.
 
-Polynomials factor here too, in exact integer arithmetic: over F_p by
-square-free, distinct-degree and equal-degree (Cantor-Zassenhaus) splitting,
-and monic squarefree integer polynomials by Zassenhaus's algorithm on the
-same Hensel lifting that finds the local factors.
+Polynomials factor here too, in exact integer arithmetic on the dense
+polynomials of `polyq`: over F_p by square-free, distinct-degree and
+equal-degree (Cantor-Zassenhaus) splitting, and monic squarefree integer
+polynomials by Zassenhaus's algorithm on the same Hensel lifting that finds
+the local factors.  A block of the factorization mod p whose phi-adic
+Newton polygon does not certify it irreducible is factored completely by
+locating its roots in explicit tame local models.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, count
 from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import polyq
+from .linalg import QQ, solve
 from .errors import (
     ReduciblePolynomial,
     PrecisionTooLow,
     PrecisionExhausted,
     NegativeValuation,
 )
-
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers modulo q (lists, lowest degree first)
-# ---------------------------------------------------------------------------
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _padd(a, b, q):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % q
-                   for i in range(n)])
-
-
-def _psub(a, b, q):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % q
-                   for i in range(n)])
-
-
-def _pmul(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % q
-    return _ptrim(out)
-
-
-def _pscale(a, c, q):
-    return _ptrim([(x * c) % q for x in a])
-
-
-def _pdivmod_monic(a, b, q):
-    """Divide a by monic b in (Z/q)[y]."""
-    a = list(a)
-    d = len(b) - 1
-    quo = [0] * max(0, len(a) - d)
-    while len(_ptrim(a)) - 1 >= d and _ptrim(a):
-        a = _ptrim(a)
-        if len(a) - 1 < d:
-            break
-        c = a[-1] % q
-        k = len(a) - 1 - d
-        quo[k] = c
-        for i in range(d + 1):
-            a[k + i] = (a[k + i] - c * b[i]) % q
-        a[-1] = 0
-    return _ptrim([x % q for x in quo]), _ptrim([x % q for x in a])
-
-
-def _pmod(a, b, q):
-    return _pdivmod_monic(a, b, q)[1]
-
-
-def _fp_inv(a, p):
-    return pow(a % p, p - 2, p)
-
-
-def _fp_xgcd(a, b, p):
-    """Extended gcd in F_p[y]: returns (g, s, t) monic g with s*a + t*b = g."""
-    r0, r1 = _ptrim([x % p for x in a]), _ptrim([x % p for x in b])
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        quo, rem = _pdivmod_monic_field(r0, r1, p)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _psub(s0, _pmul(quo, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(quo, t1, p), p)
-    if r0:
-        c = _fp_inv(r0[-1], p)
-        r0 = _pscale(r0, c, p)
-        s0 = _pscale(s0, c, p)
-        t0 = _pscale(t0, c, p)
-    return r0, s0, t0
-
-
-def _pdivmod_monic_field(a, b, p):
-    """Division in F_p[y] with arbitrary nonzero leading coefficient."""
-    inv = _fp_inv(b[-1], p)
-    bm = _pscale(b, inv, p)
-    quo, rem = _pdivmod_monic(a, bm, p)
-    return _pscale(quo, inv, p), rem
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +70,10 @@ class NumberField:
     def element(self, coeffs):
         vec = [Fraction(c) for c in coeffs]
         if len(vec) > self.degree:
-            vec = [Fraction(c) for c in
-                   polyq.mod(vec, list(self.minpoly))]
+            # y^k mod minpoly in column k
+            powers = _power_columns([1] + [0] * (self.degree - 1),
+                                    self.minpoly, len(vec))
+            vec = [sum(map(mul, row, vec)) for row in zip(*powers)]
         vec += [Fraction(0)] * (self.degree - len(vec))
         return NFElement(self, tuple(vec))
 
@@ -221,11 +142,7 @@ class NFElement:
         if isinstance(other, (int, Fraction)):
             return NFElement(self.field, tuple(a * other for a in self.coeffs))
         other = self._coerce(other)
-        prod = polyq.mul(list(self.coeffs), list(other.coeffs))
-        prod = polyq.mod(prod, list(self.field.minpoly))
-        prod = [Fraction(c) for c in prod]
-        prod += [Fraction(0)] * (self.field.degree - len(prod))
-        return NFElement(self.field, tuple(prod))
+        return self.field.element(polyq.mul(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -233,13 +150,20 @@ class NFElement:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        g, u, _ = polyq.xgcd(list(self.coeffs), list(self.field.minpoly))
-        if len(g) != 1:
+        inv = _inverse_mod(self.coeffs, self.field.minpoly)
+        if inv is None:
             raise ReduciblePolynomial("minimal polynomial is not irreducible")
-        inv = polyq.mod(u, list(self.field.minpoly))
-        inv = [Fraction(c) for c in inv]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
         return NFElement(self.field, tuple(inv))
+
+    def multiplication_matrix(self):
+        """(m, den) with m an integer matrix: the power-basis coefficients
+        of self * x are (m x) / den for those of x.  The minimal polynomial
+        is monic and integral, so every column of `_power_columns` stays
+        integral over the denominator of self."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        cols = _power_columns([int(c * den) for c in self.coeffs],
+                              self.field.minpoly, self.field.degree)
+        return [list(row) for row in zip(*cols)], den
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -247,6 +171,28 @@ class NFElement:
 
     def __repr__(self):
         return "NFElement(%s)" % (list(self.coeffs),)
+
+
+def _power_columns(col, f, n):
+    """The n columns col, y col, ..., y^(n-1) col modulo the monic f, col
+    of length deg f: multiplying by y shifts the coefficients up and
+    replaces y^(deg f) by y^(deg f) - f."""
+    cols = [list(col)]
+    low = f[:-1]
+    for _ in range(1, n):
+        top = cols[-1][-1]
+        cols.append([c - top * m for c, m in zip([0] + cols[-1][:-1], low)])
+    return cols
+
+
+def _inverse_mod(vec, f):
+    """The coefficients of 1 / x in Q[y]/(f), x = sum vec[i] y^i and f
+    monic of degree len(vec), as Fractions: one solve of M z = (1, 0, ...)
+    for the multiplication matrix M of x; None when x and f share a
+    factor."""
+    d = len(vec)
+    rows = [list(row) for row in zip(*_power_columns(vec, f, d))]
+    return solve(rows, [1] + [0] * (d - 1), QQ)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +204,8 @@ class FF:
 
     def __init__(self, p, modpoly):
         self.p = p
-        mod = _ptrim([c % p for c in modpoly])
-        inv = _fp_inv(mod[-1], p)
-        self.modpoly = tuple(_pscale(mod, inv, p))
+        mod = polyq.trim([c % p for c in modpoly])
+        self.modpoly = tuple(polyq.scale_mod(mod, pow(mod[-1], -1, p), p))
         self.degree = len(self.modpoly) - 1
 
     def __eq__(self, other):
@@ -273,17 +218,13 @@ class FF:
     def __repr__(self):
         return "FF(%d, %s)" % (self.p, list(self.modpoly))
 
-    @property
-    def size(self):
-        return self.p ** self.degree
-
     def element(self, coeffs):
         if isinstance(coeffs, int):
             coeffs = [coeffs]
         vec = [c % self.p for c in coeffs]
         # a vector of at most `degree` coefficients is already reduced
         if len(vec) > self.degree:
-            vec = _pmod(vec, list(self.modpoly), self.p)
+            vec = polyq.rem_monic(vec, self.modpoly, self.p)
         vec += [0] * (self.degree - len(vec))
         return FFElement(self, tuple(vec))
 
@@ -293,13 +234,9 @@ class FF:
     def one(self):
         return self.element(1)
 
-    def gen(self):
-        if self.degree == 1:
-            return self.element([(-self.modpoly[0]) % self.p])
-        return self.element([0, 1])
-
     def elements(self):
-        """All field elements, in lexicographic coefficient order."""
+        """All field elements, in the order of the integers sum c_i p^i:
+        the lowest coefficient varies fastest."""
         vec = [0] * self.degree
         while True:
             yield FFElement(self, tuple(vec))
@@ -364,8 +301,7 @@ class FFElement:
             return FFElement(self.parent,
                              tuple((a * other) % p for a in self.coeffs))
         other = self._coerce(other)
-        return self.parent.element(
-            _pmul(list(self.coeffs), list(other.coeffs), self.parent.p))
+        return self.parent.element(polyq.mul(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -373,8 +309,8 @@ class FFElement:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in finite field")
-        g, s, _ = _fp_xgcd(list(self.coeffs), list(self.parent.modpoly),
-                           self.parent.p)
+        g, s, _ = polyq.fp_xgcd(self.coeffs, self.parent.modpoly,
+                                self.parent.p)
         assert g == [1]
         return self.parent.element(s)
 
@@ -394,58 +330,21 @@ class FFElement:
         return result
 
     def minimal_polynomial(self):
-        """Minimal polynomial over F_p, as a monic int list (lowest first)."""
-        p = self.parent.p
-        powers = [self.parent.one()]
-        for _ in range(self.parent.degree):
-            powers.append(powers[-1] * self)
-        # find the first linear dependence among 1, x, x^2, ...
-        for d in range(1, self.parent.degree + 1):
-            rows = [list(powers[i].coeffs) for i in range(d)]
-            target = [c % p for c in powers[d].coeffs]
-            sol = _fp_solve(rows, target, p)
-            if sol is not None:
-                return [(-c) % p for c in sol] + [1]
-        raise AssertionError("no minimal polynomial found")
+        """Minimal polynomial over F_p, as a monic int list (lowest first):
+        the product of X - c over the Frobenius orbit c = x, x^p, x^(p^2),
+        ..."""
+        F = self.parent
+        zero = F.zero()
+        poly = [F.one()]
+        c = self
+        while True:
+            poly = [b - c * a for a, b in zip(poly + [zero], [zero] + poly)]
+            c = c ** F.p
+            if c == self:
+                return [a.coeffs[0] for a in poly]
 
     def __repr__(self):
         return "FFElement(%s)" % (list(self.coeffs),)
-
-
-def _fp_solve(rows, target, p):
-    """Solve sum c_i rows[i] = target over F_p; None if inconsistent."""
-    m = len(rows)
-    if m == 0:
-        return [] if all(t % p == 0 for t in target) else None
-    n = len(target)
-    aug = [[rows[i][j] % p for i in range(m)] + [target[j] % p]
-           for j in range(n)]
-    piv = []
-    r = 0
-    for c in range(m):
-        pr = None
-        for i in range(r, n):
-            if aug[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = _fp_inv(aug[r][c], p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][m] % p:
-            return None
-    sol = [0] * m
-    for i, c in enumerate(piv):
-        sol[c] = aug[i][m]
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -459,21 +358,21 @@ def _hensel_pair(f, g, h, p, M):
     corrections u (to g) and v (to h) satisfy g*v + h*u = e mod p with
     deg u < deg g, deg v < deg h, where e = (f - g*h)/p^m.
     """
-    g = _ptrim([c % p for c in g])
-    h = _ptrim([c % p for c in h])
-    _, a, b = _fp_xgcd(g, h, p)  # a*g + b*h = 1 mod p
+    g = polyq.trim([c % p for c in g])
+    h = polyq.trim([c % p for c in h])
+    _, a, b = polyq.fp_xgcd(g, h, p)  # a*g + b*h = 1 mod p
     for m in range(1, M):
         q2 = p ** (m + 1)
-        err = _psub([c % q2 for c in f], _pmul(g, h, q2), q2)
-        e0 = _ptrim([(c // p ** m) % p for c in err])
+        err = polyq.sub_mod(f, polyq.mul(g, h), q2)
+        e0 = polyq.trim([(c // p ** m) % p for c in err])
         if not e0:
             continue
-        _, u0 = _pdivmod_monic_field(_pmul(e0, b, p), g, p)
-        num = _psub(e0, _pmul(h, u0, p), p)
-        v0, r0 = _pdivmod_monic_field(num, g, p)
+        u0 = polyq.rem_monic(polyq.mul(e0, b), g, p)
+        num = polyq.sub_mod(e0, polyq.mul(h, u0), p)
+        v0, r0 = polyq.divmod_monic(num, g, p)
         assert not r0, "Hensel correction failed to divide"
-        g = _padd([c % q2 for c in g], _pscale(u0, p ** m, q2), q2)
-        h = _padd([c % q2 for c in h], _pscale(v0, p ** m, q2), q2)
+        g = polyq.add_mod(g, polyq.scale_mod(u0, p ** m, q2), q2)
+        h = polyq.add_mod(h, polyq.scale_mod(v0, p ** m, q2), q2)
     pM = p ** M
     return ([c % pM for c in g] or [0]), ([c % pM for c in h] or [0])
 
@@ -481,11 +380,11 @@ def _hensel_pair(f, g, h, p, M):
 def _hensel_blocks(f, blocks, p, M):
     """Lift pairwise-coprime monic blocks of f mod p to factors mod p^M."""
     if len(blocks) == 1:
-        return [_ptrim([c % (p ** M) for c in f])]
+        return [polyq.trim([c % (p ** M) for c in f])]
     first = blocks[0]
     rest_poly = [1]
     for blk in blocks[1:]:
-        rest_poly = _pmul(rest_poly, blk, p)
+        rest_poly = polyq.mul_mod(rest_poly, blk, p)
     g, h = _hensel_pair(f, first, rest_poly, p, M)
     return [g] + _hensel_blocks(h, blocks[1:], p, M)
 
@@ -496,13 +395,13 @@ def _hensel_blocks(f, blocks, p, M):
 
 def _fp_powmod(a, e, f, p):
     """a^e modulo the monic f in F_p[y]."""
-    out, a = [1], _pmod(a, f, p)
+    out, a = [1], polyq.rem_monic(a, f, p)
     while e:
         if e & 1:
-            out = _pmod(_pmul(out, a, p), f, p)
+            out = polyq.rem_monic(polyq.mul(out, a), f, p)
         e >>= 1
         if e:
-            a = _pmod(_pmul(a, a, p), f, p)
+            a = polyq.rem_monic(polyq.mul(a, a), f, p)
     return out
 
 
@@ -512,16 +411,16 @@ def _fp_squarefree(f, p):
     f is monic. The loop splits off the factors whose multiplicity is prime
     to p; what remains is a p-th power, whose root is taken coefficientwise.
     """
-    c = _fp_xgcd(f, polyq.derivative(f), p)[0]
-    w = _pdivmod_monic(f, c, p)[0]
+    c = polyq.fp_xgcd(f, polyq.derivative(f), p)[0]
+    w = polyq.divmod_monic(f, c, p)[0]
     out = []
     m = 1
     while len(w) > 1:
-        y = _fp_xgcd(w, c, p)[0]
-        z = _pdivmod_monic(w, y, p)[0]
+        y = polyq.fp_xgcd(w, c, p)[0]
+        z = polyq.divmod_monic(w, y, p)[0]
         if len(z) > 1:
             out.append((z, m))
-        w, c = y, _pdivmod_monic(c, y, p)[0]
+        w, c = y, polyq.divmod_monic(c, y, p)[0]
         m += 1
     if len(c) > 1:
         out.extend((g, k * p) for g, k in _fp_squarefree(c[::p], p))
@@ -541,11 +440,11 @@ def _fp_ddf(f, p):
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
         h = _fp_powmod(h, p, f, p)
-        g = _fp_xgcd(f, _psub(h, [0, 1], p), p)[0]
+        g = polyq.fp_xgcd(f, polyq.sub_mod(h, [0, 1], p), p)[0]
         if len(g) > 1:
             out.append((g, d))
-            f = _pdivmod_monic(f, g, p)[0]
-            h = _pmod(h, f, p)
+            f = polyq.divmod_monic(f, g, p)[0]
+            h = polyq.rem_monic(h, f, p)
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -567,11 +466,11 @@ def _fp_edf(f, d, p):
         while code:
             code, digit = divmod(code, p)
             a.append(digit)
-        for g in (_fp_xgcd(f, a, p)[0],
-                  _fp_xgcd(f, _psub(_fp_powmod(a, half, f, p), [1], p), p)[0]):
+        b = polyq.sub_mod(_fp_powmod(a, half, f, p), [1], p)
+        for g in (polyq.fp_xgcd(f, a, p)[0], polyq.fp_xgcd(f, b, p)[0]):
             if 1 < len(g) < len(f):
                 return _fp_edf(g, d, p) + \
-                    _fp_edf(_pdivmod_monic(f, g, p)[0], d, p)
+                    _fp_edf(polyq.divmod_monic(f, g, p)[0], d, p)
 
 
 def fp_factor(f, p):
@@ -580,8 +479,8 @@ def fp_factor(f, p):
     Square-free, then distinct-degree, then equal-degree factorization.
     Factors come by degree, then by coefficients from the leading one down.
     """
-    f = _ptrim([c % p for c in f])
-    f = _pscale(f, _fp_inv(f[-1], p), p)
+    f = polyq.trim([c % p for c in f])
+    f = polyq.scale_mod(f, pow(f[-1], -1, p), p)
     out = []
     for part, mult in _fp_squarefree(f, p):
         for g, d in _fp_ddf(part, p):
@@ -593,7 +492,8 @@ def _zassenhaus_prime(g):
     """The least odd prime l with g squarefree mod l, and g's factors mod l."""
     dg = polyq.derivative(g)
     for ell in count(3, 2):
-        if prime_divisors(ell) == [ell] and len(_fp_xgcd(g, dg, ell)[0]) == 1:
+        if prime_divisors(ell) == [ell] and \
+                len(polyq.fp_xgcd(g, dg, ell)[0]) == 1:
             return ell, [h for h, _ in fp_factor(g, ell)]
 
 
@@ -603,7 +503,9 @@ def factor_monic_int(g):
     Zassenhaus: factor g mod the least odd prime l at which it stays
     squarefree, lift the factors to l^k > 2B (B = 2^deg g * |g|_2 bounds
     every coefficient of a factor, after Mignotte), and try products of
-    lifted factors, smallest subsets first, by exact division.
+    lifted factors, smallest subsets first.  A candidate is accepted when
+    its quotient mod l^k, lifted to the symmetric range, times the
+    candidate gives g exactly: a true factor's cofactor is bounded by B too.
     Factors come in the order they are found; the last is the cofactor.
     Raises ValueError when g is not squarefree: no prime l would do then.
     """
@@ -624,12 +526,13 @@ def factor_monic_int(g):
         for subset in combinations(range(len(lifted)), size):
             cand = [1]
             for i in subset:
-                cand = _pmul(cand, lifted[i], q)
-            cand = [c - q if 2 * c > q else c for c in cand]
-            quo, rem = polyq.divmod_poly(g, cand)
-            if not rem:
+                cand = polyq.mul_mod(cand, lifted[i], q)
+            quo = polyq.divmod_monic(g, cand, q)[0]
+            cand, quo = ([c - q if 2 * c > q else c for c in u]
+                         for u in (cand, quo))
+            if polyq.mul(cand, quo) == g:
                 factors.append(cand)
-                g = [int(c) for c in quo]
+                g = quo
                 lifted = [u for i, u in enumerate(lifted) if i not in subset]
                 break
         else:
@@ -689,18 +592,9 @@ class PAdicEmbedding:
     def _reduction_rows(self):
         """Rows of the integer matrix whose column k is y^k mod
         (local factor, p^M), for k below the field degree."""
-        d, pM = self.degree, self.pM
-        cols = []
-        for k in range(self.field.degree):
-            if k < d:
-                col = [int(i == k) for i in range(d)]
-            else:
-                # y * col, with y^d replaced by y^d - local factor
-                top = col[-1]
-                col = [(c - top * h) % pM
-                       for c, h in zip([0] + col[:-1], self.local_factor)]
-            cols.append(col)
-        return [tuple(row) for row in zip(*cols)]
+        cols = _power_columns([1] + [0] * (self.degree - 1),
+                              self.local_factor, self.field.degree)
+        return [tuple(c % self.pM for c in row) for row in zip(*cols)]
 
     def _check_residue_gen(self):
         coeffs, s = self.residue_gen
@@ -879,9 +773,9 @@ class LocalElement:
         other = self._coerce(other)
         emb = self.emb
         s = max(self.shift, other.shift)
-        a = _pscale(list(self.vec), emb.p ** (s - self.shift), emb.pM)
-        b = _pscale(list(other.vec), emb.p ** (s - other.shift), emb.pM)
-        return LocalElement(emb, _padd(a, b, emb.pM), s,
+        a = polyq.scale_mod(self.vec, emb.p ** (s - self.shift), emb.pM)
+        b = polyq.scale_mod(other.vec, emb.p ** (s - other.shift), emb.pM)
+        return LocalElement(emb, polyq.add_mod(a, b, emb.pM), s,
                             min(self.prec, other.prec))
 
     def __radd__(self, other):
@@ -902,8 +796,8 @@ class LocalElement:
             return self._mul_rational(other)
         other = self._coerce(other)
         emb = self.emb
-        vec = _pmul(list(self.vec), list(other.vec), emb.pM)
-        vec = _pmod(vec, list(emb.local_factor), emb.pM)
+        vec = polyq.rem_monic(polyq.mul(self.vec, other.vec),
+                              emb.local_factor, emb.pM)
         va = self._raw_valuation()
         vb = other._raw_valuation()
         big = emb.M
@@ -955,30 +849,19 @@ class LocalElement:
         emb = self.emb
         v = self.valuation()
         # invert the numerator in Q[y]/(H); the p-part of the denominator
-        # of the Bezout coefficient becomes the shift of the result
-        g, s, _ = polyq.xgcd([Fraction(c) for c in self.vec],
-                             [Fraction(c) for c in emb.local_factor])
-        if len(g) != 1 or g[0] != 1:
+        # of its inverse becomes the shift of the result
+        s = _inverse_mod(self.vec, emb.local_factor)
+        if s is None:
             raise PrecisionExhausted(
                 "numerator shares a factor with the local factor; "
                 "raise the working precision")
-        den = 1
-        for c in s:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in s]
-        t = 0
-        while den % emb.p == 0:
-            den //= emb.p
-            t += 1
-        dinv = pow(den % emb.pM, -1, emb.pM)
-        vec = _pmod([(c * dinv) % emb.pM for c in ints],
-                    list(emb.local_factor), emb.pM)
+        den = lcm(*(c.denominator for c in s))
+        t = _vp(den, emb.p)
+        u = pow(den // emb.p ** t, -1, emb.pM) * emb.p ** self.shift
+        vec = [c.numerator * (den // c.denominator) * u for c in s]
         # 1/x = (numerator inverse) * p^shift; error of 1/x has valuation
         # at least prec(x) - 2 v(x)
-        prec = self.prec - 2 * v
-        if self.shift:
-            vec = _pscale(vec, pow(emb.p, self.shift, emb.pM), emb.pM)
-        return LocalElement(emb, vec, t, prec)
+        return LocalElement(emb, vec, t, self.prec - 2 * v)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -1065,9 +948,10 @@ def primes_above(field, p, M):
 
     One embedding per irreducible p-adic factor of the minimal polynomial.
     Factors that are irreducible mod p give unramified primes directly.
-    Repeated factors are analyzed through a one-level Newton polygon over
-    the residue extension; only the single-segment case with coprime slope
-    data is resolved, anything deeper raises PrecisionTooLow.
+    A repeated factor phibar^m gives one prime when the phi-adic Newton
+    polygon of its block is one segment of slope v/m in lowest terms;
+    any other block is factored completely in tame local models
+    (`_factor_block_tame`), and PrecisionTooLow is raised when that fails.
     """
     if p == 2 or prime_divisors(p) != [p]:
         raise ValueError("p must be an odd prime")
@@ -1079,43 +963,36 @@ def primes_above(field, p, M):
     for gbar, mult in blocks:
         blk = [1]
         for _ in range(mult):
-            blk = _pmul(blk, gbar, p)
+            blk = polyq.mul_mod(blk, gbar, p)
         block_polys.append(blk)
     lifted = _hensel_blocks([c % p ** M for c in field.minpoly],
                             block_polys, p, M)
     embs = []
     for idx, ((gbar, mult), H) in enumerate(zip(blocks, lifted)):
         d = len(gbar) - 1
-        if mult == 1:
-            embs.append(dict(local_factor=H, e=1, residue_degree=d,
+        if mult == 1 or _one_segment(H, gbar, mult, p, M):
+            embs.append(dict(local_factor=H, e=mult, residue_degree=d,
                              residue_modpoly=gbar))
             continue
-        try:
-            # phi-adic Newton polygon at first order
-            e, fdeg = _newton_polygon_block(H, gbar, p, M)
-            embs.append(dict(local_factor=H, e=e, residue_degree=fdeg,
-                             residue_modpoly=gbar))
-        except PrecisionTooLow:
-            # complete factorization of the block in tame local models
-            B = M + 12
-            factors = None
-            for _ in range(4):
-                lifted_B = _hensel_blocks(
-                    [c % p ** B for c in field.minpoly], block_polys, p, B)
-                HB = lifted_B[idx]
-                dHB = [i * c for i, c in enumerate(HB)][1:]
-                resB = polyq.resultant_int(list(HB), dHB) % p ** B
-                D = _vp(resB, p) if resB else B
-                if B >= M + 2 * D + 12:
-                    factors = _factor_block_tame(HB, gbar, mult, p, M, B)
-                    break
-                B = M + 2 * D + 12
-            if factors is None:
-                raise PrecisionTooLow(
-                    "local block discriminant too deep at precision %d" % B)
-            for G, e, fdeg, rbar, gen in factors:
-                embs.append(dict(local_factor=G, e=e, residue_degree=fdeg,
-                                 residue_modpoly=rbar, residue_gen=gen))
+        # complete factorization of the block in tame local models
+        B = M + 12
+        factors = None
+        for _ in range(4):
+            HB = _hensel_blocks([c % p ** B for c in field.minpoly],
+                                block_polys, p, B)[idx]
+            res = polyq.resultant_int(HB, polyq.derivative(HB)) % p ** B
+            # the valuation of the block discriminant
+            D = _vp(res, p) if res else B
+            if B >= M + 2 * D + 12:
+                factors = _factor_block_tame(HB, gbar, mult, p, M, B, D)
+                break
+            B = M + 2 * D + 12
+        if factors is None:
+            raise PrecisionTooLow(
+                "local block discriminant too deep at precision %d" % B)
+        for G, e, fdeg, rbar, gen in factors:
+            embs.append(dict(local_factor=G, e=e, residue_degree=fdeg,
+                             residue_modpoly=rbar, residue_gen=gen))
     result = []
     for j, data in enumerate(embs):
         result.append(PAdicEmbedding(field, p, M, data["local_factor"],
@@ -1127,63 +1004,61 @@ def primes_above(field, p, M):
     return result
 
 
-def _newton_polygon_block(H, phibar, p, M):
-    """Ramification data of a block H with H = phibar^m mod p.
+def _newton_polygon(H, phibar, m, p, q):
+    """The phi-adic Newton polygon of a block H = phibar^m mod p.
 
-    Expands H phi-adically and reads the Newton polygon.  Returns (e, f)
-    when the polygon certifies irreducibility; raises PrecisionTooLow
-    otherwise.
+    Expands H = sum A_i phi^i mod q, phi the lift of phibar, and returns
+    the vertices (i, v_p(A_i)) of the lower convex hull of the points with
+    A_i nonzero mod q, from i = 0 to m.  Raises PrecisionTooLow when A_0
+    vanishes mod q.
     """
-    pM = p ** M
-    d = len(phibar) - 1
-    m = (len(H) - 1) // d
-    phi = [c % pM for c in phibar]
-    rem = [c % pM for c in H]
-    coeffs = []
-    for _ in range(m + 1):
-        rem, r = _pdivmod_monic(rem, phi, pM)
-        coeffs.append(r)
-    vals = []
-    for i, A in enumerate(coeffs):
-        if not A:
-            vals.append(None)
-        else:
-            vals.append(min(_vp(c, p) for c in A if c != 0))
-    if vals[0] is None or vals[0] >= M:
+    phi = [c % q for c in phibar]
+    rem = H
+    pts = []
+    for i in range(m + 1):
+        rem, A = polyq.divmod_monic(rem, phi, q)
+        if A:
+            pts.append((i, min(_vp(c, p) for c in A if c)))
+    if not pts or pts[0][0] != 0:
         raise PrecisionTooLow(
-            "constant phi-adic coefficient vanishes at precision %d" % M)
-    v0 = vals[0]
-    if gcd(v0, m) != 1:
+            "constant phi-adic coefficient of a block vanishes at the "
+            "working precision")
+    hull = [pts[0]]
+    for pt in pts[1:]:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    if hull[-1] != (m, 0):
         raise PrecisionTooLow(
-            "Newton polygon slope %d/%d is not in lowest terms; "
-            "deeper factorization required" % (v0, m))
-    # single segment from (0, v0) to (m, 0): all points on or above it
-    for i in range(1, m):
-        if vals[i] is None:
-            continue
-        if Fraction(vals[i]) < Fraction(v0) * (m - i) / m:
-            raise PrecisionTooLow(
-                "Newton polygon has several segments; "
-                "deeper factorization required")
-    return m, d
+            "phi-adic Newton polygon of a block does not end at height 0")
+    return hull
+
+
+def _one_segment(H, phibar, m, p, M):
+    """Whether the Newton polygon of the block H = phibar^m mod p, at
+    precision M, is one segment of slope v/m in lowest terms: then H is
+    irreducible, with e = m and f = deg phibar."""
+    try:
+        hull = _newton_polygon(H, phibar, m, p, p ** M)
+    except PrecisionTooLow:
+        return False
+    return len(hull) == 2 and gcd(hull[0][1], m) == 1
 
 
 # ---------------------------------------------------------------------------
 # complete factorization of tame blocks via explicit local models
 # ---------------------------------------------------------------------------
 
-_modpoly_cache = {}
-
-
+@cache
 def _irreducible_modpoly(p, F):
-    """The lexicographically first monic irreducible of degree F mod p."""
-    key = (p, F)
-    cached = _modpoly_cache.get(key)
-    if cached is not None:
-        return cached
+    """The lexicographically first monic irreducible of degree F mod p, as
+    a tuple: the cached value is shared by every caller."""
     if F == 1:
-        _modpoly_cache[key] = [0, 1]
-        return [0, 1]
+        return (0, 1)
     for code in range(p ** F):
         coeffs = []
         c = code
@@ -1192,8 +1067,7 @@ def _irreducible_modpoly(p, F):
             c //= p
         poly = coeffs + [1]
         if _fp_ddf(poly, p) == [(poly, F)]:
-            _modpoly_cache[key] = poly
-            return poly
+            return tuple(poly)
     raise AssertionError("no irreducible polynomial found")
 
 
@@ -1213,15 +1087,15 @@ class _TameModel:
         self.E = E
         self.F = F
         self.pB = p ** B
-        self.q = p ** F
         self.u = _irreducible_modpoly(p, F)
-        self.c = self._teich(_ptrim([r % p for r in cres]))
-        self.cinv = self._s_inv_unit(self.c)
+        self.residues = FF(p, self.u)
+        self.c = self._teich(polyq.trim([r % p for r in cres]))
+        self.cinv = self.inv_unit([self.c] + [[]] * (E - 1))[0]
 
     # -- coefficient ring S = (Z/p^B)[t]/(u) ------------------------------
 
     def _s_mul(self, a, b):
-        return _pmod(_pmul(a, b, self.pB), self.u, self.pB)
+        return polyq.rem_monic(polyq.mul(a, b), self.u, self.pB)
 
     def _s_vp(self, a):
         vals = [_vp(c, self.p) for c in a if c % self.pB]
@@ -1240,20 +1114,7 @@ class _TameModel:
     def _teich(self, res):
         x = list(res)
         for _ in range(self.B + 1):
-            x = self._s_pow(x, self.q)
-        return x
-
-    def _s_inv_unit(self, a):
-        F = FF(self.p, self.u)
-        r = F.element([c % self.p for c in a])
-        x = [int(c) for c in r.inverse().coeffs]
-        steps = 1
-        while (1 << steps) < self.B + 2:
-            steps += 1
-        for _ in range(steps + 1):
-            prod = self._s_mul(a, x)
-            two_minus = _psub([2], prod, self.pB)
-            x = self._s_mul(x, two_minus)
+            x = self._s_pow(x, self.p ** self.F)
         return x
 
     # -- elements: lists of E coefficient polynomials ----------------------
@@ -1269,20 +1130,14 @@ class _TameModel:
         return [([n] if n else [])] + [[] for _ in range(self.E - 1)]
 
     def from_res(self, digits):
-        return [_ptrim([d % self.p for d in digits])] \
+        return [polyq.trim([d % self.p for d in digits])] \
             + [[] for _ in range(self.E - 1)]
 
-    def key(self, x):
-        return tuple(tuple(a) for a in x)
-
     def add(self, x, y):
-        return [_padd(a, b, self.pB) for a, b in zip(x, y)]
-
-    def neg(self, x):
-        return [_ptrim([(-c) % self.pB for c in a]) for a in x]
+        return [polyq.add_mod(a, b, self.pB) for a, b in zip(x, y)]
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        return [polyq.sub_mod(a, b, self.pB) for a, b in zip(x, y)]
 
     def mul(self, x, y):
         out = [[] for _ in range(self.E)]
@@ -1296,12 +1151,13 @@ class _TameModel:
                 k = i + j
                 if k >= self.E:
                     k -= self.E
-                    prod = _pscale(self._s_mul(prod, self.c), self.p, self.pB)
-                out[k] = _padd(out[k], prod, self.pB)
+                    prod = polyq.scale_mod(self._s_mul(prod, self.c),
+                                           self.p, self.pB)
+                out[k] = polyq.add_mod(out[k], prod, self.pB)
         return out
 
     def mul_pi(self, x):
-        head = _pscale(self._s_mul(x[-1], self.c), self.p, self.pB)
+        head = polyq.scale_mod(self._s_mul(x[-1], self.c), self.p, self.pB)
         return [head] + x[:-1]
 
     def div_pi(self, x):
@@ -1330,9 +1186,9 @@ class _TameModel:
         return acc
 
     def inv_unit(self, x):
-        Fq = FF(self.p, self.u)
-        r = Fq.element([c % self.p for c in x[0]])
-        y = self.from_res([int(c) for c in r.inverse().coeffs])
+        """The inverse of a unit x by Newton's iteration y -> y (2 - x y),
+        from the inverse of its residue."""
+        y = self.from_res(self.residues.element(x[0]).inverse().coeffs)
         steps = 1
         while (1 << steps) < (self.B * self.E + 2):
             steps += 1
@@ -1346,6 +1202,13 @@ class _TameModel:
         for a in x:
             out.extend(list(a) + [0] * (self.F - len(a)))
         return out
+
+    def flat_powers(self, x, n):
+        """flatten(x^i) for i below n."""
+        powers = [self.one()]
+        for _ in range(n - 1):
+            powers.append(self.mul(powers[-1], x))
+        return [self.flatten(y) for y in powers]
 
 
 def _tame_newton_root(H, dH, L, start):
@@ -1416,15 +1279,8 @@ def _roots_in_model(H, L, maxdepth, vmin=None):
     to valuation at least vmin (None means exact vanishing at the working
     precision), which filters out stalled non-roots.
     """
-    dH = [i * c for i, c in enumerate(H)][1:]
-    reps = []
-    for code in range(L.q):
-        digits = []
-        c = code
-        for _ in range(L.F):
-            digits.append(c % L.p)
-            c //= L.p
-        reps.append(L.from_res(digits))
+    dH = polyq.derivative(H)
+    reps = [L.from_res(a.coeffs) for a in L.residues.elements()]
     pi_pow = L.one()
     certified = []
     start = L.zero()
@@ -1544,11 +1400,10 @@ def _solve_mod_prime_power(cols, rhs, p, B):
 
 
 def _minpoly_from_root(L, theta, maxdeg, loss_max):
-    vecs = [L.flatten(L.one())]
-    x = L.one()
-    for _ in range(maxdeg):
-        x = L.mul(x, theta)
-        vecs.append(L.flatten(x))
+    """The monic integer polynomial of least degree, at most maxdeg, that
+    theta satisfies in the model with a solve losing at most loss_max
+    digits; None when there is none."""
+    vecs = L.flat_powers(theta, maxdeg + 1)
     for n in range(1, maxdeg + 1):
         cols = vecs[:n]
         rhs = [(-v) % L.pB for v in vecs[n]]
@@ -1558,48 +1413,29 @@ def _minpoly_from_root(L, theta, maxdeg, loss_max):
         sol, loss = res
         if loss > loss_max:
             continue
-        return [int(c) for c in sol] + [1], loss
+        return [int(c) for c in sol] + [1]
     return None
 
 
 def _tame_unit_reps(p, e, f):
-    """Coset representatives of F_q^x modulo e-th powers, q = p^f.
+    """Coset representatives of F_q^x modulo e-th powers, q = p^f, as
+    elements of FF(p, _irreducible_modpoly(p, f)): the first of each coset
+    in the order of `FF.elements`.
 
     Models pi^e = c p and pi^e = c' p are isomorphic when c'/c is an e-th
     power in the residue field, so only one c per coset needs searching.
     """
-    modpoly = _irreducible_modpoly(p, f)
-
-    def mul(a, b):
-        _, r = _pdivmod_monic(_pmul(a, b, p), modpoly, p)
-        return r
-
-    def key(a):
-        padded = [x % p for x in a] + [0] * f
-        return tuple(padded[:f])
-
-    elems = []
-    for code in range(1, p ** f):
-        digits = []
-        c = code
-        for _ in range(f):
-            digits.append(c % p)
-            c //= p
-        elems.append(_ptrim(digits))
-    powers = set()
-    for a in elems:
-        x = [1]
-        for _ in range(e):
-            x = mul(x, a)
-        powers.add(key(x))
+    F = FF(p, _irreducible_modpoly(p, f))
+    if e == 1:
+        return [F.one()]
+    units = list(F.elements())[1:]
+    powers = {a ** e for a in units}
     reps = []
     covered = set()
-    for a in elems:
-        if key(a) in covered:
-            continue
-        reps.append(a)
-        for s in powers:
-            covered.add(key(mul(list(s), a)))
+    for a in units:
+        if a not in covered:
+            reps.append(a)
+            covered.update(s * a for s in powers)
     return reps
 
 
@@ -1611,39 +1447,9 @@ def _block_segment_candidates(H, gbar, mult, p, B):
     carries primes with e0 | e, d | f and e f <= d l (d = deg gbar).
     """
     d = len(gbar) - 1
-    pB = p ** B
-    phi = [c % pB for c in gbar]
-    rem = [c % pB for c in H]
-    coeffs = []
-    for _ in range(mult + 1):
-        rem, r = _pdivmod_monic(rem, phi, pB)
-        coeffs.append(r)
-    vals = []
-    for A in coeffs:
-        if not A or all(c % pB == 0 for c in A):
-            vals.append(None)
-        else:
-            vals.append(min(_vp(c, p) for c in A if c % pB))
-    if vals[0] is None:
-        raise PrecisionTooLow(
-            "constant phi-adic coefficient of a block vanishes at the "
-            "working precision")
-    pts = [(i, v) for i, v in enumerate(vals) if v is not None]
-    hull = [pts[0]]
-    for pt in pts[1:]:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    if hull[-1][0] != mult or hull[-1][1] != 0:
-        raise PrecisionTooLow(
-            "phi-adic Newton polygon of a block does not end at height 0")
+    hull = _newton_polygon(H, gbar, mult, p, p ** B)
     cands = set()
-    for s in range(len(hull) - 1):
-        (x1, y1), (x2, y2) = hull[s], hull[s + 1]
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         e0 = Fraction(y1 - y2, x2 - x1).denominator
         l = x2 - x1
         e = e0
@@ -1663,13 +1469,8 @@ def _residue_gen_from_root(L, theta, deg, loss_max):
     Solves p^s t = sum(coeffs[i] theta^i) in the model for the smallest
     admissible denominator exponent s; returns (coeffs, s) or None.
     """
-    t = L.from_res([0, 1])
-    vecs = [L.flatten(L.one())]
-    x = L.one()
-    for _ in range(deg - 1):
-        x = L.mul(x, theta)
-        vecs.append(L.flatten(x))
-    tflat = L.flatten(t)
+    vecs = L.flat_powers(theta, deg)
+    tflat = L.flatten(L.from_res([0, 1]))
     for s in range(L.B):
         ps = L.p ** s
         rhs = [(c * ps) % L.pB for c in tflat]
@@ -1683,14 +1484,15 @@ def _residue_gen_from_root(L, theta, deg, loss_max):
     return None
 
 
-def _factor_block_tame(H, gbar, mult, p, M, B):
+def _factor_block_tame(H, gbar, mult, p, M, B, D):
     """Factor a Hensel block completely, assuming tame ramification.
 
-    Roots of H are located in explicit tame models U_F(pi), pi^E = c p,
-    and each irreducible factor is reconstructed as the minimal polynomial
-    of a root.  Returns [(factor mod p^M, e, f, residue_modpoly,
-    residue_gen)] or raises PrecisionTooLow when the block cannot be
-    resolved (e.g. wild ramification).
+    H is the block mod p^B, and D the valuation of its discriminant, with
+    B >= M + 2D + 12.  Roots of H are located in explicit tame models
+    U_F(pi), pi^E = c p, and each irreducible factor is reconstructed as
+    the minimal polynomial of a root.  Returns [(factor mod p^M, e, f,
+    residue_modpoly, residue_gen)] or raises PrecisionTooLow when the block
+    cannot be resolved (e.g. wild ramification).
 
     residue_gen is None when the residue field is generated by the root
     itself (f = deg gbar); otherwise it is (coeffs, s) expressing the
@@ -1699,32 +1501,23 @@ def _factor_block_tame(H, gbar, mult, p, M, B):
     d = len(gbar) - 1
     blockdeg = d * mult
     pM = p ** M
-    Hints = [c % p ** B for c in H]
-    dH = [i * c for i, c in enumerate(Hints)][1:]
-    res = polyq.resultant_int(Hints, dH) % p ** B
-    if res == 0:
-        raise PrecisionTooLow(
-            "discriminant of a local block vanishes at precision %d" % B)
-    D = _vp(res, p)
     loss_max = max((B - M) // 2, 1)
     # any point of a wrong model is within total root-distance D of the
     # roots, so H evaluates there to valuation at most D; genuine Newton
     # limits evaluate to valuation near B = M + 2D + 12
     vmin = Fraction(D + 2)
-    pB = p ** B
     found = {}
     total = 0
     # found factors are divided out, so later models search a smaller
     # quotient and do not waste time rediscovering known roots
-    R = list(Hints)
-    for e, f in _block_segment_candidates(Hints, gbar, mult, p, B):
+    R = H
+    for e, f in _block_segment_candidates(H, gbar, mult, p, B):
         if total == blockdeg:
             break
-        reps = _tame_unit_reps(p, e, f) if e > 1 else [[1]]
-        for digits in reps:
+        for c in _tame_unit_reps(p, e, f):
             if total == blockdeg or len(R) - 1 < e * f:
                 break
-            L = _TameModel(p, B, e, f, digits)
+            L = _TameModel(p, B, e, f, c.coeffs)
             maxdepth = e * (2 * D + 6)
             for theta in _roots_in_model(R, L, maxdepth, vmin):
                 # conjugates of an already divided-out factor are no
@@ -1732,10 +1525,9 @@ def _factor_block_tame(H, gbar, mult, p, M, B):
                 vt = L.val(L.eval_poly(R, theta))
                 if vt is not None and vt < vmin:
                     continue
-                mp = _minpoly_from_root(L, theta, e * f, loss_max)
-                if mp is None:
+                G = _minpoly_from_root(L, theta, e * f, loss_max)
+                if G is None:
                     continue
-                G, _ = mp
                 # only full-size factors: then e, f of the prime are forced
                 # to be the model's; smaller factors appear in the smaller
                 # models, which are searched first
@@ -1763,7 +1555,7 @@ def _factor_block_tame(H, gbar, mult, p, M, B):
                     rbar = list(L.u)
                 found[GM] = (list(GM), e, f, rbar, gen)
                 total += e * f
-                R, _ = _pdivmod_monic(R, [c % pB for c in G], pB)
+                R = polyq.divmod_monic(R, G, p ** B)[0]
                 if total == blockdeg or len(R) - 1 < e * f:
                     break
     if total != blockdeg:
@@ -1772,8 +1564,8 @@ def _factor_block_tame(H, gbar, mult, p, M, B):
             "deeper (or wild) factorization required" % (blockdeg, total))
     prod = [1]
     for GM in found:
-        prod = _pmul(prod, list(GM), pM)
-    if _psub(prod, [c % pM for c in H], pM):
+        prod = polyq.mul_mod(prod, GM, pM)
+    if polyq.sub_mod(prod, H, pM):
         raise PrecisionTooLow(
             "reconstructed factors do not multiply back to the block")
     # order factors by base-p digits from the low digit up: unlike integer

@@ -1,31 +1,22 @@
-"""Dense univariate polynomial helpers over exact coefficient types.
+"""Dense univariate polynomials over Z and over Z/q.
 
-Polynomials are lists [c0, c1, ...] with rational (Fraction/int) entries,
-lowest degree first.  Trailing zeros are trimmed by `trim`.  These helpers
-back the number-field arithmetic in `padic`; nothing here is p-adic.
+Polynomials are lists [c0, c1, ...], lowest degree first, with trailing
+zeros trimmed by `trim`.  `mul`, `derivative` and `resultant_int` are exact
+(`mul` over any exact coefficient ring, the number-field products in
+`padic` included).  The `_mod` operations take a modulus q and return
+coefficients in [0, q); they divide only by monic polynomials, which needs
+no inverse mod q.  Over F_p, p prime, `fp_divmod` and `fp_xgcd` divide by
+any nonzero polynomial.  These back the finite-field and local arithmetic
+and the factorizations in `padic`; nothing here is p-adic.
 """
 
-from fractions import Fraction
+from itertools import zip_longest
 
 
 def trim(p):
     while p and p[-1] == 0:
         p = p[:-1]
     return p
-
-
-def add(p, q):
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                 for i in range(n)])
-
-
-def neg(p):
-    return [-c for c in p]
-
-
-def sub(p, q):
-    return add(p, neg(q))
 
 
 def mul(p, q):
@@ -44,48 +35,64 @@ def derivative(p):
     return trim([i * c for i, c in enumerate(p)][1:])
 
 
-def divmod_poly(p, q):
-    """Polynomial division with remainder; coefficients become Fractions."""
-    q = trim(list(q))
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in p]
-    d = len(q) - 1
-    lead = Fraction(q[-1])
-    quo = [Fraction(0)] * max(0, len(r) - d)
-    while len(trim(r)) - 1 >= d and trim(r):
-        r = trim(r)
-        if len(r) - 1 < d:
-            break
-        c = r[-1] / lead
-        k = len(r) - 1 - d
-        quo[k] = c
-        for i in range(d + 1):
-            r[k + i] -= c * q[i]
-        r[-1] = 0
-    return trim(quo), trim(r)
+def add_mod(a, b, q):
+    return trim([(x + y) % q for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def mod(p, q):
-    return divmod_poly(p, q)[1]
+def sub_mod(a, b, q):
+    return trim([(x - y) % q for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def xgcd(p, q):
-    """Extended gcd over the rationals: returns (g, u, v) with u*p + v*q = g."""
-    r0, r1 = [Fraction(c) for c in trim(list(p))], [Fraction(c) for c in trim(list(q))]
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
+def scale_mod(a, c, q):
+    return trim([(x * c) % q for x in a])
+
+
+def mul_mod(a, b, q):
+    """The exact product a * b, reduced mod q once."""
+    return trim([c % q for c in mul(a, b)])
+
+
+def divmod_monic(a, b, q):
+    """(quotient, remainder) of a by the monic b in (Z/q)[y]."""
+    r = [c % q for c in a]
+    d = len(b) - 1
+    quo = [0] * max(0, len(r) - d)
+    for k in range(len(quo) - 1, -1, -1):
+        c = r[k + d]
+        if c:
+            quo[k] = c
+            for i in range(d):
+                r[k + i] = (r[k + i] - c * b[i]) % q
+    return trim(quo), trim(r[:d])
+
+
+def rem_monic(a, b, q):
+    return divmod_monic(a, b, q)[1]
+
+
+def fp_divmod(a, b, p):
+    """(quotient, remainder) of a by the nonzero b in F_p[y]."""
+    inv = pow(b[-1], -1, p)
+    quo, rem = divmod_monic(a, scale_mod(b, inv, p), p)
+    return scale_mod(quo, inv, p), rem
+
+
+def fp_xgcd(a, b, p):
+    """Extended gcd in F_p[y]: returns (g, s, t) monic g with s*a + t*b = g."""
+    r0, r1 = trim([x % p for x in a]), trim([x % p for x in b])
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
     while r1:
-        quo, rem = divmod_poly(r0, r1)
+        quo, rem = fp_divmod(r0, r1, p)
         r0, r1 = r1, rem
-        u0, u1 = u1, sub(u0, mul(quo, u1))
-        v0, v1 = v1, sub(v0, mul(quo, v1))
+        s0, s1 = s1, sub_mod(s0, mul(quo, s1), p)
+        t0, t1 = t1, sub_mod(t0, mul(quo, t1), p)
     if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        u0 = [c / lead for c in u0]
-        v0 = [c / lead for c in v0]
-    return r0, u0, v0
+        c = pow(r0[-1], -1, p)
+        r0 = scale_mod(r0, c, p)
+        s0 = scale_mod(s0, c, p)
+        t0 = scale_mod(t0, c, p)
+    return r0, s0, t0
 
 
 def resultant_int(p, q):

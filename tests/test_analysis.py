@@ -50,7 +50,7 @@ def test_budget_is_checked_before_any_element(entry, monkeypatch):
     run = {
         "invariant_table": lambda: analysis.invariant_table(norm, 7),
         "verify_congruence": lambda: analysis.verify_congruence(
-            norm, norm, 7),
+            norm, norm, 7, "medweight"),
         "verify_weight2_patterns": lambda: analysis.verify_weight2_patterns(
             norm, 7),
     }[entry]

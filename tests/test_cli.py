@@ -302,6 +302,29 @@ def test_budget_is_checked_before_any_space_is_split(name, capsys,
     assert built == []
 
 
+@pytest.mark.parametrize("mode", ["congruence:bogus", "congruence:",
+                                  "degen:x", "three-term:lowslope", "bogus"])
+def test_bad_verify_mode_fails_before_any_space(mode, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(modsym, "ManinSymbolSpace",
+                        lambda *args: built.append(args))
+    argv = ["verify", "--mode", mode, "--level", "11", "--weight", "2",
+            "--p", "3", "--nmax", "1"]
+    assert cli.main(argv) == cli.EXIT_CONSTRUCTION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert built == []
+
+
+@pytest.mark.parametrize("mode,want", [("congruence", "lowslope"),
+                                       ("congruence:lowslope", "lowslope"),
+                                       ("congruence:medweight", "medweight")])
+def test_congruence_mode_option(mode, want):
+    config = _config(["verify", "--mode", mode, "--level", "11", "--weight",
+                      "2", "--p", "3"])
+    assert (config.verify_mode, config.congruence_mode) == ("congruence", want)
+    assert config.as_dict()["mode"] == mode
+
+
 def test_cli_import_loads_no_sympy():
     code = "import sys, mtlab.cli; print('sympy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], check=True,

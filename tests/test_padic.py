@@ -1,9 +1,12 @@
 """Tests for number fields, embeddings, valuations and residue fields."""
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 import sympy
@@ -11,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 
-from mtlab import padic
+from mtlab import padic, polyq
 from mtlab.errors import (
     ReduciblePolynomial,
     PrecisionExhausted,
@@ -237,7 +240,7 @@ def test_fp_factor_matches_gf_factor(planted):
     f = [unit]
     for low, mult in factors:
         for _ in range(mult):
-            f = padic._pmul(f, low + [1], p)
+            f = polyq.mul_mod(f, low + [1], p)
     _, expected = gf_factor([ZZ(c) for c in reversed(f)], p, ZZ)
     expected = [([int(c) for c in reversed(g)], m) for g, m in
                 sorted(expected, key=lambda t: (len(t[0]), t[0]))]
@@ -254,7 +257,7 @@ def test_make_field_rejects_planted_products(planted):
     f = [1]
     for low, mult in planted:
         for _ in range(mult):
-            f = padic.polyq.mul(f, low + [1])
+            f = polyq.mul(f, low + [1])
     with pytest.raises(ReduciblePolynomial):
         make_field(f)
 
@@ -274,7 +277,7 @@ def test_with_precision_relift():
 
 def test_finite_field_arithmetic():
     F9 = padic.FF(3, [1, 0, 1])  # t^2 + 1 irreducible mod 3
-    t = F9.gen()
+    t = F9.element([0, 1])
     assert t * t == F9.element(-1)
     assert (t + 1) * (t + 1).inverse() == F9.one()
     assert len(list(F9.elements())) == 9
@@ -307,7 +310,7 @@ def test_finite_field_element_reduced_or_not(data):
 
 def test_finite_field_minimal_polynomial():
     F9 = padic.FF(3, [1, 0, 1])
-    t = F9.gen()
+    t = F9.element([0, 1])
     assert t.minimal_polynomial() == [1, 0, 1]
     assert F9.one().minimal_polynomial() == [2, 1]  # x - 1 over F_3
 
@@ -534,7 +537,7 @@ def local_ints_by_division(emb, nums, den):
         den //= p
         t += 1
     u = pow(den, -1, pM)
-    vec = padic._pmod([c * u % pM for c in nums], list(emb.local_factor), pM)
+    vec = polyq.rem_monic([c * u for c in nums], emb.local_factor, pM)
     return padic.LocalElement(emb, vec, t, emb.M)
 
 
@@ -560,3 +563,156 @@ def test_local_ints_matches_division(data):
     want = local_ints_by_division(emb, nums, den)
     assert (got.vec, got.shift, got.prec) == \
         (want.vec, want.shift, want.prec)
+
+
+# -- inverses: one solve against the multiplication matrix -------------------
+#
+# The reference is the extended Euclidean algorithm over Q, on Fraction
+# polynomials (lists, lowest degree first).
+
+
+def poly_sub(p, q):
+    return polyq.trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
+
+
+def poly_divmod(p, q):
+    """Division with remainder over Q; coefficients become Fractions."""
+    q = polyq.trim(list(q))
+    r = [Fraction(c) for c in p]
+    d = len(q) - 1
+    quo = [Fraction(0)] * max(0, len(r) - d)
+    for k in range(len(quo) - 1, -1, -1):
+        c = r[k + d] / q[-1]
+        quo[k] = c
+        for i in range(d + 1):
+            r[k + i] -= c * q[i]
+    return polyq.trim(quo), polyq.trim(r[:d])
+
+
+def poly_xgcd(p, q):
+    """(g, u, v) with u p + v q = g, g monic (or zero), over Q."""
+    r0, r1 = polyq.trim([Fraction(c) for c in p]), \
+        polyq.trim([Fraction(c) for c in q])
+    u0, u1, v0, v1 = [Fraction(1)], [], [], [Fraction(1)]
+    while r1:
+        quo, rem = poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, poly_sub(u0, polyq.mul(quo, u1))
+        v0, v1 = v1, poly_sub(v0, polyq.mul(quo, v1))
+    if r0:
+        lead = r0[-1]
+        r0, u0, v0 = ([c / lead for c in w] for w in (r0, u0, v0))
+    return r0, u0, v0
+
+
+def xgcd_inverse(x):
+    """1 / x for a nonzero NFElement, from the Bezout coefficient of x and
+    the minimal polynomial."""
+    g, u, _ = poly_xgcd(x.coeffs, x.field.minpoly)
+    assert g == [1]
+    return x.field.element(u)
+
+
+def xgcd_local_inverse(x):
+    """LocalElement.inverse from the Bezout coefficient of the numerator
+    and the local factor over Q."""
+    emb = x.emb
+    p, pM = emb.p, emb.pM
+    v = x.valuation()
+    g, s, _ = poly_xgcd(x.vec, emb.local_factor)
+    if g != [1]:
+        raise PrecisionExhausted("numerator shares a factor")
+    den = lcm(*(c.denominator for c in s))
+    t = 0
+    while den % p ** (t + 1) == 0:
+        t += 1
+    u = pow(den // p ** t, -1, pM) * p ** x.shift
+    vec = polyq.rem_monic([int(c * den) * u for c in s], emb.local_factor, pM)
+    return padic.LocalElement(emb, vec, t, x.prec - 2 * v)
+
+
+INVERSE_FIELDS = ([QQ] + [make_field(f) for f in (
+    [1, 0, 1], [-2, 0, 1], [-3, 0, 1], [-5, 0, 1], [1, 1, 0, 1],
+    [2, 0, 0, 0, 1], [1, 0, -10, 0, 1])]
+    + [make_field(f) for f, _ in HECKE_CASES] + HECKE_23_6)
+
+
+# the reference takes up to 0.4 s on the fields of degree 10 and 12
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_field_inverse_matches_xgcd(data):
+    K = data.draw(st.sampled_from(INVERSE_FIELDS))
+    coeffs = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(1, 10 ** 3))
+    x = K.element(data.draw(st.lists(coeffs, min_size=K.degree,
+                                     max_size=K.degree)))
+    if x.is_zero():
+        return
+    inv = x.inverse()
+    assert inv == xgcd_inverse(x)
+    assert x * inv == K.one()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_local_inverse_matches_xgcd(data):
+    x = data.draw(local_elements())
+    try:
+        want = xgcd_local_inverse(x)
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            x.inverse()
+        return
+    got = x.inverse()
+    assert (got.vec, got.shift, got.prec) == (want.vec, want.shift, want.prec)
+
+
+# -- snapshot of the local data of every prime above p ------------------------
+#
+# Recorded from this module's own primes_above; a change of the local
+# factors, residue data or their order shows here before it reaches a report.
+# Record again after an intended change with
+#
+#     PYTHONPATH=src python tests/test_padic.py
+
+EMBEDDING_SNAPSHOT = Path(__file__).parent / "golden" / "padic-embeddings.json"
+
+SNAPSHOT_CASES = [
+    ("11-18-deg6", HECKE_11_18_DEG6, 3),
+    ("11-18-deg8", HECKE_11_18_DEG8, 3),
+    ("17-18-deg10", HECKE_17_18_DEG10, 3),
+    ("17-18-deg12", HECKE_17_18_DEG12, 3),
+    ("23-6-deg6", list(HECKE_23_6[0].minpoly), 3),
+    ("23-6-deg3", list(HECKE_23_6[1].minpoly), 3),
+    ("biquadratic", [1, 0, -10, 0, 1], 3),
+    ("biquadratic", [1, 0, -10, 0, 1], 5),
+]
+
+
+def embedding_snapshot():
+    """The local data of every prime above p of each snapshot field, at
+    precisions 8 and 16, keyed by field, p and M."""
+    out = {}
+    for name, minpoly, p in SNAPSHOT_CASES:
+        K = padic.NumberField(minpoly)
+        for M in (8, 16):
+            out["%s/p%d/M%d" % (name, p, M)] = [{
+                "local_factor": list(emb.local_factor),
+                "e": emb.e,
+                "residue_degree": emb.residue_degree,
+                "residue_modpoly": list(emb.residue_modpoly),
+                "residue_gen": (None if emb.residue_gen is None
+                                else [list(emb.residue_gen[0]),
+                                      emb.residue_gen[1]]),
+                "index": emb.index,
+            } for emb in padic.primes_above(K, p, M)]
+    return out
+
+
+def test_embedding_snapshot():
+    assert embedding_snapshot() == json.loads(EMBEDDING_SNAPSHOT.read_text())
+
+
+if __name__ == "__main__":
+    EMBEDDING_SNAPSHOT.write_text(
+        json.dumps(embedding_snapshot(), indent=1) + "\n")
