@@ -4,6 +4,7 @@ classification of lambda-growth patterns.
 """
 
 from fractions import Fraction
+from math import comb
 
 from . import linalg, mazurtate, modsym, padic
 from .errors import (
@@ -30,55 +31,94 @@ def sturm_bound(N, k):
 # mu_min
 
 
-def _p1_pairs(p, m):
-    """Representatives of P^1(Z/p^m): (1, d) and (p*c, 1)."""
+def _balls(p, m, cosets):
+    """The balls (chart, center, A) of radius p^-m, in scan order: around
+    (1, center) on chart 0 and (center, 1), p | center, on chart 1."""
     pm = p ** m
-    pairs = [(1, d) for d in range(pm)]
-    pairs += [(c, 1) for c in range(0, pm, p)]
-    return pairs
+    return ([(0, d, A) for d in range(pm) for A in cosets]
+            + [(1, c, A) for c in range(0, pm, p) for A in cosets])
 
 
-def _mu_min_witness(normalized):
-    """(mu_min, witness LocalElement of that valuation).
+def _ball_term(normalized, ball, s):
+    """The embedded T_s in sum_s T_s h^s, the value of Phi(A) at
+    (1, center + h) or (center + h, 1): T_s = sum_r C(e_r, s)
+    center^(e_r - s) Phi(A)[r] with e_r = g - r on chart 0 and r on chart
+    1, so T_0 is the value at the center (`NormalizedSymbol.evaluate`)."""
+    chart, center, A = ball
+    g = normalized.space.g
+    q, powers = normalized.modulus, [1]
+    for _ in range(g):
+        powers.append(powers[-1] * center % q)
+    exps = range(g, -1, -1) if chart == 0 else range(g + 1)
+    return normalized.combine(A, [comb(e, s) * powers[e - s] if e >= s
+                                  else 0 for e in exps])
 
-    mu_min is the minimum over degree-0 divisors of the valuation of the
-    Y^(k-2)-coefficient of the value.  Since every divisor is an integer
-    combination of unimodular paths and values on paths are the generator
-    polynomials evaluated at primitive pairs, it suffices to scan the
-    generator values at representatives of P^1(Z/p^m).  A pair class whose
-    evaluation has valuation < m is certified: lifting the pair changes
-    the evaluation by multiples of p^m.  Iterative deepening stops once
-    the running minimum is below the depth.  Each evaluation is summed
-    from the exact coset values and embedded once
-    (`NormalizedSymbol.evaluate`).
+
+def _ball_open(normalized, ball, m, low, best):
+    """Whether a ball of radius p^-m with low <= v(T_0) is split: never once
+    best <= m, else when low or a term v(T_s) + m s, s < best / m, is below
+    best (an integral T_s with no certified digits counts as 0)."""
+    if best is None or m < best and low < best:
+        return True
+    for s in range(1, normalized.space.g + 1):
+        if m * s >= best:
+            return False
+        x = _ball_term(normalized, ball, s)
+        v = x.certified_valuation() if x.prec > 0 else 0
+        if (x.prec if v is None else v) + m * s < best:
+            return True
+    return False
+
+
+def mu_min(normalized):
+    """Minimum valuation of (0,1)-evaluations over all degree-0 divisors.
+
+    That is the least valuation of Phi(A)(c, d) over the cosets A and the
+    points of P^1(Z_p), found by branch and bound over the balls of its two
+    charts (`_balls`), level by level.  On a ball of radius p^-m the value
+    is sum_s T_s (p^m t)^s with integral T_s (`_ball_term`).  T_0 bounds
+    the minimum above, and the search stops at the floor 0.  min(v(T_0), m)
+    bounds the ball below, so level m settles every ball once the best
+    value is at most m; before that, balls whose Taylor bound reaches it
+    are dropped (`_ball_open`) and the rest split into p balls.  Values
+    that vanish to their precision are skipped, as in the full scan, and a
+    search still open at level M - 1 raises OutOfBudget.
     """
     emb = normalized.embedding
     p = emb.p
-    cosets = range(len(normalized.space.plist))
+    balls = _balls(p, 1, range(len(normalized.space.plist)))
     best = None
-    witness = None
-    for m in range(1, emb.M + 1):
-        if best is not None and best < m:
-            return best, witness
-        for c, d in _p1_pairs(p, m):
-            for A in cosets:
-                acc = normalized.evaluate(A, c, d)
-                if acc.is_zero_to_precision():
-                    continue
-                try:
-                    v = acc.valuation()
-                except PrecisionExhausted:
-                    continue
-                if best is None or v < best:
-                    best = v
-                    witness = acc
+    for m in range(1, emb.M):
+        lows = []
+        for ball in balls:
+            x = _ball_term(normalized, ball, 0)
+            v = x.certified_valuation()
+            if v is not None and (best is None or v < best):
+                if v == 0:
+                    return v
+                best = v
+            lows.append(x.prec if v is None else v)
+        balls = [ball for ball, low in zip(balls, lows)
+                 if _ball_open(normalized, ball, m, low, best)]
+        if not balls:
+            return best
+        balls = sorted((chart, center + j * p ** m, A)
+                       for j in range(p) for chart, center, A in balls)
     raise OutOfBudget(
         "mu_min >= %d cannot be certified at precision %d" % (emb.M, emb.M))
 
 
-def mu_min(normalized):
-    """Minimum valuation of (0,1)-evaluations over all degree-0 divisors."""
-    return _mu_min_witness(normalized)[0]
+def _mu_min_witness(normalized):
+    """(mu_min, witness LocalElement of that valuation): the first value
+    of valuation `mu_min` at the centers of `_balls`, level by level, on
+    which a scan for the least valuation settles."""
+    mu = mu_min(normalized)
+    cosets = range(len(normalized.space.plist))
+    for m in range(1, normalized.embedding.M):
+        for ball in _balls(normalized.embedding.p, m, cosets):
+            x = _ball_term(normalized, ball, 0)
+            if x.certified_valuation() == mu:
+                return mu, x
 
 
 # ---------------------------------------------------------------------------

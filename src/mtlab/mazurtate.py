@@ -336,10 +336,8 @@ def mu_invariant(theta):
     """
     best = None
     for c in theta.coefficient_list():
-        if c.is_zero_to_precision():
-            continue
-        v = c.valuation()
-        if best is None or v < best:
+        v = c.certified_valuation()
+        if v is not None and (best is None or v < best):
             best = v
     if best is None:
         raise PrecisionExhausted(
@@ -370,8 +368,7 @@ def lambda_invariant(theta):
         red = [c.divided_by_p_power(int(mu)).reduce().coeffs
                for c in theta.coeffs]
     else:
-        cstar = next(c for c in theta.coeffs
-                     if not c.is_zero_to_precision() and c.valuation() == mu)
+        cstar = next(c for c in theta.coeffs if c.certified_valuation() == mu)
         red = [c.reduce().coeffs
                for c in theta.scale(cstar.inverse()).coeffs]
     p = theta.p

@@ -43,6 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg, p1, polyact
 from .errors import (
@@ -742,7 +743,8 @@ class NormalizedSymbol:
     Mazur-Tate coefficient is `embed` of an exact integer vector: one
     embedding of scale * exact, at precision M - v_p(its denominator).
     A vector known only mod p^digits, digits = M + v_p(the denominator),
-    embeds to the same certified precision.
+    embeds to the same vector, shift and precision, so the scale matrix
+    and the weights of `combine` are reduced mod p^digits.
     """
 
     def __init__(self, eigensymbol, embedding):
@@ -753,24 +755,24 @@ class NormalizedSymbol:
         best = None
         for A in range(len(self.space.plist)):
             for j, x in enumerate(eigensymbol.exact_value(A)):
-                y = embedding.local_ints(x, den)
-                if y.is_zero_to_precision():
-                    continue
-                val = y.valuation()
-                if best is None or val < best[0]:
+                val = embedding.local_ints(x, den).certified_valuation()
+                if val is not None and (best is None or val < best[0]):
                     best = (val, A, j)
         if best is None:
             raise PrecisionExhausted(
                 "every value vanishes to the working precision; "
                 "the symbol cannot be normalized at M = %d" % embedding.M)
         _, A, j = best
-        self._scale, scale_den = eigensymbol.witness_scale(A, j)
+        scale, scale_den = eigensymbol.witness_scale(A, j)
         self._denominator = scale_den * den
         # an integer vector known mod p^digits embeds to a certified
         # precision, since dividing by the denominator costs v_p of it
         self.digits = embedding.M + padic._vp(self._denominator, embedding.p)
+        self.modulus = q = embedding.p ** self.digits
+        self._scale = [[m % q for m in row] for row in scale]
         self.content_certificate = (A, j)
         self._values = {}
+        self._scaled = {}
         self._elements = {}
         self._thetas = {}
 
@@ -782,13 +784,27 @@ class NormalizedSymbol:
         """The LocalElement of scale * x, for an integer vector x over the
         eigenclass's denominator."""
         return self.embedding.local_ints(
-            [sum(m * c for m, c in zip(row, x)) for row in self._scale],
+            [sum(map(mul, row, x)) for row in self._scale],
             self._denominator)
 
+    def combine(self, A, weights):
+        """The LocalElement of sum_r weights[r] * Phi(A)[r] for integer
+        weights: one embedding of that sum of the coset's scaled exact
+        values, which are kept mod p^digits."""
+        cols = self._scaled.get(A)
+        if cols is None:
+            cols = self._scaled[A] = list(zip(*(
+                [sum(map(mul, row, x)) % self.modulus for row in self._scale]
+                for x in self.eigensymbol.exact_value(A))))
+        return self.embedding.local_ints(
+            [sum(map(mul, weights, col)) for col in cols], self._denominator)
+
     def evaluate(self, A, c, d):
-        """The LocalElement of Phi(A) evaluated at (c, d): the exact sum
-        `Eigensymbol.evaluate`, embedded once."""
-        return self.embed(self.eigensymbol.evaluate(A, c, d))
+        """The LocalElement of Phi(A) evaluated at (c, d): the sum of
+        c^r d^(g-r) Phi(A)[r] (`Eigensymbol.evaluate`), embedded once."""
+        q, g = self.modulus, self.space.g
+        return self.combine(A, [pow(c, r, q) * pow(d, g - r, q)
+                                for r in range(g + 1)])
 
     def value(self, A):
         cached = self._values.get(A)

@@ -749,8 +749,9 @@ class LocalElement:
                 % (self.prec, self.emb.M))
         return raw - self.shift
 
-    def is_zero_to_precision(self, floor=0):
-        """True when the element vanishes to its certified precision.
+    def certified_valuation(self, floor=0):
+        """The valuation when it is below the certified precision, else
+        None: the element vanishes to that precision.
 
         Raises PrecisionExhausted when the certified precision is below
         `floor`, so that identity checks never silently pass with no digits.
@@ -760,7 +761,13 @@ class LocalElement:
                 "certified precision %s below required floor %s"
                 % (self.prec, floor))
         raw = self._raw_valuation()
-        return raw is None or raw - self.shift >= self.prec
+        if raw is None or raw - self.shift >= self.prec:
+            return None
+        return raw - self.shift
+
+    def is_zero_to_precision(self, floor=0):
+        """True when the element vanishes to its certified precision."""
+        return self.certified_valuation(floor) is None
 
     def _coerce(self, other):
         if isinstance(other, LocalElement):

@@ -1,9 +1,12 @@
-"""Tests for the analysis layer: hot paths without re-embedding, budgets."""
+"""Tests for the analysis layer: hot paths without re-embedding, budgets,
+and mu_min against the full scan it replaces."""
+
+from functools import lru_cache
 
 import pytest
 
 from mtlab import analysis, mazurtate, modsym, padic
-from mtlab.errors import OutOfBudget
+from mtlab.errors import OutOfBudget, PrecisionExhausted
 
 
 def normalized(level, weight, p, M=8):
@@ -68,3 +71,122 @@ def test_check_budget_bounds():
     with pytest.raises(OutOfBudget):
         mazurtate.check_budget(3, 11)  # 118098 units x 11
     mazurtate.check_budget(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# mu_min against the full scan
+
+
+def reference_evaluate(norm, A, c, d):
+    """Phi(A)(c, d) scaled by the unreduced witness scale and embedded: the
+    exact sum, with nothing reduced mod p^digits."""
+    cls = norm.eigensymbol
+    scale, scale_den = cls.witness_scale(*norm.content_certificate)
+    x = cls.evaluate(A, c, d)
+    return norm.embedding.local_ints(
+        [sum(m * y for m, y in zip(row, x)) for row in scale],
+        scale_den * cls.denominator)
+
+
+def p1_pairs(p, m):
+    """Representatives of P^1(Z/p^m): (1, d) and (p*c, 1)."""
+    pm = p ** m
+    return [(1, d) for d in range(pm)] + [(c, 1) for c in range(0, pm, p)]
+
+
+def reference_mu_min_witness(norm):
+    """(mu_min, witness) by scanning every coset at every pair of
+    P^1(Z/p^m), m = 1, 2, ..., M, until the least certified valuation is
+    below m; the witness is the first evaluation to reach it."""
+    emb = norm.embedding
+    cosets = range(len(norm.space.plist))
+    best = witness = None
+    for m in range(1, emb.M + 1):
+        if best is not None and best < m:
+            return best, witness
+        for c, d in p1_pairs(emb.p, m):
+            for A in cosets:
+                acc = reference_evaluate(norm, A, c, d)
+                if acc.is_zero_to_precision():
+                    continue
+                v = acc.valuation()
+                if best is None or v < best:
+                    best, witness = v, acc
+    raise OutOfBudget("mu_min >= %d" % emb.M)
+
+
+@lru_cache(maxsize=None)
+def eigenclasses(level, weight):
+    space = modsym.ManinSymbolSpace(level, weight)
+    return [cls for sign in (1, -1)
+            for cls in modsym.cuspidal_eigensymbols(space, sign)]
+
+
+def every_symbol(level, weight, p, M):
+    """The normalized symbols of every class, sign and prime above p that
+    normalize at precision M."""
+    out = []
+    for cls in eigenclasses(level, weight):
+        for emb in padic.primes_above(cls.field, p, M):
+            try:
+                out.append(modsym.normalize(cls, emb))
+            except PrecisionExhausted:
+                pass
+    return out
+
+
+def outcome(run, norm):
+    try:
+        return run(norm)
+    except (OutOfBudget, PrecisionExhausted) as exc:
+        return type(exc)
+
+
+def digits(x):
+    return x.vec, x.shift, x.prec
+
+
+@pytest.mark.parametrize("level, weight, p", [
+    (11, 12, 3), (13, 4, 3), (23, 6, 3), (11, 8, 3), (11, 2, 5), (37, 2, 3),
+    (11, 20, 3)])
+def test_mu_min_and_witness_match_the_full_scan(level, weight, p):
+    symbols = every_symbol(level, weight, p, 8)
+    assert symbols
+    for norm in symbols:
+        mu, witness = reference_mu_min_witness(norm)
+        assert analysis.mu_min(norm) == mu
+        got_mu, got = analysis._mu_min_witness(norm)
+        assert got_mu == mu
+        assert digits(got) == digits(witness)
+
+
+def test_mu_min_matches_the_full_scan_at_low_precision():
+    """At these precisions some symbols run out of budget and one has no
+    certified digits at its first evaluations: the search must end with
+    the same value or the same error as the scan."""
+    seen = set()
+    for case in [(11, 12, 3, 4), (11, 16, 3, 4), (11, 20, 3, 5)]:
+        for norm in every_symbol(*case):
+            want = outcome(reference_mu_min_witness, norm)
+            if isinstance(want, tuple):
+                want = want[0]
+            seen.add(want if isinstance(want, type) else int)
+            assert outcome(analysis.mu_min, norm) == want
+            got = outcome(analysis._mu_min_witness, norm)
+            assert (got if isinstance(got, type) else got[0]) == want
+    assert seen == {int, OutOfBudget, PrecisionExhausted}
+
+
+def test_taylor_terms_without_digits_bound_nothing(monkeypatch):
+    """A Taylor term with no certified digits is only known to be
+    integral: its ball is split, neither pruned nor given up on."""
+    symbols = every_symbol(11, 12, 3, 8)
+    want = [reference_mu_min_witness(norm)[0] for norm in symbols]
+    ball_term = analysis._ball_term
+
+    def blurred(norm, ball, s):
+        x = ball_term(norm, ball, s)
+        return x if s == 0 else padic.LocalElement(x.emb, x.vec, x.shift, -1)
+
+    monkeypatch.setattr(analysis, "_ball_term", blurred)
+    assert [analysis.mu_min(norm) for norm in symbols] == want

@@ -80,6 +80,10 @@ CASES = {
     # and both signs split into the same two fields
     "mu-min-23-6-3": (["mu-min", "--level", "23", "--weight", "6",
                        "--p", "3", "--sign", "both"], cli.EXIT_OK),
+    # high weight: mu_min reaches 5, and rows that cannot be normalized or
+    # have no certified digits at precision 8 climb to 16
+    "mu-min-11-22-3": (["mu-min", "--level", "11", "--weight", "22",
+                        "--p", "3", "--sign", "both"], cli.EXIT_OK),
 }
 
 
@@ -389,6 +393,34 @@ def test_mu_min_sets_up_each_field_and_witness_once(tmp_path, monkeypatch):
     argv, code = CASES["mu-min-23-6-3"]
     assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == code
     assert calls == {"primes_above": 2, "inverse": 6}
+
+
+def test_mu_min_embeds_few_values(tmp_path, monkeypatch):
+    """The ten mu_min searches of 23/6/3 embed at most 240 values (the
+    full scan embedded 960), the same number on every run."""
+    inside, calls = [], []
+    mu_min, local_ints = analysis.mu_min, padic.PAdicEmbedding.local_ints
+
+    def counted_mu_min(norm):
+        inside.append(True)
+        try:
+            return mu_min(norm)
+        finally:
+            inside.pop()
+
+    def counted_local_ints(self, nums, den):
+        if inside:
+            calls[-1] += 1
+        return local_ints(self, nums, den)
+
+    monkeypatch.setattr(analysis, "mu_min", counted_mu_min)
+    monkeypatch.setattr(padic.PAdicEmbedding, "local_ints", counted_local_ints)
+    argv, code = CASES["mu-min-23-6-3"]
+    for run in range(2):
+        calls.append(0)
+        out = tmp_path / ("r%d.json" % run)
+        assert cli.main(argv + ["--out", str(out)]) == code
+    assert calls[0] == calls[1] <= 240
 
 
 def test_congruence_finds_the_primes_of_each_field_once(tmp_path,
