@@ -9,11 +9,14 @@ Every Mazur-Tate element is built exactly, as integer vectors: the
 level-n element of an eigenclass is built once per (p, n), each
 coefficient folded from the coset values met along the continued-fraction
 walk of a/p^n as the walk goes, so no table of path weights is kept.
-Every prime above p, precision and twist shares the element.
+An eigenclass of sign e has x_(p^n - a) = e x_a (iota = diag(-1, 1)), so
+only the units below p^n/2 are walked.  Every prime above p, precision and
+twist shares the element.
 theta_{n,i} of a normalized symbol is projected before it is embedded: its
 coefficient j is the integer vector sum w(a)^i x_a over the units a that
 map to j, with the Teichmuller lifts w(a) taken mod p^(M+v), v the
-valuation of the symbol's denominator, and it is embedded once.  The
+valuation of the symbol's denominator, and it is embedded once; by the
+same symmetry the sum needs only one unit of each pair a, -a.  The
 truncation of the lifts then costs nothing below p^M, so p-adic digits
 enter only when valuations are read.  The ordinary p-stabilization is a
 combination of these thetas, theta_n(phi_alpha) = theta_n(phi) -
@@ -22,11 +25,13 @@ only p-adic number and no level-Np symbol is built.
 
 lambda is read off residues and does not change when every coefficient is
 multiplied by one unit, so an element whose mu is an integer is reduced
-after a shift by p^mu, with no product.
+after a shift by p^mu, with no product, and its binomial transform is
+searched top digit first, never formed whole.
 """
 
 from fractions import Fraction
-from operator import mul
+from math import comb
+from operator import add, mul
 
 from . import modsym, padic
 from .errors import NotOrdinary, OutOfBudget, PrecisionExhausted
@@ -38,14 +43,18 @@ def _units(p, n):
 
 
 class FullGroupRingElement:
-    """Element sum c_a sigma_a of R[(Z/p^n)^*], n >= 1."""
+    """Element sum c_a sigma_a of R[(Z/p^n)^*], n >= 1.
 
-    def __init__(self, p, n, coeffs):
+    sign, when not None, records that c_(-a) = sign * c_a for every a.
+    """
+
+    def __init__(self, p, n, coeffs, sign=None):
         if n < 1:
             raise ValueError("full group ring elements need level n >= 1")
         self.p = p
         self.n = n
         self.coeffs = dict(coeffs)
+        self.sign = sign
         expected = p ** (n - 1) * (p - 1)
         if len(self.coeffs) != expected:
             raise ValueError("expected %d coefficients, got %d"
@@ -135,12 +144,13 @@ def check_budget(p, n):
     """Raise OutOfBudget when the level-n element is over the budget.
 
     Its cost is the number of units mod p^n times n, the bound on the
-    continued-fraction steps of each path.  The budget bounds the time and
-    memory of a job.  Measured raw on one core of a 2-vCPU x86-64 host,
+    continued-fraction steps of each path, counted for the full walk even
+    where the sign halves it.  The budget bounds the time and memory of a
+    job.  Measured raw on one core of a 2-vCPU x86-64 host,
     `invariants --level 11 --weight 2 --p 5 --nmax 6` builds level 7
-    (437,500 evaluations, under the cap) in 2.9 s at 32 MB peak RSS;
-    nmax 7, level 8 (2,500,000 evaluations, refused here), took 16 s at
-    88 MB with the cap lifted.
+    (437,500 evaluations, under the cap) in 0.9-1.2 s at 32 MB peak RSS;
+    nmax 7, level 8 (2,500,000 evaluations, refused here), took 5.2 s at
+    93 MB with the cap lifted.
     """
     cost = (p - 1) * p ** (n - 1) * n if n >= 1 else 0
     if cost > EVALUATION_BUDGET:
@@ -149,7 +159,7 @@ def check_budget(p, n):
             "budget of %d" % (n, cost // n, n, cost, EVALUATION_BUDGET))
 
 
-def mazur_tate_values(space, get_value, p, n):
+def mazur_tate_values(space, get_value, p, n, sign=None):
     """The level-n element of the symbol with the given coset values.
 
     The a-th coefficient is the path value of the symbol on {oo} - {a/p^n}:
@@ -159,38 +169,45 @@ def mazur_tate_values(space, get_value, p, n):
     gives the g+1 entries of Phi(B) as integer vectors (an eigenclass's
     exact data over its denominator, or an integer image of them), and
     the coefficients are integer vectors over the same denominator.
+
+    With a sign, the values are those of an eigenclass of iota =
+    diag(-1, 1) of that sign.  iota fixes the Y^g coefficient and maps the
+    path to a/p^n to the path to -a/p^n, so x_(p^n - a) = sign * x_a in
+    integers: only the units a < p^n/2 are walked, half the cost, and the
+    other half is filled in.  Without a sign every unit is walked, as an
+    identity check's independent side must be.
     """
     check_budget(p, n)
     pn = p ** n
-    M, index = space.M, space.plist.index
+    M, index, g = space.M, space.plist.index, space.g
     cosets = {}   # (c mod M, d mod M) -> Phi(B), looked up once
 
-    def walk(a):
+    def fold(a):
+        # the g+1 vectors Phi(B)[r] of every step are stacked, and each
+        # coordinate is one dot product with the weights c^r d^(g-r) (one
+        # sum at g = 0, where every weight is 1)
+        rows, weights = [], []
         for _, (c, d) in modsym._convergent_matrices(a, pn):
             key = (c % M, d % M)
             value = cosets.get(key)
             if value is None:
                 value = cosets[key] = get_value(index(c, d))
-            yield value, c, d
-
-    return FullGroupRingElement(p, n, _vector_fold(walk, space.g,
-                                                   _units(p, n)))
-
-
-def _vector_fold(walk, g, units):
-    """Integer-vector coefficients: the g+1 vectors Phi(B)[r] of every step
-    are stacked, and each coordinate is one dot product with the weights
-    c^r d^(g-r) (one sum at g = 0, where every weight is 1)."""
-    for a in units:
-        rows, weights = [], []
-        for value, c, d in walk(a):
             rows += value
             if g:
                 weights += [c ** r * d ** (g - r) for r in range(g + 1)]
         if g:
-            yield a, tuple(sum(map(mul, weights, col)) for col in zip(*rows))
-        else:
-            yield a, tuple(map(sum, zip(*rows)))
+            return tuple(sum(map(mul, weights, col)) for col in zip(*rows))
+        return tuple(map(sum, zip(*rows)))
+
+    units = _units(p, n)
+    if sign is None:
+        return FullGroupRingElement(p, n, {a: fold(a) for a in units})
+    half = units[:len(units) // 2]
+    coeffs = {a: fold(a) for a in half}
+    for a in reversed(half):
+        x = coeffs[a]
+        coeffs[pn - a] = x if sign == 1 else tuple(-c for c in x)
+    return FullGroupRingElement(p, n, coeffs, sign)
 
 
 def exact_element(cls, p, n):
@@ -200,7 +217,7 @@ def exact_element(cls, p, n):
     key = (p, n)
     if key not in cls.elements:
         cls.elements[key] = mazur_tate_values(cls.space, cls.exact_value,
-                                              p, n)
+                                              p, n, cls.sign)
     return cls.elements[key]
 
 
@@ -215,17 +232,6 @@ def mazur_tate(norm, n):
     return norm._elements[n]
 
 
-def _dlog_table(p, n1):
-    """Map (1+p)^j mod p^n1 -> j for j = 0 .. p^(n1-1) - 1."""
-    pn1 = p ** n1
-    table = {}
-    x = 1
-    for j in range(p ** (n1 - 1)):
-        table[x] = j
-        x = (x * (1 + p)) % pn1
-    return table
-
-
 def twists(p, sign):
     """The i in 0 .. p-2 with (-1)^i = sign.
 
@@ -238,12 +244,17 @@ def omega_decompose(theta, i, digits):
     """The omega^i-projection Z[(Z/p^(n+1))^*] -> (Z/p^digits)[G_n] of an
     element whose coefficients are integer vectors.
 
-    sigma_a maps to omega(a)^i gamma_n^dlog<a> where a = omega(a)<a>; the
-    Teichmuller factors and the sums are taken mod p^digits.  omega(a)
-    mod p^digits differs from omega(a) by a multiple of p^digits, so a sum
-    of integer vectors over a denominator of valuation v is certified to
-    p^(digits - v).  The Teichmuller lift, its inverse and its i-th power
-    depend only on a mod p, so each is computed once per call.
+    sigma_a maps to omega(a)^i gamma_n^j where a = omega(a) (1+p)^j, so
+    each residue b mod p is walked as a = omega(b) (1+p)^j, j < p^n, with
+    one Teichmuller lift and no discrete logarithm.  The Teichmuller factors
+    and the sums are taken mod p^digits.  omega(a) mod p^digits differs
+    from omega(a) by a multiple of p^digits, so a sum of integer vectors
+    over a denominator of valuation v is certified to p^(digits - v).
+
+    -a has the same j as a and omega(-a)^i = (-1)^i omega(a)^i, so on an
+    element with a sign the terms of a and -a are equal when (-1)^i is the
+    sign: the sum runs over b < p/2 and is doubled, half the cost.  For the
+    other parity they cancel, and the projection is exactly zero.
     """
     p = theta.p
     n1 = theta.n
@@ -252,21 +263,25 @@ def omega_decompose(theta, i, digits):
     if not (0 <= i <= p - 2):
         raise ValueError("i must lie in 0 .. p-2")
     pd = p ** digits
-    dlog = _dlog_table(p, n1)
-    lifts = {}
-    out = [None] * (p ** n)
-    for a, c in theta.coeffs.items():
-        lift = lifts.get(a % p)
-        if lift is None:
-            w = padic.teichmuller(p, a, max(digits, n1))
-            lift = lifts[a % p] = (pow(w, -1, pn1), pow(w, i, pd))
-        winv, wi = lift
-        j = dlog[(a * winv) % pn1]
-        acc = out[j]
-        out[j] = [wi * x for x in c] if acc is None else \
-            [s + wi * x for s, x in zip(acc, c)]
+    sign = theta.sign
+    if sign is None:
+        residues, twice = range(1, p), 1
+    else:
+        residues, twice = range(1, (p + 1) // 2), 1 + sign * (-1) ** i
+    powers = [1]   # (1+p)^j mod p^(n+1) for j < p^n
+    for _ in range(p ** n - 1):
+        powers.append(powers[-1] * (1 + p) % pn1)
+    coeffs = theta.coeffs
+    acc = None
+    for b in residues:
+        w = padic.teichmuller(p, b, max(digits, n1))
+        wi = twice * pow(w, i, pd)
+        # the coordinates of the terms of a = w (1+p)^j, in the order of j
+        flat = [wi * x for g in powers for x in coeffs[w * g % pn1]]
+        acc = flat if acc is None else list(map(add, acc, flat))
+    f = len(coeffs[1])
     return CyclicGroupRingElement(
-        p, n, [tuple(s % pd for s in acc) for acc in out])
+        p, n, list(zip(*[iter([x % pd for x in acc])] * f)))
 
 
 def embedded_projection(norm, full, i):
@@ -354,72 +369,55 @@ def lambda_invariant(theta):
     T-coefficients are s_t = sum_j C(j, t) r_j, and lambda is the lowest t
     with s_t != 0.  The map r -> s is F-linear, so multiplying every r_j by
     one nonzero constant leaves lambda unchanged: when mu is an integer the
-    scale is p^(-mu), a shift of each coefficient with no product, and the
-    r_j differ from those of c_j / c* (c* a coefficient of valuation mu) by
-    the residue of p^(-mu) c*.  Only a fractional mu needs the inverse of
-    c*.  The map is, by Lucas' theorem, the n-fold tensor power of the
-    p x p Pascal matrix mod p, one factor per base-p digit of j;
-    `_pascal_transform` applies it digit by digit in O(n p^(n+1)).
+    scale is p^(-mu), read off the digits of each coefficient with no
+    product (`LocalElement.reduce`), and the r_j differ from those of
+    c_j / c* (c* a coefficient of valuation mu) by the residue of
+    p^(-mu) c*.  Only a fractional mu needs the inverse of c*.  F is a
+    vector space over F_p, so lambda is the least over the coordinates of
+    `_first_nonzero_transform`, which reads it top digit first in
+    O(p^(n+1)) at most and about p^n when lambda is small.
     """
     if not isinstance(theta, CyclicGroupRingElement):
         raise TypeError("lambda is defined on cyclic group rings")
     mu = theta._mu if theta._mu is not None else mu_invariant(theta)
     if mu.denominator == 1:
-        red = [c.divided_by_p_power(int(mu)).reduce().coeffs
-               for c in theta.coeffs]
+        red = [c.reduce(int(mu)).coeffs for c in theta.coeffs]
     else:
         cstar = next(c for c in theta.coeffs if c.certified_valuation() == mu)
         red = [c.reduce().coeffs
                for c in theta.scale(cstar.inverse()).coeffs]
-    p = theta.p
-    # F is a vector space over F_p: transform each coordinate on its own
-    columns = [_pascal_transform([r[k] for r in red], p, theta.n)
-               for k in range(len(red[0]))]
-    for t, s in enumerate(zip(*columns)):
-        if any(s):
-            return t
-    raise AssertionError("scaled reduction of a unit element is zero")
+    firsts = [_first_nonzero_transform(col, theta.p, theta.n)
+              for col in zip(*red)]
+    firsts = [t for t in firsts if t is not None]
+    if not firsts:
+        raise AssertionError("scaled reduction of a unit element is zero")
+    return min(firsts)
 
 
-def _pascal_transform(vals, p, n):
-    """(sum_j C(j, t) vals[j] mod p) for t < p^n, one base-p digit at a time.
+def _first_nonzero_transform(vals, p, n):
+    """The least t with sum_j C(j, t) vals[j] != 0 mod p, or None.
 
-    C(j, t) = prod_k C(j_k, t_k) mod p over the base-p digits (Lucas), so
-    the transform along digit k mixes only the p entries that differ in
-    that digit, with the p x p Pascal matrix.
+    With j = J p^(n-1) + j' and t = T p^(n-1) + t', Lucas' theorem gives
+    C(j, t) = C(J, T) C(j', t') mod p, so the block of t with top digit T
+    is the transform of u_T = sum_J C(J, T) vals[J p^(n-1) + .] on the
+    lower digits.  That transform is unipotent, hence invertible mod p:
+    the block vanishes iff u_T does, and the least t lies in the block of
+    the least T with u_T != 0, where the search goes on in u_T.
     """
-    pascal = [[_binom_mod_p(j, t, p) for j in range(p)] for t in range(p)]
-    size = len(vals)
-    stride = 1
-    for _ in range(n):
-        out = [0] * size
-        block = p * stride
-        for base in range(0, size, block):
-            for lo in range(base, base + stride):
-                col = vals[lo:lo + block:stride]
-                for t in range(p):
-                    out[lo + t * stride] = sum(
-                        b * v for b, v in zip(pascal[t][t:], col[t:])) % p
-        vals = out
-        stride = block
-    return vals
-
-
-def _binom_mod_p(j, t, p):
-    """C(j, t) mod p by Lucas' theorem."""
-    out = 1
-    while t > 0 or j > 0:
-        jd, td = j % p, t % p
-        if td > jd:
-            return 0
-        num, den = 1, 1
-        for s in range(td):
-            num = num * (jd - s) % p
-            den = den * (s + 1) % p
-        out = out * num * pow(den, -1, p) % p
-        j //= p
-        t //= p
-    return out
+    if not any(v % p for v in vals):
+        return None
+    t = 0
+    for d in reversed(range(n)):
+        size = p ** d
+        blocks = [vals[J * size:(J + 1) * size] for J in range(p)]
+        for T in range(p):
+            weights = [comb(J, T) for J in range(T, p)]
+            vals = [sum(map(mul, weights, col)) % p
+                    for col in zip(*blocks[T:])]
+            if any(vals):
+                break
+        t += T * size
+    return t
 
 
 def invariants(theta):

@@ -847,11 +847,6 @@ class LocalElement:
         prec = min(self.prec + vb, big + va, big)
         return LocalElement(emb, vec, self.shift, prec)
 
-    def divided_by_p_power(self, t):
-        """self / p^t: the same digits with t added to the shift, certified
-        to t fewer digits; no product is formed."""
-        return LocalElement(self.emb, self.vec, self.shift + t, self.prec - t)
-
     def inverse(self):
         emb = self.emb
         v = self.valuation()
@@ -873,26 +868,31 @@ class LocalElement:
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
-    def reduce(self):
-        """Image in the residue field; requires nonnegative valuation."""
+    def reduce(self, t=0):
+        """Image of self / p^t in the residue field; requires nonnegative
+        valuation.  self / p^t has the digits of self with t added to the
+        shift, certified to t fewer digits; on a monogenic embedding its
+        residue is read straight from those digits, with no element formed.
+        """
         emb = self.emb
-        try:
-            v = self.valuation()
-            if v < 0:
-                raise NegativeValuation("element has valuation %s" % v)
-        except PrecisionExhausted:
-            v = None  # zero to precision reduces to zero
+        if t and not emb.monogenic:
+            return LocalElement(emb, self.vec, self.shift + t,
+                                self.prec - t).reduce()
+        shift, prec = self.shift + t, self.prec - t
+        raw = self._raw_valuation()
         F = emb.residue_field
-        if v is None:
-            if self.prec <= 0:
+        if raw is None or raw - shift >= prec:
+            # zero to precision reduces to zero
+            if prec <= 0:
                 raise PrecisionExhausted(
                     "no certified digits remain for reduction")
             return F.zero()
+        if raw < shift:
+            raise NegativeValuation("element has valuation %s" % (raw - shift))
         if emb.monogenic:
             p = emb.p
-            ps = p ** self.shift
-            vec = [(c // ps) % p for c in self.vec]
-            return F.element(vec)
+            ps = p ** shift
+            return FFElement(F, tuple(c // ps % p for c in self.vec))
         # general case: search for the residue among lifts built from the
         # residue field generator (the power basis need not be integral,
         # so coefficients cannot be read off directly)

@@ -266,14 +266,47 @@ def test_degen_builds_level_np_elements_once_per_class(tmp_path,
     levels = []
     values = mazurtate.mazur_tate_values
 
-    def counted(space, get_value, p, n):
+    def counted(space, get_value, p, n, sign=None):
         levels.append(space.M)
-        return values(space, get_value, p, n)
+        return values(space, get_value, p, n, sign)
 
     monkeypatch.setattr(mazurtate, "mazur_tate_values", counted)
     argv = ["verify", "--mode", "degen", "--nmax", "3"] + JOB_23_6_3
     assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
     assert sorted(levels) == [23] * 12 + [69] * 12
+
+
+@pytest.mark.parametrize("mode", ["degen", "alphastick"])
+def test_identity_sides_walk_every_unit(mode, tmp_path, monkeypatch):
+    # the level-Np element of degen and alphastick is the independent side
+    # of an identity, so it walks every unit; an eigenclass's exact element
+    # walks the units below p^n/2 and fills in the rest by its sign
+    walks = []
+    walk = modsym._convergent_matrices
+
+    def counted_walk(a, b):
+        walks.append(b)
+        return walk(a, b)
+
+    built = []
+    values = mazurtate.mazur_tate_values
+
+    def counted(space, get_value, p, n, sign=None):
+        start = len(walks)
+        element = values(space, get_value, p, n, sign)
+        built.append((space.M, sign, len(walks) - start, len(element.coeffs)))
+        return element
+
+    monkeypatch.setattr(modsym, "_convergent_matrices", counted_walk)
+    monkeypatch.setattr(mazurtate, "mazur_tate_values", counted)
+    argv = ["verify", "--mode", mode] + SMALL
+    assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    assert {M for M, *_ in built} == {11, 33}
+    for M, sign, walked, units in built:
+        if M == 33:
+            assert sign is None and walked == units
+        else:
+            assert sign in (1, -1) and 2 * walked == units
 
 
 # commands that loop to n_max themselves: the deepest level each one builds

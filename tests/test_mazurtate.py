@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -295,11 +296,116 @@ def test_invariants_stable_under_unit_scalar_and_twist():
         assert invariants(twist_generator(th, u)) == inv
 
 
+# -- the top-digit-first lambda search against the full transform -------------
+
+def binom_mod_p(j, t, p):
+    """C(j, t) mod p by Lucas' theorem."""
+    out = 1
+    while t > 0 or j > 0:
+        jd, td = j % p, t % p
+        if td > jd:
+            return 0
+        num, den = 1, 1
+        for s in range(td):
+            num = num * (jd - s) % p
+            den = den * (s + 1) % p
+        out = out * num * pow(den, -1, p) % p
+        j //= p
+        t //= p
+    return out
+
+
+def pascal_transform(vals, p, n, sign=1):
+    """(sum_j sign^(j-t) C(j, t) vals[j] mod p) for t < p^n, one base-p
+    digit at a time; sign = -1 gives the inverse transform.
+
+    C(j, t) = prod_k C(j_k, t_k) mod p over the base-p digits (Lucas), so
+    the transform along digit k mixes only the p entries that differ in
+    that digit, with the p x p Pascal matrix (its inverse has the signs).
+    """
+    pascal = [[sign ** (j - t) * binom_mod_p(j, t, p) if j >= t else 0
+               for j in range(p)] for t in range(p)]
+    size = len(vals)
+    stride = 1
+    for _ in range(n):
+        out = [0] * size
+        block = p * stride
+        for base in range(0, size, block):
+            for lo in range(base, base + stride):
+                col = vals[lo:lo + block:stride]
+                for t in range(p):
+                    out[lo + t * stride] = sum(
+                        b * v for b, v in zip(pascal[t][t:], col[t:])) % p
+        vals = out
+        stride = block
+    return vals
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 3000), st.integers(0, 3000),
        st.sampled_from([3, 5, 7, 11]))
 def test_binom_mod_p_is_lucas(j, t, p):
-    assert mazurtate._binom_mod_p(j, t, p) == comb(j, t) % p
+    assert binom_mod_p(j, t, p) == comb(j, t) % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.data())
+def test_pascal_transform_is_the_binomial_sum(p, data):
+    n = data.draw(st.integers(0, 3 if p < 7 else 2))
+    pn = p ** n
+    vals = data.draw(st.lists(st.integers(0, p - 1), min_size=pn,
+                              max_size=pn))
+    want = [sum(comb(j, t) * v for j, v in enumerate(vals)) % p
+            for t in range(pn)]
+    assert pascal_transform(vals, p, n) == want
+    assert pascal_transform(want, p, n, sign=-1) == vals
+
+
+@st.composite
+def planted_residues(draw):
+    """(p, n, columns, lam): one or two F_p coordinates of a reduction whose
+    transforms have their first nonzero entry at a planted index, or none
+    for a zero column (not every column is zero), and lam the least of
+    those indices."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(0, 4))
+    pn = p ** n
+    index = st.one_of(st.just(0), st.just(pn - 1), st.integers(0, pn - 1))
+    firsts = draw(st.lists(st.one_of(st.none(), index), min_size=1,
+                           max_size=2).filter(
+        lambda fs: any(f is not None for f in fs)))
+    columns = []
+    for first in firsts:
+        s = [0] * pn
+        if first is not None:
+            s[first] = draw(st.integers(1, p - 1))
+            rng = random.Random(draw(st.integers(0, 2 ** 32)))
+            s[first + 1:] = [rng.randrange(p) for _ in range(first + 1, pn)]
+        columns.append(pascal_transform(s, p, n, sign=-1))
+    return p, n, columns, min(f for f in firsts if f is not None)
+
+
+def first_nonzero(vals):
+    return next((t for t, v in enumerate(vals) if v), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_residues())
+def test_search_finds_the_first_nonzero_transform_entry(case):
+    p, n, columns, lam = case
+    firsts = [mazurtate._first_nonzero_transform(col, p, n)
+              for col in columns]
+    assert firsts == [first_nonzero(pascal_transform(col, p, n))
+                      for col in columns]
+    assert min(t for t in firsts if t is not None) == lam
+
+
+@pytest.mark.parametrize("p,n", [(3, 0), (3, 4), (5, 3), (7, 2)])
+def test_search_on_a_zero_column(p, n):
+    zero = [0] * p ** n
+    assert mazurtate._first_nonzero_transform(zero, p, n) is None
+    # entries are read mod p
+    assert mazurtate._first_nonzero_transform([p] * p ** n, p, n) is None
 
 
 # -- lambda against a naive binomial sum ---------------------------------------
@@ -500,6 +606,69 @@ def test_teichmuller_lifts_once_per_residue(norm11_5, monkeypatch):
             assert len(proj.coefficient_list()) == 5 ** (n - 1)
 
 
+# -- half the walks and half the projection by the iota-symmetry ---------------
+
+# (level, weight, p): both signs of every class, fields of degree 1 to 6
+HALF_WALK_CASES = [(11, 2, 5), (23, 6, 3), (11, 4, 3), (22, 4, 3), (37, 2, 3),
+                   (11, 8, 5)]
+
+
+@lru_cache(maxsize=None)
+def classes_of_both_signs(N, k):
+    space = modsym.ManinSymbolSpace(N, k)
+    return [cls for sign in (1, -1)
+            for cls in modsym.cuspidal_eigensymbols(space, sign)]
+
+
+def full_omega_sum(theta, i, digits):
+    """The omega^i-projection of an element with integer-vector
+    coefficients, summed over every unit: sigma_a goes to
+    omega(a)^i gamma^dlog<a>, the sums taken mod p^digits."""
+    p, n1 = theta.p, theta.n
+    pn1, pd = p ** n1, p ** digits
+    dlog = dlog_table(p, n1)
+    out = [[0] * len(theta.coeffs[1]) for _ in range(p ** (n1 - 1))]
+    for a, c in theta.coeffs.items():
+        w = padic.teichmuller(p, a, max(digits, n1))
+        j = dlog[(a * pow(w, -1, pn1)) % pn1]
+        out[j] = [s + pow(w, i, pd) * x for s, x in zip(out[j], c)]
+    return [tuple(s % pd for s in acc) for acc in out]
+
+
+@pytest.mark.parametrize("N,k,p", HALF_WALK_CASES)
+def test_half_walk_matches_the_full_walk(N, k, p):
+    # the signed element walks the units below p^n/2 and fills in
+    # x_(p^n - a) = sign * x_a; the full walk is its reference
+    classes = classes_of_both_signs(N, k)
+    assert {cls.sign for cls in classes} == {1, -1}
+    for cls in classes:
+        for n in range(1, 5):
+            half = mazur_tate_values(cls.space, cls.exact_value, p, n,
+                                     cls.sign)
+            full = mazur_tate_values(cls.space, cls.exact_value, p, n)
+            assert (half.sign, full.sign) == (cls.sign, None)
+            assert list(half.coeffs.items()) == list(full.coeffs.items())
+
+
+@pytest.mark.parametrize("N,k,p", HALF_WALK_CASES)
+def test_half_projection_matches_the_full_sum(N, k, p):
+    # every twist of a signed element equals the sum over every unit; the
+    # twists of the other parity are exact zeros
+    digits = 7
+    for cls in classes_of_both_signs(N, k):
+        for n in range(1, 5):
+            half = exact_element(cls, p, n)
+            assert half.sign == cls.sign
+            full = mazur_tate_values(cls.space, cls.exact_value, p, n)
+            for i in range(p - 1):
+                want = full_omega_sum(full, i, digits)
+                assert omega_decompose(half, i, digits).coeffs == want
+                assert omega_decompose(full, i, digits).coeffs == want
+                if (-1) ** i != cls.sign:
+                    zero = (0,) * cls.field.degree
+                    assert want == [zero] * p ** (n - 1)
+
+
 def test_theta_zero_is_a_unit(norm11_5):
     inv = invariants(theta_element(norm11_5, 0, 0))
     assert inv.mu == 0 and inv.lam == 0
@@ -545,9 +714,9 @@ def _count_elements(monkeypatch):
     levels = []
     build = mazur_tate_values
 
-    def counted(space, get_value, p, n):
+    def counted(space, get_value, p, n, sign=None):
         levels.append(n)
-        return build(space, get_value, p, n)
+        return build(space, get_value, p, n, sign)
 
     monkeypatch.setattr(mazurtate, "mazur_tate_values", counted)
     return levels
@@ -569,7 +738,8 @@ def test_twists_share_each_level(monkeypatch):
 def test_each_walk_runs_once_per_class_and_level(monkeypatch):
     # 23/6, sign +1, p = 3: two classes with five primes above 3 between
     # them, each at two precisions; the walk of each unit's path runs once
-    # per class, when its exact element is built
+    # per class, when its exact element is built, and only for the units
+    # below 3^n/2: the sign gives the others
     space = modsym.ManinSymbolSpace(23, 6)
     classes = modsym.cuspidal_eigensymbols(space, 1)
     walks = []
@@ -594,7 +764,7 @@ def test_each_walk_runs_once_per_class_and_level(monkeypatch):
     monkeypatch.setattr(modsym.NormalizedSymbol, "embed", counted_embed)
     for norm in symbols:
         analysis.invariant_table(norm, 2)
-    assert sorted(Counter(walks).items()) == [(3, 4), (9, 12), (27, 36)]
+    assert sorted(Counter(walks).items()) == [(3, 2), (9, 6), (27, 18)]
     # one exact element per class and level, and one embedding per
     # coefficient of each symbol's theta_{n,0}, n = 0, 1, 2, projected
     # before it is embedded
@@ -629,6 +799,17 @@ def normalized_symbols(N, k, p, M=8):
             for emb in padic.primes_above(cls.field, p, M)]
 
 
+def dlog_table(p, n1):
+    """Map (1+p)^j mod p^n1 -> j for j = 0 .. p^(n1-1) - 1."""
+    pn1 = p ** n1
+    table = {}
+    x = 1
+    for j in range(p ** (n1 - 1)):
+        table[x] = j
+        x = (x * (1 + p)) % pn1
+    return table
+
+
 def local_omega_decompose(theta, i):
     """The omega^i-projection of a full element with LocalElement
     coefficients: Teichmuller factors mod p^M of the embedding, and the
@@ -636,7 +817,7 @@ def local_omega_decompose(theta, i):
     p, n1 = theta.p, theta.n
     pn1 = p ** n1
     M = theta.coeffs[1].emb.M
-    dlog = mazurtate._dlog_table(p, n1)
+    dlog = dlog_table(p, n1)
     out = [None] * (p ** (n1 - 1))
     for a, c in theta.coeffs.items():
         w = padic.teichmuller(p, a, max(M, n1))

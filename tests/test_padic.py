@@ -713,6 +713,69 @@ def test_embedding_snapshot():
     assert embedding_snapshot() == json.loads(EMBEDDING_SNAPSHOT.read_text())
 
 
+# -- residues of x / p^t -----------------------------------------------------
+
+@lru_cache(maxsize=None)
+def snapshot_embeddings(M=8):
+    """Every prime above p of the snapshot fields; some are monogenic and
+    some ramified or with a residue generator that is not y."""
+    return [emb for _, minpoly, p in SNAPSHOT_CASES
+            for emb in padic.primes_above(padic.NumberField(minpoly), p, M)]
+
+
+def divided_residue(x, t):
+    """The residue of x / p^t, dividing first: the digits of x with t added
+    to the shift, certified to t fewer digits."""
+    return padic.LocalElement(x.emb, x.vec, x.shift + t, x.prec - t).reduce()
+
+
+def outcome(reduce, *args):
+    try:
+        return reduce(*args)
+    except (PrecisionExhausted, NegativeValuation) as exc:
+        return type(exc)
+
+
+def test_snapshot_embeddings_are_mixed():
+    assert {emb.monogenic for emb in snapshot_embeddings()} == {True, False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reduce_by_a_power_of_p_matches_dividing_first(data):
+    emb = data.draw(st.sampled_from(snapshot_embeddings()))
+    p = emb.p
+    content = data.draw(st.integers(0, 5))
+    vec = data.draw(st.lists(st.integers(0, emb.pM - 1), min_size=emb.degree,
+                             max_size=emb.degree))
+    x = padic.LocalElement(emb, [p ** content * c for c in vec],
+                           data.draw(st.integers(0, 3)),
+                           data.draw(st.integers(-1, emb.M)))
+    t = data.draw(st.integers(0, 4))
+    assert outcome(x.reduce, t) == outcome(divided_residue, x, t)
+
+
+@pytest.mark.parametrize("monogenic", [True, False])
+def test_reduce_by_a_power_of_p_edge_cases(monogenic):
+    emb = next(e for e in snapshot_embeddings() if e.monogenic == monogenic)
+    p = emb.p
+    unit = padic.LocalElement(emb, [1], 0, emb.M)
+    deep = padic.LocalElement(emb, [p ** 5], 0, 3)
+    # zero to its precision with digits left: the residue is zero
+    assert deep.reduce(1).is_zero() and divided_residue(deep, 1).is_zero()
+    # no digits left
+    for reduce in (deep.reduce, lambda t: divided_residue(deep, t)):
+        with pytest.raises(PrecisionExhausted):
+            reduce(3)
+    # a negative valuation
+    for reduce in (unit.reduce, lambda t: divided_residue(unit, t)):
+        with pytest.raises(NegativeValuation):
+            reduce(1)
+    assert unit.reduce(0) == emb.residue_field.one()
+    assert padic.LocalElement(emb, [p], 0, emb.M).reduce(1) == \
+        emb.residue_field.one()
+
+
 if __name__ == "__main__":
     EMBEDDING_SNAPSHOT.write_text(
         json.dumps(embedding_snapshot(), indent=1) + "\n")
