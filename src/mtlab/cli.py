@@ -7,7 +7,8 @@ job configuration always produces byte-identical files.
 
 Every per-prime command runs through one record generator, ``_records``:
 sign -> eigenclass -> prime above p -> precision ladder -> the command's
-own step on the normalized symbol.
+own step on the normalized symbol.  The identity checks are in `verify`,
+which only the verify command imports, so no other job compiles them.
 
 Exit codes: 0 success, 1 construction or configuration failure, 2 some
 row could not be certified at the working precision, 3 a verified
@@ -23,7 +24,6 @@ from fractions import Fraction
 from . import analysis, mazurtate, modsym, padic
 from .errors import (
     MTLabError,
-    NotInSpan,
     NotOrdinary,
     OutOfBudget,
     PrecisionExhausted,
@@ -82,10 +82,11 @@ class JobConfig:
     def _parse_mode(self):
         """Split --mode into the verify mode and its option: only
         congruence takes one, medweight or lowslope (the default)."""
+        from . import verify
         name, colon, option = (self.mode or "").partition(":")
-        if name not in _VERIFY_MODES:
+        if name not in verify._VERIFY_MODES:
             raise ConfigError("verify needs --mode, one of: %s"
-                              % ", ".join(sorted(_VERIFY_MODES)))
+                              % ", ".join(sorted(verify._VERIFY_MODES)))
         options = ("medweight", "lowslope") if name == "congruence" else ()
         if colon and option not in options:
             raise ConfigError("--mode %s does not take the option %r"
@@ -319,248 +320,9 @@ def cmd_stabilize(config):
     return EXIT_UNCERTIFIED if exhausted else EXIT_OK
 
 
-# -- verify sub-modes --------------------------------------------------------
-
-
-def _prime_checks(config, space, step):
-    """The check rows of step(normalized) for every prime above p.
-
-    A prime whose symbol cannot be normalized at any rung of the ladder
-    gets one failed row noting that precision ran out.
-    """
-    checks = []
-    for _, cid, j, rows in _records(config, space, _each(step)):
-        if rows is None:
-            rows = [{"n": None, "i": None, "ok": False,
-                     "note": "precision exhausted"}]
-        checks.extend({"class": cid, "embedding": j, **row} for row in rows)
-    return checks
-
-
-def _verify_three_term(config):
-    p = config.p
-    mazurtate.check_budget(p, config.n_max + 1)
-
-    def step(norm):
-        emb = norm.embedding
-        ap = emb.local(norm.eigensymbol.a(p))
-        pk = emb.local(p ** (config.k - 2))
-        rows = []
-        for i in mazurtate.twists(p, norm.sign):
-            thetas = [mazurtate.theta_element(norm, n, i)
-                      for n in range(config.n_max + 1)]
-            for n in range(1, config.n_max):
-                lhs = mazurtate.pi_project(thetas[n + 1])
-                rhs = thetas[n].scale(ap) \
-                    - mazurtate.nu_corestrict(thetas[n - 1]).scale(pk)
-                ok = (lhs - rhs).is_zero_to_precision(1)
-                rows.append({"n": n, "i": i, "ok": bool(ok)})
-        return rows
-
-    return _prime_checks(config, config.space(), step)
-
-
-def _verify_degen(config):
-    p = config.p
-    mazurtate.check_budget(p, config.n_max + 1)
-    space = config.space()
-    target = config.space(level=config.N * p)
-    cosets = range(len(space.plist))
-    fulls = {}   # eigenclass -> its level-Np elements, for every prime
-
-    def step(norm):
-        cls = norm.eigensymbol
-        pg = norm.embedding.local(p ** space.g)
-        if cls not in fulls:
-            # phi|B_p in integers, one coordinate of the values at a time
-            images = [modsym.degeneracy_values(
-                space, target, p, [[x[t] for x in cls.exact_value(A)]
-                                   for A in cosets])
-                for t in range(cls.field.degree)]
-            vp = [list(zip(*(img[A] for img in images)))
-                  for A in range(len(target.plist))]
-            fulls[cls] = [mazurtate.mazur_tate_values(
-                target, vp.__getitem__, p, n + 2)
-                for n in range(config.n_max)]
-        rows = []
-        for i in mazurtate.twists(p, norm.sign):
-            for n in range(config.n_max):
-                lhs = mazurtate.embedded_projection(norm, fulls[cls][n], i)
-                rhs = mazurtate.nu_corestrict(
-                    mazurtate.theta_element(norm, n, i)).scale(pg)
-                ok = (lhs - rhs).is_zero_to_precision(1)
-                rows.append({"n": n, "i": i, "ok": bool(ok)})
-        return rows
-
-    return _prime_checks(config, space, step)
-
-
-def _verify_atkin_lehner(config):
-    checks = []
-    half = config.k // 2 - 1
-    space = config.space()
-    for sign, cid, cls in _class_records(config, space):
-        out = space.apply_operator_to_coords("wN", cls.coords)
-        ratio = None
-        for got, want in zip(out, cls.coords):
-            if not want.is_zero():
-                ratio = got / want
-                break
-        eigen = ratio is not None and \
-            all(got == ratio * want for got, want in zip(out, cls.coords))
-        is_new = eigen and (ratio * ratio ==
-                            cls.field.from_rational(
-                                Fraction(config.N) ** (2 * half)))
-        entry = {"class": cid, "sign": sign, "eigen": bool(eigen)}
-        if eigen and is_new:
-            # ratio = +- N^(k/2-1) exactly for classes new at N
-            plus = cls.field.from_rational(Fraction(config.N) ** half)
-            if ratio == plus:
-                entry["fe_sign"] = 1
-            elif ratio == -plus:
-                entry["fe_sign"] = -1
-            else:
-                entry["fe_sign"] = 0
-            entry["ok"] = entry["fe_sign"] in (1, -1)
-        else:
-            entry["ok"] = bool(eigen)
-            entry["note"] = "not new at this level" if eigen else \
-                "not a wN eigenvector (old class)"
-        checks.append(entry)
-    return checks
-
-
-def _verify_alphastick(config):
-    p = config.p
-    g = config.k - 2
-    if g <= 0 or g % (p - 1):
-        raise ConfigError(
-            "the alpha map needs k > 2 with (p - 1) dividing k - 2")
-    mazurtate.check_budget(p, config.n_max)
-    target = config.space(level=config.N * p, weight=2)
-
-    def step(norm):
-        avals = modsym.alpha_map(norm, target)
-        rows = []
-        for n in range(1, config.n_max + 1):
-            lhs = mazurtate.mazur_tate_values(target, avals.__getitem__, p, n)
-            rhs = mazurtate.mazur_tate(norm, n)
-            ok = all(norm.embed(x).reduce() == rhs.coeffs[a].reduce()
-                     for a, x in lhs.coeffs.items())
-            rows.append({"n": n, "ok": bool(ok)})
-        return rows
-
-    return _prime_checks(config, config.space(), step)
-
-
-def _weight2_matches(config, norm, w2_classes):
-    """(match, normalized weight-2 partner) for each congruent class."""
-    for m in analysis.find_congruent_weight2(
-            norm.eigensymbol, norm.embedding, w2_classes,
-            config.primes_above):
-        yield m, modsym.normalize(m.target_class, m.target_embedding)
-
-
-def _verify_congruence(config):
-    w2_classes = modsym.cuspidal_eigensymbols(config.space(weight=2), 1)
-
-    def step(norm):
-        rows = []
-        for m, gnorm in _weight2_matches(config, norm, w2_classes):
-            res = analysis.verify_congruence(norm, gnorm, config.n_max,
-                                             config.congruence_mode)
-            rows.append({
-                "target": m.target_id,
-                "mode": res["mode"], "mu_min": _fmt(res["mu_min"]),
-                "rows": [{"n": n, "i": i, "ok": ok}
-                         for n, i, ok in res["rows"]],
-                "ok": res["all_passed"],
-            })
-        return rows
-
-    return _prime_checks(config, config.space(), step)
-
-
-def _verify_wt2_patterns(config):
-    def step(norm):
-        entries = []
-        for i, rep in analysis.verify_weight2_patterns(
-                norm, config.n_max).items():
-            entry = {"i": i, "branch": rep["branch"]}
-            entry["rows"] = [
-                {"n": n, "i": i, "mu": _fmt(mu), "lambda": _fmt(lam),
-                 "certified": cert} for n, _, mu, lam, cert in rep["rows"]]
-            if rep["branch"] == "supersingular":
-                entry["lambda_minus_qn"] = [
-                    {"n": n, "value": _fmt(v)}
-                    for n, v in rep["lambda_minus_qn"]]
-                entry["constant"] = rep["constant"]
-                entry["ok"] = rep["constant"]
-            else:
-                entry["pattern"] = rep["pattern"]
-                if rep["pattern"] == "stable":
-                    entry["stabilized_at"] = rep["stabilized_at"]
-                    entry["mu_vanishes"] = rep["mu_vanishes"]
-                    entry["theta_matches_psi"] = [
-                        {"n": n, "ok": ok}
-                        for n, ok in rep["theta_matches_psi"]]
-                    entry["ok"] = rep["stabilized_at"] is not None
-                else:
-                    entry["ok"] = True
-            entries.append(entry)
-        return entries
-
-    return _prime_checks(config, config.space(weight=2), step)
-
-
-def _verify_oldspace(config):
-    w2_classes = modsym.cuspidal_eigensymbols(config.space(weight=2), 1)
-    target = config.space(level=config.N * config.p ** config.r, weight=2)
-
-    def step(norm):
-        rows = []
-        for m, gnorm in _weight2_matches(config, norm, w2_classes):
-            try:
-                dec = analysis.oldspace_decompose(norm, gnorm, config.r,
-                                                  target)
-            except NotInSpan as exc:
-                rows.append({"target": m.target_id, "ok": False,
-                             "span_dimension": exc.span_dimension,
-                             "note": "not in the degeneracy span"})
-                continue
-            rows.append({
-                "target": m.target_id,
-                "span_dimension": dec.span_dimension,
-                "coefficients": [
-                    {"t": t + 1, "value": _fmt(c),
-                     "nonzero": not c.is_zero()}
-                    for t, c in enumerate(dec)],
-                "ok": True,
-            })
-        return rows
-
-    return _prime_checks(config, config.space(), step)
-
-
-_VERIFY_MODES = {
-    "three-term": _verify_three_term,
-    "degen": _verify_degen,
-    "atkin-lehner": _verify_atkin_lehner,
-    "alphastick": _verify_alphastick,
-    "congruence": _verify_congruence,
-    "wt2-patterns": _verify_wt2_patterns,
-    "oldspace": _verify_oldspace,
-}
-
-
 def cmd_verify(config):
-    mode = config.verify_mode
-    checks = _VERIFY_MODES[mode](config)
-    rows = [(c.get("class"), c.get("embedding"), c.get("n"),
-             c.get("i"), c.get("ok")) for c in checks]
-    _emit(config, "verify", {"mode": mode, "checks": checks},
-          ("class", "embedding", "n", "i", "ok"), rows)
-    return EXIT_OK if all(c["ok"] for c in checks) else EXIT_IDENTITY
+    from . import verify
+    return verify.cmd_verify(config)
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +342,17 @@ def build_parser():
         prog="mtlab",
         description="Mazur-Tate elements and finite-level Iwasawa "
                     "invariants of modular eigensymbols")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in sorted(_COMMANDS):
-        sp = sub.add_parser(name)
-        sp.add_argument("--level", type=int, required=True)
-        sp.add_argument("--weight", type=int, required=True)
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--sign", choices=("1", "-1", "both"), default="1")
-        sp.add_argument("--precision", type=int, default=8)
-        sp.add_argument("--nmax", type=int, default=3)
-        sp.add_argument("--ellmax", type=int, default=20)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--mode", default=None)
-        sp.add_argument("--r", type=int, default=1)
+    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("--level", type=int, required=True)
+    parser.add_argument("--weight", type=int, required=True)
+    parser.add_argument("--p", type=int, default=None)
+    parser.add_argument("--sign", choices=("1", "-1", "both"), default="1")
+    parser.add_argument("--precision", type=int, default=8)
+    parser.add_argument("--nmax", type=int, default=3)
+    parser.add_argument("--ellmax", type=int, default=20)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--mode", default=None)
+    parser.add_argument("--r", type=int, default=1)
     return parser
 
 
@@ -613,4 +373,6 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    # verify imports mtlab.cli: it must find this module, not run it again
+    sys.modules.setdefault("mtlab.cli", sys.modules[__name__])
     sys.exit(main())

@@ -163,9 +163,10 @@ def mazur_tate_values(space, get_value, p, n, sign=None):
     """The level-n element of the symbol with the given coset values.
 
     The a-th coefficient is the path value of the symbol on {oo} - {a/p^n}:
-    each matrix of the continued-fraction walk of a/p^n, bottom row (c, d)
-    and class B, adds Phi(B)(c, d) = sum_r c^r d^(g-r) Phi(B)[r], folded
-    into the coefficient as the walk goes.  Values are exact: get_value(B)
+    each matrix of the continued-fraction walk of a/p^n, of which only the
+    bottom row (c, d) is formed (`modsym._convergent_bottoms`), with class
+    B, adds Phi(B)(c, d) = sum_r c^r d^(g-r) Phi(B)[r], folded into the
+    coefficient as the walk goes.  Values are exact: get_value(B)
     gives the g+1 entries of Phi(B) as integer vectors (an eigenclass's
     exact data over its denominator, or an integer image of them), and
     the coefficients are integer vectors over the same denominator.
@@ -187,7 +188,7 @@ def mazur_tate_values(space, get_value, p, n, sign=None):
         # coordinate is one dot product with the weights c^r d^(g-r) (one
         # sum at g = 0, where every weight is 1)
         rows, weights = [], []
-        for _, (c, d) in modsym._convergent_matrices(a, pn):
+        for c, d in modsym._convergent_bottoms(a, pn):
             key = (c % M, d % M)
             value = cosets.get(key)
             if value is None:

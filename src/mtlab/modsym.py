@@ -88,6 +88,20 @@ def _convergent_matrices(a, b):
     return mats
 
 
+def _convergent_bottoms(a, b):
+    """The bottom rows (c, d) of `_convergent_matrices(a, b)`, b > 0: the
+    determinants of consecutive convergent pairs alternate from +1, and so
+    does the sign of c, with no determinant computed."""
+    x, y = a, b
+    Q, q_, sign = 1, 0, 1
+    while y:
+        digit = x // y
+        x, y = y, x - digit * y
+        Q, q_ = q_, digit * q_ + Q
+        yield sign * Q, q_
+        sign = -sign
+
+
 # ---------------------------------------------------------------------------
 # the presentation
 

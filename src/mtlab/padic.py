@@ -21,12 +21,11 @@ polynomials of `polyq`: over F_p by square-free, distinct-degree and
 equal-degree (Cantor-Zassenhaus) splitting, and monic squarefree integer
 polynomials by Zassenhaus's algorithm on the same Hensel lifting that finds
 the local factors.  A block of the factorization mod p whose phi-adic
-Newton polygon does not certify it irreducible is factored completely by
-locating its roots in explicit tame local models.
+Newton polygon does not certify it irreducible is factored completely in
+`tame`, which is imported only for such a block.
 """
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, count
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -39,6 +38,8 @@ from .errors import (
     PrecisionExhausted,
     NegativeValuation,
 )
+
+_UNKNOWN = object()   # a LocalElement valuation not yet found
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +701,7 @@ class LocalElement:
     exactly the vector, shift and precision of x * emb.local(r).
     """
 
-    __slots__ = ("emb", "vec", "shift", "prec")
+    __slots__ = ("emb", "vec", "shift", "prec", "_raw")
 
     def __init__(self, emb, vec, shift, prec):
         self.emb = emb
@@ -721,9 +722,16 @@ class LocalElement:
             shift -= 1
         self.vec = tuple(vec)
         self.shift = shift
+        self._raw = _UNKNOWN
 
     def _raw_valuation(self):
-        """Valuation of the numerator vector, or None if it is 0 mod p^M."""
+        """Valuation of the numerator vector, or None if it is 0 mod p^M;
+        found once per element, which is never changed after it is built."""
+        if self._raw is _UNKNOWN:
+            self._raw = self._numerator_valuation()
+        return self._raw
+
+    def _numerator_valuation(self):
         emb = self.emb
         if not any(self.vec):
             return None
@@ -958,7 +966,8 @@ def primes_above(field, p, M):
     A repeated factor phibar^m gives one prime when the phi-adic Newton
     polygon of its block is one segment of slope v/m in lowest terms;
     any other block is factored completely in tame local models
-    (`_factor_block_tame`), and PrecisionTooLow is raised when that fails.
+    (`tame._factor_block_tame`), and PrecisionTooLow is raised when that
+    fails.
     """
     if p == 2 or prime_divisors(p) != [p]:
         raise ValueError("p must be an odd prime")
@@ -982,6 +991,7 @@ def primes_above(field, p, M):
                              residue_modpoly=gbar))
             continue
         # complete factorization of the block in tame local models
+        from . import tame
         B = M + 12
         factors = None
         for _ in range(4):
@@ -991,7 +1001,7 @@ def primes_above(field, p, M):
             # the valuation of the block discriminant
             D = _vp(res, p) if res else B
             if B >= M + 2 * D + 12:
-                factors = _factor_block_tame(HB, gbar, mult, p, M, B, D)
+                factors = tame._factor_block_tame(HB, gbar, mult, p, M, B, D)
                 break
             B = M + 2 * D + 12
         if factors is None:
@@ -1054,535 +1064,6 @@ def _one_segment(H, phibar, m, p, M):
     except PrecisionTooLow:
         return False
     return len(hull) == 2 and gcd(hull[0][1], m) == 1
-
-
-# ---------------------------------------------------------------------------
-# complete factorization of tame blocks via explicit local models
-# ---------------------------------------------------------------------------
-
-@cache
-def _irreducible_modpoly(p, F):
-    """The lexicographically first monic irreducible of degree F mod p, as
-    a tuple: the cached value is shared by every caller."""
-    if F == 1:
-        return (0, 1)
-    for code in range(p ** F):
-        coeffs = []
-        c = code
-        for _ in range(F):
-            coeffs.append(c % p)
-            c //= p
-        poly = coeffs + [1]
-        if _fp_ddf(poly, p) == [(poly, F)]:
-            return tuple(poly)
-    raise AssertionError("no irreducible polynomial found")
-
-
-class _TameModel:
-    """The ring (Z/p^B)[t, pi] / (u(t), pi^E - c p), c a Teichmuller unit.
-
-    A finite-precision model of the tame local field U_F(pi) with
-    pi^E = c p; elements are lists of E coefficient polynomials in t.
-    Used to locate roots of local factors and reconstruct their minimal
-    polynomials; every tame extension of Q_p with e | E and f | F embeds
-    into such a model for a suitable c.
-    """
-
-    def __init__(self, p, B, E, F, cres):
-        self.p = p
-        self.B = B
-        self.E = E
-        self.F = F
-        self.pB = p ** B
-        self.u = _irreducible_modpoly(p, F)
-        self.residues = FF(p, self.u)
-        self.c = self._teich(polyq.trim([r % p for r in cres]))
-        self.cinv = self.inv_unit([self.c] + [[]] * (E - 1))[0]
-
-    # -- coefficient ring S = (Z/p^B)[t]/(u) ------------------------------
-
-    def _s_mul(self, a, b):
-        return polyq.rem_monic(polyq.mul(a, b), self.u, self.pB)
-
-    def _s_vp(self, a):
-        vals = [_vp(c, self.p) for c in a if c % self.pB]
-        return min(vals) if vals else None
-
-    def _s_pow(self, a, n):
-        out = [1]
-        base = a
-        while n:
-            if n & 1:
-                out = self._s_mul(out, base)
-            base = self._s_mul(base, base)
-            n >>= 1
-        return out
-
-    def _teich(self, res):
-        x = list(res)
-        for _ in range(self.B + 1):
-            x = self._s_pow(x, self.p ** self.F)
-        return x
-
-    # -- elements: lists of E coefficient polynomials ----------------------
-
-    def zero(self):
-        return [[] for _ in range(self.E)]
-
-    def one(self):
-        return [[1]] + [[] for _ in range(self.E - 1)]
-
-    def from_int(self, n):
-        n %= self.pB
-        return [([n] if n else [])] + [[] for _ in range(self.E - 1)]
-
-    def from_res(self, digits):
-        return [polyq.trim([d % self.p for d in digits])] \
-            + [[] for _ in range(self.E - 1)]
-
-    def add(self, x, y):
-        return [polyq.add_mod(a, b, self.pB) for a, b in zip(x, y)]
-
-    def sub(self, x, y):
-        return [polyq.sub_mod(a, b, self.pB) for a, b in zip(x, y)]
-
-    def mul(self, x, y):
-        out = [[] for _ in range(self.E)]
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                prod = self._s_mul(a, b)
-                k = i + j
-                if k >= self.E:
-                    k -= self.E
-                    prod = polyq.scale_mod(self._s_mul(prod, self.c),
-                                           self.p, self.pB)
-                out[k] = polyq.add_mod(out[k], prod, self.pB)
-        return out
-
-    def mul_pi(self, x):
-        head = polyq.scale_mod(self._s_mul(x[-1], self.c), self.p, self.pB)
-        return [head] + x[:-1]
-
-    def div_pi(self, x):
-        a0 = x[0]
-        if any(c % self.p for c in a0):
-            return None
-        tail = self._s_mul([c // self.p for c in a0], self.cinv)
-        return x[1:] + [tail]
-
-    def val(self, x):
-        best = None
-        for i, a in enumerate(x):
-            v = self._s_vp(a)
-            if v is None:
-                continue
-            cand = Fraction(i, self.E) + v
-            if best is None or cand < best:
-                best = cand
-        return best
-
-    def eval_poly(self, coeffs, x):
-        acc = self.zero()
-        for c in reversed(coeffs):
-            acc = self.mul(acc, x)
-            acc = self.add(acc, self.from_int(c))
-        return acc
-
-    def inv_unit(self, x):
-        """The inverse of a unit x by Newton's iteration y -> y (2 - x y),
-        from the inverse of its residue."""
-        y = self.from_res(self.residues.element(x[0]).inverse().coeffs)
-        steps = 1
-        while (1 << steps) < (self.B * self.E + 2):
-            steps += 1
-        two = self.from_int(2)
-        for _ in range(steps + 1):
-            y = self.mul(y, self.sub(two, self.mul(x, y)))
-        return y
-
-    def flatten(self, x):
-        out = []
-        for a in x:
-            out.extend(list(a) + [0] * (self.F - len(a)))
-        return out
-
-    def flat_powers(self, x, n):
-        """flatten(x^i) for i below n."""
-        powers = [self.one()]
-        for _ in range(n - 1):
-            powers.append(self.mul(powers[-1], x))
-        return [self.flatten(y) for y in powers]
-
-
-def _tame_newton_root(H, dH, L, start):
-    x = start
-    last = None
-    for _ in range(64):
-        fx = L.eval_poly(H, x)
-        vfx = L.val(fx)
-        if vfx is None:
-            return x
-        if last is not None and vfx <= last:
-            return x
-        last = vfx
-        dfx = L.eval_poly(dH, x)
-        vd = L.val(dfx)
-        if vd is None:
-            return x
-        j = int(vd * L.E)
-        u = dfx
-        for _ in range(j):
-            u = L.div_pi(u)
-            if u is None:
-                return x
-        w = L.mul(fx, L.inv_unit(u))
-        ok = True
-        for _ in range(j):
-            w = L.div_pi(w)
-            if w is None:
-                ok = False
-                break
-        if not ok:
-            return x
-        x = L.sub(x, w)
-    return x
-
-
-def _taylor_shift(L, H, b):
-    """Ascending coefficients of H(b + z), by repeated synthetic division."""
-    cur = [L.from_int(c) for c in H]
-    out = []
-    while cur:
-        rem = cur[-1]
-        quot = [None] * (len(cur) - 1)
-        for i in range(len(cur) - 2, -1, -1):
-            quot[i] = rem
-            rem = L.add(L.mul(rem, b), cur[i])
-        out.append(rem)
-        cur = quot
-    return out
-
-
-def _ball_may_contain_root(L, tay, m):
-    """Newton polygon test: can H(b + z) vanish for some v(z) >= m?"""
-    v0 = L.val(tay[0])
-    if v0 is None:
-        return True
-    for j in range(1, len(tay)):
-        vj = L.val(tay[j])
-        if vj is not None and vj + j * m <= v0:
-            return True
-    return False
-
-
-def _roots_in_model(H, L, maxdepth, vmin=None):
-    """All roots of the (squarefree) integer polynomial H in the model L.
-
-    A Newton limit point is only accepted as a root when H vanishes on it
-    to valuation at least vmin (None means exact vanishing at the working
-    precision), which filters out stalled non-roots.
-    """
-    dH = polyq.derivative(H)
-    reps = [L.from_res(a.coeffs) for a in L.residues.elements()]
-    pi_pow = L.one()
-    certified = []
-    start = L.zero()
-    candidates = [(start, _taylor_shift(L, H, start))]
-    for k in range(maxdepth + 1):
-        nxt = []
-        for a, tay in candidates:
-            # no further root lies strictly inside the uniqueness radius of
-            # a certified root; a subtree contained in that ball (depth
-            # beyond the radius) can be dropped entirely
-            dropped = False
-            for r0, w0 in certified:
-                if Fraction(k, L.E) <= w0:
-                    continue
-                vd0 = L.val(L.sub(a, r0))
-                if vd0 is None or vd0 > w0:
-                    dropped = True
-                    break
-            if dropped:
-                continue
-            va = L.val(tay[0])
-            vda = L.val(tay[1]) if len(tay) > 1 else None
-            if va is None or (vda is not None and va > 2 * vda):
-                known = False
-                for r0, w0 in certified:
-                    vd0 = L.val(L.sub(a, r0))
-                    if vd0 is None or vd0 > w0:
-                        known = True
-                        break
-                if not known:
-                    r = _tame_newton_root(H, dH, L, a)
-                    vr = L.val(L.eval_poly(H, r))
-                    if vr is None or vmin is None or vr >= vmin:
-                        w = vda if vda is not None else Fraction(L.B)
-                        dup = False
-                        for r0, w0 in certified:
-                            vd0 = L.val(L.sub(r, r0))
-                            if vd0 is None or vd0 > max(w, w0):
-                                dup = True
-                                break
-                        if not dup:
-                            certified.append((r, w))
-            for rep in reps:
-                cand = L.add(a, L.mul(rep, pi_pow))
-                tc = _taylor_shift(L, H, cand)
-                if _ball_may_contain_root(L, tc, Fraction(k + 1, L.E)):
-                    nxt.append((cand, tc))
-        candidates = nxt
-        if not candidates:
-            break
-        pi_pow = L.mul_pi(pi_pow)
-    return [r for r, _ in certified]
-
-
-def _solve_mod_prime_power(cols, rhs, p, B):
-    """Solve sum_i g_i cols[i] = rhs mod p^B; returns (g, loss) or None.
-
-    Pivots of positive valuation are allowed; loss is the largest pivot
-    valuation, and the solution is certified mod p^(B - loss).
-    """
-    pB = p ** B
-    n = len(cols)
-    m = len(rhs)
-    aug = [[cols[i][r] % pB for i in range(n)] + [rhs[r] % pB]
-           for r in range(m)]
-    pivots = []
-    loss = 0
-    unused = set(range(m))
-    free_cols = set(range(n))
-    # global min-valuation pivoting keeps pivot valuations nondecreasing,
-    # so elimination multipliers stay integral; used rows are never
-    # eliminated from, the triangular system is back-substituted instead
-    while free_cols:
-        best = None
-        for r in unused:
-            for c in free_cols:
-                a = aug[r][c]
-                if a == 0:
-                    continue
-                v = _vp(a, p)
-                if best is None or v < best[2]:
-                    best = (r, c, v)
-        if best is None:
-            return None
-        r0, c0, v0 = best
-        unused.discard(r0)
-        free_cols.discard(c0)
-        pivots.append(best)
-        loss = max(loss, v0)
-        u = aug[r0][c0] // p ** v0
-        uinv = pow(u, -1, pB)
-        for r in unused:
-            a = aug[r][c0]
-            if a == 0:
-                continue
-            if _vp(a, p) < v0:
-                return None
-            mult = (a // p ** v0) * uinv % pB
-            aug[r] = [(x - mult * y) % pB
-                      for x, y in zip(aug[r], aug[r0])]
-    check = p ** max(B - loss - 2, 1)
-    for r in unused:
-        if aug[r][n] % check:
-            return None
-    sol = [0] * n
-    for r0, c0, v0 in reversed(pivots):
-        acc = aug[r0][n]
-        for c in range(n):
-            if c != c0:
-                acc -= aug[r0][c] * sol[c]
-        acc %= pB
-        if acc % p ** v0:
-            return None
-        u = aug[r0][c0] // p ** v0
-        sol[c0] = (acc // p ** v0) * pow(u, -1, pB) % (pB // p ** v0)
-    return sol, loss
-
-
-def _minpoly_from_root(L, theta, maxdeg, loss_max):
-    """The monic integer polynomial of least degree, at most maxdeg, that
-    theta satisfies in the model with a solve losing at most loss_max
-    digits; None when there is none."""
-    vecs = L.flat_powers(theta, maxdeg + 1)
-    for n in range(1, maxdeg + 1):
-        cols = vecs[:n]
-        rhs = [(-v) % L.pB for v in vecs[n]]
-        res = _solve_mod_prime_power(cols, rhs, L.p, L.B)
-        if res is None:
-            continue
-        sol, loss = res
-        if loss > loss_max:
-            continue
-        return [int(c) for c in sol] + [1]
-    return None
-
-
-def _tame_unit_reps(p, e, f):
-    """Coset representatives of F_q^x modulo e-th powers, q = p^f, as
-    elements of FF(p, _irreducible_modpoly(p, f)): the first of each coset
-    in the order of `FF.elements`.
-
-    Models pi^e = c p and pi^e = c' p are isomorphic when c'/c is an e-th
-    power in the residue field, so only one c per coset needs searching.
-    """
-    F = FF(p, _irreducible_modpoly(p, f))
-    if e == 1:
-        return [F.one()]
-    units = list(F.elements())[1:]
-    powers = {a ** e for a in units}
-    reps = []
-    covered = set()
-    for a in units:
-        if a not in covered:
-            reps.append(a)
-            covered.update(s * a for s in powers)
-    return reps
-
-
-def _block_segment_candidates(H, gbar, mult, p, B):
-    """Candidate (e, f) pairs for the primes inside a Hensel block.
-
-    The phi-adic Newton polygon of the block constrains the ramification:
-    a segment of slope with denominator e0 and horizontal length l only
-    carries primes with e0 | e, d | f and e f <= d l (d = deg gbar).
-    """
-    d = len(gbar) - 1
-    hull = _newton_polygon(H, gbar, mult, p, p ** B)
-    cands = set()
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        e0 = Fraction(y1 - y2, x2 - x1).denominator
-        l = x2 - x1
-        e = e0
-        while e <= l:
-            if e % p:
-                f = d
-                while e * f <= d * l:
-                    cands.add((e, f))
-                    f += d
-            e += e0
-    return sorted(cands, key=lambda ef: (ef[0] * ef[1], ef[0]))
-
-
-def _residue_gen_from_root(L, theta, deg, loss_max):
-    """Express the model's residue generator t in powers of a root.
-
-    Solves p^s t = sum(coeffs[i] theta^i) in the model for the smallest
-    admissible denominator exponent s; returns (coeffs, s) or None.
-    """
-    vecs = L.flat_powers(theta, deg)
-    tflat = L.flatten(L.from_res([0, 1]))
-    for s in range(L.B):
-        ps = L.p ** s
-        rhs = [(c * ps) % L.pB for c in tflat]
-        res = _solve_mod_prime_power(vecs, rhs, L.p, L.B)
-        if res is None:
-            continue
-        sol, loss = res
-        if loss > loss_max:
-            continue
-        return [int(c) for c in sol], s
-    return None
-
-
-def _factor_block_tame(H, gbar, mult, p, M, B, D):
-    """Factor a Hensel block completely, assuming tame ramification.
-
-    H is the block mod p^B, and D the valuation of its discriminant, with
-    B >= M + 2D + 12.  Roots of H are located in explicit tame models
-    U_F(pi), pi^E = c p, and each irreducible factor is reconstructed as
-    the minimal polynomial of a root.  Returns [(factor mod p^M, e, f,
-    residue_modpoly, residue_gen)] or raises PrecisionTooLow when the block
-    cannot be resolved (e.g. wild ramification).
-
-    residue_gen is None when the residue field is generated by the root
-    itself (f = deg gbar); otherwise it is (coeffs, s) expressing the
-    model's residue generator t as sum(coeffs[i] theta^i) / p^s.
-    """
-    d = len(gbar) - 1
-    blockdeg = d * mult
-    pM = p ** M
-    loss_max = max((B - M) // 2, 1)
-    # any point of a wrong model is within total root-distance D of the
-    # roots, so H evaluates there to valuation at most D; genuine Newton
-    # limits evaluate to valuation near B = M + 2D + 12
-    vmin = Fraction(D + 2)
-    found = {}
-    total = 0
-    # found factors are divided out, so later models search a smaller
-    # quotient and do not waste time rediscovering known roots
-    R = H
-    for e, f in _block_segment_candidates(H, gbar, mult, p, B):
-        if total == blockdeg:
-            break
-        for c in _tame_unit_reps(p, e, f):
-            if total == blockdeg or len(R) - 1 < e * f:
-                break
-            L = _TameModel(p, B, e, f, c.coeffs)
-            maxdepth = e * (2 * D + 6)
-            for theta in _roots_in_model(R, L, maxdepth, vmin):
-                # conjugates of an already divided-out factor are no
-                # longer roots of the quotient
-                vt = L.val(L.eval_poly(R, theta))
-                if vt is not None and vt < vmin:
-                    continue
-                G = _minpoly_from_root(L, theta, e * f, loss_max)
-                if G is None:
-                    continue
-                # only full-size factors: then e, f of the prime are forced
-                # to be the model's; smaller factors appear in the smaller
-                # models, which are searched first
-                if len(G) - 1 != e * f:
-                    continue
-                GM = tuple(c % pM for c in G)
-                if GM in found:
-                    continue
-                gf = fp_factor(G, p)
-                if len(gf) != 1:
-                    continue
-                rbar = gf[0][0]
-                if rbar != list(gbar):
-                    continue
-                gen = None
-                if f > d:
-                    # the residue of theta only generates F_(p^d); express
-                    # the model's residue generator t in powers of theta so
-                    # the embedding can reach the full residue field
-                    gen = _residue_gen_from_root(L, theta, e * f, loss_max)
-                    if gen is None:
-                        raise PrecisionTooLow(
-                            "residue generator of a non-monogenic factor "
-                            "not resolved at precision %d" % B)
-                    rbar = list(L.u)
-                found[GM] = (list(GM), e, f, rbar, gen)
-                total += e * f
-                R = polyq.divmod_monic(R, G, p ** B)[0]
-                if total == blockdeg or len(R) - 1 < e * f:
-                    break
-    if total != blockdeg:
-        raise PrecisionTooLow(
-            "local block of degree %d resolved only %d dimensions; "
-            "deeper (or wild) factorization required" % (blockdeg, total))
-    prod = [1]
-    for GM in found:
-        prod = polyq.mul_mod(prod, GM, pM)
-    if polyq.sub_mod(prod, H, pM):
-        raise PrecisionTooLow(
-            "reconstructed factors do not multiply back to the block")
-    # order factors by base-p digits from the low digit up: unlike integer
-    # order on residues mod p^M, this is stable when M is raised, so the
-    # embedding index identifies the same prime at every precision
-    def digit_key(GM):
-        return tuple(tuple((c // p ** j) % p for j in range(M))
-                     for c in GM)
-
-    return [found[k] for k in sorted(found, key=digit_key)]
 
 
 def teichmuller(p, a, M):

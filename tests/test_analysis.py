@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from mtlab import analysis, mazurtate, modsym, padic
+from mtlab import analysis, mazurtate, modsym, padic, verify
 from mtlab.errors import OutOfBudget, PrecisionExhausted
 
 
@@ -52,9 +52,9 @@ def test_budget_is_checked_before_any_element(entry, monkeypatch):
                         lambda *args: built.append(args))
     run = {
         "invariant_table": lambda: analysis.invariant_table(norm, 7),
-        "verify_congruence": lambda: analysis.verify_congruence(
+        "verify_congruence": lambda: verify.verify_congruence(
             norm, norm, 7, "medweight"),
-        "verify_weight2_patterns": lambda: analysis.verify_weight2_patterns(
+        "verify_weight2_patterns": lambda: verify.verify_weight2_patterns(
             norm, 7),
     }[entry]
     # level 8: 4 * 5^7 = 312500 units, 8 steps each
@@ -155,7 +155,7 @@ def test_mu_min_and_witness_match_the_full_scan(level, weight, p):
     for norm in symbols:
         mu, witness = reference_mu_min_witness(norm)
         assert analysis.mu_min(norm) == mu
-        got_mu, got = analysis._mu_min_witness(norm)
+        got_mu, got = verify._mu_min_witness(norm)
         assert got_mu == mu
         assert digits(got) == digits(witness)
 
@@ -172,7 +172,7 @@ def test_mu_min_matches_the_full_scan_at_low_precision():
                 want = want[0]
             seen.add(want if isinstance(want, type) else int)
             assert outcome(analysis.mu_min, norm) == want
-            got = outcome(analysis._mu_min_witness, norm)
+            got = outcome(verify._mu_min_witness, norm)
             assert (got if isinstance(got, type) else got[0]) == want
     assert seen == {int, OutOfBudget, PrecisionExhausted}
 

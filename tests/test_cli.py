@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from mtlab import analysis, cli, mazurtate, modsym, padic
+from mtlab import analysis, cli, mazurtate, modsym, padic, verify
 from mtlab.errors import OutOfBudget, PrecisionExhausted
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,7 +121,7 @@ def test_every_command_and_mode_has_a_case():
     modes = {argv[argv.index("--mode") + 1]
              for argv, _ in CASES.values() if "--mode" in argv}
     assert commands == set(cli._COMMANDS)
-    assert modes == set(cli._VERIFY_MODES)
+    assert modes == set(verify._VERIFY_MODES)
 
 
 def test_cache_flag_rejected():
@@ -282,7 +282,7 @@ def test_identity_sides_walk_every_unit(mode, tmp_path, monkeypatch):
     # of an identity, so it walks every unit; an eigenclass's exact element
     # walks the units below p^n/2 and fills in the rest by its sign
     walks = []
-    walk = modsym._convergent_matrices
+    walk = modsym._convergent_bottoms
 
     def counted_walk(a, b):
         walks.append(b)
@@ -297,7 +297,7 @@ def test_identity_sides_walk_every_unit(mode, tmp_path, monkeypatch):
         built.append((space.M, sign, len(walks) - start, len(element.coeffs)))
         return element
 
-    monkeypatch.setattr(modsym, "_convergent_matrices", counted_walk)
+    monkeypatch.setattr(modsym, "_convergent_bottoms", counted_walk)
     monkeypatch.setattr(mazurtate, "mazur_tate_values", counted)
     argv = ["verify", "--mode", mode] + SMALL
     assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
@@ -454,6 +454,24 @@ def test_mu_min_embeds_few_values(tmp_path, monkeypatch):
         out = tmp_path / ("r%d.json" % run)
         assert cli.main(argv + ["--out", str(out)]) == code
     assert calls[0] == calls[1] <= 240
+
+
+def test_each_local_element_finds_its_valuation_once(tmp_path, monkeypatch):
+    """mu and then lambda read the valuation of every coefficient of the
+    11/2/5 thetas, and products read those of their factors: the
+    numerator's valuation is found once per element."""
+    seen = []
+    valuation = padic.LocalElement._numerator_valuation
+
+    def counted(x):
+        seen.append(x)      # keeps x alive, so that no id is reused
+        return valuation(x)
+
+    monkeypatch.setattr(padic.LocalElement, "_numerator_valuation", counted)
+    argv = ["invariants", "--level", "11", "--weight", "2", "--p", "5",
+            "--nmax", "4", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert seen and len({id(x) for x in seen}) == len(seen)
 
 
 def test_congruence_finds_the_primes_of_each_field_once(tmp_path,

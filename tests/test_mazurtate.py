@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlab import analysis, mazurtate, modsym, padic
+from mtlab import analysis, mazurtate, modsym, padic, verify
 from mtlab.errors import NotOrdinary, PrecisionExhausted
 from mtlab.mazurtate import (
     CyclicGroupRingElement,
@@ -743,13 +743,13 @@ def test_each_walk_runs_once_per_class_and_level(monkeypatch):
     space = modsym.ManinSymbolSpace(23, 6)
     classes = modsym.cuspidal_eigensymbols(space, 1)
     walks = []
-    walk = modsym._convergent_matrices
+    walk = modsym._convergent_bottoms
 
     def counted(a, b):
         walks.append(b)
         return walk(a, b)
 
-    monkeypatch.setattr(modsym, "_convergent_matrices", counted)
+    monkeypatch.setattr(modsym, "_convergent_bottoms", counted)
     levels = _count_elements(monkeypatch)
     symbols = [modsym.normalize(cls, emb) for cls in classes for M in (8, 16)
                for emb in padic.primes_above(cls.field, 3, M)]
@@ -979,7 +979,7 @@ def test_weight2_patterns_stabilize_once_for_all_twists(monkeypatch):
         return p_stabilize(normalized)
 
     monkeypatch.setattr(mazurtate, "p_stabilize", counted)
-    reports = analysis.verify_weight2_patterns(norm, 2)
+    reports = verify.verify_weight2_patterns(norm, 2)
     assert [(i, r["pattern"]) for i, r in reports.items()] == [
         (1, "stable"), (3, "stable")]
     assert stabilized == [norm]

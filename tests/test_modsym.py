@@ -400,6 +400,14 @@ def test_path_value_is_row_zero_of_divisor_value(N, k):
             evaluate_divisor(space, values.__getitem__, div)[0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+def test_convergent_bottoms_are_the_bottom_rows(a, b):
+    # the bottom rows of the determinant-checked matrices, signs included
+    want = [bottom for _, bottom in modsym._convergent_matrices(a, b)]
+    assert list(modsym._convergent_bottoms(a, b)) == want
+
+
 def _xgcd(a, b):
     old_r, r = a, b
     old_s, s = 1, 0
