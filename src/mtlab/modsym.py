@@ -30,13 +30,16 @@ The splitting into Hecke eigenclasses stays in integers: subspace bases,
 restricted operators and Krylov vectors are integer rows over one
 denominator, characteristic polynomials are integral, and the
 eliminations (`linalg.rref`, fraction-free over Q) are the only place
-Fractions appear, one conversion per elimination.
+Fractions appear, one conversion per elimination.  An operator is
+restricted to a subspace by reading coordinates at the unit columns of its
+basis, with no elimination.
 
 An eigenclass keeps its coset values exactly, as integer vectors in the
 power basis of its Hecke field over one denominator.  Normalizing it at a
 prime above p finds the witness of least valuation among these exact
-values, and each normalized value is the embedding of one exact element,
-made once, so its certified digits are those of the exact value.
+values, in scan order, stopping at a floor when one is proven, and each
+normalized value is the embedding of one exact element, made once, so its
+certified digits are those of the exact value.
 """
 
 from fractions import Fraction
@@ -124,6 +127,7 @@ class ManinSymbolSpace:
                               % (size, GENERATOR_CAP))
         self._plan_cache = {}
         self._matrix_cache = {}
+        self._factor_cache = {}
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -362,22 +366,31 @@ class ManinSymbolSpace:
         return _integer_rows(linalg.kernel_basis(rows, self.dim, QQ))
 
     def _restrict_operator(self, op, basis):
-        """Matrix (B, d) of an operator on the span of a basis (rows, den):
-        image j is sum_i (B[i][j] / d) * vector i.
+        """Matrix (B, d) of an operator on the span of a basis (rows, den),
+        in lowest terms: image j is sum_i (B[i][j] / d) * vector i.
 
-        One rref of [rows | H rows] as columns, H = D * op: the images lie
-        in the span exactly when the pivots are the basis columns, and
-        column len(rows) + j of the reduced rows then holds D times the
-        coordinates of image j.
+        No elimination: each row i of the bases made here has a unit column
+        c_i, where row i alone is nonzero (a `kernel_basis` row's free
+        column), so an image w = H row_j, H = D * op, has coordinate
+        w[c_i] / (D row_i[c_i]) at vector i.  The sum of those multiples of
+        the rows is checked against w in integers.  A basis without unit
+        columns raises ValueError.
         """
         rows, _ = basis
-        nb = len(rows)
+        support = [sum(1 for x in col if x) for col in zip(*rows)]
+        units = [next((c for c, x in enumerate(row) if x and support[c] == 1),
+                      None) for row in rows]
+        if None in units:
+            raise ValueError("a basis row has no unit column")
+        L = lcm(*(row[c] for row, c in zip(rows, units)))
         H = self.hecke_matrix(op)
-        images = [linalg.mat_vec(H, v) for v in rows]
-        red, pivots = linalg.rref([list(r) for r in zip(*rows, *images)], QQ)
-        if pivots != list(range(nb)):
-            raise InvalidOperator("%s does not preserve the subspace" % op)
-        return _integer_rows([row[nb:] for row in red], self.denominator)
+        cols = []
+        for w in (linalg.mat_vec(H, row) for row in rows):
+            coords = [w[c] * (L // row[c]) for row, c in zip(rows, units)]
+            if _combine(coords, rows) != [L * x for x in w]:
+                raise InvalidOperator("%s does not preserve the subspace" % op)
+            cols.append(coords)
+        return _lowest([list(r) for r in zip(*cols)], L * self.denominator)
 
     def good_primes(self):
         """The primes not dividing the level, increasing."""
@@ -387,13 +400,14 @@ class ManinSymbolSpace:
     def cuspidal_subspace(self, sign):
         """Basis (rows, den) of the cuspidal part of the sign eigenspace.
 
-        Computed as the kernel of f(T_ell) where f is the characteristic
-        polynomial of T_ell on the sign eigenspace with every factor
-        (x - (1 + ell^(k-1))) removed: boundary eigensystems have
-        a_ell = 1 + ell^(k-1), which no cuspidal system can attain.  With
-        T_ell = B / d on the eigenspace, f is taken in integers as the
-        charpoly of B without the factors (x - d(1 + ell^(k-1))), and f(B)
-        has the kernel of f(T_ell).
+        Boundary eigensystems have a_ell = 1 + ell^(k-1), which no cuspidal
+        system can attain.  With T_ell = B / d on the eigenspace, the
+        charpoly of B is f (x - eis)^m for eis = d(1 + ell^(k-1)) and f
+        prime to x - eis, so the cuspidal part, the kernel of f(B), is the
+        image of (B - eis)^m, spanned by its columns; for m = 0 it is the
+        whole eigenspace.  Its basis is the one `linalg.kernel_basis` gives,
+        1 at a free column and 0 at the others: the reduced echelon basis
+        with the columns read in reverse order, which is unique.
         """
         basis = self.sign_subspace(sign)
         rows, den = basis
@@ -403,13 +417,21 @@ class ManinSymbolSpace:
         B, d = self._restrict_operator("T%d" % ell, basis)
         f = [c.numerator for c in linalg.charpoly_rational(B)]
         eis = d * (1 + ell ** (self.k - 1))
+        # the rows of (B - eis)^m transposed are the columns of the power
+        shifted = [[x - eis if r == c else x for r, x in enumerate(col)]
+                   for c, col in enumerate(zip(*B))]
+        span = None
         while len(f) > 1:
-            quo, rem = _divide_by_root(f, eis)
+            f, rem = _divide_by_root(f, eis)
             if rem:
                 break
-            f = quo
-        ker, kden = _integer_rows(
-            linalg.kernel_basis(_poly_of_matrix(f, B), len(rows), QQ))
+            span = shifted if span is None else [
+                [sum(map(mul, row, col)) for col in zip(*shifted)]
+                for row in span]
+        if span is None:
+            return basis
+        red, _ = linalg.rref([row[::-1] for row in span], QQ)
+        ker, kden = _integer_rows([v[::-1] for v in reversed(red)])
         return _lowest([_combine(y, rows) for y in ker], kden * den)
 
 
@@ -472,20 +494,6 @@ def _divide_by_root(f, r):
         out.append(acc)
     rem = out.pop()
     return out[::-1], rem
-
-
-def _poly_of_matrix(coeffs, mat):
-    """f(mat) for an integer polynomial f (lowest degree first) and an
-    integer matrix, by Horner's rule."""
-    cols = list(zip(*mat))
-    n = len(mat)
-    out = [[coeffs[-1] if r == c else 0 for c in range(n)] for r in range(n)]
-    for ci in reversed(coeffs[:-1]):
-        out = [[sum(x * y for x, y in zip(row, col)) for col in cols]
-               for row in out]
-        for r in range(n):
-            out[r][r] += ci
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +586,9 @@ class Eigensymbol:
         for integer N_j.  Solving H N_0 = sum u_j N_j, H = D * T_ell, gives
         T_ell v = sum u_j f_j / (D f_0) S^j v, so T_ell = sum of these
         multiples of S^j on the cuspidal subspace (v is cyclic), and a_ell
-        is the same sum at the eigenvalue z of S.  u depends only on the
+        is the same sum at the eigenvalue z of S: z^j is the power-basis
+        vector y^j, so a_ell has power-basis coefficients u_j f_j / (D f_0),
+        reduced modulo the minimal polynomial.  u depends only on the
         splitting, so it is solved once per operator and shared by every
         class of the splitting.
         """
@@ -588,15 +598,13 @@ class Eigensymbol:
         sp = self._splitting
         space = self.space
         op = ("U%d" if space.M % ell == 0 else "T%d") % ell
-        (N0, f0), z = sp["krylov"][0], self.field.gen()
+        N0, f0 = sp["krylov"][0]
         u = sp["coords"].get(op)
         if u is None:
             u = sp["coords"][op] = _subspace_coords(
                 sp["krylov_rows"], linalg.mat_vec(space.hecke_matrix(op), N0))
-        acc = self.field.zero()
-        for c, (_, f) in zip(reversed(u), reversed(sp["krylov"])):
-            acc = acc * z + self.field.from_rational(
-                c * Fraction(f, space.denominator * f0))
+        acc = self.field.element([c * Fraction(f, space.denominator * f0)
+                                  for c, (_, f) in zip(u, sp["krylov"])])
         self._eigenvalues[ell] = acc
         return acc
 
@@ -639,7 +647,8 @@ def cuspidal_eigensymbols(space, sign):
     eigenclass off by synthetic division of the characteristic polynomial
     in the Krylov basis of v, all in integers.  The charpoly of S is
     integral, a Hecke operator preserving the integral symbols, and is
-    read off the integer charpoly g of B as g_i / d^(n-i).
+    read off the integer charpoly g of B as g_i / d^(n-i).  Each charpoly
+    is factored once per space: the other sign's may be the same.
     """
     basis = space.cuspidal_subspace(sign)
     if not basis[0]:
@@ -665,10 +674,13 @@ def cuspidal_eigensymbols(space, sign):
             q, r = divmod(c.numerator, d ** (ds - i))
             assert r == 0
             charpoly.append(q)
-        try:
-            factors = padic.factor_monic_int(charpoly)
-        except ValueError:  # not squarefree
-            continue
+        factors = space._factor_cache.get(tuple(charpoly))
+        if factors is None:
+            try:
+                factors = padic.factor_monic_int(charpoly)
+            except ValueError:  # not squarefree
+                continue
+            space._factor_cache[tuple(charpoly)] = factors
         krylov = _cyclic_krylov_basis(smat, d)
         if krylov is None:
             continue
@@ -749,12 +761,17 @@ class NormalizedSymbol:
 
     The scale is 1/w for the exact value w of the eigenclass that attains
     the minimum valuation at the embedding; content_certificate records
-    its (coset, monomial) pair.  The witness is found by embedding each
-    exact coset value once.  The scale is kept as an integer
-    multiplication matrix over a denominator, shared per eigenclass by
-    every prime and precision with the same witness
-    (`Eigensymbol.witness_scale`), and every value and
-    Mazur-Tate coefficient is `embed` of an exact integer vector: one
+    its (coset, monomial) pair: the first value, in coset and monomial
+    order, of least certified valuation.  When p does not divide the
+    space's denominator D, every value is a sum of coordinates times n / d
+    with d | D, so none lies below the least valuation of the coordinates
+    (a coordinate vanishing to its precision counting as that precision):
+    the coordinates are embedded first, and the scan stops at the first
+    value on that floor, building no value past it; when p | D it embeds
+    every value.  The scale is kept as an integer multiplication matrix
+    over a denominator, shared per eigenclass by every prime and precision
+    with the same witness (`Eigensymbol.witness_scale`), and every value
+    and Mazur-Tate coefficient is `embed` of an exact integer vector: one
     embedding of scale * exact, at precision M - v_p(its denominator).
     A vector known only mod p^digits, digits = M + v_p(the denominator),
     embeds to the same vector, shift and precision, so the scale matrix
@@ -766,12 +783,22 @@ class NormalizedSymbol:
         self.embedding = embedding
         self.space = eigensymbol.space
         den = eigensymbol.denominator
+        floor = None
+        if self.space.denominator % embedding.p:
+            E = den // self.space.denominator
+            coords = (embedding.local_ints(nums, E)
+                      for nums in filter(any, eigensymbol.numerators))
+            floor = min((x.prec if x.is_zero_to_precision() else x.valuation()
+                         for x in coords), default=None)
         best = None
-        for A in range(len(self.space.plist)):
-            for j, x in enumerate(eigensymbol.exact_value(A)):
-                val = embedding.local_ints(x, den).certified_valuation()
-                if val is not None and (best is None or val < best[0]):
-                    best = (val, A, j)
+        values = ((A, j, x) for A in range(len(self.space.plist))
+                  for j, x in enumerate(eigensymbol.exact_value(A)))
+        for A, j, x in values:
+            val = embedding.local_ints(x, den).certified_valuation()
+            if val is not None and (best is None or val < best[0]):
+                best = (val, A, j)
+                if floor is not None and val <= floor:
+                    break
         if best is None:
             raise PrecisionExhausted(
                 "every value vanishes to the working precision; "

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from mtlab import analysis, cli, mazurtate, modsym, padic, verify
+from mtlab import analysis, cli, linalg, mazurtate, modsym, padic, verify
 from mtlab.errors import OutOfBudget, PrecisionExhausted
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -454,6 +454,49 @@ def test_mu_min_embeds_few_values(tmp_path, monkeypatch):
         out = tmp_path / ("r%d.json" % run)
         assert cli.main(argv + ["--out", str(out)]) == code
     assert calls[0] == calls[1] <= 240
+
+
+def test_mu_min_splits_and_normalizes_at_the_cost_of_the_data(tmp_path,
+                                                             monkeypatch):
+    """Per run of mu-min 23/6/3, both signs: the ten normalizations embed
+    at most 300 values (the full witness scan embedded 1,200), the same
+    number on every run; the two signs' equal charpolys are factored once;
+    and at most 12 eliminations run (19 when each restriction was one)."""
+    inside, calls = [], []
+    normalize, local_ints = modsym.normalize, padic.PAdicEmbedding.local_ints
+    factor, rref = padic.factor_monic_int, linalg.rref
+
+    def counted_normalize(*args):
+        inside.append(True)
+        try:
+            return normalize(*args)
+        finally:
+            inside.pop()
+
+    def counted(key, func):
+        def wrapper(*args):
+            calls[-1][key] += 1
+            return func(*args)
+        return wrapper
+
+    def counted_local_ints(self, nums, den):
+        if inside:
+            calls[-1]["local_ints"] += 1
+        return local_ints(self, nums, den)
+
+    monkeypatch.setattr(modsym, "normalize", counted_normalize)
+    monkeypatch.setattr(padic.PAdicEmbedding, "local_ints", counted_local_ints)
+    monkeypatch.setattr(padic, "factor_monic_int", counted("factor", factor))
+    monkeypatch.setattr(linalg, "rref", counted("rref", rref))
+    argv, code = CASES["mu-min-23-6-3"]
+    for run in range(2):
+        calls.append({"local_ints": 0, "factor": 0, "rref": 0})
+        out = tmp_path / ("r%d.json" % run)
+        assert cli.main(argv + ["--out", str(out)]) == code
+    assert calls[0] == calls[1]
+    assert calls[0]["local_ints"] <= 300
+    assert calls[0]["factor"] == 1
+    assert calls[0]["rref"] <= 12
 
 
 def test_each_local_element_finds_its_valuation_once(tmp_path, monkeypatch):

@@ -745,6 +745,137 @@ def fraction_vectors(basis):
     return [[Fraction(x, den) for x in row] for row in rows]
 
 
+# -- the elimination references of the splitting -----------------------------
+
+def poly_of_matrix(coeffs, mat):
+    """f(mat) for an integer polynomial f (lowest degree first) and an
+    integer matrix, by Horner's rule."""
+    cols = list(zip(*mat))
+    n = len(mat)
+    out = [[coeffs[-1] if r == c else 0 for c in range(n)] for r in range(n)]
+    for ci in reversed(coeffs[:-1]):
+        out = [[sum(x * y for x, y in zip(row, col)) for col in cols]
+               for row in out]
+        for r in range(n):
+            out[r][r] += ci
+    return out
+
+
+def reference_restrict_operator(space, op, basis):
+    """(B, d) of an operator on the span of a basis (rows, den) by one rref
+    of [rows | H rows] as columns, H = D * op: the images lie in the span
+    exactly when the pivots are the basis columns, and column len(rows) + j
+    of the reduced rows then holds D times the coordinates of image j."""
+    rows, _ = basis
+    nb = len(rows)
+    H = space.hecke_matrix(op)
+    images = [linalg.mat_vec(H, v) for v in rows]
+    red, pivots = linalg.rref([list(r) for r in zip(*rows, *images)], QQ)
+    if pivots != list(range(nb)):
+        raise InvalidOperator("%s does not preserve the subspace" % op)
+    return modsym._integer_rows([row[nb:] for row in red], space.denominator)
+
+
+def reference_cuspidal_subspace(space, sign):
+    """(basis, m): the kernel of f(B) for T_ell = B / d on the sign
+    eigenspace, f its charpoly with the m factors x - d(1 + ell^(k-1))
+    removed, in `linalg.kernel_basis` form."""
+    basis = space.sign_subspace(sign)
+    rows, den = basis
+    ell = next(space.good_primes())
+    B, d = reference_restrict_operator(space, "T%d" % ell, basis)
+    f = [c.numerator for c in linalg.charpoly_rational(B)]
+    eis = d * (1 + ell ** (space.k - 1))
+    m = 0
+    while len(f) > 1:
+        quo, rem = modsym._divide_by_root(f, eis)
+        if rem:
+            break
+        f, m = quo, m + 1
+    ker, kden = modsym._integer_rows(
+        linalg.kernel_basis(poly_of_matrix(f, B), len(rows), QQ))
+    return modsym._lowest([modsym._combine(y, rows) for y in ker],
+                          kden * den), m
+
+
+# (N, k) -> the multiplicity m of the boundary eigenvalue of T_ell on the
+# plus and the minus eigenspace; 45/2 does not split (SplittingFailure)
+SPLIT_CASES = {(11, 2): (1, 0), (17, 2): (1, 0), (21, 2): (3, 0),
+               (14, 4): (4, 0), (22, 4): (4, 0), (11, 4): (2, 0),
+               (23, 6): (2, 0), (11, 8): (2, 0), (37, 2): (1, 0),
+               (45, 2): (5, 0)}
+
+
+@pytest.mark.parametrize("N,k", sorted(SPLIT_CASES))
+def test_splitting_matches_the_elimination_references(N, k):
+    space = ManinSymbolSpace(N, k)
+    ell = "T%d" % next(space.good_primes())
+    tried = sorted({op for combo in modsym._splitting_candidates(space)
+                    for op, _ in combo})
+    for sign, m in zip((1, -1), SPLIT_CASES[N, k]):
+        basis = space.sign_subspace(sign)
+        assert space._restrict_operator(ell, basis) == \
+            reference_restrict_operator(space, ell, basis)
+        cusp, got_m = reference_cuspidal_subspace(space, sign)
+        assert got_m == m
+        assert space.cuspidal_subspace(sign) == cusp
+        for op in tried:
+            assert space._restrict_operator(op, cusp) == \
+                reference_restrict_operator(space, op, cusp), (sign, op)
+
+
+def test_restrict_operator_needs_unit_columns():
+    space = ManinSymbolSpace(11, 4)
+    rows, den = space.sign_subspace(1)
+    # the same span with every row plus the sum of all: no row is alone
+    # in any column
+    total = [sum(col) for col in zip(*rows)]
+    mixed = [[a + b for a, b in zip(row, total)] for row in rows]
+    assert len(mixed) > 2
+    assert all(sum(1 for x in col if x) != 1 for col in zip(*mixed))
+    assert linalg.rank(mixed, QQ) == len(rows)
+    with pytest.raises(ValueError):
+        space._restrict_operator("T2", (mixed, den))
+
+
+def test_restrict_operator_is_right_or_refuses():
+    # random bases of the plus space, half of them moved off it by a minus
+    # vector (and half of those echelonized): the restriction equals the
+    # elimination's, raises InvalidOperator with it, or raises ValueError
+    # for want of unit columns; it never returns a wrong matrix
+    rng = random.Random(19)
+    space = ManinSymbolSpace(11, 4)
+    plus, _ = space.sign_subspace(1)
+    minus, _ = space.sign_subspace(-1)
+    outcomes = set()
+    for trial in range(60):
+        rows = [[c * x for x in row]
+                for c, row in zip(rng.choices((1, -2, 3), k=len(plus)), plus)]
+        for _ in range(rng.randrange(3)):
+            i, j = rng.sample(range(len(rows)), 2)
+            rows[i] = [a + rng.randrange(1, 4) * b
+                       for a, b in zip(rows[i], rows[j])]
+        if trial % 2:
+            i = rng.randrange(len(rows))
+            rows[i] = [a + b for a, b in zip(rows[i], minus[0])]
+        basis = modsym._lowest(rows, rng.randrange(1, 5))
+        if trial % 4 == 3:  # an echelon basis has unit columns at its pivots
+            basis = modsym._integer_rows(linalg.rref(rows, QQ)[0])
+        for op in ("iota", "T2"):
+            try:
+                want = reference_restrict_operator(space, op, basis)
+            except InvalidOperator:
+                want = InvalidOperator
+            try:
+                got = space._restrict_operator(op, basis)
+            except (InvalidOperator, ValueError) as exc:
+                got = type(exc)
+            assert got == want or got is ValueError
+            outcomes.add(got if got in (InvalidOperator, ValueError)
+                         else "matrix")
+    assert outcomes == {"matrix", InvalidOperator, ValueError}
+
+
 def test_restrict_operator_on_invariant_subspace():
     space = ManinSymbolSpace(11, 4)
     plus = space.sign_subspace(1)
@@ -760,12 +891,14 @@ def test_restrict_operator_on_invariant_subspace():
 def test_restrict_operator_rejects_planted_subspace():
     space = ManinSymbolSpace(11, 4)
     # the plus space with a minus-space vector added to its last vector:
-    # iota sends that vector to one outside the span
+    # iota sends that vector to one outside the span; the span's reduced
+    # echelon basis has unit columns at its pivots
     plus = fraction_vectors(space.sign_subspace(1))
     minus = fraction_vectors(space.sign_subspace(-1))
     basis = plus[:-1] + [[a + b for a, b in zip(plus[-1], minus[0])]]
     images = [space.apply_operator_to_coords("iota", v) for v in basis]
     assert linalg.rank(basis + images, QQ) > len(basis)
+    basis, _ = linalg.rref(basis, QQ)
     with pytest.raises(InvalidOperator):
         space._restrict_operator("iota", modsym._integer_rows(basis))
 
@@ -870,8 +1003,23 @@ def test_exact_values_are_the_field_values():
                                      (23, 6, 3, 4), (11, 8, 3, 8),
                                      (11, 8, 3, 3), (13, 4, 3, 8),
                                      (37, 2, 3, 8), (29, 4, 5, 6)])
-def test_witness_matches_reference_scan(N, k, p, M):
+def test_witness_matches_reference_scan(N, k, p, M, monkeypatch):
+    # when p does not divide D the scan embeds the nonzero coordinates and
+    # the values up to the witness, or every value when none reaches the
+    # coordinates' floor; when p | D (11/8/3, 13/4/3) it embeds every value
+    embedded = []
+    local_ints = padic.PAdicEmbedding.local_ints
+
+    def counted(emb, nums, den):
+        embedded.append(den)
+        return local_ints(emb, nums, den)
+
+    stopped_late = False
     for f in eigenclasses(N, k):
+        space = f.space
+        size = space.g + 1
+        full = len(space.plist) * size
+        floor = space.denominator % p != 0
         for emb in padic.primes_above(f.field, p, M):
             try:
                 want = reference_witness(f, emb)
@@ -879,7 +1027,19 @@ def test_witness_matches_reference_scan(N, k, p, M):
                 with pytest.raises(PrecisionExhausted):
                     modsym.normalize(f, emb)
                 continue
-            assert modsym.normalize(f, emb).content_certificate == want
+            embedded.clear()
+            with monkeypatch.context() as m:
+                m.setattr(padic.PAdicEmbedding, "local_ints", counted)
+                A, j = modsym.normalize(f, emb).content_certificate
+            assert (A, j) == want
+            scanned = len(embedded) - floor * sum(map(any, f.numerators))
+            if floor and scanned == A * size + j + 1 < full:
+                stopped_late = stopped_late or A > 0
+            else:
+                assert scanned == full
+    if (N, k, p, M) == (23, 6, 3, 8):
+        # a witness past the first coset: the 22nd of the 120 values
+        assert stopped_late
 
 
 PATH_CASES = [(11, 2, 5), (23, 6, 3), (11, 8, 3)]
