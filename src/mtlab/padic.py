@@ -965,9 +965,11 @@ def primes_above(field, p, M):
     Factors that are irreducible mod p give unramified primes directly.
     A repeated factor phibar^m gives one prime when the phi-adic Newton
     polygon of its block is one segment of slope v/m in lowest terms;
-    any other block is factored completely in tame local models
-    (`tame._factor_block_tame`), and PrecisionTooLow is raised when that
-    fails.
+    any other block is lifted once more, to precision M + 2D + 12 with D
+    the valuation of its discriminant (read from Res(H, H') mod p^M when
+    that is nonzero), and factored completely in tame local models
+    (`tame._factor_block_tame`), whose roots a residual-polynomial search
+    finds digit by digit; PrecisionTooLow is raised when that fails.
     """
     if p == 2 or prime_divisors(p) != [p]:
         raise ValueError("p must be an odd prime")
@@ -990,23 +992,27 @@ def primes_above(field, p, M):
             embs.append(dict(local_factor=H, e=mult, residue_degree=d,
                              residue_modpoly=gbar))
             continue
-        # complete factorization of the block in tame local models
+        # Res(H, H') fixes D, the valuation of the block discriminant, at
+        # the first precision where it does not vanish, usually M itself
         from . import tame
+        res = polyq.resultant_int(H, polyq.derivative(H)) % p ** M
         B = M + 12
-        factors = None
         for _ in range(4):
+            if res:
+                break
             HB = _hensel_blocks([c % p ** B for c in field.minpoly],
                                 block_polys, p, B)[idx]
             res = polyq.resultant_int(HB, polyq.derivative(HB)) % p ** B
-            # the valuation of the block discriminant
-            D = _vp(res, p) if res else B
-            if B >= M + 2 * D + 12:
-                factors = tame._factor_block_tame(HB, gbar, mult, p, M, B, D)
-                break
-            B = M + 2 * D + 12
-        if factors is None:
+            if not res:
+                B = M + 2 * B + 12
+        if not res:
             raise PrecisionTooLow(
                 "local block discriminant too deep at precision %d" % B)
+        D = _vp(res, p)
+        B = max(B, M + 2 * D + 12)
+        HB = _hensel_blocks([c % p ** B for c in field.minpoly],
+                            block_polys, p, B)[idx]
+        factors = tame._factor_block_tame(HB, gbar, mult, p, M, B, D)
         for G, e, fdeg, rbar, gen in factors:
             embs.append(dict(local_factor=G, e=e, residue_degree=fdeg,
                              residue_modpoly=rbar, residue_gen=gen))

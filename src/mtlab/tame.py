@@ -4,10 +4,20 @@
 Newton polygon does not certify it irreducible.  Its roots are located in
 models U_F(pi), pi^E = c p, of tame local fields, and each factor is the
 minimal polynomial of a root; wild ramification raises PrecisionTooLow.
+
+The roots are searched in balls a + pi^k O, one residue digit at a time.
+At a node a of depth k the Taylor coefficients of H(a + z) give the
+residual polynomial rho of H(a + pi^k y) (the second-order step of
+Guardia-Montes-Nart): a child a + d pi^k can hold a root only when
+rho(d) = 0, so only those children are Taylor-shifted and tested against
+their Newton polygon.  A ball where v(H(a)) > 2 v(H'(a)) holds one root,
+which Newton's method finds; roots are handed out as they are found, so
+the search stops once the block is factored.  Valuations are ints in units
+of v(pi) = 1/E.
 """
 
-from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from . import padic, polyq
 from .errors import PrecisionTooLow
@@ -51,6 +61,7 @@ class _TameModel:
         self.residues = padic.FF(p, self.u)
         self.c = self._teich(polyq.trim([r % p for r in cres]))
         self.cinv = self.inv_unit([self.c] + [[]] * (E - 1))[0]
+        self._cbar_inv = self.residues.element(self.cinv)
 
     # -- coefficient ring S = (Z/p^B)[t]/(u) ------------------------------
 
@@ -74,7 +85,10 @@ class _TameModel:
     def _teich(self, res):
         x = list(res)
         for _ in range(self.B + 1):
-            x = self._s_pow(x, self.p ** self.F)
+            y = self._s_pow(x, self.p ** self.F)
+            if y == x:
+                break
+            x = y
         return x
 
     # -- elements: lists of E coefficient polynomials ----------------------
@@ -128,15 +142,25 @@ class _TameModel:
         return x[1:] + [tail]
 
     def val(self, x):
+        """E v(x), an int: the valuation in units of v(pi); None for 0."""
         best = None
         for i, a in enumerate(x):
             v = self._s_vp(a)
             if v is None:
                 continue
-            cand = Fraction(i, self.E) + v
+            cand = i + self.E * v
             if best is None or cand < best:
                 best = cand
         return best
+
+    def lead(self, x, n):
+        """The residue of x / pi^n in the residue field, for n = val(x)
+        below E B: with n = i + E v, x is a pi^i + O(pi^(n+1)) with a
+        divisible by p^v, and p^v = c^-v pi^(E v)."""
+        v, i = divmod(n, self.E)
+        pv = self.p ** v
+        return self.residues.element([a // pv for a in x[i]]) \
+            * self._cbar_inv ** v
 
     def eval_poly(self, coeffs, x):
         acc = self.zero()
@@ -146,15 +170,23 @@ class _TameModel:
         return acc
 
     def inv_unit(self, x):
-        """The inverse of a unit x by Newton's iteration y -> y (2 - x y),
-        from the inverse of its residue."""
-        y = self.from_res(self.residues.element(x[0]).inverse().coeffs)
-        steps = 1
-        while (1 << steps) < (self.B * self.E + 2):
-            steps += 1
+        """The inverse of a unit x, refined from the inverse of its
+        residue."""
+        return self.refine_inverse(
+            x, self.from_res(self.residues.element(x[0]).inverse().coeffs))
+
+    def refine_inverse(self, x, y):
+        """The inverse of the unit x by Newton's iteration y -> y (2 - x y)
+        from y, which doubles the digits of y that are right; from the
+        inverse of x's residue when y does not invert x mod pi."""
+        one = self.one()
+        xy = self.mul(x, y)
+        if self.val(self.sub(one, xy)) == 0:
+            return self.inv_unit(x)
         two = self.from_int(2)
-        for _ in range(steps + 1):
-            y = self.mul(y, self.sub(two, self.mul(x, y)))
+        while xy != one:
+            y = self.mul(y, self.sub(two, xy))
+            xy = self.mul(x, y)
         return y
 
     def flatten(self, x):
@@ -171,38 +203,35 @@ class _TameModel:
         return [self.flatten(y) for y in powers]
 
 
-def _tame_newton_root(H, dH, L, start):
-    x = start
-    last = None
+def _tame_newton_root(H, dH, L, x, fx, dfx):
+    """The limit of Newton's method for H from x, where H(x) = fx and
+    H'(x) = dfx, and the valuation of H there; each step refines the
+    previous step's inverse of the derivative's unit part."""
+    last = inv = None
     for _ in range(64):
-        fx = L.eval_poly(H, x)
         vfx = L.val(fx)
-        if vfx is None:
-            return x
-        if last is not None and vfx <= last:
-            return x
+        if vfx is None or (last is not None and vfx <= last):
+            return x, vfx
         last = vfx
-        dfx = L.eval_poly(dH, x)
-        vd = L.val(dfx)
-        if vd is None:
-            return x
-        j = int(vd * L.E)
+        if dfx is None:
+            dfx = L.eval_poly(dH, x)
+        j = L.val(dfx)
+        if j is None:
+            return x, vfx
         u = dfx
         for _ in range(j):
             u = L.div_pi(u)
             if u is None:
-                return x
-        w = L.mul(fx, L.inv_unit(u))
-        ok = True
+                return x, vfx
+        inv = L.inv_unit(u) if inv is None else L.refine_inverse(u, inv)
+        w = L.mul(fx, inv)
         for _ in range(j):
             w = L.div_pi(w)
             if w is None:
-                ok = False
-                break
-        if not ok:
-            return x
+                return x, vfx
         x = L.sub(x, w)
-    return x
+        fx, dfx = L.eval_poly(H, x), None
+    return x, L.val(fx)
 
 
 def _taylor_shift(L, H, b):
@@ -221,7 +250,7 @@ def _taylor_shift(L, H, b):
 
 
 def _ball_may_contain_root(L, tay, m):
-    """Newton polygon test: can H(b + z) vanish for some v(z) >= m?"""
+    """Newton polygon test: can H(b + z) vanish for some E v(z) >= m?"""
     v0 = L.val(tay[0])
     if v0 is None:
         return True
@@ -232,67 +261,88 @@ def _ball_may_contain_root(L, tay, m):
     return False
 
 
-def _roots_in_model(H, L, maxdepth, vmin=None):
-    """All roots of the (squarefree) integer polynomial H in the model L.
+def _residual_digits(L, tay, vals, k, digits):
+    """The digits d whose child a + d pi^k may hold a root of H: the roots
+    of the residual polynomial rho(y) of H(a + pi^k y), read from the
+    Taylor coefficients tay of H(a + z) and their valuations vals.
+
+    On the ball of a child with rho(d) != 0, E v(H) is the constant mu, so
+    no root lies there; when mu is not below E B every digit is kept.
+    """
+    mu = min(v + j * k for j, v in enumerate(vals) if v is not None)
+    if mu >= L.E * L.B:
+        return digits
+    rho = [L.lead(tay[j], v) if v is not None and v + j * k == mu
+           else None for j, v in enumerate(vals)]
+    kept = []
+    for d in digits:
+        acc = None
+        for c in reversed(rho):
+            if acc is not None:
+                acc = acc * d
+            if c is not None:
+                acc = c if acc is None else acc + c
+        if acc.is_zero():
+            kept.append(d)
+    return kept
+
+
+def _near(L, x, r, w):
+    """Whether x lies strictly inside the ball of radius w about r."""
+    v = L.val(L.sub(x, r))
+    return v is None or v > w
+
+
+def _roots_in_model(H, L, maxdepth, vmin, wanted=None):
+    """Yield the roots of the squarefree integer polynomial H in the model L.
 
     A Newton limit point is only accepted as a root when H vanishes on it
-    to valuation at least vmin (None means exact vanishing at the working
-    precision), which filters out stalled non-roots.
+    to valuation at least vmin (in units of v(pi)), which filters out
+    stalled non-roots.  wanted(), when given, is the factor of H whose
+    roots are still sought: a ball whose one root is not a root of it is
+    recorded without running Newton's method.
     """
     dH = polyq.derivative(H)
-    reps = [L.from_res(a.coeffs) for a in L.residues.elements()]
+    digits = list(L.residues.elements())
+    reps = {d: L.from_res(d.coeffs) for d in digits}
     pi_pow = L.one()
-    certified = []
+    balls = []    # (centre, radius w), each holding exactly one root of H
     start = L.zero()
     candidates = [(start, _taylor_shift(L, H, start))]
     for k in range(maxdepth + 1):
         nxt = []
         for a, tay in candidates:
             # no further root lies strictly inside the uniqueness radius of
-            # a certified root; a subtree contained in that ball (depth
-            # beyond the radius) can be dropped entirely
-            dropped = False
-            for r0, w0 in certified:
-                if Fraction(k, L.E) <= w0:
-                    continue
-                vd0 = L.val(L.sub(a, r0))
-                if vd0 is None or vd0 > w0:
-                    dropped = True
-                    break
-            if dropped:
+            # a known root; a subtree contained in that ball (depth beyond
+            # the radius) can be dropped entirely
+            if any(k > w0 and _near(L, a, r0, w0) for r0, w0 in balls):
                 continue
-            va = L.val(tay[0])
-            vda = L.val(tay[1]) if len(tay) > 1 else None
-            if va is None or (vda is not None and va > 2 * vda):
-                known = False
-                for r0, w0 in certified:
-                    vd0 = L.val(L.sub(a, r0))
-                    if vd0 is None or vd0 > w0:
-                        known = True
-                        break
-                if not known:
-                    r = _tame_newton_root(H, dH, L, a)
-                    vr = L.val(L.eval_poly(H, r))
-                    if vr is None or vmin is None or vr >= vmin:
-                        w = vda if vda is not None else Fraction(L.B)
-                        dup = False
-                        for r0, w0 in certified:
-                            vd0 = L.val(L.sub(r, r0))
-                            if vd0 is None or vd0 > max(w, w0):
-                                dup = True
-                                break
-                        if not dup:
-                            certified.append((r, w))
-            for rep in reps:
-                cand = L.add(a, L.mul(rep, pi_pow))
+            vals = [L.val(t) for t in tay]
+            va, vda = vals[0], vals[1]
+            if (va is None or (vda is not None and va > 2 * vda)) \
+                    and not any(_near(L, a, r0, w0) for r0, w0 in balls):
+                w = vda if vda is not None else L.E * L.B
+                R = wanted() if wanted is not None else H
+                # the Newton limit r has v(r - a) > w, so R(r) and R(a)
+                # agree in valuation when R(a) has valuation at most w
+                vq = L.val(L.eval_poly(R, a)) if R is not H else None
+                if vq is not None and vq < vmin and vq <= w:
+                    balls.append((a, w))
+                else:
+                    r, vr = _tame_newton_root(H, dH, L, a, tay[0], tay[1])
+                    if (vr is None or vr >= vmin) and not any(
+                            _near(L, r, r0, max(w, w0)) for r0, w0 in balls):
+                        balls.append((r, w))
+                        yield r
+            for d in _residual_digits(L, tay, vals, k, digits):
+                cand = L.add(a, L.mul(reps[d], pi_pow))
                 tc = _taylor_shift(L, H, cand)
-                if _ball_may_contain_root(L, tc, Fraction(k + 1, L.E)):
+                if _ball_may_contain_root(L, tc, k + 1):
                     nxt.append((cand, tc))
         candidates = nxt
         if not candidates:
             break
         pi_pow = L.mul_pi(pi_pow)
-    return [r for r, _ in certified]
 
 
 def _solve_mod_prime_power(cols, rhs, p, B):
@@ -410,8 +460,8 @@ def _block_segment_candidates(H, gbar, mult, p, B):
     hull = padic._newton_polygon(H, gbar, mult, p, p ** B)
     cands = set()
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        e0 = Fraction(y1 - y2, x2 - x1).denominator
         l = x2 - x1
+        e0 = l // gcd(y1 - y2, l)
         e = e0
         while e <= l:
             if e % p:
@@ -462,10 +512,6 @@ def _factor_block_tame(H, gbar, mult, p, M, B, D):
     blockdeg = d * mult
     pM = p ** M
     loss_max = max((B - M) // 2, 1)
-    # any point of a wrong model is within total root-distance D of the
-    # roots, so H evaluates there to valuation at most D; genuine Newton
-    # limits evaluate to valuation near B = M + 2D + 12
-    vmin = Fraction(D + 2)
     found = {}
     total = 0
     # found factors are divided out, so later models search a smaller
@@ -479,7 +525,14 @@ def _factor_block_tame(H, gbar, mult, p, M, B, D):
                 break
             L = _TameModel(p, B, e, f, c.coeffs)
             maxdepth = e * (2 * D + 6)
-            for theta in _roots_in_model(R, L, maxdepth, vmin):
+            # any point of a wrong model is within total root-distance D of
+            # the roots, so H evaluates there to valuation at most D;
+            # genuine Newton limits evaluate to valuation near
+            # B = M + 2D + 12
+            vmin = e * (D + 2)
+            # the quotient R is read as it shrinks: balls of the divided-out
+            # factors' roots are not Newton-iterated
+            for theta in _roots_in_model(R, L, maxdepth, vmin, lambda: R):
                 # conjugates of an already divided-out factor are no
                 # longer roots of the quotient
                 vt = L.val(L.eval_poly(R, theta))

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from mtlab import analysis, cli, linalg, mazurtate, modsym, padic, verify
+from mtlab import (analysis, cli, linalg, mazurtate, modsym, padic, tame,
+                   verify)
 from mtlab.errors import OutOfBudget, PrecisionExhausted
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -497,6 +498,39 @@ def test_mu_min_splits_and_normalizes_at_the_cost_of_the_data(tmp_path,
     assert calls[0]["local_ints"] <= 300
     assert calls[0]["factor"] == 1
     assert calls[0]["rref"] <= 12
+
+
+def test_tame_block_is_factored_at_the_cost_of_its_roots(tmp_path,
+                                                        monkeypatch):
+    """Per run of mu-min 23/6/3, both signs: the sextic's block
+    (x^2 + 2x + 2)^2 mod 3 is factored once, with at most 12 Taylor shifts
+    (55 when every residue digit was shifted), at most 4 Newton runs and
+    at most 6 unit inversions (20 when every Newton step inverted afresh),
+    the same numbers on every run."""
+    calls = []
+
+    def counted(key, func):
+        def wrapper(*args):
+            calls[-1][key] += 1
+            return func(*args)
+        return wrapper
+
+    for key, name in (("factor", "_factor_block_tame"),
+                      ("shift", "_taylor_shift"),
+                      ("newton", "_tame_newton_root")):
+        monkeypatch.setattr(tame, name, counted(key, getattr(tame, name)))
+    monkeypatch.setattr(tame._TameModel, "inv_unit",
+                        counted("inv", tame._TameModel.inv_unit))
+    argv, code = CASES["mu-min-23-6-3"]
+    for run in range(2):
+        calls.append({"factor": 0, "shift": 0, "newton": 0, "inv": 0})
+        out = tmp_path / ("r%d.json" % run)
+        assert cli.main(argv + ["--out", str(out)]) == code
+    assert calls[0] == calls[1]
+    assert calls[0]["factor"] == 1
+    assert calls[0]["shift"] <= 12
+    assert calls[0]["newton"] <= 4
+    assert calls[0]["inv"] <= 6
 
 
 def test_each_local_element_finds_its_valuation_once(tmp_path, monkeypatch):
