@@ -73,6 +73,8 @@ class JobConfig:
             raise ConfigError("n_max must be at least 1")
         if self.M < 2:
             raise ConfigError("precision must be at least 2")
+        if self.r < 1:
+            raise ConfigError("r must be at least 1")
         if self.p is not None:
             if self.p == 2 or padic.prime_divisors(self.p) != [self.p]:
                 raise ConfigError("p must be an odd prime")

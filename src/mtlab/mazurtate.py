@@ -222,17 +222,6 @@ def exact_element(cls, p, n):
     return cls.elements[key]
 
 
-def mazur_tate(norm, n):
-    """The level-n element of a normalized symbol, built once per level and
-    kept on the symbol: each coefficient of its eigenclass's exact element
-    embedded once (`NormalizedSymbol.embed`)."""
-    if n not in norm._elements:
-        exact = exact_element(norm.eigensymbol, norm.embedding.p, n)
-        norm._elements[n] = FullGroupRingElement(
-            exact.p, n, {a: norm.embed(x) for a, x in exact.coeffs.items()})
-    return norm._elements[n]
-
-
 def twists(p, sign):
     """The i in 0 .. p-2 with (-1)^i = sign.
 

@@ -126,7 +126,7 @@ class ManinSymbolSpace:
             raise OutOfBudget("presentation has %d generators, cap is %d"
                               % (size, GENERATOR_CAP))
         self._plan_cache = {}
-        self._matrix_cache = {}
+        self._hecke_matrices = {}
         self._factor_cache = {}
         self._build()
 
@@ -330,7 +330,7 @@ class ManinSymbolSpace:
         Phi_op(A) = sum over the plan's (B, m) of m * values_basis[B]:
         an integer combination of integer rows.
         """
-        cached = self._matrix_cache.get(op)
+        cached = self._hecke_matrices.get(op)
         if cached is not None:
             return cached
         plan = self._plan(op, self._position_cosets)
@@ -347,7 +347,7 @@ class ManinSymbolSpace:
                         for k, n in terms:
                             acc[k] += scale * n
             mat.append(acc)
-        self._matrix_cache[op] = mat
+        self._hecke_matrices[op] = mat
         return mat
 
     # -- subspaces -----------------------------------------------------------
@@ -458,13 +458,13 @@ def _summed(acc):
             for B, ms in sorted(acc.items())]
 
 
-def _integer_rows(vectors, scale=1):
+def _integer_rows(vectors):
     """(rows, den) in lowest terms with integer rows / den equal to the
-    rational vectors divided by scale."""
+    rational vectors."""
     den = lcm(*(x.denominator for v in vectors for x in v))
     rows = [[x.numerator * (den // x.denominator) for x in v]
             for v in vectors]
-    return _lowest(rows, den * scale)
+    return _lowest(rows, den)
 
 
 def _lowest(rows, den):
@@ -522,7 +522,6 @@ class Eigensymbol:
         self.numerators = numerators
         self.denominator = E * space.denominator
         self._splitting = splitting
-        self._eigenvalues = {}
         self._exact_values = {}
         self._scales = {}
         self.elements = {}
@@ -592,9 +591,6 @@ class Eigensymbol:
         splitting, so it is solved once per operator and shared by every
         class of the splitting.
         """
-        cached = self._eigenvalues.get(ell)
-        if cached is not None:
-            return cached
         sp = self._splitting
         space = self.space
         op = ("U%d" if space.M % ell == 0 else "T%d") % ell
@@ -603,10 +599,8 @@ class Eigensymbol:
         if u is None:
             u = sp["coords"][op] = _subspace_coords(
                 sp["krylov_rows"], linalg.mat_vec(space.hecke_matrix(op), N0))
-        acc = self.field.element([c * Fraction(f, space.denominator * f0)
-                                  for c, (_, f) in zip(u, sp["krylov"])])
-        self._eigenvalues[ell] = acc
-        return acc
+        return self.field.element([c * Fraction(f, space.denominator * f0)
+                                   for c, (_, f) in zip(u, sp["krylov"])])
 
     def sort_key(self):
         return (self.field.degree, tuple(self.minpoly))
@@ -770,9 +764,10 @@ class NormalizedSymbol:
     value on that floor, building no value past it; when p | D it embeds
     every value.  The scale is kept as an integer multiplication matrix
     over a denominator, shared per eigenclass by every prime and precision
-    with the same witness (`Eigensymbol.witness_scale`), and every value
-    and Mazur-Tate coefficient is `embed` of an exact integer vector: one
-    embedding of scale * exact, at precision M - v_p(its denominator).
+    with the same witness (`Eigensymbol.witness_scale`).  A value, an
+    evaluation or a projected Mazur-Tate coefficient is read p-adically as
+    one embedding of scale * an exact integer vector (`embed`, `combine`),
+    at precision M - v_p(its denominator).
     A vector known only mod p^digits, digits = M + v_p(the denominator),
     embeds to the same vector, shift and precision, so the scale matrix
     and the weights of `combine` are reduced mod p^digits.
@@ -812,9 +807,7 @@ class NormalizedSymbol:
         self.modulus = q = embedding.p ** self.digits
         self._scale = [[m % q for m in row] for row in scale]
         self.content_certificate = (A, j)
-        self._values = {}
         self._scaled = {}
-        self._elements = {}
         self._thetas = {}
 
     @property
@@ -846,16 +839,6 @@ class NormalizedSymbol:
         q, g = self.modulus, self.space.g
         return self.combine(A, [pow(c, r, q) * pow(d, g - r, q)
                                 for r in range(g + 1)])
-
-    def value(self, A):
-        cached = self._values.get(A)
-        if cached is None:
-            cached = [self.embed(x) for x in self.eigensymbol.exact_value(A)]
-            self._values[A] = cached
-        return cached
-
-    def all_values(self):
-        return [self.value(A) for A in range(len(self.space.plist))]
 
 
 def normalize(eigensymbol, embedding):

@@ -695,10 +695,8 @@ class LocalElement:
     An embedded exact element thus has precision M - v_p(den), and exact
     values are embedded once each (`PAdicEmbedding.local_ints`), so that
     their digits do not pass through sums of truncated terms.  A product
-    x * y has precision min(prec(x) + v(y), prec(y) + v(x), M).  An int or
-    Fraction factor r is not embedded: it counts as exact to M - v_p(den r)
-    (the precision `PAdicEmbedding.local` would give it), so x * r has
-    exactly the vector, shift and precision of x * emb.local(r).
+    x * y has precision min(prec(x) + v(y), prec(y) + v(x), M); an int or
+    Fraction factor is embedded first (`PAdicEmbedding.local`).
     """
 
     __slots__ = ("emb", "vec", "shift", "prec", "_raw")
@@ -807,8 +805,6 @@ class LocalElement:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._mul_rational(other)
         other = self._coerce(other)
         emb = self.emb
         vec = polyq.rem_monic(polyq.mul(self.vec, other.vec),
@@ -823,37 +819,6 @@ class LocalElement:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def _mul_rational(self, r):
-        """self * r without embedding r; equal to self * emb.local(r).
-
-        With r = num / (p^t den'), p not dividing den', the factor is
-        u p^(-t) for u = num / den' mod p^M: the product is vec * u with
-        shift + t and precision min(prec + vb, M - t + va, M), where
-        va = v(self) and vb = v_p(u) - t (M when u = 0 mod p^M).
-        """
-        if r == 1:
-            return self
-        emb = self.emb
-        p, pM = emb.p, emb.pM
-        den = r.denominator
-        t = 0
-        while den % p == 0:
-            den //= p
-            t += 1
-        u = r.numerator * pow(den, -1, pM) % pM
-        vec = [c * u % pM for c in self.vec]
-        if u % p:
-            # vb = -t, and prec <= M - shift <= M + va, so the rule gives
-            # prec - t
-            return LocalElement(emb, vec, self.shift + t, self.prec - t)
-        # p divides u only when t = 0
-        big = emb.M
-        va = self._raw_valuation()
-        va = big if va is None else va - self.shift
-        vb = big if u == 0 else _vp(u, p)
-        prec = min(self.prec + vb, big + va, big)
-        return LocalElement(emb, vec, self.shift, prec)
 
     def inverse(self):
         emb = self.emb

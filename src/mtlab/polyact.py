@@ -2,22 +2,15 @@
 
 A polynomial is a coefficient list [b_0, ..., b_g] with b_j the coefficient
 of X^j Y^(g-j).  The action is (P|gamma)(X,Y) = P(dX - cY, -bX + aY) for
-gamma = (a, b; c, d).  Action matrices have integer entries and are cached
-by (gamma, g), so the same code serves rational, number-field, finite-field
-and local coefficients.
+gamma = (a, b; c, d).  Action matrices have integer entries, so the same
+code serves rational, number-field, finite-field and local coefficients.
 """
 
 from math import comb
 
-_matrix_cache = {}
-
 
 def act_matrix(gamma, g):
     """Integer matrix m with (P|gamma)_i = sum_j m[i][j] P_j."""
-    key = (tuple(gamma[0]), tuple(gamma[1]), g)
-    cached = _matrix_cache.get(key)
-    if cached is not None:
-        return cached
     (a, b), (c, d) = gamma
     # column j: expand (dX - cY)^j (-bX + aY)^(g-j) in X^i Y^(g-i)
     cols = []
@@ -32,9 +25,8 @@ def act_matrix(gamma, g):
             for i2, w in enumerate(second):
                 col[i1 + i2] += u * w
         cols.append(col)
-    m = tuple(tuple(cols[j][i] for j in range(g + 1)) for i in range(g + 1))
-    _matrix_cache[key] = m
-    return m
+    return tuple(tuple(cols[j][i] for j in range(g + 1))
+                 for i in range(g + 1))
 
 
 def act(coeffs, gamma):

@@ -178,10 +178,24 @@ def verify_congruence(f_norm, g_norm, n_max, mode):
         "all_passed": all(ok for _, _, ok in rows),
     }
 
+
 class OldspaceDecomposition(list):
     """Coordinates a_1..a_r in the basis of degeneracy images of g."""
 
     span_dimension = None
+
+
+def _degeneracy_images(cls, target, r):
+    """The values of phi|(r, 0; 0, 1) at the target level for an eigenclass
+    phi, in integers: Phi(A) as g + 1 integer vectors over cls.denominator,
+    mapped one coordinate of the exact values at a time."""
+    space = cls.space
+    images = [modsym.degeneracy_values(
+        space, target, r, [[x[t] for x in cls.exact_value(A)]
+                           for A in range(len(space.plist))])
+        for t in range(cls.field.degree)]
+    return [list(zip(*(img[A] for img in images)))
+            for A in range(len(target.plist))]
 
 
 def oldspace_decompose(f_norm, g_norm, r, target):
@@ -190,7 +204,8 @@ def oldspace_decompose(f_norm, g_norm, r, target):
     The alpha map evaluates the generator polynomials at the bottom rows
     of coset lifts and divides by an element of valuation mu_min(f); the
     result is expanded in the basis phi-bar_g | (p^t, 0; 0, 1), t = 1..r,
-    by linear algebra over the residue field.
+    by linear algebra over the residue field.  Each basis vector is the
+    reduction of the exact degeneracy image of g, embedded once per coset.
     """
     space = f_norm.space
     emb = f_norm.embedding
@@ -206,10 +221,9 @@ def oldspace_decompose(f_norm, g_norm, r, target):
     hom = homs[0]
     size = len(target.plist)
     basis = []
-    gvals = g_norm.all_values()
     for t in range(1, r + 1):
-        img = modsym.degeneracy_values(g_norm.space, target, p ** t, gvals)
-        basis.append([_apply_hom(img[A][0].reduce(), hom, F)
+        img = _degeneracy_images(g_norm.eigensymbol, target, p ** t)
+        basis.append([_apply_hom(g_norm.embed(img[A][0]).reduce(), hom, F)
                       for A in range(size)])
     _, witness = _mu_min_witness(f_norm)
     scale = witness.inverse()
@@ -228,6 +242,7 @@ def oldspace_decompose(f_norm, g_norm, r, target):
     out = OldspaceDecomposition(sol)
     out.span_dimension = span
     return out
+
 
 def verify_weight2_patterns(g_norm, n_max):
     """Pattern checks for a weight-2 symbol, routed on ord_p(a_p).
@@ -338,20 +353,13 @@ def _verify_degen(config):
     mazurtate.check_budget(p, config.n_max + 1)
     space = config.space()
     target = config.space(level=config.N * p)
-    cosets = range(len(space.plist))
     fulls = {}   # eigenclass -> its level-Np elements, for every prime
 
     def step(norm):
         cls = norm.eigensymbol
         pg = norm.embedding.local(p ** space.g)
         if cls not in fulls:
-            # phi|B_p in integers, one coordinate of the values at a time
-            images = [modsym.degeneracy_values(
-                space, target, p, [[x[t] for x in cls.exact_value(A)]
-                                   for A in cosets])
-                for t in range(cls.field.degree)]
-            vp = [list(zip(*(img[A] for img in images)))
-                  for A in range(len(target.plist))]
+            vp = _degeneracy_images(cls, target, p)
             fulls[cls] = [mazurtate.mazur_tate_values(
                 target, vp.__getitem__, p, n + 2)
                 for n in range(config.n_max)]
@@ -417,8 +425,9 @@ def _verify_alphastick(config):
         rows = []
         for n in range(1, config.n_max + 1):
             lhs = mazurtate.mazur_tate_values(target, avals.__getitem__, p, n)
-            rhs = mazurtate.mazur_tate(norm, n)
-            ok = all(norm.embed(x).reduce() == rhs.coeffs[a].reduce()
+            rhs = mazurtate.exact_element(norm.eigensymbol, p, n)
+            ok = all(norm.embed(x).reduce()
+                     == norm.embed(rhs.coeffs[a]).reduce()
                      for a, x in lhs.coeffs.items())
             rows.append({"n": n, "ok": bool(ok)})
         return rows
@@ -441,7 +450,7 @@ def _verify_congruence(config):
         rows = []
         for m, gnorm in _weight2_matches(config, norm, w2_classes):
             res = verify_congruence(norm, gnorm, config.n_max,
-                                             config.congruence_mode)
+                                    config.congruence_mode)
             rows.append({
                 "target": m.target_id,
                 "mode": res["mode"], "mu_min": cli._fmt(res["mu_min"]),
@@ -457,8 +466,7 @@ def _verify_congruence(config):
 def _verify_wt2_patterns(config):
     def step(norm):
         entries = []
-        for i, rep in verify_weight2_patterns(
-                norm, config.n_max).items():
+        for i, rep in verify_weight2_patterns(norm, config.n_max).items():
             entry = {"i": i, "branch": rep["branch"]}
             entry["rows"] = [
                 {"n": n, "i": i, "mu": cli._fmt(mu), "lambda": cli._fmt(lam),
@@ -494,8 +502,7 @@ def _verify_oldspace(config):
         rows = []
         for m, gnorm in _weight2_matches(config, norm, w2_classes):
             try:
-                dec = oldspace_decompose(norm, gnorm, config.r,
-                                                  target)
+                dec = oldspace_decompose(norm, gnorm, config.r, target)
             except NotInSpan as exc:
                 rows.append({"target": m.target_id, "ok": False,
                              "span_dimension": exc.span_dimension,

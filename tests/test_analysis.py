@@ -7,6 +7,7 @@ import pytest
 
 from mtlab import analysis, mazurtate, modsym, padic, verify
 from mtlab.errors import OutOfBudget, PrecisionExhausted
+from test_modsym import embedded_element
 
 
 def normalized(level, weight, p, M=8):
@@ -31,7 +32,7 @@ def count_local(monkeypatch):
 def test_mazur_tate_element_embeds_nothing(monkeypatch):
     norm = normalized(11, 2, 5)
     calls = count_local(monkeypatch)
-    theta = mazurtate.mazur_tate(norm, 3)
+    theta = embedded_element(norm, 3)
     assert len(theta.coeffs) == 100
     assert calls == []
 

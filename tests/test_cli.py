@@ -353,6 +353,39 @@ def test_bad_verify_mode_fails_before_any_space(mode, capsys, monkeypatch):
     assert built == []
 
 
+def _module_state():
+    """The size of every module-level dict, list and set of the loaded
+    mtlab modules."""
+    return {(name, attr): len(value)
+            for name, module in sorted(sys.modules.items())
+            if name.startswith("mtlab.")
+            for attr, value in vars(module).items()
+            if not attr.startswith("__")
+            and isinstance(value, (dict, list, set))}
+
+
+def test_a_job_leaves_no_module_level_state(tmp_path):
+    # every memo is scoped to a space, class, symbol or job; 7/10/3 is a
+    # space no other test builds, so no memo could hold it already
+    before = _module_state()
+    argv = ["invariants", "--level", "7", "--weight", "10", "--p", "3",
+            "--nmax", "1", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert _module_state() == before
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_r_must_be_positive(r, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(modsym, "ManinSymbolSpace",
+                        lambda *args: built.append(args))
+    argv = ["verify", "--mode", "oldspace", "--level", "11", "--weight", "4",
+            "--p", "3", "--r", str(r)]
+    assert cli.main(argv) == cli.EXIT_CONSTRUCTION
+    assert capsys.readouterr().err == "error: r must be at least 1\n"
+    assert built == []
+
+
 @pytest.mark.parametrize("mode,want", [("congruence", "lowslope"),
                                        ("congruence:lowslope", "lowslope"),
                                        ("congruence:medweight", "medweight")])

@@ -19,7 +19,6 @@ from mtlab.mazurtate import (
     invariants,
     lambda_invariant,
     lp_approx,
-    mazur_tate,
     mazur_tate_values,
     mu_invariant,
     nu_corestrict,
@@ -30,7 +29,13 @@ from mtlab.mazurtate import (
     stabilized_theta,
     theta_element,
 )
-from test_modsym import all_values, apply_operator_to_values, path_value
+from test_modsym import (
+    all_values,
+    apply_operator_to_values,
+    embedded_element,
+    embedded_values,
+    path_value,
+)
 from test_padic import make_field, with_precision
 
 QQ = make_field([0, 1])
@@ -533,7 +538,7 @@ def norm11_5(f11):
 
 def test_full_element_coefficient_symmetry(norm11_5):
     # c_{-a} = (sign) c_a; the fixture is a plus symbol
-    th = mazur_tate(norm11_5, 2)
+    th = embedded_element(norm11_5, 2)
     pn = 25
     for a, c in th.coeffs.items():
         assert (c - th.coeffs[pn - a]).is_zero_to_precision()
@@ -777,7 +782,7 @@ def test_exact_elements_are_kept_per_prime(f11):
     # the norm11_5 fixture or built here) are not reused at p = 3
     for p in (5, 3):
         norm = modsym.normalize(f11, padic.primes_above(f11.field, p, 8)[0])
-        theta = mazur_tate(norm, 1)
+        theta = embedded_element(norm, 1)
         assert list(theta.coeffs) == list(range(1, p))
         assert mazurtate.exact_element(f11, p, 1).p == p
 
@@ -831,7 +836,7 @@ def reference_theta(norm, n, i):
     """theta_{n,i} as the projection of the embedded level-(n+1) element:
     one embedding per unit, Teichmuller factors mod p^M, and the sums in
     LocalElement arithmetic."""
-    return local_omega_decompose(mazur_tate(norm, n + 1), i)
+    return local_omega_decompose(embedded_element(norm, n + 1), i)
 
 
 def each_theta(norm, nmax=2):
@@ -882,7 +887,7 @@ def stabilized_values(norm, alpha, target):
     level Np: the degeneracy images of the embedded values, summed in
     LocalElement arithmetic."""
     space, p = norm.space, norm.embedding.p
-    vals = norm.all_values()
+    vals = embedded_values(norm)
     v1 = modsym.degeneracy_values(space, target, 1, vals)
     vp = modsym.degeneracy_values(space, target, p, vals)
     ainv = alpha.inverse()
@@ -1020,9 +1025,10 @@ def test_lemma_alphastick():
     target = modsym.ManinSymbolSpace(55, 2)
     avals = modsym.alpha_map(norm, target)
     lhs = mazur_tate_values(target, lambda A: avals[A], 5, 1)
-    rhs = mazur_tate(norm, 1)
+    rhs = exact_element(f, 5, 1)
     for a in lhs.coeffs:
-        assert norm.embed(lhs.coeffs[a]).reduce() == rhs.coeffs[a].reduce()
+        assert norm.embed(lhs.coeffs[a]).reduce() == \
+            norm.embed(rhs.coeffs[a]).reduce()
 
 
 # -- serialization ----------------------------------------------------------------
@@ -1063,6 +1069,6 @@ def test_element_to_json(norm11_5):
 
 
 def test_full_element_to_json(norm11_5):
-    data = element_to_json(mazur_tate(norm11_5, 1))
+    data = element_to_json(embedded_element(norm11_5, 1))
     assert data["group"] == "full"
     assert len(data["coeffs"]) == 4
