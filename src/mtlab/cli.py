@@ -10,9 +10,9 @@ sign -> eigenclass -> prime above p -> precision ladder -> the command's
 own step on the normalized symbol.  The identity checks are in `verify`,
 which only the verify command imports, so no other job compiles them.
 
-Exit codes: 0 success, 1 construction or configuration failure, 2 some
-row could not be certified at the working precision, 3 a verified
-identity failed.
+Exit codes: 0 success, 1 construction or configuration failure (a
+malformed command line included), 2 some row could not be certified at the
+working precision, 3 a verified identity failed.
 """
 
 import argparse
@@ -135,8 +135,6 @@ def _fmt(x):
     """Deterministic string form of a report scalar."""
     if x is None:
         return ""
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, padic.FFElement):
         return "+".join("%d*t^%d" % (c, j)
                         for j, c in enumerate(x.coeffs)) or "0"
@@ -209,6 +207,11 @@ def _each(step):
     return lambda norm: (step(norm), True)
 
 
+def _field_strings(nums, den):
+    """The power-basis coefficients of nums / den as reduced fractions."""
+    return [str(Fraction(c, den)) for c in nums]
+
+
 def cmd_eigenforms(config):
     ells = padic.primes_up_to(config.ell_max)
     out = []
@@ -219,8 +222,7 @@ def cmd_eigenforms(config):
             "degree": cls.field.degree,
             "minpoly": [str(c) for c in cls.field.minpoly],
             "eigenvalues": {
-                str(ell): [str(c) for c in cls.a(ell).coeffs]
-                for ell in ells},
+                str(ell): _field_strings(*cls.a(ell)) for ell in ells},
         })
     rows = [(e["id"], e["sign"], e["degree"], ";".join(e["minpoly"]))
             for e in out]
@@ -339,8 +341,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 1, not argparse's 2 (an uncertified row)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONSTRUCTION, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mtlab",
         description="Mazur-Tate elements and finite-level Iwasawa "
                     "invariants of modular eigensymbols")

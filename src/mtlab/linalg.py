@@ -7,12 +7,12 @@ int or Fraction) elimination is fraction-free: each row is cleared of
 denominators once and kept as a primitive integer row, rows are combined by
 cross-multiplication (`sparse_rref`), and `rref` divides each by its pivot
 only when the result is written, as Fractions.  Other fields (the residue
-fields of `verify.oldspace_decompose`, number fields) run the same loop
-with field arithmetic.  Both eliminate on sparse rows, so the cost follows
-the nonzero entries: the Manin relation matrices are mostly zeros (2.9%
-nonzero at level 69, weight 6).  `solve` over Q is also how `padic` inverts
-number-field and local elements: one solve against the multiplication
-matrix.
+fields of `verify.oldspace_decompose`) run the same loop with field
+arithmetic.  Both eliminate on sparse rows, so the cost follows the nonzero
+entries: the Manin relation matrices are mostly zeros (2.9% nonzero at
+level 69, weight 6).  `solve` over Q is also how `padic` inverts the
+integer vector of a Hecke-field or local element: one solve against its
+multiplication matrix.
 
 Characteristic polynomials come from Berkowitz's division-free recurrence,
 as coefficient lists in increasing degree.

@@ -29,7 +29,6 @@ after a shift by p^mu, with no product, and its binomial transform is
 searched top digit first, never formed whole.
 """
 
-from fractions import Fraction
 from math import comb
 from operator import add, mul
 
@@ -431,16 +430,15 @@ def q_n(n, p):
 
 
 def unit_root(embedding, ap, k):
-    """The unit root of x^2 - a_p x + p^(k-1) by Newton iteration."""
+    """The unit root of x^2 - a_p x + p^(k-1) by Newton iteration, a_p
+    given as (nums, den)."""
     p = embedding.p
-    if ap.is_zero():
+    if not any(ap[0]):
         raise NotOrdinary("a_%d vanishes" % p)
-    if embedding.valuation(ap) != 0:
+    x = apl = embedding.local_ints(*ap)
+    if x.valuation() != 0:
         raise NotOrdinary("a_%d has positive valuation" % p)
-    pk = Fraction(p) ** (k - 1)
-    x = embedding.local(ap)
-    apl = embedding.local(ap)
-    c = embedding.local(pk)
+    c = embedding.local(p ** (k - 1))
     for _ in range(embedding.M + 2):
         fx = x * x - apl * x + c
         if fx.is_zero_to_precision(1):

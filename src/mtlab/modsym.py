@@ -42,8 +42,6 @@ normalized value is the embedding of one exact element, made once, so its
 certified digits are those of the exact value.
 """
 
-from fractions import Fraction
-from functools import cached_property
 from itertools import count, islice
 from math import gcd, lcm
 from operator import mul
@@ -316,12 +314,6 @@ class ManinSymbolSpace:
         return self._operator_plan(self, (((0, -1), (self.M, 0)),),
                                    tuple(cosets))
 
-    def apply_operator_to_coords(self, op, coords):
-        """Coordinates of phi|op, H coords / D for H = hecke_matrix(op)."""
-        scale = Fraction(1, self.denominator)
-        H = self.hecke_matrix(op)
-        return [x * scale for x in linalg.mat_vec(H, coords)]
-
     def hecke_matrix(self, op):
         """Integer matrix H of T_ell, U_q, iota or w_N in the free basis,
         built once: the operator's matrix is H / D, D = `denominator`.
@@ -507,9 +499,9 @@ class Eigensymbol:
     has power-basis coefficients numerators[j] / E in the field generated by
     the splitting element, E the least common denominator of the
     coordinates, and `exact_value(A)` gives Phi(A) as integer vectors over
-    `denominator` = E * D, D the space's denominator.  `coords` are the
-    coordinates as NFElements.  Eigenvalues a_ell are computed on demand by
-    solving in the Krylov basis of the splitting operator.  The exact
+    `denominator` = E * D, D the space's denominator.  Eigenvalues a_ell
+    are computed on demand by solving in the Krylov basis of the splitting
+    operator, and are integers over a denominator too.  The exact
     Mazur-Tate elements built from the class are kept in `elements`, keyed
     by (p, n), for every prime above p, precision and twist, and the scale
     of each normalization witness in `witness_scale`.
@@ -529,12 +521,6 @@ class Eigensymbol:
     @property
     def minpoly(self):
         return self._splitting["factor"]
-
-    @cached_property
-    def coords(self):
-        E = self.denominator // self.space.denominator
-        return [self.field.element([Fraction(c, E) for c in nums])
-                for nums in self.numerators]
 
     def exact_value(self, A):
         """Phi(A) as integer vectors over `denominator`, built once: row
@@ -567,19 +553,18 @@ class Eigensymbol:
 
     def witness_scale(self, A, j):
         """The multiplication matrix (m, den) of 1 / Phi(A)[j]
-        (`NFElement.multiplication_matrix`), built once per witness (A, j)
-        and shared by every prime and precision that picks it."""
+        (`NumberField.inverse_matrix`), built once per witness (A, j) and
+        shared by every prime and precision that picks it."""
         cached = self._scales.get((A, j))
         if cached is None:
-            witness = self.field.element(
-                [Fraction(c, self.denominator)
-                 for c in self.exact_value(A)[j]])
-            cached = witness.inverse().multiplication_matrix()
+            cached = self.field.inverse_matrix(self.exact_value(A)[j],
+                                               self.denominator)
             self._scales[A, j] = cached
         return cached
 
     def a(self, ell):
-        """Hecke eigenvalue a_ell (or the U_q eigenvalue for q | level).
+        """Hecke eigenvalue a_ell (or the U_q eigenvalue for q | level), as
+        (nums, den) in lowest terms (`NumberField.exact`).
 
         The Krylov vectors S^j v of the splitting operator S are N_j / f_j
         for integer N_j.  Solving H N_0 = sum u_j N_j, H = D * T_ell, gives
@@ -599,8 +584,11 @@ class Eigensymbol:
         if u is None:
             u = sp["coords"][op] = _subspace_coords(
                 sp["krylov_rows"], linalg.mat_vec(space.hecke_matrix(op), N0))
-        return self.field.element([c * Fraction(f, space.denominator * f0)
-                                   for c, (_, f) in zip(u, sp["krylov"])])
+        coeffs = [c * f for c, (_, f) in zip(u, sp["krylov"])]
+        den = lcm(*(c.denominator for c in coeffs))
+        return self.field.exact(
+            [c.numerator * (den // c.denominator) for c in coeffs],
+            den * space.denominator * f0)
 
     def sort_key(self):
         return (self.field.degree, tuple(self.minpoly))

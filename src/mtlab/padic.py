@@ -1,10 +1,12 @@
 """Number fields, primes above p, valuations, residue fields, Teichmuller lifts.
 
-A number field is Q[y]/(minpoly) with an exact Fraction-vector representation
-for its elements.  Products are reduced, and inverses solved, through the
-multiplication matrix of an element (`_power_columns`): column i holds
-y^i times the element, so an inverse is one fraction-free linear solve
-(`linalg.solve` over Q) and no polynomial is divided over Q.  A
+A number field is Q[y]/(minpoly), and an exact element of it is a pair
+(nums, den) of power-basis integers over one positive denominator, the form
+of every exact value in the program; `NumberField.exact` puts one in lowest
+terms.  Vectors are reduced modulo the minimal polynomial, and inverses
+solved, through the multiplication matrix of an element (`_power_columns`):
+column i holds y^i times the element, so an inverse is one fraction-free
+linear solve (`linalg.solve` over Q) and no polynomial is divided over Q.  A
 PAdicEmbedding fixes one irreducible p-adic factor of the minimal
 polynomial, Hensel-lifted to precision p^M, together with its ramification
 index e and residue degree f.  Valuations are exact rationals with
@@ -59,119 +61,39 @@ class NumberField:
         self.minpoly = tuple(coeffs)
         self.degree = len(coeffs) - 1
 
-    def __eq__(self, other):
-        return isinstance(other, NumberField) and self.minpoly == other.minpoly
-
-    def __hash__(self):
-        return hash(self.minpoly)
-
     def __repr__(self):
         return "NumberField(%s)" % (list(self.minpoly),)
 
-    def element(self, coeffs):
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            # y^k mod minpoly in column k
+    def exact(self, nums, den):
+        """The element sum nums[i] y^i / den, den > 0, as (nums, den) in
+        lowest terms with `degree` entries in nums.  A longer vector is
+        reduced modulo the minimal polynomial first, y^k being column k of
+        `_power_columns`."""
+        nums = list(nums)
+        if len(nums) > self.degree:
             powers = _power_columns([1] + [0] * (self.degree - 1),
-                                    self.minpoly, len(vec))
-            vec = [sum(map(mul, row, vec)) for row in zip(*powers)]
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return NFElement(self, tuple(vec))
+                                    self.minpoly, len(nums))
+            nums = [sum(map(mul, row, nums)) for row in zip(*powers)]
+        nums += [0] * (self.degree - len(nums))
+        g = gcd(den, *nums)
+        return [c // g for c in nums], den // g
 
-    def zero(self):
-        return self.element([])
-
-    def one(self):
-        return self.element([1])
-
-    def gen(self):
-        if self.degree == 1:
-            return self.element([-self.minpoly[0]])
-        return self.element([0, 1])
-
-    def from_rational(self, r):
-        return self.element([Fraction(r)])
-
-
-class NFElement:
-    """Element of a NumberField as a Fraction vector in the power basis."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        if isinstance(other, NFElement):
-            return self.field == other.field and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == self.field.from_rational(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.minpoly, self.coeffs))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return NFElement(self.field, tuple(a + b for a, b in
-                                           zip(self.coeffs, other.coeffs)))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return NFElement(self.field, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def _coerce(self, other):
-        if isinstance(other, NFElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields")
-            return other
-        return self.field.from_rational(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return NFElement(self.field, tuple(a * other for a in self.coeffs))
-        other = self._coerce(other)
-        return self.field.element(polyq.mul(self.coeffs, other.coeffs))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        inv = _inverse_mod(self.coeffs, self.field.minpoly)
+    def inverse_matrix(self, nums, den):
+        """(m, d) with m an integer matrix: for x = nums / den nonzero, the
+        power-basis coefficients of x^-1 * z are (m z) / d for those of z.
+        1 / x is den times the solve of `_inverse_mod` on nums, and d the
+        least common denominator of its coefficients.  The minimal
+        polynomial is monic and integral, so every column of
+        `_power_columns` stays integral over d."""
+        inv = _inverse_mod(nums, self.minpoly)
         if inv is None:
-            raise ReduciblePolynomial("minimal polynomial is not irreducible")
-        return NFElement(self.field, tuple(inv))
-
-    def multiplication_matrix(self):
-        """(m, den) with m an integer matrix: the power-basis coefficients
-        of self * x are (m x) / den for those of x.  The minimal polynomial
-        is monic and integral, so every column of `_power_columns` stays
-        integral over the denominator of self."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        cols = _power_columns([int(c * den) for c in self.coeffs],
-                              self.field.minpoly, self.field.degree)
-        return [list(row) for row in zip(*cols)], den
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __repr__(self):
-        return "NFElement(%s)" % (list(self.coeffs),)
+            raise ReduciblePolynomial("minimal polynomial is not irreducible "
+                                      "or the element is zero")
+        inv = [c * den for c in inv]
+        d = lcm(*(c.denominator for c in inv))
+        cols = _power_columns([c.numerator * (d // c.denominator)
+                               for c in inv], self.minpoly, self.degree)
+        return [list(row) for row in zip(*cols)], d
 
 
 def _power_columns(col, f, n):
@@ -634,23 +556,18 @@ class PAdicEmbedding:
 
     # -- embedding of exact elements -------------------------------------
 
-    def local(self, x):
-        """Embed an exact field element as a LocalElement."""
-        if isinstance(x, (int, Fraction)):
-            x = self.field.from_rational(x)
-        if x.field != self.field:
-            raise ValueError("element of a different field")
-        den = lcm(*(c.denominator for c in x.coeffs))
-        return self.local_ints([int(c * den) for c in x.coeffs], den)
+    def local(self, r):
+        """Embed the integer r as a LocalElement."""
+        return self.local_ints([r], 1)
 
     def local_ints(self, nums, den):
         """Embed the field element with power-basis coefficients nums / den.
 
-        nums are integers (the field degree of them) and den > 0.  The
-        content gcd(den, nums) is divided out first, so the result has the
-        vector, shift and precision of `local` of the same element: with
-        den = p^t u, p not dividing u, the vector is the reduction matrix
-        times nums, times u^-1 mod p^M, the shift t and the precision M - t.
+        nums are integers (at most the field degree of them) and den > 0.
+        The content gcd(den, nums) is divided out first, so every
+        representation of one element embeds alike: with den = p^t u, p not
+        dividing u, the vector is the reduction matrix times nums, times
+        u^-1 mod p^M, the shift t and the precision M - t.
         """
         g = gcd(den, *nums)
         if g > 1:
@@ -668,20 +585,6 @@ class PAdicEmbedding:
             nums = [c * dinv for c in nums]
         return LocalElement(self, nums, t, self.M)
 
-    def valuation(self, x):
-        """Exact valuation of a nonzero field element, ord_p(p) = 1."""
-        if isinstance(x, (int, Fraction)):
-            x = self.field.from_rational(x)
-        if x.is_zero():
-            raise ValueError("valuation of zero is undefined")
-        return self.local(x).valuation()
-
-    def reduce(self, x):
-        """Image of an integral element in the residue field."""
-        if isinstance(x, (int, Fraction)):
-            x = self.field.from_rational(x)
-        return self.local(x).reduce()
-
 
 class LocalElement:
     """Truncated local-field element vec * p^(-shift), vec in (Z/p^M)[y]/(H).
@@ -695,8 +598,8 @@ class LocalElement:
     An embedded exact element thus has precision M - v_p(den), and exact
     values are embedded once each (`PAdicEmbedding.local_ints`), so that
     their digits do not pass through sums of truncated terms.  A product
-    x * y has precision min(prec(x) + v(y), prec(y) + v(x), M); an int or
-    Fraction factor is embedded first (`PAdicEmbedding.local`).
+    x * y has precision min(prec(x) + v(y), prec(y) + v(x), M); an int
+    factor is embedded first (`PAdicEmbedding.local`).
     """
 
     __slots__ = ("emb", "vec", "shift", "prec", "_raw")
@@ -780,7 +683,7 @@ class LocalElement:
             if other.emb is not self.emb and other.emb.local_factor != self.emb.local_factor:
                 raise ValueError("elements of different embeddings")
             return other
-        return self.emb.local(self.emb.field.from_rational(other))
+        return self.emb.local(other)
 
     def __add__(self, other):
         other = self._coerce(other)

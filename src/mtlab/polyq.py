@@ -2,12 +2,12 @@
 
 Polynomials are lists [c0, c1, ...], lowest degree first, with trailing
 zeros trimmed by `trim`.  `mul`, `derivative` and `resultant_int` are exact
-(`mul` over any exact coefficient ring, the number-field products in
-`padic` included).  The `_mod` operations take a modulus q and return
-coefficients in [0, q); they divide only by monic polynomials, which needs
-no inverse mod q.  Over F_p, p prime, `fp_divmod` and `fp_xgcd` divide by
-any nonzero polynomial.  These back the finite-field and local arithmetic
-and the factorizations in `padic`; nothing here is p-adic.
+(`mul` over any exact coefficient ring).  The `_mod` operations take a
+modulus q and return coefficients in [0, q); they divide only by monic
+polynomials, which needs no inverse mod q.  Over F_p, p prime, `fp_divmod`
+and `fp_xgcd` divide by any nonzero polynomial.  These back the
+finite-field and local arithmetic and the factorizations in `padic`;
+nothing here is p-adic.
 """
 
 from itertools import zip_longest

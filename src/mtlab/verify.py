@@ -5,8 +5,6 @@ through the job driver `cli._records`, and every report is written by
 `cli._emit`.
 """
 
-from fractions import Fraction
-
 from . import analysis, cli, linalg, mazurtate, modsym, padic
 from .errors import EmbeddingAmbiguity, NotInSpan
 
@@ -97,14 +95,16 @@ def find_congruent_weight2(eigensymbol, embedding, classes, primes_above):
     bound = sturm_bound(space.M, space.k)
     ells = [ell for ell in padic.primes_up_to(bound) if ell != p]
     F = embedding.residue_field
-    source_red = {ell: embedding.reduce(eigensymbol.a(ell)) for ell in ells}
+    source_red = {ell: embedding.local_ints(*eigensymbol.a(ell)).reduce()
+                  for ell in ells}
     matches = []
     for idx, cls in enumerate(classes):
         for gemb in primes_above(cls.field, embedding.M):
             Fg = gemb.residue_field
             if F.degree % Fg.degree != 0:
                 continue
-            target_red = {ell: gemb.reduce(cls.a(ell)) for ell in ells}
+            target_red = {ell: gemb.local_ints(*cls.a(ell)).reduce()
+                          for ell in ells}
             if any(source_red[ell].minimal_polynomial()
                    != target_red[ell].minimal_polynomial() for ell in ells):
                 continue
@@ -142,7 +142,7 @@ def verify_congruence(f_norm, g_norm, n_max, mode):
         mu, witness = _mu_min_witness(f_norm)
         scale = witness.inverse()
     else:
-        mu = Fraction(0)
+        mu = 0
         scale = emb.local(1)
     F = emb.residue_field
     Fg = g_norm.embedding.residue_field
@@ -198,18 +198,18 @@ def _degeneracy_images(cls, target, r):
             for A in range(len(target.plist))]
 
 
-def oldspace_decompose(f_norm, g_norm, r, target):
+def oldspace_decompose(f_norm, g_norm, images, target):
     """Coordinates of the reduced alpha-image of f in target, level N p^r.
 
     The alpha map evaluates the generator polynomials at the bottom rows
     of coset lifts and divides by an element of valuation mu_min(f); the
     result is expanded in the basis phi-bar_g | (p^t, 0; 0, 1), t = 1..r,
-    by linear algebra over the residue field.  Each basis vector is the
-    reduction of the exact degeneracy image of g, embedded once per coset.
+    by linear algebra over the residue field.  images[t - 1] is the exact
+    degeneracy image of g at p^t (`_degeneracy_images`), and each basis
+    vector is its reduction, embedded once per coset.
     """
     space = f_norm.space
     emb = f_norm.embedding
-    p = emb.p
     N = space.M
     if g_norm.space.k != 2 or g_norm.space.M != N:
         raise ValueError("the partner must be a weight-2 symbol at level N")
@@ -220,11 +220,8 @@ def oldspace_decompose(f_norm, g_norm, r, target):
         raise EmbeddingAmbiguity("no residue-field embedding available")
     hom = homs[0]
     size = len(target.plist)
-    basis = []
-    for t in range(1, r + 1):
-        img = _degeneracy_images(g_norm.eigensymbol, target, p ** t)
-        basis.append([_apply_hom(g_norm.embed(img[A][0]).reduce(), hom, F)
-                      for A in range(size)])
+    basis = [[_apply_hom(g_norm.embed(img[A][0]).reduce(), hom, F)
+              for A in range(size)] for img in images]
     _, witness = _mu_min_witness(f_norm)
     scale = witness.inverse()
     tvec = []
@@ -233,7 +230,7 @@ def oldspace_decompose(f_norm, g_norm, r, target):
         acc = f_norm.evaluate(space.plist.index(c, d), c, d)
         tvec.append((acc * scale).reduce())
     span = linalg.rank(basis, F)
-    cols = [[basis[t][A] for t in range(r)] for A in range(size)]
+    cols = [list(col) for col in zip(*basis)]
     sol = linalg.solve(cols, tvec, F)
     if sol is None:
         raise NotInSpan(
@@ -260,7 +257,7 @@ def verify_weight2_patterns(g_norm, n_max):
     p = emb.p
     mazurtate.check_budget(p, n_max + 1)
     ap = g_norm.eigensymbol.a(p)
-    ordinary = not ap.is_zero() and emb.valuation(ap) == 0
+    ordinary = any(ap[0]) and emb.local_ints(*ap).valuation() == 0
     alpha = None
     reports = {}
     for i in mazurtate.twists(p, g_norm.sign):
@@ -331,7 +328,7 @@ def _verify_three_term(config):
 
     def step(norm):
         emb = norm.embedding
-        ap = emb.local(norm.eigensymbol.a(p))
+        ap = emb.local_ints(*norm.eigensymbol.a(p))
         pk = emb.local(p ** (config.k - 2))
         rows = []
         for i in mazurtate.twists(p, norm.sign):
@@ -377,36 +374,27 @@ def _verify_degen(config):
 
 
 def _verify_atkin_lehner(config):
+    """w_N on each eigenclass, in integers: H = D w_N squares to
+    N^(k-2) D^2 on the whole space, so an eigenvalue of w_N is
+    +-N^(k/2-1), and the class is an eigenvector exactly when
+    H nums = +-N^(k/2-1) D nums, one power-basis coordinate at a time."""
     checks = []
-    half = config.k // 2 - 1
     space = config.space()
+    H = space.hecke_matrix("wN")
+    plus = config.N ** (config.k // 2 - 1) * space.denominator
     for sign, cid, cls in cli._class_records(config, space):
-        out = space.apply_operator_to_coords("wN", cls.coords)
-        ratio = None
-        for got, want in zip(out, cls.coords):
-            if not want.is_zero():
-                ratio = got / want
-                break
-        eigen = ratio is not None and \
-            all(got == ratio * want for got, want in zip(out, cls.coords))
-        is_new = eigen and (ratio * ratio ==
-                            cls.field.from_rational(
-                                Fraction(config.N) ** (2 * half)))
-        entry = {"class": cid, "sign": sign, "eigen": bool(eigen)}
-        if eigen and is_new:
-            # ratio = +- N^(k/2-1) exactly for classes new at N
-            plus = cls.field.from_rational(Fraction(config.N) ** half)
-            if ratio == plus:
-                entry["fe_sign"] = 1
-            elif ratio == -plus:
-                entry["fe_sign"] = -1
-            else:
-                entry["fe_sign"] = 0
-            entry["ok"] = entry["fe_sign"] in (1, -1)
+        cols = [list(col) for col in zip(*cls.numerators)]
+        out = [linalg.mat_vec(H, col) for col in cols]
+        fe_sign = next((s for s in (1, -1)
+                        if all(o == s * plus * w
+                               for got, col in zip(out, cols)
+                               for o, w in zip(got, col))), None)
+        entry = {"class": cid, "sign": sign, "eigen": fe_sign is not None,
+                 "ok": fe_sign is not None}
+        if fe_sign is None:
+            entry["note"] = "not a wN eigenvector (old class)"
         else:
-            entry["ok"] = bool(eigen)
-            entry["note"] = "not new at this level" if eigen else \
-                "not a wN eigenvector (old class)"
+            entry["fe_sign"] = fe_sign
         checks.append(entry)
     return checks
 
@@ -497,12 +485,17 @@ def _verify_wt2_patterns(config):
 def _verify_oldspace(config):
     w2_classes = modsym.cuspidal_eigensymbols(config.space(weight=2), 1)
     target = config.space(level=config.N * config.p ** config.r, weight=2)
+    images = {}   # partner class -> its degeneracy images at p^t, t = 1..r
 
     def step(norm):
         rows = []
         for m, gnorm in _weight2_matches(config, norm, w2_classes):
+            cls = gnorm.eigensymbol
+            if cls not in images:
+                images[cls] = [_degeneracy_images(cls, target, config.p ** t)
+                               for t in range(1, config.r + 1)]
             try:
-                dec = oldspace_decompose(norm, gnorm, config.r, target)
+                dec = oldspace_decompose(norm, gnorm, images[cls], target)
             except NotInSpan as exc:
                 rows.append({"target": m.target_id, "ok": False,
                              "span_dimension": exc.span_dimension,

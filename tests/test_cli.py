@@ -125,10 +125,33 @@ def test_every_command_and_mode_has_a_case():
     assert modes == set(verify._VERIFY_MODES)
 
 
-def test_cache_flag_rejected():
-    with pytest.raises(SystemExit):
+def test_cache_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["eigenforms", "--level", "11", "--weight", "2",
                   "--cache", "somewhere"])
+    assert exc.value.code == cli.EXIT_CONSTRUCTION == 1
+    assert "error: unrecognized arguments: --cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu-min", "--level", "11", "--weight", "2", "--p", "3", "--sign", "0"],
+    ["mu-min", "--level", "abc", "--weight", "2", "--p", "3"],
+    ["frobnicate", "--level", "11", "--weight", "2"],
+    ["mu-min", "--weight", "2", "--p", "3"],
+], ids=["sign-0", "level-abc", "unknown-command", "missing-level"])
+def test_malformed_command_line_exits_1(argv, capsys):
+    """argparse's own exit code 2 would read as an uncertified row."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONSTRUCTION
+    assert "mtlab: error: " in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: mtlab" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 2, 9])
@@ -445,21 +468,41 @@ def test_mu_min_sets_up_each_field_and_witness_once(tmp_path, monkeypatch):
     """Both signs of 23/6/3 split into the same two Hecke fields, and their
     ten primes pick six distinct normalization witnesses."""
     calls = {"primes_above": 0, "inverse": 0}
-    primes_above, inverse = padic.primes_above, padic.NFElement.inverse
+    primes_above, inverse = padic.primes_above, padic.NumberField.inverse_matrix
 
     def counted_primes_above(*args):
         calls["primes_above"] += 1
         return primes_above(*args)
 
-    def counted_inverse(x):
+    def counted_inverse(*args):
         calls["inverse"] += 1
-        return inverse(x)
+        return inverse(*args)
 
     monkeypatch.setattr(padic, "primes_above", counted_primes_above)
-    monkeypatch.setattr(padic.NFElement, "inverse", counted_inverse)
+    monkeypatch.setattr(padic.NumberField, "inverse_matrix", counted_inverse)
     argv, code = CASES["mu-min-23-6-3"]
     assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == code
     assert calls == {"primes_above": 2, "inverse": 6}
+
+
+def test_oldspace_builds_each_partner_image_once(tmp_path, monkeypatch):
+    """Both signs of 11/4/3 match the one weight-2 class of level 11; its
+    degeneracy images at 3 and 9 are built once each, not once per
+    source class."""
+    calls = []
+    images = verify._degeneracy_images
+
+    def counted(cls, target, r):
+        calls.append((cls, r))
+        return images(cls, target, r)
+
+    monkeypatch.setattr(verify, "_degeneracy_images", counted)
+    argv = ["verify", "--mode", "oldspace", "--r", "2"] + SMALL
+    out = tmp_path / "r.json"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_IDENTITY
+    assert len(json.loads(out.read_text())["checks"]) == 2
+    assert len(calls) == len(set(calls)) == 2
+    assert sorted(r for _, r in calls) == [3, 9]
 
 
 def test_mu_min_embeds_few_values(tmp_path, monkeypatch):

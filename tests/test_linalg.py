@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtlab import linalg, padic, polyq
 from mtlab.linalg import QQ
-from test_padic import make_field, poly_divmod, poly_sub, poly_xgcd
+from test_padic import poly_divmod, poly_sub, poly_xgcd
 
 
 def mat_mat(a, b):
@@ -234,14 +234,50 @@ def dense_rref(rows, field):
     return mat[:r], pivots
 
 
+class Sqrt2:
+    """An element of Q(sqrt 2) for the eliminations: sympy's algebraic
+    number, with the is_zero() method that `linalg.is_zero` calls."""
+
+    field = sympy.QQ.algebraic_field(sympy.sqrt(2))
+
+    def __init__(self, x):
+        self.x = x
+
+    @classmethod
+    def zero(cls):
+        return cls(cls.field.zero)
+
+    @classmethod
+    def one(cls):
+        return cls(cls.field.one)
+
+    def is_zero(self):
+        return self.x.is_zero
+
+    def __eq__(self, other):
+        return self.x == other.x
+
+    def __neg__(self):
+        return Sqrt2(-self.x)
+
+    def __sub__(self, other):
+        return Sqrt2(self.x - other.x)
+
+    def __mul__(self, other):
+        return Sqrt2(self.x * other.x)
+
+    def __truediv__(self, other):
+        return Sqrt2(self.x / other.x)
+
+
 F7 = padic.FF(7, [0, 1])
-QSQRT2 = make_field([-2, 0, 1])
 
 # each field with a map from a tuple of two small ints to one of its elements
 FIELDS = {
     "QQ": (QQ, lambda ab: Fraction(ab[0], abs(ab[1]) + 1)),
     "F7": (F7, lambda ab: F7.element(ab[0])),
-    "Q(sqrt2)": (QSQRT2, lambda ab: QSQRT2.element(list(ab))),
+    # a + b sqrt 2; sympy lists the coefficients from the top degree down
+    "Q(sqrt2)": (Sqrt2, lambda ab: Sqrt2(Sqrt2.field([ab[1], ab[0]]))),
 }
 
 # half of the entries are zero; rows are drawn from a pool of at most three,

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +13,19 @@ from mtlab.errors import InvalidOperator, PrecisionExhausted
 from mtlab.linalg import QQ
 from mtlab.modsym import ManinSymbolSpace
 from test_linalg import mat_mat
+from test_padic import sympy_coeffs, sympy_poly
 from test_polyact import evaluate
 
 
 # -- coset values of arbitrary coordinates (references) ----------------------
+
+def times(x, n, d):
+    """x * n / d: an embedded value times the embedded rational, any other
+    value times a Fraction."""
+    if isinstance(x, padic.LocalElement):
+        return x * x.emb.local_ints([n], d)
+    return x * Fraction(n, d)
+
 
 def coset_value(space, coords, A):
     """Value vector Phi(A) of the symbol with the given coordinates.
@@ -33,7 +42,7 @@ def coset_value(space, coords, A):
         if acc is None:
             acc = coords[0] * 0
         elif d != 1:
-            acc = acc * Fraction(1, d)
+            acc = times(acc, 1, d)
         out.append(acc)
     return out
 
@@ -52,6 +61,46 @@ def apply_operator_to_values(space, op, values, cosets=None):
 def coords_from_values(space, values):
     """Coordinates of a symbol given its coset values."""
     return [values[c][j] for c, j in space.positions]
+
+
+def operator_on_coords(space, op, coords):
+    """Coordinates of phi|op: H coords / D for H = hecke_matrix(op)."""
+    zero = coords[0] * 0
+    return [times(sum((c * x for c, x in zip(row, coords) if c), zero),
+                  1, space.denominator)
+            for row in space.hecke_matrix(op)]
+
+
+# -- exact field elements as sympy polynomials over Q (references) -----------
+
+def field_poly(x):
+    """The field element x = (nums, den) as a sympy polynomial over Q."""
+    nums, den = x
+    return sympy_poly(nums) * Fraction(1, den)
+
+
+def poly_ints(x):
+    """A sympy polynomial over Q as (nums, den): integers over one
+    denominator."""
+    cs = sympy_coeffs(x, 0)
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def field_coords(f):
+    """The coordinates of an eigenclass as sympy polynomials over Q."""
+    E = f.denominator // f.space.denominator
+    return [field_poly((nums, E)) for nums in f.numerators]
+
+
+def field_product(f, x, y):
+    """x * y in the Hecke field of the eigenclass f."""
+    return (x * y).rem(sympy_poly(f.field.minpoly))
+
+
+def field_inverse(f, x):
+    """1 / x in the Hecke field of the eigenclass f."""
+    return x.invert(sympy_poly(f.field.minpoly))
 
 
 def embedded_values(norm):
@@ -493,24 +542,24 @@ def test_weight2_eigenvalues_match_point_counts(N, curve):
     for ell in (2, 3, 5, 7, 13):
         expected = curve_ap(curve, ell, bad=(N % ell == 0))
         got = f.a(ell)
-        assert got == expected, (N, ell, got, expected)
+        assert got == ([expected], 1), (N, ell, got, expected)
 
 
 def test_weight2_level11_up_eigenvalue():
     space = ManinSymbolSpace(11, 2)
     f = modsym.cuspidal_eigensymbols(space, 1)[0]
-    assert f.a(11) == curve_ap(E11, 11, bad=True)
+    assert f.a(11) == ([curve_ap(E11, 11, bad=True)], 1)
 
 
 def test_eigensymbol_is_actual_eigenvector():
     space = ManinSymbolSpace(11, 6)
     for sign in (1, -1):
         for f in modsym.cuspidal_eigensymbols(space, sign):
-            coords = f.coords
-            a2 = f.a(2)
-            out = space.apply_operator_to_coords("T2", coords)
+            coords = field_coords(f)
+            a2 = field_poly(f.a(2))
+            out = operator_on_coords(space, "T2", coords)
             for got, want in zip(out, coords):
-                assert got == a2 * want
+                assert got == field_product(f, a2, want)
             # iota scales by the stated sign
             values = all_values(space, coords)
             iv = apply_operator_to_values(space, "iota", values)
@@ -597,25 +646,47 @@ def test_krylov_solve_once_per_splitting_and_operator(monkeypatch):
     eigenvalues = [[[f.a(ell) for ell in padic.primes_up_to(20)]
                     for f in c] for c in classes]
     assert len(solves) == 16
-    # the shared coordinates give each class its own eigenvalues
+    # the shared coordinates give each class its own eigenvalues, in
+    # lowest terms over its own field
     for c, values in zip(classes, eigenvalues):
-        assert [v[0].field for v in values] == [f.field for f in c]
+        assert [len(v[0][0]) for v in values] == [f.field.degree for f in c]
+        assert all(gcd(den, *nums) == 1 for v in values for nums, den in v)
         assert values[0] != values[1]
 
 
 def test_wn_involution_on_eigensymbol():
     space = ManinSymbolSpace(11, 2)
     f = modsym.cuspidal_eigensymbols(space, 1)[0]
-    out = space.apply_operator_to_coords("wN", f.coords)
+    assert f.field.degree == 1
+    E = f.denominator // space.denominator
+    coords = [Fraction(nums[0], E) for nums in f.numerators]
+    out = operator_on_coords(space, "wN", coords)
     # phi | w_N = +- N^(k/2-1) phi; at weight 2 the factor is +-1
     ratio = None
-    for got, want in zip(out, f.coords):
+    for got, want in zip(out, coords):
         if want != 0:
             ratio = got / want
             break
     assert ratio in (Fraction(1), Fraction(-1))
-    for got, want in zip(out, f.coords):
+    for got, want in zip(out, coords):
         assert got == ratio * want
+
+
+# the spaces on which H = D w_N was found to square to N^(k-2) D^2
+WN_SQUARE_SPACES = [(11, 2), (11, 4), (23, 2), (22, 4), (37, 2), (23, 6),
+                    (13, 4), (33, 2), (45, 2), (25, 2), (11, 8), (389, 2)]
+
+
+@pytest.mark.parametrize("N,k", WN_SQUARE_SPACES)
+def test_wn_squares_to_a_scalar(N, k):
+    # w_N^2 = N^(k-2) on the whole space, so the w_N-eigenvalue of an
+    # eigenclass is +-N^(k/2-1): `verify --mode atkin-lehner` reads fe_sign
+    # from that alone
+    space = ManinSymbolSpace(N, k)
+    H = space.hecke_matrix("wN")
+    scalar = N ** (k - 2) * space.denominator ** 2
+    assert mat_mat(H, H) == [[scalar * (i == j) for j in range(space.dim)]
+                             for i in range(space.dim)]
 
 
 def test_degeneracy_commutes_with_hecke():
@@ -905,7 +976,7 @@ def test_restrict_operator_on_invariant_subspace():
     basis = fraction_vectors(plus)
     sub, d = space._restrict_operator("T2", plus)
     for j, v in enumerate(basis):
-        image = space.apply_operator_to_coords("T2", v)
+        image = operator_on_coords(space, "T2", v)
         assert image == [sum(Fraction(sub[i][j], d) * basis[i][r]
                              for i in range(len(basis)))
                          for r in range(space.dim)]
@@ -919,7 +990,7 @@ def test_restrict_operator_rejects_planted_subspace():
     plus = fraction_vectors(space.sign_subspace(1))
     minus = fraction_vectors(space.sign_subspace(-1))
     basis = plus[:-1] + [[a + b for a, b in zip(plus[-1], minus[0])]]
-    images = [space.apply_operator_to_coords("iota", v) for v in basis]
+    images = [operator_on_coords(space, "iota", v) for v in basis]
     assert linalg.rank(basis + images, QQ) > len(basis)
     basis, _ = linalg.rref(basis, QQ)
     with pytest.raises(InvalidOperator):
@@ -933,7 +1004,7 @@ def fold_coset_value(space, coords, A):
     for d, terms in space.values_basis[A]:
         acc = None
         for j, n in terms:
-            term = coords[j] * Fraction(n, d)
+            term = times(coords[j], n, d)
             acc = term if acc is None else acc + term
         out.append(coords[0] * 0 if acc is None else acc)
     return out
@@ -948,12 +1019,15 @@ def test_integer_coset_values_match_fraction_fold(N, k, p, p_divides):
     checked = 0
     for sign in (1, -1):
         for f in modsym.cuspidal_eigensymbols(space, sign):
+            E = f.denominator // space.denominator
+            exact = field_coords(f)
             for emb in padic.primes_above(f.field, p, 8):
-                embedded = [emb.local(c) for c in f.coords]
+                embedded = [emb.local_ints(nums, E) for nums in f.numerators]
                 # the coordinates scaled by the normalizing witness
                 A, j = modsym.normalize(f, emb).content_certificate
-                scale = coset_value(space, f.coords, A)[j].inverse()
-                normalized = [emb.local(c * scale) for c in f.coords]
+                scale = field_inverse(f, coset_value(space, exact, A)[j])
+                normalized = [emb.local_ints(*poly_ints(
+                    field_product(f, c, scale))) for c in exact]
                 for coords in (embedded, normalized):
                     for A in range(len(space.plist)):
                         got = coset_value(space, coords, A)
@@ -989,8 +1063,9 @@ def eigenclasses(N, k):
 
 
 def field_values(f):
-    """The coset values of an eigenclass as NFElements."""
-    return [coset_value(f.space, f.coords, A)
+    """The coset values of an eigenclass as sympy polynomials over Q."""
+    coords = field_coords(f)
+    return [coset_value(f.space, coords, A)
             for A in range(len(f.space.plist))]
 
 
@@ -999,7 +1074,8 @@ def reference_witness(f, emb):
     coset values of the embedded coordinates, summed in LocalElement
     arithmetic."""
     space = f.space
-    local_coords = [emb.local(c) for c in f.coords]
+    E = f.denominator // space.denominator
+    local_coords = [emb.local_ints(nums, E) for nums in f.numerators]
     best = None
     for A in range(len(space.plist)):
         for j, x in enumerate(coset_value(space, local_coords, A)):
@@ -1017,8 +1093,7 @@ def test_exact_values_are_the_field_values():
     for N, k in ((11, 2), (23, 6), (11, 8)):
         for f in eigenclasses(N, k):
             for A, vec in enumerate(field_values(f)):
-                assert [f.field.element([Fraction(c, f.denominator)
-                                         for c in x])
+                assert [field_poly((x, f.denominator))
                         for x in f.exact_value(A)] == vec
 
 
@@ -1086,9 +1161,7 @@ def test_mazur_tate_values_match_path_value(N, k, p):
                 assert list(element.coeffs) == units
             for a in units:
                 want = path_value(space, exact.__getitem__, a, pn)
-                assert f.field.element(
-                    [Fraction(c, f.denominator)
-                     for c in ints.coeffs[a]]) == want
+                assert field_poly((ints.coeffs[a], f.denominator)) == want
                 ref = path_value(space, local_values.__getitem__, a, pn)
                 assert (local.coeffs[a] - ref).is_zero_to_precision()
 
@@ -1107,8 +1180,7 @@ def test_deep_exact_coefficients_match_path_value(data):
     a = u // (p - 1) * p + u % (p - 1) + 1
     coeff = mazurtate.exact_element(f, p, n).coeffs[a]
     want = path_value(f.space, field_values(f).__getitem__, a, p ** n)
-    assert f.field.element(
-        [Fraction(c, f.denominator) for c in coeff]) == want
+    assert field_poly((coeff, f.denominator)) == want
 
 
 def same_local(x, y):
@@ -1123,15 +1195,19 @@ def test_values_and_theta_embed_the_exact_elements(N, k, p):
         for emb in padic.primes_above(f.field, p, 8):
             norm = modsym.normalize(f, emb)
             A, j = norm.content_certificate
-            scale = exact[A][j].inverse()
+            scale = field_inverse(f, exact[A][j])
+
+            def embed_scaled(y):
+                return emb.local_ints(*poly_ints(field_product(f, scale, y)))
+
             for xs, ys in zip(embedded_values(norm), exact):
                 for x, y in zip(xs, ys):
-                    assert same_local(x, emb.local(scale * y))
+                    assert same_local(x, embed_scaled(y))
             for n in (1, 2):
                 theta = embedded_element(norm, n)
                 for a, c in theta.coeffs.items():
                     want = path_value(space, exact.__getitem__, a, p ** n)
-                    assert same_local(c, emb.local(scale * want))
+                    assert same_local(c, embed_scaled(want))
 
 
 # at M = 8 the parent claimed digits here that the M = 16 values refute

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -63,11 +64,15 @@ def test_make_field_rejects_reducible():
 
 def test_field_arithmetic():
     K = make_field([1, 0, 1])
-    i = K.gen()
-    assert i * i == K.from_rational(-1)
-    x = i + 2
-    assert x * x.inverse() == K.one()
-    assert (x - x).is_zero()
+    # i * i = -1 once the product is reduced modulo y^2 + 1
+    assert K.exact(polyq.mul([0, 1], [0, 1]), 1) == ([-1, 0], 1)
+    # 1 / (2 + i) = (2 - i) / 5, whose columns are (2 - i) and (2 - i) i
+    m, d = K.inverse_matrix([2, 1], 1)
+    assert (m, d) == ([[2, 1], [-1, 2]], 5)
+    assert [sum(map(mul, row, [2, 1])) for row in m] == [d, 0]
+    # the content is divided out, and zero is 0 / 1
+    assert K.exact([6, -4], 10) == ([3, -2], 5)
+    assert K.exact([0, 0], 7) == ([0, 0], 1)
 
 
 def test_primes_above_rational():
@@ -89,16 +94,17 @@ def test_primes_above_ramified():
     assert len(embs) == 1
     assert embs[0].e == 2 and embs[0].residue_degree == 1
     # the generator is a uniformizer: squaring gives valuation 1
-    s = K.gen()
-    assert embs[0].valuation(s) == Fraction(1, 2)
-    assert embs[0].valuation(s * s) == 1
+    s = [0, 1]
+    assert embs[0].local_ints(s, 1).valuation() == Fraction(1, 2)
+    assert embs[0].local_ints(*K.exact(polyq.mul(s, s), 1)).valuation() == 1
 
 
 def test_primes_above_split():
     K = make_field([1, 0, 1])  # x^2 + 1 splits at 5
     embs = padic.primes_above(K, 5, 5)
     assert len(embs) == 2
-    reductions = sorted(emb.reduce(K.gen()).coeffs[0] for emb in embs)
+    reductions = sorted(emb.local_ints([0, 1], 1).reduce().coeffs[0]
+                        for emb in embs)
     assert reductions == [2, 3]
 
 
@@ -121,45 +127,51 @@ def test_degree_identity_on_constructed_fields():
 
 def test_valuation_normalization():
     emb = padic.primes_above(QQ, 5, 4)[0]
-    assert emb.valuation(5) == 1
-    assert emb.valuation(Fraction(1, 5)) == -1
-    assert emb.valuation(7) == 0
+    assert emb.local(5).valuation() == 1
+    assert emb.local_ints([1], 5).valuation() == -1
+    assert emb.local(7).valuation() == 0
 
 
 def test_valuation_of_zero_rejected():
+    # zero vanishes to every precision, so no valuation is certified
     emb = padic.primes_above(QQ, 5, 4)[0]
-    with pytest.raises(ValueError):
-        emb.valuation(0)
+    with pytest.raises(PrecisionExhausted):
+        emb.local(0).valuation()
 
 
 def test_valuation_precision_exhausted():
     emb = padic.primes_above(QQ, 5, 3)[0]
     with pytest.raises(PrecisionExhausted):
-        emb.local(QQ.from_rational(5 ** 3)).valuation()
+        emb.local(5 ** 3).valuation()
 
 
 def test_reduce_basics():
     emb = padic.primes_above(QQ, 5, 4)[0]
-    assert emb.reduce(5).is_zero()
-    assert emb.reduce(6) == emb.residue_field.one()
-    assert emb.reduce(-2) == emb.residue_field.element(3)
+    assert emb.local(5).reduce().is_zero()
+    assert emb.local(6).reduce() == emb.residue_field.one()
+    assert emb.local(-2).reduce() == emb.residue_field.element(3)
 
 
 def test_reduce_negative_valuation():
     emb = padic.primes_above(QQ, 5, 4)[0]
     with pytest.raises(NegativeValuation):
-        emb.reduce(QQ.from_rational(Fraction(1, 5)))
+        emb.local_ints([1], 5).reduce()
 
 
 def test_reduce_is_ring_hom_random():
     rng = random.Random(20260823)
     K = make_field([-2, 0, 1])
     emb = padic.primes_above(K, 3, 6)[0]
+
+    def red(nums):
+        return emb.local_ints(nums, 1).reduce()
+
     for _ in range(1000):
-        x = K.element([rng.randrange(-50, 50), rng.randrange(-50, 50)])
-        y = K.element([rng.randrange(-50, 50), rng.randrange(-50, 50)])
-        assert emb.reduce(x * y) == emb.reduce(x) * emb.reduce(y)
-        assert emb.reduce(x + y) == emb.reduce(x) + emb.reduce(y)
+        x = [rng.randrange(-50, 50), rng.randrange(-50, 50)]
+        y = [rng.randrange(-50, 50), rng.randrange(-50, 50)]
+        xy, _ = K.exact(polyq.mul(x, y), 1)
+        assert red(xy) == red(x) * red(y)
+        assert red([a + b for a, b in zip(x, y)]) == red(x) + red(y)
 
 
 @given(a=st.integers(min_value=-400, max_value=400).filter(lambda n: n != 0),
@@ -168,17 +180,17 @@ def test_reduce_is_ring_hom_random():
 def test_valuation_multiplicative_and_ultrametric(a, b):
     K = make_field([-5, 0, 1])
     emb = padic.primes_above(K, 5, 12)[0]
-    s = K.gen()
-    x = K.from_rational(a) + s * b
-    y = K.from_rational(b) + s * a
-    if x.is_zero() or y.is_zero():
-        return
-    vx = emb.valuation(x)
-    vy = emb.valuation(y)
-    assert emb.valuation(x * y) == vx + vy
-    z = x + y
-    if not z.is_zero():
-        vz = emb.valuation(z)
+
+    def val(nums):
+        return emb.local_ints(nums, 1).valuation()
+
+    x, y = [a, b], [b, a]   # a + b s and b + a s, s^2 = 5
+    vx = val(x)
+    vy = val(y)
+    assert val(K.exact(polyq.mul(x, y), 1)[0]) == vx + vy
+    z = [a + b, a + b]
+    if any(z):
+        vz = val(z)
         assert vz >= min(vx, vy)
         if vx != vy:
             assert vz == min(vx, vy)
@@ -205,7 +217,7 @@ def test_teichmuller_root_of_unity():
 
 def test_local_element_division_tracks_precision():
     emb = padic.primes_above(QQ, 5, 6)[0]
-    x = emb.local(QQ.from_rational(25))
+    x = emb.local(25)
     inv = x.inverse()
     assert inv.valuation() == -2
     assert inv.prec <= 6 - 4
@@ -414,7 +426,7 @@ def test_hecke_field_valuations_at_3():
     # 3-adic unit at every prime (its norm is prime to 3)
     K = make_field(HECKE_11_18_DEG6)
     for emb in padic.primes_above(K, 3, 8):
-        assert emb.valuation(K.gen()) == 0
+        assert emb.local_ints([0, 1], 1).valuation() == 0
 
 
 def test_biquadratic_compositum_splitting():
@@ -428,7 +440,7 @@ def test_biquadratic_compositum_splitting():
     assert sorted((e.e, e.residue_degree) for e in embs5) == [(1, 2), (1, 2)]
 
 
-# -- LocalElement times a rational: fast path against the embedded factor ----
+# -- LocalElement times an int: coerced like the embedded factor -------------
 
 RATIONAL_FACTOR_EMBEDDINGS = [
     padic.primes_above(QQ, 5, 6)[0],
@@ -451,15 +463,11 @@ def local_elements(draw):
     return padic.LocalElement(emb, vec, shift, prec)
 
 
-def rational_factors(p, M):
+def int_factors(p, M):
     pM = p ** M
-    ints = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+    return st.one_of(st.integers(-10 ** 6, 10 ** 6),
                      st.sampled_from([0, 1, -1, p, pM, -3 * pM, pM * p]),
                      st.integers(-5, 5).map(lambda k: k * pM))
-    dens = st.builds(lambda t, d: p ** t * d, st.integers(0, M + 2),
-                     st.integers(1, 50).filter(lambda d: d % p))
-    return st.one_of(ints, st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4),
-                                     dens))
 
 
 @given(data=st.data())
@@ -467,7 +475,7 @@ def rational_factors(p, M):
 def test_rational_factor_matches_embedded_factor(data):
     x = data.draw(local_elements())
     emb = x.emb
-    r = data.draw(rational_factors(emb.p, emb.M))
+    r = data.draw(int_factors(emb.p, emb.M))
     slow = x * emb.local(r)
     for fast in (x * r, r * x):
         assert (fast.vec, fast.shift, fast.prec) == \
@@ -498,15 +506,15 @@ def test_local_agrees_with_double_precision(data):
                               min_size=field.degree, max_size=field.degree))
     den = p ** data.draw(st.integers(1, M - 1)) * \
         data.draw(st.integers(1, 50).filter(lambda d: d % p))
-    x = field.element([Fraction(c, den) for c in nums])
     for emb, emb2 in zip(embeddings(field, p, M),
                          embeddings(field, p, 2 * M)):
-        got, want = emb.local(x), emb2.local(x)
+        got, want = emb.local_ints(nums, den), emb2.local_ints(nums, den)
         lifted = padic.LocalElement(emb2, got.vec, got.shift, got.prec)
         assert got.prec <= want.prec
         assert (want - lifted).is_zero_to_precision()
-        ints = emb.local_ints(nums, den)
-        assert (ints.vec, ints.shift, ints.prec) == \
+        # the lowest-terms form of the same element embeds alike
+        low = emb.local_ints(*field.exact(nums, den))
+        assert (low.vec, low.shift, low.prec) == \
             (got.vec, got.shift, got.prec)
 
 
@@ -605,12 +613,12 @@ def poly_xgcd(p, q):
     return r0, u0, v0
 
 
-def xgcd_inverse(x):
-    """1 / x for a nonzero NFElement, from the Bezout coefficient of x and
-    the minimal polynomial."""
-    g, u, _ = poly_xgcd(x.coeffs, x.field.minpoly)
+def xgcd_inverse(field, nums, den):
+    """The power-basis coefficients of 1 / x for x = nums / den nonzero,
+    from the Bezout coefficient of nums and the minimal polynomial."""
+    g, u, _ = poly_xgcd(nums, field.minpoly)
     assert g == [1]
-    return x.field.element(u)
+    return [den * c for c in u] + [Fraction(0)] * (field.degree - len(u))
 
 
 def xgcd_local_inverse(x):
@@ -642,15 +650,69 @@ INVERSE_FIELDS = ([QQ] + [make_field(f) for f in (
 @settings(max_examples=100, deadline=None)
 def test_field_inverse_matches_xgcd(data):
     K = data.draw(st.sampled_from(INVERSE_FIELDS))
-    coeffs = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
-                       st.integers(1, 10 ** 3))
-    x = K.element(data.draw(st.lists(coeffs, min_size=K.degree,
-                                     max_size=K.degree)))
-    if x.is_zero():
+    nums = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                              min_size=K.degree, max_size=K.degree))
+    den = data.draw(st.integers(1, 10 ** 3))
+    if not any(nums):
         return
-    inv = x.inverse()
-    assert inv == xgcd_inverse(x)
-    assert x * inv == K.one()
+    m, d = K.inverse_matrix(nums, den)
+    # column 0 of m / d holds the coefficients of 1 / x times 1
+    assert [Fraction(row[0], d) for row in m] == xgcd_inverse(K, nums, den)
+    # x times 1 / x is 1
+    assert [sum(map(mul, row, nums)) for row in m] == \
+        [d * den] + [0] * (K.degree - 1)
+
+
+# -- exact elements against sympy's polynomial arithmetic over Q ------------
+
+Y = sympy.Symbol("y")
+
+
+def sympy_poly(coeffs):
+    """sum coeffs[i] y^i as a sympy polynomial over Q."""
+    return sympy.Poly(list(reversed(coeffs)) or [0], Y, domain="QQ")
+
+
+def sympy_coeffs(poly, degree):
+    """The power-basis coefficients of a sympy polynomial, as Fractions."""
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return out + [Fraction(0)] * (degree - len(out))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_exact_reduces_like_sympy_rem(data):
+    K = data.draw(st.sampled_from(INVERSE_FIELDS))
+    nums = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                              min_size=0, max_size=3 * K.degree + 2))
+    den = data.draw(st.integers(1, 10 ** 4))
+    got, gden = K.exact(nums, den)
+    want = sympy_poly(nums).rem(sympy_poly(K.minpoly)) * sympy.Rational(1, den)
+    assert len(got) == K.degree and gden > 0
+    assert [Fraction(c, gden) for c in got] == sympy_coeffs(want, K.degree)
+    assert gcd(gden, *got) == 1
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_inverse_matrix_inverts_the_multiplication_matrix(data):
+    K = data.draw(st.sampled_from(INVERSE_FIELDS))
+    nums = data.draw(st.lists(st.integers(-10 ** 4, 10 ** 4),
+                              min_size=K.degree, max_size=K.degree))
+    den = data.draw(st.integers(1, 10 ** 3))
+    if not any(nums):
+        return
+    m, d = K.inverse_matrix(nums, den)
+    f = sympy_poly(K.minpoly)
+    x = sympy_poly(nums)
+    # column j of the multiplication matrix of nums holds y^j nums mod f
+    cols = [sympy_coeffs((x * sympy_poly([0] * j + [1])).rem(f), K.degree)
+            for j in range(K.degree)]
+    assert [[sum(map(mul, row, col)) for col in cols] for row in m] == \
+        [[d * den * (i == j) for j in range(K.degree)]
+                 for i in range(K.degree)]
+    inv = sympy.invert(x, f) * den
+    assert [Fraction(row[0], d) for row in m] == sympy_coeffs(inv, K.degree)
 
 
 @given(data=st.data())
