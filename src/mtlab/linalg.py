@@ -1,40 +1,28 @@
-"""Exact linear algebra over Q and other fields, and rational charpolys.
+"""Exact linear algebra over Q in integers and over other fields, and
+integer charpolys.
 
-Gaussian elimination routines take a field adapter exposing zero() and
-one(); elements must support +, -, *, / and an is_zero test (either an
-is_zero() method or comparison with 0).  Over Q (the adapter `QQ`, entries
-int or Fraction) elimination is fraction-free: each row is cleared of
-denominators once and kept as a primitive integer row, rows are combined by
-cross-multiplication (`sparse_rref`), and `rref` divides each by its pivot
-only when the result is written, as Fractions.  Other fields (the residue
-fields of `verify.oldspace_decompose`) run the same loop with field
-arithmetic.  Both eliminate on sparse rows, so the cost follows the nonzero
-entries: the Manin relation matrices are mostly zeros (2.9% nonzero at
-level 69, weight 6).  `solve` over Q is also how `padic` inverts the
-integer vector of a Hecke-field or local element: one solve against its
-multiplication matrix.
+Over Q (no field given) every routine takes integer rows and returns
+integers: a rational result is integer rows over one positive denominator,
+in lowest terms (`lowest`), the form of every exact value in the program.
+Elimination is fraction-free: each row is kept primitive and rows are
+combined by cross-multiplication (`sparse_rref`); `rref` scales each
+reduced row so that its pivot entry is the least common multiple of the
+pivot entries, which leaves no common factor.  Over another field (the
+residue fields of `verify.oldspace_decompose`) the same loop runs with
+field arithmetic: the field adapter exposes zero() and one(), and elements
+support +, -, *, / and an is_zero test (either an is_zero() method or
+comparison with 0).  Both eliminate on sparse rows, so the cost follows the
+nonzero entries: the Manin relation matrices are mostly zeros (2.9%
+nonzero at level 69, weight 6).  `solve` over Q is also how `padic`
+inverts the integer vector of a Hecke-field or local element: one solve
+against its multiplication matrix.
 
-Characteristic polynomials come from Berkowitz's division-free recurrence,
-as coefficient lists in increasing degree.
+Characteristic polynomials of integer matrices come from Berkowitz's
+division-free recurrence, as integer coefficient lists in increasing
+degree.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
-
-
-class _RationalField:
-    """Field adapter for matrices over Q, with int and Fraction entries."""
-
-    @staticmethod
-    def zero():
-        return Fraction(0)
-
-    @staticmethod
-    def one():
-        return Fraction(1)
-
-
-QQ = _RationalField()
 
 
 def is_zero(x):
@@ -44,10 +32,25 @@ def is_zero(x):
     return x == 0
 
 
-def rref(rows, field):
-    """Reduced row echelon form (new_rows, pivot_columns): the rows of
-    `sparse_rref` as dense rows divided by their pivot entries."""
+def lowest(rows, den):
+    """(rows, den) divided by the gcd of den and every entry."""
+    g = gcd(den, *(x for row in rows for x in row))
+    if g == 1:
+        return rows, den
+    return [[x // g for x in row] for row in rows], den // g
+
+
+def rref(rows, field=None):
+    """Reduced row echelon form (red, pivot_columns): the rows of
+    `sparse_rref` as dense rows divided by their pivot entries.  Over Q,
+    red is (integer rows, den) in lowest terms: the primitive rows scaled
+    to den, the lcm of their pivot entries, at the pivot."""
     mat, pivots = sparse_rref(rows, field)
+    if field is None:
+        den = lcm(*(row[c] for row, c in zip(mat, pivots)))
+        return ([[row.get(k, 0) * (den // row[c])
+                  for k in range(len(rows[0]))]
+                 for row, c in zip(mat, pivots)], den), pivots
     zero = field.zero()
     dense = []
     for row, c in zip(mat, pivots):
@@ -57,21 +60,22 @@ def rref(rows, field):
     return dense, pivots
 
 
-def sparse_rref(rows, field):
+def sparse_rref(rows, field=None):
     """Reduced row echelon form as sparse rows {column: entry} holding only
     nonzero entries, one per pivot, with the pivot columns.
 
     For each column c in turn, the first row at or below the next pivot row
     r with a nonzero in column c is swapped up to r and cleared from the
     rows below it; then each pivot row, from the last up, is cleared from
-    the rows above it.  Over QQ the rows are primitive integer rows
+    the rows above it.  Over Q the rows are primitive integer rows
     throughout, and are returned as such.
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    if field is QQ:
-        mat = [_primitive_row(row) for row in rows]
+    if field is None:
+        mat = [_primitive({c: x for c, x in enumerate(row) if x})
+               for row in rows]
         eliminate = _cross_eliminate
     else:
         mat = [{c: x for c, x in enumerate(row) if not is_zero(x)}
@@ -97,13 +101,6 @@ def sparse_rref(rows, field):
             if c in mat[i]:
                 mat[i] = eliminate(mat[i], mat[k], c)
     return mat[:r], pivots
-
-
-def _primitive_row(row):
-    """A row of ints and Fractions as a primitive integer row."""
-    den = lcm(*(x.denominator for x in row))
-    return _primitive({c: x.numerator * (den // x.denominator)
-                       for c, x in enumerate(row) if x})
 
 
 def _primitive(row):
@@ -146,34 +143,53 @@ def _eliminate(row, prow, c):
     return row
 
 
-def kernel_basis(rows, ncols, field):
-    """Basis of the right kernel of the matrix given by rows."""
-    red, pivots = rref(rows, field)
+def kernel_basis(rows, ncols, field=None):
+    """Basis of the right kernel of the matrix given by rows; over Q as
+    (integer rows, den) in lowest terms."""
+    if field is None:
+        # the rows over den: 1 is den / den
+        (red, one), pivots = rref(rows)
+        zero = 0
+    else:
+        red, pivots = rref(rows, field)
+        zero, one = field.zero(), field.one()
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        vec = [field.zero()] * ncols
-        vec[fc] = field.one()
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
         for r, pc in zip(red, pivots):
             vec[pc] = -r[fc]
         basis.append(vec)
-    return basis
+    return basis if field is not None else lowest(basis, one)
 
 
-def solve(rows, rhs, field):
-    """One solution x of A x = b, or None if inconsistent."""
+def solve(rows, rhs, field=None):
+    """One solution x of A x = b, or None if inconsistent; over Q as
+    (integer vector, den) in lowest terms."""
     if not rows:
-        return [] if all(is_zero(b) for b in rhs) else None
+        if not all(is_zero(b) for b in rhs):
+            return None
+        return [] if field is not None else ([], 1)
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field)
+    if field is None:
+        (red, den), pivots = rref(aug)
+        zero = 0
+    else:
+        red, pivots = rref(aug, field)
+        zero = field.zero()
     if ncols in pivots:
         return None
-    x = [field.zero()] * ncols
+    x = [zero] * ncols
     for r, pc in zip(red, pivots):
         x[pc] = r[ncols]
-    return x
+    if field is not None:
+        return x
+    (x,), den = lowest([x], den)
+    return x, den
 
 
 def mat_vec(rows, vec):
@@ -191,32 +207,27 @@ def mat_vec(rows, vec):
     return out
 
 
-def rank(rows, field):
-    red, pivots = rref(rows, field)
-    return len(pivots)
+def rank(rows, field=None):
+    return len(sparse_rref(rows, field)[1])
 
 
 def charpoly_rational(rows):
-    """Characteristic polynomial of a matrix of ints and Fractions, lowest
-    degree first, as Fractions.
+    """Characteristic polynomial of an integer matrix, lowest degree first,
+    as integers.
 
-    Berkowitz's division-free recurrence on the integer matrix B = dA, d the
-    common denominator of the entries; then charpoly_A(x) = d^-n
-    charpoly_B(dx), which for an integer matrix (d = 1) is the integer
-    charpoly of B itself. Bordering the leading r x r block M with column c, row
-    r and corner a multiplies its charpoly (highest degree first) by the
-    lower triangular Toeplitz matrix with first column
+    Berkowitz's division-free recurrence: bordering the leading r x r block
+    M with column c, row r and corner a multiplies its charpoly (highest
+    degree first) by the lower triangular Toeplitz matrix with first column
     1, -a, -rc, -rMc, ..., -rM^(r-1)c.
     """
-    d = lcm(*(x.denominator for row in rows for x in row))
-    b = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
     poly = [1]
-    for r, row in enumerate(b):
+    for r, row in enumerate(rows):
         toeplitz = [1, -row[r]]
-        vec = [b[i][r] for i in range(r)]
+        vec = [rows[i][r] for i in range(r)]
         for _ in range(r):
             toeplitz.append(-sum(x * y for x, y in zip(row, vec)))
-            vec = [sum(x * y for x, y in zip(b[i], vec)) for i in range(r)]
+            vec = [sum(x * y for x, y in zip(rows[i], vec))
+                   for i in range(r)]
         poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
                 for i in range(r + 2)]
-    return [Fraction(c, d ** i) for i, c in enumerate(poly)][::-1]
+    return poly[::-1]

@@ -29,10 +29,12 @@ matrix-vector product.
 The splitting into Hecke eigenclasses stays in integers: subspace bases,
 restricted operators and Krylov vectors are integer rows over one
 denominator, characteristic polynomials are integral, and the
-eliminations (`linalg.rref`, fraction-free over Q) are the only place
-Fractions appear, one conversion per elimination.  An operator is
-restricted to a subspace by reading coordinates at the unit columns of its
-basis, with no elimination.
+eliminations (`linalg` over Q) take integer rows and return integers over
+one denominator.  An operator is restricted to a subspace by reading
+coordinates at the unit columns of its basis, with no elimination.  An
+eigenvalue a_ell of a class is read off one coset: the T_ell plan at the
+first coset where the class is nonzero, divided by that value, with no
+operator matrix built.
 
 An eigenclass keeps its coset values exactly, as integer vectors in the
 power basis of its Hecke field over one denominator.  Normalizing it at a
@@ -54,7 +56,7 @@ from .errors import (
     SplittingFailure,
     WeightNotCongruent,
 )
-from .linalg import QQ
+from .linalg import lowest
 from . import padic
 
 
@@ -192,7 +194,7 @@ class ManinSymbolSpace:
             add_block(rows_block, orbit[2], mtau)
             relations.extend(rows_block)
 
-        red, pivots = linalg.sparse_rref(relations, QQ)
+        red, pivots = linalg.sparse_rref(relations)
         pivot_set = set(pivots)
         free = [c for c in range(nparams) if c not in pivot_set]
         column = {fc: idx for idx, fc in enumerate(free)}
@@ -355,7 +357,7 @@ class ManinSymbolSpace:
         diag = sign * self.denominator
         rows = [[x - diag if r == c else x for c, x in enumerate(row)]
                 for r, row in enumerate(self.hecke_matrix("iota"))]
-        return _integer_rows(linalg.kernel_basis(rows, self.dim, QQ))
+        return linalg.kernel_basis(rows, self.dim)
 
     def _restrict_operator(self, op, basis):
         """Matrix (B, d) of an operator on the span of a basis (rows, den),
@@ -382,7 +384,7 @@ class ManinSymbolSpace:
             if _combine(coords, rows) != [L * x for x in w]:
                 raise InvalidOperator("%s does not preserve the subspace" % op)
             cols.append(coords)
-        return _lowest([list(r) for r in zip(*cols)], L * self.denominator)
+        return lowest([list(r) for r in zip(*cols)], L * self.denominator)
 
     def good_primes(self):
         """The primes not dividing the level, increasing."""
@@ -407,7 +409,7 @@ class ManinSymbolSpace:
             return basis
         ell = next(self.good_primes())
         B, d = self._restrict_operator("T%d" % ell, basis)
-        f = [c.numerator for c in linalg.charpoly_rational(B)]
+        f = linalg.charpoly_rational(B)
         eis = d * (1 + ell ** (self.k - 1))
         # the rows of (B - eis)^m transposed are the columns of the power
         shifted = [[x - eis if r == c else x for r, x in enumerate(col)]
@@ -422,9 +424,9 @@ class ManinSymbolSpace:
                 for row in span]
         if span is None:
             return basis
-        red, _ = linalg.rref([row[::-1] for row in span], QQ)
-        ker, kden = _integer_rows([v[::-1] for v in reversed(red)])
-        return _lowest([_combine(y, rows) for y in ker], kden * den)
+        (red, kden), _ = linalg.rref([row[::-1] for row in span])
+        return lowest([_combine(y[::-1], rows) for y in reversed(red)],
+                      kden * den)
 
 
 def heilbronn_merel(n):
@@ -448,23 +450,6 @@ def _summed(acc):
     """[(B, the sum of acc[B])] for lists of integer matrices, sorted."""
     return [(B, [[sum(col) for col in zip(*rows)] for rows in zip(*ms)])
             for B, ms in sorted(acc.items())]
-
-
-def _integer_rows(vectors):
-    """(rows, den) in lowest terms with integer rows / den equal to the
-    rational vectors."""
-    den = lcm(*(x.denominator for v in vectors for x in v))
-    rows = [[x.numerator * (den // x.denominator) for x in v]
-            for v in vectors]
-    return _lowest(rows, den)
-
-
-def _lowest(rows, den):
-    """(rows, den) divided by the gcd of den and every entry."""
-    g = gcd(den, *(x for row in rows for x in row))
-    if g == 1:
-        return rows, den
-    return [[x // g for x in row] for row in rows], den // g
 
 
 def _combine(coeffs, rows):
@@ -499,28 +484,23 @@ class Eigensymbol:
     has power-basis coefficients numerators[j] / E in the field generated by
     the splitting element, E the least common denominator of the
     coordinates, and `exact_value(A)` gives Phi(A) as integer vectors over
-    `denominator` = E * D, D the space's denominator.  Eigenvalues a_ell
-    are computed on demand by solving in the Krylov basis of the splitting
-    operator, and are integers over a denominator too.  The exact
-    Mazur-Tate elements built from the class are kept in `elements`, keyed
-    by (p, n), for every prime above p, precision and twist, and the scale
-    of each normalization witness in `witness_scale`.
+    `denominator` = E * D, D the space's denominator.  An eigenvalue a_ell
+    is read on demand off one coset value, where the class is known to be
+    nonzero, and is integers over a denominator too.  The exact Mazur-Tate
+    elements built from the class are kept in `elements`, keyed by (p, n),
+    for every prime above p, precision and twist, and the scale of each
+    normalization witness and of the a_ell coset in `witness_scale`.
     """
 
-    def __init__(self, space, sign, field, numerators, E, splitting):
+    def __init__(self, space, sign, field, numerators, E):
         self.space = space
         self.sign = sign
         self.field = field
         self.numerators = numerators
         self.denominator = E * space.denominator
-        self._splitting = splitting
         self._exact_values = {}
         self._scales = {}
         self.elements = {}
-
-    @property
-    def minpoly(self):
-        return self._splitting["factor"]
 
     def exact_value(self, A):
         """Phi(A) as integer vectors over `denominator`, built once: row
@@ -553,8 +533,8 @@ class Eigensymbol:
 
     def witness_scale(self, A, j):
         """The multiplication matrix (m, den) of 1 / Phi(A)[j]
-        (`NumberField.inverse_matrix`), built once per witness (A, j) and
-        shared by every prime and precision that picks it."""
+        (`NumberField.inverse_matrix`), built once per (A, j) and shared by
+        every prime and precision that picks it as witness, and by `a`."""
         cached = self._scales.get((A, j))
         if cached is None:
             cached = self.field.inverse_matrix(self.exact_value(A)[j],
@@ -566,40 +546,27 @@ class Eigensymbol:
         """Hecke eigenvalue a_ell (or the U_q eigenvalue for q | level), as
         (nums, den) in lowest terms (`NumberField.exact`).
 
-        The Krylov vectors S^j v of the splitting operator S are N_j / f_j
-        for integer N_j.  Solving H N_0 = sum u_j N_j, H = D * T_ell, gives
-        T_ell v = sum u_j f_j / (D f_0) S^j v, so T_ell = sum of these
-        multiples of S^j on the cuspidal subspace (v is cyclic), and a_ell
-        is the same sum at the eigenvalue z of S: z^j is the power-basis
-        vector y^j, so a_ell has power-basis coefficients u_j f_j / (D f_0),
-        reduced modulo the minimal polynomial.  u depends only on the
-        splitting, so it is solved once per operator and shared by every
-        class of the splitting.
+        Phi|T_ell = a_ell Phi, so at the first nonzero exact value x =
+        Phi(A)[j], in coset and monomial order, a_ell = (Phi|T_ell)(A)[j] / x.
+        The plan of T_ell at A gives (Phi|T_ell)(A)[j] as an integer
+        combination y of the exact values, over the same `denominator` E D
+        as x; with the scale (m, d) of x (`witness_scale`), a_ell is m y
+        over d E D.
         """
-        sp = self._splitting
-        space = self.space
-        op = ("U%d" if space.M % ell == 0 else "T%d") % ell
-        N0, f0 = sp["krylov"][0]
-        u = sp["coords"].get(op)
-        if u is None:
-            u = sp["coords"][op] = _subspace_coords(
-                sp["krylov_rows"], linalg.mat_vec(space.hecke_matrix(op), N0))
-        coeffs = [c * f for c, (_, f) in zip(u, sp["krylov"])]
-        den = lcm(*(c.denominator for c in coeffs))
-        return self.field.exact(
-            [c.numerator * (den // c.denominator) for c in coeffs],
-            den * space.denominator * f0)
+        op = ("U%d" if self.space.M % ell == 0 else "T%d") % ell
+        A, j = next((A, j) for A in range(len(self.space.plist))
+                    for j, x in enumerate(self.exact_value(A)) if any(x))
+        acc = [0] * self.field.degree
+        for B, m in self.space._plan(op, [A])[A]:
+            for w, x in zip(m[j], self.exact_value(B)):
+                if w:
+                    acc = [s + w * y for s, y in zip(acc, x)]
+        scale, d = self.witness_scale(A, j)
+        return self.field.exact([sum(map(mul, row, acc)) for row in scale],
+                                d * self.denominator)
 
     def sort_key(self):
-        return (self.field.degree, tuple(self.minpoly))
-
-
-def _subspace_coords(basis_rows, vec):
-    """Coordinates of vec in the subspace with rref'd basis data."""
-    sol = linalg.solve(basis_rows, vec, QQ)
-    if sol is None:
-        raise SplittingFailure("vector left the cuspidal subspace")
-    return sol
+        return (self.field.degree, self.field.minpoly)
 
 
 def _splitting_candidates(space):
@@ -653,7 +620,7 @@ def cuspidal_eigensymbols(space, sign):
                  for col in range(ds)] for r in range(ds)]
         charpoly = []
         for i, c in enumerate(linalg.charpoly_rational(smat)):
-            q, r = divmod(c.numerator, d ** (ds - i))
+            q, r = divmod(c, d ** (ds - i))
             assert r == 0
             charpoly.append(q)
         factors = space._factor_cache.get(tuple(charpoly))
@@ -684,9 +651,9 @@ def _cyclic_krylov_basis(smat, d):
         krylov = [(v, 1)]
         for _ in range(ds - 1):
             u, e = krylov[-1]
-            (u,), e = _lowest([linalg.mat_vec(smat, u)], d * e)
+            (u,), e = lowest([linalg.mat_vec(smat, u)], d * e)
             krylov.append((u, e))
-        if linalg.rank([u for u, _ in krylov], QQ) == ds:
+        if linalg.rank([u for u, _ in krylov]) == ds:
             return krylov
     return None
 
@@ -702,12 +669,9 @@ def _extract_classes(space, sign, basis, charpoly, factors, krylov):
     rows, c = basis
     full = []
     for u, e in krylov:
-        (N,), f = _lowest([_combine(u, rows)], e * c)
+        (N,), f = lowest([_combine(u, rows)], e * c)
         full.append((N, f))
     F = lcm(*(f for _, f in full))
-    splitting = {"krylov": full,
-                 "krylov_rows": [list(r) for r in zip(*(N for N, _ in full))],
-                 "coords": {}}
     out = []
     for fac in factors:
         deg = len(fac) - 1
@@ -726,10 +690,9 @@ def _extract_classes(space, sign, basis, charpoly, factors, krylov):
             for i, x in enumerate(N):
                 if x:
                     acc[i] = [a + scale * x * y for a, y in zip(acc[i], hm)]
-        numerators, E = _lowest(acc, F)
+        numerators, E = lowest(acc, F)
         out.append(Eigensymbol(space, sign, padic.NumberField(fac),
-                               [tuple(x) for x in numerators], E,
-                               dict(splitting, factor=fac)))
+                               [tuple(x) for x in numerators], E))
     out.sort(key=lambda e: e.sort_key())
     return out
 

@@ -5,11 +5,12 @@ A number field is Q[y]/(minpoly), and an exact element of it is a pair
 of every exact value in the program; `NumberField.exact` puts one in lowest
 terms.  Vectors are reduced modulo the minimal polynomial, and inverses
 solved, through the multiplication matrix of an element (`_power_columns`):
-column i holds y^i times the element, so an inverse is one fraction-free
-linear solve (`linalg.solve` over Q) and no polynomial is divided over Q.  A
-PAdicEmbedding fixes one irreducible p-adic factor of the minimal
-polynomial, Hensel-lifted to precision p^M, together with its ramification
-index e and residue degree f.  Valuations are exact rationals with
+column i holds y^i times the element, so an inverse is one linear solve
+over Q in integers (`linalg.solve`, which returns integers over one
+denominator), and no polynomial is divided over Q.  A PAdicEmbedding
+fixes one irreducible p-adic factor of the minimal polynomial,
+Hensel-lifted to precision p^M, together with its ramification index e
+and residue degree f.  Valuations are exact rationals with
 denominator dividing e; reductions land in an explicit finite field
 F_p[t]/(u(t)).
 
@@ -29,11 +30,11 @@ Newton polygon does not certify it irreducible is factored completely in
 
 from fractions import Fraction
 from itertools import combinations, count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 
 from . import polyq
-from .linalg import QQ, solve
+from .linalg import lowest, solve
 from .errors import (
     ReduciblePolynomial,
     PrecisionTooLow,
@@ -75,24 +76,21 @@ class NumberField:
                                     self.minpoly, len(nums))
             nums = [sum(map(mul, row, nums)) for row in zip(*powers)]
         nums += [0] * (self.degree - len(nums))
-        g = gcd(den, *nums)
-        return [c // g for c in nums], den // g
+        (nums,), den = lowest([nums], den)
+        return nums, den
 
     def inverse_matrix(self, nums, den):
         """(m, d) with m an integer matrix: for x = nums / den nonzero, the
         power-basis coefficients of x^-1 * z are (m z) / d for those of z.
-        1 / x is den times the solve of `_inverse_mod` on nums, and d the
-        least common denominator of its coefficients.  The minimal
-        polynomial is monic and integral, so every column of
-        `_power_columns` stays integral over d."""
+        1 / x is den times the solve (inv, d) of `_inverse_mod` on nums,
+        put in lowest terms.  The minimal polynomial is monic and integral,
+        so every column of `_power_columns` stays integral over d."""
         inv = _inverse_mod(nums, self.minpoly)
         if inv is None:
             raise ReduciblePolynomial("minimal polynomial is not irreducible "
                                       "or the element is zero")
-        inv = [c * den for c in inv]
-        d = lcm(*(c.denominator for c in inv))
-        cols = _power_columns([c.numerator * (d // c.denominator)
-                               for c in inv], self.minpoly, self.degree)
+        (inv,), d = lowest([[c * den for c in inv[0]]], inv[1])
+        cols = _power_columns(inv, self.minpoly, self.degree)
         return [list(row) for row in zip(*cols)], d
 
 
@@ -110,12 +108,12 @@ def _power_columns(col, f, n):
 
 def _inverse_mod(vec, f):
     """The coefficients of 1 / x in Q[y]/(f), x = sum vec[i] y^i and f
-    monic of degree len(vec), as Fractions: one solve of M z = (1, 0, ...)
-    for the multiplication matrix M of x; None when x and f share a
-    factor."""
+    monic of degree len(vec), as (integers, den) in lowest terms: one solve
+    of M z = (1, 0, ...) for the multiplication matrix M of x; None when x
+    and f share a factor."""
     d = len(vec)
     rows = [list(row) for row in zip(*_power_columns(vec, f, d))]
-    return solve(rows, [1] + [0] * (d - 1), QQ)
+    return solve(rows, [1] + [0] * (d - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -733,10 +731,10 @@ class LocalElement:
             raise PrecisionExhausted(
                 "numerator shares a factor with the local factor; "
                 "raise the working precision")
-        den = lcm(*(c.denominator for c in s))
+        nums, den = s
         t = _vp(den, emb.p)
         u = pow(den // emb.p ** t, -1, emb.pM) * emb.p ** self.shift
-        vec = [c.numerator * (den // c.denominator) * u for c in s]
+        vec = [c * u for c in nums]
         # 1/x = (numerator inverse) * p^shift; error of 1/x has valuation
         # at least prec(x) - 2 v(x)
         return LocalElement(emb, vec, t, self.prec - 2 * v)

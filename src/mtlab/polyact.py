@@ -29,25 +29,6 @@ def act_matrix(gamma, g):
                  for i in range(g + 1))
 
 
-def act(coeffs, gamma):
-    """Apply the right action to a coefficient list over any ring."""
-    g = len(coeffs) - 1
-    m = act_matrix(gamma, g)
-    out = []
-    for i in range(g + 1):
-        acc = None
-        for j in range(g + 1):
-            mij = m[i][j]
-            if mij == 0:
-                continue
-            term = coeffs[j] * mij
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = coeffs[0] * 0
-        out.append(acc)
-    return out
-
-
 def mat_mul(m1, m2):
     """Product of two 2x2 integer matrices."""
     (a, b), (c, d) = m1
@@ -70,4 +51,3 @@ SIGMA = ((0, -1), (1, 0))
 TAU = ((0, -1), (1, -1))
 TAU2 = mat_mul(TAU, TAU)
 IOTA = ((-1, 0), (0, 1))
-IDENTITY = ((1, 0), (0, 1))

@@ -191,3 +191,44 @@ def test_taylor_terms_without_digits_bound_nothing(monkeypatch):
 
     monkeypatch.setattr(analysis, "_ball_term", blurred)
     assert [analysis.mu_min(norm) for norm in symbols] == want
+
+
+# -- lambda-growth patterns --------------------------------------------------
+
+def planted(name, p, constants):
+    """(n, lambda) of a template for n = 2..6, after rows n = 0, 1 whose
+    lambda fits no template: the fit reads only n >= 2."""
+    return [(0, 17), (1, -5)] + [
+        (n, analysis._template_values(name, p, n, constants))
+        for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("c", [-2, 0, 3])
+def test_fit_pattern_finds_planted_single_constant_templates(p, c):
+    assert analysis._fit_pattern(
+        p, planted("maximal", p, {0: 0, 1: 0})) == ("maximal", {})
+    for name in ("constant-lambda", "shifted", "shifted-supersingular"):
+        pairs = planted(name, p, {0: c, 1: c})
+        assert analysis._fit_pattern(p, pairs) == (name, {0: c})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("even,odd", [(0, 0), (1, -3), (4, 2)])
+def test_fit_pattern_finds_planted_supersingular_parity_constants(p, even,
+                                                                   odd):
+    pairs = planted("supersingular", p, {0: even, 1: odd})
+    assert analysis._fit_pattern(p, pairs) == ("supersingular",
+                                               {0: even, 1: odd})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fit_pattern_rejects_junk_and_low_levels(p):
+    junk = [(2, 5), (3, 1), (4, 9), (5, 2), (6, 40)]
+    assert analysis._fit_pattern(p, junk) == ("none", {})
+    # one template value off by one
+    pairs = planted("constant-lambda", p, {0: 1, 1: 1})
+    pairs[-1] = (6, pairs[-1][1] + 1)
+    assert analysis._fit_pattern(p, pairs) == ("none", {})
+    for low in ([], [(0, 0)], [(0, p - 1), (1, p - 1)]):
+        assert analysis._fit_pattern(p, low) == ("none", {})

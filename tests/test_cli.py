@@ -42,6 +42,11 @@ CASES = {
     "verify-degen": (["verify", "--mode", "degen"] + SMALL, cli.EXIT_OK),
     "verify-atkin-lehner": (["verify", "--mode", "atkin-lehner"] + SMALL,
                             cli.EXIT_OK),
+    # class c3 of each sign is 2-old, so w_N is not applicable to it
+    "verify-atkin-lehner-22-4-3": (["verify", "--mode", "atkin-lehner",
+                                    "--level", "22", "--weight", "4",
+                                    "--p", "3", "--sign", "both"],
+                                   cli.EXIT_OK),
     "verify-alphastick": (["verify", "--mode", "alphastick"] + SMALL,
                           cli.EXIT_OK),
     # ordinary source form: the congruence identity does not hold here
@@ -69,6 +74,9 @@ CASES = {
     # a composite level, split with the U_q candidates
     "eigenforms-22-4-3": (["eigenforms", "--level", "22", "--weight", "4",
                            "--p", "3", "--sign", "both"], cli.EXIT_OK),
+    # a big level: a_ell up to 100, past the Sturm bound 65
+    "eigenforms-389-2-3": (["eigenforms", "--level", "389", "--weight", "2",
+                            "--p", "3", "--ellmax", "100"], cli.EXIT_OK),
     # p > 3, so omega is not rational; weight > 2 and a symbol denominator
     # divisible by p, so the Teichmuller lifts need more than M digits
     "invariants-11-6-7": (["invariants", "--level", "11", "--weight", "6",
@@ -483,6 +491,31 @@ def test_mu_min_sets_up_each_field_and_witness_once(tmp_path, monkeypatch):
     argv, code = CASES["mu-min-23-6-3"]
     assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == code
     assert calls == {"primes_above": 2, "inverse": 6}
+
+
+# (N, k) -> {old class: the prime q it is certified q-old at}
+AL_OLD = {(22, 4): {"N22k4c3": 2}, (33, 2): {"N33k2c1": 3}, (11, 4): {},
+          (37, 2): {}, (23, 6): {}}
+
+
+@pytest.mark.parametrize("N,k", sorted(AL_OLD))
+def test_atkin_lehner_is_not_applicable_exactly_on_old_classes(N, k,
+                                                               tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["verify", "--mode", "atkin-lehner", "--level", str(N),
+            "--weight", str(k), "--p", "5", "--sign", "both",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) > 2 * len(AL_OLD[N, k])
+    for c in checks:
+        q = AL_OLD[N, k].get(c["class"])
+        if q is None:
+            assert c["ok"] is True and c["eigen"] is True
+        else:
+            assert c["ok"] is None and c["eigen"] is False
+            assert c["status"] == "not-applicable"
+            assert c["reason"].startswith("old at q = %d:" % q)
 
 
 def test_oldspace_builds_each_partner_image_once(tmp_path, monkeypatch):

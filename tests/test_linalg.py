@@ -3,14 +3,28 @@
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from mtlab import linalg, padic, polyq
-from mtlab.linalg import QQ
 from test_padic import poly_divmod, poly_sub, poly_xgcd
+
+
+class QQ:
+    """Q as a field adapter, to run the field path of the eliminations as
+    a reference.  Its entries must be Fractions: the field path divides
+    with `/`, which makes floats of ints."""
+
+    @staticmethod
+    def zero():
+        return Fraction(0)
+
+    @staticmethod
+    def one():
+        return Fraction(1)
 
 
 def mat_mat(a, b):
@@ -19,34 +33,46 @@ def mat_mat(a, b):
             for r in a]
 
 
+def fractions(rows, den=1):
+    """Integer rows over den as Fraction rows."""
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def in_lowest_terms(rows, den):
+    return (den > 0 and gcd(den, *(x for row in rows for x in row)) == 1
+            and all(type(x) is int for row in rows for x in row))
+
+
 def test_rref_and_rank():
-    rows = [[Fraction(1), Fraction(2), Fraction(3)],
-            [Fraction(2), Fraction(4), Fraction(6)],
-            [Fraction(0), Fraction(1), Fraction(1)]]
-    red, pivots = linalg.rref(rows, QQ)
+    rows = [[2, 4, 6], [1, 2, 3], [0, 3, 3]]
+    (red, den), pivots = linalg.rref(rows)
     assert pivots == [0, 1]
-    assert linalg.rank(rows, QQ) == 2
+    assert (red, den) == ([[1, 0, 1], [0, 1, 1]], 1)
+    assert linalg.rank(rows) == 2
+    # a pivot entry 3 over the other's 2: both rows scaled to den 6
+    (red, den), pivots = linalg.rref([[2, 1, 0], [0, 3, 1]])
+    assert (red, den, pivots) == ([[6, 0, -1], [0, 6, 2]], 6, [0, 1])
 
 
 def test_kernel_basis_rational():
-    rows = [[Fraction(1), Fraction(2), Fraction(3)],
-            [Fraction(0), Fraction(1), Fraction(1)]]
-    basis = linalg.kernel_basis(rows, 3, QQ)
-    assert len(basis) == 1
+    rows = [[1, 2, 3], [0, 2, 1]]
+    basis, den = linalg.kernel_basis(rows, 3)
+    assert (basis, den) == ([[-4, -1, 2]], 2)
     for vec in basis:
         assert all(x == 0 for x in linalg.mat_vec(rows, vec))
 
 
 def test_solve_and_invert():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    x = linalg.solve(rows, [Fraction(3), Fraction(2)], QQ)
-    assert x == [Fraction(1), Fraction(1)]
+    rows = [[2, 1], [1, 1]]
+    assert linalg.solve(rows, [3, 2]) == ([1, 1], 1)
     # the inverse, one column per solve
-    cols = [linalg.solve(rows, [1, 0], QQ), linalg.solve(rows, [0, 1], QQ)]
-    assert mat_mat(rows, [list(r) for r in zip(*cols)]) == [[1, 0], [0, 1]]
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert linalg.solve(singular, [1, 0], QQ) is None
-    assert linalg.solve(singular, [Fraction(1), Fraction(3)], QQ) is None
+    cols = [linalg.solve(rows, [1, 0]), linalg.solve(rows, [0, 1])]
+    assert cols == [([1, -1], 1), ([-1, 2], 1)]
+    assert linalg.solve([[2, 0], [0, 4]], [1, 1]) == ([2, 1], 4)
+    singular = [[1, 2], [2, 4]]
+    assert linalg.solve(singular, [1, 0]) is None
+    assert linalg.solve(singular, [1, 3]) is None
+    assert linalg.solve(singular, [1, 2]) == ([1, 0], 1)
 
 
 def test_kernel_over_finite_field():
@@ -61,11 +87,8 @@ def test_kernel_over_finite_field():
 
 def test_charpoly_companion():
     # companion matrix of x^3 - 2x - 5
-    rows = [[Fraction(0), Fraction(0), Fraction(5)],
-            [Fraction(1), Fraction(0), Fraction(2)],
-            [Fraction(0), Fraction(1), Fraction(0)]]
-    cp = linalg.charpoly_rational(rows)
-    assert cp == [Fraction(-5), Fraction(-2), Fraction(0), Fraction(1)]
+    rows = [[0, 0, 5], [1, 0, 2], [0, 1, 0]]
+    assert linalg.charpoly_rational(rows) == [-5, -2, 0, 1]
 
 
 def squarefree_parts(f):
@@ -124,20 +147,17 @@ def test_factor_rational_poly():
                        ([Fraction(1), Fraction(0), Fraction(1)], 1)]
 
 
-rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
-
-
 @given(st.integers(0, 8).flatmap(
-    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
+    lambda n: st.lists(st.lists(st.integers(-20, 20), min_size=n,
+                                max_size=n), min_size=n, max_size=n)))
 @settings(max_examples=150, deadline=None)
 def test_charpoly_matches_sympy(rows):
     n = len(rows)
-    m = sympy.Matrix(n, n, lambda i, j: sympy.Rational(
-        rows[i][j].numerator, rows[i][j].denominator))
-    expected = [Fraction(int(c.p), int(c.q))
-                for c in reversed(m.charpoly().all_coeffs())]
-    assert linalg.charpoly_rational(rows) == expected
+    m = sympy.Matrix(n, n, lambda i, j: rows[i][j])
+    expected = [int(c) for c in reversed(m.charpoly().all_coeffs())]
+    got = linalg.charpoly_rational(rows)
+    assert got == expected
+    assert all(type(c) is int for c in got)
 
 
 def sympy_factor_list(coeffs):
@@ -195,10 +215,10 @@ def test_random_kernel_dimension_consistency():
     for _ in range(20):
         nrows = rng.randrange(1, 6)
         ncols = rng.randrange(1, 6)
-        rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(ncols)]
+        rows = [[rng.randrange(-3, 4) for _ in range(ncols)]
                 for _ in range(nrows)]
-        r = linalg.rank(rows, QQ)
-        basis = linalg.kernel_basis(rows, ncols, QQ)
+        r = linalg.rank(rows)
+        basis, _ = linalg.kernel_basis(rows, ncols)
         assert r + len(basis) == ncols
         for vec in basis:
             assert all(x == 0 for x in linalg.mat_vec(rows, vec))
@@ -345,28 +365,39 @@ def rational_matrices(draw):
     return rows
 
 
-def all_fractions(rows):
-    return all(type(x) is Fraction for row in rows for x in row)
+def integer_rows(rows):
+    """Each row of ints and Fractions times the lcm of its denominators:
+    the same row space, and the same solutions for an augmented row."""
+    out = []
+    for row in rows:
+        d = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * d) for x in row])
+    return out
 
 
 @given(rational_matrices())
 @settings(max_examples=200, deadline=None)
 def test_rational_rref_matches_dense_reference(rows):
-    red, pivots = linalg.rref(rows, QQ)
-    assert (red, pivots) == dense_rref(rows, QQ)
-    assert all_fractions(red)
+    rows = integer_rows(rows)
     ncols = len(rows[0]) if rows else 0
+    (red, den), pivots = linalg.rref(rows)
+    want, want_pivots = dense_rref(fractions(rows), QQ)
+    assert pivots == want_pivots
+    assert fractions(red, den) == want
+    assert in_lowest_terms(red, den)
     # the integer rows under the same elimination: primitive, and each
     # divided by its pivot entry is the reduced row
-    sparse, sparse_pivots = linalg.sparse_rref(rows, QQ)
+    sparse, sparse_pivots = linalg.sparse_rref(rows)
     assert sparse_pivots == pivots
-    for row, c, want in zip(sparse, pivots, red):
+    for row, c, w in zip(sparse, pivots, want):
         assert all(type(x) is int and x for x in row.values())
         assert gcd(*row.values()) == 1
-        assert [Fraction(row.get(k, 0), row[c]) for k in range(ncols)] == want
-    kernel = linalg.kernel_basis(rows, ncols, QQ)
+        assert [Fraction(row.get(k, 0), row[c]) for k in range(ncols)] == w
+    kernel, kden = linalg.kernel_basis(rows, ncols)
     assert len(kernel) == ncols - len(pivots)
-    assert all_fractions(kernel)
+    assert in_lowest_terms(kernel, kden)
+    assert fractions(kernel, kden) == linalg.kernel_basis(
+        fractions(rows), ncols, QQ)
     for vec in kernel:
         assert all(x == 0 for x in linalg.mat_vec(rows, vec))
 
@@ -374,21 +405,23 @@ def test_rational_rref_matches_dense_reference(rows):
 @given(rational_matrices())
 @settings(max_examples=100, deadline=None)
 def test_rational_solve_matches_dense_reference(rows):
+    rows = integer_rows(rows)
     if not rows or not rows[0]:
         return
     # the last column is the right-hand side
     a = [row[:-1] for row in rows]
     b = [row[-1] for row in rows]
-    x = linalg.solve(a, b, QQ)
-    red, pivots = dense_rref(rows, QQ)
+    got = linalg.solve(a, b)
+    red, pivots = dense_rref(fractions(rows), QQ)
+    # None exactly when the right-hand side is a pivot column
     if len(rows[0]) - 1 in pivots:
-        assert x is None
+        assert got is None
         return
-    assert all_fractions([x])
-    assert [sum((u * v for u, v in zip(row, x)), Fraction(0))
-            for row in a] == b
+    x, den = got
+    assert in_lowest_terms([x], den)
+    assert [sum(map(mul, row, x)) for row in a] == [den * y for y in b]
     # the solution with every free coordinate zero
     expected = [Fraction(0)] * (len(rows[0]) - 1)
     for row, c in zip(red, pivots):
         expected[c] = row[-1]
-    assert x == expected
+    assert fractions([x], den) == [expected]

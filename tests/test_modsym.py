@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from mtlab import linalg, mazurtate, modsym, padic, polyact
 from mtlab.errors import InvalidOperator, PrecisionExhausted
-from mtlab.linalg import QQ
 from mtlab.modsym import ManinSymbolSpace
-from test_linalg import mat_mat
+from test_linalg import QQ, mat_mat
 from test_padic import sympy_coeffs, sympy_poly
-from test_polyact import evaluate
+from test_polyact import act, evaluate
 
 
 # -- coset values of arbitrary coordinates (references) ----------------------
@@ -311,7 +310,7 @@ def evaluate_divisor(space, get_value, divisor):
     for coeff, (a, b) in divisor.terms:
         for B, ginv in path_terms(space, a, b):
             acc = add(acc, [x * -coeff
-                            for x in polyact.act(get_value(B), ginv)])
+                            for x in act(get_value(B), ginv)])
     return acc
 
 
@@ -365,12 +364,12 @@ def test_manin_relations_hold():
         values = all_values(space, coords)
         for i in range(len(space.plist)):
             si = space.plist.apply_right(i, polyact.SIGMA)
-            lhs = add(values[si], polyact.act(values[i], polyact.SIGMA))
+            lhs = add(values[si], act(values[i], polyact.SIGMA))
             assert all(x == 0 for x in lhs)
             ti = space.plist.apply_right(i, polyact.TAU)
             tti = space.plist.apply_right(ti, polyact.TAU)
-            lhs = add(values[i], add(polyact.act(values[ti], polyact.TAU2),
-                                     polyact.act(values[tti], polyact.TAU)))
+            lhs = add(values[i], add(act(values[ti], polyact.TAU2),
+                                     act(values[tti], polyact.TAU)))
             assert all(x == 0 for x in lhs)
 
 
@@ -443,7 +442,7 @@ def test_evaluate_gamma_invariance():
                                        (y.numerator, y.denominator))
             gdiv = RationalDivisor.path(_apply_moebius(gamma, x),
                                         _apply_moebius(gamma, y))
-            lhs = polyact.act(
+            lhs = act(
                 evaluate_divisor(space, lambda A: values[A], gdiv), gamma)
             rhs = evaluate_divisor(space, lambda A: values[A], div)
             assert lhs == rhs
@@ -629,29 +628,101 @@ def test_eigensymbol_minus_space_matches_plus_eigenvalues():
         assert plus[0].a(ell) == minus[0].a(ell)
 
 
-def test_krylov_solve_once_per_splitting_and_operator(monkeypatch):
-    # eigenforms at 23/6/3, both signs: two classes per sign share each
-    # sign's splitting, so the 8 primes up to 20 need 2 x 8 solves, not 32
-    solves = []
-    solve = modsym._subspace_coords
-
-    def counted(rows, vec):
-        solves.append(len(rows))
-        return solve(rows, vec)
-
-    monkeypatch.setattr(modsym, "_subspace_coords", counted)
+def test_a_reads_one_coset_per_class_and_prime(monkeypatch):
+    # eigenforms at 23/6/3, both signs: each of the 4 classes reads each
+    # of the 8 primes up to 20 off one coset, one plan per class and prime,
+    # and builds no operator matrix past those of the splitting
     space = ManinSymbolSpace(23, 6)
     classes = [modsym.cuspidal_eigensymbols(space, sign) for sign in (1, -1)]
     assert [len(c) for c in classes] == [2, 2]
+    plans, built = [], []
+    plan, hecke_matrix = ManinSymbolSpace._plan, ManinSymbolSpace.hecke_matrix
+
+    def counted_plan(self, op, cosets):
+        plans.append((op, list(cosets)))
+        return plan(self, op, cosets)
+
+    def counted_hecke_matrix(self, op):
+        built.append(op)
+        return hecke_matrix(self, op)
+
+    monkeypatch.setattr(ManinSymbolSpace, "_plan", counted_plan)
+    monkeypatch.setattr(ManinSymbolSpace, "hecke_matrix", counted_hecke_matrix)
     eigenvalues = [[[f.a(ell) for ell in padic.primes_up_to(20)]
                     for f in c] for c in classes]
-    assert len(solves) == 16
-    # the shared coordinates give each class its own eigenvalues, in
-    # lowest terms over its own field
+    assert len(plans) == 4 * 8
+    assert all(len(cosets) == 1 for _, cosets in plans)
+    assert built == []
+    splitters = {op for combo in modsym._splitting_candidates(space)
+                 for op, _ in combo}
+    assert set(space._hecke_matrices) <= splitters | {"iota"}
+    # each class has its own eigenvalues, in lowest terms over its own
+    # field
     for c, values in zip(classes, eigenvalues):
         assert [len(v[0][0]) for v in values] == [f.field.degree for f in c]
         assert all(gcd(den, *nums) == 1 for v in values for nums, den in v)
         assert values[0] != values[1]
+
+
+def krylov_eigenvalues(space, sign, bound):
+    """{minimal polynomial: [a_ell for the primes ell <= bound]} for the
+    classes of a sign, by the Krylov algebra of the splitting that
+    `cuspidal_eigensymbols` picks: with the Krylov vectors S^j v = N_j / f_j
+    of its operator S in full coordinates, solving H N_0 = sum u_j N_j for
+    H = D * T_ell gives T_ell = sum u_j f_j / (D f_0) S^j on the cuspidal
+    subspace, and a_ell is that sum at the eigenvalue of S, the generator
+    of the class's field."""
+    basis = space.cuspidal_subspace(sign)
+    rows, c = basis
+    ds = len(rows)
+    for combo in modsym._splitting_candidates(space):
+        mats = [space._restrict_operator(op, basis) for op, _ in combo]
+        d = lcm(*(dm for _, dm in mats))
+        smat = [[sum(w * (d // dm) * m[r][col]
+                     for (_, w), (m, dm) in zip(combo, mats))
+                 for col in range(ds)] for r in range(ds)]
+        charpoly = [x // d ** (ds - i)
+                    for i, x in enumerate(linalg.charpoly_rational(smat))]
+        try:
+            factors = padic.factor_monic_int(charpoly)
+        except ValueError:
+            continue
+        krylov = modsym._cyclic_krylov_basis(smat, d)
+        if krylov is not None:
+            break
+    full = [linalg.lowest([modsym._combine(u, rows)], e * c)
+            for u, e in krylov]
+    columns = [list(col) for col in zip(*(N for (N,), _ in full))]
+    (N0,), f0 = full[0]
+    out = {tuple(fac): [] for fac in factors}
+    for ell in padic.primes_up_to(bound):
+        H = space.hecke_matrix(("U%d" if space.M % ell == 0 else "T%d")
+                               % ell)
+        u, uden = linalg.solve(columns, linalg.mat_vec(H, N0))
+        nums = [x * f for x, (_, f) in zip(u, full)]
+        for fac, values in out.items():
+            values.append(padic.NumberField(fac).exact(
+                nums, uden * space.denominator * f0))
+    return out
+
+
+# the spaces of the golden reports, and 33/2 and 14/4, which have old
+# classes
+A_ELL_CASES = [(N, k, 40) for N, k in ((11, 2), (11, 4), (11, 6), (11, 8),
+                                       (23, 4), (23, 6), (22, 4), (37, 2),
+                                       (33, 2), (14, 4))] + [(389, 2, 20)]
+
+
+@pytest.mark.parametrize("N,k,bound", A_ELL_CASES)
+def test_a_matches_the_krylov_reference(N, k, bound):
+    space = ManinSymbolSpace(N, k)
+    for sign in (1, -1):
+        classes = modsym.cuspidal_eigensymbols(space, sign)
+        want = krylov_eigenvalues(space, sign, bound)
+        assert sorted(want) == sorted(f.field.minpoly for f in classes)
+        for f in classes:
+            got = [f.a(ell) for ell in padic.primes_up_to(bound)]
+            assert got == want[f.field.minpoly]
 
 
 def test_wn_involution_on_eigensymbol():
@@ -827,7 +898,7 @@ def test_iota_is_the_coset_permutation_and_action():
         out = apply_operator_to_values(space, "iota", values, cosets)
         for A in cosets:
             u, v = space.plist[A]
-            assert out[A] == polyact.act(values[space.plist.index(-u, v)],
+            assert out[A] == act(values[space.plist.index(-u, v)],
                                          polyact.IOTA)
 
 
@@ -862,12 +933,10 @@ def reference_restrict_operator(space, op, basis):
     nb = len(rows)
     H = space.hecke_matrix(op)
     images = [linalg.mat_vec(H, v) for v in rows]
-    red, pivots = linalg.rref([list(r) for r in zip(*rows, *images)], QQ)
+    (red, den), pivots = linalg.rref([list(r) for r in zip(*rows, *images)])
     if pivots != list(range(nb)):
         raise InvalidOperator("%s does not preserve the subspace" % op)
-    D = space.denominator
-    return modsym._integer_rows([[Fraction(x, D) for x in row[nb:]]
-                                 for row in red])
+    return linalg.lowest([row[nb:] for row in red], den * space.denominator)
 
 
 def reference_cuspidal_subspace(space, sign):
@@ -878,7 +947,7 @@ def reference_cuspidal_subspace(space, sign):
     rows, den = basis
     ell = next(space.good_primes())
     B, d = reference_restrict_operator(space, "T%d" % ell, basis)
-    f = [c.numerator for c in linalg.charpoly_rational(B)]
+    f = linalg.charpoly_rational(B)
     eis = d * (1 + ell ** (space.k - 1))
     m = 0
     while len(f) > 1:
@@ -886,10 +955,9 @@ def reference_cuspidal_subspace(space, sign):
         if rem:
             break
         f, m = quo, m + 1
-    ker, kden = modsym._integer_rows(
-        linalg.kernel_basis(poly_of_matrix(f, B), len(rows), QQ))
-    return modsym._lowest([modsym._combine(y, rows) for y in ker],
-                          kden * den), m
+    ker, kden = linalg.kernel_basis(poly_of_matrix(f, B), len(rows))
+    return linalg.lowest([modsym._combine(y, rows) for y in ker],
+                         kden * den), m
 
 
 # (N, k) -> the multiplicity m of the boundary eigenvalue of T_ell on the
@@ -927,7 +995,7 @@ def test_restrict_operator_needs_unit_columns():
     mixed = [[a + b for a, b in zip(row, total)] for row in rows]
     assert len(mixed) > 2
     assert all(sum(1 for x in col if x) != 1 for col in zip(*mixed))
-    assert linalg.rank(mixed, QQ) == len(rows)
+    assert linalg.rank(mixed) == len(rows)
     with pytest.raises(ValueError):
         space._restrict_operator("T2", (mixed, den))
 
@@ -952,9 +1020,9 @@ def test_restrict_operator_is_right_or_refuses():
         if trial % 2:
             i = rng.randrange(len(rows))
             rows[i] = [a + b for a, b in zip(rows[i], minus[0])]
-        basis = modsym._lowest(rows, rng.randrange(1, 5))
+        basis = linalg.lowest(rows, rng.randrange(1, 5))
         if trial % 4 == 3:  # an echelon basis has unit columns at its pivots
-            basis = modsym._integer_rows(linalg.rref(rows, QQ)[0])
+            basis = linalg.rref(rows)[0]
         for op in ("iota", "T2"):
             try:
                 want = reference_restrict_operator(space, op, basis)
@@ -993,8 +1061,10 @@ def test_restrict_operator_rejects_planted_subspace():
     images = [operator_on_coords(space, "iota", v) for v in basis]
     assert linalg.rank(basis + images, QQ) > len(basis)
     basis, _ = linalg.rref(basis, QQ)
+    den = lcm(*(x.denominator for v in basis for x in v))
+    basis = linalg.lowest([[int(x * den) for x in v] for v in basis], den)
     with pytest.raises(InvalidOperator):
-        space._restrict_operator("iota", modsym._integer_rows(basis))
+        space._restrict_operator("iota", basis)
 
 
 def fold_coset_value(space, coords, A):

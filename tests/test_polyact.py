@@ -5,6 +5,29 @@ from fractions import Fraction
 
 from mtlab import polyact
 
+IDENTITY = ((1, 0), (0, 1))
+
+
+def act(coeffs, gamma):
+    """The right action on a coefficient list over any ring, through the
+    integer matrix of `polyact.act_matrix`: the reference every action
+    matrix is checked against."""
+    g = len(coeffs) - 1
+    m = polyact.act_matrix(gamma, g)
+    out = []
+    for i in range(g + 1):
+        acc = None
+        for j in range(g + 1):
+            mij = m[i][j]
+            if mij == 0:
+                continue
+            term = coeffs[j] * mij
+            acc = term if acc is None else acc + term
+        if acc is None:
+            acc = coeffs[0] * 0
+        out.append(acc)
+    return out
+
 
 def random_matrix(rng, bound=5):
     return ((rng.randrange(-bound, bound + 1), rng.randrange(-bound, bound + 1)),
@@ -32,7 +55,7 @@ def test_identity_acts_trivially():
     rng = random.Random(1)
     for g in (0, 2, 6, 16):
         p = random_poly(rng, g)
-        assert polyact.act(p, polyact.IDENTITY) == p
+        assert act(p, IDENTITY) == p
 
 
 def test_action_is_antihomomorphism_free():
@@ -43,8 +66,8 @@ def test_action_is_antihomomorphism_free():
         p = random_poly(rng, g)
         m1 = random_matrix(rng)
         m2 = random_matrix(rng)
-        lhs = polyact.act(polyact.act(p, m1), m2)
-        rhs = polyact.act(p, polyact.mat_mul(m1, m2))
+        lhs = act(act(p, m1), m2)
+        rhs = act(p, polyact.mat_mul(m1, m2))
         assert lhs == rhs
 
 
@@ -56,7 +79,7 @@ def test_evaluation_after_action():
         p = random_poly(rng, g)
         m = random_matrix(rng)
         (a, b), (c, d) = m
-        assert evaluate(polyact.act(p, m), 0, 1) == evaluate(p, -c, a)
+        assert evaluate(act(p, m), 0, 1) == evaluate(p, -c, a)
 
 
 def test_sigma_and_tau_orders():
@@ -65,13 +88,13 @@ def test_sigma_and_tau_orders():
         p = random_poly(rng, g)
         q = p
         for _ in range(4):
-            q = polyact.act(q, polyact.SIGMA)
+            q = act(q, polyact.SIGMA)
         assert q == p
         q = p
         for _ in range(3):
-            q = polyact.act(q, polyact.TAU)
+            q = act(q, polyact.TAU)
         assert q == p
-        assert polyact.act(polyact.act(p, polyact.IOTA), polyact.IOTA) == p
+        assert act(act(p, polyact.IOTA), polyact.IOTA) == p
 
 
 def test_minus_identity_trivial_for_even_weight():
@@ -79,12 +102,12 @@ def test_minus_identity_trivial_for_even_weight():
     minus = ((-1, 0), (0, -1))
     for g in (0, 2, 6):
         p = random_poly(rng, g)
-        assert polyact.act(p, minus) == p
+        assert act(p, minus) == p
 
 
 def test_weight_zero_action_is_trivial():
     m = ((3, 1), (2, 1))
-    assert polyact.act([Fraction(7)], m) == [Fraction(7)]
+    assert act([Fraction(7)], m) == [Fraction(7)]
 
 
 def test_unimodular_inverse():
@@ -103,4 +126,4 @@ def test_unimodular_inverse():
         if found is None:
             continue
         inv = polyact.mat_inv_unimodular(found)
-        assert polyact.mat_mul(found, inv) == polyact.IDENTITY
+        assert polyact.mat_mul(found, inv) == IDENTITY

@@ -18,9 +18,10 @@ from pathlib import Path
 ROOT = Path(__file__).parent.parent
 TRACED = ROOT / "bench" / "traced.py"
 
-# wrapped layers known to be gone from mtlab: the function moved into the
+# wrapped layers known to be gone from mtlab: each function moved into the
 # tests as a reference
-KNOWN_MISSING = {("mtlab.modsym", "ManinSymbolSpace.evaluate_divisor")}
+KNOWN_MISSING = {("mtlab.modsym", "ManinSymbolSpace.evaluate_divisor"),
+                 ("mtlab.polyact", "act")}
 
 
 def load_specs():
@@ -56,5 +57,6 @@ def test_traced_job_reads_every_statistic(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(trace.read_text())
-    assert result["absent"] == {"modsym.evaluate_divisor": "missing"}
+    assert result["absent"] == {"modsym.evaluate_divisor": "missing",
+                                "polyact.act": "missing"}
     assert result["metrics"]["mazurtate.element.coeffs"] == 24
