@@ -42,12 +42,5 @@ class NotOrdinary(MTLabError):
 
 
 class EmbeddingAmbiguity(MTLabError):
-    """Several inequivalent residue-field embeddings align the checked data."""
-
-
-class NotInSpan(MTLabError):
-    """A reduced symbol does not lie in the expected degeneracy span."""
-
-    def __init__(self, message, span_dimension=None):
-        super().__init__(message)
-        self.span_dimension = span_dimension
+    """The reduced a_ell of two forms have the same minimal polynomials, but
+    no residue-field map aligns them at every checked prime at once."""

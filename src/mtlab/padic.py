@@ -851,12 +851,12 @@ def primes_above(field, p, M):
         block_polys.append(blk)
     lifted = _hensel_blocks([c % p ** M for c in field.minpoly],
                             block_polys, p, M)
-    embs = []
+    # (local factor, e, f, residue modpoly, residue_gen) per prime, in the
+    # shape `tame._factor_block_tame` returns
+    factors = []
     for idx, ((gbar, mult), H) in enumerate(zip(blocks, lifted)):
-        d = len(gbar) - 1
         if mult == 1 or _one_segment(H, gbar, mult, p, M):
-            embs.append(dict(local_factor=H, e=mult, residue_degree=d,
-                             residue_modpoly=gbar))
+            factors.append((H, mult, len(gbar) - 1, gbar, None))
             continue
         # Res(H, H') fixes D, the valuation of the block discriminant, at
         # the first precision where it does not vanish, usually M itself
@@ -878,16 +878,9 @@ def primes_above(field, p, M):
         B = max(B, M + 2 * D + 12)
         HB = _hensel_blocks([c % p ** B for c in field.minpoly],
                             block_polys, p, B)[idx]
-        factors = tame._factor_block_tame(HB, gbar, mult, p, M, B, D)
-        for G, e, fdeg, rbar, gen in factors:
-            embs.append(dict(local_factor=G, e=e, residue_degree=fdeg,
-                             residue_modpoly=rbar, residue_gen=gen))
-    result = []
-    for j, data in enumerate(embs):
-        result.append(PAdicEmbedding(field, p, M, data["local_factor"],
-                                     data["e"], data["residue_degree"],
-                                     data["residue_modpoly"], j,
-                                     data.get("residue_gen")))
+        factors.extend(tame._factor_block_tame(HB, gbar, mult, p, M, B, D))
+    result = [PAdicEmbedding(field, p, M, G, e, f, rbar, j, gen)
+              for j, (G, e, f, rbar, gen) in enumerate(factors)]
     total = sum(emb.e * emb.residue_degree for emb in result)
     assert total == field.degree
     return result

@@ -6,7 +6,7 @@ through the job driver `cli._records`, and every report is written by
 """
 
 from . import analysis, cli, linalg, mazurtate, modsym, padic, polyq
-from .errors import EmbeddingAmbiguity, NotInSpan
+from .errors import EmbeddingAmbiguity
 
 
 def sturm_bound(N, k):
@@ -31,26 +31,6 @@ def _mu_min_witness(normalized):
             x = analysis._ball_term(normalized, ball, 0)
             if x.certified_valuation() == mu:
                 return mu, x
-
-
-class CongruenceMatch:
-    """A weight-2 class residually matching a higher-weight eigenform."""
-
-    def __init__(self, target_id, sturm, checked_primes,
-                 residual_field_degree, embedding_choice, target_class,
-                 target_embedding):
-        self.target_id = target_id
-        self.sturm_bound = sturm
-        self.checked_primes = list(checked_primes)
-        self.residual_field_degree = residual_field_degree
-        self.embedding_choice = embedding_choice
-        self.target_class = target_class
-        self.target_embedding = target_embedding
-
-    def __repr__(self):
-        return ("CongruenceMatch(%s, %d primes to %d)"
-                % (self.target_id, len(self.checked_primes),
-                   self.sturm_bound))
 
 
 def _residue_homs(source_field, target_field):
@@ -80,15 +60,18 @@ def _apply_hom(x, image, target_field):
 
 
 def find_congruent_weight2(eigensymbol, embedding, classes, primes_above):
-    """The weight-2 classes whose residual eigensystem matches.
+    """The weight-2 classes whose residual eigensystem matches, as
+    (class id, class, prime above p, residue-field map) tuples.
 
     classes are the sign +1 cuspidal eigensymbols of weight 2 at the level
     of the eigensymbol, in report order, and primes_above(field, M) gives
-    the primes above p of a class's field (the job's memo). Matching
+    the primes above p of a class's field (the job's memo).  Matching
     compares reductions of a_ell for every prime ell != p up to the Sturm
-    bound; classes over larger coefficient fields are compared through
-    minimal polynomials first, then through an explicit embedding of
-    residue fields that must align every checked prime at once.
+    bound, through minimal polynomials first and then through a map of
+    residue fields that aligns every checked prime at once.  A class's
+    first matching prime is its partner, and its map is the first aligning
+    one: the image of the generator of that prime's residue field in the
+    residue field of embedding, as `_apply_hom` reads it.
     """
     space = eigensymbol.space
     p = embedding.p
@@ -108,28 +91,28 @@ def find_congruent_weight2(eigensymbol, embedding, classes, primes_above):
             if any(source_red[ell].minimal_polynomial()
                    != target_red[ell].minimal_polynomial() for ell in ells):
                 continue
-            homs = _residue_homs(Fg, F)
-            consistent = [h for h in homs
-                          if all(_apply_hom(target_red[ell], h, F)
-                                 == source_red[ell] for ell in ells)]
-            if not consistent:
+            cid = analysis.form_id(cls.space, idx)
+            hom = next((h for h in _residue_homs(Fg, F)
+                        if all(_apply_hom(target_red[ell], h, F)
+                               == source_red[ell] for ell in ells)), None)
+            if hom is None:
                 raise EmbeddingAmbiguity(
                     "minimal polynomials match for %s but no residue-field "
-                    "embedding aligns all checked primes"
-                    % analysis.form_id(cls.space, idx))
-            matches.append(CongruenceMatch(
-                analysis.form_id(cls.space, idx), bound, ells, F.degree,
-                homs.index(consistent[0]), cls, gemb))
+                    "embedding aligns all checked primes" % cid)
+            matches.append((cid, cls, gemb, hom))
             break
     return matches
 
 
-def verify_congruence(f_norm, g_norm, n_max, mode):
+def verify_congruence(f_norm, g_norm, hom, n_max, mode):
     """Check reduce(theta_{n,i}(f) / c) = u * nu(reduce(theta_{n-1,i}(g))).
 
-    The scaling element c has valuation mu_min(f) in lowslope mode and is
-    1 in medweight mode; the residue-field unit u is fitted at the
-    smallest level and reused for every (n, i).
+    g is read in the residue field of f through hom, the residue-field map
+    that `find_congruent_weight2` matched it with.  The scaling element c
+    has valuation mu_min(f) in lowslope mode and is 1 in medweight mode;
+    the residue-field unit u is fitted at the smallest level and reused
+    for every (n, i).  Returns (mu, [(n, i, ok)]), with mu the valuation
+    of c.
     """
     if mode not in ("medweight", "lowslope"):
         raise ValueError("mode must be medweight or lowslope")
@@ -145,11 +128,6 @@ def verify_congruence(f_norm, g_norm, n_max, mode):
         mu = 0
         scale = emb.local(1)
     F = emb.residue_field
-    Fg = g_norm.embedding.residue_field
-    homs = _residue_homs(Fg, F)
-    if not homs:
-        raise EmbeddingAmbiguity("no residue-field embedding available")
-    hom = homs[0]
     unit = None
     rows = []
     for n in range(1, n_max + 1):
@@ -170,19 +148,7 @@ def verify_congruence(f_norm, g_norm, n_max, mode):
             else:
                 ok = all(a == unit * b for a, b in zip(lhs, rhs))
             rows.append((n, i, ok))
-    return {
-        "mode": mode,
-        "mu_min": mu,
-        "unit": None if unit is None else list(unit.coeffs),
-        "rows": rows,
-        "all_passed": all(ok for _, _, ok in rows),
-    }
-
-
-class OldspaceDecomposition(list):
-    """Coordinates a_1..a_r in the basis of degeneracy images of g."""
-
-    span_dimension = None
+    return mu, rows
 
 
 def _degeneracy_images(cls, target, r):
@@ -198,15 +164,18 @@ def _degeneracy_images(cls, target, r):
             for A in range(len(target.plist))]
 
 
-def oldspace_decompose(f_norm, g_norm, images, target):
-    """Coordinates of the reduced alpha-image of f in target, level N p^r.
+def oldspace_decompose(f_norm, g_norm, hom, images, target):
+    """(span dimension, coordinates a_1..a_r or None) of the reduced
+    alpha-image of f in target, level N p^r.
 
     The alpha map evaluates the generator polynomials at the bottom rows
     of coset lifts and divides by an element of valuation mu_min(f); the
     result is expanded in the basis phi-bar_g | (p^t, 0; 0, 1), t = 1..r,
-    by linear algebra over the residue field.  images[t - 1] is the exact
-    degeneracy image of g at p^t (`_degeneracy_images`), and each basis
-    vector is its reduction, embedded once per coset.
+    by linear algebra over the residue field of f.  images[t - 1] is the
+    exact degeneracy image of g at p^t (`_degeneracy_images`), and each
+    basis vector is its reduction, embedded once per coset and read
+    through hom, the residue-field map g was matched with.  The
+    coordinates are None when the image is not in the span.
     """
     space = f_norm.space
     emb = f_norm.embedding
@@ -214,11 +183,6 @@ def oldspace_decompose(f_norm, g_norm, images, target):
     if g_norm.space.k != 2 or g_norm.space.M != N:
         raise ValueError("the partner must be a weight-2 symbol at level N")
     F = emb.residue_field
-    Fg = g_norm.embedding.residue_field
-    homs = _residue_homs(Fg, F)
-    if not homs:
-        raise EmbeddingAmbiguity("no residue-field embedding available")
-    hom = homs[0]
     size = len(target.plist)
     basis = [[_apply_hom(g_norm.embed(img[A][0]).reduce(), hom, F)
               for A in range(size)] for img in images]
@@ -229,29 +193,22 @@ def oldspace_decompose(f_norm, g_norm, images, target):
         _, (c, d) = target.plist.lift(A)
         acc = f_norm.evaluate(space.plist.index(c, d), c, d)
         tvec.append((acc * scale).reduce())
-    span = linalg.rank(basis, F)
     cols = [list(col) for col in zip(*basis)]
-    sol = linalg.solve(cols, tvec, F)
-    if sol is None:
-        raise NotInSpan(
-            "the reduced alpha-image is not in the degeneracy span "
-            "(dimension %d)" % span, span_dimension=span)
-    out = OldspaceDecomposition(sol)
-    out.span_dimension = span
-    return out
+    return linalg.rank(basis, F), linalg.solve(cols, tvec, F)
 
 
 def verify_weight2_patterns(g_norm, n_max):
-    """Pattern checks for a weight-2 symbol, routed on ord_p(a_p).
+    """The pattern entries of a weight-2 symbol, one per twist i of its
+    sign, routed on ord_p(a_p), as the wt2-patterns report lists them.
 
-    Returns {i: report} for every twist i of the symbol's sign.
-    Supersingular route: reports lambda(theta_{n,i}) - q_n per level and
-    whether it is constant from n = 2 on.
-    Ordinary route: reports "maximal" when lambda = p^n - 1 throughout
-    (the reducible anomaly), otherwise compares theta invariants with the
-    invariants of the p-stabilization, built from the exact thetas with
-    the unit root alpha found once for all twists, and reports where they
-    stabilize.
+    Each entry holds mu and lambda of theta_{n,i}, n = 0..n_max.
+    Supersingular route: lambda(theta_{n,i}) - q_n per level from n = 2
+    on, and whether it is constant.  Ordinary route: the pattern
+    "maximal" when lambda = p^n - 1 throughout (the reducible anomaly),
+    otherwise "stable", with the level from which the invariants of the
+    p-stabilization, built from the exact thetas with the unit root alpha
+    found once for all twists, stop changing, and where their lambda
+    equals that of theta.
     """
     emb = g_norm.embedding
     p = emb.p
@@ -259,48 +216,42 @@ def verify_weight2_patterns(g_norm, n_max):
     ap = g_norm.eigensymbol.a(p)
     ordinary = any(ap[0]) and emb.local_ints(*ap).valuation() == 0
     alpha = None
-    reports = {}
+    entries = []
     for i in mazurtate.twists(p, g_norm.sign):
-        rows = []
-        for n in range(n_max + 1):
-            inv = mazurtate.invariants(mazurtate.theta_element(g_norm, n, i))
-            rows.append((n, i, inv.mu, inv.lam, inv.certified))
+        invs = [mazurtate.invariants(mazurtate.theta_element(g_norm, n, i))
+                for n in range(n_max + 1)]
+        entry = {"i": i, "rows": [
+            {"n": n, "i": i, "mu": cli._fmt(inv.mu),
+             "lambda": cli._fmt(inv.lam), "certified": inv.certified}
+            for n, inv in enumerate(invs)]}
+        entries.append(entry)
         if not ordinary:
-            diffs = [(n, lam - mazurtate.q_n(n, p)) for n, _, _, lam, _ in rows
-                     if n >= 2]
-            reports[i] = {
-                "branch": "supersingular",
-                "rows": rows,
-                "lambda_minus_qn": diffs,
-                "constant": len(set(d for _, d in diffs)) <= 1,
-            }
+            diffs = [(n, invs[n].lam - mazurtate.q_n(n, p))
+                     for n in range(2, n_max + 1)]
+            constant = len(set(d for _, d in diffs)) <= 1
+            entry.update(branch="supersingular", constant=constant,
+                         ok=constant, lambda_minus_qn=[
+                             {"n": n, "value": cli._fmt(d)}
+                             for n, d in diffs])
             continue
-        if all(lam == p ** n - 1 for n, _, _, lam, _ in rows if n >= 1):
-            reports[i] = {"branch": "ordinary", "pattern": "maximal",
-                          "rows": rows}
+        if all(inv.lam == p ** n - 1 for n, inv in enumerate(invs) if n):
+            entry.update(branch="ordinary", pattern="maximal", ok=True)
             continue
         if alpha is None:
             alpha = mazurtate.p_stabilize(g_norm)
-        psi_rows = []
-        for n in range(n_max + 1):
-            _, inv = mazurtate.lp_approx(g_norm, alpha, i, n)
-            psi_rows.append((n, i, inv.mu, inv.lam, inv.certified))
-        stabilized_at = None
-        for n in range(1, n_max + 1):
-            if psi_rows[n][2:4] == psi_rows[n - 1][2:4]:
-                stabilized_at = n - 1
-                break
-        reports[i] = {
-            "branch": "ordinary",
-            "pattern": "stable",
-            "rows": rows,
-            "psi_rows": psi_rows,
-            "stabilized_at": stabilized_at,
-            "mu_vanishes": all(mu == 0 for n, _, mu, _, _ in rows if n >= 1),
-            "theta_matches_psi": [
-                (n, rows[n][3] == psi_rows[n][3]) for n in range(n_max + 1)],
-        }
-    return reports
+        psis = [mazurtate.lp_approx(g_norm, alpha, i, n)[1]
+                for n in range(n_max + 1)]
+        key = [(psi.mu, psi.lam) for psi in psis]
+        stabilized_at = next((n - 1 for n in range(1, n_max + 1)
+                              if key[n] == key[n - 1]), None)
+        entry.update(
+            branch="ordinary", pattern="stable",
+            stabilized_at=stabilized_at, ok=stabilized_at is not None,
+            mu_vanishes=all(inv.mu == 0 for inv in invs[1:]),
+            theta_matches_psi=[{"n": n, "ok": inv.lam == psi.lam}
+                               for n, (inv, psi)
+                               in enumerate(zip(invs, psis))])
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +399,12 @@ def _verify_alphastick(config):
 
 
 def _weight2_matches(config, norm, w2_classes):
-    """(match, normalized weight-2 partner) for each congruent class."""
-    for m in find_congruent_weight2(
+    """(class id, normalized weight-2 partner, residue-field map) for each
+    congruent class."""
+    for cid, cls, gemb, hom in find_congruent_weight2(
             norm.eigensymbol, norm.embedding, w2_classes,
             config.primes_above):
-        yield m, modsym.normalize(m.target_class, m.target_embedding)
+        yield cid, modsym.normalize(cls, gemb), hom
 
 
 def _verify_congruence(config):
@@ -460,15 +412,14 @@ def _verify_congruence(config):
 
     def step(norm):
         rows = []
-        for m, gnorm in _weight2_matches(config, norm, w2_classes):
-            res = verify_congruence(norm, gnorm, config.n_max,
-                                    config.congruence_mode)
+        for cid, gnorm, hom in _weight2_matches(config, norm, w2_classes):
+            mu, checks = verify_congruence(norm, gnorm, hom, config.n_max,
+                                           config.congruence_mode)
             rows.append({
-                "target": m.target_id,
-                "mode": res["mode"], "mu_min": cli._fmt(res["mu_min"]),
-                "rows": [{"n": n, "i": i, "ok": ok}
-                         for n, i, ok in res["rows"]],
-                "ok": res["all_passed"],
+                "target": cid,
+                "mode": config.congruence_mode, "mu_min": cli._fmt(mu),
+                "rows": [{"n": n, "i": i, "ok": ok} for n, i, ok in checks],
+                "ok": all(ok for _, _, ok in checks),
             })
         return rows
 
@@ -476,34 +427,9 @@ def _verify_congruence(config):
 
 
 def _verify_wt2_patterns(config):
-    def step(norm):
-        entries = []
-        for i, rep in verify_weight2_patterns(norm, config.n_max).items():
-            entry = {"i": i, "branch": rep["branch"]}
-            entry["rows"] = [
-                {"n": n, "i": i, "mu": cli._fmt(mu), "lambda": cli._fmt(lam),
-                 "certified": cert} for n, _, mu, lam, cert in rep["rows"]]
-            if rep["branch"] == "supersingular":
-                entry["lambda_minus_qn"] = [
-                    {"n": n, "value": cli._fmt(v)}
-                    for n, v in rep["lambda_minus_qn"]]
-                entry["constant"] = rep["constant"]
-                entry["ok"] = rep["constant"]
-            else:
-                entry["pattern"] = rep["pattern"]
-                if rep["pattern"] == "stable":
-                    entry["stabilized_at"] = rep["stabilized_at"]
-                    entry["mu_vanishes"] = rep["mu_vanishes"]
-                    entry["theta_matches_psi"] = [
-                        {"n": n, "ok": ok}
-                        for n, ok in rep["theta_matches_psi"]]
-                    entry["ok"] = rep["stabilized_at"] is not None
-                else:
-                    entry["ok"] = True
-            entries.append(entry)
-        return entries
-
-    return _prime_checks(config, config.space(weight=2), step)
+    return _prime_checks(
+        config, config.space(weight=2),
+        lambda norm: verify_weight2_patterns(norm, config.n_max))
 
 
 def _verify_oldspace(config):
@@ -513,27 +439,22 @@ def _verify_oldspace(config):
 
     def step(norm):
         rows = []
-        for m, gnorm in _weight2_matches(config, norm, w2_classes):
+        for cid, gnorm, hom in _weight2_matches(config, norm, w2_classes):
             cls = gnorm.eigensymbol
             if cls not in images:
                 images[cls] = [_degeneracy_images(cls, target, config.p ** t)
                                for t in range(1, config.r + 1)]
-            try:
-                dec = oldspace_decompose(norm, gnorm, images[cls], target)
-            except NotInSpan as exc:
-                rows.append({"target": m.target_id, "ok": False,
-                             "span_dimension": exc.span_dimension,
-                             "note": "not in the degeneracy span"})
-                continue
-            rows.append({
-                "target": m.target_id,
-                "span_dimension": dec.span_dimension,
-                "coefficients": [
-                    {"t": t + 1, "value": cli._fmt(c),
-                     "nonzero": not c.is_zero()}
-                    for t, c in enumerate(dec)],
-                "ok": True,
-            })
+            span, coords = oldspace_decompose(norm, gnorm, hom, images[cls],
+                                              target)
+            row = {"target": cid, "span_dimension": span,
+                   "ok": coords is not None}
+            if coords is None:
+                row["note"] = "not in the degeneracy span"
+            else:
+                row["coefficients"] = [
+                    {"t": t, "value": cli._fmt(c), "nonzero": not c.is_zero()}
+                    for t, c in enumerate(coords, 1)]
+            rows.append(row)
         return rows
 
     return _prime_checks(config, config.space(), step)

@@ -54,7 +54,7 @@ def test_budget_is_checked_before_any_element(entry, monkeypatch):
     run = {
         "invariant_table": lambda: analysis.invariant_table(norm, 7),
         "verify_congruence": lambda: verify.verify_congruence(
-            norm, norm, 7, "medweight"),
+            norm, norm, norm.embedding.residue_field.one(), 7, "medweight"),
         "verify_weight2_patterns": lambda: verify.verify_weight2_patterns(
             norm, 7),
     }[entry]

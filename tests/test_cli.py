@@ -58,6 +58,22 @@ CASES = {
     # the reduced alpha-image leaves the degeneracy span: a failed row
     "verify-oldspace": (["verify", "--mode", "oldspace"] + SMALL,
                         cli.EXIT_IDENTITY),
+    # c0 at sign +1 is the maximal (reducible) ordinary pattern, c1 at
+    # sign -1 is supersingular, and two rows run out of precision
+    "verify-wt2-patterns-37-2-3": (["verify", "--mode", "wt2-patterns",
+                                    "--level", "37", "--weight", "2",
+                                    "--p", "3", "--nmax", "3",
+                                    "--sign", "both"], cli.EXIT_IDENTITY),
+    # the only in-span row (coefficients over F_9) next to rows that
+    # leave the degeneracy span
+    "verify-oldspace-23-6-3": (["verify", "--mode", "oldspace", "--level",
+                                "23", "--weight", "6", "--p", "3",
+                                "--sign", "both"], cli.EXIT_IDENTITY),
+    # partners over F_9, where two residue-field maps exist
+    "verify-congruence-23-6-3": (["verify", "--mode", "congruence",
+                                  "--level", "23", "--weight", "6",
+                                  "--p", "3", "--nmax", "1",
+                                  "--sign", "both"], cli.EXIT_IDENTITY),
     # class c1 has theta_{0,0} = 0 exactly, so its rows stay uncertified
     "invariants-37-2-3": (["invariants", "--level", "37", "--weight", "2",
                            "--p", "3", "--nmax", "1"], cli.EXIT_UNCERTIFIED),
@@ -123,6 +139,21 @@ def test_two_runs_identical(name, tmp_path):
     first = run_case(name, tmp_path / "a")
     second = run_case(name, tmp_path / "b")
     assert first == second
+
+
+@pytest.mark.parametrize("name", ["verify-congruence-23-6-3",
+                                  "verify-oldspace-23-6-3"])
+def test_partner_is_read_through_the_map_its_match_found(name, tmp_path,
+                                                         monkeypatch):
+    """The weight-2 partners of 23/6/3 live over F_9, which has two maps
+    into the residue field of the source prime. The report must not depend
+    on the order in which the maps are listed."""
+    homs = verify._residue_homs
+    monkeypatch.setattr(verify, "_residue_homs",
+                        lambda source, target: homs(source, target)[::-1])
+    code, files = run_case(name, tmp_path)
+    assert code == CASES[name][1]
+    assert files == golden_files(name)
 
 
 def test_every_command_and_mode_has_a_case():

@@ -986,8 +986,8 @@ def test_weight2_patterns_stabilize_once_for_all_twists(monkeypatch):
         return p_stabilize(normalized)
 
     monkeypatch.setattr(mazurtate, "p_stabilize", counted)
-    reports = verify.verify_weight2_patterns(norm, 2)
-    assert [(i, r["pattern"]) for i, r in reports.items()] == [
+    entries = verify.verify_weight2_patterns(norm, 2)
+    assert [(e["i"], e["pattern"]) for e in entries] == [
         (1, "stable"), (3, "stable")]
     assert stabilized == [norm]
 
