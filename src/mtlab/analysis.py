@@ -58,7 +58,8 @@ def _ball_open(normalized, ball, m, low, best):
 
 
 def mu_min(normalized):
-    """Minimum valuation of (0,1)-evaluations over all degree-0 divisors.
+    """(mu_min, witness): the minimum valuation of (0,1)-evaluations over
+    all degree-0 divisors, and a value of that valuation.
 
     That is the least valuation of Phi(A)(c, d) over the cosets A and the
     points of P^1(Z_p), found by branch and bound over the balls of its two
@@ -70,11 +71,17 @@ def mu_min(normalized):
     are dropped (`_ball_open`) and the rest split into p balls.  Values
     that vanish to their precision are skipped, as in the full scan, and a
     search still open at level M - 1 raises OutOfBudget.
+
+    The witness is the center value T_0 at which the best value last
+    fell.  A ball holding a certified value below the best is never
+    dropped, so at the first level where mu_min occurs every center of
+    that valuation is searched, in scan order: the witness is the first
+    value of valuation mu_min at the centers of `_balls`, level by level.
     """
     emb = normalized.embedding
     p = emb.p
     balls = _balls(p, 1, range(len(normalized.space.plist)))
-    best = None
+    best = witness = None
     for m in range(1, emb.M):
         lows = []
         for ball in balls:
@@ -82,13 +89,13 @@ def mu_min(normalized):
             v = x.certified_valuation()
             if v is not None and (best is None or v < best):
                 if v == 0:
-                    return v
-                best = v
+                    return v, x
+                best, witness = v, x
             lows.append(x.prec if v is None else v)
         balls = [ball for ball, low in zip(balls, lows)
                  if _ball_open(normalized, ball, m, low, best)]
         if not balls:
-            return best
+            return best, witness
         balls = sorted((chart, center + j * p ** m, A)
                        for j in range(p) for chart, center, A in balls)
     raise OutOfBudget(

@@ -27,6 +27,7 @@ from .errors import (
     NotOrdinary,
     OutOfBudget,
     PrecisionExhausted,
+    PrecisionTooLow,
 )
 
 SCHEMA_VERSION = 1
@@ -179,23 +180,32 @@ def _records(config, space, work):
 
     Primes above p are found once per job for each Hecke field and ladder
     rung, at that rung's precision (`JobConfig.primes_above`), so classes
-    of both signs with the same field share them. Each prime climbs the
-    precision ladder until ``work(normalized) -> (result, certified)``
-    reports certified, and keeps the last result it got otherwise; exact
-    symbols re-embed losslessly, so a higher rung describes the same
-    object. A rung where the symbol cannot be normalized, or where the
-    work runs out of precision, is skipped. result is None when no rung
-    gave one.
+    of both signs with the same field share them. Their number is read at
+    the first rung where they can be found; when no rung factors, the last
+    rung's error ends the job. Each prime climbs the precision ladder from
+    that rung until ``work(normalized) -> (result, certified)`` reports
+    certified, and keeps the last result it got otherwise; exact symbols
+    re-embed losslessly, so a higher rung describes the same object. A
+    rung where the primes cannot be found, the symbol cannot be
+    normalized, or the work runs out of precision, is skipped. result is
+    None when no rung gave one.
     """
     ladder = config.precision_ladder()
     for sign, cid, cls in _class_records(config, space):
-        for j in range(len(config.primes_above(cls.field, ladder[0]))):
+        for first, M in enumerate(ladder):
+            try:
+                count = len(config.primes_above(cls.field, M))
+                break
+            except (PrecisionExhausted, PrecisionTooLow):
+                if M == ladder[-1]:
+                    raise
+        for j in range(count):
             result = None
-            for M in ladder:
+            for M in ladder[first:]:
                 try:
                     result, certified = work(modsym.normalize(
                         cls, config.primes_above(cls.field, M)[j]))
-                except PrecisionExhausted:
+                except (PrecisionExhausted, PrecisionTooLow):
                     continue
                 if certified:
                     break
@@ -234,7 +244,7 @@ def cmd_eigenforms(config):
 def cmd_mu_min(config):
     def work(norm):
         try:
-            mu = analysis.mu_min(norm)
+            mu, _ = analysis.mu_min(norm)
         except OutOfBudget:
             mu = None
         return (mu, mu is not None, norm.embedding.M), mu is not None

@@ -26,6 +26,9 @@ operator, iota and w_N is built once per space as an integer matrix H on
 the free basis, the operator being H / D, and acts on coordinates by a
 matrix-vector product.
 
+The cuspidal part of a sign eigenspace is one image, that of
+T_ell - (1 + ell^(k-1)) for the least prime ell not dividing the level:
+T_ell is semisimple, so no power of it is needed.
 The splitting into Hecke eigenclasses stays in integers: subspace bases,
 restricted operators and Krylov vectors are integer rows over one
 denominator, characteristic polynomials are integral, and the
@@ -395,13 +398,19 @@ class ManinSymbolSpace:
         """Basis (rows, den) of the cuspidal part of the sign eigenspace.
 
         Boundary eigensystems have a_ell = 1 + ell^(k-1), which no cuspidal
-        system can attain.  With T_ell = B / d on the eigenspace, the
-        charpoly of B is f (x - eis)^m for eis = d(1 + ell^(k-1)) and f
-        prime to x - eis, so the cuspidal part, the kernel of f(B), is the
-        image of (B - eis)^m, spanned by its columns; for m = 0 it is the
-        whole eigenspace.  Its basis is the one `linalg.kernel_basis` gives,
-        1 at a free column and 0 at the others: the reduced echelon basis
-        with the columns read in reverse order, which is unique.
+        system attains.  For ell prime to the level T_ell is semisimple on
+        modular symbols: by Eichler-Shimura they are M_k + conj(S_k) as
+        Hecke modules, and each summand has an eigenbasis of T_ell.  So
+        with T_ell = B / d on the eigenspace and eis = d(1 + ell^(k-1)),
+        the cuspidal part is the image of B - eis, spanned by its columns,
+        and the image of every power (B - eis)^m, m >= 1, is the same;
+        when eis is no eigenvalue it is the whole eigenspace.  Where
+        cond(chi)^2 divides the level for a nontrivial character chi, the
+        Eisenstein series E(chi, conj(chi)) has a_ell = chi(ell) +
+        conj(chi)(ell) ell^(k-1) and survives this cut.  The
+        basis is the one `linalg.kernel_basis` gives, 1 at a free column
+        and 0 at the others: the reduced echelon basis with the columns
+        read in reverse order, which is unique.
         """
         basis = self.sign_subspace(sign)
         rows, den = basis
@@ -409,22 +418,11 @@ class ManinSymbolSpace:
             return basis
         ell = next(self.good_primes())
         B, d = self._restrict_operator("T%d" % ell, basis)
-        f = linalg.charpoly_rational(B)
         eis = d * (1 + ell ** (self.k - 1))
-        # the rows of (B - eis)^m transposed are the columns of the power
-        shifted = [[x - eis if r == c else x for r, x in enumerate(col)]
-                   for c, col in enumerate(zip(*B))]
-        span = None
-        while len(f) > 1:
-            f, rem = _divide_by_root(f, eis)
-            if rem:
-                break
-            span = shifted if span is None else [
-                [sum(map(mul, row, col)) for col in zip(*shifted)]
-                for row in span]
-        if span is None:
-            return basis
-        (red, kden), _ = linalg.rref([row[::-1] for row in span])
+        # the columns of B - eis, reversed
+        image = [[x - eis if r == c else x for r, x in enumerate(col)][::-1]
+                 for c, col in enumerate(zip(*B))]
+        (red, kden), _ = linalg.rref(image)
         return lowest([_combine(y[::-1], rows) for y in reversed(red)],
                       kden * den)
 
@@ -459,18 +457,6 @@ def _combine(coeffs, rows):
         if y:
             out = [a + y * x for a, x in zip(out, row)]
     return out
-
-
-def _divide_by_root(f, r):
-    """(quotient, remainder) of the integer polynomial f (lowest degree
-    first) divided by x - r, by synthetic division."""
-    acc = 0
-    out = []
-    for c in reversed(f):
-        acc = acc * r + c
-        out.append(acc)
-    rem = out.pop()
-    return out[::-1], rem
 
 
 # ---------------------------------------------------------------------------

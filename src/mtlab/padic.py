@@ -180,8 +180,6 @@ class FFElement:
     def __eq__(self, other):
         if isinstance(other, FFElement):
             return self.parent == other.parent and self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self == self.parent.element(other)
         return NotImplemented
 
     def __hash__(self):
@@ -203,18 +201,12 @@ class FFElement:
         return FFElement(self.parent, tuple((a + b) % p for a, b in
                                             zip(self.coeffs, other.coeffs)))
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         p = self.parent.p
         return FFElement(self.parent, tuple((-a) % p for a in self.coeffs))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -223,9 +215,6 @@ class FFElement:
                              tuple((a * other) % p for a in self.coeffs))
         other = self._coerce(other)
         return self.parent.element(polyq.mul(self.coeffs, other.coeffs))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def inverse(self):
         if self.is_zero():
@@ -239,8 +228,7 @@ class FFElement:
         return self * self._coerce(other).inverse()
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
+        assert n >= 0
         result = self.parent.one()
         base = self
         while n:
@@ -692,18 +680,12 @@ class LocalElement:
         return LocalElement(emb, polyq.add_mod(a, b, emb.pM), s,
                             min(self.prec, other.prec))
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return LocalElement(self.emb, [(-c) % self.emb.pM for c in self.vec],
                             self.shift, self.prec)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -738,9 +720,6 @@ class LocalElement:
         # 1/x = (numerator inverse) * p^shift; error of 1/x has valuation
         # at least prec(x) - 2 v(x)
         return LocalElement(emb, vec, t, self.prec - 2 * v)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
 
     def reduce(self, t=0):
         """Image of self / p^t in the residue field; requires nonnegative

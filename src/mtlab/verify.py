@@ -20,19 +20,6 @@ def sturm_bound(N, k):
     return -(-k * index // 12)
 
 
-def _mu_min_witness(normalized):
-    """(mu_min, witness LocalElement of that valuation): the first value
-    of valuation `mu_min` at the centers of `_balls`, level by level, on
-    which a scan for the least valuation settles."""
-    mu = analysis.mu_min(normalized)
-    cosets = range(len(normalized.space.plist))
-    for m in range(1, normalized.embedding.M):
-        for ball in analysis._balls(normalized.embedding.p, m, cosets):
-            x = analysis._ball_term(normalized, ball, 0)
-            if x.certified_valuation() == mu:
-                return mu, x
-
-
 def _residue_homs(source_field, target_field):
     """All field maps F_(p^a) -> F_(p^b), as images of the generator."""
     if source_field.degree == 1:
@@ -109,10 +96,10 @@ def verify_congruence(f_norm, g_norm, hom, n_max, mode):
 
     g is read in the residue field of f through hom, the residue-field map
     that `find_congruent_weight2` matched it with.  The scaling element c
-    has valuation mu_min(f) in lowslope mode and is 1 in medweight mode;
-    the residue-field unit u is fitted at the smallest level and reused
-    for every (n, i).  Returns (mu, [(n, i, ok)]), with mu the valuation
-    of c.
+    is the witness that `analysis.mu_min` returns, a value of valuation
+    mu_min(f), in lowslope mode and is 1 in medweight mode; the
+    residue-field unit u is fitted at the smallest level and reused for
+    every (n, i).  Returns (mu, [(n, i, ok)]), with mu the valuation of c.
     """
     if mode not in ("medweight", "lowslope"):
         raise ValueError("mode must be medweight or lowslope")
@@ -122,7 +109,7 @@ def verify_congruence(f_norm, g_norm, hom, n_max, mode):
     if g_norm.embedding.p != p:
         raise ValueError("symbols live over different primes")
     if mode == "lowslope":
-        mu, witness = _mu_min_witness(f_norm)
+        mu, witness = analysis.mu_min(f_norm)
         scale = witness.inverse()
     else:
         mu = 0
@@ -169,13 +156,14 @@ def oldspace_decompose(f_norm, g_norm, hom, images, target):
     alpha-image of f in target, level N p^r.
 
     The alpha map evaluates the generator polynomials at the bottom rows
-    of coset lifts and divides by an element of valuation mu_min(f); the
-    result is expanded in the basis phi-bar_g | (p^t, 0; 0, 1), t = 1..r,
-    by linear algebra over the residue field of f.  images[t - 1] is the
-    exact degeneracy image of g at p^t (`_degeneracy_images`), and each
-    basis vector is its reduction, embedded once per coset and read
-    through hom, the residue-field map g was matched with.  The
-    coordinates are None when the image is not in the span.
+    of coset lifts and divides by the witness that `analysis.mu_min`
+    returns, a value of valuation mu_min(f); the result is expanded in the
+    basis phi-bar_g | (p^t, 0; 0, 1), t = 1..r, by linear algebra over the
+    residue field of f.  images[t - 1] is the exact degeneracy image of g
+    at p^t (`_degeneracy_images`), and each basis vector is its
+    reduction, embedded once per coset and read through hom, the
+    residue-field map g was matched with.  The coordinates are None when
+    the image is not in the span.
     """
     space = f_norm.space
     emb = f_norm.embedding
@@ -186,7 +174,7 @@ def oldspace_decompose(f_norm, g_norm, hom, images, target):
     size = len(target.plist)
     basis = [[_apply_hom(g_norm.embed(img[A][0]).reduce(), hom, F)
               for A in range(size)] for img in images]
-    _, witness = _mu_min_witness(f_norm)
+    _, witness = analysis.mu_min(f_norm)
     scale = witness.inverse()
     tvec = []
     for A in range(size):

@@ -40,7 +40,8 @@ def test_mazur_tate_element_embeds_nothing(monkeypatch):
 def test_mu_min_embeds_nothing(monkeypatch):
     norm = normalized(11, 4, 3)
     calls = count_local(monkeypatch)
-    assert analysis.mu_min(norm) >= 0
+    mu, _ = analysis.mu_min(norm)
+    assert mu >= 0
     assert calls == []
 
 
@@ -136,15 +137,17 @@ def every_symbol(level, weight, p, M):
     return out
 
 
-def outcome(run, norm):
-    try:
-        return run(norm)
-    except (OutOfBudget, PrecisionExhausted) as exc:
-        return type(exc)
-
-
 def digits(x):
     return x.vec, x.shift, x.prec
+
+
+def outcome(run, norm):
+    """(mu_min, the witness's digits) of run(norm), or the error type."""
+    try:
+        mu, witness = run(norm)
+    except (OutOfBudget, PrecisionExhausted) as exc:
+        return type(exc)
+    return mu, digits(witness)
 
 
 @pytest.mark.parametrize("level, weight, p", [
@@ -155,8 +158,7 @@ def test_mu_min_and_witness_match_the_full_scan(level, weight, p):
     assert symbols
     for norm in symbols:
         mu, witness = reference_mu_min_witness(norm)
-        assert analysis.mu_min(norm) == mu
-        got_mu, got = verify._mu_min_witness(norm)
+        got_mu, got = analysis.mu_min(norm)
         assert got_mu == mu
         assert digits(got) == digits(witness)
 
@@ -164,17 +166,13 @@ def test_mu_min_and_witness_match_the_full_scan(level, weight, p):
 def test_mu_min_matches_the_full_scan_at_low_precision():
     """At these precisions some symbols run out of budget and one has no
     certified digits at its first evaluations: the search must end with
-    the same value or the same error as the scan."""
+    the same value and witness, or the same error, as the scan."""
     seen = set()
     for case in [(11, 12, 3, 4), (11, 16, 3, 4), (11, 20, 3, 5)]:
         for norm in every_symbol(*case):
             want = outcome(reference_mu_min_witness, norm)
-            if isinstance(want, tuple):
-                want = want[0]
             seen.add(want if isinstance(want, type) else int)
             assert outcome(analysis.mu_min, norm) == want
-            got = outcome(verify._mu_min_witness, norm)
-            assert (got if isinstance(got, type) else got[0]) == want
     assert seen == {int, OutOfBudget, PrecisionExhausted}
 
 
@@ -190,7 +188,7 @@ def test_taylor_terms_without_digits_bound_nothing(monkeypatch):
         return x if s == 0 else padic.LocalElement(x.emb, x.vec, x.shift, -1)
 
     monkeypatch.setattr(analysis, "_ball_term", blurred)
-    assert [analysis.mu_min(norm) for norm in symbols] == want
+    assert [analysis.mu_min(norm)[0] for norm in symbols] == want
 
 
 # -- lambda-growth patterns --------------------------------------------------

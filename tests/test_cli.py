@@ -18,7 +18,7 @@ import pytest
 
 from mtlab import (analysis, cli, linalg, mazurtate, modsym, padic, tame,
                    verify)
-from mtlab.errors import OutOfBudget, PrecisionExhausted
+from mtlab.errors import OutOfBudget, PrecisionExhausted, PrecisionTooLow
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,6 +80,17 @@ CASES = {
     # class c1's field cannot be certified at precision 2
     "invariants-11-8-3": (["invariants", "--level", "11", "--weight", "8",
                            "--p", "3", "--nmax", "1"], cli.EXIT_OK),
+    # the primes above 3 of class c1's field cannot be found at precision
+    # 2, so its primes start on the second rung of the ladder
+    "invariants-11-8-3-precision-2": (["invariants", "--level", "11",
+                                       "--weight", "8", "--p", "3",
+                                       "--nmax", "1", "--precision", "2",
+                                       "--sign", "both"], cli.EXIT_OK),
+    # the same at precision 4 for the fields of weight 14
+    "invariants-11-14-3-precision-4": (["invariants", "--level", "11",
+                                        "--weight", "14", "--p", "3",
+                                        "--nmax", "1", "--precision", "4"],
+                                       cli.EXIT_OK),
     # the only case that splits the level-69 weight-6 presentation
     "stabilize-23-6-3": (["stabilize", "--level", "23", "--weight", "6",
                           "--p", "3", "--nmax", "2", "--sign", "1"],
@@ -90,6 +101,12 @@ CASES = {
     # a composite level, split with the U_q candidates
     "eigenforms-22-4-3": (["eigenforms", "--level", "22", "--weight", "4",
                            "--p", "3", "--sign", "both"], cli.EXIT_OK),
+    # a square-free level whose sign +1 side holds the Eisenstein
+    # eigenvalue with multiplicity 7 (weight 2) and 8 (weight 4)
+    "eigenforms-30-2": (["eigenforms", "--level", "30", "--weight", "2",
+                         "--sign", "both"], cli.EXIT_OK),
+    "eigenforms-30-4": (["eigenforms", "--level", "30", "--weight", "4",
+                         "--sign", "both"], cli.EXIT_OK),
     # a big level: a_ell up to 100, past the Sturm bound 65
     "eigenforms-389-2-3": (["eigenforms", "--level", "389", "--weight", "2",
                             "--p", "3", "--ellmax", "100"], cli.EXIT_OK),
@@ -267,6 +284,16 @@ def test_uncertified_when_the_work_runs_out_of_precision(command, tmp_path,
     _runs_out_below(monkeypatch, *WORK_STEPS[command], 10 ** 9)
     code = cli.main([command] + SMALL + ["--out", str(tmp_path / "r.json")])
     assert code == cli.EXIT_UNCERTIFIED
+
+
+def test_job_ends_when_no_rung_finds_the_primes(capsys, monkeypatch):
+    def never(field, p, M):
+        raise PrecisionTooLow("planted at M = %d" % M)
+
+    monkeypatch.setattr(padic, "primes_above", never)
+    assert cli.main(["mu-min"] + SMALL) == cli.EXIT_CONSTRUCTION
+    assert capsys.readouterr().err == \
+        "error: PrecisionTooLow: planted at M = 32\n"
 
 
 @pytest.mark.parametrize("mode", PER_PRIME_MODES)
@@ -595,6 +622,49 @@ def test_mu_min_embeds_few_values(tmp_path, monkeypatch):
         out = tmp_path / ("r%d.json" % run)
         assert cli.main(argv + ["--out", str(out)]) == code
     assert calls[0] == calls[1] <= 240
+
+
+def test_only_the_splitting_candidates_take_a_charpoly(tmp_path,
+                                                       monkeypatch):
+    """eigenforms 23/6, both signs: one characteristic polynomial per
+    splitting candidate tried, and none for the cuspidal cut."""
+    calls = {"candidates": 0, "charpoly": 0}
+    candidates = modsym._splitting_candidates
+    charpoly = linalg.charpoly_rational
+
+    def counted_candidates(space):
+        for combo in candidates(space):
+            calls["candidates"] += 1
+            yield combo
+
+    def counted_charpoly(rows):
+        calls["charpoly"] += 1
+        return charpoly(rows)
+
+    monkeypatch.setattr(modsym, "_splitting_candidates", counted_candidates)
+    monkeypatch.setattr(linalg, "charpoly_rational", counted_charpoly)
+    argv, code = CASES["eigenforms-23-6-3"]
+    assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == code
+    assert calls["charpoly"] == calls["candidates"] > 0
+
+
+def test_each_witness_is_read_off_its_mu_min_search(tmp_path, monkeypatch):
+    """verify congruence 23/6/3 scales by the witness that mu_min found:
+    one ball scan per search, and no second scan for the witness."""
+    calls = {"mu_min": 0, "balls": 0}
+    mu_min, balls = analysis.mu_min, analysis._balls
+
+    def counted(key, func):
+        def wrapper(*args):
+            calls[key] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "mu_min", counted("mu_min", mu_min))
+    monkeypatch.setattr(analysis, "_balls", counted("balls", balls))
+    argv, code = CASES["verify-congruence-23-6-3"]
+    assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == code
+    assert calls["balls"] == calls["mu_min"] > 0
 
 
 def test_mu_min_splits_and_normalizes_at_the_cost_of_the_data(tmp_path,

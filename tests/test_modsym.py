@@ -939,6 +939,18 @@ def reference_restrict_operator(space, op, basis):
     return linalg.lowest([row[nb:] for row in red], den * space.denominator)
 
 
+def divide_by_root(f, r):
+    """(quotient, remainder) of the integer polynomial f (lowest degree
+    first) divided by x - r, by synthetic division."""
+    acc = 0
+    out = []
+    for c in reversed(f):
+        acc = acc * r + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
 def reference_cuspidal_subspace(space, sign):
     """(basis, m): the kernel of f(B) for T_ell = B / d on the sign
     eigenspace, f its charpoly with the m factors x - d(1 + ell^(k-1))
@@ -951,7 +963,7 @@ def reference_cuspidal_subspace(space, sign):
     eis = d * (1 + ell ** (space.k - 1))
     m = 0
     while len(f) > 1:
-        quo, rem = modsym._divide_by_root(f, eis)
+        quo, rem = divide_by_root(f, eis)
         if rem:
             break
         f, m = quo, m + 1
@@ -984,6 +996,29 @@ def test_splitting_matches_the_elimination_references(N, k):
         for op in tried:
             assert space._restrict_operator(op, cusp) == \
                 reference_restrict_operator(space, op, cusp), (sign, op)
+
+
+# (N, k) with q^2 | N -> m on the plus and the minus eigenspace: the
+# boundary eigenvalue reaches multiplicity 11 (72/2), and the minus side
+# keeps it once at 49/2 and 64/2
+SQUARE_FACTOR_CASES = {
+    (16, 2): (4, 0), (18, 2): (5, 0), (25, 2): (2, 0), (27, 2): (3, 0),
+    (32, 2): (5, 0), (36, 2): (8, 0), (45, 2): (5, 0), (49, 2): (2, 1),
+    (50, 2): (5, 0), (54, 2): (7, 0), (63, 2): (5, 0), (64, 2): (6, 1),
+    (72, 2): (11, 0), (75, 2): (5, 0), (16, 4): (5, 0), (18, 4): (6, 0),
+    (25, 4): (3, 0), (27, 4): (4, 0), (32, 4): (6, 0), (36, 4): (9, 0),
+    (16, 6): (5, 0), (18, 6): (6, 0), (25, 6): (3, 0), (27, 6): (4, 0)}
+
+
+@pytest.mark.parametrize("N,k", sorted(SQUARE_FACTOR_CASES))
+def test_cuspidal_cut_matches_the_reference_at_square_factor_levels(N, k):
+    """The image of B - eis is the kernel of f(B) whatever the
+    multiplicity m of eis."""
+    space = ManinSymbolSpace(N, k)
+    for sign, m in zip((1, -1), SQUARE_FACTOR_CASES[N, k]):
+        cusp, got_m = reference_cuspidal_subspace(space, sign)
+        assert got_m == m
+        assert space.cuspidal_subspace(sign) == cusp
 
 
 def test_restrict_operator_needs_unit_columns():
