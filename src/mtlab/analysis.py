@@ -1,12 +1,11 @@
 """Experiments on Mazur-Tate invariants: mu_min, and invariant tables with
 their lambda-growth patterns.  The identity checks of ``verify`` are in
-`verify`.
+`verify`.  mu_min is read off Mahler coefficients, with no search; only
+`verify` asks for a value of that valuation (`mu_min_witness`).
 """
 
-from math import comb
-
-from . import mazurtate
-from .errors import OutOfBudget, PrecisionExhausted
+from . import mazurtate, padic
+from .errors import PrecisionExhausted
 from .mazurtate import invariants, q_n, theta_element
 
 
@@ -18,88 +17,79 @@ def form_id(space, index):
 # mu_min
 
 
-def _balls(p, m, cosets):
-    """The balls (chart, center, A) of radius p^-m, in scan order: around
-    (1, center) on chart 0 and (center, 1), p | center, on chart 1."""
-    pm = p ** m
-    return ([(0, d, A) for d in range(pm) for A in cosets]
-            + [(1, c, A) for c in range(0, pm, p) for A in cosets])
-
-
-def _ball_term(normalized, ball, s):
-    """The embedded T_s in sum_s T_s h^s, the value of Phi(A) at
-    (1, center + h) or (center + h, 1): T_s = sum_r C(e_r, s)
-    center^(e_r - s) Phi(A)[r] with e_r = g - r on chart 0 and r on chart
-    1, so T_0 is the value at the center (`NormalizedSymbol.evaluate`)."""
-    chart, center, A = ball
-    g = normalized.space.g
-    q, powers = normalized.modulus, [1]
+def _stirling2(g):
+    """S[e][j] for e, j <= g: x^e = sum_j S[e][j] j! C(x, j)."""
+    S = [[1] + [0] * g]
     for _ in range(g):
-        powers.append(powers[-1] * center % q)
-    exps = range(g, -1, -1) if chart == 0 else range(g + 1)
-    return normalized.combine(A, [comb(e, s) * powers[e - s] if e >= s
-                                  else 0 for e in exps])
-
-
-def _ball_open(normalized, ball, m, low, best):
-    """Whether a ball of radius p^-m with low <= v(T_0) is split: never once
-    best <= m, else when low or a term v(T_s) + m s, s < best / m, is below
-    best (an integral T_s with no certified digits counts as 0)."""
-    if best is None or m < best and low < best:
-        return True
-    for s in range(1, normalized.space.g + 1):
-        if m * s >= best:
-            return False
-        x = _ball_term(normalized, ball, s)
-        v = x.certified_valuation() if x.prec > 0 else 0
-        if (x.prec if v is None else v) + m * s < best:
-            return True
-    return False
+        S.append([0] + [j * S[-1][j] + S[-1][j - 1] for j in range(1, g + 1)])
+    return S
 
 
 def mu_min(normalized):
-    """(mu_min, witness): the minimum valuation of (0,1)-evaluations over
-    all degree-0 divisors, and a value of that valuation.
+    """The least valuation of Phi(A)(c, d) over the cosets A and the points
+    of P^1(Z_p), the minimum over all degree-0 divisors of the
+    (0,1)-evaluations, or None when it is not certified at this precision.
 
-    That is the least valuation of Phi(A)(c, d) over the cosets A and the
-    points of P^1(Z_p), found by branch and bound over the balls of its two
-    charts (`_balls`), level by level.  On a ball of radius p^-m the value
-    is sum_s T_s (p^m t)^s with integral T_s (`_ball_term`).  T_0 bounds
-    the minimum above, and the search stops at the floor 0.  min(v(T_0), m)
-    bounds the ball below, so level m settles every ball once the best
-    value is at most m; before that, balls whose Taylor bound reaches it
-    are dropped (`_ball_open`) and the rest split into p balls.  Values
-    that vanish to their precision are skipped, as in the full scan, and a
-    search still open at level M - 1 raises OutOfBudget.
-
-    The witness is the center value T_0 at which the best value last
-    fell.  A ball holding a certified value below the best is never
-    dropped, so at the first level where mu_min occurs every center of
-    that valuation is searched, in scan order: the witness is the first
-    value of valuation mu_min at the centers of `_balls`, level by level.
+    On chart 0, (1 : x), the value is sum_r x^e_r Phi(A)[r], e_r = g - r;
+    on chart 1, (py : 1), it is sum_r p^r y^e_r Phi(A)[r], e_r = r.  The
+    binomials C(x, j) are an orthonormal basis of C(Z_p, O) (Mahler), so
+    the least valuation on Z_p is min_j v(j! c_j), c_j = sum_r S(e_r, j)
+    Phi(A)[r] (S the Stirling numbers of the second kind, times p^r on
+    chart 1): one `NormalizedSymbol.combine` per j, chart and coset.
+    The loop runs over j, then the charts, then the cosets.  c_j is
+    integral, and p^j | c_j on chart 1, so a (chart, j) whose floor
+    j * chart + v_p(j!) reaches the best value is skipped.  A c_j that
+    vanishes to its precision bounds v(j! c_j) below by max(precision,
+    floor) + v_p(j!) only, and the best value is certified when it is at
+    most every such bound; a certified 0 ends the loop.
     """
-    emb = normalized.embedding
-    p = emb.p
-    balls = _balls(p, 1, range(len(normalized.space.plist)))
-    best = witness = None
-    for m in range(1, emb.M):
-        lows = []
-        for ball in balls:
-            x = _ball_term(normalized, ball, 0)
-            v = x.certified_valuation()
-            if v is not None and (best is None or v < best):
-                if v == 0:
-                    return v, x
-                best, witness = v, x
-            lows.append(x.prec if v is None else v)
-        balls = [ball for ball, low in zip(balls, lows)
-                 if _ball_open(normalized, ball, m, low, best)]
-        if not balls:
-            return best, witness
-        balls = sorted((chart, center + j * p ** m, A)
-                       for j in range(p) for chart, center, A in balls)
-    raise OutOfBudget(
-        "mu_min >= %d cannot be certified at precision %d" % (emb.M, emb.M))
+    p, q, g = normalized.embedding.p, normalized.modulus, normalized.space.g
+    S = _stirling2(g)
+    best = bound = None
+    vfact = 0
+    for j in range(g + 1):
+        vfact += padic._vp(j, p) if j else 0
+        for chart in (0, 1):
+            if best is not None and j * chart + vfact >= best:
+                continue
+            weights = [S[r][j] * p ** r % q if chart else S[g - r][j]
+                       for r in range(g + 1)]
+            for A in range(len(normalized.space.plist)):
+                c = normalized.combine(A, weights)
+                v = c.certified_valuation()
+                if v is None:
+                    low = max(c.prec, j * chart) + vfact
+                    bound = low if bound is None else min(bound, low)
+                elif best is None or v + vfact < best:
+                    best = v + vfact
+                    if best == 0:
+                        return best
+    if best is not None and (bound is None or best <= bound):
+        return best
+    return None
+
+
+def mu_min_witness(normalized):
+    """(mu_min, witness), the witness being the first evaluation
+    (`NormalizedSymbol.evaluate`) of valuation mu_min at the points (1, d),
+    d < p^m, then (c, 1), p | c < p^m, cosets innermost, for m = 1, 2, ...
+    Values are integral, so a point of valuation mu < m has a center of
+    that valuation at level m, and the scan ends by m = floor(mu) + 1.
+    Raises PrecisionExhausted when mu_min or its witness is not certified.
+    """
+    mu = mu_min(normalized)
+    p = normalized.embedding.p
+    if mu is not None:
+        for m in range(1, int(mu) + 2):
+            for c, d in ([(1, d) for d in range(p ** m)]
+                         + [(c, 1) for c in range(0, p ** m, p)]):
+                for A in range(len(normalized.space.plist)):
+                    x = normalized.evaluate(A, c, d)
+                    if x.certified_valuation() == mu:
+                        return mu, x
+    raise PrecisionExhausted(
+        "no value of valuation mu_min is certified at precision %d"
+        % normalized.embedding.M)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +123,7 @@ def _template_values(name, p, n, parity_constants):
     raise ValueError(name)
 
 
-_PARITY_SPLIT = {"supersingular"}
+_PARITY_SPLIT = {"supersingular", "shifted-supersingular"}
 _TEMPLATES = ("maximal", "constant-lambda", "shifted", "supersingular",
               "shifted-supersingular")
 

@@ -25,7 +25,6 @@ from . import analysis, mazurtate, modsym, padic
 from .errors import (
     MTLabError,
     NotOrdinary,
-    OutOfBudget,
     PrecisionExhausted,
     PrecisionTooLow,
 )
@@ -243,10 +242,7 @@ def cmd_eigenforms(config):
 
 def cmd_mu_min(config):
     def work(norm):
-        try:
-            mu, _ = analysis.mu_min(norm)
-        except OutOfBudget:
-            mu = None
+        mu = analysis.mu_min(norm)
         return (mu, mu is not None, norm.embedding.M), mu is not None
 
     rows = [(cid, sign, j) + (res or (None, False, None))

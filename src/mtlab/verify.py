@@ -96,7 +96,7 @@ def verify_congruence(f_norm, g_norm, hom, n_max, mode):
 
     g is read in the residue field of f through hom, the residue-field map
     that `find_congruent_weight2` matched it with.  The scaling element c
-    is the witness that `analysis.mu_min` returns, a value of valuation
+    is the witness of `analysis.mu_min_witness`, a value of valuation
     mu_min(f), in lowslope mode and is 1 in medweight mode; the
     residue-field unit u is fitted at the smallest level and reused for
     every (n, i).  Returns (mu, [(n, i, ok)]), with mu the valuation of c.
@@ -109,7 +109,7 @@ def verify_congruence(f_norm, g_norm, hom, n_max, mode):
     if g_norm.embedding.p != p:
         raise ValueError("symbols live over different primes")
     if mode == "lowslope":
-        mu, witness = analysis.mu_min(f_norm)
+        mu, witness = analysis.mu_min_witness(f_norm)
         scale = witness.inverse()
     else:
         mu = 0
@@ -156,9 +156,9 @@ def oldspace_decompose(f_norm, g_norm, hom, images, target):
     alpha-image of f in target, level N p^r.
 
     The alpha map evaluates the generator polynomials at the bottom rows
-    of coset lifts and divides by the witness that `analysis.mu_min`
-    returns, a value of valuation mu_min(f); the result is expanded in the
-    basis phi-bar_g | (p^t, 0; 0, 1), t = 1..r, by linear algebra over the
+    of coset lifts and divides by the witness of `analysis.mu_min_witness`,
+    a value of valuation mu_min(f); the result is expanded in the basis
+    phi-bar_g | (p^t, 0; 0, 1), t = 1..r, by linear algebra over the
     residue field of f.  images[t - 1] is the exact degeneracy image of g
     at p^t (`_degeneracy_images`), and each basis vector is its
     reduction, embedded once per coset and read through hom, the
@@ -174,7 +174,7 @@ def oldspace_decompose(f_norm, g_norm, hom, images, target):
     size = len(target.plist)
     basis = [[_apply_hom(g_norm.embed(img[A][0]).reduce(), hom, F)
               for A in range(size)] for img in images]
-    _, witness = analysis.mu_min(f_norm)
+    _, witness = analysis.mu_min_witness(f_norm)
     scale = witness.inverse()
     tvec = []
     for A in range(size):

@@ -18,7 +18,7 @@ import pytest
 
 from mtlab import (analysis, cli, linalg, mazurtate, modsym, padic, tame,
                    verify)
-from mtlab.errors import OutOfBudget, PrecisionExhausted, PrecisionTooLow
+from mtlab.errors import PrecisionExhausted, PrecisionTooLow
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -515,19 +515,35 @@ def test_ladder_stops_at_first_certified_rung():
 def test_mu_min_climbs_the_ladder_on_out_of_budget(tmp_path, monkeypatch):
     mu_min = analysis.mu_min
 
-    def small_budget(norm):
-        if norm.embedding.M < 16:
-            raise OutOfBudget("budget")
-        return mu_min(norm)
+    def uncertified(norm):
+        return None if norm.embedding.M < 16 else mu_min(norm)
 
     # 16 is the second rung of the ladder from the default precision 8
-    monkeypatch.setattr(analysis, "mu_min", small_budget)
+    monkeypatch.setattr(analysis, "mu_min", uncertified)
     out = tmp_path / "report.json"
     code = cli.main(["mu-min"] + SMALL + ["--out", str(out)])
     rows = json.loads(out.read_text())["rows"]
     assert code == cli.EXIT_OK
     assert [(r["certified"], r["precision_used"]) for r in rows] == \
         [(True, 16)] * 2
+
+
+def test_verify_climbs_the_ladder_when_mu_min_is_not_certified(tmp_path,
+                                                               monkeypatch):
+    """A mu_min uncertified below 16 sends verify to the next rung, where
+    the checks are those of the golden report."""
+    mu_min = analysis.mu_min
+
+    def uncertified(norm):
+        return None if norm.embedding.M < 16 else mu_min(norm)
+
+    monkeypatch.setattr(analysis, "mu_min", uncertified)
+    name = "verify-congruence-23-6-3"
+    code, files = run_case(name, tmp_path)
+    assert code == CASES[name][1]
+    checks = json.loads(files[name + ".json"])["checks"]
+    golden = json.loads(golden_files(name)[name + ".json"])["checks"]
+    assert checks == golden
 
 
 def test_mu_min_sets_up_each_field_and_witness_once(tmp_path, monkeypatch):
@@ -648,23 +664,33 @@ def test_only_the_splitting_candidates_take_a_charpoly(tmp_path,
     assert calls["charpoly"] == calls["candidates"] > 0
 
 
-def test_each_witness_is_read_off_its_mu_min_search(tmp_path, monkeypatch):
-    """verify congruence 23/6/3 scales by the witness that mu_min found:
-    one ball scan per search, and no second scan for the witness."""
-    calls = {"mu_min": 0, "balls": 0}
-    mu_min, balls = analysis.mu_min, analysis._balls
+def _count_calls(monkeypatch, owner, names):
+    """{name: number of calls} of the functions owner.name from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _func=getattr(owner, name)):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
-    def counted(key, func):
-        def wrapper(*args):
-            calls[key] += 1
-            return func(*args)
-        return wrapper
 
-    monkeypatch.setattr(analysis, "mu_min", counted("mu_min", mu_min))
-    monkeypatch.setattr(analysis, "_balls", counted("balls", balls))
+def test_mu_min_jobs_build_no_witness(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, analysis, ["mu_min", "mu_min_witness"])
+    for name in ("mu-min", "mu-min-23-6-3"):
+        code, _ = run_case(name, tmp_path / name)
+        assert code == CASES[name][1]
+    assert calls["mu_min"] > 0
+    assert calls["mu_min_witness"] == 0
+
+
+def test_verify_computes_mu_min_once_per_witness(tmp_path, monkeypatch):
+    """verify congruence 23/6/3 scales by the witness of mu_min_witness,
+    which asks mu_min once."""
+    calls = _count_calls(monkeypatch, analysis, ["mu_min", "mu_min_witness"])
     argv, code = CASES["verify-congruence-23-6-3"]
     assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == code
-    assert calls["balls"] == calls["mu_min"] > 0
+    assert calls["mu_min"] == calls["mu_min_witness"] > 0
 
 
 def test_mu_min_splits_and_normalizes_at_the_cost_of_the_data(tmp_path,
