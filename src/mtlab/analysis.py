@@ -39,9 +39,10 @@ def mu_min(normalized):
     The loop runs over j, then the charts, then the cosets.  c_j is
     integral, and p^j | c_j on chart 1, so a (chart, j) whose floor
     j * chart + v_p(j!) reaches the best value is skipped.  A c_j that
-    vanishes to its precision bounds v(j! c_j) below by max(precision,
-    floor) + v_p(j!) only, and the best value is certified when it is at
-    most every such bound; a certified 0 ends the loop.
+    vanishes to its precision, or has a negative one, bounds v(j! c_j)
+    below by max(precision, floor) + v_p(j!) only, and the best value is
+    certified when it is at most every such bound; a certified 0 ends the
+    loop.
     """
     p, q, g = normalized.embedding.p, normalized.modulus, normalized.space.g
     S = _stirling2(g)
@@ -56,7 +57,8 @@ def mu_min(normalized):
                        for r in range(g + 1)]
             for A in range(len(normalized.space.plist)):
                 c = normalized.combine(A, weights)
-                v = c.certified_valuation()
+                # a negative precision leaves no digits of the integral c_j
+                v = c.certified_valuation() if c.prec >= 0 else None
                 if v is None:
                     low = max(c.prec, j * chart) + vfact
                     bound = low if bound is None else min(bound, low)

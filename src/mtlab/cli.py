@@ -298,7 +298,8 @@ def cmd_stabilize(config):
         for n in range(config.n_max + 1):
             for i in mazurtate.twists(config.p, norm.sign):
                 try:
-                    _, inv = mazurtate.lp_approx(norm, alpha, i, n)
+                    inv = mazurtate.invariants(
+                        mazurtate.stabilized_theta(norm, alpha, n, i))
                     psi_rows.append({"n": n, "i": i, "mu": _fmt(inv.mu),
                                      "lambda": _fmt(inv.lam),
                                      "certified": inv.certified})
@@ -323,8 +324,8 @@ def cmd_stabilize(config):
     _emit(config, "stabilize", {"stabilizations": entries},
           ("class", "sign", "embedding", "n", "i", "mu", "lambda",
            "certified"), rows)
-    # only primes that never normalize and psi elements that vanish to the
-    # working precision (mu "") make the job uncertified
+    # only primes that never normalize and stabilized thetas that vanish to
+    # the working precision (mu "") make the job uncertified
     exhausted = any(e.get("certified") is False for e in entries) or \
         any(r[5] == "" for r in rows)
     return EXIT_UNCERTIFIED if exhausted else EXIT_OK

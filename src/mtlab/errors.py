@@ -40,7 +40,3 @@ class WeightNotCongruent(MTLabError):
 class NotOrdinary(MTLabError):
     """p-stabilization requires a unit Hecke eigenvalue at p."""
 
-
-class EmbeddingAmbiguity(MTLabError):
-    """The reduced a_ell of two forms have the same minimal polynomials, but
-    no residue-field map aligns them at every checked prime at once."""

@@ -19,7 +19,8 @@ against its multiplication matrix.
 
 Characteristic polynomials of integer matrices come from Berkowitz's
 division-free recurrence, as integer coefficient lists in increasing
-degree.
+degree, and determinants from Bareiss's fraction-free elimination (`det`),
+the one determinant in the program: `padic` takes norms with it.
 """
 
 from math import gcd, lcm
@@ -209,6 +210,31 @@ def mat_vec(rows, vec):
 
 def rank(rows, field=None):
     return len(sparse_rref(rows, field)[1])
+
+
+def det(rows):
+    """Determinant of a square integer matrix, by Bareiss's fraction-free
+    elimination: after step k every entry below and right of the pivot is
+    a (k + 1) x (k + 1) minor, so each division by the previous pivot is
+    exact.  A zero pivot is swapped for a nonzero entry below it, and a
+    column with none makes the determinant 0."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot, top = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1] if n else 1
 
 
 def charpoly_rational(rows):

@@ -467,7 +467,9 @@ def stabilized_theta(norm, alpha, n, i):
     (Mazur-Tate-Teitelbaum), the identity `verify --mode degen` checks.
     At n = 0 its level-1 element gives each of the p-1 units the value
     p^g E0, E0 the Y^g coefficient of phi({oo} - {0}), so its theta_{0,i}
-    is (p-1) p^g E0 for i = 0 and 0 for every other twist.
+    is (p-1) p^g E0 for i = 0 and 0 for every other twist.  Its mu and
+    lambda are those of alpha^(-n) theta_{n,i}(phi_alpha), the level-n
+    approximant of the p-adic L-function: alpha is a unit.
     """
     emb = norm.embedding
     p = emb.p
@@ -476,20 +478,10 @@ def stabilized_theta(norm, alpha, n, i):
         return theta
     factor = alpha.inverse() * emb.local(p ** norm.space.g)
     if n:
-        return theta - nu_corestrict(theta_element(norm, n - 1, i)).scale(
-            factor)
+        # scaled before nu: p^(n-1) products, not p^n
+        return theta - nu_corestrict(
+            theta_element(norm, n - 1, i).scale(factor))
     e0 = norm.evaluate(norm.space.plist.index(0, 1), 0, 1)
     return CyclicGroupRingElement(
         p, 0, [theta.coeffs[0] - factor * (e0 * (p - 1))])
 
-
-def lp_approx(norm, alpha, i, n):
-    """The approximant psi_{n,i} = alpha^(-n) theta_{n,i}(phi_alpha) with
-    its invariants."""
-    theta = stabilized_theta(norm, alpha, n, i)
-    ainv = alpha.inverse()
-    scale = norm.embedding.local(1)
-    for _ in range(n):
-        scale = scale * ainv
-    psi = theta.scale(scale)
-    return psi, invariants(psi)

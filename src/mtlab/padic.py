@@ -7,7 +7,11 @@ terms.  Vectors are reduced modulo the minimal polynomial, and inverses
 solved, through the multiplication matrix of an element (`_power_columns`):
 column i holds y^i times the element, so an inverse is one linear solve
 over Q in integers (`linalg.solve`, which returns integers over one
-denominator), and no polynomial is divided over Q.  A PAdicEmbedding
+denominator), and no polynomial is divided over Q.  The norm of an element
+over a monic polynomial is the determinant of that matrix (`_norm`, by
+`linalg.det`); it is the resultant, and it gives the valuations at a prime
+that is not monogenic, the block discriminants of `primes_above` and the
+squarefree test of `factor_monic_int`.  A PAdicEmbedding
 fixes one irreducible p-adic factor of the minimal polynomial,
 Hensel-lifted to precision p^M, together with its ramification index e
 and residue degree f.  Valuations are exact rationals with
@@ -34,7 +38,7 @@ from math import gcd, isqrt
 from operator import mul
 
 from . import polyq
-from .linalg import lowest, solve
+from .linalg import det, lowest, solve
 from .errors import (
     ReduciblePolynomial,
     PrecisionTooLow,
@@ -104,6 +108,15 @@ def _power_columns(col, f, n):
         top = cols[-1][-1]
         cols.append([c - top * m for c, m in zip([0] + cols[-1][:-1], low)])
     return cols
+
+
+def _norm(vec, f):
+    """The norm of x = sum vec[i] y^i from Z[y]/(f), f monic and vec of
+    at most deg f integers: the determinant of multiplication by x, read
+    from its columns (`_power_columns`).  It equals the resultant
+    Res(f, x), sign included, and is 0 when x and f share a factor."""
+    d = len(f) - 1
+    return det(_power_columns(list(vec) + [0] * (d - len(vec)), f, d))
 
 
 def _inverse_mod(vec, f):
@@ -237,20 +250,6 @@ class FFElement:
             base = base * base
             n >>= 1
         return result
-
-    def minimal_polynomial(self):
-        """Minimal polynomial over F_p, as a monic int list (lowest first):
-        the product of X - c over the Frobenius orbit c = x, x^p, x^(p^2),
-        ..."""
-        F = self.parent
-        zero = F.zero()
-        poly = [F.one()]
-        c = self
-        while True:
-            poly = [b - c * a for a, b in zip(poly + [zero], [zero] + poly)]
-            c = c ** F.p
-            if c == self:
-                return [a.coeffs[0] for a in poly]
 
     def __repr__(self):
         return "FFElement(%s)" % (list(self.coeffs),)
@@ -416,9 +415,10 @@ def factor_monic_int(g):
     its quotient mod l^k, lifted to the symmetric range, times the
     candidate gives g exactly: a true factor's cofactor is bounded by B too.
     Factors come in the order they are found; the last is the cofactor.
-    Raises ValueError when g is not squarefree: no prime l would do then.
+    Raises ValueError when g is not squarefree, that is when the norm of
+    g' over g is 0: no prime l would do then.
     """
-    if polyq.resultant_int(g, polyq.derivative(g)) == 0:
+    if _norm(polyq.derivative(g), g) == 0:
         raise ValueError("polynomial is not squarefree")
     ell, mod_factors = _zassenhaus_prime(g)
     if len(mod_factors) == 1:
@@ -626,15 +626,14 @@ class LocalElement:
         m = min(_vp(c, p) for c in self.vec if c != 0)
         if emb.monogenic:
             return m
-        # norm formula v(x) = v_p(Res(H, x)) / deg(H); the content p^m is
-        # divided out first so that v_p of the remaining resultant stays
-        # below the certified precision p^(M - m)
+        # norm formula v(x) = v_p(N(x)) / deg(H), N the norm over the local
+        # factor H; the content p^m is divided out first so that v_p of the
+        # remaining norm stays below the certified precision p^(M - m)
         vec = [c // p ** m for c in self.vec]
-        res = polyq.resultant_int(list(emb.local_factor), vec)
-        res = res % p ** (emb.M - m)
-        if res == 0:
+        norm = _norm(vec, emb.local_factor) % p ** (emb.M - m)
+        if norm == 0:
             return None
-        return m + Fraction(_vp(res, p), emb.degree)
+        return m + Fraction(_vp(norm, p), emb.degree)
 
     def valuation(self):
         raw = self._raw_valuation()
@@ -811,8 +810,8 @@ def primes_above(field, p, M):
     A repeated factor phibar^m gives one prime when the phi-adic Newton
     polygon of its block is one segment of slope v/m in lowest terms;
     any other block is lifted once more, to precision M + 2D + 12 with D
-    the valuation of its discriminant (read from Res(H, H') mod p^M when
-    that is nonzero), and factored completely in tame local models
+    the valuation of its discriminant (read from the norm of H' over H mod
+    p^M when that is nonzero), and factored completely in tame local models
     (`tame._factor_block_tame`), whose roots a residual-polynomial search
     finds digit by digit; PrecisionTooLow is raised when that fails.
     """
@@ -837,17 +836,18 @@ def primes_above(field, p, M):
         if mult == 1 or _one_segment(H, gbar, mult, p, M):
             factors.append((H, mult, len(gbar) - 1, gbar, None))
             continue
-        # Res(H, H') fixes D, the valuation of the block discriminant, at
-        # the first precision where it does not vanish, usually M itself
+        # the norm of H' over H fixes D, the valuation of the block
+        # discriminant, at the first precision where it does not vanish,
+        # usually M itself
         from . import tame
-        res = polyq.resultant_int(H, polyq.derivative(H)) % p ** M
+        res = _norm(polyq.derivative(H), H) % p ** M
         B = M + 12
         for _ in range(4):
             if res:
                 break
             HB = _hensel_blocks([c % p ** B for c in field.minpoly],
                                 block_polys, p, B)[idx]
-            res = polyq.resultant_int(HB, polyq.derivative(HB)) % p ** B
+            res = _norm(polyq.derivative(HB), HB) % p ** B
             if not res:
                 B = M + 2 * B + 12
         if not res:

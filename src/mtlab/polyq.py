@@ -1,13 +1,14 @@
 """Dense univariate polynomials over Z and over Z/q.
 
 Polynomials are lists [c0, c1, ...], lowest degree first, with trailing
-zeros trimmed by `trim`.  `mul`, `derivative` and `resultant_int` are exact
-(`mul` over any exact coefficient ring).  The `_mod` operations take a
-modulus q and return coefficients in [0, q); they divide only by monic
-polynomials, which needs no inverse mod q.  Over F_p, p prime, `fp_divmod`
-and `fp_xgcd` divide by any nonzero polynomial.  These back the
-finite-field and local arithmetic and the factorizations in `padic`;
-nothing here is p-adic.
+zeros trimmed by `trim`.  `mul` and `derivative` are exact (`mul` over any
+exact coefficient ring).  The `_mod` operations take a modulus q and
+return coefficients in [0, q); they divide only by monic polynomials,
+which needs no inverse mod q.  Over F_p, p prime, `fp_divmod` and
+`fp_xgcd` divide by any nonzero polynomial.  These back the finite-field
+and local arithmetic and the factorizations in `padic`; nothing here is
+p-adic.  Resultants are not here: each one the program needs has a monic
+first argument, so it is a norm, one determinant (`padic._norm`).
 """
 
 from itertools import zip_longest
@@ -94,49 +95,3 @@ def fp_xgcd(a, b, p):
         t0 = scale_mod(t0, c, p)
     return r0, s0, t0
 
-
-def resultant_int(p, q):
-    """Resultant of two integer polynomials via the Sylvester determinant.
-
-    Exact integer arithmetic (fraction-free Bareiss); fine for the small
-    degrees that occur in valuation computations.
-    """
-    p = trim(list(p))
-    q = trim(list(q))
-    if not p or not q:
-        return 0
-    m, n = len(p) - 1, len(q) - 1
-    if m == 0:
-        return p[0] ** n
-    if n == 0:
-        return q[0] ** m
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(p)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(q)):
-            row[i + j] = c
-        rows.append(row)
-    # Bareiss elimination
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, size):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[size - 1][size - 1]

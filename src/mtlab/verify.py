@@ -6,7 +6,6 @@ through the job driver `cli._records`, and every report is written by
 """
 
 from . import analysis, cli, linalg, mazurtate, modsym, padic, polyq
-from .errors import EmbeddingAmbiguity
 
 
 def sturm_bound(N, k):
@@ -54,11 +53,13 @@ def find_congruent_weight2(eigensymbol, embedding, classes, primes_above):
     of the eigensymbol, in report order, and primes_above(field, M) gives
     the primes above p of a class's field (the job's memo).  Matching
     compares reductions of a_ell for every prime ell != p up to the Sturm
-    bound, through minimal polynomials first and then through a map of
-    residue fields that aligns every checked prime at once.  A class's
-    first matching prime is its partner, and its map is the first aligning
-    one: the image of the generator of that prime's residue field in the
-    residue field of embedding, as `_apply_hom` reads it.
+    bound through one search: a prime matches when some map of residue
+    fields aligns every checked prime at once, and otherwise the forms are
+    not congruent there, even when each reduction is conjugate to its
+    partner.  A class's first matching prime is its partner, and its map
+    is the first aligning one: the image of the generator of that prime's
+    residue field in the residue field of embedding, as `_apply_hom` reads
+    it.
     """
     space = eigensymbol.space
     p = embedding.p
@@ -75,19 +76,13 @@ def find_congruent_weight2(eigensymbol, embedding, classes, primes_above):
                 continue
             target_red = {ell: gemb.local_ints(*cls.a(ell)).reduce()
                           for ell in ells}
-            if any(source_red[ell].minimal_polynomial()
-                   != target_red[ell].minimal_polynomial() for ell in ells):
-                continue
-            cid = analysis.form_id(cls.space, idx)
             hom = next((h for h in _residue_homs(Fg, F)
                         if all(_apply_hom(target_red[ell], h, F)
                                == source_red[ell] for ell in ells)), None)
-            if hom is None:
-                raise EmbeddingAmbiguity(
-                    "minimal polynomials match for %s but no residue-field "
-                    "embedding aligns all checked primes" % cid)
-            matches.append((cid, cls, gemb, hom))
-            break
+            if hom is not None:
+                matches.append((analysis.form_id(cls.space, idx), cls, gemb,
+                                hom))
+                break
     return matches
 
 
@@ -227,8 +222,9 @@ def verify_weight2_patterns(g_norm, n_max):
             continue
         if alpha is None:
             alpha = mazurtate.p_stabilize(g_norm)
-        psis = [mazurtate.lp_approx(g_norm, alpha, i, n)[1]
-                for n in range(n_max + 1)]
+        psis = [mazurtate.invariants(
+            mazurtate.stabilized_theta(g_norm, alpha, n, i))
+            for n in range(n_max + 1)]
         key = [(psi.mu, psi.lam) for psi in psis]
         stabilized_at = next((n - 1 for n in range(1, n_max + 1)
                               if key[n] == key[n - 1]), None)

@@ -216,6 +216,30 @@ def test_a_value_vanishing_below_mu_min_is_not_certified(monkeypatch):
             assert analysis.mu_min(norm) is None
 
 
+def test_a_combination_with_negative_precision_is_not_certified(monkeypatch):
+    """At 11/22/3, M = 4, three symbols (sign +1 class 1 at embeddings 1
+    and 2, sign -1 class 1 at embedding 1) meet a Mahler combination whose
+    certified precision is negative.  The c_j are integral, so that
+    combination bounds nothing beyond its floor: mu_min is None there,
+    and raises nothing."""
+    symbols = every_symbol(11, 22, 3, 4)
+    assert [(norm.sign, norm.embedding.index) for norm in symbols] == \
+        [(1, 1), (1, 2), (-1, 1)]
+    precisions = []
+    combine = modsym.NormalizedSymbol.combine
+
+    def recorded(self, A, weights):
+        x = combine(self, A, weights)
+        precisions.append(x.prec)
+        return x
+
+    monkeypatch.setattr(modsym.NormalizedSymbol, "combine", recorded)
+    for norm in symbols:
+        del precisions[:]
+        assert analysis.mu_min(norm) is None
+        assert min(precisions) < 0
+
+
 def test_mu_min_makes_at_most_two_combinations_per_coefficient(monkeypatch):
     """At most 2 (g + 1) combinations per coset: 552 at 11/24/3, where
     three uncertified rows at M = 8 once tried 52,464 each."""

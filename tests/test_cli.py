@@ -173,6 +173,38 @@ def test_partner_is_read_through_the_map_its_match_found(name, tmp_path,
     assert files == golden_files(name)
 
 
+def test_a_partner_conjugate_at_one_ell_only_is_no_match(monkeypatch):
+    """The weight-2 class of level 23, over Q(sqrt 5), matches a class of
+    23/6/3 at a prime with residue field F_9.  With its a_2 replaced by the
+    Galois conjugate, each reduction is still conjugate to the source's,
+    but no one residue-field map aligns a_2 with a_5, a_7 and a_11 (none
+    of which lies in F_3): the forms are not congruent there, so there is
+    no match."""
+    cls = modsym.cuspidal_eigensymbols(modsym.ManinSymbolSpace(23, 6), 1)[1]
+    w2 = modsym.cuspidal_eigensymbols(modsym.ManinSymbolSpace(23, 2), 1)
+
+    def primes_above(field, M):
+        return padic.primes_above(field, 3, M)
+
+    emb = primes_above(cls.field, 8)[1]
+    assert emb.residue_field.degree == 2
+    found = verify.find_congruent_weight2(cls, emb, w2, primes_above)
+    assert [cid for cid, *_ in found] == ["N23k2c0"]
+    partner = w2[0]
+    assert partner.field.minpoly == (-1, -1, 1)
+    a = partner.a
+
+    def conjugate_at_2(ell):
+        nums, den = a(ell)
+        if ell != 2:
+            return nums, den
+        # y -> 1 - y takes a + b y to (a + b) - b y
+        return [nums[0] + nums[1], -nums[1]], den
+
+    monkeypatch.setattr(partner, "a", conjugate_at_2)
+    assert verify.find_congruent_weight2(cls, emb, w2, primes_above) == []
+
+
 def test_every_command_and_mode_has_a_case():
     commands = {argv[0] for argv, _ in CASES.values()}
     modes = {argv[argv.index("--mode") + 1]

@@ -30,5 +30,5 @@ def test_every_error_type_is_raised():
     types = {name for name, obj in vars(errors).items()
              if isinstance(obj, type) and issubclass(obj, errors.MTLabError)
              and obj is not errors.MTLabError}
-    assert len(types) >= 10
+    assert len(types) >= 9
     assert types - raised_names() == set()

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import permutations
+from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mtlab import linalg, padic, polyq
 from test_padic import poly_divmod, poly_sub, poly_xgcd
@@ -89,6 +90,30 @@ def test_charpoly_companion():
     # companion matrix of x^3 - 2x - 5
     rows = [[0, 0, 5], [1, 0, 2], [0, 1, 0]]
     assert linalg.charpoly_rational(rows) == [-5, -2, 0, 1]
+
+
+def permutation_det(rows):
+    """The Leibniz expansion: the sum over the permutations s of
+    sign(s) * prod_i rows[i][s(i)]."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@example([])
+@example([[0, 1], [1, 0]])              # a zero pivot, swapped
+@example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])   # no pivot in a column
+@example([[2, 4, 1], [1, 2, 5], [3, 1, 1]])   # a zero pivot after a step
+@settings(max_examples=300, deadline=None)
+def test_det_matches_the_permutation_expansion(rows):
+    assert linalg.det(rows) == permutation_det(rows)
 
 
 def squarefree_parts(f):

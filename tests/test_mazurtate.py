@@ -18,7 +18,6 @@ from mtlab.mazurtate import (
     exact_element,
     invariants,
     lambda_invariant,
-    lp_approx,
     mazur_tate_values,
     mu_invariant,
     nu_corestrict,
@@ -968,12 +967,6 @@ def test_two_term_relation(alpha11_5, norm11_5):
             diff = pi_project(cur) - prev.scale(alpha11_5)
             assert diff.is_zero_to_precision(1)
             prev = cur
-
-
-def test_lp_approx_norm_coherent(alpha11_5, norm11_5):
-    psi1, _ = lp_approx(norm11_5, alpha11_5, 0, 1)
-    psi2, _ = lp_approx(norm11_5, alpha11_5, 0, 2)
-    assert (pi_project(psi2) - psi1).is_zero_to_precision(1)
 
 
 def test_weight2_patterns_stabilize_once_for_all_twists(monkeypatch):

@@ -320,13 +320,6 @@ def test_finite_field_element_reduced_or_not(data):
     assert F.element(big).coeffs == want
 
 
-def test_finite_field_minimal_polynomial():
-    F9 = padic.FF(3, [1, 0, 1])
-    t = F9.element([0, 1])
-    assert t.minimal_polynomial() == [1, 0, 1]
-    assert F9.one().minimal_polynomial() == [2, 1]  # x - 1 over F_3
-
-
 # -- local factorization of Hecke eigenvalue fields ---------------------------
 #
 # Minimal polynomials of Hecke eigenvalue generators for the cuspidal
@@ -571,6 +564,91 @@ def test_local_ints_matches_division(data):
     want = local_ints_by_division(emb, nums, den)
     assert (got.vec, got.shift, got.prec) == \
         (want.vec, want.shift, want.prec)
+
+
+# -- norms: one determinant of the multiplication matrix ---------------------
+#
+# The reference is the resultant from the Sylvester matrix, whose
+# determinant Bareiss elimination takes.
+
+
+def resultant_int(p, q):
+    """Res(p, q) of two integer polynomials: the Sylvester determinant."""
+    p = polyq.trim(list(p))
+    q = polyq.trim(list(q))
+    if not p or not q:
+        return 0
+    m, n = len(p) - 1, len(q) - 1
+    if m == 0:
+        return p[0] ** n
+    if n == 0:
+        return q[0] ** m
+    size = m + n
+    rows = []
+    for shifts, poly in ((n, p), (m, q)):
+        for i in range(shifts):
+            row = [0] * size
+            for j, c in enumerate(reversed(poly)):
+                row[i + j] = c
+            rows.append(row)
+    # Bareiss elimination
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            for r in range(k + 1, size):
+                if rows[r][k] != 0:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = (rows[i][j] * rows[k][k]
+                              - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return sign * rows[size - 1][size - 1]
+
+
+@st.composite
+def norm_cases(draw):
+    """(f, x, shared): f monic of degree 1 to 8 and x of lower degree;
+    when shared, f = g h and x = g u for a planted monic g, so x and f
+    share a factor and the norm is 0."""
+    coeff = st.integers(-20, 20)
+
+    def poly(degree, monic):
+        return draw(st.lists(coeff, min_size=degree, max_size=degree)) + \
+            ([1] if monic else [draw(coeff)])
+
+    d = draw(st.integers(1, 8))
+    if d > 1 and draw(st.booleans()):
+        s = draw(st.integers(1, d - 1))
+        g = poly(s, True)
+        f = polyq.mul(g, poly(d - s, True))
+        x = polyq.mul(g, poly(draw(st.integers(0, d - s - 1)), False))
+        return f, x, True
+    return poly(d, True), draw(st.lists(coeff, max_size=d)), False
+
+
+@given(norm_cases())
+@settings(max_examples=400, deadline=None)
+def test_norm_is_the_sylvester_resultant(case):
+    f, x, shared = case
+    norm = padic._norm(x, f)
+    assert norm == resultant_int(f, x)
+    if shared:
+        assert norm == 0
+
+
+def test_factor_monic_int_rejects_a_square_factor():
+    # (y^2 + 1)^2 (y - 3)
+    g = polyq.mul(polyq.mul([1, 0, 1], [1, 0, 1]), [-3, 1])
+    assert padic._norm(polyq.derivative(g), g) == 0
+    with pytest.raises(ValueError, match="not squarefree"):
+        padic.factor_monic_int(g)
 
 
 # -- inverses: one solve against the multiplication matrix -------------------
