@@ -1,12 +1,12 @@
 """Experiments on Mazur-Tate invariants: mu_min, and invariant tables with
 their lambda-growth patterns.  The identity checks of ``verify`` are in
 `verify`.  mu_min is read off Mahler coefficients, with no search; only
-`verify` asks for a value of that valuation (`mu_min_witness`).
+`verify` asks for a value of that valuation (`mu_min_witness`).  Only the
+invariant tables import `mazurtate`, so a mu-min job does not compile it.
 """
 
-from . import mazurtate, padic
+from . import padic
 from .errors import PrecisionExhausted
-from .mazurtate import invariants, q_n, theta_element
 
 
 def form_id(space, index):
@@ -112,6 +112,7 @@ class InvariantReport:
 
 
 def _template_values(name, p, n, parity_constants):
+    from .mazurtate import q_n
     if name == "maximal":
         return p ** n - 1
     if name == "constant-lambda":
@@ -158,6 +159,7 @@ def _fit_pattern(p, pairs):
 
 def invariant_table(f_norm, n_max):
     """Invariants of theta_{n,i}(f) for n <= n_max with pattern fitting."""
+    from . import mazurtate
     p = f_norm.embedding.p
     mazurtate.check_budget(p, n_max + 1)
     twists = mazurtate.twists(p, f_norm.sign)
@@ -165,7 +167,8 @@ def invariant_table(f_norm, n_max):
     for n in range(n_max + 1):
         for i in twists:
             try:
-                inv = invariants(theta_element(f_norm, n, i))
+                inv = mazurtate.invariants(
+                    mazurtate.theta_element(f_norm, n, i))
                 rows.append((n, i, inv.mu, inv.lam, inv.certified))
             except PrecisionExhausted:
                 rows.append((n, i, None, None, False))

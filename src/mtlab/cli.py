@@ -7,8 +7,10 @@ job configuration always produces byte-identical files.
 
 Every per-prime command runs through one record generator, ``_records``:
 sign -> eigenclass -> prime above p -> precision ladder -> the command's
-own step on the normalized symbol.  The identity checks are in `verify`,
-which only the verify command imports, so no other job compiles them.
+own step on the normalized symbol.  A job compiles only what it runs:
+`mazurtate` with invariants, stabilize and verify (not mu-min or
+eigenforms), the identity checks of `verify` with verify, `tame` with a
+Hecke-field block that needs it, `fractions` with a non-monogenic prime.
 
 Exit codes: 0 success, 1 construction or configuration failure (a
 malformed command line included), 2 some row could not be certified at the
@@ -19,9 +21,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from math import gcd
 
-from . import analysis, mazurtate, modsym, padic
+from . import analysis, modsym, padic
 from .errors import (
     MTLabError,
     NotOrdinary,
@@ -217,8 +219,10 @@ def _each(step):
 
 
 def _field_strings(nums, den):
-    """The power-basis coefficients of nums / den as reduced fractions."""
-    return [str(Fraction(c, den)) for c in nums]
+    """The power-basis coefficients of nums / den, den > 0, as reduced
+    fractions written as `fractions.Fraction` writes them."""
+    return ["%d/%d" % (c // g, den // g) if (g := gcd(c, den)) < den
+            else str(c // g) for c in nums]
 
 
 def cmd_eigenforms(config):
@@ -287,6 +291,7 @@ def cmd_invariants(config):
 
 
 def cmd_stabilize(config):
+    from . import mazurtate
     mazurtate.check_budget(config.p, config.n_max + 1)
 
     def step(norm):

@@ -560,10 +560,17 @@ def _splitting_candidates(space):
 
     Oldforms coming from lower level share all T eigenvalues, so the U_q
     for every prime q | M are included from the start, at prime level M
-    too (U_M); the T-only combinations follow as fallbacks.
+    too; the T-only combinations follow as fallbacks.  At a prime level M
+    with S_k(SL_2(Z)) = 0, k in (2, 4, 6, 8, 10, 14), every cuspidal
+    class is new, with a_M = -M^(k/2-1) times its w_N sign (Atkin-Lehner),
+    so U_M = -w_N on the cuspidal subspace, with equal restricted matrices,
+    and -w_N, one path per coset, stands in for U_M's Heilbronn matrices.
     """
     l1, l2 = islice(space.good_primes(), 2)
-    uqs = [("U%d" % q, 1) for q in padic.prime_divisors(space.M)]
+    qs = padic.prime_divisors(space.M)
+    uqs = [("U%d" % q, 1) for q in qs]
+    if qs == [space.M] and space.k in (2, 4, 6, 8, 10, 14):
+        uqs = [("wN", -1)]
     if uqs:
         yield [("T%d" % l1, 1)] + uqs
         for c in range(1, 5):
@@ -583,7 +590,9 @@ def cuspidal_eigensymbols(space, sign):
     in the Krylov basis of v, all in integers.  The charpoly of S is
     integral, a Hecke operator preserving the integral symbols, and is
     read off the integer charpoly g of B as g_i / d^(n-i).  Each charpoly
-    is factored once per space: the other sign's may be the same.
+    is factored once per space: the other sign's may be the same.  At a
+    prime level M with no level-one cusp forms of weight k, U_M = -w_N on
+    newforms, so S = T_ell - w_N is T_ell + U_M (`_splitting_candidates`).
     """
     basis = space.cuspidal_subspace(sign)
     if not basis[0]:

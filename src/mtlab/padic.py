@@ -32,7 +32,6 @@ Newton polygon does not certify it irreducible is factored completely in
 `tame`, which is imported only for such a block.
 """
 
-from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, isqrt
 from operator import mul
@@ -578,9 +577,11 @@ class LocalElement:
     prec is the certified absolute precision: the representation agrees with
     the true element up to an error of valuation >= prec.  It is an exact
     int, and a Fraction only where a valuation read by the norm formula (an
-    embedding that is not monogenic) enters it.  It never exceeds M - shift
-    for the shift the element is built with: vec is known mod p^M, and
-    dividing a vector divisible by p down to a smaller shift adds no digits.
+    embedding that is not monogenic) enters it; `fractions` is imported
+    there only, so a job whose embeddings are monogenic does not load it.
+    It never exceeds M - shift for the shift the element is built with:
+    vec is known mod p^M, and dividing a vector divisible by p down to a
+    smaller shift adds no digits.
     An embedded exact element thus has precision M - v_p(den), and exact
     values are embedded once each (`PAdicEmbedding.local_ints`), so that
     their digits do not pass through sums of truncated terms.  A product
@@ -633,6 +634,7 @@ class LocalElement:
         norm = _norm(vec, emb.local_factor) % p ** (emb.M - m)
         if norm == 0:
             return None
+        from fractions import Fraction
         return m + Fraction(_vp(norm, p), emb.degree)
 
     def valuation(self):

@@ -12,9 +12,11 @@ the named cases again with
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mtlab import (analysis, cli, linalg, mazurtate, modsym, padic, tame,
                    verify)
@@ -523,6 +525,16 @@ def test_cli_import_loads_no_sympy():
                          capture_output=True, text=True,
                          cwd=Path(__file__).parent.parent / "src")
     assert out.stdout.strip() == "False"
+
+
+@given(st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=6),
+       st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+@example([0, -3, 5, 6], 1, 4)
+def test_field_strings_write_what_fraction_writes(nums, den, common):
+    # a common factor makes the inputs non-reduced
+    nums, den = [c * common for c in nums], den * common
+    assert cli._field_strings(nums, den) == [str(Fraction(c, den))
+                                             for c in nums]
 
 
 def _config(argv):

@@ -760,6 +760,77 @@ def test_wn_squares_to_a_scalar(N, k):
                              for i in range(space.dim)]
 
 
+# the prime levels N <= 79 at weight 2 and N <= 37 at weights 4 and 6
+GATED_SPACES = [(N, 2) for N in padic.primes_up_to(79)] + \
+    [(N, k) for k in (4, 6) for N in padic.primes_up_to(37)]
+
+
+def um_and_minus_wn(space, sign):
+    """U_M and -w_N restricted to the cuspidal part of a sign, as (B, d)."""
+    basis = space.cuspidal_subspace(sign)
+    um = space._restrict_operator("U%d" % space.M, basis)
+    wn, d = space._restrict_operator("wN", basis)
+    return um, ([[-x for x in row] for row in wn], d)
+
+
+def test_um_is_minus_wn_on_the_cuspidal_part_at_gated_prime_levels():
+    # S_k(SL_2(Z)) = 0 at these weights, so every cuspidal class of prime
+    # level M is new, with a_M = -M^(k/2-1) times its w_N sign
+    compared = 0
+    for N, k in GATED_SPACES:
+        space = ManinSymbolSpace(N, k)
+        for sign in (1, -1):
+            if space.cuspidal_subspace(sign)[0]:
+                um, minus_wn = um_and_minus_wn(space, sign)
+                assert um == minus_wn, (N, k, sign)
+                compared += 1
+    assert compared == 76
+
+
+@pytest.mark.parametrize("N,k", [(11, 12), (11, 22), (13, 12)])
+def test_um_is_not_minus_wn_where_level_one_forms_exist(N, k):
+    # the oldforms from level one have U_M eigenvalues the roots of
+    # x^2 - a_M x + M^(k-1), not -+M^(k/2-1)
+    space = ManinSymbolSpace(N, k)
+    for sign in (1, -1):
+        um, minus_wn = um_and_minus_wn(space, sign)
+        assert um != minus_wn
+
+
+@pytest.mark.parametrize("N,k,gated", [(23, 6, True), (389, 2, True),
+                                       (11, 22, False), (11, 12, False),
+                                       (22, 4, False)])
+def test_splitting_candidates_use_minus_wn_exactly_at_gated_levels(N, k,
+                                                                   gated):
+    space = ManinSymbolSpace(N, k)
+    level_terms = {term for combo in modsym._splitting_candidates(space)
+                   for term in combo if not term[0].startswith("T")}
+    assert level_terms == ({("wN", -1)} if gated else
+                           {("U%d" % q, 1) for q in padic.prime_divisors(N)})
+
+
+@pytest.mark.parametrize("N,k", [(11, 2), (37, 2), (23, 6)])
+def test_minus_wn_splits_into_the_classes_of_um(N, k, monkeypatch):
+    def classes(space):
+        return [(f.field.minpoly, f.numerators, f.denominator)
+                for sign in (1, -1)
+                for f in modsym.cuspidal_eigensymbols(space, sign)]
+
+    gated = ManinSymbolSpace(N, k)
+    want = classes(gated)
+    assert "wN" in gated._hecke_matrices
+    assert "U%d" % N not in gated._hecke_matrices
+    candidates = modsym._splitting_candidates
+
+    def with_um(space):
+        for combo in candidates(space):
+            yield [("U%d" % N, 1) if term == ("wN", -1) else term
+                   for term in combo]
+
+    monkeypatch.setattr(modsym, "_splitting_candidates", with_um)
+    assert classes(ManinSymbolSpace(N, k)) == want
+
+
 def test_degeneracy_commutes_with_hecke():
     rng = random.Random(12)
     src = ManinSymbolSpace(11, 2)

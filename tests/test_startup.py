@@ -2,9 +2,10 @@
 
 Each job runs ``cli.main`` in a fresh interpreter, which then reports the
 ``mtlab`` modules in ``sys.modules``. Every job compiles the modules it
-loads from source when no bytecode is cached, so the tame block factoring
-and the identity checks must load only in the jobs that run them. No time
-is measured.
+loads from source when no bytecode is cached, so the Mazur-Tate elements,
+the tame block factoring, the identity checks and ``fractions`` (with the
+``decimal`` and ``numbers`` modules it imports) must load only in the jobs
+that run them. No time is measured.
 """
 
 import json
@@ -22,12 +23,15 @@ import json, sys
 from mtlab import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("mtlab."))]))
+                               if m.startswith("mtlab.")
+                               or m == "fractions")]))
 """
 
 # the modules every job imports with mtlab.cli
-EVERY_JOB = {"mtlab.analysis", "mtlab.cli", "mtlab.mazurtate",
-             "mtlab.modsym", "mtlab.padic"}
+EVERY_JOB = {"mtlab.analysis", "mtlab.cli", "mtlab.modsym", "mtlab.padic"}
+
+# the modules only some jobs load
+OPTIONAL = {"mtlab.mazurtate", "mtlab.tame", "mtlab.verify", "fractions"}
 
 
 def loaded(argv, tmp_path):
@@ -42,22 +46,30 @@ def loaded(argv, tmp_path):
     return code, set(modules)
 
 
-@pytest.mark.parametrize("argv,tame,verify", [
+@pytest.mark.parametrize("argv,optional", [
     # over Q: no block to factor, and no identity check
     (["invariants", "--level", "11", "--weight", "2", "--p", "5",
-      "--nmax", "1"], False, False),
-    # the degree-6 Hecke field has a block that needs the tame models
+      "--nmax", "1"], {"mtlab.mazurtate"}),
+    # the benchmark's split-mumin job: the degree-6 Hecke field has a block
+    # that needs the tame models, and no Mazur-Tate element is built
     (["mu-min", "--level", "23", "--weight", "6", "--p", "3",
-      "--sign", "both"], True, False),
+      "--sign", "both"], {"mtlab.tame"}),
+    # a prime above 3 of the 11/4 Hecke field is not monogenic, so the
+    # norm formula reads a valuation as a Fraction
     (["verify", "--mode", "three-term", "--level", "11", "--weight", "4",
-      "--p", "3", "--nmax", "2"], False, True),
-], ids=["invariants", "mu-min", "verify"])
-def test_job_loads_only_the_modules_it_runs(argv, tame, verify, tmp_path):
+      "--p", "3", "--nmax", "2"],
+     {"mtlab.mazurtate", "mtlab.verify", "fractions"}),
+    # the benchmark's mt-deep and mt-field jobs
+    (["invariants", "--level", "11", "--weight", "2", "--p", "5",
+      "--nmax", "4"], {"mtlab.mazurtate"}),
+    (["invariants", "--level", "23", "--weight", "6", "--p", "3",
+      "--nmax", "3"], {"mtlab.mazurtate", "mtlab.tame"}),
+], ids=["invariants", "mu-min", "verify", "mt-deep", "mt-field"])
+def test_job_loads_only_the_modules_it_runs(argv, optional, tmp_path):
     code, modules = loaded(argv, tmp_path)
     assert code == 0
     assert EVERY_JOB <= modules
-    assert ("mtlab.tame" in modules) == tame
-    assert ("mtlab.verify" in modules) == verify
+    assert modules & OPTIONAL == optional
 
 
 def test_verify_shares_the_running_command_line_module(tmp_path):
