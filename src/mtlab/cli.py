@@ -9,8 +9,10 @@ Every per-prime command runs through one record generator, ``_records``:
 sign -> eigenclass -> prime above p -> precision ladder -> the command's
 own step on the normalized symbol.  A job compiles only what it runs:
 `mazurtate` with invariants, stabilize and verify (not mu-min or
-eigenforms), the identity checks of `verify` with verify, `tame` with a
-Hecke-field block that needs it, `fractions` with a non-monogenic prime.
+eigenforms), the identity checks of `verify` with verify, `montes` with a
+Hecke-field block that its Newton polygon does not resolve, `tame` with
+one that the order-1 split of `montes` does not resolve either,
+`fractions` with a non-monogenic prime.
 
 Exit codes: 0 success, 1 construction or configuration failure (a
 malformed command line included), 2 some row could not be certified at the
@@ -262,6 +264,9 @@ def cmd_mu_min(config):
 
 
 def cmd_invariants(config):
+    from . import mazurtate
+    mazurtate.check_budget(config.p, config.n_max + 1)
+
     def work(norm):
         rep = analysis.invariant_table(norm, config.n_max)
         table = {

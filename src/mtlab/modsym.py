@@ -702,15 +702,17 @@ class NormalizedSymbol:
     The scale is 1/w for the exact value w of the eigenclass that attains
     the minimum valuation at the embedding; content_certificate records
     its (coset, monomial) pair: the first value, in coset and monomial
-    order, of least certified valuation.  When p does not divide the
-    space's denominator D, every value is a sum of coordinates times n / d
-    with d | D, so none lies below the least valuation of the coordinates
-    (a coordinate vanishing to its precision counting as that precision):
-    the coordinates are embedded first, and the scan stops at the first
-    value on that floor, building no value past it; when p | D it embeds
-    every value.  The scale is kept as an integer multiplication matrix
-    over a denominator, shared per eigenclass by every prime and precision
-    with the same witness (`Eigensymbol.witness_scale`).  A value, an
+    order, of least certified valuation.  Every value is a sum of
+    coordinates times n / d, for the row (d, terms) of `values_basis` with
+    d | D, the space's denominator, so it lies no lower than floor - v_p(d),
+    floor the least valuation of the coordinates (a coordinate vanishing to
+    its precision counting as that precision).  The coordinates are
+    embedded first; a value whose bound is not below the least valuation
+    found so far is not built, and the scan stops at the first value on
+    floor - v_p(D), building no value past it.  The scale is kept as an
+    integer multiplication matrix over a denominator, shared per eigenclass
+    by every prime and precision with the same witness
+    (`Eigensymbol.witness_scale`).  A value, an
     evaluation or a projected Mazur-Tate coefficient is read p-adically as
     one embedding of scale * an exact integer vector (`embed`, `combine`),
     at precision M - v_p(its denominator).
@@ -724,21 +726,23 @@ class NormalizedSymbol:
         self.embedding = embedding
         self.space = eigensymbol.space
         den = eigensymbol.denominator
-        floor = None
-        if self.space.denominator % embedding.p:
-            E = den // self.space.denominator
-            coords = (embedding.local_ints(nums, E)
-                      for nums in filter(any, eigensymbol.numerators))
-            floor = min((x.prec if x.is_zero_to_precision() else x.valuation()
-                         for x in coords), default=None)
+        p = embedding.p
+        coords = (embedding.local_ints(nums, den // self.space.denominator)
+                  for nums in filter(any, eigensymbol.numerators))
+        floor = min((x.prec if x.is_zero_to_precision() else x.valuation()
+                     for x in coords), default=None)
+        vD = padic._vp(self.space.denominator, p)
         best = None
-        values = ((A, j, x) for A in range(len(self.space.plist))
-                  for j, x in enumerate(eigensymbol.exact_value(A)))
-        for A, j, x in values:
+        rows = ((A, j, d) for A, block in enumerate(self.space.values_basis)
+                for j, (d, _) in enumerate(block))
+        for A, j, d in rows:
+            if best is not None and floor - padic._vp(d, p) >= best[0]:
+                continue
+            x = eigensymbol.exact_value(A)[j]
             val = embedding.local_ints(x, den).certified_valuation()
             if val is not None and (best is None or val < best[0]):
                 best = (val, A, j)
-                if floor is not None and val <= floor:
+                if val <= floor - vD:
                     break
         if best is None:
             raise PrecisionExhausted(

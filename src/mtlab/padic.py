@@ -26,10 +26,15 @@ precision so that valuations are only ever reported when certified.
 Polynomials factor here too, in exact integer arithmetic on the dense
 polynomials of `polyq`: over F_p by square-free, distinct-degree and
 equal-degree (Cantor-Zassenhaus) splitting, and monic squarefree integer
-polynomials by Zassenhaus's algorithm on the same Hensel lifting that finds
-the local factors.  A block of the factorization mod p whose phi-adic
-Newton polygon does not certify it irreducible is factored completely in
-`tame`, which is imported only for such a block.
+polynomials by Zassenhaus's algorithm on the same quadratic Hensel lifting
+that finds the local factors.  A block phibar^m of the factorization mod p
+takes one of three routes (`primes_above`): it is one prime when its
+phi-adic Newton polygon is one segment certifying it irreducible; else it
+splits into unramified primes at order 1 of Montes' algorithm (`montes`)
+when every side has an integral slope and a residual polynomial with all
+its roots, distinct, in F_p[t]/(phibar); any other block is factored
+completely in `tame`.  Each of the two is imported only for a block that
+reaches it.
 """
 
 from itertools import combinations, count
@@ -261,26 +266,29 @@ class FFElement:
 def _hensel_pair(f, g, h, p, M):
     """Lift f = g*h from mod p to mod p^M; g, h monic, coprime mod p.
 
-    Linear lifting, one base-p digit per step: with f = g*h mod p^m, the
-    corrections u (to g) and v (to h) satisfy g*v + h*u = e mod p with
-    deg u < deg g, deg v < deg h, where e = (f - g*h)/p^m.
+    Quadratic lifting: with f = g*h and b*h = 1 mod g, all mod q, the
+    corrections u (to g) and v (to h) satisfy g*v + h*u = e mod q^2 with
+    deg u < deg g, deg v < deg h, where e = f - g*h; then b is lifted as an
+    inverse of the new h mod the new g, by Newton's b -> b*(2 - b*h).  The
+    modulus runs p, p^2, p^4, ... up to p^M.  The lift is unique, so it is
+    the one a digit-by-digit lift finds.
     """
     g = polyq.trim([c % p for c in g])
     h = polyq.trim([c % p for c in h])
-    _, a, b = polyq.fp_xgcd(g, h, p)  # a*g + b*h = 1 mod p
-    for m in range(1, M):
-        q2 = p ** (m + 1)
-        err = polyq.sub_mod(f, polyq.mul(g, h), q2)
-        e0 = polyq.trim([(c // p ** m) % p for c in err])
-        if not e0:
-            continue
-        u0 = polyq.rem_monic(polyq.mul(e0, b), g, p)
-        num = polyq.sub_mod(e0, polyq.mul(h, u0), p)
-        v0, r0 = polyq.divmod_monic(num, g, p)
-        assert not r0, "Hensel correction failed to divide"
-        g = polyq.add_mod(g, polyq.scale_mod(u0, p ** m, q2), q2)
-        h = polyq.add_mod(h, polyq.scale_mod(v0, p ** m, q2), q2)
+    b = polyq.fp_xgcd(g, h, p)[2]   # b*h = 1 mod (g, p)
     pM = p ** M
+    q = p
+    while q < pM:
+        q = min(q * q, pM)
+        e = polyq.sub_mod(f, polyq.mul(g, h), q)
+        u = polyq.rem_monic(polyq.mul(e, b), g, q)
+        v, r = polyq.divmod_monic(polyq.sub_mod(e, polyq.mul(h, u), q), g, q)
+        assert not r, "Hensel correction failed to divide"
+        g = polyq.add_mod(g, u, q)
+        h = polyq.add_mod(h, v, q)
+        if q < pM:
+            bh = polyq.rem_monic(polyq.mul(b, h), g, q)
+            b = polyq.rem_monic(polyq.mul(b, polyq.sub_mod([2], bh, q)), g, q)
     return ([c % pM for c in g] or [0]), ([c % pM for c in h] or [0])
 
 
@@ -810,12 +818,14 @@ def primes_above(field, p, M):
     One embedding per irreducible p-adic factor of the minimal polynomial.
     Factors that are irreducible mod p give unramified primes directly.
     A repeated factor phibar^m gives one prime when the phi-adic Newton
-    polygon of its block is one segment of slope v/m in lowest terms;
-    any other block is lifted once more, to precision M + 2D + 12 with D
+    polygon of its block is one segment of slope v/m in lowest terms.
+    Any other block is lifted once more, to precision M + 2D + 12 with D
     the valuation of its discriminant (read from the norm of H' over H mod
-    p^M when that is nonzero), and factored completely in tame local models
-    (`tame._factor_block_tame`), whose roots a residual-polynomial search
-    finds digit by digit; PrecisionTooLow is raised when that fails.
+    p^M when that is nonzero).  It is split at order 1 into primes with
+    e = 1 and f = deg phibar when Ore's conditions hold
+    (`montes.order_one_split`), or else factored completely in tame local
+    models (`tame._factor_block_tame`), whose roots a residual-polynomial
+    search finds digit by digit; PrecisionTooLow is raised when that fails.
     """
     if p == 2 or prime_divisors(p) != [p]:
         raise ValueError("p must be an odd prime")
@@ -841,7 +851,6 @@ def primes_above(field, p, M):
         # the norm of H' over H fixes D, the valuation of the block
         # discriminant, at the first precision where it does not vanish,
         # usually M itself
-        from . import tame
         res = _norm(polyq.derivative(H), H) % p ** M
         B = M + 12
         for _ in range(4):
@@ -859,7 +868,12 @@ def primes_above(field, p, M):
         B = max(B, M + 2 * D + 12)
         HB = _hensel_blocks([c % p ** B for c in field.minpoly],
                             block_polys, p, B)[idx]
-        factors.extend(tame._factor_block_tame(HB, gbar, mult, p, M, B, D))
+        from . import montes
+        split = montes.order_one_split(HB, gbar, mult, p, M, B)
+        if split is None:
+            from . import tame
+            split = tame._factor_block_tame(HB, gbar, mult, p, M, B, D)
+        factors.extend(split)
     result = [PAdicEmbedding(field, p, M, G, e, f, rbar, j, gen)
               for j, (G, e, f, rbar, gen) in enumerate(factors)]
     total = sum(emb.e * emb.residue_degree for emb in result)
@@ -872,14 +886,16 @@ def _newton_polygon(H, phibar, m, p, q):
 
     Expands H = sum A_i phi^i mod q, phi the lift of phibar, and returns
     the vertices (i, v_p(A_i)) of the lower convex hull of the points with
-    A_i nonzero mod q, from i = 0 to m.  Raises PrecisionTooLow when A_0
-    vanishes mod q.
+    A_i nonzero mod q, from i = 0 to m, and the expansion [A_0, ..., A_m].
+    Raises PrecisionTooLow when A_0 vanishes mod q.
     """
     phi = [c % q for c in phibar]
     rem = H
+    expansion = []
     pts = []
     for i in range(m + 1):
         rem, A = polyq.divmod_monic(rem, phi, q)
+        expansion.append(A)
         if A:
             pts.append((i, min(_vp(c, p) for c in A if c)))
     if not pts or pts[0][0] != 0:
@@ -898,7 +914,7 @@ def _newton_polygon(H, phibar, m, p, q):
     if hull[-1] != (m, 0):
         raise PrecisionTooLow(
             "phi-adic Newton polygon of a block does not end at height 0")
-    return hull
+    return hull, expansion
 
 
 def _one_segment(H, phibar, m, p, M):
@@ -906,10 +922,19 @@ def _one_segment(H, phibar, m, p, M):
     precision M, is one segment of slope v/m in lowest terms: then H is
     irreducible, with e = m and f = deg phibar."""
     try:
-        hull = _newton_polygon(H, phibar, m, p, p ** M)
+        hull = _newton_polygon(H, phibar, m, p, p ** M)[0]
     except PrecisionTooLow:
         return False
     return len(hull) == 2 and gcd(hull[0][1], m) == 1
+
+
+def _by_digits(factors, p, M):
+    """Local factor tuples (G, e, f, ...) in the order of the base-p digits
+    of G's coefficients from the low digit up: unlike integer order on
+    residues mod p^M, this is stable when M is raised, so the embedding
+    index identifies the same prime at every precision."""
+    return sorted(factors, key=lambda fac: [[c // p ** j % p for j in range(M)]
+                                            for c in fac[0]])
 
 
 def teichmuller(p, a, M):

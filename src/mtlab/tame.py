@@ -1,9 +1,12 @@
 """Complete factorization of tame Hensel blocks in explicit local models.
 
 `padic.primes_above` imports this module only for a block whose phi-adic
-Newton polygon does not certify it irreducible.  Its roots are located in
-models U_F(pi), pi^E = c p, of tame local fields, and each factor is the
-minimal polynomial of a root; wild ramification raises PrecisionTooLow.
+Newton polygon does not certify it irreducible and that the order-1 step
+(`montes.order_one_split`) does not split: a ramified block, one whose
+primes have residue degree above deg phibar, or one whose residual
+polynomial has a repeated root.  Its roots are located in models
+U_F(pi), pi^E = c p, of tame local fields, and each factor is the minimal
+polynomial of a root; wild ramification raises PrecisionTooLow.
 
 The roots are searched in balls a + pi^k O, one residue digit at a time.
 At a node a of depth k the Taylor coefficients of H(a + z) give the
@@ -457,7 +460,7 @@ def _block_segment_candidates(H, gbar, mult, p, B):
     carries primes with e0 | e, d | f and e f <= d l (d = deg gbar).
     """
     d = len(gbar) - 1
-    hull = padic._newton_polygon(H, gbar, mult, p, p ** B)
+    hull = padic._newton_polygon(H, gbar, mult, p, p ** B)[0]
     cands = set()
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         l = x2 - x1
@@ -581,11 +584,4 @@ def _factor_block_tame(H, gbar, mult, p, M, B, D):
     if polyq.sub_mod(prod, H, pM):
         raise PrecisionTooLow(
             "reconstructed factors do not multiply back to the block")
-    # order factors by base-p digits from the low digit up: unlike integer
-    # order on residues mod p^M, this is stable when M is raised, so the
-    # embedding index identifies the same prime at every precision
-    def digit_key(GM):
-        return tuple(tuple((c // p ** j) % p for j in range(M))
-                     for c in GM)
-
-    return [found[k] for k in sorted(found, key=digit_key)]
+    return padic._by_digits(list(found.values()), p, M)

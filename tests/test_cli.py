@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mtlab import (analysis, cli, linalg, mazurtate, modsym, padic, tame,
-                   verify)
+from mtlab import (analysis, cli, linalg, mazurtate, modsym, montes, padic,
+                   tame, verify)
 from mtlab.errors import PrecisionExhausted, PrecisionTooLow
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,8 +120,8 @@ CASES = {
     "invariants-23-4-5": (["invariants", "--level", "23", "--weight", "4",
                            "--p", "5", "--nmax", "2", "--sign", "both"],
                           cli.EXIT_OK),
-    # the degree-6 Hecke field needs the tame block factorization at 3,
-    # and both signs split into the same two fields
+    # the degree-6 Hecke field has a repeated block at 3 that the order-1
+    # step splits, and both signs split into the same two fields
     "mu-min-23-6-3": (["mu-min", "--level", "23", "--weight", "6",
                        "--p", "3", "--sign", "both"], cli.EXIT_OK),
     # high weight: mu_min reaches 5, and rows that cannot be normalized or
@@ -434,8 +434,10 @@ def test_identity_sides_walk_every_unit(mode, tmp_path, monkeypatch):
 
 
 # commands that loop to n_max themselves: the deepest level each one builds
-# is over the budget, level 8 at p = 5 and level 11 at p = 3
+# is over the budget, level 8 at p = 5 and levels 11 and 12 at p = 3
 OVER_BUDGET = {
+    "invariants": (["invariants", "--level", "23", "--weight", "6", "--p",
+                    "3", "--nmax", "11"], "4251528 evaluations"),
     "stabilize": (["stabilize", "--level", "11", "--weight", "2", "--p", "5",
                    "--nmax", "7"], "2500000 evaluations"),
     "three-term": (["verify", "--mode", "three-term", "--level", "11",
@@ -780,13 +782,13 @@ def test_mu_min_splits_and_normalizes_at_the_cost_of_the_data(tmp_path,
     assert calls[0]["rref"] <= 12
 
 
-def test_tame_block_is_factored_at_the_cost_of_its_roots(tmp_path,
-                                                        monkeypatch):
+def test_repeated_block_is_split_at_order_one_without_tame(tmp_path,
+                                                           monkeypatch):
     """Per run of mu-min 23/6/3, both signs: the sextic's block
-    (x^2 + 2x + 2)^2 mod 3 is factored once, with at most 12 Taylor shifts
-    (55 when every residue digit was shifted), at most 4 Newton runs and
-    at most 6 unit inversions (20 when every Newton step inverted afresh),
-    the same numbers on every run."""
+    (x^2 + 2x + 2)^2 mod 3 is split once by the order-1 step into its two
+    unramified primes, with no tame factoring and at most 8 evaluations of
+    H and H' (4 Newton steps per root at M = 8), the same numbers on
+    every run."""
     calls = []
 
     def counted(key, func):
@@ -795,22 +797,20 @@ def test_tame_block_is_factored_at_the_cost_of_its_roots(tmp_path,
             return func(*args)
         return wrapper
 
-    for key, name in (("factor", "_factor_block_tame"),
-                      ("shift", "_taylor_shift"),
-                      ("newton", "_tame_newton_root")):
-        monkeypatch.setattr(tame, name, counted(key, getattr(tame, name)))
-    monkeypatch.setattr(tame._TameModel, "inv_unit",
-                        counted("inv", tame._TameModel.inv_unit))
+    def never(*args):
+        raise AssertionError("the block went to the tame models")
+
+    for key, name in (("split", "order_one_split"), ("eval", "_evaluate")):
+        monkeypatch.setattr(montes, name, counted(key, getattr(montes, name)))
+    monkeypatch.setattr(tame, "_factor_block_tame", never)
     argv, code = CASES["mu-min-23-6-3"]
     for run in range(2):
-        calls.append({"factor": 0, "shift": 0, "newton": 0, "inv": 0})
+        calls.append({"split": 0, "eval": 0})
         out = tmp_path / ("r%d.json" % run)
         assert cli.main(argv + ["--out", str(out)]) == code
     assert calls[0] == calls[1]
-    assert calls[0]["factor"] == 1
-    assert calls[0]["shift"] <= 12
-    assert calls[0]["newton"] <= 4
-    assert calls[0]["inv"] <= 6
+    assert calls[0]["split"] == 1
+    assert calls[0]["eval"] <= 8
 
 
 def test_each_local_element_finds_its_valuation_once(tmp_path, monkeypatch):

@@ -1278,9 +1278,11 @@ def test_exact_values_are_the_field_values():
                                      (11, 8, 3, 3), (13, 4, 3, 8),
                                      (37, 2, 3, 8), (29, 4, 5, 6)])
 def test_witness_matches_reference_scan(N, k, p, M, monkeypatch):
-    # when p does not divide D the scan embeds the nonzero coordinates and
-    # the values up to the witness, or every value when none reaches the
-    # coordinates' floor; when p | D (11/8/3, 13/4/3) it embeds every value
+    # the scan embeds the nonzero coordinates, then the values: when p does
+    # not divide D, up to the witness, or every value when none reaches
+    # the coordinates' floor; when p | D (11/8/3, 13/4/3), every value whose
+    # bound floor - v_p(d) lies below the witness's valuation, and never
+    # all of them
     embedded = []
     local_ints = padic.PAdicEmbedding.local_ints
 
@@ -1293,7 +1295,7 @@ def test_witness_matches_reference_scan(N, k, p, M, monkeypatch):
         space = f.space
         size = space.g + 1
         full = len(space.plist) * size
-        floor = space.denominator % p != 0
+        coprime = space.denominator % p != 0
         for emb in padic.primes_above(f.field, p, M):
             try:
                 want = reference_witness(f, emb)
@@ -1306,14 +1308,30 @@ def test_witness_matches_reference_scan(N, k, p, M, monkeypatch):
                 m.setattr(padic.PAdicEmbedding, "local_ints", counted)
                 A, j = modsym.normalize(f, emb).content_certificate
             assert (A, j) == want
-            scanned = len(embedded) - floor * sum(map(any, f.numerators))
-            if floor and scanned == A * size + j + 1 < full:
+            scanned = len(embedded) - sum(map(any, f.numerators))
+            if coprime and scanned == A * size + j + 1 < full:
                 stopped_late = stopped_late or A > 0
-            else:
+            elif coprime:
                 assert scanned == full
+            else:
+                assert bounded_below(f, emb, A, j) <= scanned < full
     if (N, k, p, M) == (23, 6, 3, 8):
         # a witness past the first coset: the 22nd of the 120 values
         assert stopped_late
+
+
+def bounded_below(f, emb, A, j):
+    """The number of values whose bound floor - v_p(d) lies below the
+    valuation of the value (A, j): floor the least valuation of the
+    embedded coordinates, d the denominator of the value's row of
+    `values_basis`."""
+    E = f.denominator // f.space.denominator
+    coords = [emb.local_ints(nums, E) for nums in f.numerators if any(nums)]
+    floor = min(x.prec if x.is_zero_to_precision() else x.valuation()
+                for x in coords)
+    val = emb.local_ints(f.exact_value(A)[j], f.denominator).valuation()
+    return sum(floor - padic._vp(d, emb.p) < val
+               for block in f.space.values_basis for d, _ in block)
 
 
 PATH_CASES = [(11, 2, 5), (23, 6, 3), (11, 8, 3)]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 
@@ -649,6 +649,72 @@ def test_factor_monic_int_rejects_a_square_factor():
     assert padic._norm(polyq.derivative(g), g) == 0
     with pytest.raises(ValueError, match="not squarefree"):
         padic.factor_monic_int(g)
+
+
+# -- Hensel lifting: quadratic against the digit-by-digit lift ----------------
+
+def linear_hensel_pair(f, g, h, p, M):
+    """The lift of f = g*h from mod p to mod p^M one base-p digit per step:
+    with f = g*h mod p^m, the corrections u (to g) and v (to h) satisfy
+    g*v + h*u = e mod p, deg u < deg g, deg v < deg h, e = (f - g*h)/p^m."""
+    g = polyq.trim([c % p for c in g])
+    h = polyq.trim([c % p for c in h])
+    _, a, b = polyq.fp_xgcd(g, h, p)
+    for m in range(1, M):
+        q2 = p ** (m + 1)
+        err = polyq.sub_mod(f, polyq.mul(g, h), q2)
+        e0 = polyq.trim([(c // p ** m) % p for c in err])
+        if not e0:
+            continue
+        u0 = polyq.rem_monic(polyq.mul(e0, b), g, p)
+        num = polyq.sub_mod(e0, polyq.mul(h, u0), p)
+        v0, r0 = polyq.divmod_monic(num, g, p)
+        assert not r0
+        g = polyq.add_mod(g, polyq.scale_mod(u0, p ** m, q2), q2)
+        h = polyq.add_mod(h, polyq.scale_mod(v0, p ** m, q2), q2)
+    pM = p ** M
+    return ([c % pM for c in g] or [0]), ([c % pM for c in h] or [0])
+
+
+def monic(p, deg):
+    return st.lists(st.integers(0, p - 1), min_size=deg,
+                    max_size=deg).map(lambda c: c + [1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hensel_pair_matches_the_linear_lift(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    M = data.draw(st.integers(1, 40))
+    g = data.draw(monic(p, data.draw(st.integers(1, 4))))
+    h = data.draw(monic(p, data.draw(st.integers(1, 4))))
+    assume(polyq.fp_xgcd(g, h, p)[0] == [1])
+    # f = g*h mod p, with random higher digits below the leading 1
+    pM = p ** M
+    f = [(c + p * data.draw(st.integers(0, pM))) % pM
+         for c in polyq.mul(g, h)[:-1]] + [1]
+    assert padic._hensel_pair(f, g, h, p, M) == \
+        linear_hensel_pair(f, g, h, p, M)
+
+
+@pytest.mark.parametrize("M,steps", [(2, 1), (8, 3), (33, 6), (106, 7)])
+def test_hensel_pair_doubles_the_precision_per_step(M, steps, monkeypatch):
+    """Past the Bezout pair mod p, a lift to p^M makes ceil(log2 M) steps
+    of 5 products each, the last step 3 (no inverse is lifted after it);
+    the digit-by-digit lift made 3 per digit."""
+    g, h = [1, 1], [2, 1, 1]
+    f = polyq.mul(g, [2 + 3 * 5, 7, 1])
+    mul = polyq.mul
+    calls = []
+    monkeypatch.setattr(polyq, "mul",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    counts = []
+    for prec in (1, M):
+        calls.clear()
+        G, H = padic._hensel_pair(f, g, h, 3, prec)
+        counts.append(len(calls))
+        assert polyq.sub_mod(f, mul(G, H), 3 ** prec) == []
+    assert counts[1] - counts[0] == 5 * steps - 2
 
 
 # -- inverses: one solve against the multiplication matrix -------------------

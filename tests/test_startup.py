@@ -3,9 +3,9 @@
 Each job runs ``cli.main`` in a fresh interpreter, which then reports the
 ``mtlab`` modules in ``sys.modules``. Every job compiles the modules it
 loads from source when no bytecode is cached, so the Mazur-Tate elements,
-the tame block factoring, the identity checks and ``fractions`` (with the
-``decimal`` and ``numbers`` modules it imports) must load only in the jobs
-that run them. No time is measured.
+the order-1 block split, the tame block factoring, the identity checks and
+``fractions`` (with the ``decimal`` and ``numbers`` modules it imports)
+must load only in the jobs that run them. No time is measured.
 """
 
 import json
@@ -31,7 +31,8 @@ print(json.dumps([code, sorted(m for m in sys.modules
 EVERY_JOB = {"mtlab.analysis", "mtlab.cli", "mtlab.modsym", "mtlab.padic"}
 
 # the modules only some jobs load
-OPTIONAL = {"mtlab.mazurtate", "mtlab.tame", "mtlab.verify", "fractions"}
+OPTIONAL = {"mtlab.mazurtate", "mtlab.montes", "mtlab.tame", "mtlab.verify",
+            "fractions"}
 
 
 def loaded(argv, tmp_path):
@@ -50,10 +51,11 @@ def loaded(argv, tmp_path):
     # over Q: no block to factor, and no identity check
     (["invariants", "--level", "11", "--weight", "2", "--p", "5",
       "--nmax", "1"], {"mtlab.mazurtate"}),
-    # the benchmark's split-mumin job: the degree-6 Hecke field has a block
-    # that needs the tame models, and no Mazur-Tate element is built
+    # the benchmark's split-mumin job: the degree-6 Hecke field has a
+    # repeated block that the order-1 step splits without the tame models,
+    # and no Mazur-Tate element is built
     (["mu-min", "--level", "23", "--weight", "6", "--p", "3",
-      "--sign", "both"], {"mtlab.tame"}),
+      "--sign", "both"], {"mtlab.montes"}),
     # a prime above 3 of the 11/4 Hecke field is not monogenic, so the
     # norm formula reads a valuation as a Fraction
     (["verify", "--mode", "three-term", "--level", "11", "--weight", "4",
@@ -63,8 +65,14 @@ def loaded(argv, tmp_path):
     (["invariants", "--level", "11", "--weight", "2", "--p", "5",
       "--nmax", "4"], {"mtlab.mazurtate"}),
     (["invariants", "--level", "23", "--weight", "6", "--p", "3",
-      "--nmax", "3"], {"mtlab.mazurtate", "mtlab.tame"}),
-], ids=["invariants", "mu-min", "verify", "mt-deep", "mt-field"])
+      "--nmax", "3"], {"mtlab.mazurtate", "mtlab.montes"}),
+    # the quartic 11/8 Hecke field has a block at 3 that the order-1 step
+    # declines, so the tame models factor it; its primes are not monogenic
+    (["invariants", "--level", "11", "--weight", "8", "--p", "3",
+      "--nmax", "1"],
+     {"mtlab.mazurtate", "mtlab.montes", "mtlab.tame", "fractions"}),
+], ids=["invariants", "mu-min", "verify", "mt-deep", "mt-field",
+        "tame"])
 def test_job_loads_only_the_modules_it_runs(argv, optional, tmp_path):
     code, modules = loaded(argv, tmp_path)
     assert code == 0

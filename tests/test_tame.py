@@ -1,15 +1,19 @@
-"""Tests for the root search of the tame block factorization.
+"""Tests for the tame block factorization and the order-1 split before it.
 
 `reference_roots_in_model` is the search that tries every residue digit at
 every depth and inverts the derivative afresh at every Newton step; the
 search in `tame` must find the same roots in the same order, and so the
-same factors.
+same factors.  `tame._factor_block_tame` is in turn the reference for
+`montes.order_one_split`: wherever the order-1 step splits a block, its
+list must be tame's.
 """
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mtlab import padic, polyq, tame
+from mtlab import modsym, montes, padic, polyq, tame
+from mtlab.errors import (PrecisionExhausted, PrecisionTooLow,
+                          SplittingFailure)
 
 from test_padic import SNAPSHOT_CASES
 
@@ -161,11 +165,37 @@ TAME_CASES = [(name, minpoly, p) for name, minpoly, p in SNAPSHOT_CASES] + [
     ("11-22-deg10", HECKE_11_22_DEG10, 3),
 ]
 
-# the number of blocks each field factors in tame models
+# the number of repeated blocks of each field that the one-segment test
+# does not certify, and of those the number the order-1 step splits
 TAME_BLOCKS = {"11-18-deg6": 1, "11-18-deg8": 1, "17-18-deg10": 3,
                "17-18-deg12": 3, "23-6-deg6": 1, "23-6-deg3": 0,
                "biquadratic": 0, "11-20-deg7": 1, "11-20-deg9": 1,
                "11-22-deg8": 1, "11-22-deg10": 1}
+ORDER_ONE = {"17-18-deg10": 1, "17-18-deg12": 1, "23-6-deg6": 1}
+
+
+def repeated_blocks(minpoly, p, M):
+    """[(args, split)] for every block of the field at p and M that the
+    one-segment test does not certify: the arguments of
+    `tame._factor_block_tame` as `primes_above` lifts the block, and what
+    the order-1 step returns on it.  At a low M, where the precision
+    ladder skips the rung, the blocks up to the one that fails."""
+    blocks = []
+    split = montes.order_one_split
+
+    def recorded(H, gbar, mult, p, M, B):
+        D = padic._vp(padic._norm(polyq.derivative(H), H) % p ** B, p)
+        blocks.append(((H, gbar, mult, p, M, B, D),
+                       split(H, gbar, mult, p, M, B)))
+        return blocks[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(montes, "order_one_split", recorded)
+        try:
+            padic.primes_above(padic.NumberField(minpoly), p, M)
+        except (PrecisionExhausted, PrecisionTooLow):
+            assert M < 8
+    return blocks
 
 
 @pytest.mark.parametrize("M", [8, 16])
@@ -173,19 +203,116 @@ TAME_BLOCKS = {"11-18-deg6": 1, "11-18-deg8": 1, "17-18-deg10": 3,
                          ids=["%s-p%d" % (c[0], c[2]) for c in TAME_CASES])
 def test_factors_match_the_digit_enumeration(name, minpoly, p, M,
                                               monkeypatch):
-    blocks = []
-    factor = tame._factor_block_tame
-
-    def recorded(*args):
-        blocks.append((args, factor(*args)))
-        return blocks[-1][1]
-
-    monkeypatch.setattr(tame, "_factor_block_tame", recorded)
-    padic.primes_above(padic.NumberField(minpoly), p, M)
-    assert len(blocks) == TAME_BLOCKS[name]
+    # tame factors every such block, those the order-1 step splits too
+    args = [a for a, _ in repeated_blocks(minpoly, p, M)]
+    assert len(args) == TAME_BLOCKS[name]
+    got = [tame._factor_block_tame(*a) for a in args]
     monkeypatch.setattr(tame, "_roots_in_model", reference_roots_in_model)
-    for args, got in blocks:
-        assert factor(*args) == got
+    assert [tame._factor_block_tame(*a) for a in args] == got
+
+
+# -- the order-1 split against tame --------------------------------------------
+
+@pytest.mark.parametrize("M", [2, 4, 8, 16])
+@pytest.mark.parametrize("name,minpoly,p", TAME_CASES,
+                         ids=["%s-p%d" % (c[0], c[2]) for c in TAME_CASES])
+def test_order_one_split_matches_tame(name, minpoly, p, M):
+    blocks = repeated_blocks(minpoly, p, M)
+    split = [(a, got) for a, got in blocks if got is not None]
+    # below M = 8 some fields fail before their last block
+    assert len(split) == ORDER_ONE.get(name, 0) or \
+        M < 8 and len(split) < ORDER_ONE[name]
+    for args, got in split:
+        assert got == tame._factor_block_tame(*args)
+
+
+# every space of the Eisenstein-defect grid, and the golden spaces whose
+# Hecke fields are not among TAME_CASES
+GRID = [(N, 2) for N in range(11, 80)] + \
+    [(N, k) for k in (4, 6) for N in range(11, 40)]
+GOLDEN_SPACES = [(11, 8), (11, 14)]
+
+
+def hecke_fields(spaces):
+    """The distinct minimal polynomials of degree > 1 of the eigenclasses
+    of both signs of the spaces; a sign that does not split is skipped."""
+    fields = {}
+    for N, k in spaces:
+        space = modsym.ManinSymbolSpace(N, k)
+        for sign in (1, -1):
+            try:
+                classes = modsym.cuspidal_eigensymbols(space, sign)
+            except SplittingFailure:
+                continue
+            fields.update((cls.field.minpoly, None) for cls in classes
+                          if cls.field.degree > 1)
+    return list(fields)
+
+
+@pytest.mark.parametrize("spaces,ps,precisions", [
+    (GRID, (3, 5, 7), (8,)), (GOLDEN_SPACES, (3,), (2, 4, 8, 16))],
+    ids=["grid", "golden"])
+def test_order_one_split_matches_tame_on_hecke_fields(spaces, ps,
+                                                      precisions):
+    outcomes = []
+    for minpoly in hecke_fields(spaces):
+        for p in ps:
+            for M in precisions:
+                for args, got in repeated_blocks(minpoly, p, M):
+                    outcomes.append(got is not None)
+                    if got is not None:
+                        assert got == tame._factor_block_tame(*args)
+    if spaces is GRID:
+        # both routes are taken on the grid
+        assert any(outcomes) and not all(outcomes)
+    else:
+        assert outcomes and not any(outcomes)
+
+
+def _block_args(H, phibar, m, p, M):
+    """The arguments of `tame._factor_block_tame` for the integer block H:
+    H mod p^B for B = M + 2D + 12, D the valuation of its discriminant."""
+    D = padic._vp(padic._norm(polyq.derivative(H), H), p)
+    B = M + 2 * D + 12
+    return [c % p ** B for c in H], list(phibar), m, p, M, B, D
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_order_one_splits_planted_factors_with_one_residue(data):
+    """H = (phi + p a)(phi + p b), a and b distinct units mod (p, phi):
+    the block phibar^2 has one side of slope 1 whose residual polynomial
+    (z + a)(z + b) has two roots in F_q, so the step splits it into
+    exactly these two unramified factors, as tame does."""
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    d = data.draw(st.sampled_from([1, 2]))
+    M = data.draw(st.sampled_from([4, 8]))
+    phibar = tame._irreducible_modpoly(p, d)
+    units = [x.coeffs for x in padic.FF(p, phibar).elements()][1:]
+    a, b = data.draw(st.lists(st.sampled_from(units), min_size=2,
+                              max_size=2, unique=True))
+    digits = st.lists(st.integers(0, p ** 3), min_size=d, max_size=d)
+    factors = [polyq.add_mod(phibar, [p * (x + p * y) for x, y in
+                                      zip(c, data.draw(digits))], p ** 9)
+               for c in (a, b)]
+    args = _block_args(polyq.mul(*factors), phibar, 2, p, M)
+    got = montes.order_one_split(*args[:-1])
+    assert got == tame._factor_block_tame(*args)
+    assert sorted(G for G, *_ in got) == \
+        sorted([c % p ** M for c in G] for G in factors)
+
+
+@pytest.mark.parametrize("H,m", [
+    # (x^2 - 3)(x - 6): sides of slopes 1 and 1/2, a ramified prime
+    (polyq.mul([-3, 0, 1], [-6, 1]), 3),
+    # (x - 3)(x - 12): residual polynomial (z - 1)^2 mod 3, a double root
+    (polyq.mul([-3, 1], [-12, 1]), 2),
+], ids=["ramified", "double-root"])
+def test_order_one_declines_a_block_it_cannot_split(H, m):
+    args = _block_args(H, [0, 1], m, 3, 8)
+    assert montes.order_one_split(*args[:-1]) is None
+    factors = tame._factor_block_tame(*args)
+    assert sorted(e for _, e, *_ in factors) == ([1, 2] if m == 3 else [1, 1])
 
 
 # -- planted roots -------------------------------------------------------------
