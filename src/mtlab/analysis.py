@@ -2,7 +2,8 @@
 their lambda-growth patterns.  The identity checks of ``verify`` are in
 `verify`.  mu_min is read off Mahler coefficients, with no search; only
 `verify` asks for a value of that valuation (`mu_min_witness`).  Only the
-invariant tables import `mazurtate`, so a mu-min job does not compile it.
+invariant rows and tables import `mazurtate`, each when called, so a
+mu-min job does not compile it.
 """
 
 from . import padic
@@ -157,21 +158,29 @@ def _fit_pattern(p, pairs):
     return "none", {}
 
 
+def invariant_rows(element, norm, n_max):
+    """(n, i, mu, lambda, certified) of element(norm, n, i) for n <= n_max
+    and each twist i of the symbol's sign; a row whose element vanishes to
+    the working precision is (n, i, None, None, False)."""
+    from . import mazurtate
+    rows = []
+    for n in range(n_max + 1):
+        for i in mazurtate.twists(norm.embedding.p, norm.sign):
+            try:
+                inv = mazurtate.invariants(element(norm, n, i))
+                rows.append((n, i, inv.mu, inv.lam, inv.certified))
+            except PrecisionExhausted:
+                rows.append((n, i, None, None, False))
+    return rows
+
+
 def invariant_table(f_norm, n_max):
     """Invariants of theta_{n,i}(f) for n <= n_max with pattern fitting."""
     from . import mazurtate
     p = f_norm.embedding.p
     mazurtate.check_budget(p, n_max + 1)
     twists = mazurtate.twists(p, f_norm.sign)
-    rows = []
-    for n in range(n_max + 1):
-        for i in twists:
-            try:
-                inv = mazurtate.invariants(
-                    mazurtate.theta_element(f_norm, n, i))
-                rows.append((n, i, inv.mu, inv.lam, inv.certified))
-            except PrecisionExhausted:
-                rows.append((n, i, None, None, False))
+    rows = invariant_rows(mazurtate.theta_element, f_norm, n_max)
     pattern = None
     constants = {}
     for i in twists:

@@ -5,14 +5,17 @@ JSON (with a schema_version field) plus a CSV mirror for tabular data,
 written next to the JSON file. Reports contain no timestamps, so the same
 job configuration always produces byte-identical files.
 
-Every per-prime command runs through one record generator, ``_records``:
-sign -> eigenclass -> prime above p -> precision ladder -> the command's
-own step on the normalized symbol.  A job compiles only what it runs:
-`mazurtate` with invariants, stabilize and verify (not mu-min or
-eigenforms), the identity checks of `verify` with verify, `montes` with a
-Hecke-field block that its Newton polygon does not resolve, `tame` with
-one that the order-1 split of `montes` does not resolve either,
-`fractions` with a non-monogenic prime.
+This module is the only job driver.  `main` checks the Mazur-Tate budget
+once, before any space is built (`_BUDGET_DEPTH`).  Every per-prime command
+runs through one record generator, ``_records``: sign -> eigenclass ->
+prime above p -> precision ladder -> the command's own step on the
+normalized symbol (a `verify` mode hands over its space and step), and
+`_emit` reads each CSV cell of a row by its header name.  A job compiles
+only what it runs: `mazurtate` with invariants, stabilize and verify (not
+mu-min or eigenforms), the identity checks of `verify` with verify,
+`montes` with a Hecke-field block that its Newton polygon does not
+resolve, `tame` with one that the order-1 split of `montes` does not
+resolve either, `fractions` with a non-monogenic prime.
 
 Exit codes: 0 success, 1 construction or configuration failure (a
 malformed command line included), 2 some row could not be certified at the
@@ -97,6 +100,10 @@ class JobConfig:
         if colon and option not in options:
             raise ConfigError("--mode %s does not take the option %r"
                               % (name, option))
+        if name == "alphastick" and (self.k == 2
+                                     or (self.k - 2) % (self.p - 1)):
+            raise ConfigError(
+                "the alpha map needs k > 2 with (p - 1) dividing k - 2")
         self.verify_mode = name
         self.congruence_mode = option or "lowslope"
 
@@ -137,15 +144,11 @@ class JobConfig:
 
 def _fmt(x):
     """Deterministic string form of a report scalar."""
-    if x is None:
-        return ""
-    if isinstance(x, padic.FFElement):
-        return "+".join("%d*t^%d" % (c, j)
-                        for j, c in enumerate(x.coeffs)) or "0"
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _emit(config, command, body, csv_header=None, csv_rows=None):
+    """Write the report and its CSV mirror, each cell read by header name."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -162,7 +165,8 @@ def _emit(config, command, body, csv_header=None, csv_rows=None):
             with open(base + ".csv", "w") as fh:
                 fh.write(",".join(csv_header) + "\n")
                 for row in csv_rows:
-                    fh.write(",".join(_fmt(x) for x in row) + "\n")
+                    fh.write(",".join(_fmt(row.get(name))
+                                      for name in csv_header) + "\n")
     else:
         sys.stdout.write(text)
 
@@ -178,7 +182,7 @@ def _class_records(config, space):
             yield sign, analysis.form_id(space, idx), cls
 
 
-def _records(config, space, work):
+def _records(config, space, work, missing=None):
     """(sign, class id, embedding index, result) per prime above p.
 
     Primes above p are found once per job for each Hecke field and ladder
@@ -191,7 +195,7 @@ def _records(config, space, work):
     re-embed losslessly, so a higher rung describes the same object. A
     rung where the primes cannot be found, the symbol cannot be
     normalized, or the work runs out of precision, is skipped. result is
-    None when no rung gave one.
+    missing, the command's report for such a prime, when no rung gave one.
     """
     ladder = config.precision_ladder()
     for sign, cid, cls in _class_records(config, space):
@@ -203,7 +207,7 @@ def _records(config, space, work):
                 if M == ladder[-1]:
                     raise
         for j in range(count):
-            result = None
+            result = missing
             for M in ladder[first:]:
                 try:
                     result, certified = work(modsym.normalize(
@@ -220,11 +224,33 @@ def _each(step):
     return lambda norm: (step(norm), True)
 
 
+def _entries(config, work, missing, key=None):
+    """The entries {"class", "sign", "embedding", **result}, one per prime
+    above p (`_records`), and their CSV rows: the entries, or each row
+    listed under key in an entry, merged with its entry."""
+    entries = [{"class": cid, "sign": sign, "embedding": j, **result}
+               for sign, cid, j, result in _records(
+                   config, config.space(), work, missing)]
+    if key is None:
+        return entries, entries
+    return entries, [{**e, **row} for e in entries for row in e.get(key, ())]
+
+
 def _field_strings(nums, den):
     """The power-basis coefficients of nums / den, den > 0, as reduced
     fractions written as `fractions.Fraction` writes them."""
     return ["%d/%d" % (c // g, den // g) if (g := gcd(c, den)) < den
             else str(c // g) for c in nums]
+
+
+def _invariant_dicts(rows):
+    """The report rows of `analysis.invariant_rows` tuples."""
+    return [{"n": n, "i": i, "mu": _fmt(mu), "lambda": _fmt(lam),
+             "certified": cert} for n, i, mu, lam, cert in rows]
+
+
+_INVARIANT_HEADER = ("class", "sign", "embedding", "n", "i", "mu", "lambda",
+                     "certified")
 
 
 def cmd_eigenforms(config):
@@ -239,7 +265,7 @@ def cmd_eigenforms(config):
             "eigenvalues": {
                 str(ell): _field_strings(*cls.a(ell)) for ell in ells},
         })
-    rows = [(e["id"], e["sign"], e["degree"], ";".join(e["minpoly"]))
+    rows = [{**e, "class": e["id"], "minpoly": ";".join(e["minpoly"])}
             for e in out]
     _emit(config, "eigenforms", {"classes": out},
           ("class", "sign", "degree", "minpoly"), rows)
@@ -249,24 +275,18 @@ def cmd_eigenforms(config):
 def cmd_mu_min(config):
     def work(norm):
         mu = analysis.mu_min(norm)
-        return (mu, mu is not None, norm.embedding.M), mu is not None
+        return {"mu_min": _fmt(mu), "certified": mu is not None,
+                "precision_used": norm.embedding.M}, mu is not None
 
-    rows = [(cid, sign, j) + (res or (None, False, None))
-            for sign, cid, j, res in _records(config, config.space(), work)]
-    body = {"rows": [
-        {"class": cid, "sign": s, "embedding": j,
-         "mu_min": _fmt(mu), "certified": cert, "precision_used": used}
-        for cid, s, j, mu, cert, used in rows]}
-    _emit(config, "mu-min", body,
-          ("class", "sign", "embedding", "mu_min", "certified"),
-          [r[:5] for r in rows])
-    return EXIT_OK if all(r[4] for r in rows) else EXIT_UNCERTIFIED
+    entries, _ = _entries(config, work, {
+        "mu_min": "", "certified": False, "precision_used": None})
+    _emit(config, "mu-min", {"rows": entries},
+          ("class", "sign", "embedding", "mu_min", "certified"), entries)
+    return EXIT_OK if all(e["certified"] for e in entries) \
+        else EXIT_UNCERTIFIED
 
 
 def cmd_invariants(config):
-    from . import mazurtate
-    mazurtate.check_budget(config.p, config.n_max + 1)
-
     def work(norm):
         rep = analysis.invariant_table(norm, config.n_max)
         table = {
@@ -274,76 +294,65 @@ def cmd_invariants(config):
             "pattern": rep.pattern,
             "constants": {str(i): {str(k): v for k, v in c.items()}
                           for i, c in rep.constants.items()},
-            "rows": [{"n": n, "i": i, "mu": _fmt(mu),
-                      "lambda": _fmt(lam), "certified": cert}
-                     for n, i, mu, lam, cert in rep.rows],
+            "rows": _invariant_dicts(rep.rows),
         }
         return table, all(cert for *_, cert in rep.rows)
 
-    tables = [{"class": cid, "sign": sign, "embedding": j,
-               **(table or {"certified": False})}
-              for sign, cid, j, table in _records(config, config.space(),
-                                                  work)]
-    rows = [(t["class"], t["sign"], t["embedding"], r["n"], r["i"], r["mu"],
-             r["lambda"], r["certified"])
-            for t in tables for r in t.get("rows", [])]
-    _emit(config, "invariants", {"tables": tables},
-          ("class", "sign", "embedding", "n", "i", "mu", "lambda",
-           "certified"), rows)
-    certified = all(t.get("certified", True) for t in tables) and \
-        all(r[7] for r in rows)
+    tables, rows = _entries(config, work, {"certified": False}, "rows")
+    _emit(config, "invariants", {"tables": tables}, _INVARIANT_HEADER, rows)
+    certified = all(r.get("certified", True) for r in tables + rows)
     return EXIT_OK if certified else EXIT_UNCERTIFIED
 
 
 def cmd_stabilize(config):
     from . import mazurtate
-    mazurtate.check_budget(config.p, config.n_max + 1)
 
     def step(norm):
         try:
             alpha = mazurtate.p_stabilize(norm)
         except NotOrdinary as exc:
             return {"ordinary": False, "reason": str(exc)}
-        psi_rows = []
-        for n in range(config.n_max + 1):
-            for i in mazurtate.twists(config.p, norm.sign):
-                try:
-                    inv = mazurtate.invariants(
-                        mazurtate.stabilized_theta(norm, alpha, n, i))
-                    psi_rows.append({"n": n, "i": i, "mu": _fmt(inv.mu),
-                                     "lambda": _fmt(inv.lam),
-                                     "certified": inv.certified})
-                except PrecisionExhausted:
-                    psi_rows.append({"n": n, "i": i, "mu": "",
-                                     "lambda": "", "certified": False})
         return {
             "ordinary": True,
             "alpha_valuation": _fmt(alpha.valuation()),
             "alpha_residue": _fmt(alpha.reduce()),
             "precision_used": norm.embedding.M,
-            "psi_rows": psi_rows,
+            "psi_rows": _invariant_dicts(analysis.invariant_rows(
+                lambda f, n, i: mazurtate.stabilized_theta(f, alpha, n, i),
+                norm, config.n_max)),
         }
 
-    entries = [{"class": cid, "sign": sign, "embedding": j,
-                **(entry or {"certified": False})}
-               for sign, cid, j, entry in _records(config, config.space(),
-                                                   _each(step))]
-    rows = [(e["class"], e["sign"], e["embedding"], r["n"], r["i"],
-             r["mu"], r["lambda"], r["certified"])
-            for e in entries for r in e.get("psi_rows", [])]
+    entries, rows = _entries(config, _each(step), {"certified": False},
+                             "psi_rows")
     _emit(config, "stabilize", {"stabilizations": entries},
-          ("class", "sign", "embedding", "n", "i", "mu", "lambda",
-           "certified"), rows)
+          _INVARIANT_HEADER, rows)
     # only primes that never normalize and stabilized thetas that vanish to
     # the working precision (mu "") make the job uncertified
     exhausted = any(e.get("certified") is False for e in entries) or \
-        any(r[5] == "" for r in rows)
+        any(r["mu"] == "" for r in rows)
     return EXIT_UNCERTIFIED if exhausted else EXIT_OK
 
 
 def cmd_verify(config):
     from . import verify
-    return verify.cmd_verify(config)
+    mode = config.verify_mode
+    if mode == "atkin-lehner":
+        checks = verify._verify_atkin_lehner(
+            config, _class_records(config, config.space()))
+    else:
+        space, step = verify._VERIFY_MODES[mode](config)
+        # a prime that no rung normalizes gets one failed row
+        exhausted = [{"n": None, "i": None, "ok": False,
+                      "note": "precision exhausted"}]
+        checks = [{"class": cid, "embedding": j, **row}
+                  for _, cid, j, rows in _records(config, space, _each(step),
+                                                  exhausted)
+                  for row in rows]
+    _emit(config, "verify", {"mode": mode, "checks": checks},
+          ("class", "embedding", "n", "i", "ok"), checks)
+    # a check that is not applicable (ok null) is no failure
+    return EXIT_IDENTITY if any(c["ok"] is False for c in checks) \
+        else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +365,14 @@ _COMMANDS = {
     "eigenforms": cmd_eigenforms,
     "stabilize": cmd_stabilize,
 }
+
+
+# how far past n_max the deepest Mazur-Tate element of a job lies: theta_n
+# projects the level-(n+1) element, and alphastick compares level-n ones.
+# mu-min, eigenforms, atkin-lehner and oldspace build none.
+_BUDGET_DEPTH = {"invariants": 1, "stabilize": 1, "three-term": 1,
+                 "degen": 1, "congruence": 1, "wt2-patterns": 1,
+                 "alphastick": 0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -392,6 +409,10 @@ def main(argv=None):
         return EXIT_CONSTRUCTION
     try:
         config = JobConfig(args)
+        job = config.verify_mode if args.command == "verify" else args.command
+        if job in _BUDGET_DEPTH:
+            from . import mazurtate
+            mazurtate.check_budget(config.p, config.n_max + _BUDGET_DEPTH[job])
         return _COMMANDS[args.command](config)
     except ConfigError as exc:
         sys.stderr.write("error: %s\n" % exc)
@@ -402,6 +423,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    # verify imports mtlab.cli: it must find this module, not run it again
-    sys.modules.setdefault("mtlab.cli", sys.modules[__name__])
     sys.exit(main())

@@ -258,6 +258,10 @@ class FFElement:
     def __repr__(self):
         return "FFElement(%s)" % (list(self.coeffs),)
 
+    def __str__(self):
+        return "+".join("%d*t^%d" % (c, j)
+                        for j, c in enumerate(self.coeffs)) or "0"
+
 
 # ---------------------------------------------------------------------------
 # Hensel lifting
@@ -519,8 +523,9 @@ class PAdicEmbedding:
                 "precision %d cannot represent the residue generator "
                 "(denominator p^%d)" % (self.M, s))
         w = LocalElement(self, list(coeffs), s, self.M)
-        if w.valuation() != 0:
-            raise PrecisionTooLow("residue generator is not a unit")
+        if w.certified_valuation() != 0:
+            raise PrecisionTooLow("residue generator cannot be certified a "
+                                  "unit at precision %d" % self.M)
         uw = w * 0
         for c in reversed(self.residue_modpoly):
             uw = uw * w + c

@@ -1,11 +1,12 @@
 """The identity checks of the ``verify`` command, one per --mode.
 
-`cli` imports this module only for that command.  The per-prime modes run
-through the job driver `cli._records`, and every report is written by
-`cli._emit`.
+This module has no driver of its own: `cli` imports it only for that
+command and drives it.  Each per-prime mode returns its space and its step
+on a normalized symbol, which `cli.cmd_verify` runs on every prime above
+p; atkin-lehner checks the class records `cli` hands it.
 """
 
-from . import analysis, cli, linalg, mazurtate, modsym, padic, polyq
+from . import analysis, linalg, mazurtate, modsym, padic, polyq
 
 
 def sturm_bound(N, k):
@@ -204,8 +205,8 @@ def verify_weight2_patterns(g_norm, n_max):
         invs = [mazurtate.invariants(mazurtate.theta_element(g_norm, n, i))
                 for n in range(n_max + 1)]
         entry = {"i": i, "rows": [
-            {"n": n, "i": i, "mu": cli._fmt(inv.mu),
-             "lambda": cli._fmt(inv.lam), "certified": inv.certified}
+            {"n": n, "i": i, "mu": str(inv.mu),
+             "lambda": str(inv.lam), "certified": inv.certified}
             for n, inv in enumerate(invs)]}
         entries.append(entry)
         if not ordinary:
@@ -214,7 +215,7 @@ def verify_weight2_patterns(g_norm, n_max):
             constant = len(set(d for _, d in diffs)) <= 1
             entry.update(branch="supersingular", constant=constant,
                          ok=constant, lambda_minus_qn=[
-                             {"n": n, "value": cli._fmt(d)}
+                             {"n": n, "value": str(d)}
                              for n, d in diffs])
             continue
         if all(inv.lam == p ** n - 1 for n, inv in enumerate(invs) if n):
@@ -242,24 +243,8 @@ def verify_weight2_patterns(g_norm, n_max):
 # the verify modes
 
 
-def _prime_checks(config, space, step):
-    """The check rows of step(normalized) for every prime above p.
-
-    A prime whose symbol cannot be normalized at any rung of the ladder
-    gets one failed row noting that precision ran out.
-    """
-    checks = []
-    for _, cid, j, rows in cli._records(config, space, cli._each(step)):
-        if rows is None:
-            rows = [{"n": None, "i": None, "ok": False,
-                     "note": "precision exhausted"}]
-        checks.extend({"class": cid, "embedding": j, **row} for row in rows)
-    return checks
-
-
 def _verify_three_term(config):
     p = config.p
-    mazurtate.check_budget(p, config.n_max + 1)
 
     def step(norm):
         emb = norm.embedding
@@ -277,12 +262,11 @@ def _verify_three_term(config):
                 rows.append({"n": n, "i": i, "ok": bool(ok)})
         return rows
 
-    return _prime_checks(config, config.space(), step)
+    return config.space(), step
 
 
 def _verify_degen(config):
     p = config.p
-    mazurtate.check_budget(p, config.n_max + 1)
     space = config.space()
     target = config.space(level=config.N * p)
     fulls = {}   # eigenclass -> its level-Np elements, for every prime
@@ -305,7 +289,7 @@ def _verify_degen(config):
                 rows.append({"n": n, "i": i, "ok": bool(ok)})
         return rows
 
-    return _prime_checks(config, space, step)
+    return space, step
 
 
 def _old_prime(config, cls):
@@ -325,18 +309,18 @@ def _old_prime(config, cls):
     return None
 
 
-def _verify_atkin_lehner(config):
-    """w_N on each eigenclass, in integers: H = D w_N squares to
-    N^(k-2) D^2 on the whole space, so an eigenvalue of w_N is
-    +-N^(k/2-1), and the class is an eigenvector exactly when
-    H nums = +-N^(k/2-1) D nums, one power-basis coordinate at a time.
-    w_N acts by a scalar only on newforms, so on a class certified old
-    (`_old_prime`) the check is not applicable."""
+def _verify_atkin_lehner(config, records):
+    """w_N on each eigenclass of the records (sign, class id, class), in
+    integers: H = D w_N squares to N^(k-2) D^2 on the whole space, so an
+    eigenvalue of w_N is +-N^(k/2-1), and the class is an eigenvector
+    exactly when H nums = +-N^(k/2-1) D nums, one power-basis coordinate
+    at a time.  w_N acts by a scalar only on newforms, so on a class
+    certified old (`_old_prime`) the check is not applicable."""
     checks = []
     space = config.space()
     H = space.hecke_matrix("wN")
     plus = config.N ** (config.k // 2 - 1) * space.denominator
-    for sign, cid, cls in cli._class_records(config, space):
+    for sign, cid, cls in records:
         cols = [list(col) for col in zip(*cls.numerators)]
         out = [linalg.mat_vec(H, col) for col in cols]
         fe_sign = next((s for s in (1, -1)
@@ -360,11 +344,6 @@ def _verify_atkin_lehner(config):
 
 def _verify_alphastick(config):
     p = config.p
-    g = config.k - 2
-    if g <= 0 or g % (p - 1):
-        raise cli.ConfigError(
-            "the alpha map needs k > 2 with (p - 1) dividing k - 2")
-    mazurtate.check_budget(p, config.n_max)
     target = config.space(level=config.N * p, weight=2)
 
     def step(norm):
@@ -379,7 +358,7 @@ def _verify_alphastick(config):
             rows.append({"n": n, "ok": bool(ok)})
         return rows
 
-    return _prime_checks(config, config.space(), step)
+    return config.space(), step
 
 
 def _weight2_matches(config, norm, w2_classes):
@@ -401,19 +380,18 @@ def _verify_congruence(config):
                                            config.congruence_mode)
             rows.append({
                 "target": cid,
-                "mode": config.congruence_mode, "mu_min": cli._fmt(mu),
+                "mode": config.congruence_mode, "mu_min": str(mu),
                 "rows": [{"n": n, "i": i, "ok": ok} for n, i, ok in checks],
                 "ok": all(ok for _, _, ok in checks),
             })
         return rows
 
-    return _prime_checks(config, config.space(), step)
+    return config.space(), step
 
 
 def _verify_wt2_patterns(config):
-    return _prime_checks(
-        config, config.space(weight=2),
-        lambda norm: verify_weight2_patterns(norm, config.n_max))
+    return config.space(weight=2), \
+        lambda norm: verify_weight2_patterns(norm, config.n_max)
 
 
 def _verify_oldspace(config):
@@ -436,12 +414,12 @@ def _verify_oldspace(config):
                 row["note"] = "not in the degeneracy span"
             else:
                 row["coefficients"] = [
-                    {"t": t, "value": cli._fmt(c), "nonzero": not c.is_zero()}
+                    {"t": t, "value": str(c), "nonzero": not c.is_zero()}
                     for t, c in enumerate(coords, 1)]
             rows.append(row)
         return rows
 
-    return _prime_checks(config, config.space(), step)
+    return config.space(), step
 
 
 _VERIFY_MODES = {
@@ -453,16 +431,3 @@ _VERIFY_MODES = {
     "wt2-patterns": _verify_wt2_patterns,
     "oldspace": _verify_oldspace,
 }
-
-
-def cmd_verify(config):
-    mode = config.verify_mode
-    checks = _VERIFY_MODES[mode](config)
-    rows = [(c.get("class"), c.get("embedding"), c.get("n"),
-             c.get("i"), c.get("ok")) for c in checks]
-    cli._emit(config, "verify", {"mode": mode, "checks": checks},
-              ("class", "embedding", "n", "i", "ok"), rows)
-    # a check that is not applicable (ok null) is no failure
-    if any(c["ok"] is False for c in checks):
-        return cli.EXIT_IDENTITY
-    return cli.EXIT_OK

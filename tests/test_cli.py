@@ -20,7 +20,7 @@ from hypothesis import example, given, strategies as st
 
 from mtlab import (analysis, cli, linalg, mazurtate, modsym, montes, padic,
                    tame, verify)
-from mtlab.errors import PrecisionExhausted, PrecisionTooLow
+from mtlab.errors import OutOfBudget, PrecisionExhausted, PrecisionTooLow
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -433,8 +433,8 @@ def test_identity_sides_walk_every_unit(mode, tmp_path, monkeypatch):
             assert sign in (1, -1) and 2 * walked == units
 
 
-# commands that loop to n_max themselves: the deepest level each one builds
-# is over the budget, level 8 at p = 5 and levels 11 and 12 at p = 3
+# jobs whose deepest level is over the budget, level 8 at p = 5 and levels
+# 11 and 12 at p = 3: cli.main refuses each before any space is split
 OVER_BUDGET = {
     "invariants": (["invariants", "--level", "23", "--weight", "6", "--p",
                     "3", "--nmax", "11"], "4251528 evaluations"),
@@ -448,6 +448,12 @@ OVER_BUDGET = {
     "alphastick": (["verify", "--mode", "alphastick", "--level", "11",
                     "--weight", "4", "--p", "3", "--nmax", "11"],
                    "1299078 evaluations"),
+    "congruence": (["verify", "--mode", "congruence", "--level", "11",
+                    "--weight", "4", "--p", "3", "--nmax", "11"],
+                   "4251528 evaluations"),
+    "wt2-patterns": (["verify", "--mode", "wt2-patterns", "--level", "11",
+                      "--weight", "2", "--p", "5", "--nmax", "7"],
+                     "2500000 evaluations"),
 }
 
 
@@ -463,6 +469,57 @@ def test_budget_is_checked_before_any_space_is_split(name, capsys,
     assert cli.main(argv) == cli.EXIT_CONSTRUCTION
     assert message in capsys.readouterr().err
     assert built == []
+
+
+def test_every_gated_job_has_an_over_budget_case():
+    assert set(OVER_BUDGET) == set(cli._BUDGET_DEPTH)
+
+
+@pytest.mark.parametrize("name", ["mu-min", "verify-atkin-lehner",
+                                  "verify-oldspace"])
+def test_jobs_that_build_no_element_are_not_gated(name, tmp_path):
+    """At n_max 11 and p = 3 a gated job would be refused, but these jobs
+    build no Mazur-Tate element: they report what they report at n_max 2."""
+    with pytest.raises(OutOfBudget):
+        mazurtate.check_budget(3, 11)
+    argv, code = CASES[name]
+    argv = argv[:argv.index("--nmax") + 1] + ["11"] + \
+        argv[argv.index("--nmax") + 2:]
+    out = tmp_path / "r.json"
+    assert cli.main(argv + ["--out", str(out)]) == code
+    report = json.loads(out.read_text())
+    golden = json.loads(golden_files(name)[name + ".json"])
+    assert report.pop("config")["n_max"] == 11
+    golden.pop("config")
+    assert report == golden
+
+
+# a small job per gated command or mode; its deepest Mazur-Tate element
+# must lie where the gate prices it, n_max + cli._BUDGET_DEPTH[job]
+GATE_DEPTH_JOBS = {
+    "invariants": ["invariants"] + SMALL,
+    "stabilize": ["stabilize"] + SMALL,
+    **{mode: ["verify", "--mode", mode] + SMALL
+       for mode in ("three-term", "degen", "alphastick", "congruence",
+                    "wt2-patterns")},
+}
+
+
+@pytest.mark.parametrize("job", sorted(GATE_DEPTH_JOBS))
+def test_the_gate_prices_the_deepest_level_the_job_builds(job, tmp_path,
+                                                          monkeypatch):
+    levels = []
+    values = mazurtate.mazur_tate_values
+
+    def counted(space, get_value, p, n, sign=None):
+        levels.append(n)
+        return values(space, get_value, p, n, sign)
+
+    monkeypatch.setattr(mazurtate, "mazur_tate_values", counted)
+    argv = GATE_DEPTH_JOBS[job]
+    cli.main(argv + ["--out", str(tmp_path / "r.json")])
+    n_max = int(argv[argv.index("--nmax") + 1])
+    assert max(levels) == n_max + cli._BUDGET_DEPTH[job]
 
 
 @pytest.mark.parametrize("mode", ["congruence:bogus", "congruence:",

@@ -19,6 +19,7 @@ from mtlab import padic, polyq
 from mtlab.errors import (
     ReduciblePolynomial,
     PrecisionExhausted,
+    PrecisionTooLow,
     NegativeValuation,
 )
 
@@ -294,6 +295,14 @@ def test_finite_field_arithmetic():
     assert (t + 1) * (t + 1).inverse() == F9.one()
     assert len(list(F9.elements())) == 9
     assert (t ** 8) == F9.one()
+
+
+def test_finite_field_element_report_form():
+    # reports write a residue as its coefficients on the powers of t
+    F9 = padic.FF(3, [1, 0, 1])
+    assert str(F9.element([2, 1])) == "2*t^0+1*t^1"
+    assert str(F9.zero()) == "0*t^0+0*t^1"
+    assert str(padic.FF(5, [2, 1]).element(4)) == "4*t^0"
 
 
 # t^2 + 1 mod 3 and mod 7, t^3 - t + 1 mod 3, t + 2 mod 5
@@ -917,6 +926,17 @@ def embedding_snapshot():
 
 def test_embedding_snapshot():
     assert embedding_snapshot() == json.loads(EMBEDDING_SNAPSHOT.read_text())
+
+
+@pytest.mark.parametrize("M", [3, 4])
+def test_uncertified_residue_generator_is_precision_too_low(M):
+    # at M = 3 and 4 a prime above 3 of this field has a residue generator
+    # whose valuation vanishes to the working precision
+    K = padic.NumberField(HECKE_17_18_DEG10)
+    with pytest.raises(PrecisionTooLow, match="residue generator cannot be "
+                       "certified a unit at precision %d" % M):
+        padic.primes_above(K, 3, M)
+    assert len(padic.primes_above(K, 3, 8)) == 5
 
 
 # -- residues of x / p^t -----------------------------------------------------

@@ -8,6 +8,7 @@ the order-1 block split, the tame block factoring, the identity checks and
 must load only in the jobs that run them. No time is measured.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -80,9 +81,30 @@ def test_job_loads_only_the_modules_it_runs(argv, optional, tmp_path):
     assert modules & OPTIONAL == optional
 
 
-def test_verify_shares_the_running_command_line_module(tmp_path):
-    # run as ``python -m mtlab.cli``, verify must use that module and not a
-    # second copy of it, or the ConfigError it raises is not caught as one
+def _imports_cli(node):
+    """Whether an import statement names the module mtlab.cli."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "mtlab.cli" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    package = "mtlab" if node.level else None
+    module = ".".join(filter(None, [package, node.module]))
+    return module == "mtlab.cli" or module == "mtlab" and any(
+        alias.name == "cli" for alias in node.names)
+
+
+def test_no_module_imports_the_command_line_module():
+    # cli drives every job, so a module that imported it back would make
+    # ``python -m mtlab.cli`` load a second copy of it
+    importers = [path.name for path in sorted((SRC / "mtlab").glob("*.py"))
+                 if any(_imports_cli(node) for node in
+                        ast.walk(ast.parse(path.read_text())))]
+    assert importers == []
+
+
+def test_python_m_cli_reports_a_verify_config_error(tmp_path):
+    # run as ``python -m mtlab.cli``, a mode's configuration error ends the
+    # job with exit 1 and one line on stderr
     env = dict(os.environ, PYTHONPATH=str(SRC))
     argv = ["verify", "--mode", "alphastick", "--level", "11", "--weight",
             "2", "--p", "3", "--nmax", "1"]
