@@ -13,9 +13,8 @@ normalized symbol (a `verify` mode hands over its space and step), and
 `_emit` reads each CSV cell of a row by its header name.  A job compiles
 only what it runs: `mazurtate` with invariants, stabilize and verify (not
 mu-min or eigenforms), the identity checks of `verify` with verify,
-`montes` with a Hecke-field block that its Newton polygon does not
-resolve, `tame` with one that the order-1 split of `montes` does not
-resolve either, `fractions` with a non-monogenic prime.
+`montes` with a Hecke-field block whose Newton polygon is not one segment
+that certifies it irreducible, `fractions` with a non-monogenic prime.
 
 Exit codes: 0 success, 1 construction or configuration failure (a
 malformed command line included), 2 some row could not be certified at the

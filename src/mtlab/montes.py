@@ -1,104 +1,419 @@
-"""The order-1 step of Montes' algorithm: unramified primes of a Hensel block.
+"""Montes' algorithm to order 2: the primes of a Hensel block.
 
 `padic.primes_above` imports this module only for a repeated block
-H = phibar^m mod p whose phi-adic Newton polygon does not certify it
-irreducible, and tries it before the tame models of `tame`.  By Ore's
-theorem (Guardia-Montes-Nart, Trans. AMS 364, 2012) such a block is a
-product of unramified primes of residue degree d = deg phibar, one for
-each root of its residual polynomials, when every side of the polygon has
-an integral slope and a residual polynomial over F_q = F_p[t]/(phibar)
-with as many distinct roots in F_q as its degree.  Each prime's factor is
-found from its root alone, by Newton's method in the unramified ring
-W = Z_p[t]/(phi), with no search.
+H = phibar^m mod p whose phi-adic Newton polygon is not one segment that
+certifies it irreducible.  The primes of the block are the leaves of a tree
+of types (Guardia-Montes-Nart, Trans. AMS 364, 2012).  At order 1 each side
+of slope h/e of the phi-adic Newton polygon of H has a residual polynomial
+over F_q = F_p[t]/(phibar), and by Ore's theorem each irreducible factor
+psi of it that is simple gives one prime, with e the slope's denominator
+and f = deg phibar deg psi.  A repeated root r on a side of integral slope
+h re-centres phi to phi - p^h r, of the same degree, and the polygon is read
+again above slope h; any other repeated factor psi goes to order 2, where
+the key polynomial phi_2 = sum psi_j phi^(j e) p^((deg psi - j) h) takes
+the place of phi, the valuation v_2 of Z_p[x] the place of v_p, and the
+residues of phi^e / p^h the place of those of t, by the same steps.  Over
+F_q with q > p only the roots of a residual polynomial are found, and a
+block that needs order 3 raises PrecisionTooLow.
+
+Each leaf's key polynomial is a monic approximation of its prime's factor
+of H, which single-factor lifting (Guardia-Nart-Pauli, J. Symb. Comp. 47,
+2012) refines by Newton's method mod p^B (`_lift`).  The working precision
+B starts at 2M and is raised only when a polygon or a Newton step shows
+that it is too low.
 """
+
+from functools import cache
+from itertools import zip_longest
+from math import gcd
 
 from . import padic, polyq
 from .errors import PrecisionTooLow
 from .linalg import charpoly_rational
 
 
-def order_one_split(H, phibar, m, p, M, B):
-    """The primes of the block H = phibar^m mod p, known mod p^B, as
-    `tame._factor_block_tame` lists them, when the order-1 step splits it;
-    None otherwise.
+class _Short(Exception):
+    """The working precision is too low: at least p^B is needed."""
 
-    On a side of slope lam through the points (i, c - lam i), a root r of
-    the residual polynomial gives the simple root r / phibar'(t) of
-    H(t + p^lam y) / p^c mod p, so H has one root t + p^lam y in W, where
-    v(H') = s = c - lam; it is found mod p^M by Newton's method in
-    W mod p^(M + s), and its factor is the characteristic polynomial of
-    multiplication by it on W, mod p^M.  The factors must multiply back to
-    H mod p^M.
+    def __init__(self, B):
+        super().__init__(B)
+        self.B = B
+
+
+def factor_block(lift, phibar, m, p, M):
+    """The primes of the block H = phibar^m mod p, where lift(B) is H mod
+    p^B: [(factor mod p^M, e, f, residue_modpoly, residue_gen)], in the
+    order of `padic._by_digits`.
+
+    residue_gen is None when f = deg phibar, and the residue field is that
+    of t mod phibar; otherwise residue_modpoly is the lexicographically
+    first monic irreducible u of degree f, and residue_gen is (coeffs, s)
+    with sum(coeffs[i] x^i) / p^s a root of u in Q_p[x]/(factor), s least.
+    The factors must multiply back to H mod p^M.
     """
-    try:
-        hull, expansion = padic._newton_polygon(H, phibar, m, p, p ** B)
-    except PrecisionTooLow:
-        return None
-    F, d, pM = padic.FF(p, phibar), len(phibar) - 1, p ** M
-    dphi = F.element(polyq.derivative(phibar))
-    out, prod = [], [1]
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        lam, frac = divmod(y1 - y2, x2 - x1)
-        s = y1 + (x1 - 1) * lam
-        if frac or M + s > B:
-            return None
-        # highest coefficient first; A_i / p^(c - lam i) is 0 mod p where
-        # the point of A_i lies above the side
-        rho = [F.element([a // p ** (y1 - (i - x1) * lam)
-                          for a in expansion[i]])
-               for i in range(x2, x1 - 1, -1)]
-        roots = []
-        for r in F.elements():
-            acc = F.zero()
-            for c in rho:
-                acc = acc * r + c
-            if acc.is_zero() and not r.is_zero():
-                roots.append(r)
-        if len(roots) != x2 - x1:
-            return None
-        q = p ** (M + s)
-        t = polyq.rem_monic([0, 1], phibar, q)
-        for r in roots:
-            y = [p ** lam * c for c in (r / dphi).coeffs]
-            x = _newton(H, phibar, polyq.add_mod(t, y, q), p, s, M)
-            if x is None:
-                return None
-            cols = padic._power_columns(x + [0] * (d - len(x)), phibar, d)
-            G = [c % pM for c in charpoly_rational(list(zip(*cols)))]
-            out.append((G, 1, d, phibar, None))
+    d, pM, B = len(phibar) - 1, p ** M, 2 * M
+    for _ in range(8):
+        H = lift(B)
+        leaves = []
+        try:
+            _analyse(H, _Order1(p, phibar, B), list(phibar), 0, 0, leaves)
+            out = [_prime(H, phibar, leaf, p, M, B) for leaf in leaves]
+        except _Short as short:
+            B = max(short.B, B + 1)
+            continue
+        prod = [1]
+        for G, *_ in out:
             prod = polyq.mul_mod(prod, G, pM)
-    return None if polyq.sub_mod(prod, H, pM) else padic._by_digits(out, p, M)
+        if not polyq.sub_mod(prod, H, pM):
+            return padic._by_digits(out, p, M)
+        B *= 2
+    raise PrecisionTooLow("local block of degree %d not resolved at "
+                          "precision %d" % (d * m, B))
 
 
-def _mul(a, b, phi, q):
-    """a * b in (Z/q)[t]/(phi)."""
-    return polyq.rem_monic(polyq.mul(a, b), phi, q)
+# -- the valuations of orders 1 and 2 ------------------------------------------
+
+class _Level:
+    """The normalizations shared by orders 1 and 2: p^alpha phi^beta, with
+    e alpha + h beta = w and 0 <= beta < e, has value w (`norm`), and its
+    quotients of value 0 have residues powers of z (`zpow`)."""
+
+    def beta(self, w):
+        return w * pow(self.h, -1, self.e) % self.e
+
+    def norm(self, w):
+        beta = self.beta(w)
+        return (w - beta * self.h) // self.e, beta
+
+    def zpow(self, k):
+        return self.z ** k if k >= 0 else self.z.inverse() ** -k
 
 
-def _evaluate(H, x, phi, q):
-    """H(x) and H'(x) in (Z/q)[t]/(phi), by Horner's rule."""
-    f, df = [], []
-    for c in reversed(H):
-        df = polyq.add_mod(_mul(df, x, phi, q), f, q)
-        f = polyq.add_mod(_mul(f, x, phi, q), [c], q)
-    return f, df
+class _Order1(_Level):
+    """v_p and the residues mod (p, phibar) of integer polynomials of degree
+    below deg phibar, so that a(x) / p^v(a) has a nonzero residue at every
+    root of phibar; e = 1 and h = 0, so p^w has value w."""
+
+    order, e, h, phi, gamma = 1, 1, 0, None, None
+
+    def __init__(self, p, phibar, B):
+        self.p, self.pB = p, p ** B
+        self.F = padic.FF(p, phibar)
+        self.z = self.F.one()
+
+    def val(self, a):
+        return min(padic._vp(c, self.p) for c in a if c)
+
+    def res(self, a, w):
+        return self.F.element([c // self.p ** w for c in a])
+
+    def lift(self, r, w):
+        return [self.p ** w * c for c in r.coeffs]
 
 
-def _newton(H, phi, x, p, s, M):
-    """The root of H mod p^M in Z_p[t]/(phi) that Newton's method reaches
-    from x, where v(H') = s, or None when it does not converge.  It runs
-    in (Z/p^(M+s))[t]/(phi): x -> x - (H(x) / p^s) w, w an inverse of the
-    unit u = H'(x) / p^s, taken from u mod p and refined once per step,
-    w -> w (2 - u w), which keeps the convergence quadratic."""
-    q, ps = p ** (M + s), p ** s
-    w = None
-    for _ in range(M.bit_length() + 2):
-        fx, dfx = _evaluate(H, x, phi, q)
-        if not fx:
-            return x
-        u = [c // ps for c in dfx]
-        w = w or polyq.fp_xgcd(u, phi, p)[1]
-        w = polyq.sub_mod(w, _mul(w, polyq.sub_mod(
-            _mul(u, w, phi, q), [1], q), phi, q), q)
-        x = polyq.sub_mod(x, _mul([c // ps for c in fx], w, phi, q), q)
-    return None
+class _Order2(_Level):
+    """The valuation v_2 = e [v_p; phi, h / e] of MacLane, in units of
+    1 / e, on integer polynomials of degree below e f deg phi, for a type of
+    order 1 with slope h / e and a residual factor psi of degree f and
+    multiplicity > 1: a root z, or z = t mod psi over F_p when f > 1, where
+    deg phibar = 1 and the residue field grows to F_p[t]/(psi) (whose
+    generator is then gamma, as in `_analyse`).
+
+    A root theta of the type has v(phi(theta)) = h / e, and
+    phi(theta)^e / p^h has residue z.  For a = sum b_k phi^k, b_k of degree
+    below deg phi, v(a(theta)) = v_2(a) / e = min(e v(b_k) + k h) / e, and
+    a(theta) divided by p^alpha phi(theta)^beta, with e alpha + h beta =
+    v_2(a) and 0 <= beta < e (`norm`), has the residue sum over the minimal
+    terms of res(b_k / p^v(b_k)) z^((k - beta) / e) (`res`).
+    """
+
+    order = 2
+
+    def __init__(self, lower, phi, h, e, psi):
+        self.lower, self.phi, self.h, self.e = lower, phi, h, e
+        self.p, self.pB = lower.p, lower.pB
+        if len(psi) == 2:
+            self.F, self.z, self.gamma = lower.F, -psi[0], None
+        else:
+            self.F = padic.FF(self.p, [c.coeffs[0] for c in psi])
+            self.z = self.F.element([0, 1])
+            self.gamma = (_power(phi, e), h, 0, None, psi)
+
+    def _terms(self, a):
+        """(k, b_k, e v(b_k) + k h) for the nonzero phi-adic digits of a."""
+        digits = padic._expand(a, self.phi, self.pB)
+        return [(k, b, self.e * self.lower.val(b) + k * self.h)
+                for k, b in enumerate(digits) if b]
+
+    def val(self, a):
+        return min(w for _, _, w in self._terms(a))
+
+    def res(self, a, w):
+        beta = self.beta(w)
+        acc = self.F.zero()
+        for k, b, wk in self._terms(a):
+            if wk == w:
+                c = self.lower.res(b, (w - k * self.h) // self.e)
+                acc = acc + self.F.element(list(c.coeffs)) \
+                    * self.zpow((k - beta) // self.e)
+        return acc
+
+    def lift(self, r, w):
+        alpha, beta = self.norm(w)
+        parts = [r] if self.F is self.lower.F else \
+            [self.lower.F.element(c) for c in r.coeffs]
+        out = []
+        for tau, c in enumerate(parts):
+            if not c.is_zero():
+                out = polyq.add_mod(out, polyq.mul(
+                    _power(self.phi, beta + self.e * tau),
+                    self.lower.lift(c, alpha - self.h * tau)), self.pB)
+        return out
+
+
+def _power(a, n):
+    out = [1]
+    for _ in range(n):
+        out = polyq.mul(out, a)
+    return out
+
+
+def _factor(R, F):
+    """[(psi, multiplicity)] for the monic irreducible factors psi of R over
+    F, as lists of F elements lowest first; R(0) != 0.  Over F_p by
+    `padic.fp_factor`; over a larger F only linear factors are found, and
+    any other raises PrecisionTooLow."""
+    if F.degree == 1:
+        return [([F.element(c) for c in psi], mult) for psi, mult in
+                padic.fp_factor([c.coeffs[0] for c in R], F.p)]
+    out = []
+    for r in F.elements():
+        mult = 0
+        while len(R) > 1:
+            # synthetic division by y - r, highest coefficient first
+            quo = [R[-1]]
+            for c in reversed(R[:-1]):
+                quo.append(c + quo[-1] * r)
+            if not quo.pop().is_zero():
+                break
+            R, mult = quo[::-1], mult + 1
+        if mult:
+            out.append(([-r, F.one()], mult))
+    if len(R) > 1:
+        raise PrecisionTooLow("a residual polynomial has an irreducible "
+                              "factor of degree > 1 over F_%d^%d"
+                              % (F.p, F.degree))
+    return out
+
+
+# -- the tree of types ---------------------------------------------------------
+
+def _analyse(H, level, phi, V, floor, leaves):
+    """Append to leaves the types of H below this one: for each side of
+    slope h / e > floor of the Newton polygon of H for phi at this level,
+    and each factor psi of its residual polynomial, (g, e, f, gamma) with g
+    the key polynomial of the leaf, e and f its prime's indices over Q_p,
+    and gamma = (a, alpha, beta, phi_1, psi) with a / (p^alpha phi_1^beta)
+    of residue a root of psi that generates the leaf's residue field over
+    F_p when f > deg phibar (`_residue_gen`): a = phi^e for a factor psi
+    of degree > 1, the order-1 data of `_Order2` otherwise.
+
+    The points are (i, v(a_i) + i V) for the phi-adic digits a_i of H, V
+    the value of phi.  On a side through (x1, y1), the point of i = x1 + j e
+    gives the residual polynomial's coefficient of degree j,
+    res(a_i) z^((beta(w_i) + j beta(W) - beta(w_x1)) / e_1), w_i = v(a_i)
+    and W = e V + h the value of phi^e, so that its roots are the residues
+    of phi(theta)^e / p^alpha phi_1(theta)^beta (`_representative`).
+    """
+    digits = padic._expand(H, phi, level.pB)
+    points = [(i, level.val(a) + i * V) for i, a in enumerate(digits) if a]
+    if points[0][0]:
+        # phi divides H mod p^B: it is a leaf, on a side of infinite slope
+        leaves.append((phi, level.e, level.F.degree, level.gamma))
+    hull = padic._lower_hull(points)
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        if y1 - y2 <= floor * (x2 - x1):
+            continue
+        g = gcd(y1 - y2, x2 - x1)
+        h, e = (y1 - y2) // g, (x2 - x1) // g
+        W, w0 = e * V + h, y1 - x1 * V
+        R = []
+        for j in range((x2 - x1) // e + 1):
+            a, w = digits[x1 + j * e], w0 - j * W
+            R.append(level.res(a, w) * level.zpow(
+                (level.beta(w) + j * level.beta(W) - level.beta(w0))
+                // level.e) if a and level.val(a) == w else level.F.zero())
+        for psi, mult in _factor(R, level.F):
+            key = _representative(level, phi, psi, e, W)
+            if mult == 1:
+                alpha, beta = level.norm(W)
+                leaves.append((key, e * level.e,
+                               level.F.degree * (len(psi) - 1),
+                               level.gamma if len(psi) == 2 else
+                               (_power(phi, e), alpha, beta, level.phi, psi)))
+            elif e == 1 and len(psi) == 2:
+                _analyse(H, level, key, V, h, leaves)
+            elif level.order == 1 and (len(psi) == 2 or level.F.degree == 1):
+                _analyse(H, _Order2(level, phi, h, e, psi), key,
+                         e * h * (len(psi) - 1), 0, leaves)
+            else:
+                raise PrecisionTooLow("a local block needs order 3 of "
+                                      "Montes' algorithm")
+
+
+def _representative(level, phi, psi, e, W):
+    """The key polynomial sum_j c_j phi^(j e) of the type psi: c_j of value
+    (k - j) W, k = deg psi, with the residue that makes its residual
+    polynomial psi times a constant; monic, with c_k = 1."""
+    k, key = len(psi) - 1, []
+    for j, c in enumerate(psi):
+        if not c.is_zero():
+            i = k - j
+            r = c * level.zpow((i * level.beta(W) - level.beta(i * W))
+                               // level.e)
+            key = polyq.add_mod(key, polyq.mul(level.lift(r, i * W),
+                                               _power(phi, j * e)), level.pB)
+    return key
+
+
+# -- the factor of each leaf ---------------------------------------------------
+
+def _prime(H, phibar, leaf, p, M, B):
+    """The tuple of `factor_block` for one leaf."""
+    key, e, f, gamma = leaf
+    pM = p ** M
+    if f == len(phibar) - 1:
+        G = _lift(H, key, p, M, B)[0]
+        return [c % pM for c in G], e, f, list(phibar), None
+    # the root of u is read in the power basis of a root of G: G is lifted
+    # to twice the precision first
+    G, P = _lift(H, key, p, 2 * M, B)
+    u = _irreducible_modpoly(p, f)
+    return ([c % pM for c in G], e, f, list(u),
+            _residue_gen(G, P, gamma, u, p, M))
+
+
+def _evaluate(H, g, q):
+    """(quotient, remainder) of H by g in (Z/q)[x]: H(theta) and H'(theta)
+    at the roots theta of g, in one division."""
+    return polyq.divmod_monic(H, g, q)
+
+
+def _lift(H, g, p, M, B):
+    """(G, P): the factor G of H that the key polynomial g approximates,
+    known mod p^P with M <= P <= B.
+
+    With H = q g + r mod p^B, g is refined to g + r / q mod g: Newton's
+    method on the factor, one division of H by g each step (`_evaluate`).
+    1 / q = w / c mod g (`_inverse`), and p^t is the p-part of the
+    denominator of w / c in lowest terms.  By Hensel's lemma, once
+    k = v(r) > 2t, H has a factor G = g mod p^(k - t), and G = g + r / q
+    mod p^(2k - 3t); the loop stops when that reaches p^M.  r / q is known
+    mod p^(B - t), which must reach p^M too.
+    """
+    pB = p ** B
+    for _ in range(2 * B.bit_length() + 2):
+        q, r = _evaluate(H, g, pB)
+        w, c = _inverse(polyq.rem_monic(q, g, pB), g, p, B)
+        if not c:
+            break
+        t0 = padic._vp(c, p)
+        pt = p ** t0
+        t = t0 - min([padic._vp(x, p) for x in w if x % pt] + [t0])
+        k = min([padic._vp(x, p) for x in r if x], default=B)
+        num = polyq.rem_monic(polyq.mul(r, w), g, pB * pt)
+        if any(x % pt for x in num):
+            break
+        unit = pow(c // pt, -1, pB)
+        g = polyq.add_mod(g, [x // pt * unit for x in num], pB)
+        if k > 2 * t and 2 * k - 3 * t >= M:
+            if B - t < M:
+                raise _Short(M + t)
+            return g, min(B - t, 2 * k - 3 * t)
+    raise _Short(2 * B)
+
+
+def _inverse(a, g, p, B):
+    """(w, c) with a w = c mod (g, p^(B + v_p(c))), c = -N(a) the negated
+    norm of a over the monic g: by the Cayley-Hamilton theorem for the
+    multiplication matrix of a, whose characteristic polynomial chi has
+    chi(a) = 0.  c = 0 when a and g share a factor."""
+    n = len(g) - 1
+    cols = padic._power_columns(a + [0] * (n - len(a)), g, n)
+    chi = charpoly_rational([list(row) for row in zip(*cols)])
+    if not chi[0]:
+        return [], 0
+    q = p ** (B + padic._vp(chi[0], p))
+    w = []
+    for x in reversed(chi[1:]):
+        w = polyq.add_mod(polyq.rem_monic(polyq.mul(w, a), g, q), [x], q)
+    return w, -chi[0]
+
+
+# -- residue fields larger than F_p[t]/(phibar) --------------------------------
+
+@cache
+def _irreducible_modpoly(p, f):
+    """The lexicographically first monic irreducible of degree f mod p, as
+    a tuple: the cached value is shared by every caller."""
+    for code in range(p ** f):
+        poly = [code // p ** i % p for i in range(f)] + [1]
+        if padic._fp_ddf(poly, p) == [(poly, f)]:
+            return tuple(poly)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def _residue_gen(G, P, gamma, u, p, M):
+    """(coeffs, s): a root of u in K = Q_p[x]/(G), G known mod p^P, as
+    sum(coeffs[i] x^i) / p^s with s least and coeffs mod p^M.
+
+    The residue field of K is F_p(z), z the residue of gamma = a / (p^alpha
+    phi_1^beta) and a root of psi (`_analyse`; phibar has degree 1 here): u
+    has a first root c(z) among the elements of F_p[z]/(psi) in `padic.FF`
+    order, and Newton's method for u from c(gamma) reaches the root of u
+    above it.  An element of K is (X, a), X / p^a with X a vector of
+    integers mod p^(P + a) in the power basis of x.
+    """
+    def element(nums, den):
+        a = padic._vp(den, p)
+        q = p ** (P + a)
+        X = [c * pow(den // p ** a, -1, q) % q for c in nums]
+        while a and all(c % p == 0 for c in X):
+            X, a = [c // p for c in X], a - 1
+        return X, a
+
+    def add(x, y):
+        a = max(x[1], y[1])
+        return element([c * p ** (a - x[1]) + d * p ** (a - y[1]) for c, d
+                        in zip_longest(x[0], y[0], fillvalue=0)], p ** a)
+
+    def mul(x, y):
+        a = x[1] + y[1]
+        return element(polyq.rem_monic(polyq.mul(x[0], y[0]), G,
+                                       p ** (P + a)), p ** a)
+
+    def inverse(x):
+        w, c = _inverse(x[0], G, p, P)
+        return element([d * p ** x[1] for d in w], c)
+
+    def at(c, x):
+        acc = ([], 0)
+        for a in reversed(c):
+            acc = add(mul(acc, x), ([a], 0))
+        return acc
+
+    num, alpha, beta, phi1, psi = gamma
+    z = element(polyq.rem_monic(num, G, p ** (P + alpha)), p ** alpha)
+    if beta:
+        z = mul(z, inverse((polyq.rem_monic(_power(phi1, beta), G, p ** P),
+                            0)))
+    F = padic.FF(p, [c.coeffs[0] for c in psi])
+    root = next(y for y in F.elements() if sum(
+        (y ** i * c for i, c in enumerate(u)), F.zero()).is_zero())
+    omega = at(list(root.coeffs), z)
+    du = polyq.derivative(list(u))
+    for _ in range(P.bit_length() + 2):
+        step = mul(at(u, omega), inverse(at(du, omega)))
+        omega = add(omega, ([-c for c in step[0]], step[1]))
+    X, s = omega
+    return [c % p ** M for c in X], s

@@ -28,13 +28,9 @@ polynomials of `polyq`: over F_p by square-free, distinct-degree and
 equal-degree (Cantor-Zassenhaus) splitting, and monic squarefree integer
 polynomials by Zassenhaus's algorithm on the same quadratic Hensel lifting
 that finds the local factors.  A block phibar^m of the factorization mod p
-takes one of three routes (`primes_above`): it is one prime when its
-phi-adic Newton polygon is one segment certifying it irreducible; else it
-splits into unramified primes at order 1 of Montes' algorithm (`montes`)
-when every side has an integral slope and a residual polynomial with all
-its roots, distinct, in F_p[t]/(phibar); any other block is factored
-completely in `tame`.  Each of the two is imported only for a block that
-reaches it.
+is one prime when its phi-adic Newton polygon is one segment that certifies
+it irreducible (`primes_above`); any other block is factored by Montes'
+algorithm to order 2 (`montes`), imported only for a block that reaches it.
 """
 
 from itertools import combinations, count
@@ -823,14 +819,10 @@ def primes_above(field, p, M):
     One embedding per irreducible p-adic factor of the minimal polynomial.
     Factors that are irreducible mod p give unramified primes directly.
     A repeated factor phibar^m gives one prime when the phi-adic Newton
-    polygon of its block is one segment of slope v/m in lowest terms.
-    Any other block is lifted once more, to precision M + 2D + 12 with D
-    the valuation of its discriminant (read from the norm of H' over H mod
-    p^M when that is nonzero).  It is split at order 1 into primes with
-    e = 1 and f = deg phibar when Ore's conditions hold
-    (`montes.order_one_split`), or else factored completely in tame local
-    models (`tame._factor_block_tame`), whose roots a residual-polynomial
-    search finds digit by digit; PrecisionTooLow is raised when that fails.
+    polygon of its block is one segment of slope v/m in lowest terms.  Any
+    other block is factored by `montes.factor_block`, which lifts the block
+    to the precision its polygons and Newton steps need, and raises
+    PrecisionTooLow for a block that needs order 3 of Montes' algorithm.
     """
     if p == 2 or prime_divisors(p) != [p]:
         raise ValueError("p must be an odd prime")
@@ -847,38 +839,17 @@ def primes_above(field, p, M):
     lifted = _hensel_blocks([c % p ** M for c in field.minpoly],
                             block_polys, p, M)
     # (local factor, e, f, residue modpoly, residue_gen) per prime, in the
-    # shape `tame._factor_block_tame` returns
+    # shape `montes.factor_block` returns
     factors = []
     for idx, ((gbar, mult), H) in enumerate(zip(blocks, lifted)):
         if mult == 1 or _one_segment(H, gbar, mult, p, M):
             factors.append((H, mult, len(gbar) - 1, gbar, None))
             continue
-        # the norm of H' over H fixes D, the valuation of the block
-        # discriminant, at the first precision where it does not vanish,
-        # usually M itself
-        res = _norm(polyq.derivative(H), H) % p ** M
-        B = M + 12
-        for _ in range(4):
-            if res:
-                break
-            HB = _hensel_blocks([c % p ** B for c in field.minpoly],
-                                block_polys, p, B)[idx]
-            res = _norm(polyq.derivative(HB), HB) % p ** B
-            if not res:
-                B = M + 2 * B + 12
-        if not res:
-            raise PrecisionTooLow(
-                "local block discriminant too deep at precision %d" % B)
-        D = _vp(res, p)
-        B = max(B, M + 2 * D + 12)
-        HB = _hensel_blocks([c % p ** B for c in field.minpoly],
-                            block_polys, p, B)[idx]
         from . import montes
-        split = montes.order_one_split(HB, gbar, mult, p, M, B)
-        if split is None:
-            from . import tame
-            split = tame._factor_block_tame(HB, gbar, mult, p, M, B, D)
-        factors.extend(split)
+        factors.extend(montes.factor_block(
+            lambda B, idx=idx: _hensel_blocks(
+                [c % p ** B for c in field.minpoly], block_polys, p, B)[idx],
+            gbar, mult, p, M))
     result = [PAdicEmbedding(field, p, M, G, e, f, rbar, j, gen)
               for j, (G, e, f, rbar, gen) in enumerate(factors)]
     total = sum(emb.e * emb.residue_degree for emb in result)
@@ -886,27 +857,18 @@ def primes_above(field, p, M):
     return result
 
 
-def _newton_polygon(H, phibar, m, p, q):
-    """The phi-adic Newton polygon of a block H = phibar^m mod p.
+def _expand(a, phi, q):
+    """The phi-adic digits of a mod q, phi monic, lowest first: [] for a
+    zero digit."""
+    digits = []
+    while a:
+        a, b = polyq.divmod_monic(a, phi, q)
+        digits.append(b)
+    return digits
 
-    Expands H = sum A_i phi^i mod q, phi the lift of phibar, and returns
-    the vertices (i, v_p(A_i)) of the lower convex hull of the points with
-    A_i nonzero mod q, from i = 0 to m, and the expansion [A_0, ..., A_m].
-    Raises PrecisionTooLow when A_0 vanishes mod q.
-    """
-    phi = [c % q for c in phibar]
-    rem = H
-    expansion = []
-    pts = []
-    for i in range(m + 1):
-        rem, A = polyq.divmod_monic(rem, phi, q)
-        expansion.append(A)
-        if A:
-            pts.append((i, min(_vp(c, p) for c in A if c)))
-    if not pts or pts[0][0] != 0:
-        raise PrecisionTooLow(
-            "constant phi-adic coefficient of a block vanishes at the "
-            "working precision")
+
+def _lower_hull(pts):
+    """The vertices of the lower convex hull of points in increasing x."""
     hull = [pts[0]]
     for pt in pts[1:]:
         while len(hull) >= 2:
@@ -916,20 +878,19 @@ def _newton_polygon(H, phibar, m, p, q):
             else:
                 break
         hull.append(pt)
-    if hull[-1] != (m, 0):
-        raise PrecisionTooLow(
-            "phi-adic Newton polygon of a block does not end at height 0")
-    return hull, expansion
+    return hull
 
 
 def _one_segment(H, phibar, m, p, M):
-    """Whether the Newton polygon of the block H = phibar^m mod p, at
-    precision M, is one segment of slope v/m in lowest terms: then H is
-    irreducible, with e = m and f = deg phibar."""
-    try:
-        hull = _newton_polygon(H, phibar, m, p, p ** M)[0]
-    except PrecisionTooLow:
+    """Whether the phi-adic Newton polygon of the block H = phibar^m mod p,
+    phi the lift of phibar, at precision M, is one segment from (0, v) to
+    (m, 0) with v prime to m: then H is irreducible, with e = m and
+    f = deg phibar."""
+    digits = _expand(H, phibar, p ** M)
+    if not digits[0]:
         return False
+    hull = _lower_hull([(i, min(_vp(c, p) for c in a if c))
+                        for i, a in enumerate(digits) if a])
     return len(hull) == 2 and gcd(hull[0][1], m) == 1
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mtlab import (analysis, cli, linalg, mazurtate, modsym, montes, padic,
-                   tame, verify)
+                   verify)
 from mtlab.errors import OutOfBudget, PrecisionExhausted, PrecisionTooLow
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -842,10 +842,10 @@ def test_mu_min_splits_and_normalizes_at_the_cost_of_the_data(tmp_path,
 def test_repeated_block_is_split_at_order_one_without_tame(tmp_path,
                                                            monkeypatch):
     """Per run of mu-min 23/6/3, both signs: the sextic's block
-    (x^2 + 2x + 2)^2 mod 3 is split once by the order-1 step into its two
-    unramified primes, with no tame factoring and at most 8 evaluations of
-    H and H' (4 Newton steps per root at M = 8), the same numbers on
-    every run."""
+    (x^2 + 2x + 2)^2 mod 3 is factored once, at order 1 of Montes'
+    algorithm, into its two unramified primes, with at most 8 divisions of
+    H by a factor's approximation (at most 4 Newton steps per factor at
+    M = 8), the same numbers on every run."""
     calls = []
 
     def counted(key, func):
@@ -854,12 +854,8 @@ def test_repeated_block_is_split_at_order_one_without_tame(tmp_path,
             return func(*args)
         return wrapper
 
-    def never(*args):
-        raise AssertionError("the block went to the tame models")
-
-    for key, name in (("split", "order_one_split"), ("eval", "_evaluate")):
+    for key, name in (("split", "factor_block"), ("eval", "_evaluate")):
         monkeypatch.setattr(montes, name, counted(key, getattr(montes, name)))
-    monkeypatch.setattr(tame, "_factor_block_tame", never)
     argv, code = CASES["mu-min-23-6-3"]
     for run in range(2):
         calls.append({"split": 0, "eval": 0})

@@ -904,6 +904,32 @@ SNAPSHOT_CASES = [
 ]
 
 
+def prime_records(embs):
+    """The local data of each embedding, as the snapshots record it."""
+    return [{
+        "local_factor": list(emb.local_factor),
+        "e": emb.e,
+        "residue_degree": emb.residue_degree,
+        "residue_modpoly": list(emb.residue_modpoly),
+        "residue_gen": (None if emb.residue_gen is None
+                        else [list(emb.residue_gen[0]), emb.residue_gen[1]]),
+        "index": emb.index,
+    } for emb in embs]
+
+
+def reduced(records, p, M):
+    """records with the residue generator's coefficients taken mod p^M,
+    the digits an embedding at precision M reads of them."""
+    return [dict(rec, residue_gen=[[c % p ** M for c in gen[0]], gen[1]])
+            if (gen := rec["residue_gen"]) else rec for rec in records]
+
+
+def snapshot_key(key):
+    """(field name, p, M) of a snapshot key name/p<p>/M<M>."""
+    name, p, M = key.split("/")
+    return name, int(p[1:]), int(M[1:])
+
+
 def embedding_snapshot():
     """The local data of every prime above p of each snapshot field, at
     precisions 8 and 16, keyed by field, p and M."""
@@ -911,21 +937,18 @@ def embedding_snapshot():
     for name, minpoly, p in SNAPSHOT_CASES:
         K = padic.NumberField(minpoly)
         for M in (8, 16):
-            out["%s/p%d/M%d" % (name, p, M)] = [{
-                "local_factor": list(emb.local_factor),
-                "e": emb.e,
-                "residue_degree": emb.residue_degree,
-                "residue_modpoly": list(emb.residue_modpoly),
-                "residue_gen": (None if emb.residue_gen is None
-                                else [list(emb.residue_gen[0]),
-                                      emb.residue_gen[1]]),
-                "index": emb.index,
-            } for emb in padic.primes_above(K, p, M)]
+            out["%s/p%d/M%d" % (name, p, M)] = prime_records(
+                padic.primes_above(K, p, M))
     return out
 
 
 def test_embedding_snapshot():
-    assert embedding_snapshot() == json.loads(EMBEDDING_SNAPSHOT.read_text())
+    # the file holds the residue generators of 17-18-deg10 (index 0) and
+    # 17-18-deg12 (index 1) with digits beyond p^M
+    want = json.loads(EMBEDDING_SNAPSHOT.read_text())
+    assert embedding_snapshot() == {
+        key: reduced(records, *snapshot_key(key)[1:])
+        for key, records in want.items()}
 
 
 @pytest.mark.parametrize("M", [3, 4])

@@ -3,7 +3,7 @@
 Each job runs ``cli.main`` in a fresh interpreter, which then reports the
 ``mtlab`` modules in ``sys.modules``. Every job compiles the modules it
 loads from source when no bytecode is cached, so the Mazur-Tate elements,
-the order-1 block split, the tame block factoring, the identity checks and
+the block factoring of Montes' algorithm, the identity checks and
 ``fractions`` (with the ``decimal`` and ``numbers`` modules it imports)
 must load only in the jobs that run them. No time is measured.
 """
@@ -32,8 +32,7 @@ print(json.dumps([code, sorted(m for m in sys.modules
 EVERY_JOB = {"mtlab.analysis", "mtlab.cli", "mtlab.modsym", "mtlab.padic"}
 
 # the modules only some jobs load
-OPTIONAL = {"mtlab.mazurtate", "mtlab.montes", "mtlab.tame", "mtlab.verify",
-            "fractions"}
+OPTIONAL = {"mtlab.mazurtate", "mtlab.montes", "mtlab.verify", "fractions"}
 
 
 def loaded(argv, tmp_path):
@@ -53,8 +52,8 @@ def loaded(argv, tmp_path):
     (["invariants", "--level", "11", "--weight", "2", "--p", "5",
       "--nmax", "1"], {"mtlab.mazurtate"}),
     # the benchmark's split-mumin job: the degree-6 Hecke field has a
-    # repeated block that the order-1 step splits without the tame models,
-    # and no Mazur-Tate element is built
+    # repeated block that Montes' algorithm splits at order 1, and no
+    # Mazur-Tate element is built
     (["mu-min", "--level", "23", "--weight", "6", "--p", "3",
       "--sign", "both"], {"mtlab.montes"}),
     # a prime above 3 of the 11/4 Hecke field is not monogenic, so the
@@ -67,11 +66,10 @@ def loaded(argv, tmp_path):
       "--nmax", "4"], {"mtlab.mazurtate"}),
     (["invariants", "--level", "23", "--weight", "6", "--p", "3",
       "--nmax", "3"], {"mtlab.mazurtate", "mtlab.montes"}),
-    # the quartic 11/8 Hecke field has a block at 3 that the order-1 step
-    # declines, so the tame models factor it; its primes are not monogenic
+    # the quartic 11/8 Hecke field has a block at 3 with a prime of residue
+    # degree 2 above phibar of degree 1; its primes are not monogenic
     (["invariants", "--level", "11", "--weight", "8", "--p", "3",
-      "--nmax", "1"],
-     {"mtlab.mazurtate", "mtlab.montes", "mtlab.tame", "fractions"}),
+      "--nmax", "1"], {"mtlab.mazurtate", "mtlab.montes", "fractions"}),
 ], ids=["invariants", "mu-min", "verify", "mt-deep", "mt-field",
         "tame"])
 def test_job_loads_only_the_modules_it_runs(argv, optional, tmp_path):
