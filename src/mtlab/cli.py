@@ -13,8 +13,8 @@ normalized symbol (a `verify` mode hands over its space and step), and
 `_emit` reads each CSV cell of a row by its header name.  A job compiles
 only what it runs: `mazurtate` with invariants, stabilize and verify (not
 mu-min or eigenforms), the identity checks of `verify` with verify,
-`montes` with a Hecke-field block whose Newton polygon is not one segment
-that certifies it irreducible, `fractions` with a non-monogenic prime.
+`montes` with a Hecke-field prime whose local factor is not irreducible
+mod p, and `fractions` where such a prime reads a valuation.
 
 Exit codes: 0 success, 1 construction or configuration failure (a
 malformed command line included), 2 some row could not be certified at the
@@ -103,6 +103,10 @@ class JobConfig:
                                      or (self.k - 2) % (self.p - 1)):
             raise ConfigError(
                 "the alpha map needs k > 2 with (p - 1) dividing k - 2")
+        if name == "three-term" and self.n_max < 2:
+            # the relation links theta_(n-1), theta_n and theta_(n+1) for
+            # 1 <= n < n_max
+            raise ConfigError("three-term needs --nmax >= 2")
         self.verify_mode = name
         self.congruence_mode = option or "lowslope"
 
@@ -186,9 +190,10 @@ def _records(config, space, work, missing=None):
 
     Primes above p are found once per job for each Hecke field and ladder
     rung, at that rung's precision (`JobConfig.primes_above`), so classes
-    of both signs with the same field share them. Their number is read at
-    the first rung where they can be found; when no rung factors, the last
-    rung's error ends the job. Each prime climbs the precision ladder from
+    of both signs with the same field share them. They are numbered at the
+    first rung where they can be found, and matched to those of a later
+    rung by their local factors (`_same_primes`); when no rung factors, the
+    last rung's error ends the job. Each prime climbs the precision ladder from
     that rung until ``work(normalized) -> (result, certified)`` reports
     certified, and keeps the last result it got otherwise; exact symbols
     re-embed losslessly, so a higher rung describes the same object. A
@@ -200,22 +205,34 @@ def _records(config, space, work, missing=None):
     for sign, cid, cls in _class_records(config, space):
         for first, M in enumerate(ladder):
             try:
-                count = len(config.primes_above(cls.field, M))
+                base = config.primes_above(cls.field, M)
                 break
             except (PrecisionExhausted, PrecisionTooLow):
                 if M == ladder[-1]:
                     raise
-        for j in range(count):
+        for j in range(len(base)):
             result = missing
             for M in ladder[first:]:
                 try:
-                    result, certified = work(modsym.normalize(
-                        cls, config.primes_above(cls.field, M)[j]))
+                    emb = _same_primes(base, config.primes_above(
+                        cls.field, M))[j]
+                    result, certified = work(modsym.normalize(cls, emb))
                 except (PrecisionExhausted, PrecisionTooLow):
                     continue
                 if certified:
                     break
             yield sign, cid, j, result
+
+
+def _same_primes(base, embs):
+    """The primes of embs, at a precision of at least that of base, in the
+    order of base: for each prime of base, the first one not yet taken
+    whose local factor reduces to its local factor."""
+    q, out = base[0].pM, []
+    for emb in base:
+        out.append(next(x for x in embs if x not in out and tuple(
+            c % q for c in x.local_factor) == emb.local_factor))
+    return out
 
 
 def _each(step):

@@ -21,10 +21,11 @@ of H, which single-factor lifting (Guardia-Nart-Pauli, J. Symb. Comp. 47,
 2012) refines by Newton's method mod p^B (`_lift`).  The working precision
 B starts at 2M and is raised only when a polygon or a Newton step shows
 that it is too low.
+Each prime also keeps its type, the valuation one level above its leaf
+(`_Order2`), through which `padic.LocalElement` reads its elements.
 """
 
 from functools import cache
-from itertools import zip_longest
 from math import gcd
 
 from . import padic, polyq
@@ -42,14 +43,13 @@ class _Short(Exception):
 
 def factor_block(lift, phibar, m, p, M):
     """The primes of the block H = phibar^m mod p, where lift(B) is H mod
-    p^B: [(factor mod p^M, e, f, residue_modpoly, residue_gen)], in the
-    order of `padic._by_digits`.
+    p^B: [(factor mod p^M, e, f, residue_modpoly, vtype)], in the order of
+    `padic._by_digits`.
 
-    residue_gen is None when f = deg phibar, and the residue field is that
-    of t mod phibar; otherwise residue_modpoly is the lexicographically
-    first monic irreducible u of degree f, and residue_gen is (coeffs, s)
-    with sum(coeffs[i] x^i) / p^s a root of u in Q_p[x]/(factor), s least.
-    The factors must multiply back to H mod p^M.
+    residue_modpoly is phibar when f = deg phibar, and otherwise the
+    lexicographically first monic irreducible u of degree f.  vtype is the
+    prime's type (`_analyse`), None when the factor is phibar mod p.  The
+    factors must multiply back to H mod p^M.
     """
     d, pM, B = len(phibar) - 1, p ** M, 2 * M
     for _ in range(8):
@@ -94,7 +94,7 @@ class _Order1(_Level):
     below deg phibar, so that a(x) / p^v(a) has a nonzero residue at every
     root of phibar; e = 1 and h = 0, so p^w has value w."""
 
-    order, e, h, phi, gamma = 1, 1, 0, None, None
+    order, e, h, phi = 1, 1, 0, None
 
     def __init__(self, p, phibar, B):
         self.p, self.pB = p, p ** B
@@ -114,17 +114,20 @@ class _Order1(_Level):
 class _Order2(_Level):
     """The valuation v_2 = e [v_p; phi, h / e] of MacLane, in units of
     1 / e, on integer polynomials of degree below e f deg phi, for a type of
-    order 1 with slope h / e and a residual factor psi of degree f and
-    multiplicity > 1: a root z, or z = t mod psi over F_p when f > 1, where
-    deg phibar = 1 and the residue field grows to F_p[t]/(psi) (whose
-    generator is then gamma, as in `_analyse`).
+    order 1 with slope h / e and a residual factor psi of degree f: a root
+    z, or z = t mod psi over F_p when f > 1, where deg phibar = 1 and the
+    residue field grows to F_p[t]/(psi).  On a level of order 2 in place
+    of v_p, h the value of phi in its units, it reads an order-2 leaf.
 
     A root theta of the type has v(phi(theta)) = h / e, and
     phi(theta)^e / p^h has residue z.  For a = sum b_k phi^k, b_k of degree
     below deg phi, v(a(theta)) = v_2(a) / e = min(e v(b_k) + k h) / e, and
     a(theta) divided by p^alpha phi(theta)^beta, with e alpha + h beta =
     v_2(a) and 0 <= beta < e (`norm`), has the residue sum over the minimal
-    terms of res(b_k / p^v(b_k)) z^((k - beta) / e) (`res`).
+    terms of res(b_k / p^v(b_k)) z^((k - beta) / e) (`res`), times the
+    power of the lower z by which the lower normalizations fail to
+    multiply.  They are exact for every a of degree below that of a leaf's
+    factor (Guardia-Montes-Nart, Trans. AMS 364, 2012).
     """
 
     order = 2
@@ -133,11 +136,10 @@ class _Order2(_Level):
         self.lower, self.phi, self.h, self.e = lower, phi, h, e
         self.p, self.pB = lower.p, lower.pB
         if len(psi) == 2:
-            self.F, self.z, self.gamma = lower.F, -psi[0], None
+            self.F, self.z = lower.F, -psi[0]
         else:
             self.F = padic.FF(self.p, [c.coeffs[0] for c in psi])
             self.z = self.F.element([0, 1])
-            self.gamma = (_power(phi, e), h, 0, None, psi)
 
     def _terms(self, a):
         """(k, b_k, e v(b_k) + k h) for the nonzero phi-adic digits of a."""
@@ -149,13 +151,17 @@ class _Order2(_Level):
         return min(w for _, _, w in self._terms(a))
 
     def res(self, a, w):
-        beta = self.beta(w)
+        alpha, beta = self.norm(w)
+        low = self.lower
         acc = self.F.zero()
         for k, b, wk in self._terms(a):
             if wk == w:
-                c = self.lower.res(b, (w - k * self.h) // self.e)
-                acc = acc + self.F.element(list(c.coeffs)) \
-                    * self.zpow((k - beta) // self.e)
+                j = (k - beta) // self.e
+                v = alpha - j * self.h
+                c = low.res(b, v) * low.zpow(
+                    (j * low.beta(self.h) + low.beta(v) - low.beta(alpha))
+                    // low.e)
+                acc = acc + self.F.element(list(c.coeffs)) * self.zpow(j)
         return acc
 
     def lift(self, r, w):
@@ -211,12 +217,10 @@ def _factor(R, F):
 def _analyse(H, level, phi, V, floor, leaves):
     """Append to leaves the types of H below this one: for each side of
     slope h / e > floor of the Newton polygon of H for phi at this level,
-    and each factor psi of its residual polynomial, (g, e, f, gamma) with g
+    and each factor psi of its residual polynomial, (g, e, f, vtype) with g
     the key polynomial of the leaf, e and f its prime's indices over Q_p,
-    and gamma = (a, alpha, beta, phi_1, psi) with a / (p^alpha phi_1^beta)
-    of residue a root of psi that generates the leaf's residue field over
-    F_p when f > deg phibar (`_residue_gen`): a = phi^e for a factor psi
-    of degree > 1, the order-1 data of `_Order2` otherwise.
+    and vtype = `_Order2(level, phi, e V + h, e, psi)` the valuation one
+    level above the leaf; phi is a leaf of this level when it divides H.
 
     The points are (i, v(a_i) + i V) for the phi-adic digits a_i of H, V
     the value of phi.  On a side through (x1, y1), the point of i = x1 + j e
@@ -229,7 +233,7 @@ def _analyse(H, level, phi, V, floor, leaves):
     points = [(i, level.val(a) + i * V) for i, a in enumerate(digits) if a]
     if points[0][0]:
         # phi divides H mod p^B: it is a leaf, on a side of infinite slope
-        leaves.append((phi, level.e, level.F.degree, level.gamma))
+        leaves.append((phi, level.e, level.F.degree, level))
     hull = padic._lower_hull(points)
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if y1 - y2 <= floor * (x2 - x1):
@@ -246,11 +250,9 @@ def _analyse(H, level, phi, V, floor, leaves):
         for psi, mult in _factor(R, level.F):
             key = _representative(level, phi, psi, e, W)
             if mult == 1:
-                alpha, beta = level.norm(W)
                 leaves.append((key, e * level.e,
                                level.F.degree * (len(psi) - 1),
-                               level.gamma if len(psi) == 2 else
-                               (_power(phi, e), alpha, beta, level.phi, psi)))
+                               _Order2(level, phi, W, e, psi)))
             elif e == 1 and len(psi) == 2:
                 _analyse(H, level, key, V, h, leaves)
             elif level.order == 1 and (len(psi) == 2 or level.F.degree == 1):
@@ -280,17 +282,21 @@ def _representative(level, phi, psi, e, W):
 
 def _prime(H, phibar, leaf, p, M, B):
     """The tuple of `factor_block` for one leaf."""
-    key, e, f, gamma = leaf
-    pM = p ** M
-    if f == len(phibar) - 1:
-        G = _lift(H, key, p, M, B)[0]
-        return [c % pM for c in G], e, f, list(phibar), None
-    # the root of u is read in the power basis of a root of G: G is lifted
-    # to twice the precision first
-    G, P = _lift(H, key, p, 2 * M, B)
-    u = _irreducible_modpoly(p, f)
-    return ([c % pM for c in G], e, f, list(u),
-            _residue_gen(G, P, gamma, u, p, M))
+    key, e, f, vtype = leaf
+    G = [c % p ** M for c in _lift(H, key, p, M, B)]
+    if f > len(phibar) - 1:
+        return G, e, f, list(_irreducible_modpoly(p, f)), vtype
+    return G, e, f, list(phibar), None if e == 1 else vtype
+
+
+def segment_type(H, phibar, p, M):
+    """The type of a block H = phibar^m mod p whose phi-adic Newton polygon
+    is one side of slope h / m with h prime to m (`padic._one_segment`),
+    known mod p^M: the valuation above its one leaf."""
+    leaves = []
+    _analyse(H, _Order1(p, phibar, M), list(phibar), 0, 0, leaves)
+    (_, _, _, vtype), = leaves
+    return vtype
 
 
 def _evaluate(H, g, q):
@@ -300,8 +306,7 @@ def _evaluate(H, g, q):
 
 
 def _lift(H, g, p, M, B):
-    """(G, P): the factor G of H that the key polynomial g approximates,
-    known mod p^P with M <= P <= B.
+    """The factor of H that the key polynomial g approximates, mod p^M.
 
     With H = q g + r mod p^B, g is refined to g + r / q mod g: Newton's
     method on the factor, one division of H by g each step (`_evaluate`).
@@ -329,7 +334,7 @@ def _lift(H, g, p, M, B):
         if k > 2 * t and 2 * k - 3 * t >= M:
             if B - t < M:
                 raise _Short(M + t)
-            return g, min(B - t, 2 * k - 3 * t)
+            return g
     raise _Short(2 * B)
 
 
@@ -361,59 +366,3 @@ def _irreducible_modpoly(p, f):
         if padic._fp_ddf(poly, p) == [(poly, f)]:
             return tuple(poly)
     raise AssertionError("no irreducible polynomial found")
-
-
-def _residue_gen(G, P, gamma, u, p, M):
-    """(coeffs, s): a root of u in K = Q_p[x]/(G), G known mod p^P, as
-    sum(coeffs[i] x^i) / p^s with s least and coeffs mod p^M.
-
-    The residue field of K is F_p(z), z the residue of gamma = a / (p^alpha
-    phi_1^beta) and a root of psi (`_analyse`; phibar has degree 1 here): u
-    has a first root c(z) among the elements of F_p[z]/(psi) in `padic.FF`
-    order, and Newton's method for u from c(gamma) reaches the root of u
-    above it.  An element of K is (X, a), X / p^a with X a vector of
-    integers mod p^(P + a) in the power basis of x.
-    """
-    def element(nums, den):
-        a = padic._vp(den, p)
-        q = p ** (P + a)
-        X = [c * pow(den // p ** a, -1, q) % q for c in nums]
-        while a and all(c % p == 0 for c in X):
-            X, a = [c // p for c in X], a - 1
-        return X, a
-
-    def add(x, y):
-        a = max(x[1], y[1])
-        return element([c * p ** (a - x[1]) + d * p ** (a - y[1]) for c, d
-                        in zip_longest(x[0], y[0], fillvalue=0)], p ** a)
-
-    def mul(x, y):
-        a = x[1] + y[1]
-        return element(polyq.rem_monic(polyq.mul(x[0], y[0]), G,
-                                       p ** (P + a)), p ** a)
-
-    def inverse(x):
-        w, c = _inverse(x[0], G, p, P)
-        return element([d * p ** x[1] for d in w], c)
-
-    def at(c, x):
-        acc = ([], 0)
-        for a in reversed(c):
-            acc = add(mul(acc, x), ([a], 0))
-        return acc
-
-    num, alpha, beta, phi1, psi = gamma
-    z = element(polyq.rem_monic(num, G, p ** (P + alpha)), p ** alpha)
-    if beta:
-        z = mul(z, inverse((polyq.rem_monic(_power(phi1, beta), G, p ** P),
-                            0)))
-    F = padic.FF(p, [c.coeffs[0] for c in psi])
-    root = next(y for y in F.elements() if sum(
-        (y ** i * c for i, c in enumerate(u)), F.zero()).is_zero())
-    omega = at(list(root.coeffs), z)
-    du = polyq.derivative(list(u))
-    for _ in range(P.bit_length() + 2):
-        step = mul(at(u, omega), inverse(at(du, omega)))
-        omega = add(omega, ([-c for c in step[0]], step[1]))
-    X, s = omega
-    return [c % p ** M for c in X], s

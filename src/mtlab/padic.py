@@ -9,14 +9,14 @@ column i holds y^i times the element, so an inverse is one linear solve
 over Q in integers (`linalg.solve`, which returns integers over one
 denominator), and no polynomial is divided over Q.  The norm of an element
 over a monic polynomial is the determinant of that matrix (`_norm`, by
-`linalg.det`); it is the resultant, and it gives the valuations at a prime
-that is not monogenic, the block discriminants of `primes_above` and the
-squarefree test of `factor_monic_int`.  A PAdicEmbedding
-fixes one irreducible p-adic factor of the minimal polynomial,
-Hensel-lifted to precision p^M, together with its ramification index e
-and residue degree f.  Valuations are exact rationals with
-denominator dividing e; reductions land in an explicit finite field
-F_p[t]/(u(t)).
+`linalg.det`); it is the resultant, and it gives the squarefree test of
+`factor_monic_int`.  A PAdicEmbedding fixes one irreducible p-adic factor
+of the minimal polynomial, Hensel-lifted to precision p^M, together with
+its ramification index e and residue degree f.  Valuations are exact
+rationals with denominator dividing e; reductions land in an explicit
+finite field F_p[t]/(u(t)).  Both are read off the coefficients at a prime
+whose local factor is irreducible mod p, and through the type of Montes'
+algorithm that found it at any other (`montes`).
 
 Local (p-adic) arithmetic happens in LocalElement, a truncated representation
 of an element of the local field as vec * p^(-shift) with vec in
@@ -41,7 +41,6 @@ from . import polyq
 from .linalg import det, lowest, solve
 from .errors import (
     ReduciblePolynomial,
-    PrecisionTooLow,
     PrecisionExhausted,
     NegativeValuation,
 )
@@ -181,6 +180,22 @@ class FF:
             if i == self.degree:
                 return
             vec[i] += 1
+
+
+def _residue_homs(source_field, target_field):
+    """All field maps F_(p^a) -> F_(p^b), as images of the generator: the
+    roots of the source's modulus in the target, in `FF.elements` order."""
+    return [x for x in target_field.elements()
+            if _apply_hom(source_field.modpoly, x).is_zero()]
+
+
+def _apply_hom(coeffs, image):
+    """sum coeffs[i] image^i: for the coefficients of an element x of a
+    finite field, the image of x under the map that sends t to image."""
+    acc = image.parent.zero()
+    for c in reversed(coeffs):
+        acc = acc * image + c
+    return acc
 
 
 class FFElement:
@@ -467,13 +482,12 @@ class PAdicEmbedding:
     int tuple mod p^M, lowest degree first), e (ramification index),
     residue_degree, residue_field (an FF), index (position in primes_above).
 
-    residue_gen, when not None, is a pair (coeffs, s): the residue field
-    generator is represented by w = sum(coeffs[i] y^i) / p^s.  It is needed
-    when the local factor is reducible mod p, because then the power basis
-    of y is not integral and the residue of y generates only a subfield.
-    monogenic records whether the power basis of y is a local integral
-    basis (e = 1 and local factor irreducible mod p); only then can
-    valuations and residues be read off the coefficients directly.
+    monogenic records whether the local factor is irreducible mod p, so
+    that valuations and residues are read off the coefficients.  Any other
+    prime reads them through vtype, the type that found it (`montes`), in
+    units of 1 / e, and maps each residue from vtype.F = F_p[t]/(psi) into
+    F_p[t]/(u), when f > deg phibar, by sending the first root of u in
+    vtype.F (in `FF.elements` order) to t.
 
     The reduction matrix, built once per embedding, has in column k the
     coefficients of y^k mod (local factor, p^M) for k below the field
@@ -483,7 +497,7 @@ class PAdicEmbedding:
     """
 
     def __init__(self, field, p, M, local_factor, e, residue_degree,
-                 residue_modpoly, index, residue_gen=None):
+                 residue_modpoly, index, vtype=None):
         self.field = field
         self.p = p
         self.M = M
@@ -493,17 +507,24 @@ class PAdicEmbedding:
         self.residue_degree = residue_degree
         self.residue_field = FF(p, residue_modpoly)
         self.residue_modpoly = list(residue_modpoly)
-        self.residue_gen = residue_gen
-        self.monogenic = (e == 1 and residue_gen is None)
+        self.vtype = vtype
+        self.monogenic = vtype is None
         self.index = index
         self.degree = len(self.local_factor) - 1
         assert self.e * self.residue_degree == self.degree
         # the identity when the prime is the only one above p
         self._reduction = (None if self.degree == field.degree
                            else self._reduction_rows())
-        self._res_gen_powers = None
-        if residue_gen is not None:
-            self._check_residue_gen()
+        # f > deg phibar exactly when u does not divide the local factor
+        # mod p, which is a power of phibar
+        F = self.residue_field
+        self._t_image = F.element([0, 1])
+        if vtype is not None and polyq.rem_monic(self.local_factor,
+                                                 F.modpoly, p):
+            root = _residue_homs(F, vtype.F)[0]
+            t = vtype.F.element([0, 1])
+            self._t_image = next(s for s in _residue_homs(vtype.F, F)
+                                 if _apply_hom(s.coeffs, root) == t)
 
     def _reduction_rows(self):
         """Rows of the integer matrix whose column k is y^k mod
@@ -511,38 +532,6 @@ class PAdicEmbedding:
         cols = _power_columns([1] + [0] * (self.degree - 1),
                               self.local_factor, self.field.degree)
         return [tuple(c % self.pM for c in row) for row in zip(*cols)]
-
-    def _check_residue_gen(self):
-        coeffs, s = self.residue_gen
-        if self.M <= s:
-            raise PrecisionTooLow(
-                "precision %d cannot represent the residue generator "
-                "(denominator p^%d)" % (self.M, s))
-        w = LocalElement(self, list(coeffs), s, self.M)
-        if w.certified_valuation() != 0:
-            raise PrecisionTooLow("residue generator cannot be certified a "
-                                  "unit at precision %d" % self.M)
-        uw = w * 0
-        for c in reversed(self.residue_modpoly):
-            uw = uw * w + c
-        raw = uw._raw_valuation()
-        if raw is not None and raw - uw.shift <= 0:
-            raise PrecisionTooLow(
-                "residue generator does not satisfy the residue polynomial")
-
-    def residue_generator_powers(self):
-        """Powers w^0 .. w^(f-1) of the residue field generator."""
-        if self._res_gen_powers is None:
-            if self.residue_gen is None:
-                w = LocalElement(self, [0, 1], 0, self.M)
-            else:
-                coeffs, s = self.residue_gen
-                w = LocalElement(self, list(coeffs), s, self.M)
-            pows = [self.local(1)]
-            for _ in range(self.residue_degree - 1):
-                pows.append(pows[-1] * w)
-            self._res_gen_powers = pows
-        return self._res_gen_powers
 
     def __repr__(self):
         return ("PAdicEmbedding(p=%d, e=%d, f=%d, M=%d, index=%d)"
@@ -585,8 +574,8 @@ class LocalElement:
 
     prec is the certified absolute precision: the representation agrees with
     the true element up to an error of valuation >= prec.  It is an exact
-    int, and a Fraction only where a valuation read by the norm formula (an
-    embedding that is not monogenic) enters it; `fractions` is imported
+    int, and a Fraction only where a valuation read through a prime's type
+    (an embedding that is not monogenic) enters it; `fractions` is imported
     there only, so a job whose embeddings are monogenic does not load it.
     It never exceeds M - shift for the shift the element is built with:
     vec is known mod p^M, and dividing a vector divisible by p down to a
@@ -632,19 +621,16 @@ class LocalElement:
         emb = self.emb
         if not any(self.vec):
             return None
-        p = emb.p
-        m = min(_vp(c, p) for c in self.vec if c != 0)
         if emb.monogenic:
-            return m
-        # norm formula v(x) = v_p(N(x)) / deg(H), N the norm over the local
-        # factor H; the content p^m is divided out first so that v_p of the
-        # remaining norm stays below the certified precision p^(M - m)
-        vec = [c // p ** m for c in self.vec]
-        norm = _norm(vec, emb.local_factor) % p ** (emb.M - m)
-        if norm == 0:
+            p = emb.p
+            return min(_vp(c, p) for c in self.vec if c != 0)
+        # the numerator is known mod p^M, so its valuation is certified
+        # below M
+        w = emb.vtype.val(self.vec)
+        if w >= emb.e * emb.M:
             return None
         from fractions import Fraction
-        return m + Fraction(_vp(norm, p), emb.degree)
+        return Fraction(w, emb.e)
 
     def valuation(self):
         raw = self._raw_valuation()
@@ -734,13 +720,12 @@ class LocalElement:
     def reduce(self, t=0):
         """Image of self / p^t in the residue field; requires nonnegative
         valuation.  self / p^t has the digits of self with t added to the
-        shift, certified to t fewer digits; on a monogenic embedding its
-        residue is read straight from those digits, with no element formed.
+        shift, certified to t fewer digits, and its residue is read from
+        those digits, with no element formed: straight from the
+        coefficients on a monogenic embedding, through the prime's type
+        otherwise.
         """
         emb = self.emb
-        if t and not emb.monogenic:
-            return LocalElement(emb, self.vec, self.shift + t,
-                                self.prec - t).reduce()
         shift, prec = self.shift + t, self.prec - t
         raw = self._raw_valuation()
         F = emb.residue_field
@@ -752,24 +737,12 @@ class LocalElement:
             return F.zero()
         if raw < shift:
             raise NegativeValuation("element has valuation %s" % (raw - shift))
-        if emb.monogenic:
-            p = emb.p
-            ps = p ** shift
-            return FFElement(F, tuple(c // ps % p for c in self.vec))
-        # general case: search for the residue among lifts built from the
-        # residue field generator (the power basis need not be integral,
-        # so coefficients cannot be read off directly)
-        pows = emb.residue_generator_powers()
-        for cand in F.elements():
-            lift = emb.local(0)
-            for a, w in zip(cand.coeffs, pows):
-                if int(a):
-                    lift = lift + int(a) * w
-            diff = self - lift
-            raw = diff._raw_valuation()
-            if raw is None or raw - diff.shift > 0:
-                return cand
-        raise PrecisionExhausted("no residue found at current precision")
+        if not emb.monogenic:
+            r = emb.vtype.res(self.vec, emb.e * shift)
+            return _apply_hom(r.coeffs, emb._t_image)
+        p = emb.p
+        ps = p ** shift
+        return FFElement(F, tuple(c // ps % p for c in self.vec))
 
     def __repr__(self):
         return ("LocalElement(%s * %d^-%d, prec=%s)"
@@ -819,10 +792,11 @@ def primes_above(field, p, M):
     One embedding per irreducible p-adic factor of the minimal polynomial.
     Factors that are irreducible mod p give unramified primes directly.
     A repeated factor phibar^m gives one prime when the phi-adic Newton
-    polygon of its block is one segment of slope v/m in lowest terms.  Any
-    other block is factored by `montes.factor_block`, which lifts the block
-    to the precision its polygons and Newton steps need, and raises
-    PrecisionTooLow for a block that needs order 3 of Montes' algorithm.
+    polygon of its block is one segment of slope v/m in lowest terms, with
+    that segment's type (`montes.segment_type`).  Any other block is
+    factored by `montes.factor_block`, which lifts the block to the
+    precision its polygons and Newton steps need, types each prime, and
+    raises PrecisionTooLow for a block that needs order 3.
     """
     if p == 2 or prime_divisors(p) != [p]:
         raise ValueError("p must be an odd prime")
@@ -838,20 +812,24 @@ def primes_above(field, p, M):
         block_polys.append(blk)
     lifted = _hensel_blocks([c % p ** M for c in field.minpoly],
                             block_polys, p, M)
-    # (local factor, e, f, residue modpoly, residue_gen) per prime, in the
-    # shape `montes.factor_block` returns
+    # (local factor, e, f, residue modpoly, type) per prime, in the shape
+    # `montes.factor_block` returns
     factors = []
     for idx, ((gbar, mult), H) in enumerate(zip(blocks, lifted)):
-        if mult == 1 or _one_segment(H, gbar, mult, p, M):
-            factors.append((H, mult, len(gbar) - 1, gbar, None))
+        if mult == 1:
+            factors.append((H, 1, len(gbar) - 1, gbar, None))
             continue
         from . import montes
+        if _one_segment(H, gbar, mult, p, M):
+            factors.append((H, mult, len(gbar) - 1, gbar,
+                            montes.segment_type(H, gbar, p, M)))
+            continue
         factors.extend(montes.factor_block(
             lambda B, idx=idx: _hensel_blocks(
                 [c % p ** B for c in field.minpoly], block_polys, p, B)[idx],
             gbar, mult, p, M))
-    result = [PAdicEmbedding(field, p, M, G, e, f, rbar, j, gen)
-              for j, (G, e, f, rbar, gen) in enumerate(factors)]
+    result = [PAdicEmbedding(field, p, M, G, e, f, rbar, j, vtype)
+              for j, (G, e, f, rbar, vtype) in enumerate(factors)]
     total = sum(emb.e * emb.residue_degree for emb in result)
     assert total == field.degree
     return result
@@ -896,9 +874,9 @@ def _one_segment(H, phibar, m, p, M):
 
 def _by_digits(factors, p, M):
     """Local factor tuples (G, e, f, ...) in the order of the base-p digits
-    of G's coefficients from the low digit up: unlike integer order on
-    residues mod p^M, this is stable when M is raised, so the embedding
-    index identifies the same prime at every precision."""
+    of G's coefficients from the low digit up.  Factors whose first
+    coefficients agree mod p^M are ordered by later ones, so the order can
+    change when M is raised (`cli._same_primes` matches primes)."""
     return sorted(factors, key=lambda fac: [[c // p ** j % p for j in range(M)]
                                             for c in fac[0]])
 

@@ -20,32 +20,6 @@ def sturm_bound(N, k):
     return -(-k * index // 12)
 
 
-def _residue_homs(source_field, target_field):
-    """All field maps F_(p^a) -> F_(p^b), as images of the generator."""
-    if source_field.degree == 1:
-        return [target_field.one()]
-    mp = source_field.modpoly
-    roots = []
-    for x in target_field.elements():
-        acc = target_field.zero()
-        power = target_field.one()
-        for c in mp:
-            acc = acc + power * c
-            power = power * x
-        if acc.is_zero():
-            roots.append(x)
-    return roots
-
-
-def _apply_hom(x, image, target_field):
-    acc = target_field.zero()
-    power = target_field.one()
-    for c in x.coeffs:
-        acc = acc + power * c
-        power = power * image
-    return acc
-
-
 def find_congruent_weight2(eigensymbol, embedding, classes, primes_above):
     """The weight-2 classes whose residual eigensystem matches, as
     (class id, class, prime above p, residue-field map) tuples.
@@ -59,8 +33,8 @@ def find_congruent_weight2(eigensymbol, embedding, classes, primes_above):
     not congruent there, even when each reduction is conjugate to its
     partner.  A class's first matching prime is its partner, and its map
     is the first aligning one: the image of the generator of that prime's
-    residue field in the residue field of embedding, as `_apply_hom` reads
-    it.
+    residue field in the residue field of embedding, as `padic._apply_hom`
+    reads it.
     """
     space = eigensymbol.space
     p = embedding.p
@@ -77,8 +51,8 @@ def find_congruent_weight2(eigensymbol, embedding, classes, primes_above):
                 continue
             target_red = {ell: gemb.local_ints(*cls.a(ell)).reduce()
                           for ell in ells}
-            hom = next((h for h in _residue_homs(Fg, F)
-                        if all(_apply_hom(target_red[ell], h, F)
+            hom = next((h for h in padic._residue_homs(Fg, F)
+                        if all(padic._apply_hom(target_red[ell].coeffs, h)
                                == source_red[ell] for ell in ells)), None)
             if hom is not None:
                 matches.append((analysis.form_id(cls.space, idx), cls, gemb,
@@ -110,7 +84,6 @@ def verify_congruence(f_norm, g_norm, hom, n_max, mode):
     else:
         mu = 0
         scale = emb.local(1)
-    F = emb.residue_field
     unit = None
     rows = []
     for n in range(1, n_max + 1):
@@ -119,7 +92,8 @@ def verify_congruence(f_norm, g_norm, hom, n_max, mode):
                    for c in mazurtate.theta_element(f_norm, n, i).coeffs]
             rhs_elt = mazurtate.nu_corestrict(
                 mazurtate.theta_element(g_norm, n - 1, i))
-            rhs = [_apply_hom(c.reduce(), hom, F) for c in rhs_elt.coeffs]
+            rhs = [padic._apply_hom(c.reduce().coeffs, hom)
+                   for c in rhs_elt.coeffs]
             if unit is None:
                 for a, b in zip(lhs, rhs):
                     if not b.is_zero() and not a.is_zero():
@@ -168,7 +142,7 @@ def oldspace_decompose(f_norm, g_norm, hom, images, target):
         raise ValueError("the partner must be a weight-2 symbol at level N")
     F = emb.residue_field
     size = len(target.plist)
-    basis = [[_apply_hom(g_norm.embed(img[A][0]).reduce(), hom, F)
+    basis = [[padic._apply_hom(g_norm.embed(img[A][0]).reduce().coeffs, hom)
               for A in range(size)] for img in images]
     _, witness = analysis.mu_min_witness(f_norm)
     scale = witness.inverse()

@@ -165,10 +165,15 @@ def test_mu_min_and_witness_match_the_full_scan(level, weight, p):
     symbols = every_symbol(level, weight, p, 8)
     assert symbols
     for norm in symbols:
-        mu, witness = reference_mu_min_witness(norm)
-        got_mu, got = analysis.mu_min_witness(norm)
-        assert got_mu == mu
-        assert digits(got) == digits(witness)
+        got = outcome(analysis.mu_min_witness, norm)
+        if got is PrecisionExhausted:
+            # only the prime with e = 4 above 3 of a field at 11/20 has no
+            # evaluation certified at M = 8; the full scan of P^1(Z/3^8)
+            # that finds none takes over a minute, so this raise is
+            # compared with the scan at M = 5, in the test below
+            assert (level, weight, norm.embedding.e) == (11, 20, 4)
+            continue
+        assert got == outcome(reference_mu_min_witness, norm)
 
 
 def test_mu_min_matches_the_full_scan_at_low_precision():

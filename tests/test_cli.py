@@ -79,11 +79,12 @@ CASES = {
     # class c1 has theta_{0,0} = 0 exactly, so its rows stay uncertified
     "invariants-37-2-3": (["invariants", "--level", "37", "--weight", "2",
                            "--p", "3", "--nmax", "1"], cli.EXIT_UNCERTIFIED),
-    # class c1's field cannot be certified at precision 2
+    # class c1's quartic field has a prime above 3 of residue degree 2
+    # over phibar of degree 1, read through its type
     "invariants-11-8-3": (["invariants", "--level", "11", "--weight", "8",
                            "--p", "3", "--nmax", "1"], cli.EXIT_OK),
-    # the primes above 3 of class c1's field cannot be found at precision
-    # 2, so its primes start on the second rung of the ladder
+    # the primes above 3 of class c1's field are found at the first rung,
+    # precision 2, as those of precision 16 mod 3^2
     "invariants-11-8-3-precision-2": (["invariants", "--level", "11",
                                        "--weight", "8", "--p", "3",
                                        "--nmax", "1", "--precision", "2",
@@ -167,8 +168,8 @@ def test_partner_is_read_through_the_map_its_match_found(name, tmp_path,
     """The weight-2 partners of 23/6/3 live over F_9, which has two maps
     into the residue field of the source prime. The report must not depend
     on the order in which the maps are listed."""
-    homs = verify._residue_homs
-    monkeypatch.setattr(verify, "_residue_homs",
+    homs = padic._residue_homs
+    monkeypatch.setattr(padic, "_residue_homs",
                         lambda source, target: homs(source, target)[::-1])
     code, files = run_case(name, tmp_path)
     assert code == CASES[name][1]
@@ -523,8 +524,11 @@ def test_the_gate_prices_the_deepest_level_the_job_builds(job, tmp_path,
 
 
 @pytest.mark.parametrize("mode", ["congruence:bogus", "congruence:",
-                                  "degen:x", "three-term:lowslope", "bogus"])
+                                  "degen:x", "three-term:lowslope", "bogus",
+                                  "three-term"])
 def test_bad_verify_mode_fails_before_any_space(mode, capsys, monkeypatch):
+    # three-term links theta_(n-1), theta_n and theta_(n+1), so --nmax 1
+    # leaves it nothing to check
     built = []
     monkeypatch.setattr(modsym, "ManinSymbolSpace",
                         lambda *args: built.append(args))
@@ -613,6 +617,32 @@ def test_ladder_stops_at_first_certified_rung():
         (1, "N11k4c0", 0), (-1, "N11k4c0", 0)]
     assert [res for *_, res in records] == [2 * config.M] * 2
     assert tried == [config.M, 2 * config.M] * 2
+
+
+def test_a_higher_rung_keeps_each_prime_of_the_first():
+    """The seven primes above 3 of class c2's field at 11/22 come in
+    another digit order at precision 4 and 8 than at 2.  With a work step
+    certified only from the second rung, each prime of index j that a
+    higher rung reads (some normalize only at 8, one at no rung) is the
+    one that reduces to prime j of the first rung, and none is read
+    twice."""
+    config = _config(["mu-min", "--level", "11", "--weight", "22", "--p",
+                      "3", "--precision", "2", "--sign", "1"])
+
+    def work(norm):
+        return norm.embedding, norm.embedding.M > config.M
+
+    records = [(j, emb) for _, cid, j, emb in cli._records(
+        config, config.space(), work) if cid == "N11k22c2" and emb]
+    low = config.primes_above(records[0][1].field, 2)
+    assert len(low) == 7 and len(records) == 5
+    assert len({id(emb) for _, emb in records}) == 5
+    # the digit order changed for some of them
+    assert any(emb.index != j for j, emb in records)
+    for j, emb in records:
+        assert emb.M > 2
+        assert tuple(c % 9 for c in emb.local_factor) == \
+            low[j].local_factor
 
 
 def test_mu_min_climbs_the_ladder_on_out_of_budget(tmp_path, monkeypatch):

@@ -1246,19 +1246,17 @@ def field_values(f):
 
 
 def reference_witness(f, emb):
-    """(coset, monomial) of the first value of least valuation among the
-    coset values of the embedded coordinates, summed in LocalElement
-    arithmetic."""
-    space = f.space
-    E = f.denominator // space.denominator
-    local_coords = [emb.local_ints(nums, E) for nums in f.numerators]
+    """(coset, monomial) of the first value of least certified valuation
+    among all the coset values, each exact value embedded once (they are
+    those of the coordinates, `test_exact_values_are_the_field_values`).
+    Values summed from the embedded coordinates in LocalElement arithmetic
+    would lose digits, and with them a witness that certifies only in its
+    exact form."""
     best = None
-    for A in range(len(space.plist)):
-        for j, x in enumerate(coset_value(space, local_coords, A)):
-            if x.is_zero_to_precision():
-                continue
-            val = x.valuation()
-            if best is None or val < best[0]:
+    for A in range(len(f.space.plist)):
+        for j, x in enumerate(f.exact_value(A)):
+            val = emb.local_ints(x, f.denominator).certified_valuation()
+            if val is not None and (best is None or val < best[0]):
                 best = (val, A, j)
     if best is None:
         raise PrecisionExhausted("every value vanishes")

@@ -120,7 +120,7 @@ def test_degree_identity_on_constructed_fields():
         for p in (3, 5, 7):
             try:
                 embs = padic.primes_above(K, p, 6)
-            except padic.PrecisionTooLow:
+            except PrecisionTooLow:
                 continue
             total = sum(e.e * e.residue_degree for e in embs)
             assert total == K.degree
@@ -884,11 +884,11 @@ def test_local_inverse_matches_xgcd(data):
 
 # -- snapshot of the local data of every prime above p ------------------------
 #
-# Recorded from this module's own primes_above; a change of the local
-# factors, residue data or their order shows here before it reaches a report.
-# Record again after an intended change with
-#
-#     PYTHONPATH=src python tests/test_padic.py
+# Recorded from an earlier design of primes_above, which also found a residue
+# field generator (coeffs, s) for each prime with f > deg phibar; a change of
+# the local factors, residue data or their order shows here before it
+# reaches a report.  No code computes those generators now: they are test
+# input, and each must reduce to t.  The file is not recorded again.
 
 EMBEDDING_SNAPSHOT = Path(__file__).parent / "golden" / "padic-embeddings.json"
 
@@ -911,17 +911,39 @@ def prime_records(embs):
         "e": emb.e,
         "residue_degree": emb.residue_degree,
         "residue_modpoly": list(emb.residue_modpoly),
-        "residue_gen": (None if emb.residue_gen is None
-                        else [list(emb.residue_gen[0]), emb.residue_gen[1]]),
         "index": emb.index,
     } for emb in embs]
 
 
-def reduced(records, p, M):
-    """records with the residue generator's coefficients taken mod p^M,
-    the digits an embedding at precision M reads of them."""
-    return [dict(rec, residue_gen=[[c % p ** M for c in gen[0]], gen[1]])
-            if (gen := rec["residue_gen"]) else rec for rec in records]
+def without_generators(records):
+    """Frozen records without their residue generators."""
+    return [{k: v for k, v in rec.items() if k != "residue_gen"}
+            for rec in records]
+
+
+def generator_residues(records, embs, M):
+    """{index: residue} for each frozen residue generator (coeffs, s) of
+    records, frozen at precision M: its residue in the prime of embs whose
+    local factor reduces to the recorded one mod p^M."""
+    out = {}
+    for rec in records:
+        if rec["residue_gen"] is None:
+            continue
+        (coeffs, s), p = rec["residue_gen"], embs[0].p
+        emb = next(emb for emb in embs if [c % p ** M for c in
+                                           emb.local_factor]
+                   == rec["local_factor"])
+        out[rec["index"]] = padic.LocalElement(emb, coeffs, s,
+                                               emb.M).reduce()
+    return out
+
+
+def prime_shapes(embs, M):
+    """(local factor mod p^M, e, f, residue modpoly) of each embedding, in
+    increasing order: the primes, whatever order their digits give them."""
+    return sorted((tuple(c % embs[0].p ** M for c in emb.local_factor),
+                   emb.e, emb.residue_degree, tuple(emb.residue_modpoly))
+                  for emb in embs)
 
 
 def snapshot_key(key):
@@ -943,23 +965,37 @@ def embedding_snapshot():
 
 
 def test_embedding_snapshot():
-    # the file holds the residue generators of 17-18-deg10 (index 0) and
-    # 17-18-deg12 (index 1) with digits beyond p^M
     want = json.loads(EMBEDDING_SNAPSHOT.read_text())
     assert embedding_snapshot() == {
-        key: reduced(records, *snapshot_key(key)[1:])
-        for key, records in want.items()}
+        key: without_generators(records) for key, records in want.items()}
+
+
+def test_frozen_residue_generators_reduce_to_t():
+    # the file holds the residue generators of 17-18-deg10 (index 0) and
+    # 17-18-deg12 (index 1), with digits beyond p^M; each is read at its
+    # own precision and 8 digits more
+    minpolys = {name: minpoly for name, minpoly, _ in SNAPSHOT_CASES}
+    residues = []
+    for key, records in json.loads(EMBEDDING_SNAPSHOT.read_text()).items():
+        name, p, M = snapshot_key(key)
+        K = padic.NumberField(minpolys[name])
+        for m in (M, M + 8):
+            residues += generator_residues(records, padic.primes_above(
+                K, p, m), M).values()
+    assert len(residues) == 8
+    assert all(r == r.parent.element([0, 1]) for r in residues)
 
 
 @pytest.mark.parametrize("M", [3, 4])
-def test_uncertified_residue_generator_is_precision_too_low(M):
-    # at M = 3 and 4 a prime above 3 of this field has a residue generator
-    # whose valuation vanishes to the working precision
+def test_primes_found_where_a_residue_generator_was_uncertified(M):
+    # at M = 3 and 4 a prime above 3 of this field had a residue generator
+    # whose valuation vanished to the working precision; its primes are
+    # those of M = 8, mod p^M
     K = padic.NumberField(HECKE_17_18_DEG10)
-    with pytest.raises(PrecisionTooLow, match="residue generator cannot be "
-                       "certified a unit at precision %d" % M):
-        padic.primes_above(K, 3, M)
-    assert len(padic.primes_above(K, 3, 8)) == 5
+    low = padic.primes_above(K, 3, M)
+    assert len(low) == 5
+    assert prime_shapes(low, M) == prime_shapes(padic.primes_above(K, 3, 8),
+                                                M)
 
 
 # -- residues of x / p^t -----------------------------------------------------
@@ -967,7 +1003,8 @@ def test_uncertified_residue_generator_is_precision_too_low(M):
 @lru_cache(maxsize=None)
 def snapshot_embeddings(M=8):
     """Every prime above p of the snapshot fields; some are monogenic and
-    some ramified or with a residue generator that is not y."""
+    some ramified or with a residue field larger than that of phibar, read
+    through their types."""
     return [emb for _, minpoly, p in SNAPSHOT_CASES
             for emb in padic.primes_above(padic.NumberField(minpoly), p, M)]
 
@@ -1023,8 +1060,3 @@ def test_reduce_by_a_power_of_p_edge_cases(monogenic):
     assert unit.reduce(0) == emb.residue_field.one()
     assert padic.LocalElement(emb, [p], 0, emb.M).reduce(1) == \
         emb.residue_field.one()
-
-
-if __name__ == "__main__":
-    EMBEDDING_SNAPSHOT.write_text(
-        json.dumps(embedding_snapshot(), indent=1) + "\n")

@@ -56,22 +56,22 @@ def loaded(argv, tmp_path):
     # Mazur-Tate element is built
     (["mu-min", "--level", "23", "--weight", "6", "--p", "3",
       "--sign", "both"], {"mtlab.montes"}),
-    # a prime above 3 of the 11/4 Hecke field is not monogenic, so the
-    # norm formula reads a valuation as a Fraction
+    # the prime above 3 of the 11/4 Hecke field has e = 2: its block is
+    # one segment, whose type reads each valuation as a Fraction
     (["verify", "--mode", "three-term", "--level", "11", "--weight", "4",
       "--p", "3", "--nmax", "2"],
-     {"mtlab.mazurtate", "mtlab.verify", "fractions"}),
+     {"mtlab.mazurtate", "mtlab.montes", "mtlab.verify", "fractions"}),
     # the benchmark's mt-deep and mt-field jobs
     (["invariants", "--level", "11", "--weight", "2", "--p", "5",
       "--nmax", "4"], {"mtlab.mazurtate"}),
     (["invariants", "--level", "23", "--weight", "6", "--p", "3",
       "--nmax", "3"], {"mtlab.mazurtate", "mtlab.montes"}),
     # the quartic 11/8 Hecke field has a block at 3 with a prime of residue
-    # degree 2 above phibar of degree 1; its primes are not monogenic
+    # degree 2 above phibar of degree 1, read through the type that found it
     (["invariants", "--level", "11", "--weight", "8", "--p", "3",
       "--nmax", "1"], {"mtlab.mazurtate", "mtlab.montes", "fractions"}),
 ], ids=["invariants", "mu-min", "verify", "mt-deep", "mt-field",
-        "tame"])
+        "order-two"])
 def test_job_loads_only_the_modules_it_runs(argv, optional, tmp_path):
     code, modules = loaded(argv, tmp_path)
     assert code == 0
