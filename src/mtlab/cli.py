@@ -13,8 +13,10 @@ normalized symbol (a `verify` mode hands over its space and step), and
 `_emit` reads each CSV cell of a row by its header name.  A job compiles
 only what it runs: `mazurtate` with invariants, stabilize and verify (not
 mu-min or eigenforms), the identity checks of `verify` with verify,
-`montes` with a Hecke-field prime whose local factor is not irreducible
-mod p, and `fractions` where such a prime reads a valuation.
+`montes` with a Hecke field whose minimal polynomial has a repeated factor
+mod p (every repeated block goes to `montes.factor_block`), and
+`fractions` where a prime whose local factor is not irreducible mod p
+reads a valuation.
 
 Exit codes: 0 success, 1 construction or configuration failure (a
 malformed command line included), 2 some row could not be certified at the

@@ -1,9 +1,10 @@
 """Montes' algorithm to order 2: the primes of a Hensel block.
 
-`padic.primes_above` imports this module only for a repeated block
-H = phibar^m mod p whose phi-adic Newton polygon is not one segment that
-certifies it irreducible.  The primes of the block are the leaves of a tree
-of types (Guardia-Montes-Nart, Trans. AMS 364, 2012).  At order 1 each side
+`padic.primes_above` imports this module for every repeated block
+H = phibar^m mod p, and for nothing else.  The primes of the block are the
+leaves of a tree of types (Guardia-Montes-Nart, Trans. AMS 364, 2012); a
+block whose phi-adic Newton polygon is one side of slope h/m, h prime to m,
+has one leaf at order 1, with e = m and f = deg phibar.  At order 1 each side
 of slope h/e of the phi-adic Newton polygon of H has a residual polynomial
 over F_q = F_p[t]/(phibar), and by Ore's theorem each irreducible factor
 psi of it that is simple gives one prime, with e the slope's denominator
@@ -44,7 +45,7 @@ class _Short(Exception):
 def factor_block(lift, phibar, m, p, M):
     """The primes of the block H = phibar^m mod p, where lift(B) is H mod
     p^B: [(factor mod p^M, e, f, residue_modpoly, vtype)], in the order of
-    `padic._by_digits`.
+    `_by_digits`.
 
     residue_modpoly is phibar when f = deg phibar, and otherwise the
     lexicographically first monic irreducible u of degree f.  vtype is the
@@ -65,10 +66,19 @@ def factor_block(lift, phibar, m, p, M):
         for G, *_ in out:
             prod = polyq.mul_mod(prod, G, pM)
         if not polyq.sub_mod(prod, H, pM):
-            return padic._by_digits(out, p, M)
+            return _by_digits(out, p, M)
         B *= 2
     raise PrecisionTooLow("local block of degree %d not resolved at "
                           "precision %d" % (d * m, B))
+
+
+def _by_digits(factors, p, M):
+    """The tuples of `factor_block` for one block, in the order of the
+    base-p digits of G's coefficients from the low digit up.  Factors whose
+    first coefficients agree mod p^M are ordered by later ones, so the
+    order can change when M is raised (`cli._same_primes` matches primes)."""
+    return sorted(factors, key=lambda fac: [[c // p ** j % p for j in range(M)]
+                                            for c in fac[0]])
 
 
 # -- the valuations of orders 1 and 2 ------------------------------------------
@@ -143,7 +153,7 @@ class _Order2(_Level):
 
     def _terms(self, a):
         """(k, b_k, e v(b_k) + k h) for the nonzero phi-adic digits of a."""
-        digits = padic._expand(a, self.phi, self.pB)
+        digits = _expand(a, self.phi, self.pB)
         return [(k, b, self.e * self.lower.val(b) + k * self.h)
                 for k, b in enumerate(digits) if b]
 
@@ -214,6 +224,30 @@ def _factor(R, F):
 
 # -- the tree of types ---------------------------------------------------------
 
+def _expand(a, phi, q):
+    """The phi-adic digits of a mod q, phi monic, lowest first: [] for a
+    zero digit."""
+    digits = []
+    while a:
+        a, b = polyq.divmod_monic(a, phi, q)
+        digits.append(b)
+    return digits
+
+
+def _lower_hull(pts):
+    """The vertices of the lower convex hull of points in increasing x."""
+    hull = [pts[0]]
+    for pt in pts[1:]:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return hull
+
+
 def _analyse(H, level, phi, V, floor, leaves):
     """Append to leaves the types of H below this one: for each side of
     slope h / e > floor of the Newton polygon of H for phi at this level,
@@ -229,12 +263,12 @@ def _analyse(H, level, phi, V, floor, leaves):
     and W = e V + h the value of phi^e, so that its roots are the residues
     of phi(theta)^e / p^alpha phi_1(theta)^beta (`_representative`).
     """
-    digits = padic._expand(H, phi, level.pB)
+    digits = _expand(H, phi, level.pB)
     points = [(i, level.val(a) + i * V) for i, a in enumerate(digits) if a]
     if points[0][0]:
         # phi divides H mod p^B: it is a leaf, on a side of infinite slope
         leaves.append((phi, level.e, level.F.degree, level))
-    hull = padic._lower_hull(points)
+    hull = _lower_hull(points)
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if y1 - y2 <= floor * (x2 - x1):
             continue
@@ -287,16 +321,6 @@ def _prime(H, phibar, leaf, p, M, B):
     if f > len(phibar) - 1:
         return G, e, f, list(_irreducible_modpoly(p, f)), vtype
     return G, e, f, list(phibar), None if e == 1 else vtype
-
-
-def segment_type(H, phibar, p, M):
-    """The type of a block H = phibar^m mod p whose phi-adic Newton polygon
-    is one side of slope h / m with h prime to m (`padic._one_segment`),
-    known mod p^M: the valuation above its one leaf."""
-    leaves = []
-    _analyse(H, _Order1(p, phibar, M), list(phibar), 0, 0, leaves)
-    (_, _, _, vtype), = leaves
-    return vtype
 
 
 def _evaluate(H, g, q):

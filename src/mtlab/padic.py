@@ -27,10 +27,10 @@ Polynomials factor here too, in exact integer arithmetic on the dense
 polynomials of `polyq`: over F_p by square-free, distinct-degree and
 equal-degree (Cantor-Zassenhaus) splitting, and monic squarefree integer
 polynomials by Zassenhaus's algorithm on the same quadratic Hensel lifting
-that finds the local factors.  A block phibar^m of the factorization mod p
-is one prime when its phi-adic Newton polygon is one segment that certifies
-it irreducible (`primes_above`); any other block is factored by Montes'
-algorithm to order 2 (`montes`), imported only for a block that reaches it.
+that finds the local factors.  A simple block of the factorization mod p
+is one prime; a repeated block phibar^m is factored by Montes' algorithm to
+order 2 (`montes`, imported only for a repeated block), which owns the
+Newton polygons and the order of a block's primes.
 """
 
 from itertools import combinations, count
@@ -789,11 +789,9 @@ def _vp(n, p):
 def primes_above(field, p, M):
     """All primes of the field above p, as PAdicEmbedding objects.
 
-    One embedding per irreducible p-adic factor of the minimal polynomial.
-    Factors that are irreducible mod p give unramified primes directly.
-    A repeated factor phibar^m gives one prime when the phi-adic Newton
-    polygon of its block is one segment of slope v/m in lowest terms, with
-    that segment's type (`montes.segment_type`).  Any other block is
+    One embedding per irreducible p-adic factor of the minimal polynomial,
+    block by block in the order of `fp_factor`.  A block of a factor that
+    is simple mod p is one unramified prime.  A repeated factor phibar^m is
     factored by `montes.factor_block`, which lifts the block to the
     precision its polygons and Newton steps need, types each prime, and
     raises PrecisionTooLow for a block that needs order 3.
@@ -820,10 +818,6 @@ def primes_above(field, p, M):
             factors.append((H, 1, len(gbar) - 1, gbar, None))
             continue
         from . import montes
-        if _one_segment(H, gbar, mult, p, M):
-            factors.append((H, mult, len(gbar) - 1, gbar,
-                            montes.segment_type(H, gbar, p, M)))
-            continue
         factors.extend(montes.factor_block(
             lambda B, idx=idx: _hensel_blocks(
                 [c % p ** B for c in field.minpoly], block_polys, p, B)[idx],
@@ -833,52 +827,6 @@ def primes_above(field, p, M):
     total = sum(emb.e * emb.residue_degree for emb in result)
     assert total == field.degree
     return result
-
-
-def _expand(a, phi, q):
-    """The phi-adic digits of a mod q, phi monic, lowest first: [] for a
-    zero digit."""
-    digits = []
-    while a:
-        a, b = polyq.divmod_monic(a, phi, q)
-        digits.append(b)
-    return digits
-
-
-def _lower_hull(pts):
-    """The vertices of the lower convex hull of points in increasing x."""
-    hull = [pts[0]]
-    for pt in pts[1:]:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
-
-
-def _one_segment(H, phibar, m, p, M):
-    """Whether the phi-adic Newton polygon of the block H = phibar^m mod p,
-    phi the lift of phibar, at precision M, is one segment from (0, v) to
-    (m, 0) with v prime to m: then H is irreducible, with e = m and
-    f = deg phibar."""
-    digits = _expand(H, phibar, p ** M)
-    if not digits[0]:
-        return False
-    hull = _lower_hull([(i, min(_vp(c, p) for c in a if c))
-                        for i, a in enumerate(digits) if a])
-    return len(hull) == 2 and gcd(hull[0][1], m) == 1
-
-
-def _by_digits(factors, p, M):
-    """Local factor tuples (G, e, f, ...) in the order of the base-p digits
-    of G's coefficients from the low digit up.  Factors whose first
-    coefficients agree mod p^M are ordered by later ones, so the order can
-    change when M is raised (`cli._same_primes` matches primes)."""
-    return sorted(factors, key=lambda fac: [[c // p ** j % p for j in range(M)]
-                                            for c in fac[0]])
 
 
 def teichmuller(p, a, M):

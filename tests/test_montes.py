@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtlab import modsym, montes, padic, polyq
-from mtlab.errors import PrecisionTooLow, SplittingFailure
+from mtlab.errors import (NegativeValuation, PrecisionExhausted,
+                          PrecisionTooLow, SplittingFailure)
 
 from test_padic import (SNAPSHOT_CASES, generator_residues, prime_records,
                         prime_shapes, snapshot_key, without_generators)
@@ -140,17 +141,79 @@ def census_fields(which):
 
 
 @pytest.mark.parametrize("which,counts", [
-    ("grid", {"split": 15, "order 1": 18, "refined": 12, "order 2": 2}),
-    ("tests", {"split": 3, "order 1": 4, "refined": 6, "order 2": 3}),
+    ("grid", {"split": 15, "order 1": 84, "refined": 12, "order 2": 2}),
+    ("tests", {"split": 3, "order 1": 5, "refined": 6, "order 2": 3}),
 ])
 def test_route_census(which, counts, monkeypatch):
     """The blocks of the grid's Hecke fields at p = 3, 5 and 7, and of the
     snapshot, 11/8, 11/14, 11/20 and 11/22 fields at their p, at M = 8:
-    how many each route resolves.  None needs order 3, which raises."""
+    how many each route resolves.  "order 1" holds the blocks whose polygon
+    is one side, 66 of the grid's and the biquadratic field's at p = 3.
+    None needs order 3, which raises."""
     routes = route_counter(monkeypatch)
     for minpoly, p in census_fields(which):
         padic.primes_above(padic.NumberField(minpoly), p, 8)
     assert Counter(routes) == counts
+
+
+# -- blocks whose polygon is one side ------------------------------------------
+#
+# `golden/one-segment-primes.json` freezes every prime that the earlier
+# one-segment branch of `primes_above` returned, before `factor_block` took
+# those blocks too: the 66 of the grid's Hecke fields at p = 3, 5 and 7 and
+# M = 8 (named by their place in `hecke_fields(GRID)`), and the one of the
+# biquadratic snapshot field and of the quadratic fields of 11/4 and 11/8 at
+# p = 3 and M = 2, 4, 8 and 16.  Each record holds the prime's local data and
+# the readings of a fixed list of elements: y^i for i below the degree,
+# p y, 1 + y, phi(y), phi(y) v1, phi(y)^2 v2 and seeded integer vectors v1,
+# v2 and v3, phi the residue modpoly.  The file is not recorded again.
+
+ONE_SEGMENT = json.loads((Path(__file__).parent / "golden"
+                          / "one-segment-primes.json").read_text())
+
+
+def reading(emb, vec):
+    """[v(x), residue of x, residue of x^e / p^(e v(x))] for x = vec at
+    emb: the valuation as a string, or None with no unit residue when it is
+    not certified; a residue that raises is its exception's name."""
+    x = emb.local_ints(vec, 1)
+    v = x.certified_valuation()
+
+    def residue(y, t):
+        try:
+            return list(y.reduce(t).coeffs)
+        except (PrecisionExhausted, NegativeValuation) as exc:
+            return type(exc).__name__
+
+    if v is None:
+        return [None, residue(x, 0), None]
+    power = emb.local(1)
+    for _ in range(emb.e):
+        power = power * x
+    return [str(v), residue(x, 0), residue(power, int(emb.e * v))]
+
+
+@pytest.mark.parametrize("key", sorted(ONE_SEGMENT["primes"]))
+def test_one_sided_blocks_keep_their_frozen_primes(key):
+    name, p, M = snapshot_key(key)
+    embs = padic.primes_above(
+        padic.NumberField(ONE_SEGMENT["fields"][name]), p, M)
+    for rec in ONE_SEGMENT["primes"][key]:
+        emb = embs[rec["index"]]
+        assert prime_records([emb]) == [{k: rec[k] for k in (
+            "local_factor", "e", "residue_degree", "residue_modpoly",
+            "index")}]
+        assert [reading(emb, x) for x in rec["elements"]] == rec["readings"]
+
+
+def test_the_frozen_one_sided_blocks_are_those_of_the_grid():
+    assert sum(len(recs) for key, recs in ONE_SEGMENT["primes"].items()
+               if key.startswith("grid-")) == 66
+    fields = hecke_fields(tuple(GRID))
+    for key in ONE_SEGMENT["primes"]:
+        name = snapshot_key(key)[0]
+        if name.startswith("grid-"):
+            assert list(fields[int(name[5:])]) == ONE_SEGMENT["fields"][name]
 
 
 # -- planted products ----------------------------------------------------------

@@ -2,14 +2,17 @@
 local models.
 
 `golden/tame-blocks.json` freezes, for each field of TAME_CASES at M = 2,
-4, 8 and 16, every repeated block that the one-segment test does not
-certify, in the order `primes_above` meets it, with the factors the tame
+4, 8 and 16, every repeated block whose phi-adic Newton polygon is not one
+side of slope h/m with h prime to m, in the order `primes_above` meets it,
+keyed by (phibar, m), with the factors the tame
 models returned for it (the tuples `(G, e, f, phibar, residue_gen)` of
 `padic.primes_above` then) or the name of the exception they raised, and
 the exception `primes_above` raised, if any.  The file was recorded before
 that design was deleted and is not recorded again.  `montes` returns a
 prime's type in place of its residue generator, so the tuples are compared
-without it; `tests/test_montes.py` reads the frozen generators.
+without it; `tests/test_montes.py` reads the frozen generators.  The
+one-sided blocks, which `montes` now factors too, are checked against
+`golden/one-segment-primes.json` there.
 """
 
 import json
@@ -37,15 +40,15 @@ def shapes(factors):
 
 
 def montes_blocks(minpoly, p, M, monkeypatch):
-    """The factors `montes.factor_block` returns for each block it is
-    given while `primes_above` runs at p and M, and the name of the
-    exception `primes_above` raised, or None."""
+    """([phibar, m], factors) for each block `montes.factor_block` is given
+    while `primes_above` runs at p and M, and the name of the exception
+    `primes_above` raised, or None."""
     blocks = []
     factor_block = montes.factor_block
 
     def recorded(lift, phibar, m, p, M):
         out = factor_block(lift, phibar, m, p, M)
-        blocks.append(shapes(out))
+        blocks.append(([list(phibar), m], shapes(out)))
         return out
 
     monkeypatch.setattr(montes, "factor_block", recorded)
@@ -66,11 +69,16 @@ def test_order_one_split_matches_tame(name, minpoly, p, M, monkeypatch):
     factors of different degree can change with M."""
     frozen = TAME["%s/p%d/M%d" % (name, p, M)]
     top = TAME["%s/p%d/M16" % (name, p)]["blocks"]
-    got, raised = montes_blocks(minpoly, p, M, monkeypatch)
-    # montes reaches every block; a prime list that raises, below M = 8
-    # only, raised with the tame models too
-    assert len(got) == len(top)
+    blocks, raised = montes_blocks(minpoly, p, M, monkeypatch)
+    # montes reaches every frozen block, in the frozen order; a prime list
+    # that raises, below M = 8 only, raised with the tame models too
+    keys = [[block["phibar"], block["m"]] for block in top]
+    assert [key for key, _ in blocks if key in keys] == keys
     assert raised is None or M < 8 and frozen["raised"]
+    # every other block is one-sided: one prime with e = m
+    assert all(len(factors) == 1 and factors[0][1] == key[1]
+               for key, factors in blocks if key not in keys)
+    got = [factors for key, factors in blocks if key in keys]
     for j, factors in enumerate(got):
         tame = frozen["blocks"][j]["factors"] \
             if j < len(frozen["blocks"]) else "not reached"
