@@ -10,13 +10,14 @@ once, before any space is built (`_BUDGET_DEPTH`).  Every per-prime command
 runs through one record generator, ``_records``: sign -> eigenclass ->
 prime above p -> precision ladder -> the command's own step on the
 normalized symbol (a `verify` mode hands over its space and step), and
-`_emit` reads each CSV cell of a row by its header name.  A job compiles
-only what it runs: `mazurtate` with invariants, stabilize and verify (not
-mu-min or eigenforms), the identity checks of `verify` with verify,
-`montes` with a Hecke field whose minimal polynomial has a repeated factor
-mod p (every repeated block goes to `montes.factor_block`), and
-`fractions` where a prime whose local factor is not irreducible mod p
-reads a valuation.
+`_emit` reads each CSV cell of a row by its header name.  Each Hecke field
+is factored once per job, at the ladder's top precision, and every rung
+reads the same primes at its own.  A job compiles only what it runs:
+`mazurtate` with invariants, stabilize and verify (not mu-min or
+eigenforms), the identity checks of `verify` with verify, `montes` with a
+Hecke field whose minimal polynomial has a repeated factor mod p (every
+repeated block goes to `montes.factor_block`), and `fractions` where a
+ramified prime reads a valuation.
 
 Exit codes: 0 success, 1 construction or configuration failure (a
 malformed command line included), 2 some row could not be certified at the
@@ -30,12 +31,7 @@ import sys
 from math import gcd
 
 from . import analysis, modsym, padic
-from .errors import (
-    MTLabError,
-    NotOrdinary,
-    PrecisionExhausted,
-    PrecisionTooLow,
-)
+from .errors import MTLabError, NotOrdinary, PrecisionExhausted
 
 SCHEMA_VERSION = 1
 
@@ -134,13 +130,15 @@ class JobConfig:
         return self._spaces[key]
 
     def primes_above(self, field, M):
-        """The primes above p of the field at precision M, found once per
-        job for each (minimal polynomial, M): eigenclasses of both signs
-        that share a Hecke field share its primes."""
-        key = (field.minpoly, M)
-        if key not in self._primes:
-            self._primes[key] = padic.primes_above(field, self.p, M)
-        return self._primes[key]
+        """The primes above p of the field read mod p^M, M on the
+        precision ladder (`PAdicEmbedding.at`).  Each field is factored
+        once per job, at the ladder's top precision, so eigenclasses of
+        both signs that share a Hecke field share its primes, and every
+        rung reads them in one order."""
+        if field.minpoly not in self._primes:
+            self._primes[field.minpoly] = padic.primes_above(
+                field, self.p, self.precision_ladder()[-1])
+        return [emb.at(M) for emb in self._primes[field.minpoly]]
 
     def precision_ladder(self):
         """Deterministic working precisions tried when digits run out."""
@@ -190,51 +188,31 @@ def _class_records(config, space):
 def _records(config, space, work, missing=None):
     """(sign, class id, embedding index, result) per prime above p.
 
-    Primes above p are found once per job for each Hecke field and ladder
-    rung, at that rung's precision (`JobConfig.primes_above`), so classes
-    of both signs with the same field share them. They are numbered at the
-    first rung where they can be found, and matched to those of a later
-    rung by their local factors (`_same_primes`); when no rung factors, the
-    last rung's error ends the job. Each prime climbs the precision ladder from
-    that rung until ``work(normalized) -> (result, certified)`` reports
-    certified, and keeps the last result it got otherwise; exact symbols
-    re-embed losslessly, so a higher rung describes the same object. A
-    rung where the primes cannot be found, the symbol cannot be
-    normalized, or the work runs out of precision, is skipped. result is
-    missing, the command's report for such a prime, when no rung gave one.
+    The primes above p of each Hecke field are found once per job, at the
+    ladder's top precision (`JobConfig.primes_above`), so classes of both
+    signs with the same field share them, and they are numbered there; when
+    they cannot be found, the error ends the job.  Each prime climbs the
+    precision ladder, read mod p^M at each rung, until
+    ``work(normalized) -> (result, certified)`` reports certified, and
+    keeps the last result it got otherwise; exact symbols re-embed
+    losslessly, so a higher rung describes the same object.  A rung where
+    the symbol cannot be normalized, or the work runs out of precision, is
+    skipped.  result is missing, the command's report for such a prime,
+    when no rung gave one.
     """
     ladder = config.precision_ladder()
     for sign, cid, cls in _class_records(config, space):
-        for first, M in enumerate(ladder):
-            try:
-                base = config.primes_above(cls.field, M)
-                break
-            except (PrecisionExhausted, PrecisionTooLow):
-                if M == ladder[-1]:
-                    raise
-        for j in range(len(base)):
+        for emb in config.primes_above(cls.field, ladder[-1]):
             result = missing
-            for M in ladder[first:]:
+            for M in ladder:
                 try:
-                    emb = _same_primes(base, config.primes_above(
-                        cls.field, M))[j]
-                    result, certified = work(modsym.normalize(cls, emb))
-                except (PrecisionExhausted, PrecisionTooLow):
+                    result, certified = work(modsym.normalize(cls,
+                                                              emb.at(M)))
+                except PrecisionExhausted:
                     continue
                 if certified:
                     break
-            yield sign, cid, j, result
-
-
-def _same_primes(base, embs):
-    """The primes of embs, at a precision of at least that of base, in the
-    order of base: for each prime of base, the first one not yet taken
-    whose local factor reduces to its local factor."""
-    q, out = base[0].pM, []
-    for emb in base:
-        out.append(next(x for x in embs if x not in out and tuple(
-            c % q for c in x.local_factor) == emb.local_factor))
-    return out
+            yield sign, cid, emb.index, result
 
 
 def _each(step):

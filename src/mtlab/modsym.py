@@ -239,8 +239,11 @@ class ManinSymbolSpace:
         g of each cusp of delta gamma_A: phi({oo} - {x}) = sum Phi(B)|g^-1.
 
         Returns {A: [(source coset B, integer action matrix)]} so that
-        Phi_op(A) = sum over terms of act(values_src[B], matrix)."""
-        key = (id(source), deltas, tuple(cosets))
+        Phi_op(A) = sum over terms of act(values_src[B], matrix).  The plan
+        reads the source only through its P^1 list, so it is cached by the
+        source's level (`degeneracy_values` checks that the weights agree).
+        """
+        key = (source.M, deltas, tuple(cosets))
         cached = self._plan_cache.get(key)
         if cached is not None:
             return cached

@@ -22,8 +22,9 @@ of H, which single-factor lifting (Guardia-Nart-Pauli, J. Symb. Comp. 47,
 2012) refines by Newton's method mod p^B (`_lift`).  The working precision
 B starts at 2M and is raised only when a polygon or a Newton step shows
 that it is too low.
-Each prime also keeps its type, the valuation one level above its leaf
-(`_Order2`), through which `padic.LocalElement` reads its elements.
+Each prime also keeps its type, through which `padic.LocalElement` reads
+its elements: the valuation one level above its leaf (`_Order2`), or the
+type of order 1 (`padic._Order1`) for a factor that is phibar mod p.
 """
 
 from functools import cache
@@ -49,15 +50,17 @@ def factor_block(lift, phibar, m, p, M):
 
     residue_modpoly is phibar when f = deg phibar, and otherwise the
     lexicographically first monic irreducible u of degree f.  vtype is the
-    prime's type (`_analyse`), None when the factor is phibar mod p.  The
-    factors must multiply back to H mod p^M.
+    prime's type (`_analyse`), the type of order 1 (`padic._Order1`) when
+    the factor is phibar mod p.  The factors must multiply back to H mod
+    p^M.
     """
     d, pM, B = len(phibar) - 1, p ** M, 2 * M
     for _ in range(8):
         H = lift(B)
         leaves = []
         try:
-            _analyse(H, _Order1(p, phibar, B), list(phibar), 0, 0, leaves)
+            _analyse(H, padic._Order1(p, phibar, B), list(phibar), 0, 0,
+                     leaves)
             out = [_prime(H, phibar, leaf, p, M, B) for leaf in leaves]
         except _Short as short:
             B = max(short.B, B + 1)
@@ -74,54 +77,17 @@ def factor_block(lift, phibar, m, p, M):
 
 def _by_digits(factors, p, M):
     """The tuples of `factor_block` for one block, in the order of the
-    base-p digits of G's coefficients from the low digit up.  Factors whose
-    first coefficients agree mod p^M are ordered by later ones, so the
-    order can change when M is raised (`cli._same_primes` matches primes)."""
+    base-p digits of G's coefficients mod p^M from the low digit up, and
+    for factors whose first coefficients agree, by later ones.  A job
+    factors each field once, so this order numbers its primes at every
+    precision it reads them at (`padic.PAdicEmbedding.at`)."""
     return sorted(factors, key=lambda fac: [[c // p ** j % p for j in range(M)]
                                             for c in fac[0]])
 
 
-# -- the valuations of orders 1 and 2 ------------------------------------------
+# -- the valuation of order 2 --------------------------------------------------
 
-class _Level:
-    """The normalizations shared by orders 1 and 2: p^alpha phi^beta, with
-    e alpha + h beta = w and 0 <= beta < e, has value w (`norm`), and its
-    quotients of value 0 have residues powers of z (`zpow`)."""
-
-    def beta(self, w):
-        return w * pow(self.h, -1, self.e) % self.e
-
-    def norm(self, w):
-        beta = self.beta(w)
-        return (w - beta * self.h) // self.e, beta
-
-    def zpow(self, k):
-        return self.z ** k if k >= 0 else self.z.inverse() ** -k
-
-
-class _Order1(_Level):
-    """v_p and the residues mod (p, phibar) of integer polynomials of degree
-    below deg phibar, so that a(x) / p^v(a) has a nonzero residue at every
-    root of phibar; e = 1 and h = 0, so p^w has value w."""
-
-    order, e, h, phi = 1, 1, 0, None
-
-    def __init__(self, p, phibar, B):
-        self.p, self.pB = p, p ** B
-        self.F = padic.FF(p, phibar)
-        self.z = self.F.one()
-
-    def val(self, a):
-        return min(padic._vp(c, self.p) for c in a if c)
-
-    def res(self, a, w):
-        return self.F.element([c // self.p ** w for c in a])
-
-    def lift(self, r, w):
-        return [self.p ** w * c for c in r.coeffs]
-
-
-class _Order2(_Level):
+class _Order2(padic._Level):
     """The valuation v_2 = e [v_p; phi, h / e] of MacLane, in units of
     1 / e, on integer polynomials of degree below e f deg phi, for a type of
     order 1 with slope h / e and a residual factor psi of degree f: a root
@@ -315,12 +281,15 @@ def _representative(level, phi, psi, e, W):
 # -- the factor of each leaf ---------------------------------------------------
 
 def _prime(H, phibar, leaf, p, M, B):
-    """The tuple of `factor_block` for one leaf."""
+    """The tuple of `factor_block` for one leaf: a leaf of the degree of
+    the block is its one prime, whose factor is H itself."""
     key, e, f, vtype = leaf
-    G = [c % p ** M for c in _lift(H, key, p, M, B)]
+    G = [c % p ** M for c in (H if e * f == len(H) - 1 else
+                              _lift(H, key, p, M, B))]
     if f > len(phibar) - 1:
         return G, e, f, list(_irreducible_modpoly(p, f)), vtype
-    return G, e, f, list(phibar), None if e == 1 else vtype
+    return G, e, f, list(phibar), \
+        padic._Order1(p, phibar, B) if e == 1 else vtype
 
 
 def _evaluate(H, g, q):

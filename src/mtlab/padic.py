@@ -12,11 +12,12 @@ over a monic polynomial is the determinant of that matrix (`_norm`, by
 `linalg.det`); it is the resultant, and it gives the squarefree test of
 `factor_monic_int`.  A PAdicEmbedding fixes one irreducible p-adic factor
 of the minimal polynomial, Hensel-lifted to precision p^M, together with
-its ramification index e and residue degree f.  Valuations are exact
-rationals with denominator dividing e; reductions land in an explicit
-finite field F_p[t]/(u(t)).  Both are read off the coefficients at a prime
-whose local factor is irreducible mod p, and through the type of Montes'
-algorithm that found it at any other (`montes`).
+its ramification index e and residue degree f; `PAdicEmbedding.at` reads
+it mod p^M for a lower M.  Valuations are exact rationals with denominator
+dividing e (ints when e = 1), and reductions land in an explicit finite
+field F_p[t]/(u(t)); both are read through the prime's type, of order 1
+(`_Order1`) when its local factor is irreducible mod p and of Montes'
+algorithm otherwise (`montes`).
 
 Local (p-adic) arithmetic happens in LocalElement, a truncated representation
 of an element of the local field as vec * p^(-shift) with vec in
@@ -475,6 +476,45 @@ def factor_monic_int(g):
 # p-adic embeddings
 # ---------------------------------------------------------------------------
 
+class _Level:
+    """The normalizations shared by orders 1 and 2: p^alpha phi^beta, with
+    e alpha + h beta = w and 0 <= beta < e, has value w (`norm`), and its
+    quotients of value 0 have residues powers of z (`zpow`)."""
+
+    def beta(self, w):
+        return w * pow(self.h, -1, self.e) % self.e
+
+    def norm(self, w):
+        beta = self.beta(w)
+        return (w - beta * self.h) // self.e, beta
+
+    def zpow(self, k):
+        return self.z ** k if k >= 0 else self.z.inverse() ** -k
+
+
+class _Order1(_Level):
+    """The type of order 1: v_p and the residues mod (p, phibar) of integer
+    polynomials of degree below deg phibar; e = 1 and h = 0, so p^w has
+    value w.  It reads a prime whose local factor is phibar mod p, and is
+    the lowest level of every type of `montes`, which works mod p^B."""
+
+    order, e, h, phi = 1, 1, 0, None
+
+    def __init__(self, p, phibar, B):
+        self.p, self.pB = p, p ** B
+        self.F = FF(p, phibar)
+        self.z = self.F.one()
+
+    def val(self, a):
+        return min(_vp(c, self.p) for c in a if c)
+
+    def res(self, a, w):
+        return self.F.element([c // self.p ** w for c in a])
+
+    def lift(self, r, w):
+        return [self.p ** w * c for c in r.coeffs]
+
+
 class PAdicEmbedding:
     """One prime above p in a number field, with explicit local data.
 
@@ -482,12 +522,11 @@ class PAdicEmbedding:
     int tuple mod p^M, lowest degree first), e (ramification index),
     residue_degree, residue_field (an FF), index (position in primes_above).
 
-    monogenic records whether the local factor is irreducible mod p, so
-    that valuations and residues are read off the coefficients.  Any other
-    prime reads them through vtype, the type that found it (`montes`), in
-    units of 1 / e, and maps each residue from vtype.F = F_p[t]/(psi) into
-    F_p[t]/(u), when f > deg phibar, by sending the first root of u in
-    vtype.F (in `FF.elements` order) to t.
+    vtype is the prime's type, which reads valuations (in units of 1 / e)
+    and residues: `_Order1` when the local factor is irreducible mod p, and
+    the type that found the prime otherwise (`montes`).  When f > deg phibar
+    a residue in vtype.F = F_p[t]/(psi) is mapped into F_p[t]/(u) by sending
+    the first root of u in vtype.F (in `FF.elements` order) to t.
 
     The reduction matrix, built once per embedding, has in column k the
     coefficients of y^k mod (local factor, p^M) for k below the field
@@ -497,7 +536,7 @@ class PAdicEmbedding:
     """
 
     def __init__(self, field, p, M, local_factor, e, residue_degree,
-                 residue_modpoly, index, vtype=None):
+                 residue_modpoly, index, vtype):
         self.field = field
         self.p = p
         self.M = M
@@ -508,7 +547,6 @@ class PAdicEmbedding:
         self.residue_field = FF(p, residue_modpoly)
         self.residue_modpoly = list(residue_modpoly)
         self.vtype = vtype
-        self.monogenic = vtype is None
         self.index = index
         self.degree = len(self.local_factor) - 1
         assert self.e * self.residue_degree == self.degree
@@ -518,13 +556,26 @@ class PAdicEmbedding:
         # f > deg phibar exactly when u does not divide the local factor
         # mod p, which is a power of phibar
         F = self.residue_field
-        self._t_image = F.element([0, 1])
-        if vtype is not None and polyq.rem_monic(self.local_factor,
-                                                 F.modpoly, p):
+        self._t_image = None
+        if polyq.rem_monic(self.local_factor, F.modpoly, p):
             root = _residue_homs(F, vtype.F)[0]
             t = vtype.F.element([0, 1])
             self._t_image = next(s for s in _residue_homs(vtype.F, F)
                                  if _apply_hom(s.coeffs, root) == t)
+        self._at = {}
+
+    def at(self, M):
+        """This prime read mod p^M, M at most its precision: the same index,
+        type and residue field, built once per M."""
+        assert M <= self.M
+        if M == self.M:
+            return self
+        if M not in self._at:
+            self._at[M] = PAdicEmbedding(
+                self.field, self.p, M, self.local_factor, self.e,
+                self.residue_degree, self.residue_modpoly, self.index,
+                self.vtype)
+        return self._at[M]
 
     def _reduction_rows(self):
         """Rows of the integer matrix whose column k is y^k mod
@@ -574,9 +625,9 @@ class LocalElement:
 
     prec is the certified absolute precision: the representation agrees with
     the true element up to an error of valuation >= prec.  It is an exact
-    int, and a Fraction only where a valuation read through a prime's type
-    (an embedding that is not monogenic) enters it; `fractions` is imported
-    there only, so a job whose embeddings are monogenic does not load it.
+    int, and a Fraction only where a valuation of a ramified prime (e > 1)
+    enters it; `fractions` is imported there only, so a job whose primes
+    are unramified does not load it.
     It never exceeds M - shift for the shift the element is built with:
     vec is known mod p^M, and dividing a vector divisible by p down to a
     smaller shift adds no digits.
@@ -621,14 +672,13 @@ class LocalElement:
         emb = self.emb
         if not any(self.vec):
             return None
-        if emb.monogenic:
-            p = emb.p
-            return min(_vp(c, p) for c in self.vec if c != 0)
-        # the numerator is known mod p^M, so its valuation is certified
-        # below M
+        # read through the prime's type in units of 1 / e; the numerator is
+        # known mod p^M, so its valuation is certified below M
         w = emb.vtype.val(self.vec)
         if w >= emb.e * emb.M:
             return None
+        if emb.e == 1:
+            return w
         from fractions import Fraction
         return Fraction(w, emb.e)
 
@@ -721,28 +771,23 @@ class LocalElement:
         """Image of self / p^t in the residue field; requires nonnegative
         valuation.  self / p^t has the digits of self with t added to the
         shift, certified to t fewer digits, and its residue is read from
-        those digits, with no element formed: straight from the
-        coefficients on a monogenic embedding, through the prime's type
-        otherwise.
+        those digits through the prime's type, with no element formed.
         """
         emb = self.emb
         shift, prec = self.shift + t, self.prec - t
         raw = self._raw_valuation()
-        F = emb.residue_field
         if raw is None or raw - shift >= prec:
             # zero to precision reduces to zero
             if prec <= 0:
                 raise PrecisionExhausted(
                     "no certified digits remain for reduction")
-            return F.zero()
+            return emb.residue_field.zero()
         if raw < shift:
             raise NegativeValuation("element has valuation %s" % (raw - shift))
-        if not emb.monogenic:
-            r = emb.vtype.res(self.vec, emb.e * shift)
-            return _apply_hom(r.coeffs, emb._t_image)
-        p = emb.p
-        ps = p ** shift
-        return FFElement(F, tuple(c // ps % p for c in self.vec))
+        r = emb.vtype.res(self.vec, emb.e * shift)
+        if emb._t_image is None:
+            return r
+        return _apply_hom(r.coeffs, emb._t_image)
 
     def __repr__(self):
         return ("LocalElement(%s * %d^-%d, prec=%s)"
@@ -790,38 +835,36 @@ def primes_above(field, p, M):
     """All primes of the field above p, as PAdicEmbedding objects.
 
     One embedding per irreducible p-adic factor of the minimal polynomial,
-    block by block in the order of `fp_factor`.  A block of a factor that
-    is simple mod p is one unramified prime.  A repeated factor phibar^m is
-    factored by `montes.factor_block`, which lifts the block to the
-    precision its polygons and Newton steps need, types each prime, and
-    raises PrecisionTooLow for a block that needs order 3.
+    block by block in the order of `fp_factor`, each block phibar^m lifted
+    against the product of the others (`_hensel_pair`).  A block simple
+    mod p is one unramified prime, of type `_Order1`.  A repeated block is
+    factored by `montes.factor_block`, which lifts it to the precision its
+    polygons and Newton steps need, types each prime, and raises
+    PrecisionTooLow for a block that needs order 3.
     """
     if p == 2 or prime_divisors(p) != [p]:
         raise ValueError("p must be an odd prime")
     if M < 1:
         raise ValueError("precision must be at least 1")
-    # blocks, each (gbar lowest-first, multiplicity), deterministic order
-    blocks = fp_factor(field.minpoly, p)
-    block_polys = []
-    for gbar, mult in blocks:
-        blk = [1]
-        for _ in range(mult):
-            blk = polyq.mul_mod(blk, gbar, p)
-        block_polys.append(blk)
-    lifted = _hensel_blocks([c % p ** M for c in field.minpoly],
-                            block_polys, p, M)
+    fbar = polyq.trim([c % p for c in field.minpoly])
     # (local factor, e, f, residue modpoly, type) per prime, in the shape
     # `montes.factor_block` returns
     factors = []
-    for idx, ((gbar, mult), H) in enumerate(zip(blocks, lifted)):
+    for gbar, mult in fp_factor(fbar, p):
+        blk = [1]
+        for _ in range(mult):
+            blk = polyq.mul_mod(blk, gbar, p)
+        rest = polyq.divmod_monic(fbar, blk, p)[0]
+
+        def lift(B, blk=blk, rest=rest):
+            return _hensel_pair(field.minpoly, blk, rest, p, B)[0]
+
         if mult == 1:
-            factors.append((H, 1, len(gbar) - 1, gbar, None))
-            continue
-        from . import montes
-        factors.extend(montes.factor_block(
-            lambda B, idx=idx: _hensel_blocks(
-                [c % p ** B for c in field.minpoly], block_polys, p, B)[idx],
-            gbar, mult, p, M))
+            factors.append((lift(M), 1, len(gbar) - 1, gbar,
+                            _Order1(p, gbar, M)))
+        else:
+            from . import montes
+            factors.extend(montes.factor_block(lift, gbar, mult, p, M))
     result = [PAdicEmbedding(field, p, M, G, e, f, rbar, j, vtype)
               for j, (G, e, f, rbar, vtype) in enumerate(factors)]
     total = sum(emb.e * emb.residue_degree for emb in result)

@@ -851,6 +851,20 @@ def test_degeneracy_commutes_with_hecke():
             assert lhs[A] == rhs[A]
 
 
+def test_degeneracy_plan_is_shared_by_sources_of_one_level():
+    """The plan of a degeneracy map depends on the source only through its
+    level: two source spaces of one level, both alive, get the same plan
+    object, so a freed source whose id is reused cannot hand its plan to a
+    space of another level."""
+    dst = ManinSymbolSpace(33, 2)
+    first, second = ManinSymbolSpace(11, 2), ManinSymbolSpace(11, 2)
+    delta, cosets = (((3, 0), (0, 1)),), tuple(range(len(dst.plist)))
+    plan = dst._operator_plan(first, delta, cosets)
+    assert dst._operator_plan(second, delta, cosets) is plan
+    assert dst._operator_plan(ManinSymbolSpace(3, 2), delta, cosets) \
+        is not plan
+
+
 def test_degeneracy_image_satisfies_relations():
     rng = random.Random(13)
     src = ManinSymbolSpace(11, 2)

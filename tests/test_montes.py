@@ -2,7 +2,7 @@
 
 `golden/padic-blocks.json` freezes every prime above p of each field that
 had a block the earlier tame local models factored, as those models
-returned it: the Hecke fields of GRID below at p = 3, 5 and 7 and M = 8,
+returned it: the Hecke fields of `grid.GRID` at p = 3, 5 and 7 and M = 8,
 the 11/8 and 11/14 fields at M = 2, 4, 8 and 16, and the 11/20 and 11/22
 fields at M = 8 and 16, at p = 3.  A prime list that raised is frozen as
 the exception's name.  The file was recorded before that design was
@@ -21,10 +21,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlab import modsym, montes, padic, polyq
+from mtlab import montes, padic, polyq
 from mtlab.errors import (NegativeValuation, PrecisionExhausted,
-                          PrecisionTooLow, SplittingFailure)
+                          PrecisionTooLow)
 
+import grid
+from grid import GRID
 from test_padic import (SNAPSHOT_CASES, generator_residues, prime_records,
                         prime_shapes, snapshot_key, without_generators)
 
@@ -108,25 +110,16 @@ def route_counter(monkeypatch):
     return routes
 
 
-# every space of the Eisenstein-defect grid, and the golden spaces whose
-# Hecke fields are not among the snapshot cases
-GRID = [(N, 2) for N in range(11, 80)] + \
-    [(N, k) for k in (4, 6) for N in range(11, 40)]
-
-
 @cache
 def hecke_fields(spaces):
     """The distinct minimal polynomials of degree > 1 of the eigenclasses
-    of both signs of the spaces; a sign that does not split is skipped."""
+    of both signs of the spaces, split once per session (`grid.classes`);
+    a sign that does not split is skipped."""
     fields = {}
     for N, k in spaces:
-        space = modsym.ManinSymbolSpace(N, k)
         for sign in (1, -1):
-            try:
-                classes = modsym.cuspidal_eigensymbols(space, sign)
-            except SplittingFailure:
-                continue
-            fields.update((cls.field.minpoly, None) for cls in classes
+            fields.update((cls.field.minpoly, None)
+                          for cls in grid.classes(N, k, sign) or ()
                           if cls.field.degree > 1)
     return tuple(fields)
 
@@ -154,6 +147,21 @@ def test_route_census(which, counts, monkeypatch):
     for minpoly, p in census_fields(which):
         padic.primes_above(padic.NumberField(minpoly), p, 8)
     assert Counter(routes) == counts
+
+
+def test_census_primes_keep_their_shapes_across_precisions():
+    """Each of the 546 census cases, the grid's and the test fields at
+    their p, has primes of the same (e, f) at M = 2, 8 and 32, and none
+    raises: a job that factors at the top of its ladder and reads its
+    primes at M = 2 reads the primes that M = 2 finds."""
+    cases = census_fields("grid") + census_fields("tests")
+    assert len(cases) == 546
+    for minpoly, p in cases:
+        K = padic.NumberField(minpoly)
+        shapes = {tuple(sorted((emb.e, emb.residue_degree)
+                               for emb in padic.primes_above(K, p, M)))
+                  for M in (2, 8, 32)}
+        assert len(shapes) == 1, (minpoly, p)
 
 
 # -- blocks whose polygon is one side ------------------------------------------

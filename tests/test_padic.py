@@ -1002,9 +1002,9 @@ def test_primes_found_where_a_residue_generator_was_uncertified(M):
 
 @lru_cache(maxsize=None)
 def snapshot_embeddings(M=8):
-    """Every prime above p of the snapshot fields; some are monogenic and
-    some ramified or with a residue field larger than that of phibar, read
-    through their types."""
+    """Every prime above p of the snapshot fields, read through their
+    types: some of order 1, whose local factor is irreducible mod p, and
+    some ramified or with a residue field larger than that of phibar."""
     return [emb for _, minpoly, p in SNAPSHOT_CASES
             for emb in padic.primes_above(padic.NumberField(minpoly), p, M)]
 
@@ -1023,7 +1023,7 @@ def outcome(reduce, *args):
 
 
 def test_snapshot_embeddings_are_mixed():
-    assert {emb.monogenic for emb in snapshot_embeddings()} == {True, False}
+    assert {emb.vtype.order for emb in snapshot_embeddings()} == {1, 2}
 
 
 @settings(max_examples=300, deadline=None)
@@ -1041,9 +1041,12 @@ def test_reduce_by_a_power_of_p_matches_dividing_first(data):
     assert outcome(x.reduce, t) == outcome(divided_residue, x, t)
 
 
-@pytest.mark.parametrize("monogenic", [True, False])
-def test_reduce_by_a_power_of_p_edge_cases(monogenic):
-    emb = next(e for e in snapshot_embeddings() if e.monogenic == monogenic)
+@pytest.mark.parametrize("order_one", [True, False])
+def test_reduce_by_a_power_of_p_edge_cases(order_one):
+    """A prime read through the type of order 1, whose local factor is
+    irreducible mod p, and one read through a type of order 2."""
+    emb = next(e for e in snapshot_embeddings()
+               if (e.vtype.order == 1) == order_one)
     p = emb.p
     unit = padic.LocalElement(emb, [1], 0, emb.M)
     deep = padic.LocalElement(emb, [p ** 5], 0, 3)

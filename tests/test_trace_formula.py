@@ -3,26 +3,22 @@
 For each sign, the cuspidal eigenclasses of a space are the Galois orbits
 of the newforms and oldforms of S_k(Gamma_0(N)), so the sum over classes
 of Tr_{K/Q}(a_ell) is Tr T_ell on S_k(Gamma_0(N)) for every ell prime to N.
-The grid is every space at N = 11-79, k = 2 and N = 11-39, k = 4 and 6.
-Its signed spaces that raise SplittingFailure are skipped, and those whose
-cuspidal cut keeps Eisenstein classes fail (ROADMAP items 4 and 2).
+The grid is every space at N = 11-79, k = 2 and N = 11-39, k = 4 and 6
+(`grid.GRID`, split once per session by `grid.classes`).  Its signed
+spaces that raise SplittingFailure are skipped, and those whose cuspidal
+cut keeps Eisenstein classes fail (ROADMAP items 4 and 2).
 """
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from mtlab import modsym
-from mtlab.errors import SplittingFailure
-
+import grid
+from grid import GRID
 from test_modsym import dim_cusp_forms
 from trace_formula import hecke_trace
-
-GRID = [(N, 2) for N in range(11, 80)] + \
-    [(N, k) for k in (4, 6) for N in range(11, 40)]
 
 # the signed spaces whose cuspidal cut keeps Eisenstein series E(chi,
 # chibar) with cond(chi)^2 | N: the class degrees sum to more than
@@ -87,12 +83,6 @@ def test_golden_eigenforms_match_the_trace_formula(path):
                 (sign, ell)
 
 
-@lru_cache(maxsize=1)
-def space(N, k):
-    """The space of both signs' tests, which run one after the other."""
-    return modsym.ManinSymbolSpace(N, k)
-
-
 SIGNED = [pytest.param(N, k, sign, marks=pytest.mark.xfail(
     raises=AssertionError, strict=True,
     reason="Eisenstein classes (ROADMAP item 2)"))
@@ -102,9 +92,8 @@ SIGNED = [pytest.param(N, k, sign, marks=pytest.mark.xfail(
 
 @pytest.mark.parametrize("N,k,sign", SIGNED)
 def test_grid_classes_match_the_trace_formula(N, k, sign):
-    try:
-        classes = modsym.cuspidal_eigensymbols(space(N, k), sign)
-    except SplittingFailure:
+    classes = grid.classes(N, k, sign)
+    if classes is None:
         pytest.skip("SplittingFailure (ROADMAP item 4)")
     for ell in ELLS:
         if N % ell:
